@@ -7,8 +7,9 @@ log-log slope, the fit quality, and a failure witness where applicable.
 
 Numerical floors: sup values at or below ``zero_tol`` are recorded as exact
 zeros (legitimate zeros arise from the empty-supremum convention); overflowed
-values are kept as ``inf`` markers and force growth verdicts to Fail.  Order
-fitting always works on the finite positive part of a series.
+values are kept as ``inf`` markers and force growth verdicts to Fail.  NaN
+counts as overflow, never as zero.  Order fitting always works on the finite
+positive part of a series.  Every sup series is built by ``sweep_sups``.
 """
 
 from __future__ import annotations
@@ -123,18 +124,39 @@ class SupSeries:
         return "\n".join(lines) + "\n"
 
 
+def sweep_sups(grid: EpsGrid, samples, zero_tol: float = 0.0,
+               context=lambda key: "") -> dict:
+    """Per-key suprema over the grid of the samples ``samples(eps)`` yields.
+
+    Each sample is ``(key, value, location)``.  Per key and eps the first
+    location of the largest value wins; a key exists once any sample yields
+    it, and reads 0 at every other eps (empty-sup convention).  NaN counts as
+    overflow (``inf``); values <= zero_tol clamp to exact 0.  Returns
+    {key: SupSeries} labelled by ``context(key)``.
+    """
+    eps_vals = grid.values()
+    sups: dict = {}
+    args: dict = {}
+    for ei, eps in enumerate(eps_vals):
+        for key, value, location in samples(eps):
+            if key not in sups:
+                sups[key] = np.zeros(len(eps_vals))
+                args[key] = [None] * len(eps_vals)
+            if math.isnan(value):
+                value = math.inf
+            if value > sups[key][ei]:
+                sups[key][ei] = value
+                args[key][ei] = location
+    return {key: SupSeries(eps_vals, np.where(vals <= zero_tol, 0.0, vals),
+                           context=context(key), args=args[key])
+            for key, vals in sups.items()}
+
+
 def series_from_fn(fn, grid: EpsGrid, context: str = "", zero_tol: float = 0.0) -> SupSeries:
-    """Sample ``fn(eps)`` on the grid; values <= zero_tol clamp to exact 0."""
-    eps = grid.values()
-    sup = []
-    for e in eps:
-        v = float(fn(e))
-        if not math.isfinite(v):
-            v = math.inf if v > 0 else 0.0
-        elif v <= zero_tol:
-            v = 0.0
-        sup.append(v)
-    return SupSeries(eps, np.array(sup), context=context)
+    """Sample ``fn(eps)`` on the grid; values <= zero_tol clamp to exact 0,
+    NaN counts as overflow."""
+    return sweep_sups(grid, lambda e: [(None, float(fn(e)), None)], zero_tol,
+                      lambda _key: context)[None]
 
 
 @dataclass

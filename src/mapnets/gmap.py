@@ -30,6 +30,7 @@ from .asymptotics import (
     judge_moderate,
     judge_negligible,
     judge_vanishing,
+    sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
 from .errors import ChartEscape, ChartMismatch
@@ -41,6 +42,7 @@ from .manifold import (
     Point,
     RiemannianMetric,
     SmoothMap,
+    difference_map,
     distance,
     tensor_norm,
 )
@@ -315,17 +317,43 @@ class SingleChartReport:
 # ======================================================================
 
 
-def _lattice_points(K: CompactRegion) -> list:
-    return [(i, cid, lat) for i, (cid, lat) in enumerate(K.lattices())]
+def _lands_in(x: np.ndarray, reps, chart_b, b: str, L_prime: Optional[dict]) -> bool:
+    """Does every representative map x into chart b, and into L' when given?"""
+    for rep in reps:
+        y = rep.try_call(x)
+        if y is None or not chart_b.contains(y):
+            return False
+        if L_prime is not None and not any(box.contains(y, closed=True)
+                                           for box in L_prime.get(b, ())):
+            return False
+    return True
 
 
-def _in_admissible(y: np.ndarray, chart_b: str, L_prime: Optional[dict]) -> bool:
-    if L_prime is None:
-        return True
-    boxes = L_prime.get(chart_b)
-    if not boxes:
-        return False
-    return any(box.contains(y, closed=True) for box in boxes)
+def _chart_sups(dst: Atlas, K: CompactRegion, grid: EpsGrid, k_max: int,
+                L_prime: Optional[dict], pieces, context, cfg: Config) -> dict:
+    """Chart-wise lattice sups of derivative-tensor norms, orders 0..k_max.
+
+    ``pieces(eps, cid)`` yields (dst chart b, representatives, tensors_of).
+    A lattice point x of K's piece pi (in chart cid) counts under the keys
+    (pi, cid, b, k) when every representative lands x in chart b and in L';
+    ``tensors_of(x)`` gives its tensors of orders 0..k_max.  Each series is
+    labelled ``context(pi, cid, b, k)``.
+    """
+    lattices = list(enumerate(K.lattices()))
+
+    def samples(eps):
+        for pi, (cid, lat) in lattices:
+            for b, reps, tensors_of in pieces(eps, cid):
+                chart_b = dst.chart(b)
+                for x in lat:
+                    if not _lands_in(x, reps, chart_b, b, L_prime):
+                        continue
+                    tensors = tensors_of(x)
+                    at = Point(cid, x)
+                    for k in range(k_max + 1):
+                        yield (pi, cid, b, k), tensor_norm(tensors[k], k), at
+
+    return sweep_sups(grid, samples, cfg.zero_tol, lambda key: context(*key))
 
 
 def derivative_sup_series(u: MapNet, K: CompactRegion, grid: EpsGrid,
@@ -336,38 +364,14 @@ def derivative_sup_series(u: MapNet, K: CompactRegion, grid: EpsGrid,
     Keys: (piece index, src chart, dst chart, k).  Points whose image falls
     outside L' (when given) are excluded; empty suprema record 0.
     """
-    eps_vals = grid.values()
-    out_vals: dict = {}
-    out_args: dict = {}
-    for pi, cid, lat in _lattice_points(K):
-        for ei, eps in enumerate(eps_vals):
-            reps = effective_reps(u.at(eps), cid)
-            for b in sorted(reps):
-                rep = reps[b]
-                chart_b = u.dst.chart(b)
-                for x in lat:
-                    y = rep.try_call(x)
-                    if y is None or not chart_b.contains(y):
-                        continue
-                    if not _in_admissible(y, b, L_prime):
-                        continue
-                    tensors = rep.derivs_upto(x, k_max)
-                    for k in range(k_max + 1):
-                        key = (pi, cid, b, k)
-                        if key not in out_vals:
-                            out_vals[key] = np.zeros(len(eps_vals))
-                            out_args[key] = [None] * len(eps_vals)
-                        norm = tensor_norm(tensors[k], k)
-                        if norm > out_vals[key][ei]:
-                            out_vals[key][ei] = norm
-                            out_args[key][ei] = Point(cid, x)
-    series = {}
-    for key, vals in out_vals.items():
-        vals = np.where(vals <= cfg.zero_tol, 0.0, vals)
-        pi, cid, b, k = key
-        series[key] = SupSeries(eps_vals, vals, args=out_args[key],
-                                context=f"|D^{k}| K[{pi}] {cid}->{b} of {u.tag}")
-    return series
+
+    def pieces(eps, cid):
+        reps = effective_reps(u.at(eps), cid)
+        for b in sorted(reps):
+            yield b, (reps[b],), lambda x, rep=reps[b]: rep.derivs_upto(x, k_max)
+
+    return _chart_sups(u.dst, K, grid, k_max, L_prime, pieces,
+                       lambda pi, cid, b, k: f"|D^{k}| K[{pi}] {cid}->{b} of {u.tag}", cfg)
 
 
 def metric_gap_series(u: MapNet, v: MapNet, K: CompactRegion,
@@ -377,19 +381,14 @@ def metric_gap_series(u: MapNet, v: MapNet, K: CompactRegion,
     g = g or u.dst.metric
     if g is None:
         raise ValueError("no target metric available")
-    eps_vals = grid.values()
-    sups = np.zeros(len(eps_vals))
-    args: list = [None] * len(eps_vals)
     pts = K.sample_points()
-    for ei, eps in enumerate(eps_vals):
+
+    def samples(eps):
         for p in pts:
-            d = distance(u.dst, g, u.eval(eps, p), v.eval(eps, p))
-            if d > sups[ei]:
-                sups[ei] = d
-                args[ei] = p
-    sups = np.where(sups <= cfg.zero_tol, 0.0, sups)
-    return SupSeries(eps_vals, sups, args=args,
-                     context=f"sup d_h({u.tag},{v.tag}) on K")
+            yield None, distance(u.dst, g, u.eval(eps, p), v.eval(eps, p)), p
+
+    return sweep_sups(grid, samples, cfg.zero_tol,
+                      lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None]
 
 
 def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
@@ -399,8 +398,6 @@ def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
     otherwise differentiate the pointwise difference, which keeps stencil
     noise proportional to the gap itself rather than to the operands.
     """
-    from .manifold import difference_map
-
     if all(ru.exact_to(k) and rv.exact_to(k) for k in range(k_max + 1)):
         def diffs(x):
             tu = ru.derivs_upto(x, k_max)
@@ -420,43 +417,16 @@ def chart_gap_series(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
     A lattice point contributes only when both images lie in L' in the same
     target chart.
     """
-    eps_vals = grid.values()
-    out_vals: dict = {}
-    out_args: dict = {}
-    for pi, cid, lat in _lattice_points(K):
-        for ei, eps in enumerate(eps_vals):
-            reps_u = effective_reps(u.at(eps), cid)
-            reps_v = effective_reps(v.at(eps), cid)
-            for b in sorted(set(reps_u) & set(reps_v)):
-                chart_b = u.dst.chart(b)
-                diffs_of = _gap_tensors(reps_u[b], reps_v[b], k_max)
-                for x in lat:
-                    yu = reps_u[b].try_call(x)
-                    yv = reps_v[b].try_call(x)
-                    if yu is None or yv is None:
-                        continue
-                    if not (chart_b.contains(yu) and chart_b.contains(yv)):
-                        continue
-                    if not (_in_admissible(yu, b, L_prime)
-                            and _in_admissible(yv, b, L_prime)):
-                        continue
-                    diffs = diffs_of(x)
-                    for k in range(k_max + 1):
-                        key = (pi, cid, b, k)
-                        if key not in out_vals:
-                            out_vals[key] = np.zeros(len(eps_vals))
-                            out_args[key] = [None] * len(eps_vals)
-                        norm = tensor_norm(diffs[k], k)
-                        if norm > out_vals[key][ei]:
-                            out_vals[key][ei] = norm
-                            out_args[key][ei] = Point(cid, x)
-    series = {}
-    for key, vals in out_vals.items():
-        vals = np.where(vals <= cfg.zero_tol, 0.0, vals)
-        pi, cid, b, k = key
-        series[key] = SupSeries(eps_vals, vals, args=out_args[key],
-                                context=f"|D^{k}({u.tag}-{v.tag})| K[{pi}] {cid}->{b}")
-    return series
+
+    def pieces(eps, cid):
+        reps_u = effective_reps(u.at(eps), cid)
+        reps_v = effective_reps(v.at(eps), cid)
+        for b in sorted(set(reps_u) & set(reps_v)):
+            yield b, (reps_u[b], reps_v[b]), _gap_tensors(reps_u[b], reps_v[b], k_max)
+
+    return _chart_sups(u.dst, K, grid, k_max, L_prime, pieces,
+                       lambda pi, cid, b, k: f"|D^{k}({u.tag}-{v.tag})| K[{pi}] {cid}->{b}",
+                       cfg)
 
 
 # ======================================================================

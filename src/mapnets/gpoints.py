@@ -13,8 +13,6 @@ explicitly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +25,8 @@ from .asymptotics import (
     Verdict,
     conjunction,
     judge_negligible,
+    series_from_fn,
+    sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
 from .errors import SupportEscape
@@ -132,16 +132,7 @@ class GenNumber:
         return GenNumber(lambda eps: self(eps) - o(eps), tag=f"({self.tag}-{o.tag})")
 
     def abs_series(self, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG) -> SupSeries:
-        eps_vals = grid.values()
-        vals = []
-        for e in eps_vals:
-            v = abs(self(e))
-            if not math.isfinite(v):
-                v = math.inf
-            elif v <= cfg.zero_tol:
-                v = 0.0
-            vals.append(v)
-        return SupSeries(eps_vals, np.array(vals), context=f"|{self.tag}|")
+        return series_from_fn(lambda e: abs(self(e)), grid, f"|{self.tag}|", cfg.zero_tol)
 
     def record_moderate(self, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG) -> "GenNumber":
         from .asymptotics import judge_moderate
@@ -175,35 +166,22 @@ def points_equal(p: GenPoint, q: GenPoint, g: Optional[RiemannianMetric] = None,
     grid = grid or cfg.grid()
     atlas = p.atlas
     g = g or atlas.metric
-    eps_vals = grid.values()
-    d_vals = []
-    for eps in eps_vals:
-        d = distance(atlas, g, p.at(eps), q.at(eps))
-        if not math.isfinite(d):
-            d = math.inf
-        elif d <= cfg.zero_tol:
-            d = 0.0
-        d_vals.append(d)
-    d_series = SupSeries(eps_vals, np.array(d_vals),
-                         context=f"d({p.tag},{q.tag})")
+    d_series = series_from_fn(lambda eps: distance(atlas, g, p.at(eps), q.at(eps)), grid,
+                              f"d({p.tag},{q.tag})", cfg.zero_tol)
     metric_verdict = judge_negligible(d_series, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
 
-    chart_parts = {}
-    for cid in atlas.chart_ids:
-        vals = np.zeros(len(eps_vals))
-        used = 0
-        for ei, eps in enumerate(eps_vals):
+    def coord_gaps(eps):
+        for cid in atlas.chart_ids:
             xp = atlas.rechart(p.at(eps), cid)
             xq = atlas.rechart(q.at(eps), cid)
-            if xp is None or xq is None:
-                continue  # empty-sup convention: excluded samples stay 0
-            used += 1
-            v = float(np.max(np.abs(xp - xq)))
-            vals[ei] = 0.0 if v <= cfg.zero_tol else v
-        if used:
-            s = SupSeries(eps_vals, vals, context=f"|{cid}({p.tag})-{cid}({q.tag})|")
-            chart_parts[f"chart:{cid}"] = judge_negligible(
-                s, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
+            if xp is not None and xq is not None:  # else excluded (empty-sup convention)
+                yield cid, float(np.max(np.abs(xp - xq))), None
+
+    gaps = sweep_sups(grid, coord_gaps, cfg.zero_tol,
+                      lambda cid: f"|{cid}({p.tag})-{cid}({q.tag})|")
+    chart_parts = {f"chart:{cid}": judge_negligible(gaps[cid], cfg.m_probe, cfg.r2_min,
+                                                    floor=cfg.zero_tol)
+                   for cid in atlas.chart_ids if cid in gaps}
     chart_verdict = (conjunction(chart_parts, notes="chart route") if chart_parts
                      else Verdict(Status.INCONCLUSIVE, notes="points never co-located"))
 
@@ -249,18 +227,26 @@ def separate_by_points(u: MapNet, v: MapNet, K: CompactRegion,
     if eq.status is Status.PASS:
         return None
     g = g_dst or u.dst.metric
-    eps_vals = grid.values()
     rng = np.random.default_rng(cfg.seed) if trials > 0 else None
-    pts = K.sample_points(rng=rng, extra=trials)
+    return argmax_net(u.src, K, K.sample_points(rng=rng, extra=trials), grid,
+                      lambda eps, p: distance(u.dst, g, u.eval(eps, p), v.eval(eps, p)),
+                      tag=f"sep({u.tag},{v.tag})")
+
+
+def argmax_net(atlas: Atlas, K: CompactRegion, pts: list, grid: EpsGrid,
+               value: Callable[[float, Point], float], tag: str = "") -> GenPoint:
+    """Piecewise-constant net of the per-eps argmax of ``value(eps, p)`` over pts.
+
+    Only an improvement by more than 1e-15 moves the argmax, so near-ties
+    break to the lowest index; pts[0] stands when every value is NaN.
+    """
+    eps_vals = grid.values()
     argmaxes = []
     for eps in eps_vals:
-        best = None
-        best_d = -1.0
+        best, best_v = pts[0], -1.0
         for p in pts:
-            d = distance(u.dst, g, u.eval(eps, p), v.eval(eps, p))
-            if d > best_d + 1e-15:  # strict improvement: lowest index wins ties
-                best_d = d
-                best = p
+            val = value(eps, p)
+            if val > best_v + 1e-15:
+                best, best_v = p, val
         argmaxes.append(best)
-    return GenPoint.from_table(u.src, eps_vals, argmaxes, K,
-                               tag=f"sep({u.tag},{v.tag})")
+    return GenPoint.from_table(atlas, eps_vals, argmaxes, K, tag=tag)

@@ -317,14 +317,6 @@ def difference_map(a: LocalMap, b: LocalMap) -> LocalMap:
     """
     if a.out_shape != b.out_shape or a.in_dim != b.in_dim:
         raise ValueError("difference of maps with mismatched shapes")
-    expr = None
-    if a.expr is not None and b.expr is not None:
-        def expr(t, ea=a.expr, eb=b.expr):
-            va, vb = ea(t), eb(t)
-            if isinstance(va, (tuple, list)):
-                return tuple(x - y for x, y in zip(va, vb))
-            return va - vb
-
     jac = None
     if a.jac is not None and b.jac is not None:
         jac = lambda x: np.asarray(a.jac(x), dtype=float) - np.asarray(b.jac(x),
@@ -335,7 +327,7 @@ def difference_map(a: LocalMap, b: LocalMap) -> LocalMap:
         okb = b.defined(x) if b.defined is not None else True
         return oka and okb
 
-    return LocalMap(a.in_dim, a.out_shape, fn=lambda x: a(x) - b(x), expr=expr,
+    return LocalMap(a.in_dim, a.out_shape, fn=lambda x: a(x) - b(x),
                     jac=jac, defined=defined, name=f"({a.name})-({b.name})")
 
 
@@ -344,7 +336,8 @@ def tensor_norm(t: np.ndarray, order: int) -> float:
     order <= 1, max-abs entry beyond (any norm is admissible)."""
     t = np.asarray(t, dtype=float)
     if t.ndim <= 1:
-        return float(np.linalg.norm(t.ravel()))
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, as documented
+            return float(np.linalg.norm(t.ravel()))
     if t.ndim == 2 and order <= 1:
         if not np.all(np.isfinite(t)):
             return math.inf
@@ -819,7 +812,8 @@ def fiber_norm(bundle: VectorBundle, e: BundleElement, strict: bool = False) -> 
                 f"bundle {bundle.name!r} has no fiber metric")
         return float(np.linalg.norm(e.xi))
     G = np.asarray(bundle.fiber_metric[e.chart](e.x), dtype=float)
-    return math.sqrt(max(0.0, float(e.xi @ G @ e.xi)))
+    q = float(e.xi @ G @ e.xi)
+    return math.inf if math.isnan(q) else math.sqrt(max(0.0, q))
 
 
 def tangent_bundle(atlas: Atlas, fiber_metric_from_base: bool = True) -> VectorBundle:

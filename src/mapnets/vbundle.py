@@ -24,6 +24,8 @@ from .asymptotics import (
     conjunction,
     judge_moderate,
     judge_negligible,
+    series_from_fn,
+    sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
 from .errors import BaseMismatch, NoSharedChart, SingleChartMissing, TypeMismatch
@@ -34,11 +36,13 @@ from .gmap import (
     check_equiv0,
     check_moderate,
     check_single_chart,
+    effective_reps,
+    _chart_sups,
+    _gap_tensors,
     _l_prime_of,
     _merge_l_prime,
-    _in_admissible,
 )
-from .gpoints import GenNumber, GenPoint, points_equal
+from .gpoints import GenNumber, GenPoint, argmax_net, points_equal
 from .manifold import (
     Atlas,
     BundleElement,
@@ -210,20 +214,15 @@ def section_norm_series(s: SectionNet, K: CompactRegion, grid: EpsGrid,
                         cfg: Config = DEFAULT_CONFIG,
                         trials: int = 0) -> SupSeries:
     """sup over K of the fiber norm of the section values."""
-    eps_vals = grid.values()
     rng = np.random.default_rng(cfg.seed) if trials > 0 else None
     pts = K.sample_points(rng=rng, extra=trials)
-    sups = np.zeros(len(eps_vals))
-    args: list = [None] * len(eps_vals)
-    for ei, eps in enumerate(eps_vals):
+
+    def samples(eps):
         for p in pts:
-            e = s.element_at(eps, p)
-            v = fiber_norm(s.bundle, e)
-            if v > sups[ei]:
-                sups[ei] = v
-                args[ei] = p
-    sups = np.where(sups <= cfg.zero_tol, 0.0, sups)
-    return SupSeries(eps_vals, sups, args=args, context=f"sup |{s.tag}|_h on K")
+            yield None, fiber_norm(s.bundle, s.element_at(eps, p)), p
+
+    return sweep_sups(grid, samples, cfg.zero_tol,
+                      lambda _key: f"sup |{s.tag}|_h on K")[None]
 
 
 def check_section_moderate(s: SectionNet, K: CompactRegion,
@@ -235,23 +234,26 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
     differential estimates)."""
     grid = grid or cfg.grid()
     k_max = cfg.k_max if k_max is None else k_max
-    eps_vals = grid.values()
     parts = {"fiber-norm": judge_moderate(section_norm_series(s, K, grid, cfg),
                                           cfg.n_cap, cfg.r2_min)}
-    for pi, (cid, lat) in enumerate(K.lattices()):
-        vals = {k: np.zeros(len(eps_vals)) for k in range(1, k_max + 1)}
-        for ei, eps in enumerate(eps_vals):
+    lattices = list(enumerate(K.lattices()))
+
+    def samples(eps):
+        for pi, (cid, lat) in lattices:
+            for k in range(1, k_max + 1):
+                yield (pi, cid, k), 0.0, None  # every piece is judged, if only on zeros
             fld = s.coeffs_at(eps).get(cid)
             if fld is None:
                 continue
             for x in lat:
                 tensors = fld.derivs_upto(x, k_max)
                 for k in range(1, k_max + 1):
-                    vals[k][ei] = max(vals[k][ei], tensor_norm(tensors[k], k))
-        for k in range(1, k_max + 1):
-            v = np.where(vals[k] <= cfg.zero_tol, 0.0, vals[k])
-            ser = SupSeries(eps_vals, v, context=f"|D^{k} coeffs| K[{pi}] {cid} of {s.tag}")
-            parts[f"k={k}|K[{pi}]|{cid}"] = judge_moderate(ser, cfg.n_cap, cfg.r2_min)
+                    yield (pi, cid, k), tensor_norm(tensors[k], k), None
+
+    series = sweep_sups(grid, samples, cfg.zero_tol,
+                        lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")
+    for (pi, cid, k), ser in sorted(series.items()):
+        parts[f"k={k}|K[{pi}]|{cid}"] = judge_moderate(ser, cfg.n_cap, cfg.r2_min)
     return conjunction(parts, notes=f"section moderateness of {s.tag}")
 
 
@@ -289,12 +291,8 @@ class VBPoint:
                         self.support, self.eps0, tag=f"base({self.tag})")
 
     def norm_series(self, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG) -> SupSeries:
-        eps_vals = grid.values()
-        vals = []
-        for e in eps_vals:
-            v = fiber_norm(self.bundle, self.at(e))
-            vals.append(0.0 if v <= cfg.zero_tol else v)
-        return SupSeries(eps_vals, np.array(vals), context=f"|{self.tag}|_h")
+        return series_from_fn(lambda e: fiber_norm(self.bundle, self.at(e)), grid,
+                              f"|{self.tag}|_h", cfg.zero_tol)
 
     def growth(self, grid: Optional[EpsGrid] = None,
                cfg: Config = DEFAULT_CONFIG) -> OrderEstimate:
@@ -334,23 +332,19 @@ def vbpoints_equal(e: VBPoint, e2: VBPoint, grid: Optional[EpsGrid] = None,
     differences wherever the bases co-locate in a vb-chart."""
     grid = grid or cfg.grid()
     base_v = points_equal(e.base_point(), e2.base_point(), grid=grid, cfg=cfg)
-    eps_vals = grid.values()
-    vals = np.zeros(len(eps_vals))
-    used = 0
-    for ei, eps in enumerate(eps_vals):
+
+    def samples(eps):
         pair = _common_chart_pair(e.bundle, e.at(eps), e2.at(eps))
-        if pair is None:
-            continue  # excluded sample (empty-sup convention)
-        used += 1
-        _m, _cid, r1, r2 = pair
-        v = float(np.max(np.abs(r1.xi - r2.xi)))
-        vals[ei] = 0.0 if v <= cfg.zero_tol else v
-    if used == 0:
+        if pair is not None:  # else an excluded sample (empty-sup convention)
+            _m, _cid, r1, r2 = pair
+            yield None, float(np.max(np.abs(r1.xi - r2.xi))), None
+
+    gap = sweep_sups(grid, samples, cfg.zero_tol,
+                     lambda _key: f"fiber gap |{e.tag}-{e2.tag}|").get(None)
+    if gap is None:
         fiber_v = Verdict(Status.INCONCLUSIVE, notes="bases never co-located")
     else:
-        s = SupSeries(eps_vals, vals, context=f"fiber gap |{e.tag}-{e2.tag}|")
-        fiber_v = judge_negligible(s, cfg.m_probe, cfg.r2_min,
-                                   floor=cfg.zero_tol)
+        fiber_v = judge_negligible(gap, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
     return conjunction({"base": base_v, "fiber": fiber_v},
                        notes=f"vb-point equality {e.tag} vs {e2.tag}")
 
@@ -413,59 +407,23 @@ def matrix_gap_series(u: VBHomNet, v: Optional[VBHomNet], L: CompactRegion,
                       cfg: Config = DEFAULT_CONFIG) -> dict:
     """Chart-pair-wise sups of matrix-part derivative norms (or differences
     when v is given), orders 0..k_max, with the usual L' exclusion."""
-    eps_vals = grid.values()
-    out_vals: dict = {}
-    out_args: dict = {}
-    for pi, (cid, lat) in enumerate(L.lattices()):
-        for ei, eps in enumerate(eps_vals):
-            loc_u = u.locals_at(eps)
-            loc_v = v.locals_at(eps) if v is not None else None
-            for (a, b) in sorted(loc_u):
-                if a != cid:
-                    continue
-                if loc_v is not None and (a, b) not in loc_v:
-                    continue
-                pu = loc_u[(a, b)]
-                chart_b = u.dst.base.chart(b)
-                if loc_v is not None:
-                    from .gmap import _gap_tensors
 
-                    tensors_of = _gap_tensors(pu.matrix, loc_v[(a, b)].matrix, k_max)
-                else:
-                    tensors_of = lambda x, m=pu.matrix: m.derivs_upto(x, k_max)
-                for x in lat:
-                    y = pu.base.try_call(x)
-                    if y is None or not chart_b.contains(y):
-                        continue
-                    if not _in_admissible(y, b, L_prime):
-                        continue
-                    if loc_v is not None:
-                        yv = loc_v[(a, b)].base.try_call(x)
-                        if yv is None or not chart_b.contains(yv):
-                            continue
-                        if not _in_admissible(yv, b, L_prime):
-                            continue
-                    tensors = tensors_of(x)
-                    for k in range(k_max + 1):
-                        key = (pi, a, b, k)
-                        if key not in out_vals:
-                            out_vals[key] = np.zeros(len(eps_vals))
-                            out_args[key] = [None] * len(eps_vals)
-                        t = tensors[k]
-                        # matrices: operator norm at order 0, max-abs beyond
-                        norm = (tensor_norm(t, 1) if k == 0 and t.ndim == 2
-                                else float(np.max(np.abs(t))))
-                        if norm > out_vals[key][ei]:
-                            out_vals[key][ei] = norm
-                            out_args[key][ei] = Point(cid, x)
-    series = {}
-    what = f"{u.tag}" if v is None else f"{u.tag}-{v.tag}"
-    for key, vals in out_vals.items():
-        vals = np.where(vals <= cfg.zero_tol, 0.0, vals)
-        pi, a, b, k = key
-        series[key] = SupSeries(eps_vals, vals, args=out_args[key],
-                                context=f"|D^{k} mat({what})| L[{pi}] {a}->{b}")
-    return series
+    def pieces(eps, cid):
+        loc_u = u.locals_at(eps)
+        loc_v = v.locals_at(eps) if v is not None else None
+        for (a, b) in sorted(loc_u):
+            if a != cid or (loc_v is not None and (a, b) not in loc_v):
+                continue
+            pu = loc_u[(a, b)]
+            if loc_v is None:
+                yield b, (pu.base,), lambda x, m=pu.matrix: m.derivs_upto(x, k_max)
+            else:
+                pv = loc_v[(a, b)]
+                yield b, (pu.base, pv.base), _gap_tensors(pu.matrix, pv.matrix, k_max)
+
+    what = u.tag if v is None else f"{u.tag}-{v.tag}"
+    return _chart_sups(u.dst.base, L, grid, k_max, L_prime, pieces,
+                       lambda pi, a, b, k: f"|D^{k} mat({what})| L[{pi}] {a}->{b}", cfg)
 
 
 def check_vbhom_moderate(u: VBHomNet, L: CompactRegion,
@@ -549,21 +507,10 @@ def section_zero_witness(s: SectionNet, K: CompactRegion,
     v = judge_negligible(ser, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
     if v.status is Status.PASS:
         return None
-    eps_vals = grid.values()
     rng = np.random.default_rng(cfg.seed) if trials > 0 else None
-    pts = K.sample_points(rng=rng, extra=trials)
-    argmaxes = []
-    for eps in eps_vals:
-        best = pts[0]
-        best_v = -1.0
-        for p in pts:
-            val = fiber_norm(s.bundle, s.element_at(eps, p))
-            if val > best_v + 1e-15:
-                best_v = val
-                best = p
-        argmaxes.append(best)
-    return GenPoint.from_table(s.bundle.base, eps_vals, argmaxes, K,
-                               tag=f"zero-witness({s.tag})")
+    return argmax_net(s.bundle.base, K, K.sample_points(rng=rng, extra=trials), grid,
+                      lambda eps, p: fiber_norm(s.bundle, s.element_at(eps, p)),
+                      tag=f"zero-witness({s.tag})")
 
 
 def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = None,
@@ -573,16 +520,13 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
     The norm is taken between the source and target Riemannian metrics; its
     growth order matches the chart-wise first-derivative order.
     """
-    from .gmap import effective_reps
-
     grid = grid or cfg.grid()
     if u.src.metric is None or u.dst.metric is None:
         raise ValueError("tangent_norm_series needs metrics on both atlases")
-    eps_vals = grid.values()
-    sups = np.zeros(len(eps_vals))
-    args: list = [None] * len(eps_vals)
-    for cid, lat in K.lattices():
-        for ei, eps in enumerate(eps_vals):
+    lattices = K.lattices()
+
+    def samples(eps):
+        for cid, lat in lattices:
             reps = effective_reps(u.at(eps), cid)
             for x in lat:
                 best = None
@@ -596,16 +540,11 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
                 if best is None:
                     continue
                 _m, b, y, rep = best
-                J = rep.jacobian(x)
-                G_src = u.src.metric.at(cid, x)
-                G_dst = u.dst.metric.at(b, y)
-                v = riemannian_operator_norm(J, G_src, G_dst)
-                if v > sups[ei]:
-                    sups[ei] = v
-                    args[ei] = Point(cid, x)
-    sups = np.where(sups <= cfg.zero_tol, 0.0, sups)
-    return SupSeries(eps_vals, sups, args=args,
-                     context=f"sup |T {u.tag}|_g,h on K")
+                yield None, riemannian_operator_norm(rep.jacobian(x), u.src.metric.at(cid, x),
+                                                     u.dst.metric.at(b, y)), Point(cid, x)
+
+    return sweep_sups(grid, samples, cfg.zero_tol,
+                      lambda _key: f"sup |T {u.tag}|_g,h on K")[None]
 
 
 # ======================================================================

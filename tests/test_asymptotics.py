@@ -22,6 +22,7 @@ from mapnets.asymptotics import (
     judge_negligible,
     judge_vanishing,
     series_from_fn,
+    sweep_sups,
 )
 from mapnets.errors import TooFewSamples
 
@@ -194,3 +195,50 @@ class TestSeriesPlumbing:
         with pytest.raises(ValueError):
             Verdict(Status.PASS)
         Verdict(Status.PASS, estimate=OrderEstimate(0.0, 1.0, (0, 1)))
+
+    def test_nan_is_not_negligible(self):
+        # NaN is overflow, never an exact zero
+        s = series_from_fn(lambda e: math.nan, GRID)
+        assert s.n_overflow == len(GRID)
+        assert judge_negligible(s, 5).status is Status.FAIL
+
+
+class TestSweepSups:
+    EPS = GRID.values()
+
+    def test_lazy_keys_read_zero_elsewhere(self):
+        def samples(eps):
+            yield "a", 1.0, "pa"
+            if eps == self.EPS[3]:
+                yield "b", 2.0, "pb"
+
+        out = sweep_sups(GRID, samples, context=lambda key: f"sup {key}")
+        assert list(out) == ["a", "b"]
+        b = out["b"]
+        assert b.context == "sup b"
+        assert b.sup[3] == 2.0 and b.arg_at(3) == "pb"
+        assert b.n_zero == len(GRID) - 1
+        assert b.arg_at(0) is None
+
+    def test_first_location_wins_exact_ties(self):
+        out = sweep_sups(GRID, lambda eps: [(0, 0.5, "first"), (0, 0.5, "second"),
+                                            (0, 0.25, "third")])
+        assert np.all(out[0].sup == 0.5)
+        assert out[0].args == ["first"] * len(GRID)
+
+    def test_zero_tol_clamps_to_exact_zero(self):
+        out = sweep_sups(GRID, lambda eps: [(0, eps**2, None)], zero_tol=1e-6)
+        eps = self.EPS
+        assert np.all(out[0].sup[eps**2 <= 1e-6] == 0.0)
+        assert np.all(out[0].sup[eps**2 > 1e-6] == eps[eps**2 > 1e-6] ** 2)
+
+    def test_nonpositive_values_stay_zero(self):
+        out = sweep_sups(GRID, lambda eps: [(0, -1.0, "neg"), (0, -math.inf, "ninf")])
+        assert out[0].n_zero == len(GRID)
+        assert out[0].args == [None] * len(GRID)
+
+    def test_nan_counts_as_overflow(self):
+        out = sweep_sups(GRID, lambda eps: [(0, 1.0, "finite"), (0, math.nan, "nan"),
+                                            (0, math.inf, "inf")])
+        assert out[0].n_overflow == len(GRID)
+        assert out[0].args == ["nan"] * len(GRID)

@@ -17,6 +17,7 @@ from mapnets.gmap import check_equiv, check_equiv0
 from mapnets.gpoints import (
     GenNumber,
     GenPoint,
+    argmax_net,
     eval_at,
     gennumbers_equal,
     points_equal,
@@ -164,6 +165,24 @@ class TestSeparateByPoints:
             eq = check_equiv0(u, v, K, None, GRID, CFG)
             w = separate_by_points(u, v, K, GRID, 0, CFG)
             assert (w is None) == (eq.status is Status.PASS)
+
+
+class TestArgmaxNet:
+    PTS = [Point("e0", [x]) for x in (-0.2, 0.0, 0.2)]
+
+    def argmax_coords(self, values):
+        value_of = {id(p): v for p, v in zip(self.PTS, values)}
+        net = argmax_net(LINE, SUPPORT, self.PTS, GRID, lambda eps, p: value_of[id(p)])
+        return {float(net.at(eps).coords[0]) for eps in GRID.values()}
+
+    def test_near_tie_breaks_to_lower_index(self):
+        assert self.argmax_coords([0.0, 1e-3, 1e-3 + 1e-16]) == {0.0}
+
+    def test_clear_improvement_moves_argmax(self):
+        assert self.argmax_coords([0.0, 1e-3, 1e-3 + 1e-14]) == {0.2}
+
+    def test_all_nan_defaults_to_first_point(self):
+        assert self.argmax_coords([math.nan] * 3) == {-0.2}
 
 
 class TestRepresentativeIndependence:

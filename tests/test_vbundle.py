@@ -324,6 +324,11 @@ class TestSections:
         v = judge_moderate(out.norm_series(GRID, CFG), CFG.n_cap, CFG.r2_min)
         assert v.estimate.slope == pytest.approx(slope, abs=0.1)
 
+    def test_nan_section_is_not_zero(self):
+        s = const_section(lambda eps: math.nan, "nan")
+        assert fiber_norm(R_BUNDLE, s.element_at(0.25, Point("e0", [0.1]))) == math.inf
+        assert section_zero_witness(s, K_UNIT, GRID, 0, CFG) is not None
+
 
 class TestVBHomEval:
     def test_identity(self):
