@@ -5,7 +5,7 @@ function at a point, up to a fixed order.  Evaluating a closed-form expression
 on ``Jet.var(x0, order)`` yields exact derivatives of the whole composite at
 ``x0`` in one pass, which is what the local-map derivative oracles use on
 one-dimensional charts.  The polymorphic wrappers (``sin``, ``tanh``, ...)
-accept either floats or jets so the same expression olds for both evaluation
+accept either floats or jets so the same expression holds for both evaluation
 and differentiation.
 
 For maps without an expression form, ``fd_partial`` provides the 4th-order
@@ -296,6 +296,6 @@ def fd_partial(g, x: np.ndarray, axis: int, h: float | None = None) -> np.ndarra
     gp1 = np.asarray(g(x + h * e), dtype=float)
     gm1 = np.asarray(g(x - h * e), dtype=float)
     gm2 = np.asarray(g(x - 2 * h * e), dtype=float)
-    if not all(np.all(np.isfinite(v)) for v in (gp2, gp1, gm1, gm2)):
+    if not np.isfinite((gp2, gp1, gm1, gm2)).all():
         return np.full(gp1.shape, np.inf)
     return (-gp2 + 8.0 * gp1 - 8.0 * gm1 + gm2) / (12.0 * h)

@@ -37,17 +37,26 @@ LATTICE_CAP = 100_000  # total lattice points per region
 
 
 class Box:
-    """Axis-aligned box; open for chart domains, closed for compact pieces."""
+    """Axis-aligned box; open for chart domains, closed for compact pieces.
 
-    __slots__ = ("lo", "hi")
+    Containment and margins run once per sampled image point, so they work on
+    Python floats: ``bounds`` holds the per-axis ``(lo, hi)`` pairs, and the
+    read-only arrays ``lo``/``hi`` serve the array users (lattices, clipping,
+    padding).
+    """
+
+    __slots__ = ("lo", "hi", "bounds")
 
     def __init__(self, lo, hi):
-        self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        self.lo = np.array(lo, dtype=float, ndmin=1)
+        self.hi = np.array(hi, dtype=float, ndmin=1)
         if self.lo.shape != self.hi.shape:
             raise ValueError("box bounds must have equal shapes")
         if not np.all(self.lo < self.hi):
             raise ValueError("box must be nonempty (lo < hi)")
+        self.lo.flags.writeable = False
+        self.hi.flags.writeable = False
+        self.bounds = tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
     @classmethod
     def of(cls, bounds: Sequence[Sequence[float]]) -> "Box":
@@ -56,7 +65,7 @@ class Box:
 
     @property
     def dim(self) -> int:
-        return len(self.lo)
+        return len(self.bounds)
 
     @property
     def extent(self) -> np.ndarray:
@@ -66,26 +75,40 @@ class Box:
     def bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
 
+    def _coords(self, x) -> list:
+        """The coordinates of x as Python floats; ValueError unless x has dim entries."""
+        if type(x) is not np.ndarray or x.dtype != np.float64 or x.ndim == 0:
+            x = np.array(x, dtype=float, ndmin=1)
+        if x.shape != (len(self.bounds),):
+            raise ValueError(f"point of shape {x.shape} in a box of dimension {self.dim}")
+        return x.tolist()
+
     def contains(self, x, margin: float = 0.0, closed: bool = False) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            return False
+        """Is x inside, shrunk (open) or grown (closed) by margin?  A
+        non-finite coordinate lies in no box."""
+        xs = self._coords(x)
         if closed:
-            return bool(np.all(x >= self.lo - margin) and np.all(x <= self.hi + margin))
-        return bool(np.all(x > self.lo + margin) and np.all(x < self.hi - margin))
+            for xi, (lo, hi) in zip(xs, self.bounds):
+                if not (math.isfinite(xi) and lo - margin <= xi <= hi + margin):
+                    return False
+            return True
+        for xi, (lo, hi) in zip(xs, self.bounds):
+            if not lo + margin < xi < hi - margin:  # strict: false for NaN and +-inf
+                return False
+        return True
 
     def norm_margin(self, x) -> float:
         """Distance to the boundary, normalized by extent; negative outside.
 
         Axes with an infinite bound use a reciprocal escape statistic so that
-        points running off to infinity score margins tending to zero.
+        points running off to infinity score margins tending to zero.  A
+        non-finite coordinate scores -inf.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            return -math.inf
         m = math.inf
-        for xi, lo, hi in zip(x, self.lo, self.hi):
-            m = min(m, _axis_margin(float(xi), float(lo), float(hi)))
+        for xi, (lo, hi) in zip(self._coords(x), self.bounds):
+            if not math.isfinite(xi):
+                return -math.inf
+            m = min(m, _axis_margin(xi, lo, hi))
         return m
 
     def clip(self, other: "Box") -> Optional["Box"]:
@@ -335,6 +358,13 @@ def tensor_norm(t: np.ndarray, order: int) -> float:
     """Norm used for derivative tensors: operator 2-norm for matrices of
     order <= 1, max-abs entry beyond (any norm is admissible)."""
     t = np.asarray(t, dtype=float)
+    if t.size == 1:  # every tensor on a 1-D chart, on floats
+        v = t.item()
+        if t.ndim <= 1:
+            return math.sqrt(v * v)  # as the vector norm: |v| > 1e154 overflows to inf
+        if t.ndim == 2 and order <= 1 and not math.isfinite(v):
+            return math.inf
+        return abs(v)
     if t.ndim <= 1:
         with np.errstate(over="ignore"):  # an overflowed norm is inf, as documented
             return float(np.linalg.norm(t.ravel()))
@@ -621,6 +651,9 @@ class CompactRegion:
     def validate(self, atlas: Atlas) -> None:
         for cid, box in self.pieces:
             chart = atlas.chart(cid)
+            if box.dim != chart.dim:
+                raise ValueError(f"piece {box} has dimension {box.dim}, "
+                                 f"chart {cid!r} has dimension {chart.dim}")
             inside = any(
                 np.all(box.lo > dom.lo) and np.all(box.hi < dom.hi)
                 for dom in chart.domain

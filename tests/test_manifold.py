@@ -19,6 +19,7 @@ from mapnets.errors import (
     NoOverlap,
     OutOfDomain,
 )
+from mapnets.gmap import MapNet, check_cbounded
 from mapnets.manifold import (
     Box,
     BundleElement,
@@ -243,6 +244,34 @@ class TestMetricAndRegions:
         assert m_near > 0.1
         assert m_far < 1e-4
         assert b.norm_margin([0.5]) < 0.0
+
+
+class TestDimensionMismatch:
+    """A point or piece of the wrong dimension raises instead of broadcasting."""
+
+    PLANE = euclidean_atlas([(-4.0, 4.0), (-4.0, 4.0)], name="plane")
+
+    def test_region_piece_of_wrong_dimension_rejected(self):
+        region = region_box("e0", [-1.0], [1.0])
+        with pytest.raises(ValueError, match="dimension 1.*dimension 2"):
+            region.validate(self.PLANE)
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], 0.5, [[0.5, 0.5]]])
+    def test_box_rejects_point_of_wrong_dimension(self, x):
+        box = Box([-4.0, -4.0], [4.0, 4.0])
+        with pytest.raises(ValueError):
+            box.contains(x)
+        with pytest.raises(ValueError):
+            box.contains(x, closed=True)
+        with pytest.raises(ValueError):
+            box.norm_margin(x)
+
+    def test_cbounded_rejects_one_d_region_for_two_d_net(self):
+        net = MapNet(self.PLANE, self.PLANE, lambda eps: {
+            ("e0", "e0"): LocalMap(2, (2,), fn=lambda x: np.array([0.5 * x[0], 0.5 * x[-1]]))},
+            tag="half2")
+        with pytest.raises(ValueError):
+            check_cbounded(net, region_box("e0", [-1.0], [1.0], density=3))
 
 
 class TestMultichart:
