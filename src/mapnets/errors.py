@@ -13,6 +13,10 @@ class OutOfDomain(MapnetsError):
     """A coordinate lies outside the domain of a chart or local map."""
 
 
+class OutputShapeMismatch(MapnetsError):
+    """A local map returned a value whose size does not match its out_shape."""
+
+
 class ChartEscape(MapnetsError):
     """An image point lies in no chart of the target atlas."""
 

@@ -8,6 +8,11 @@ orders), and the single-target-chart condition that underwrites composition.
 
 Lattice points whose image leaves the admissible compact L' are excluded
 from suprema; a supremum over an empty admissible set is recorded as zero.
+
+The order-0 clauses (c-boundedness, single chart, metric gaps, separating
+points) all read the image of a region's sample points at every grid eps.
+``MapNet.image_table`` evaluates that image once per (region, grid, extra
+samples) and keeps it on the net as an ``ImageTable`` of compact arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .asymptotics import (
     sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
-from .errors import ChartEscape, ChartMismatch
+from .errors import ChartMismatch
 from .manifold import (
     Atlas,
     Box,
@@ -68,6 +73,7 @@ class MapNet:
         self.tag = tag
         self.provenance = provenance or {}
         self._cache: dict = {}
+        self._tables: dict = {}
 
     def at(self, eps: float) -> SmoothMap:
         sm = self._cache.get(eps)
@@ -80,8 +86,71 @@ class MapNet:
     def eval(self, eps: float, p: Point) -> Point:
         return self.at(eps)(p)
 
+    def image_table(self, K: CompactRegion, grid: EpsGrid, trials: int = 0,
+                    seed: int = 0) -> "ImageTable":
+        """Images of K's sample points (``trials`` seeded extras per piece) at
+        every grid eps, built on first use and kept as long as the net.
+
+        Keyed by the grid and the region's content, so an equal region object
+        shares the table.  A build that raises (e.g. ``ChartEscape``) caches
+        nothing.
+        """
+        key = (grid, K.lattice_density,
+               tuple((cid, box.lo.tobytes(), box.hi.tobytes()) for cid, box in K.pieces),
+               trials, seed if trials > 0 else None)
+        table = self._tables.get(key)
+        if table is None:
+            table = ImageTable(self, sample_points(K, trials, seed), grid.values())
+            self._tables[key] = table
+        return table
+
     def __repr__(self):
         return f"MapNet({self.tag!r}: {self.src.name} -> {self.dst.name})"
+
+
+class ImageTable:
+    """Images u_eps(p) of sample points p at every grid eps, as arrays.
+
+    Built with one ``u.eval`` and one ``representations`` call per (eps,
+    point).  ``margins[ei, pi, c]`` is the normalized margin of the image in
+    chart ``charts[c]`` (-inf where it has no representation there),
+    ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
+    the chart ``u.eval`` returned.  The arrays are read-only, so an image
+    handed out (a view into ``coords``) cannot corrupt the table.
+    """
+
+    def __init__(self, u: MapNet, pts: list, eps_vals: np.ndarray):
+        dst = u.dst
+        self.charts = dst.chart_ids
+        self.dims = [dst.chart(b).dim for b in self.charts]
+        self.rows = {eps: ei for ei, eps in enumerate(eps_vals.tolist())}
+        col = {b: c for c, b in enumerate(self.charts)}
+        shape = (len(eps_vals), len(pts), len(self.charts))
+        self.margins = np.full(shape, -math.inf)
+        self.coords = np.full(shape + (max(self.dims),), math.nan)
+        self.chart = np.empty(shape[:2], dtype=np.int32)
+        for ei, eps in enumerate(eps_vals):
+            for pi, p in enumerate(pts):
+                q = u.eval(eps, p)
+                self.chart[ei, pi] = col[q.chart]
+                for b, y, m in dst.representations(q):  # q.chart's entry is q.coords
+                    c = col[b]
+                    self.margins[ei, pi, c] = m
+                    self.coords[ei, pi, c, :len(y)] = y
+        for arr in (self.margins, self.coords, self.chart):
+            arr.flags.writeable = False
+
+    def image(self, eps: float, pi: int) -> Point:
+        """u_eps(point pi), equal to what ``u.eval`` returned."""
+        ei = self.rows[eps]
+        c = self.chart[ei, pi]
+        return Point(self.charts[c], self.coords[ei, pi, c, :self.dims[c]])
+
+
+def sample_points(K: CompactRegion, trials: int = 0, seed: int = 0) -> list:
+    """K's lattice points, plus ``trials`` uniform draws per piece seeded by seed."""
+    rng = np.random.default_rng(seed) if trials > 0 else None
+    return K.sample_points(rng=rng, extra=trials)
 
 
 def scalar_net(src: Atlas, dst: Atlas, expr_of_eps: Callable[[float], Callable],
@@ -381,11 +450,12 @@ def metric_gap_series(u: MapNet, v: MapNet, K: CompactRegion,
     g = g or u.dst.metric
     if g is None:
         raise ValueError("no target metric available")
+    tu, tv = u.image_table(K, grid), v.image_table(K, grid)
     pts = K.sample_points()
 
     def samples(eps):
-        for p in pts:
-            yield None, distance(u.dst, g, u.eval(eps, p), v.eval(eps, p)), p
+        for pi, p in enumerate(pts):
+            yield None, distance(u.dst, g, tu.image(eps, pi), tv.image(eps, pi)), p
 
     return sweep_sups(grid, samples, cfg.zero_tol,
                       lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None]
@@ -447,34 +517,20 @@ def check_cbounded(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = None,
     K.validate(u.src)
     eps_vals = grid.values()
     mid = grid.mid_index
-    pts = K.sample_points()
-    stats = np.zeros(len(eps_vals))
-    stat_args: list = [None] * len(eps_vals)
-    image_reps: dict = {}
-    for ei, eps in enumerate(eps_vals):
-        worst = math.inf
-        for p in pts:
-            q = u.eval(eps, p)
-            reps = u.dst.representations(q)
-            if not reps:
-                raise ChartEscape(f"image {q} of {p} lies in no chart of {u.dst.name}")
-            best = reps[0][2]
-            if best < worst:
-                worst = best
-                stat_args[ei] = q
-            if ei >= mid:
-                for b, y, m in reps:
-                    if m >= cfg.margin_min:
-                        image_reps.setdefault(b, []).append(y)
-        stats[ei] = worst
+    table = u.image_table(K, grid)
+    best = table.margins.max(axis=2)  # best chart margin of each image
+    stats = best.min(axis=1)
+    stat_args = [table.image(eps, pi) for eps, pi in zip(eps_vals, best.argmin(axis=1))]
     margins = SupSeries(eps_vals, np.maximum(stats, 0.0),
                         args=stat_args, context=f"min escape margin of {u.tag}")
     eps0 = float(eps_vals[mid])
-    tail = stats[mid:]
-    if np.all(tail >= cfg.margin_min):
+    if np.all(stats[mid:] >= cfg.margin_min):
         pieces = []
-        for b in sorted(image_reps):
-            ys = np.array(image_reps[b])
+        for c, b in enumerate(table.charts):
+            admitted = table.margins[mid:, :, c] >= cfg.margin_min
+            if not admitted.any():
+                continue
+            ys = table.coords[mid:, :, c, :table.dims[c]][admitted]
             lo = ys.min(axis=0)
             hi = ys.max(axis=0)
             pad = cfg.pad_frac * (hi - lo) + 1e-3 * (1.0 + np.abs(hi + lo) / 2)
@@ -540,20 +596,11 @@ def check_single_chart(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = No
     """
     grid = grid or cfg.grid()
     eps_vals = grid.values()
-    pts = K.sample_points()
-    # margin of every image point in every chart, per eps index
-    per_chart: dict = {b: np.full(len(eps_vals), math.inf) for b in u.dst.chart_ids}
-    for ei, eps in enumerate(eps_vals):
-        for p in pts:
-            q = u.eval(eps, p)
-            seen = dict.fromkeys(u.dst.chart_ids, -math.inf)
-            for b, _y, m in u.dst.representations(q):
-                seen[b] = max(seen[b], m)
-            for b in u.dst.chart_ids:
-                per_chart[b][ei] = min(per_chart[b][ei], seen[b])
+    table = u.image_table(K, grid)
+    worst = table.margins.min(axis=1)  # per (eps, chart): the lowest image margin
     best: Optional[tuple] = None
-    for b in sorted(per_chart):
-        margins = per_chart[b]
+    for c, b in enumerate(table.charts):
+        margins = worst[:, c]
         for start in range(0, len(eps_vals) - 2):
             if np.all(margins[start:] >= cfg.margin_min):
                 eps0 = float(eps_vals[start - 1]) if start > 0 else 1.0

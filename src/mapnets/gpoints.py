@@ -30,7 +30,7 @@ from .asymptotics import (
 )
 from .config import DEFAULT_CONFIG, Config
 from .errors import SupportEscape
-from .gmap import MapNet, check_cbounded, check_equiv0
+from .gmap import MapNet, check_cbounded, check_equiv0, sample_points
 from .manifold import (
     Atlas,
     Box,
@@ -227,10 +227,15 @@ def separate_by_points(u: MapNet, v: MapNet, K: CompactRegion,
     if eq.status is Status.PASS:
         return None
     g = g_dst or u.dst.metric
-    rng = np.random.default_rng(cfg.seed) if trials > 0 else None
-    return argmax_net(u.src, K, K.sample_points(rng=rng, extra=trials), grid,
-                      lambda eps, p: distance(u.dst, g, u.eval(eps, p), v.eval(eps, p)),
-                      tag=f"sep({u.tag},{v.tag})")
+    tu, tv = (net.image_table(K, grid, trials, cfg.seed) for net in (u, v))
+    pts = sample_points(K, trials, cfg.seed)
+    index = {id(p): pi for pi, p in enumerate(pts)}
+
+    def gap(eps, p):
+        pi = index[id(p)]
+        return distance(u.dst, g, tu.image(eps, pi), tv.image(eps, pi))
+
+    return argmax_net(u.src, K, pts, grid, gap, tag=f"sep({u.tag},{v.tag})")
 
 
 def argmax_net(atlas: Atlas, K: CompactRegion, pts: list, grid: EpsGrid,

@@ -25,6 +25,7 @@ from .errors import (
     MissingFiberMetric,
     NoOverlap,
     OutOfDomain,
+    OutputShapeMismatch,
 )
 from .jets import Jet
 
@@ -218,6 +219,7 @@ class LocalMap:
                  defined=None, name: str = ""):
         self.in_dim = int(in_dim)
         self.out_shape = tuple(out_shape) if isinstance(out_shape, (tuple, list)) else (int(out_shape),)
+        self.out_size = math.prod(self.out_shape)
         self.fn = fn
         self.expr = expr
         self.jac = jac
@@ -232,20 +234,18 @@ class LocalMap:
     def from_expr(cls, expr, out_shape=(1,), defined=None, name: str = "") -> "LocalMap":
         return cls(1, out_shape, expr=expr, defined=defined, name=name)
 
-    @property
-    def out_size(self) -> int:
-        out = 1
-        for s in self.out_shape:
-            out *= s
-        return out
-
     def _value(self, x: np.ndarray) -> np.ndarray:
         if self.fn is not None:
-            return np.asarray(self.fn(x), dtype=float).reshape(self.out_shape)
-        vals = self.expr(float(x[0]))
-        if not isinstance(vals, (tuple, list)):
-            vals = (vals,)
-        return np.array([jets.value_of(v) for v in vals]).reshape(self.out_shape)
+            y = np.asarray(self.fn(x), dtype=float)
+        else:
+            vals = self.expr(float(x[0]))
+            if not isinstance(vals, (tuple, list)):
+                vals = (vals,)
+            y = np.array([jets.value_of(v) for v in vals])
+        if y.size != self.out_size:  # a bug in the map, so not caught by try_call
+            raise OutputShapeMismatch(f"local map {self.name!r} returned shape {y.shape}, "
+                                      f"out_shape is {self.out_shape}")
+        return y.reshape(self.out_shape)
 
     def __call__(self, x) -> np.ndarray:
         return self._value(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -454,10 +454,6 @@ class Atlas:
                 reps.append((b, y, m))
         reps.sort(key=lambda r: (-r[2], r[0]))
         return reps
-
-    def best_margin(self, p: Point) -> float:
-        reps = self.representations(p)
-        return reps[0][2] if reps else -math.inf
 
     def same_component(self, p: Point, q: Point) -> bool:
         return self.components[p.chart] == self.components[q.chart]

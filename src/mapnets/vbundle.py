@@ -37,6 +37,7 @@ from .gmap import (
     check_moderate,
     check_single_chart,
     effective_reps,
+    sample_points,
     _chart_sups,
     _gap_tensors,
     _l_prime_of,
@@ -214,8 +215,7 @@ def section_norm_series(s: SectionNet, K: CompactRegion, grid: EpsGrid,
                         cfg: Config = DEFAULT_CONFIG,
                         trials: int = 0) -> SupSeries:
     """sup over K of the fiber norm of the section values."""
-    rng = np.random.default_rng(cfg.seed) if trials > 0 else None
-    pts = K.sample_points(rng=rng, extra=trials)
+    pts = sample_points(K, trials, cfg.seed)
 
     def samples(eps):
         for p in pts:
@@ -507,8 +507,7 @@ def section_zero_witness(s: SectionNet, K: CompactRegion,
     v = judge_negligible(ser, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
     if v.status is Status.PASS:
         return None
-    rng = np.random.default_rng(cfg.seed) if trials > 0 else None
-    return argmax_net(s.bundle.base, K, K.sample_points(rng=rng, extra=trials), grid,
+    return argmax_net(s.bundle.base, K, sample_points(K, trials, cfg.seed), grid,
                       lambda eps, p: fiber_norm(s.bundle, s.element_at(eps, p)),
                       tag=f"zero-witness({s.tag})")
 

@@ -175,6 +175,24 @@ class TestCLI:
         assert code == 0
         assert "check-moderate" in out
 
+    def test_output_shape_error_exit_code(self, capsys, monkeypatch):
+        import numpy as np
+
+        from mapnets import cli
+        from mapnets.gallery import get_atlas
+        from mapnets.gmap import MapNet
+        from mapnets.manifold import LocalMap
+
+        line = get_atlas("line")
+        bad = MapNet(line, line, lambda eps: {("e0", "e0"): LocalMap(
+            1, (1,), fn=lambda x: np.array([x[0], x[0]]), name="doubled")}, tag="doubled")
+        monkeypatch.setattr(cli, "get_net", lambda name: bad)
+        code, _, err = run_cli(["check-cbounded", "--net", "doubled",
+                                "--region", "K_unit"], capsys)
+        assert code == 2
+        assert "doubled" in err and "(2,)" in err and "(1,)" in err
+        assert "ChartEscape" not in err
+
     def test_config_flag_overrides(self, capsys):
         code, out, _ = run_cli(["check-moderate", "--net", "sigma_sin",
                                 "--region", "K_unit", "--grid-k-max", "10"], capsys)

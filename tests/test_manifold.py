@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapnets.errors import (
+    ChartEscape,
+    MapnetsError,
     MarginTooSmall,
     MissingFiberMetric,
     NoOverlap,
@@ -272,6 +274,45 @@ class TestDimensionMismatch:
             tag="half2")
         with pytest.raises(ValueError):
             check_cbounded(net, region_box("e0", [-1.0], [1.0], density=3))
+
+
+class TestOutputShape:
+    """A representative returning the wrong number of coordinates is a
+    programming error, not a point where the map is undefined."""
+
+    PLANE = euclidean_atlas([(-10.0, 10.0), (-10.0, 10.0)], name="plane")
+
+    def short_map(self):
+        return LocalMap(2, (2,), fn=lambda x: np.array([x[0]]), name="short")
+
+    def assert_names_shapes(self, exc):
+        assert not isinstance(exc, (ChartEscape, ValueError))
+        assert isinstance(exc, MapnetsError)
+        msg = str(exc)
+        assert "short" in msg and "(2,)" in msg and "(1,)" in msg
+
+    def test_try_call_raises_on_fn_shape(self):
+        with pytest.raises(MapnetsError) as info:
+            self.short_map().try_call([0.5, 0.5])
+        self.assert_names_shapes(info.value)
+
+    def test_try_call_raises_on_expr_shape(self):
+        rep = LocalMap.from_expr(lambda t: (t, t), out_shape=(1,), name="short2")
+        with pytest.raises(MapnetsError, match=r"short2.*\(2,\).*\(1,\)"):
+            rep.try_call([0.5])
+
+    def test_cbounded_reports_shape_not_chart_escape(self):
+        net = MapNet(self.PLANE, self.PLANE, lambda eps: {("e0", "e0"): self.short_map()},
+                     tag="short-net")
+        with pytest.raises(MapnetsError) as info:
+            check_cbounded(net, region_box("e0", [-1.0, -1.0], [1.0, 1.0], density=3))
+        self.assert_names_shapes(info.value)
+
+    def test_undefined_point_still_none(self):
+        rep = LocalMap(1, (1,), fn=lambda x: np.array([1.0 / x[0]]),
+                       defined=lambda x: x[0] != 0.0)
+        assert rep.try_call([0.0]) is None
+        assert rep.try_call([2.0]) == pytest.approx([0.5])
 
 
 class TestMultichart:

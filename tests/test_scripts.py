@@ -1,4 +1,4 @@
-"""Smoke test: the experiment scripts run to completion on the package."""
+"""Smoke tests: the experiment scripts and ``python -m mapnets`` run from a checkout."""
 
 import os
 import subprocess
@@ -27,3 +27,9 @@ def test_slope_scan_and_equivalence_order_scan():
     assert scan.returncode == 0, scan.stderr
     assert scan.stdout.splitlines()[-1] == \
         "no order-0/full-equivalence gap observed on this corpus"
+
+
+def test_python_m_mapnets_gallery_list():
+    out = run_script("-m", "mapnets", "gallery", "list")
+    assert out.returncode == 0, out.stderr
+    assert "sigma_sin" in out.stdout
