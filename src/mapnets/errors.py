@@ -17,6 +17,10 @@ class OutputShapeMismatch(MapnetsError):
     """A local map returned a value whose size does not match its out_shape."""
 
 
+class DerivativeUndefined(MapnetsError):
+    """A local map is defined at a point but its Taylor jet is not (e.g. sqrt(t*t) at 0)."""
+
+
 class ChartEscape(MapnetsError):
     """An image point lies in no chart of the target atlas."""
 

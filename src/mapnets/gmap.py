@@ -254,7 +254,7 @@ class ChainedLocalMap(LocalMap):
         inner, outer, y, z = r
         if inner.expr is not None and outer.expr is not None:
             chained = LocalMap.from_expr(lambda t, i=inner.expr, o=outer.expr: o(i(t)),
-                                         out_shape=self.out_shape)
+                                         out_shape=self.out_shape, name=self.name)
             return chained.derivs_upto(x, k_max)
         out = [z.reshape(self.out_shape)]
         if k_max >= 1:

@@ -1,12 +1,17 @@
 """Truncated Taylor jets and finite-difference fallbacks.
 
 A ``Jet`` holds the Taylor coefficients ``c[j] = f^(j)(x0)/j!`` of a scalar
-function at a point, up to a fixed order.  Evaluating a closed-form expression
-on ``Jet.var(x0, order)`` yields exact derivatives of the whole composite at
-``x0`` in one pass, which is what the local-map derivative oracles use on
-one-dimensional charts.  The polymorphic wrappers (``sin``, ``tanh``, ...)
-accept either floats or jets so the same expression holds for both evaluation
-and differentiation.
+function at a point, up to a fixed order, as a tuple of Python floats.
+Evaluating a closed-form expression on ``Jet.var(x0, order)`` yields exact
+derivatives of the whole composite at ``x0`` in one pass, which is what the
+local-map derivative oracles use on one-dimensional charts.  The polymorphic
+wrappers (``sin``, ``tanh``, ...) accept either floats or jets so the same
+expression holds for both evaluation and differentiation.
+
+The recurrences run in plain float arithmetic; each coefficient of a product
+is summed in order j = 0..k.  Overflow is silent: a coefficient becomes inf
+or NaN (``exp`` of a jet at 800 reads ``(inf, inf, nan)``) and the sup
+reducer counts NaN as inf.
 
 For maps without an expression form, ``fd_partial`` provides the 4th-order
 central-difference fallback with step ``h = 1e-4 * (1 + |x|)``.
@@ -14,7 +19,9 @@ central-difference fallback with step ``h = 1e-4 * (1 + |x|)``.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -24,26 +31,23 @@ FD_STEP_SCALE = 1e-4  # step h = FD_STEP_SCALE * (1 + |x|)
 
 
 class Jet:
-    """Taylor polynomial of a scalar function, truncated at a fixed order."""
+    """Taylor polynomial of a scalar function, truncated at a fixed order.
+
+    ``c`` is a tuple of Python floats; every operation returns a new jet.
+    """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs):
-        self.c = np.asarray(coeffs, dtype=float)
+        self.c = tuple(map(float, coeffs))
 
     @classmethod
     def var(cls, x0: float, order: int) -> "Jet":
-        c = np.zeros(order + 1)
-        c[0] = x0
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
+        return _jet(((float(x0), 1.0) + (0.0,) * (order - 1))[: order + 1])
 
     @classmethod
     def const(cls, v: float, order: int) -> "Jet":
-        c = np.zeros(order + 1)
-        c[0] = v
-        return cls(c)
+        return _jet((float(v),) + (0.0,) * order)
 
     @property
     def order(self) -> int:
@@ -51,61 +55,69 @@ class Jet:
 
     @property
     def value(self) -> float:
-        return float(self.c[0])
+        return self.c[0]
 
     def derivatives(self) -> np.ndarray:
         """Return [f, f', f'', ...]; entry j is c[j] * j!."""
-        return self.c * _factorials(self.order)
-
-    def _lift(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.const(float(other), self.order)
+        return np.array([a * f for a, f in zip(self.c, factorials(self.order))])
 
     # -- ring operations -------------------------------------------------
+    # A scalar operand s acts as the constant jet (s, 0, ..., 0).  Products
+    # and quotients keep the constant jet's zero terms: c[j] * 0.0 is NaN for
+    # an infinite or NaN c[j], so a non-finite coefficient turns every higher
+    # one into NaN, as with a jet operand.
 
     def __add__(self, other):
-        o = self._lift(other)
-        return Jet(self.c + o.c)
+        c = self.c
+        if isinstance(other, Jet):
+            return _jet(tuple([a + b for a, b in zip(c, other.c)]))
+        return _jet((c[0] + float(other),) + c[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.c)
+        return _jet(tuple([-a for a in self.c]))
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return Jet(self.c - o.c)
+        c = self.c
+        if isinstance(other, Jet):
+            return _jet(tuple([a - b for a, b in zip(c, other.c)]))
+        return _jet((c[0] - float(other),) + c[1:])
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return Jet(o.c - self.c)
+        c = self.c
+        return _jet((float(other) - c[0],) + tuple([-a for a in c[1:]]))
 
     def __mul__(self, other):
-        o = self._lift(other)
-        K = self.order
-        out = np.zeros(K + 1)
-        for k in range(K + 1):
-            out[k] = np.dot(self.c[: k + 1], o.c[k::-1])
-        return Jet(out)
+        a = self.c
+        if isinstance(other, Jet):
+            return _jet(_mul(a, other.c))
+        s = float(other)
+        out = []
+        z = 0.0  # sum of c[j] * 0.0 over the lower orders
+        for x in a:
+            out.append(z + x * s)
+            z += x * 0.0
+        return _jet(tuple(out))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o.c[0] == 0.0:
+        if isinstance(other, Jet):
+            return _jet(_div(self.c, other.c))
+        s = float(other)
+        if s == 0.0:
             raise ZeroDivisionError("jet division by zero-valued jet")
-        K = self.order
-        q = np.zeros(K + 1)
-        for k in range(K + 1):
-            acc = self.c[k]
-            for j in range(k):
-                acc -= q[j] * o.c[k - j]
-            q[k] = acc / o.c[0]
-        return Jet(q)
+        out = []
+        z = 0.0  # sum of q[j] * 0.0 over the lower orders
+        for x in self.c:
+            q = (x - z) / s
+            out.append(q)
+            z += q * 0.0
+        return _jet(tuple(out))
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return _jet(_div((float(other),) + (0.0,) * self.order, self.c))
 
     def __pow__(self, p):
         if isinstance(p, int):
@@ -122,28 +134,27 @@ class Jet:
     # -- elementary functions (standard Taylor recurrences) --------------
 
     def exp(self) -> "Jet":
-        K = self.order
-        e = np.zeros(K + 1)
-        e[0] = math.exp(self.c[0]) if self.c[0] < 709.0 else math.inf
-        for k in range(1, K + 1):
+        c = self.c
+        e = [math.exp(c[0]) if c[0] < 709.0 else math.inf]
+        for k in range(1, len(c)):
             acc = 0.0
             for j in range(1, k + 1):
-                acc += j * self.c[j] * e[k - j]
-            e[k] = acc / k
-        return Jet(e)
+                acc += j * c[j] * e[k - j]
+            e.append(acc / k)
+        return _jet(tuple(e))
 
     def log(self) -> "Jet":
-        if self.c[0] <= 0.0:
+        c = self.c
+        c0 = c[0]
+        if c0 <= 0.0:
             raise ValueError("jet log of non-positive value")
-        K = self.order
-        l = np.zeros(K + 1)
-        l[0] = math.log(self.c[0])
-        for k in range(1, K + 1):
-            acc = k * self.c[k]
+        l = [math.log(c0)]
+        for k in range(1, len(c)):
+            acc = k * c[k]
             for j in range(1, k):
-                acc -= j * l[j] * self.c[k - j]
-            l[k] = acc / (k * self.c[0])
-        return Jet(l)
+                acc -= j * l[j] * c[k - j]
+            l.append(acc / (k * c0))
+        return _jet(tuple(l))
 
     def sqrt(self) -> "Jet":
         return self ** 0.5
@@ -155,57 +166,93 @@ class Jet:
         return self._sincos()[1]
 
     def _sincos(self):
-        K = self.order
-        s = np.zeros(K + 1)
-        co = np.zeros(K + 1)
-        s[0] = math.sin(self.c[0])
-        co[0] = math.cos(self.c[0])
-        for k in range(1, K + 1):
+        c = self.c
+        s = [math.sin(c[0])]
+        co = [math.cos(c[0])]
+        for k in range(1, len(c)):
             sa = 0.0
             ca = 0.0
             for j in range(1, k + 1):
-                sa += j * self.c[j] * co[k - j]
-                ca += j * self.c[j] * s[k - j]
-            s[k] = sa / k
-            co[k] = -ca / k
-        return Jet(s), Jet(co)
+                sa += j * c[j] * co[k - j]
+                ca += j * c[j] * s[k - j]
+            s.append(sa / k)
+            co.append(-ca / k)
+        return _jet(tuple(s)), _jet(tuple(co))
 
     def tanh(self) -> "Jet":
         # t' = (1 - t^2) u'; compute t and w = 1 - t^2 jointly order by order.
-        K = self.order
-        t = np.zeros(K + 1)
-        w = np.zeros(K + 1)
-        t[0] = math.tanh(self.c[0])
-        w[0] = 1.0 - t[0] * t[0]
-        for k in range(1, K + 1):
+        c = self.c
+        t0 = math.tanh(c[0])
+        t = [t0]
+        w = [1.0 - t0 * t0]
+        for k in range(1, len(c)):
             acc = 0.0
             for j in range(1, k + 1):
-                acc += j * self.c[j] * w[k - j]
-            t[k] = acc / k
-            w[k] = -np.dot(t[: k + 1], t[k::-1])
-        return Jet(t)
+                acc += j * c[j] * w[k - j]
+            t.append(acc / k)
+            sq = t0 * t[k]
+            for j in range(1, k + 1):
+                sq += t[j] * t[k - j]
+            w.append(-sq)
+        return _jet(tuple(t))
 
     def atan(self) -> "Jet":
         # a' = u' / (1 + u^2)
-        K = self.order
-        den = 1.0 + self * self
-        a = np.zeros(K + 1)
-        a[0] = math.atan(self.c[0])
-        du = Jet(np.append(self.c[1:] * np.arange(1, K + 1), 0.0))
-        da = du / den
-        for k in range(1, K + 1):
-            a[k] = da.c[k - 1] / k
-        return Jet(a)
+        c = self.c
+        sq = _mul(c, c)
+        den = (1.0 + sq[0],) + sq[1:]
+        du = tuple([c[j] * j for j in range(1, len(c))]) + (0.0,)
+        da = _div(du, den)
+        return _jet((math.atan(c[0]),) + tuple([da[k - 1] / k for k in range(1, len(c))]))
 
     def __repr__(self):
-        return f"Jet({np.array2string(self.c, precision=6)})"
+        return f"Jet({list(self.c)})"
 
 
-def _factorials(order: int) -> np.ndarray:
-    out = np.ones(order + 1)
-    for k in range(2, order + 1):
-        out[k] = out[k - 1] * k
-    return out
+_new = object.__new__
+
+
+def _jet(c: tuple) -> Jet:
+    """Wrap a tuple of floats built in this module (no copy, no conversion)."""
+    j = _new(Jet)
+    j.c = c
+    return j
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Cauchy product, each coefficient summed in order j = 0..k."""
+    out = []
+    for k in range(len(a)):
+        acc = a[0] * b[k]
+        for j in range(1, k + 1):
+            acc += a[j] * b[k - j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _div(a: tuple, b: tuple) -> tuple:
+    """Quotient series q with q * b = a."""
+    b0 = b[0]
+    if b0 == 0.0:
+        raise ZeroDivisionError("jet division by zero-valued jet")
+    q = []
+    for k in range(len(a)):
+        acc = a[k]
+        for j in range(k):
+            acc -= q[j] * b[k - j]
+        q.append(acc / b0)
+    return tuple(q)
+
+
+# 0! .. 170! by the float recurrence k! = (k-1)! * k; 171! overflows a double.
+_FACTORIALS = tuple(itertools.accumulate(range(1, 171), operator.mul, initial=1.0))
+
+
+def factorials(order: int) -> tuple:
+    """(0!, 1!, ..., order!) as floats; inf beyond 170!."""
+    if order < len(_FACTORIALS):
+        return _FACTORIALS[: order + 1]
+    return _FACTORIALS + (math.inf,) * (order + 1 - len(_FACTORIALS))
 
 
 # -- polymorphic wrappers: accept float or Jet ---------------------------
@@ -256,9 +303,7 @@ def wrap_angle(x):
         w = wrap_angle(x.value)
         if w == x.value:
             return x
-        c = x.c.copy()
-        c[0] = w
-        return Jet(c)
+        return _jet((w,) + x.c[1:])
     v = float(x)
     w = v - TWO_PI * math.floor((v + math.pi) / TWO_PI)
     if w <= -math.pi:  # boundary representative is +pi, not -pi

@@ -21,6 +21,7 @@ import numpy as np
 from . import jets
 from .errors import (
     ChartEscape,
+    DerivativeUndefined,
     MarginTooSmall,
     MissingFiberMetric,
     NoOverlap,
@@ -274,25 +275,24 @@ class LocalMap:
         return np.stack(cols, axis=-1)
 
     def derivs_upto(self, x, k_max: int) -> list:
-        """Tensors of orders 0..k_max; one jet evaluation on the expr path."""
+        """Tensors of orders 0..k_max; one jet evaluation on the expr path.
+
+        Raises DerivativeUndefined where the expression has a value but its
+        jet fails (log or division by zero inside the jet recurrences)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.expr is not None:
-            vals = self.expr(Jet.var(float(x[0]), k_max))
+            try:
+                vals = self.expr(Jet.var(float(x[0]), k_max))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DerivativeUndefined(
+                    f"local map {self.name!r} has no order-{k_max} jet at x = {float(x[0])!r} "
+                    f"({exc})") from exc
             if not isinstance(vals, (tuple, list)):
                 vals = (vals,)
-            comp = []
-            for v in vals:
-                if isinstance(v, Jet):
-                    comp.append(v.derivatives())
-                else:
-                    d = np.zeros(k_max + 1)
-                    d[0] = float(v)
-                    comp.append(d)
-            table = np.stack(comp, axis=0)  # (out_size, k_max+1)
-            out = []
-            for k in range(k_max + 1):
-                out.append(table[:, k].reshape(self.out_shape + (1,) * k))
-            return out
+            coeffs = [v.c if isinstance(v, Jet) else (float(v),) + (0.0,) * k_max
+                      for v in vals]
+            return [np.array([c[k] * f for c in coeffs]).reshape(self.out_shape + (1,) * k)
+                    for k, f in enumerate(jets.factorials(k_max))]
         return [self.deriv_tensor(x, k) for k in range(k_max + 1)]
 
     def jacobian(self, x) -> np.ndarray:

@@ -193,6 +193,20 @@ class TestCLI:
         assert "doubled" in err and "(2,)" in err and "(1,)" in err
         assert "ChartEscape" not in err
 
+    def test_derivative_undefined_exit_code(self, capsys, monkeypatch):
+        from mapnets import cli
+        from mapnets.gallery import get_atlas
+        from mapnets.gmap import scalar_net
+        from mapnets.jets import sqrt
+
+        line = get_atlas("line")
+        net = scalar_net(line, line, lambda eps: lambda t: sqrt(t * t), tag="abs")
+        monkeypatch.setattr(cli, "get_net", lambda name: net)
+        code, _, err = run_cli(["check-moderate", "--net", "abs", "--region", "K_unit"], capsys)
+        assert code == 2
+        assert "DerivativeUndefined" in err and "x = 0.0" in err
+        assert "ValueError" not in err
+
     def test_config_flag_overrides(self, capsys):
         code, out, _ = run_cli(["check-moderate", "--net", "sigma_sin",
                                 "--region", "K_unit", "--grid-k-max", "10"], capsys)

@@ -109,3 +109,46 @@ def test_fd_partial_vector_input():
     g = lambda x: np.array([x[0] * x[1], x[1] ** 2])
     d = fd_partial(g, np.array([1.0, 2.0]), axis=1)
     assert d == pytest.approx([1.0, 4.0], abs=1e-9)
+
+
+class TestOverflowStaysQuiet:
+    """Jet overflow becomes inf/NaN without a numpy RuntimeWarning; the sup
+    reducer counts NaN as overflow."""
+
+    def moderate(self, expr):
+        from mapnets.gallery import get_atlas
+        from mapnets.gmap import check_moderate, scalar_net
+        from mapnets.manifold import region_box
+
+        line = get_atlas("line")
+        net = scalar_net(line, line, lambda eps: expr)
+        return check_moderate(net, region_box("e0", [-1.0], [1.0], density=9), k_max=3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exp_beyond_709_gives_inf_inf_nan(self):
+        d = exp(Jet.var(800.0, 2)).derivatives()
+        assert d[0] == math.inf and d[1] == math.inf and math.isnan(d[2])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tanh_of_huge_slope_fails_moderateness(self):
+        from mapnets.asymptotics import Status
+
+        v = self.moderate(lambda t: tanh(1e200 * t))
+        assert v.status is Status.FAIL
+        assert v.witness.value == math.inf and v.witness.location.coords.tolist() == [0.0]
+        assert v.details["k=3|K[0]|e0->e0"].status is Status.FAIL
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_derivative_counts_as_overflow(self):
+        # tanh(exp(800 t)) is 1.0 at t = 1, but its jet there is
+        # (1, NaN, ...): exp gives (inf, inf, NaN, ...) and tanh multiplies
+        # inf by w = 1 - 1 = 0.
+        from mapnets.asymptotics import Status
+
+        j = tanh(exp(Jet.var(1.0, 3) * 800.0))
+        assert j.value == 1.0 and all(math.isnan(v) for v in j.c[1:])
+        v = self.moderate(lambda t: tanh(exp(800.0 * t)))
+        assert v.status is Status.FAIL
+        k1 = v.details["k=1|K[0]|e0->e0"]
+        assert k1.status is Status.FAIL and np.all(k1.series.sup == math.inf)
+        assert v.witness.value == math.inf

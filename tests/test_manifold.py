@@ -22,6 +22,7 @@ from mapnets.errors import (
     OutOfDomain,
 )
 from mapnets.gmap import MapNet, check_cbounded
+from mapnets.jets import Jet, sin, sqrt
 from mapnets.manifold import (
     Box,
     BundleElement,
@@ -313,6 +314,71 @@ class TestOutputShape:
                        defined=lambda x: x[0] != 0.0)
         assert rep.try_call([0.0]) is None
         assert rep.try_call([2.0]) == pytest.approx([0.5])
+
+
+class TestJetDerivs:
+    def test_tensors_of_every_order_from_one_jet(self):
+        # A jet component, a product and a plain float constant.
+        rep = LocalMap.from_expr(lambda t: (sin(t), t * t, 2.0), out_shape=(3,), name="trio")
+        x = 0.7
+        ts = rep.derivs_upto([x], 3)
+        assert [t.shape for t in ts] == [(3,), (3, 1), (3, 1, 1), (3, 1, 1, 1)]
+        expect = [[math.sin(x), x * x, 2.0], [math.cos(x), 2 * x, 0.0],
+                  [-math.sin(x), 2.0, 0.0], [-math.cos(x), 0.0, 0.0]]
+        for t, e in zip(ts, expect):
+            np.testing.assert_allclose(t.ravel(), e, rtol=1e-14, atol=0.0)
+        ref = sin(Jet.var(x, 3)).derivatives()
+        assert [float(t.ravel()[0]) for t in ts] == ref.tolist()
+
+
+class TestDerivativeUndefined:
+    """A map defined at a point whose jet is not (sqrt(t*t) at 0: the value
+    exists, the jet goes through log 0) is reported as a package error that
+    names the map, the point and the order."""
+
+    def rep(self):
+        return LocalMap.from_expr(lambda t: sqrt(t * t), name="abs-via-sqrt")
+
+    def test_value_defined_jet_not(self):
+        from mapnets import errors
+
+        rep = self.rep()
+        assert rep.try_call([0.0]) == pytest.approx([0.0])
+        with pytest.raises(errors.DerivativeUndefined) as info:
+            rep.derivs_upto([0.0], 3)
+        assert isinstance(info.value, MapnetsError)
+        assert not isinstance(info.value, ValueError)
+        msg = str(info.value)
+        assert "abs-via-sqrt" in msg and "0.0" in msg and "3" in msg
+
+    def test_defined_points_still_differentiate(self):
+        ts = self.rep().derivs_upto([-0.5], 2)
+        assert [float(t.ravel()[0]) for t in ts] == pytest.approx([0.5, -1.0, 0.0], abs=1e-12)
+
+    def test_check_moderate_reports_it(self):
+        from mapnets import errors
+        from mapnets.gmap import check_moderate, scalar_net
+
+        line = euclidean_atlas([(-10.0, 10.0)], name="line")
+        net = scalar_net(line, line, lambda eps: lambda t: sqrt(t * t), tag="abs")
+        with pytest.raises(errors.DerivativeUndefined, match=r"order-3 jet at x = 0\.0"):
+            check_moderate(net, region_box("e0", [-1.0], [1.0], density=9), k_max=3)
+
+    def test_derived_map_names_the_parent(self):
+        from mapnets import errors
+
+        with pytest.raises(errors.DerivativeUndefined, match="abs-via-sqrt"):
+            self.rep().derivative_map().derivs_upto([0.0], 1)
+
+    def test_chained_map_names_the_chain(self):
+        from mapnets import errors
+        from mapnets.gmap import ChainedLocalMap
+
+        inner = LocalMap.from_expr(lambda t: t - 1.0, name="shift")
+        chain = ChainedLocalMap([(lambda y: True, inner, self.rep())], 1, (1,), name="chain")
+        assert chain.try_call([1.0]) == pytest.approx([0.0])
+        with pytest.raises(errors.DerivativeUndefined, match="'chain'.*x = 1\\.0"):
+            chain.derivs_upto([1.0], 2)
 
 
 class TestMultichart:
