@@ -9,10 +9,11 @@ orders), and the single-target-chart condition that underwrites composition.
 Lattice points whose image leaves the admissible compact L' are excluded
 from suprema; a supremum over an empty admissible set is recorded as zero.
 
-The order-0 clauses (c-boundedness, single chart, metric gaps, separating
-points) all read the image of a region's sample points at every grid eps.
-``MapNet.image_table`` evaluates that image once per (region, grid, extra
-samples) and keeps it on the net as an ``ImageTable`` of compact arrays.
+The order-0 clauses (c-boundedness, single chart, metric gaps, both routes of
+order-0 equivalence, separating points) all read the image of a region's
+sample points at every grid eps.  ``MapNet.image_table`` evaluates that image
+once per (region, grid, extra samples) and keeps it on the net as an
+``ImageTable`` of compact arrays.
 """
 
 from __future__ import annotations
@@ -443,22 +444,94 @@ def derivative_sup_series(u: MapNet, K: CompactRegion, grid: EpsGrid,
                        lambda pi, cid, b, k: f"|D^{k}| K[{pi}] {cid}->{b} of {u.tag}", cfg)
 
 
+def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
+                    g: Optional[RiemannianMetric], grid: EpsGrid, cfg: Config,
+                    trials: int = 0, seed: int = 0):
+    """d_h(u_eps(p), v_eps(p)) between the two nets' table images, each
+    computed once: the (eps, sample point) array, K's lattice points first,
+    then the ``trials`` extras, and the sup series of its lattice prefix."""
+    g = g or u.dst.metric
+    if g is None:
+        raise ValueError("no target metric available")
+    tu, tv = u.image_table(K, grid, trials, seed), v.image_table(K, grid, trials, seed)
+    dists = np.array([[distance(u.dst, g, tu.image(eps, pi), tv.image(eps, pi))
+                       for pi in range(tu.chart.shape[1])] for eps in grid.values()])
+    pts = K.sample_points()
+    rows = dists[:, :len(pts)].tolist()
+
+    def samples(eps):
+        for d, p in zip(rows[tu.rows[eps]], pts):
+            yield None, d, p
+
+    return sweep_sups(grid, samples, cfg.zero_tol,
+                      lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None], dists
+
+
 def metric_gap_series(u: MapNet, v: MapNet, K: CompactRegion,
                       g: Optional[RiemannianMetric], grid: EpsGrid,
                       cfg: Config = DEFAULT_CONFIG) -> SupSeries:
     """sup over K of the target-metric distance between u_eps and v_eps."""
-    g = g or u.dst.metric
-    if g is None:
-        raise ValueError("no target metric available")
+    return _distance_sweep(u, v, K, g, grid, cfg)[0]
+
+
+def _metric_route(u: MapNet, v: MapNet, K: CompactRegion,
+                  g: Optional[RiemannianMetric], grid: EpsGrid, cfg: Config,
+                  trials: int = 0, seed: int = 0):
+    """Metric route of order-0 equivalence: the lattice sup-distance series
+    must vanish and be negligible at m_probe.
+
+    Returns (route verdict, sup series, distance array of ``_distance_sweep``).
+    """
+    d_series, dists = _distance_sweep(u, v, K, g, grid, cfg, trials, seed)
+    route = conjunction({
+        "vanishing": judge_vanishing(d_series, cfg.vanish_tol, cfg.r2_min),
+        "negligible": judge_negligible(d_series, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol),
+    }, notes="metric route")
+    return route, d_series, dists
+
+
+def _in_boxes(y: np.ndarray, boxes) -> np.ndarray:
+    """Which points y[..., :] lie in some closed box of boxes (NaN in none)."""
+    inside = np.zeros(y.shape[:-1], dtype=bool)
+    for box in boxes:
+        inside |= np.all((box.lo <= y) & (y <= box.hi), axis=-1)
+    return inside
+
+
+def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
+                 L_prime: Optional[dict], cfg: Config) -> dict:
+    """Order-0 chart-wise gaps |y_u - y_v| read from the two image tables.
+
+    Keys (pi, cid, b, 0) as in ``chart_gap_series``.  A lattice point of piece
+    pi counts for target chart b at eps when both images have a chart-b
+    representation and, when L' is given, both lie in a closed L' box of b.
+    """
     tu, tv = u.image_table(K, grid), v.image_table(K, grid)
-    pts = K.sample_points()
+    charts = []
+    for c, b in enumerate(tu.charts):
+        yu, yv = tu.coords[:, :, c, :tu.dims[c]], tv.coords[:, :, c, :tu.dims[c]]
+        ok = (tu.margins[:, :, c] > -math.inf) & (tv.margins[:, :, c] > -math.inf)
+        if L_prime is not None:
+            boxes = L_prime.get(b, ())
+            ok &= _in_boxes(yu, boxes) & _in_boxes(yv, boxes)
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, as in tensor_norm
+            gap = np.sqrt(np.sum((yu - yv) ** 2, axis=-1))
+        charts.append((b, ok.tolist(), gap.tolist()))
+    pieces, offset = [], 0  # per piece: its index, chart, first column, lattice points
+    for pi, (cid, lat) in enumerate(K.lattices()):
+        pieces.append((pi, cid, offset, [Point(cid, x) for x in lat]))
+        offset += len(lat)
 
     def samples(eps):
-        for pi, p in enumerate(pts):
-            yield None, distance(u.dst, g, tu.image(eps, pi), tv.image(eps, pi)), p
+        ei = tu.rows[eps]
+        for pi, cid, first, at in pieces:
+            for b, ok, gap in charts:
+                for j, x in enumerate(at, first):
+                    if ok[ei][j]:
+                        yield (pi, cid, b, 0), gap[ei][j], x
 
     return sweep_sups(grid, samples, cfg.zero_tol,
-                      lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None]
+                      lambda key: f"|D^0({u.tag}-{v.tag})| K[{key[0]}] {key[1]}->{key[2]}")
 
 
 def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
@@ -621,22 +694,19 @@ def check_equiv0(u: MapNet, v: MapNet, K: CompactRegion,
 
     Metric route: the sup-distance series must vanish and be negligible at
     m_probe (the global characterization).  Chart route: vanishing plus the
-    chart-wise order-0 coordinate differences, sampled where both images lie
-    in the admissible compact.  The verdict status is the metric route's;
+    chart-wise order-0 coordinate differences, sampled where both images have
+    a representation in the same target chart and lie in the admissible
+    compact L'.  Both routes read the nets' image tables, so once those exist
+    no image is evaluated again.  The verdict status is the metric route's;
     both routes are reported in details for concordance tests.
     """
     grid = grid or cfg.grid()
-    d_series = metric_gap_series(u, v, K, g_dst, grid, cfg)
-    vanish = judge_vanishing(d_series, cfg.vanish_tol, cfg.r2_min)
-    neglig = judge_negligible(d_series, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
-    route_metric = conjunction({"vanishing": vanish, "negligible": neglig},
-                               notes="metric route")
-    rep_u = check_cbounded(u, K, grid, cfg)
-    rep_v = check_cbounded(v, K, grid, cfg)
-    L_prime = _merge_l_prime(rep_u, rep_v)
-    chart_parts = {"vanishing": vanish}
-    for (pi, cid, b, k), s in sorted(chart_gap_series(u, v, K, grid, 0, L_prime, cfg).items()):
-        chart_parts[f"k=0|K[{pi}]|{cid}->{b}"] = judge_negligible(s, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
+    route_metric, d_series, _ = _metric_route(u, v, K, g_dst, grid, cfg)
+    L_prime = _merge_l_prime(check_cbounded(u, K, grid, cfg), check_cbounded(v, K, grid, cfg))
+    chart_parts = {"vanishing": route_metric.details["vanishing"]}
+    for (pi, cid, b, _k), s in sorted(_chart_gaps0(u, v, K, grid, L_prime, cfg).items()):
+        chart_parts[f"k=0|K[{pi}]|{cid}->{b}"] = judge_negligible(
+            s, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
     route_chart = conjunction(chart_parts, notes="chart route")
     out = Verdict(route_metric.status, estimate=route_metric.estimate,
                   witness=route_metric.witness,

@@ -30,7 +30,7 @@ from .asymptotics import (
 )
 from .config import DEFAULT_CONFIG, Config
 from .errors import SupportEscape
-from .gmap import MapNet, check_cbounded, check_equiv0, sample_points
+from .gmap import MapNet, _metric_route, check_cbounded, sample_points
 from .manifold import (
     Atlas,
     Box,
@@ -218,24 +218,24 @@ def separate_by_points(u: MapNet, v: MapNet, K: CompactRegion,
                        g_dst: Optional[RiemannianMetric] = None) -> Optional[GenPoint]:
     """Witness point separating order-0 inequivalent nets, else None.
 
-    Follows the subsequence construction: for each grid eps, take the
-    lattice argmax of the image distance, then interpolate piecewise
-    constantly in eps.  Ties break to the lowest lattice index.
+    The nets are inequivalent when the metric route of ``check_equiv0``
+    fails (its chart route is not run).  Follows the subsequence
+    construction: for each grid eps, take the argmax of the image distance
+    over the lattice and the ``trials`` seeded extras, then interpolate
+    piecewise constantly in eps.  Ties break to the lowest sample index.
+    Every image distance is computed once, from the image table with the
+    extras; the equivalence test reads its lattice prefix.
     """
     grid = grid or cfg.grid()
-    eq = check_equiv0(u, v, K, g_dst, grid, cfg)
-    if eq.status is Status.PASS:
+    route, _, dists = _metric_route(u, v, K, g_dst, grid, cfg, trials, cfg.seed)
+    K.validate(u.src)  # as check_equiv0's c-boundedness checks do
+    if route.status is Status.PASS:
         return None
-    g = g_dst or u.dst.metric
-    tu, tv = (net.image_table(K, grid, trials, cfg.seed) for net in (u, v))
     pts = sample_points(K, trials, cfg.seed)
+    rows = {eps: ei for ei, eps in enumerate(grid.values().tolist())}
     index = {id(p): pi for pi, p in enumerate(pts)}
-
-    def gap(eps, p):
-        pi = index[id(p)]
-        return distance(u.dst, g, tu.image(eps, pi), tv.image(eps, pi))
-
-    return argmax_net(u.src, K, pts, grid, gap, tag=f"sep({u.tag},{v.tag})")
+    return argmax_net(u.src, K, pts, grid, lambda eps, p: dists[rows[eps], index[id(p)]],
+                      tag=f"sep({u.tag},{v.tag})")
 
 
 def argmax_net(atlas: Atlas, K: CompactRegion, pts: list, grid: EpsGrid,

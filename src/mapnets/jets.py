@@ -11,7 +11,8 @@ expression holds for both evaluation and differentiation.
 The recurrences run in plain float arithmetic; each coefficient of a product
 is summed in order j = 0..k.  Overflow is silent: a coefficient becomes inf
 or NaN (``exp`` of a jet at 800 reads ``(inf, inf, nan)``) and the sup
-reducer counts NaN as inf.
+reducer counts NaN as inf.  ``wrap_angle`` of a non-finite angle is NaN,
+so an overflowing angle chart gives an overflowing sup, not an error.
 
 For maps without an expression form, ``fd_partial`` provides the 4th-order
 central-difference fallback with step ``h = 1e-4 * (1 + |x|)``.
@@ -297,7 +298,9 @@ def wrap_angle(x):
 
     On a jet only the constant term moves (the shift is locally constant), so
     all derivatives pass through unchanged; the wrap discontinuity sits at odd
-    multiples of pi, which angle-chart domains exclude.
+    multiples of pi, which angle-chart domains exclude.  A non-finite angle
+    (an overflowed expression) wraps to NaN, which the sup reducer counts as
+    overflow.
     """
     if isinstance(x, Jet):
         w = wrap_angle(x.value)
@@ -305,6 +308,8 @@ def wrap_angle(x):
             return x
         return _jet((w,) + x.c[1:])
     v = float(x)
+    if not math.isfinite(v):
+        return math.nan
     w = v - TWO_PI * math.floor((v + math.pi) / TWO_PI)
     if w <= -math.pi:  # boundary representative is +pi, not -pi
         w += TWO_PI

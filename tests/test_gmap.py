@@ -16,6 +16,7 @@ from mapnets.config import Config
 from mapnets.exprs import smoothed_step, step_slope_sup
 from mapnets.gallery import get_atlas, get_net, get_region
 from mapnets.gmap import (
+    MapNet,
     check_cbounded,
     check_equiv,
     check_equiv0,
@@ -33,11 +34,45 @@ from mapnets.manifold import (
     euclidean_atlas,
     euclidean_multichart,
     region_box,
+    sphere_atlas,
 )
 
 CFG = Config()
 GRID = CFG.grid()
 K_UNIT = get_region("K_unit")
+PLANE = euclidean_atlas([(-10.0, 10.0), (-10.0, 10.0)], name="plane")
+K_SQUARE = region_box("e0", [-1.0, -1.0], [1.0, 1.0], density=5)
+
+
+def sphere_cap_net(tag, shift):
+    """Sphere-valued net on the plane: latitude -0.2 + 0.75 x0 + shift(eps) (1 + x1^2),
+    longitude 0.3 + x1, given in both stereographic charts (a two-chart 2-D target)."""
+
+    def factory(eps):
+        def embed(x):
+            th, lon = -0.2 + 0.75 * x[0] + shift(eps) * (1.0 + x[1]**2), 0.3 + x[1]
+            return math.cos(th) * math.cos(lon), math.cos(th) * math.sin(lon), math.sin(th)
+
+        def north(x):
+            a, b, z = embed(x)
+            return np.array([a, b]) / (1.0 - z)
+
+        def south(x):
+            a, b, z = embed(x)
+            return np.array([a, b]) / (1.0 + z)
+
+        return {("e0", "north"): LocalMap(2, (2,), fn=north, name=f"{tag}:north"),
+                ("e0", "south"): LocalMap(2, (2,), fn=south, name=f"{tag}:south")}
+
+    return MapNet(PLANE, SPHERE, factory, tag=tag)
+
+
+SPHERE = sphere_atlas()
+SPHERE_NETS = {
+    "sphere_cap": sphere_cap_net("sphere_cap", lambda eps: 0.0),
+    "sphere_cap_flat": sphere_cap_net("sphere_cap_flat", lambda eps: math.exp(-1.0 / eps)),
+    "sphere_cap_eps2": sphere_cap_net("sphere_cap_eps2", lambda eps: eps**2),
+}
 
 
 def k_slopes(verdict, k):
@@ -255,9 +290,19 @@ class TestStructuralInvariants:
         ("sigma_sin", "sin_plus_eps2"),
         ("s1_jump", "s1_jump_flat"),
         ("s1_jump", "s1_jump_eps_bump"),
+        ("sphere_cap", "sphere_cap_flat"),
+        ("sphere_cap", "sphere_cap_eps2"),
     ])
     def test_metric_and_chart_routes_agree(self, pair):
-        v = check_equiv0(get_net(pair[0]), get_net(pair[1]), K_UNIT, None, GRID, CFG)
+        if pair[0] in SPHERE_NETS:
+            v = check_equiv0(SPHERE_NETS[pair[0]], SPHERE_NETS[pair[1]], K_SQUARE, None,
+                             GRID, CFG)
+            assert v.status is (Status.PASS if pair[1].endswith("flat") else Status.FAIL)
+            # both stereographic charts carry chart-route parts
+            assert {lbl.split("->")[-1] for lbl in v.details["chart"].details
+                    if lbl.startswith("k=0")} == {"north", "south"}
+        else:
+            v = check_equiv0(get_net(pair[0]), get_net(pair[1]), K_UNIT, None, GRID, CFG)
         assert v.details["metric"].status is v.details["chart"].status
 
     @pytest.mark.parametrize("pair", [

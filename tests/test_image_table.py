@@ -1,13 +1,17 @@
 """The image table against the per-point loops it replaced.
 
-``check_cbounded``, ``check_single_chart``, ``metric_gap_series`` and
-``separate_by_points`` read the images of a region's sample points from
-``MapNet.image_table``.  The reference functions below are the per-point
-loops they replaced, evaluating ``u.eval`` and ``representations`` afresh;
-every test requires the same records, byte for byte, including the margin and
-gap series with their argmax locations.  The second half counts evaluations
-of ``SmoothMap.__call__`` to pin one sweep per (net, region, grid) and the
-table's cache key.
+``check_cbounded``, ``check_single_chart``, ``metric_gap_series``,
+``separate_by_points`` and both routes of ``check_equiv0`` read the images of
+a region's sample points from ``MapNet.image_table``.  The reference
+functions below are the per-point loops they replaced, evaluating ``u.eval``
+and ``representations`` afresh; every test requires the same records, byte
+for byte, including the margin and gap series with their argmax locations.
+The chart route of ``check_equiv0`` is compared with the representative-wise
+``chart_gap_series`` at order 0: same keys and part statuses, and the same
+sups and argmax locations up to the rounding of coordinates reached through
+an atlas transition (see TRANSITION_ATOL).  The second half counts evaluations of
+``SmoothMap.__call__`` (and of the oracles and distances) to pin one sweep
+per (net, region, grid) and the table's cache key.
 """
 
 import collections
@@ -17,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from mapnets import jets
+from mapnets import gmap, gpoints, jets
 from mapnets.asymptotics import (
     Status,
     SupSeries,
@@ -34,6 +38,9 @@ from mapnets.gmap import (
     CBoundednessReport,
     MapNet,
     SingleChartReport,
+    _merge_l_prime,
+    angle_net,
+    chart_gap_series,
     check_cbounded,
     check_equiv0,
     check_single_chart,
@@ -159,6 +166,18 @@ def ref_separate_by_points(u, v, K, grid, trials, cfg):
                       tag=f"sep({u.tag},{v.tag})")
 
 
+def ref_chart_route(u, v, K, grid, cfg):
+    """check_equiv0's chart route before it read the tables: representative
+    values through ``chart_gap_series`` at order 0, judged per part."""
+    L_prime = _merge_l_prime(check_cbounded(u, K, grid, cfg), check_cbounded(v, K, grid, cfg))
+    parts = {"vanishing": judge_vanishing(ref_metric_gap_series(u, v, K, grid, cfg),
+                                          cfg.vanish_tol, cfg.r2_min)}
+    for (pi, cid, b, _k), s in sorted(chart_gap_series(u, v, K, grid, 0, L_prime, cfg).items()):
+        parts[f"k=0|K[{pi}]|{cid}->{b}"] = judge_negligible(s, cfg.m_probe, cfg.r2_min,
+                                                            floor=cfg.zero_tol)
+    return parts
+
+
 # -- nets on four kinds of target atlas ---------------------------------------
 
 PLANE = euclidean_atlas([(-10.0, 10.0), (-10.0, 10.0)], name="plane")
@@ -234,6 +253,12 @@ PAIRS = {
     # (u, v, region): every pair is order-0 inequivalent unless noted
     "line": (get_net("sigma_sin"), get_net("sin_plus_eps2"), K_LINE),
     "line-equivalent": (get_net("sigma_sin"), get_net("sin_plus_flat"), K_LINE),
+    # the largest gap sits at t = 1 - 8 eps, so the argmax moves with eps
+    "line-moving-peak": (get_net("sigma_sin"),
+                         scalar_net(get_atlas("line"), get_atlas("line"),
+                                    lambda eps: lambda t, e=eps: jets.sin(t) + e * e * jets.exp(
+                                        -((t - 1.0 + 8.0 * e) * 4.0)**2), tag="moving_peak"),
+                         K_LINE),
     "circle": (get_net("s1_jump"), get_net("s1_jump_eps_bump"), K_LINE),
     "multichart": (NETS["multichart"][0], multi_net("multi_eps", lambda eps: eps), K_LINE),
     "plane": (NETS["plane-half"][0],
@@ -242,6 +267,38 @@ PAIRS = {
     "sphere": (NETS["sphere-cap"][0],
                sphere_net("cap_eps2", lambda x, eps: -0.2 + 0.75 * x[0]
                           + eps**2 * (1.0 + x[1]**2)), K_SQUARE),
+}
+
+CHART_PAIRS = {
+    **PAIRS,
+    "circle-equivalent": (get_net("s1_jump"), get_net("s1_jump_flat"), K_LINE),
+    "multichart-two-pieces": (*PAIRS["multichart"][:2],
+                              CompactRegion([("e0", Box([-1.0], [-0.2])),
+                                             ("e0", Box([0.1], [0.9]))], lattice_density=9)),
+    "sphere-equivalent": (NETS["sphere-cap"][0],
+                          sphere_net("cap_flat", lambda x, eps: -0.2 + 0.75 * x[0]
+                                     + math.exp(-1.0 / eps) * (1.0 + x[1]**2)), K_SQUARE),
+    "sphere-meridian": (NETS["sphere-meridian"][0],
+                        sphere_net("meridian_eps", lambda x, eps: 0.5 * math.pi * x[0]
+                                   + eps * x[1]), K_SQUARE),
+    "circle-winding": (get_net("winder"),
+                       angle_net(get_atlas("line"), get_atlas("circle"),
+                                 lambda eps: lambda t, e=eps: t / e + e * t, tag="drift"),
+                       region_box("e0", [0.0], [1.0], density=9)),
+    # neither net is c-bounded, so there is no L'
+    "no-l-prime": (NETS["plane-edge"][0],
+                   plane_net("edge_eps", lambda x, eps: (10.0 - 20.0 * eps * (1.0 + x[0]**2),
+                                                         x[1] + eps * eps)), K_SQUARE),
+    # no L' either; at large eps one image sits in both charts, the other in c1 only
+    "no-l-prime-multichart": (
+        scalar_net(get_atlas("line"), MULTI, lambda eps: lambda t, e=eps:
+                   3.0 - 0.5 * e * (1.0 + t * t) - 4.0 * e * (1.0 + t), tag="edge_low"),
+        scalar_net(get_atlas("line"), MULTI, lambda eps: lambda t, e=eps:
+                   3.0 - 0.5 * e * (1.0 + t * t), tag="edge"), K_LINE),
+    # images shrink towards the tail, so L' drops head images
+    "l-prime-excludes": (plane_net("shrink", lambda x, eps: ((0.5 + 4.0 * eps) * x[0], x[1])),
+                         plane_net("shrink_eps", lambda x, eps: ((0.5 + 4.0 * eps) * x[0],
+                                                                 x[1] + eps * eps)), K_SQUARE),
 }
 
 
@@ -285,6 +342,13 @@ class TestMatchesPerPointLoops:
         assert_same_series(metric_gap_series(u, v, K, None, GRID, CFG),
                            ref_metric_gap_series(u, v, K, GRID, CFG))
 
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_metric_route_with_extras_reads_the_lattice_series(self, name):
+        u, v, K = PAIRS[name]
+        route, d_series, dists = gmap._metric_route(u, v, K, None, GRID, CFG, 3, CFG.seed)
+        assert_same_series(d_series, ref_metric_gap_series(u, v, K, GRID, CFG))
+        assert dists.shape == (len(GRID), len(gmap.sample_points(K, 3, CFG.seed)))
+
     @pytest.mark.parametrize("trials", [0, 3])
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_separate_by_points(self, name, trials):
@@ -296,6 +360,69 @@ class TestMatchesPerPointLoops:
         if got is not None:
             assert got.tag == want.tag
             assert dumps(got.as_record(GRID)) == dumps(want.as_record(GRID))
+
+
+# The table holds an image's coordinates in a chart other than the one
+# ``u.eval`` returned as the atlas transition of the returned coordinates, where
+# ``chart_gap_series`` evaluates that chart's representative: on the circle and
+# the sphere (coordinates up to 3 and 4 in size) the two differ by a few ulp,
+# which is a large relative error in a small gap.  There the sups may differ
+# by TRANSITION_ATOL, and an argmax may move to a point whose representative
+# gap ties the reference sup within it.
+TRANSITION_ATOL = 1e-14
+VIA_TRANSITION = {"circle-equivalent", "sphere", "sphere-equivalent", "sphere-meridian"}
+
+
+def rep_gap(u, v, eps, p, b):
+    """|y_u - y_v| at p from the chart-b representatives of the two nets."""
+    return float(np.linalg.norm(u.at(eps).local(p.chart, b)(p.coords)
+                                - v.at(eps).local(p.chart, b)(p.coords)))
+
+
+class TestChartRouteFromTables:
+    @pytest.mark.parametrize("name", sorted(CHART_PAIRS))
+    def test_matches_representative_route(self, name):
+        u, v, K = CHART_PAIRS[name]
+        got = check_equiv0(u, v, K, None, GRID, CFG).details["chart"].details
+        want = ref_chart_route(u, v, K, GRID, CFG)
+        assert len(want) > 1 and sorted(got) == sorted(want)
+        atol = TRANSITION_ATOL if name in VIA_TRANSITION else 0.0
+        for lbl, w in want.items():
+            g = got[lbl]
+            assert (g.status, g.notes) == (w.status, w.notes), lbl
+            if lbl == "vanishing":
+                assert_same_series(g.series, w.series)
+                continue
+            assert g.series.context == w.series.context
+            assert g.series.eps.tobytes() == w.series.eps.tobytes()
+            np.testing.assert_allclose(g.series.sup, w.series.sup, rtol=1e-12, atol=atol)
+            for eps, sup, a, b in zip(GRID.values(), w.series.sup, g.series.args,
+                                      w.series.args):
+                if point_key(a) != point_key(b):
+                    assert atol > 0.0 and a is not None, (lbl, eps)
+                    gap = rep_gap(u, v, eps, a, lbl.split("->")[-1])
+                    if sup == 0.0:  # clamped: every gap at this eps is <= zero_tol
+                        assert gap <= CFG.zero_tol + atol
+                    else:
+                        assert gap == pytest.approx(sup, rel=1e-12, abs=atol)
+
+    def test_l_prime_cases_are_what_they_claim(self):
+        def l_prime(u, v, K):
+            return _merge_l_prime(check_cbounded(u, K, GRID, CFG),
+                                  check_cbounded(v, K, GRID, CFG))
+
+        assert l_prime(*CHART_PAIRS["no-l-prime"]) is None
+        u, v, K = CHART_PAIRS["no-l-prime-multichart"]
+        assert l_prime(u, v, K) is None
+        eps, p = GRID.values()[0], K.sample_points()[-1]
+        assert [b for b, _y, _m in MULTI.representations(u.eval(eps, p))] == ["c1", "c0"]
+        assert [b for b, _y, _m in MULTI.representations(v.eval(eps, p))] == ["c1"]
+        u, v, K = CHART_PAIRS["l-prime-excludes"]
+        boxes = l_prime(u, v, K)["e0"]
+        images = [u.eval(eps, p) for eps in GRID.values() for p in K.sample_points()]
+        outside = [q for q in images if not any(b.contains(q.coords, closed=True)
+                                                for b in boxes)]
+        assert 0 < len(outside) < len(images)
 
 
 # -- one sweep per (net, region, grid) ----------------------------------------
@@ -330,6 +457,60 @@ class TestSweepsAndCacheKey:
         n_pts = len(K_LINE.sample_points())
         assert len(evals) == 2 * len(GRID) * n_pts
         assert set(evals.values()) == {1}
+
+    @pytest.mark.parametrize("trials", [0, 3])
+    @pytest.mark.parametrize("equivalent", [False, True])
+    def test_separate_by_points_computes_each_distance_once(self, evals, monkeypatch,
+                                                            trials, equivalent):
+        calls = collections.Counter()
+
+        def counting(atlas, g, p, q, *args, **kwargs):
+            calls[(p.chart, p.coords.tobytes(), q.chart, q.coords.tobytes())] += 1
+            return distance(atlas, g, p, q, *args, **kwargs)
+
+        def no_equiv0(*args, **kwargs):
+            raise AssertionError("separate_by_points ran check_equiv0")
+
+        for module in (gmap, gpoints):
+            monkeypatch.setattr(module, "distance", counting)
+            if hasattr(module, "check_equiv0"):
+                monkeypatch.setattr(module, "check_equiv0", no_equiv0)
+        u, v = fresh_pair()
+        if equivalent:
+            v = scalar_net(get_atlas("line"), get_atlas("line"),
+                           lambda eps: lambda t: jets.sin(t) + math.exp(-1.0 / eps) * t,
+                           tag="sin_flat")
+        w = separate_by_points(u, v, K_LINE, GRID, trials, CFG)
+        assert (w is None) == equivalent
+        n_samples = len(gmap.sample_points(K_LINE, trials, CFG.seed))
+        assert sum(calls.values()) == len(GRID) * n_samples
+        assert len(evals) == 2 * len(GRID) * n_samples  # each image once, extras too
+        assert set(evals.values()) == {1}
+
+    @pytest.mark.parametrize("name", ["line", "circle", "multichart", "sphere"])
+    def test_check_equiv0_evaluates_nothing_once_tables_exist(self, evals, monkeypatch,
+                                                              name):
+        u, v, K = PAIRS[name]
+        for net in (u, v):
+            net.image_table(K, GRID)
+        calls = collections.Counter()
+
+        def counted(label, fn):
+            def wrapper(*args, **kwargs):
+                calls[label] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LocalMap, "try_call", counted("try_call", LocalMap.try_call))
+        monkeypatch.setattr(LocalMap, "derivs_upto",
+                            counted("derivs_upto", LocalMap.derivs_upto))
+        monkeypatch.setattr(gmap, "effective_reps",
+                            counted("effective_reps", gmap.effective_reps))
+        before = sum(evals.values())
+        v0 = check_equiv0(u, v, K, None, GRID, CFG)
+        assert v0.details["chart"].details  # the chart route ran
+        assert sum(evals.values()) == before
+        assert not calls
 
     def test_later_checks_on_same_net_evaluate_nothing(self, evals):
         u, v = fresh_pair()

@@ -152,3 +152,25 @@ class TestOverflowStaysQuiet:
         k1 = v.details["k=1|K[0]|e0->e0"]
         assert k1.status is Status.FAIL and np.all(k1.series.sup == math.inf)
         assert v.witness.value == math.inf
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_wrap_angle_of_non_finite_float_is_nan(self, angle):
+        assert math.isnan(wrap_angle(angle))
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_wrap_angle_of_non_finite_jet_keeps_higher_coefficients(self, angle):
+        j = Jet((angle, 2.0, -3.0))
+        w = wrap_angle(j)
+        assert math.isnan(w.c[0]) and w.c[1:] == (2.0, -3.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_angle_chart_with_overflowing_angle_has_nan_value(self):
+        # exp(800 t) overflows at t = 1: the angle chart's jet is (NaN, inf, NaN),
+        # an overflowing sample rather than an undefined derivative
+        from mapnets.manifold import LocalMap
+
+        rep = LocalMap.from_expr(lambda t: wrap_angle(exp(800.0 * t) - math.pi),
+                                 name="overflowing-angle")
+        ts = rep.derivs_upto([1.0], 2)
+        assert math.isnan(float(ts[0].ravel()[0]))
+        assert float(ts[1].ravel()[0]) == math.inf

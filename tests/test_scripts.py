@@ -29,6 +29,23 @@ def test_slope_scan_and_equivalence_order_scan():
         "no order-0/full-equivalence gap observed on this corpus"
 
 
+def test_equivalence_order_scan_with_winding_pairs():
+    # the winding pairs fail the single-chart condition: their images fill
+    # both angle charts, where the chart route's table admission matters most
+    scan = run_script("scripts/equivalence_order_scan.py", "--include-unverified")
+    assert scan.returncode == 0, scan.stderr
+    rows = [r.split() for r in scan.stdout.splitlines()[:5]]
+    assert rows == [
+        ["sigma_sin/sin_plus_flat", "single-chart=Pass", "equiv0=Pass", "equiv=Pass"],
+        ["s1_jump/s1_jump_flat", "single-chart=Pass", "equiv0=Pass", "equiv=Pass"],
+        ["sigma_sin/sin_plus_eps2", "single-chart=Pass", "equiv0=Fail", "equiv=Fail"],
+        ["winder/winder_flat", "single-chart=Fail", "equiv0=Pass", "equiv=Pass"],
+        ["winder/winder_drift", "single-chart=Fail", "equiv0=Fail", "equiv=Fail"],
+    ]
+    assert scan.stdout.splitlines()[-1] == \
+        "no order-0/full-equivalence gap observed on this corpus"
+
+
 def test_python_m_mapnets_gallery_list():
     out = run_script("-m", "mapnets", "gallery", "list")
     assert out.returncode == 0, out.stderr
