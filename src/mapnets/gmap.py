@@ -12,8 +12,8 @@ from suprema; a supremum over an empty admissible set is recorded as zero.
 The order-0 clauses (c-boundedness, single chart, metric gaps, both routes of
 order-0 equivalence, separating points) all read the image of a region's
 sample points at every grid eps.  ``MapNet.image_table`` evaluates that image
-once per (region, grid, extra samples) and keeps it on the net as an
-``ImageTable`` of compact arrays.
+once per (region, grid), plus once per set of extra samples, and keeps it on
+the net as an ``ImageTable`` of compact arrays.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .manifold import (
     SmoothMap,
     difference_map,
     distance,
+    fd_tree,
     tensor_norm,
 )
 
@@ -93,15 +94,22 @@ class MapNet:
         every grid eps, built on first use and kept as long as the net.
 
         Keyed by the grid and the region's content, so an equal region object
-        shares the table.  A build that raises (e.g. ``ChartEscape``) caches
-        nothing.
+        shares the table.  A table with extras is the lattice table
+        (``trials = 0``, built first if missing) plus the extras' images, so
+        no lattice image is evaluated twice.  A build that raises (e.g.
+        ``ChartEscape``) caches nothing.
         """
         key = (grid, K.lattice_density,
                tuple((cid, box.lo.tobytes(), box.hi.tobytes()) for cid, box in K.pieces),
                trials, seed if trials > 0 else None)
         table = self._tables.get(key)
         if table is None:
-            table = ImageTable(self, sample_points(K, trials, seed), grid.values())
+            if trials > 0:
+                lattice = self.image_table(K, grid)
+                extras = sample_points(K, trials, seed)[lattice.chart.shape[1]:]
+                table = ImageTable(self, extras, grid.values(), lattice)
+            else:
+                table = ImageTable(self, sample_points(K), grid.values())
             self._tables[key] = table
         return table
 
@@ -117,21 +125,29 @@ class ImageTable:
     chart ``charts[c]`` (-inf where it has no representation there),
     ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
     the chart ``u.eval`` returned.  The arrays are read-only, so an image
-    handed out (a view into ``coords``) cannot corrupt the table.
+    handed out (a view into ``coords``) cannot corrupt the table.  With a
+    ``head`` table (same net and grid), the table holds head's points first,
+    copied, and evaluates only ``pts``.
     """
 
-    def __init__(self, u: MapNet, pts: list, eps_vals: np.ndarray):
+    def __init__(self, u: MapNet, pts: list, eps_vals: np.ndarray,
+                 head: Optional["ImageTable"] = None):
         dst = u.dst
         self.charts = dst.chart_ids
         self.dims = [dst.chart(b).dim for b in self.charts]
         self.rows = {eps: ei for ei, eps in enumerate(eps_vals.tolist())}
         col = {b: c for c, b in enumerate(self.charts)}
-        shape = (len(eps_vals), len(pts), len(self.charts))
+        n0 = 0 if head is None else head.chart.shape[1]
+        shape = (len(eps_vals), n0 + len(pts), len(self.charts))
         self.margins = np.full(shape, -math.inf)
         self.coords = np.full(shape + (max(self.dims),), math.nan)
         self.chart = np.empty(shape[:2], dtype=np.int32)
+        if head is not None:
+            for arr, old in ((self.margins, head.margins), (self.coords, head.coords),
+                             (self.chart, head.chart)):
+                arr[:, :n0] = old
         for ei, eps in enumerate(eps_vals):
-            for pi, p in enumerate(pts):
+            for pi, p in enumerate(pts, n0):
                 q = u.eval(eps, p)
                 self.chart[ei, pi] = col[q.chart]
                 for b, y, m in dst.representations(q):  # q.chart's entry is q.coords
@@ -213,8 +229,9 @@ class ChainedLocalMap(LocalMap):
     Routes are (mid chart box check, inner rep, outer rep); the value in the
     final chart does not depend on the route taken (transition consistency),
     so the first admissible route is used.  Derivatives: exact jet chaining
-    when both factors carry expressions, exact first-order chain rule when
-    Jacobians exist, nested finite differences beyond.
+    when both factors carry expressions, else the first-order chain rule,
+    and beyond it nested finite differences of chain-rule tensors over one
+    stencil tree (``fd_tree``).
     """
 
     def __init__(self, routes: list, in_dim: int, out_shape, name: str = ""):
@@ -234,11 +251,14 @@ class ChainedLocalMap(LocalMap):
                 return (inner, outer, y, z)
         return None
 
-    def _fn(self, x: np.ndarray) -> np.ndarray:
-        r = self._route_for(np.atleast_1d(np.asarray(x, dtype=float)))
+    def _route(self, x: np.ndarray):
+        r = self._route_for(x)
         if r is None:
             raise ValueError("no admissible route")
-        return r[3]
+        return r
+
+    def _fn(self, x: np.ndarray) -> np.ndarray:
+        return self._route(np.atleast_1d(np.asarray(x, dtype=float)))[3]
 
     def try_call(self, x) -> Optional[np.ndarray]:
         r = self._route_for(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -249,24 +269,21 @@ class ChainedLocalMap(LocalMap):
 
     def derivs_upto(self, x, k_max: int) -> list:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        r = self._route_for(x)
-        if r is None:
-            raise ValueError("no admissible route")
-        inner, outer, y, z = r
+        inner, outer, y, z = self._route(x)
         if inner.expr is not None and outer.expr is not None:
             chained = LocalMap.from_expr(lambda t, i=inner.expr, o=outer.expr: o(i(t)),
                                          out_shape=self.out_shape, name=self.name)
             return chained.derivs_upto(x, k_max)
-        out = [z.reshape(self.out_shape)]
-        if k_max >= 1:
-            J = (outer.jacobian(y) @ inner.jacobian(x))
-            out.append(J.reshape(self.out_shape + (self.in_dim,)))
-        for k in range(2, k_max + 1):
-            prev = lambda w, kk=k - 1: self.deriv_tensor(w, kk)
-            h = jets.fd_step(x)
-            cols = [jets.fd_partial(prev, x, axis=j, h=h) for j in range(self.in_dim)]
-            out.append(np.stack(cols, axis=-1))
-        return out
+        return [z.reshape(self.out_shape)] + fd_tree(self._chain_jacobians, x, k_max - 1)
+
+    def _chain_jacobians(self, P: np.ndarray) -> np.ndarray:
+        """Order-1 chain-rule tensors at the rows of P, each by its own route."""
+        out = []
+        for w in P:
+            inner, outer, y, _ = self._route(w)
+            out.append((outer.jacobian(y) @ inner.jacobian(w)).reshape(
+                self.out_shape + (self.in_dim,)))
+        return np.array(out)
 
     def exact_to(self, k: int) -> bool:
         if k == 0 or self._all_expr:

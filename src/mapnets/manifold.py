@@ -213,7 +213,9 @@ class LocalMap:
     Evaluation returns an ndarray of shape ``out_shape``.  Derivatives, in
     order of preference: an expression closure over jets (exact, any order,
     1-D input only), an exact Jacobian, then nested 4th-order central
-    differences with step 1e-4*(1+|x|).
+    differences with step 1e-4*(1+|y|) at each stencil node y, read from one
+    stencil tree (``fd_tree``) whose leaves evaluate the value, or the
+    Jacobian when the map has one.
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
@@ -267,15 +269,12 @@ class LocalMap:
             return self._value(x)
         if self.expr is not None:
             return self.derivs_upto(x, k)[k]
-        if k == 1 and self.jac is not None:
-            return np.asarray(self.jac(x), dtype=float).reshape(self.out_shape + (self.in_dim,))
-        prev = lambda y: self.deriv_tensor(y, k - 1)
-        h = jets.fd_step(x)
-        cols = [jets.fd_partial(prev, x, axis=j, h=h) for j in range(self.in_dim)]
-        return np.stack(cols, axis=-1)
+        base = 0 if self.jac is None else 1
+        return fd_tree(self._leaf, x, k - base, every_level=False)[0]
 
     def derivs_upto(self, x, k_max: int) -> list:
-        """Tensors of orders 0..k_max; one jet evaluation on the expr path.
+        """Tensors of orders 0..k_max: one jet evaluation on the expr path,
+        else one stencil tree (``fd_tree``).
 
         Raises DerivativeUndefined where the expression has a value but its
         jet fails (log or division by zero inside the jet recurrences)."""
@@ -293,7 +292,17 @@ class LocalMap:
                       for v in vals]
             return [np.array([c[k] * f for c in coeffs]).reshape(self.out_shape + (1,) * k)
                     for k, f in enumerate(jets.factorials(k_max))]
-        return [self.deriv_tensor(x, k) for k in range(k_max + 1)]
+        if self.jac is None:
+            return fd_tree(self._leaf, x, k_max)
+        return [self._value(x)] + fd_tree(self._leaf, x, k_max - 1)
+
+    def _leaf(self, P: np.ndarray) -> np.ndarray:
+        """Stencil-tree leaf oracle: the Jacobians at the rows of P when the
+        map has one, else the values."""
+        if self.jac is None:
+            return np.array([self._value(p) for p in P])
+        shape = self.out_shape + (self.in_dim,)
+        return np.array([np.asarray(self.jac(p), dtype=float).reshape(shape) for p in P])
 
     def jacobian(self, x) -> np.ndarray:
         j = self.deriv_tensor(x, 1)
@@ -329,6 +338,29 @@ class _DerivedMap(LocalMap):
 
     def exact_to(self, k: int) -> bool:
         return self.parent.exact_to(k + 1)
+
+
+def fd_tree(leaf, x: np.ndarray, depth: int, every_level: bool = True) -> list:
+    """Nested central differences at x, 0..depth deep, from one stencil tree.
+
+    Level 0 is x; level l+1 is ``jets.fd_points`` of level l, every node with
+    its own step.  ``leaf(P)`` stacks the oracle's tensors at the rows of P;
+    it runs on every level, or only on the deepest unless ``every_level``.
+    ``fd_partial`` then differentiates level by level from the deepest up.
+    Returns the oracle's tensor at x differentiated d = 0..depth times (only
+    d = depth unless ``every_level``); the last tensor axis is the outermost
+    differentiation.
+    """
+    levels, steps = [x[None, :]], []
+    for _ in range(depth):
+        steps.append(jets.fd_step(levels[-1]))
+        levels.append(jets.fd_points(levels[-1], steps[-1]))
+    ts = []
+    for lvl in range(depth, -1, -1):
+        ts = [jets.fd_partial(t, steps[lvl]) for t in ts]
+        if every_level or lvl == depth:
+            ts.insert(0, leaf(levels[lvl]))
+    return [t[0] for t in ts]
 
 
 def difference_map(a: LocalMap, b: LocalMap) -> LocalMap:

@@ -552,7 +552,41 @@ class TestSweepsAndCacheKey:
             seed = 1
         before = sum(evals.values())
         assert u.image_table(K, grid, trials, seed) is not table
-        assert sum(evals.values()) > before
+        if change == "no-trials":  # the lattice table was built as the head of `table`
+            assert sum(evals.values()) == before
+        else:
+            assert sum(evals.values()) > before
+
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_extras_table_evaluates_no_lattice_image_again(self, evals, first):
+        u, _ = fresh_pair()
+        n_lattice = len(gmap.sample_points(K_LINE))
+        n_extra = len(gmap.sample_points(K_LINE, 3, CFG.seed)) - n_lattice
+        u.image_table(K_LINE, GRID, first, CFG.seed)
+        before = sum(evals.values())
+        u.image_table(K_LINE, GRID, 3 - first, CFG.seed)
+        assert set(evals.values()) == {1}
+        assert sum(evals.values()) - before == (len(GRID) * n_extra if first == 0 else 0)
+
+    @pytest.mark.parametrize("first", ["separate", "equiv0"])
+    def test_separate_then_equiv0_evaluate_each_image_once(self, evals, first):
+        u, v = fresh_pair()
+        calls = {"separate": lambda: separate_by_points(u, v, K_LINE, GRID, 3, CFG),
+                 "equiv0": lambda: check_equiv0(u, v, K_LINE, None, GRID, CFG)}
+        for name in (first, *(set(calls) - {first})):
+            calls[name]()
+        assert set(evals.values()) == {1}
+        assert len(evals) == 2 * len(GRID) * len(gmap.sample_points(K_LINE, 3, CFG.seed))
+
+    @pytest.mark.parametrize("name", ["circle", "sphere"])
+    def test_extras_table_equals_a_direct_build(self, name):
+        u, _, K = PAIRS[name]
+        table = u.image_table(K, GRID, 3, 7)
+        direct = gmap.ImageTable(u, gmap.sample_points(K, 3, 7), GRID.values())
+        for attr in ("margins", "coords", "chart"):
+            got, want = getattr(table, attr), getattr(direct, attr)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     def test_seed_does_not_matter_without_trials(self):
         u, _ = fresh_pair()

@@ -7,7 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapnets.jets import Jet, bump, cos, exp, fd_partial, log, sin, tanh, wrap_angle
+from mapnets.jets import (
+    Jet,
+    bump,
+    cos,
+    exp,
+    fd_partial,
+    fd_points,
+    fd_step,
+    log,
+    sin,
+    tanh,
+    wrap_angle,
+)
+from mapnets.manifold import LocalMap
 
 
 def test_var_and_const():
@@ -99,16 +112,43 @@ def test_bump_support_and_smoothness():
     assert inside.value > 0
 
 
+def partials(g, x):
+    """First partials of g at x from one stencil level, shape g(x).shape + (n,)."""
+    P = np.array([x], dtype=float)
+    h = fd_step(P)
+    return fd_partial(np.array([g(p) for p in fd_points(P, h)]), h)[0]
+
+
 def test_fd_partial_fourth_order():
     g = lambda x: np.array([math.sin(x[0])])
-    d = fd_partial(g, np.array([0.6]), axis=0)
-    assert d[0] == pytest.approx(math.cos(0.6), abs=1e-10)
+    d = partials(g, [0.6])
+    assert d[0, 0] == pytest.approx(math.cos(0.6), abs=1e-10)
 
 
 def test_fd_partial_vector_input():
     g = lambda x: np.array([x[0] * x[1], x[1] ** 2])
-    d = fd_partial(g, np.array([1.0, 2.0]), axis=1)
-    assert d == pytest.approx([1.0, 4.0], abs=1e-9)
+    d = partials(g, [1.0, 2.0])
+    assert d[:, 1] == pytest.approx([1.0, 4.0], abs=1e-9)
+
+
+class TestNonFiniteStencilsStayQuiet:
+    """A stencil with a non-finite value gives inf partials, and no
+    RuntimeWarning (Tier-1 turns one into an error)."""
+
+    @staticmethod
+    def pole(x):
+        with np.errstate(divide="ignore"):
+            return np.array([np.divide(1.0, x[0]), x[1]])
+
+    def test_all_inf_stencil(self):
+        d = partials(lambda x: np.array([math.inf, -math.inf]), [0.5, 0.5])
+        assert np.all(d == math.inf)
+
+    def test_order2_tensor_beside_a_pole(self):
+        # along x1 every stencil node keeps x0 = 0, where 1/x0 is inf
+        t = LocalMap(2, (2,), fn=self.pole).derivs_upto([0.0, 0.5], 2)[2]
+        assert np.all(t[..., 1] == math.inf)
+        assert np.all(np.isfinite(t[..., 0]))
 
 
 class TestOverflowStaysQuiet:

@@ -1,12 +1,18 @@
-"""Per-point kernels against their numpy reference implementations.
+"""Kernels against the reference implementations they replaced.
 
-``Box.contains``, ``Box.norm_margin``, ``tensor_norm`` and ``fd_partial``
-run once per sampled point and work on Python floats.  The reference
-functions below are the numpy bodies they replaced; every test requires the
-same bool or the same float (sign of zero and NaN included), on boundary
-points, non-finite coordinates and unbounded axes.  The one exception is the
-2-norm of a tiny or huge 1x1 matrix, where numpy's SVD may round one ulp
-below the exact ``|v|`` that the kernel returns.
+``Box.contains``, ``Box.norm_margin`` and ``tensor_norm`` run once per
+sampled point and work on Python floats; the reference functions below are
+the numpy bodies they replaced.  Every test requires the same bool or the
+same float (sign of zero and NaN included), on boundary points, non-finite
+coordinates and unbounded axes.  The one exception is the 2-norm of a tiny or
+huge 1x1 matrix, where numpy's SVD may round one ulp below the exact ``|v|``
+that the kernel returns.
+
+Nested finite differences run one stencil-tree level at a time
+(``fd_step``, ``fd_points``, ``fd_partial``, ``manifold.fd_tree``).  Their
+reference is the per-point recursion they replaced (``ref_fd_partial``,
+``ref_deriv_tensor``, ``ref_chained_derivs_upto``), and every tensor must be
+byte-equal to it.
 """
 
 import math
@@ -15,8 +21,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapnets.jets import fd_partial, fd_step
-from mapnets.manifold import Box, Chart, _axis_margin, tensor_norm
+from mapnets.gmap import effective_reps
+from mapnets.jets import fd_partial, fd_points, fd_step
+from mapnets.manifold import (
+    Box,
+    Chart,
+    LocalMap,
+    SmoothMap,
+    _axis_margin,
+    euclidean_atlas,
+    sphere_atlas,
+    tensor_norm,
+)
 
 # -- numpy reference implementations ---------------------------------------
 
@@ -52,10 +68,14 @@ def ref_tensor_norm(t, order):
     return float(np.max(np.abs(t)))
 
 
+def ref_fd_step(x):
+    return 1e-4 * (1.0 + float(np.linalg.norm(x)))
+
+
 def ref_fd_partial(g, x, axis, h=None):
     x = np.asarray(x, dtype=float)
     if h is None:
-        h = fd_step(x)
+        h = ref_fd_step(x)
     e = np.zeros_like(x)
     e[axis] = 1.0
     gp2 = np.asarray(g(x + 2 * h * e), dtype=float)
@@ -65,6 +85,38 @@ def ref_fd_partial(g, x, axis, h=None):
     if not all(np.all(np.isfinite(v)) for v in (gp2, gp1, gm1, gm2)):
         return np.full(gp1.shape, np.inf)
     return (-gp2 + 8.0 * gp1 - 8.0 * gm1 + gm2) / (12.0 * h)
+
+
+def ref_deriv_tensor(rep, x, k):
+    """Order-k tensor of a fn map by the per-point recursion."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if k == 0:
+        return rep._value(x)
+    if k == 1 and rep.jac is not None:
+        return np.asarray(rep.jac(x), dtype=float).reshape(rep.out_shape + (rep.in_dim,))
+    prev = lambda y: ref_deriv_tensor(rep, y, k - 1)
+    h = ref_fd_step(x)
+    cols = [ref_fd_partial(prev, x, axis=j, h=h) for j in range(rep.in_dim)]
+    return np.stack(cols, axis=-1)
+
+
+def ref_chained_derivs_upto(cm, x, k_max):
+    """ChainedLocalMap.derivs_upto off the jet path: chain rule at order 1,
+    then one recursive stencil per order, each node taking its own route."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    inner, outer, y, z = cm._route_for(x)
+    assert inner.expr is None or outer.expr is None
+    out = [z.reshape(cm.out_shape)]
+    if k_max >= 1:
+        J = (ref_deriv_tensor(outer, y, 1).reshape(outer.out_size, outer.in_dim)
+             @ ref_deriv_tensor(inner, x, 1).reshape(inner.out_size, inner.in_dim))
+        out.append(J.reshape(cm.out_shape + (cm.in_dim,)))
+    for k in range(2, k_max + 1):
+        prev = lambda w, kk=k - 1: ref_chained_derivs_upto(cm, w, kk)[kk]
+        h = ref_fd_step(x)
+        cols = [ref_fd_partial(prev, x, axis=j, h=h) for j in range(cm.in_dim)]
+        out.append(np.stack(cols, axis=-1))
+    return out
 
 
 def same_float(a, b):
@@ -213,7 +265,49 @@ def test_multi_entry_tensor_norm_matches_reference(vals, order):
         assert same_float(tensor_norm(t, order), ref_tensor_norm(t, order))
 
 
-# -- fd_partial -------------------------------------------------------------------
+# -- finite differences -----------------------------------------------------------
+
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                   st.floats(-5.0, 5.0),
+                   st.floats(-1e6, 1e6))
+
+
+def rows(n_in, min_rows=1, max_rows=4):
+    return st.lists(st.lists(COORDS, min_size=n_in, max_size=n_in),
+                    min_size=min_rows, max_size=max_rows).map(np.array)
+
+
+def same_bytes(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_fd_step_matches_per_row_norm():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        P = rng.standard_normal((20_000, n)) * rng.choice([1e-3, 1.0, 1e3], size=(20_000, 1))
+        same_bytes(fd_step(P), [ref_fd_step(p) for p in P])
+
+
+@given(st.integers(1, 3).flatmap(rows))
+@settings(max_examples=200, deadline=None)
+def test_fd_step_matches_per_row_norm_on_edge_rows(P):
+    same_bytes(fd_step(P), [ref_fd_step(p) for p in P])
+
+
+@given(st.integers(1, 3).flatmap(rows))
+@settings(max_examples=200, deadline=None)
+def test_fd_points_are_the_stencil_points(P):
+    m, n = P.shape
+    h = fd_step(P)
+    got = fd_points(P, h).reshape(m, n, 4, n)
+    for i, x in enumerate(P):
+        hx = ref_fd_step(x)
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            same_bytes(got[i, j], [x + 2 * hx * e, x + hx * e, x - hx * e, x - 2 * hx * e])
 
 
 def stencil_map(values):
@@ -222,29 +316,122 @@ def stencil_map(values):
     return lambda x: next(it)
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@st.composite
+def stencil_level(draw, non_finite):
+    """Rows P (m, n_in) and the values (m*n_in*4, n_out) at fd_points(P); with
+    ``non_finite``, one value of each (row, axis) stencil is non-finite."""
+    n_in, n_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    P = draw(rows(n_in))
+    vals = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(P) * n_in * 4 * n_out,
+                                  max_size=len(P) * n_in * 4 * n_out)))
+    vals = vals.reshape(len(P), n_in, 4, n_out)
+    if non_finite:
+        for i in range(len(P)):
+            for j in range(n_in):
+                vals[i, j, draw(st.integers(0, 3)), draw(st.integers(0, n_out - 1))] = draw(
+                    st.sampled_from(NONFINITE))
+    return P, vals
+
+
+@given(stencil_level(non_finite=True))
 @settings(max_examples=200, deadline=None)
-def test_fd_partial_one_non_finite_value_gives_all_inf(n_in, n_out, data):
-    x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n_in, max_size=n_in)))
-    axis = data.draw(st.integers(0, n_in - 1))
-    values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_out,
-                                          max_size=n_out))) for _ in range(4)]
-    which = data.draw(st.integers(0, 3))
-    comp = data.draw(st.integers(0, n_out - 1))
-    values[which][comp] = data.draw(st.sampled_from(NONFINITE))
-    got = fd_partial(stencil_map(values), x, axis)
-    ref = ref_fd_partial(stencil_map(values), x, axis)
-    assert got.shape == (n_out,) and np.all(got == np.inf)
-    assert np.array_equal(got, ref)
+def test_fd_partial_one_non_finite_value_gives_all_inf(level):
+    P, vals = level
+    got = fd_partial(vals.reshape(-1, vals.shape[-1]), fd_step(P))
+    assert got.shape == (len(P), vals.shape[-1], P.shape[1]) and np.all(got == np.inf)
+    for i, x in enumerate(P):
+        for j in range(P.shape[1]):
+            same_bytes(got[i, :, j], ref_fd_partial(stencil_map(vals[i, j]), x, j))
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@given(stencil_level(non_finite=False))
 @settings(max_examples=100, deadline=None)
-def test_fd_partial_finite_matches_reference(n_in, n_out, data):
-    x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n_in, max_size=n_in)))
-    axis = data.draw(st.integers(0, n_in - 1))
-    values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_out,
-                                          max_size=n_out))) for _ in range(4)]
-    got = fd_partial(stencil_map(values), x, axis)
-    ref = ref_fd_partial(stencil_map(values), x, axis)
-    assert got.tobytes() == ref.tobytes()
+def test_fd_partial_finite_matches_reference(level):
+    P, vals = level
+    got = fd_partial(vals.reshape(-1, vals.shape[-1]), fd_step(P))
+    for i, x in enumerate(P):
+        for j in range(P.shape[1]):
+            same_bytes(got[i, :, j], ref_fd_partial(stencil_map(vals[i, j]), x, j))
+
+
+POLE_RADIUS = 3e-5  # below a third of any step (1e-4 * (1 + |x|))
+
+
+def fd_map(in_dim, out_shape, with_jac, pole, kind, seed):
+    """A fn map, optionally with a Jacobian, that depends on the sign of zero
+    coordinates and is non-finite (``kind`` in entry 0) within POLE_RADIUS of
+    x0 = pole."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(out_shape)
+    A, c = rng.uniform(-1.0, 1.0, (size, in_dim)), rng.uniform(-1.0, 1.0, size)
+
+    def fn(x):
+        y = np.sin(A @ x + c) + 1e-3 * np.copysign(1.0, x).sum()
+        if abs(x[0] - pole) < POLE_RADIUS:
+            y[0] = kind
+        return y
+
+    def jac(x):
+        J = np.cos(A @ x + c)[:, None] * A
+        if abs(x[0] - pole) < POLE_RADIUS:
+            J[0, -1] = kind
+        return J
+
+    return LocalMap(in_dim, out_shape, fn=fn, jac=jac if with_jac else None, name="fd_map")
+
+
+@st.composite
+def fd_cases(draw):
+    in_dim = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3 if in_dim < 3 else 2))
+    out_shape = draw(st.sampled_from([(1,), (2,), (2, 2)]))
+    x = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+                               min_size=in_dim, max_size=in_dim)))
+    # a pole 0, 1, -2 or 3 steps from x0 puts non-finite values on stencil nodes
+    pole = x[0] + draw(st.sampled_from([0.0, 1.0, -2.0, 3.0, 1e4])) * ref_fd_step(x)
+    rep = fd_map(in_dim, out_shape, draw(st.booleans()), pole,
+                 draw(st.sampled_from(NONFINITE)), draw(st.integers(0, 3)))
+    return rep, x, k
+
+
+@given(fd_cases())
+@settings(max_examples=150, deadline=None)
+def test_fd_tree_matches_recursive_reference(case):
+    rep, x, k = case
+    ref = [ref_deriv_tensor(rep, x, j) for j in range(k + 1)]
+    for got, want in zip(rep.derivs_upto(x, k), ref, strict=True):
+        same_bytes(got, want)
+    same_bytes(rep.deriv_tensor(x, k), ref[k])
+
+
+def test_fd_tree_order3_in_3d_matches_reference():
+    for with_jac in (False, True):
+        x = np.array([0.3, -0.0, 1.2])
+        # only the deepest nodes, every move along axis 0, reach the pole
+        steps = 3.0 if with_jac else 5.0
+        rep = fd_map(3, (2,), with_jac, 0.3 + steps * ref_fd_step(x), math.inf, 5)
+        ref = [ref_deriv_tensor(rep, x, j) for j in range(4)]
+        assert np.isinf(ref[3]).any() and np.isfinite(ref[3]).any()
+        for got, want in zip(rep.derivs_upto(x, 3), ref, strict=True):
+            same_bytes(got, want)
+
+
+def chained_sphere_rep():
+    """The 'south' representative of a map given only out of 'north': a 2-D fn
+    map after the sphere's inversion transition."""
+    sphere, plane = sphere_atlas(), euclidean_atlas([(-10.0, 10.0)] * 2)
+    rep = LocalMap(2, (2,), fn=lambda x: np.array([math.sin(x[0]) * x[1], math.exp(0.3 * x[0])]),
+                   name="plain")
+    sm = SmoothMap(sphere, plane, {("north", "e0"): rep})
+    return effective_reps(sm, "south")["e0"]
+
+
+@given(st.lists(st.floats(0.3, 2.0), min_size=2, max_size=2),
+       st.lists(st.booleans(), min_size=2, max_size=2), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_chained_map_tree_matches_old_loop(coords, flips, k):
+    cm = chained_sphere_rep()
+    assert type(cm).__name__ == "ChainedLocalMap"
+    x = np.array([-c if f else c for c, f in zip(coords, flips)])
+    for got, want in zip(cm.derivs_upto(x, k), ref_chained_derivs_upto(cm, x, k), strict=True):
+        same_bytes(got, want)
