@@ -51,6 +51,7 @@ from .manifold import (
     difference_map,
     distance,
     fd_tree,
+    point_rows,
     tensor_norm,
 )
 
@@ -231,7 +232,9 @@ class ChainedLocalMap(LocalMap):
     so the first admissible route is used.  Derivatives: exact jet chaining
     when both factors carry expressions, else the first-order chain rule,
     and beyond it nested finite differences of chain-rule tensors over one
-    stencil tree (``fd_tree``).
+    stencil tree (``fd_tree``).  Like every ``LocalMap``, the oracle takes a
+    point or a stack of points; each row (and each stencil node) takes its
+    own route.
     """
 
     def __init__(self, routes: list, in_dim: int, out_shape, name: str = ""):
@@ -268,13 +271,29 @@ class ChainedLocalMap(LocalMap):
         return self.derivs_upto(x, k)[k]
 
     def derivs_upto(self, x, k_max: int) -> list:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        inner, outer, y, z = self._route(x)
-        if inner.expr is not None and outer.expr is not None:
-            chained = LocalMap.from_expr(lambda t, i=inner.expr, o=outer.expr: o(i(t)),
+        """Tensors of orders 0..k_max at a point or at every row of a stack,
+        each row by its own route: a row whose route chains two expressions
+        takes one jet evaluation, all other rows share one stencil tree over
+        ``_chain_jacobians``.  Results come back in row order."""
+        P, single = point_rows(x)
+        routes = [self._route(p) for p in P]
+        fd_rows = [i for i, (inner, outer, _y, _z) in enumerate(routes)
+                   if inner.expr is None or outer.expr is None]
+        ts = [np.empty((len(P),) + self.out_shape + (self.in_dim,) * k)
+              for k in range(k_max + 1)]
+        if fd_rows:
+            values = np.array([routes[i][3].reshape(self.out_shape) for i in fd_rows])
+            for t, rows in zip(ts, [values] + fd_tree(self._chain_jacobians, P[fd_rows],
+                                                      k_max - 1)):
+                t[fd_rows] = rows
+        for i, (inner, outer, _y, _z) in enumerate(routes):
+            if inner.expr is None or outer.expr is None:
+                continue
+            chained = LocalMap.from_expr(lambda t, f=inner.expr, g=outer.expr: g(f(t)),
                                          out_shape=self.out_shape, name=self.name)
-            return chained.derivs_upto(x, k_max)
-        return [z.reshape(self.out_shape)] + fd_tree(self._chain_jacobians, x, k_max - 1)
+            for t, row in zip(ts, chained.derivs_upto(P[i], k_max)):
+                t[i] = row
+        return [t[0] for t in ts] if single else ts
 
     def _chain_jacobians(self, P: np.ndarray) -> np.ndarray:
         """Order-1 chain-rule tensors at the rows of P, each by its own route."""
@@ -422,23 +441,27 @@ def _chart_sups(dst: Atlas, K: CompactRegion, grid: EpsGrid, k_max: int,
 
     ``pieces(eps, cid)`` yields (dst chart b, representatives, tensors_of).
     A lattice point x of K's piece pi (in chart cid) counts under the keys
-    (pi, cid, b, k) when every representative lands x in chart b and in L';
-    ``tensors_of(x)`` gives its tensors of orders 0..k_max.  Each series is
-    labelled ``context(pi, cid, b, k)``.
+    (pi, cid, b, k) when every representative lands x in chart b and in L'.
+    ``tensors_of(X)`` takes the stack X of the admitted points, in lattice
+    order, and gives their tensors of orders 0..k_max, row axis first: one
+    call per (eps, piece, b), none when no point is admitted.  Each series
+    is labelled ``context(pi, cid, b, k)``.
     """
-    lattices = list(enumerate(K.lattices()))
+    lattices = [(pi, cid, lat, [Point(cid, x) for x in lat])
+                for pi, (cid, lat) in enumerate(K.lattices())]
 
     def samples(eps):
-        for pi, (cid, lat) in lattices:
+        for pi, cid, lat, at in lattices:
             for b, reps, tensors_of in pieces(eps, cid):
                 chart_b = dst.chart(b)
-                for x in lat:
-                    if not _lands_in(x, reps, chart_b, b, L_prime):
-                        continue
-                    tensors = tensors_of(x)
-                    at = Point(cid, x)
+                rows = [j for j, x in enumerate(lat)
+                        if _lands_in(x, reps, chart_b, b, L_prime)]
+                if not rows:
+                    continue
+                tensors = tensors_of(lat[rows])
+                for i, j in enumerate(rows):
                     for k in range(k_max + 1):
-                        yield (pi, cid, b, k), tensor_norm(tensors[k], k), at
+                        yield (pi, cid, b, k), tensor_norm(tensors[k][i], k), at[j]
 
     return sweep_sups(grid, samples, cfg.zero_tol, lambda key: context(*key))
 
@@ -552,7 +575,8 @@ def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
 
 
 def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
-    """Derivative tensors of the gap between two representatives.
+    """Derivative tensors of the gap between two representatives, at a
+    point or at every row of a stack.
 
     When both oracles are exact through order k_max, subtract exact tensors;
     otherwise differentiate the pointwise difference, which keeps stencil

@@ -20,6 +20,10 @@ are the fallback, one stencil-tree level at a time (``manifold.fd_tree``):
 ``fd_points`` builds the next level's points y + s*h*e_j (s = 2, 1, -1, -2),
 and ``fd_partial`` applies the stencil to the values at a whole level.  A
 (node, axis) stencil with a non-finite value gives inf, without a warning.
+All three take the level as rows, so level 0 may hold a whole stack of
+points (every admitted lattice point of a sweep), and their outputs keep
+that row axis first.  Jets stay scalar: an expression is evaluated on one
+jet per point.
 """
 
 from __future__ import annotations

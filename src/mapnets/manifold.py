@@ -216,6 +216,12 @@ class LocalMap:
     differences with step 1e-4*(1+|y|) at each stencil node y, read from one
     stencil tree (``fd_tree``) whose leaves evaluate the value, or the
     Jacobian when the map has one.
+
+    The derivative oracle takes a point, shape ``(in_dim,)``, or a stack of
+    points, shape ``(N, in_dim)``; for a stack every tensor gains a leading
+    row axis, and a point is the one-row stack.  All rows share one stencil
+    tree, whose leaf levels call ``fn`` (or ``jac``) once per row and stack
+    the level once; expression rows take one jet evaluation each.
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
@@ -263,46 +269,81 @@ class LocalMap:
             return None
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
-        """Total derivative of order k, shape out_shape + (in_dim,)*k."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if k == 0:
-            return self._value(x)
-        if self.expr is not None:
+        """Total derivative of order k, shape out_shape + (in_dim,)*k (with a
+        leading row axis for a stack of points)."""
+        if k > 0 and self.expr is not None:
             return self.derivs_upto(x, k)[k]
-        base = 0 if self.jac is None else 1
-        return fd_tree(self._leaf, x, k - base, every_level=False)[0]
+        P, single = point_rows(x)
+        if k == 0:
+            t = self._values(P)
+        else:
+            t = fd_tree(self._leaf, P, k - (self.jac is not None), every_level=False)[0]
+        return t[0] if single else t
 
     def derivs_upto(self, x, k_max: int) -> list:
-        """Tensors of orders 0..k_max: one jet evaluation on the expr path,
-        else one stencil tree (``fd_tree``).
+        """Tensors of orders 0..k_max at a point or at every row of a stack:
+        one jet evaluation per row on the expr path, else one stencil tree
+        (``fd_tree``) over all rows.
 
         Raises DerivativeUndefined where the expression has a value but its
         jet fails (log or division by zero inside the jet recurrences)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        P, single = point_rows(x)
         if self.expr is not None:
-            try:
-                vals = self.expr(Jet.var(float(x[0]), k_max))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise DerivativeUndefined(
-                    f"local map {self.name!r} has no order-{k_max} jet at x = {float(x[0])!r} "
-                    f"({exc})") from exc
-            if not isinstance(vals, (tuple, list)):
-                vals = (vals,)
-            coeffs = [v.c if isinstance(v, Jet) else (float(v),) + (0.0,) * k_max
-                      for v in vals]
-            return [np.array([c[k] * f for c in coeffs]).reshape(self.out_shape + (1,) * k)
-                    for k, f in enumerate(jets.factorials(k_max))]
-        if self.jac is None:
-            return fd_tree(self._leaf, x, k_max)
-        return [self._value(x)] + fd_tree(self._leaf, x, k_max - 1)
+            rows = [self._jet_coeffs(float(p[0]), k_max) for p in P]
+            shape = (len(P),) + self.out_shape
+            ts = [np.array([[c[k] * f for c in coeffs] for coeffs in rows]).reshape(
+                shape + (1,) * k) for k, f in enumerate(jets.factorials(k_max))]
+        elif self.jac is None:
+            ts = fd_tree(self._leaf, P, k_max)
+        else:
+            ts = [self._values(P)] + fd_tree(self._leaf, P, k_max - 1)
+        return [t[0] for t in ts] if single else ts
+
+    def _jet_coeffs(self, x0: float, k_max: int) -> list:
+        """Taylor coefficients (c_0..c_k_max) of every output value at x0."""
+        try:
+            vals = self.expr(Jet.var(x0, k_max))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DerivativeUndefined(
+                f"local map {self.name!r} has no order-{k_max} jet at x = {x0!r} "
+                f"({exc})") from exc
+        if not isinstance(vals, (tuple, list)):
+            vals = (vals,)
+        return [v.c if isinstance(v, Jet) else (float(v),) + (0.0,) * k_max for v in vals]
+
+    def _values(self, P: np.ndarray) -> np.ndarray:
+        """Values at the rows of P, shape (len(P),) + out_shape."""
+        if self.fn is None:
+            return np.array([self._value(p) for p in P]).reshape((len(P),) + self.out_shape)
+        return self._stack(self.fn, P, self.out_shape, "returned")
 
     def _leaf(self, P: np.ndarray) -> np.ndarray:
         """Stencil-tree leaf oracle: the Jacobians at the rows of P when the
         map has one, else the values."""
         if self.jac is None:
-            return np.array([self._value(p) for p in P])
-        shape = self.out_shape + (self.in_dim,)
-        return np.array([np.asarray(self.jac(p), dtype=float).reshape(shape) for p in P])
+            return self._values(P)
+        return self._stack(self.jac, P, self.out_shape + (self.in_dim,), "jac returned")
+
+    def _stack(self, f, P: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+        """f at every row of P as one array of shape (len(P),) + shape.
+
+        The outputs are stacked once and their size checked once; only a
+        level that does not stack to that size is looked at row by row, to
+        name the first output of the wrong size (OutputShapeMismatch) or to
+        reshape outputs of the right size but different shapes."""
+        outs = [f(p) for p in P]
+        try:
+            Y = np.array(outs, dtype=float)
+        except ValueError:  # outputs of unequal shapes
+            Y = None
+        if Y is None or Y.size != len(outs) * math.prod(shape):
+            ys = [np.asarray(y, dtype=float) for y in outs]
+            for y in ys:
+                if y.size != math.prod(shape):
+                    raise OutputShapeMismatch(f"local map {self.name!r} {what} shape "
+                                              f"{y.shape}, expected {shape}")
+            Y = np.array([y.reshape(shape) for y in ys])
+        return Y.reshape((len(outs),) + shape)
 
     def jacobian(self, x) -> np.ndarray:
         j = self.deriv_tensor(x, 1)
@@ -319,7 +360,10 @@ class LocalMap:
 
 
 class _DerivedMap(LocalMap):
-    """D(parent): order-k derivatives are parent's order k+1 derivatives."""
+    """D(parent): order-k derivatives are parent's order k+1 derivatives.
+
+    The parent's order-(k+1) tensor already has this map's order-k shape,
+    out_shape + (in_dim,)*k, so points and stacks pass straight through."""
 
     def __init__(self, parent: LocalMap):
         self.parent = parent
@@ -328,30 +372,37 @@ class _DerivedMap(LocalMap):
                          defined=parent.defined, name=f"D({parent.name})")
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
-        t = self.parent.deriv_tensor(x, k + 1)
-        return t.reshape(self.out_shape + (self.in_dim,) * k)
+        return self.parent.deriv_tensor(x, k + 1)
 
     def derivs_upto(self, x, k_max: int) -> list:
-        ts = self.parent.derivs_upto(x, k_max + 1)
-        return [ts[k + 1].reshape(self.out_shape + (self.in_dim,) * k)
-                for k in range(k_max + 1)]
+        return self.parent.derivs_upto(x, k_max + 1)[1:]
 
     def exact_to(self, k: int) -> bool:
         return self.parent.exact_to(k + 1)
 
 
-def fd_tree(leaf, x: np.ndarray, depth: int, every_level: bool = True) -> list:
-    """Nested central differences at x, 0..depth deep, from one stencil tree.
+def point_rows(x) -> tuple:
+    """(P, single): a point (in_dim,) as the one-row stack P, or a stack
+    (N, in_dim) as itself."""
+    P = np.asarray(x, dtype=float)
+    if P.ndim <= 1:
+        return np.atleast_1d(P)[None, :], True
+    return P, False
 
-    Level 0 is x; level l+1 is ``jets.fd_points`` of level l, every node with
-    its own step.  ``leaf(P)`` stacks the oracle's tensors at the rows of P;
-    it runs on every level, or only on the deepest unless ``every_level``.
-    ``fd_partial`` then differentiates level by level from the deepest up.
-    Returns the oracle's tensor at x differentiated d = 0..depth times (only
-    d = depth unless ``every_level``); the last tensor axis is the outermost
-    differentiation.
+
+def fd_tree(leaf, P: np.ndarray, depth: int, every_level: bool = True) -> list:
+    """Nested central differences at the rows of P, 0..depth deep, from one
+    stencil tree.
+
+    Level 0 is P, shape (N, n); level l+1 is ``jets.fd_points`` of level l,
+    every node with its own step.  ``leaf(Q)`` stacks the oracle's tensors at
+    the rows of Q; it runs once on every level, or only on the deepest unless
+    ``every_level``.  ``fd_partial`` then differentiates level by level from
+    the deepest up.  Returns the oracle's tensors at the N rows differentiated
+    d = 0..depth times (only d = depth unless ``every_level``), each with the
+    row axis first; the last tensor axis is the outermost differentiation.
     """
-    levels, steps = [x[None, :]], []
+    levels, steps = [P], []
     for _ in range(depth):
         steps.append(jets.fd_step(levels[-1]))
         levels.append(jets.fd_points(levels[-1], steps[-1]))
@@ -360,7 +411,7 @@ def fd_tree(leaf, x: np.ndarray, depth: int, every_level: bool = True) -> list:
         ts = [jets.fd_partial(t, steps[lvl]) for t in ts]
         if every_level or lvl == depth:
             ts.insert(0, leaf(levels[lvl]))
-    return [t[0] for t in ts]
+    return ts
 
 
 def difference_map(a: LocalMap, b: LocalMap) -> LocalMap:

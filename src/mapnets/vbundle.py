@@ -245,10 +245,10 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
             fld = s.coeffs_at(eps).get(cid)
             if fld is None:
                 continue
-            for x in lat:
-                tensors = fld.derivs_upto(x, k_max)
+            tensors = fld.derivs_upto(lat, k_max)
+            for i in range(len(lat)):
                 for k in range(1, k_max + 1):
-                    yield (pi, cid, k), tensor_norm(tensors[k], k), None
+                    yield (pi, cid, k), tensor_norm(tensors[k][i], k), None
 
     series = sweep_sups(grid, samples, cfg.zero_tol,
                         lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")

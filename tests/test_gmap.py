@@ -28,6 +28,8 @@ from mapnets.gmap import (
     scalar_net,
 )
 from mapnets.manifold import (
+    Box,
+    CompactRegion,
     LocalMap,
     Point,
     SmoothMap,
@@ -341,3 +343,58 @@ class TestStructuralInvariants:
                             tag="tanh_o_sin")
         v = check_equiv(compose(g, f), direct, [K_UNIT], GRID, CFG.k_max, CFG)
         assert v.status is Status.PASS
+
+
+class TestOneStencilTreePerGroup:
+    """The derivative sweeps differentiate every admitted lattice point of an
+    (eps, piece, target chart) group in one stencil tree, and make none for
+    a group without admitted points."""
+
+    PIECES = CompactRegion([("e0", Box([-1.0, -1.0], [0.0, 0.0])),
+                            ("e0", Box([0.2, 0.2], [1.0, 1.0]))], lattice_density=3)
+
+    @staticmethod
+    def far_net(tag, gap):
+        """0.5 x (+ gap(eps)), moved 5 away for eps above the grid midpoint, so
+        that those images lie outside L' and admit no lattice point."""
+        eps_mid = float(GRID.values()[GRID.mid_index])
+
+        def factory(eps):
+            c = 5.0 if eps > eps_mid else 0.0
+            return {("e0", "e0"): LocalMap(2, (2,), fn=lambda x: 0.5 * x + c + gap(eps, x),
+                                           name=tag)}
+
+        return MapNet(PLANE, PLANE, factory, tag=tag)
+
+    def count_trees(self, monkeypatch):
+        from mapnets import gmap, manifold
+
+        calls = []
+        tree = manifold.fd_tree
+
+        def counted(leaf, P, depth, every_level=True):
+            calls.append(len(P))
+            return tree(leaf, P, depth, every_level)
+
+        monkeypatch.setattr(manifold, "fd_tree", counted)
+        monkeypatch.setattr(gmap, "fd_tree", counted)
+        return calls
+
+    def expected(self):
+        # every point of both pieces is admitted at and below the midpoint eps
+        admitted_eps = len(GRID) - GRID.mid_index
+        return [9] * (len(self.PIECES.pieces) * admitted_eps)
+
+    def test_check_moderate(self, monkeypatch):
+        u = self.far_net("far", lambda eps, x: 0.0)
+        calls = self.count_trees(monkeypatch)
+        v = check_moderate(u, self.PIECES, GRID, k_max=2, cfg=CFG)
+        assert v.status is Status.PASS
+        assert calls == self.expected()
+
+    def test_check_equiv(self, monkeypatch):
+        u = self.far_net("far", lambda eps, x: 0.0)
+        v = self.far_net("far_eps2", lambda eps, x: eps**2 * np.sin(x))
+        calls = self.count_trees(monkeypatch)
+        check_equiv(u, v, [self.PIECES], GRID, k_max=2, cfg=CFG)
+        assert calls == self.expected()

@@ -12,13 +12,15 @@ Nested finite differences run one stencil-tree level at a time
 (``fd_step``, ``fd_points``, ``fd_partial``, ``manifold.fd_tree``).  Their
 reference is the per-point recursion they replaced (``ref_fd_partial``,
 ``ref_deriv_tensor``, ``ref_chained_derivs_upto``), and every tensor must be
-byte-equal to it.
+byte-equal to it.  A stack of points shares one stencil tree; each row of
+its tensors must be byte-equal to the single-point call and to the
+reference.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapnets.gmap import effective_reps
@@ -435,3 +437,95 @@ def test_chained_map_tree_matches_old_loop(coords, flips, k):
     x = np.array([-c if f else c for c, f in zip(coords, flips)])
     for got, want in zip(cm.derivs_upto(x, k), ref_chained_derivs_upto(cm, x, k), strict=True):
         same_bytes(got, want)
+
+
+# -- stacked points: one stencil tree over every row ----------------------------
+
+
+@st.composite
+def stacked_fd_cases(draw):
+    """A fn map (optionally with a Jacobian) and 1-16 rows, some with -0.0
+    coordinates, one with a pole 0, 1, -2 or 3 steps off."""
+    in_dim = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3 if in_dim < 3 else 2))
+    coords = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+                      min_size=in_dim, max_size=in_dim)
+    X = np.array(draw(st.lists(coords, min_size=1, max_size=16)))
+    near = X[draw(st.integers(0, len(X) - 1))]
+    pole = near[0] + draw(st.sampled_from([0.0, 1.0, -2.0, 3.0, 1e4])) * ref_fd_step(near)
+    rep = fd_map(in_dim, draw(st.sampled_from([(1,), (2,), (2, 2)])), draw(st.booleans()),
+                 pole, draw(st.sampled_from(NONFINITE)), draw(st.integers(0, 3)))
+    return rep, X, k
+
+
+@given(stacked_fd_cases())
+@settings(max_examples=60, deadline=None)
+def test_stacked_derivs_match_single_points_and_reference(case):
+    rep, X, k = case
+    stacked = rep.derivs_upto(X, k)
+    assert len(stacked) == k + 1
+    for i, x in enumerate(X):
+        single = rep.derivs_upto(x, k)
+        for j in range(k + 1):
+            assert stacked[j].shape == (len(X),) + single[j].shape
+            same_bytes(stacked[j][i], single[j])
+            same_bytes(stacked[j][i], ref_deriv_tensor(rep, x, j))
+    same_bytes(rep.deriv_tensor(X, k), stacked[k])
+
+
+@given(stacked_fd_cases())
+@settings(max_examples=40, deadline=None)
+def test_stacked_derived_map_matches_parent_orders(case):
+    rep, X, k = case
+    assume(k > 0)
+    stacked = rep.derivative_map().derivs_upto(X, k - 1)
+    for i, x in enumerate(X):
+        for j, t in enumerate(stacked):
+            same_bytes(t[i], ref_deriv_tensor(rep, x, j + 1))
+    same_bytes(rep.derivative_map().deriv_tensor(X, k - 1), stacked[-1])
+
+
+def two_route_chain():
+    """A 1-D chained map with two routes: rows with x > 0 chain two
+    expressions (one jet evaluation), the others chain two plain fn maps (FD)."""
+    from mapnets.gmap import ChainedLocalMap
+    from mapnets.jets import sin
+
+    outer = LocalMap.from_expr(lambda t: sin(2.0 * t) + t * t, name="outer-expr")
+    routes = [(lambda y: y[0] > 0.0, LocalMap.from_expr(lambda t: t, name="id-expr"), outer),
+              (lambda y: True, LocalMap(1, (1,), fn=lambda x: x, name="id-fn"),
+               LocalMap(1, (1,), fn=lambda x: np.array([math.sin(2.0 * x[0]) + x[0] * x[0]]),
+                        name="outer-fn"))]
+    return ChainedLocalMap(routes, 1, (1,), name="two-route"), outer
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-5, -1e-5]), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=16), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_stacked_chain_routes_each_row_on_its_own(xs, k):
+    cm, outer = two_route_chain()
+    X = np.array(xs)[:, None]
+    stacked = cm.derivs_upto(X, k)
+    for i, x in enumerate(X):
+        single = cm.derivs_upto(x, k)
+        if x[0] > 0.0:  # the jet route
+            ref = outer.derivs_upto(x, k)
+        elif x[0] < -1e-3:  # the FD route, every stencil node on it too
+            ref = ref_chained_derivs_upto(cm, x, k)
+        else:  # nodes right of 0 take the jet route, which the reference lacks
+            ref = single
+        for j in range(k + 1):
+            same_bytes(stacked[j][i], single[j])
+            same_bytes(stacked[j][i], ref[j])
+
+
+@given(st.lists(st.tuples(st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.booleans(),
+                          st.booleans()), min_size=1, max_size=16), st.integers(0, 3))
+@settings(max_examples=15, deadline=None)
+def test_stacked_chained_map_tree_matches_old_loop(points, k):
+    cm = chained_sphere_rep()
+    X = np.array([[-a if fa else a, -b if fb else b] for a, b, fa, fb in points])
+    stacked = cm.derivs_upto(X, k)
+    for i, x in enumerate(X):
+        for j, want in enumerate(ref_chained_derivs_upto(cm, x, k)):
+            same_bytes(stacked[j][i], want)

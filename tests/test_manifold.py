@@ -20,6 +20,7 @@ from mapnets.errors import (
     MissingFiberMetric,
     NoOverlap,
     OutOfDomain,
+    OutputShapeMismatch,
 )
 from mapnets.gmap import MapNet, check_cbounded
 from mapnets.jets import Jet, sin, sqrt
@@ -308,6 +309,48 @@ class TestOutputShape:
         with pytest.raises(MapnetsError) as info:
             check_cbounded(net, region_box("e0", [-1.0, -1.0], [1.0, 1.0], density=3))
         self.assert_names_shapes(info.value)
+
+    @staticmethod
+    def ragged(x):
+        """Three coordinates right of x0 = 0.5, two elsewhere."""
+        return np.array([x[0], x[1], 0.0]) if x[0] > 0.5 else np.array([x[0], x[1]])
+
+    @pytest.mark.parametrize("X,k", [
+        ([0.5, 0.0], 1),                # only the +h, +2h nodes of the first level
+        ([[0.0, 0.0], [0.9, 0.0]], 0),  # one row of a two-point stack
+        ([[0.0, 0.0], [0.9, 0.0]], 2),
+        ([[0.9, 0.0], [0.8, 0.0]], 0),  # every row: the level stacks, at the wrong size
+    ])
+    def test_stacked_level_with_wrong_rows_names_map_and_shape(self, X, k):
+        rep = LocalMap(2, (2,), fn=self.ragged, name="ragged")
+        with pytest.raises(OutputShapeMismatch) as info:
+            rep.derivs_upto(X, k)
+        assert not isinstance(info.value, ValueError)
+        msg = str(info.value)
+        assert "ragged" in msg and "(3,)" in msg and "(2,)" in msg
+
+    def test_jacobian_of_wrong_size_names_map_and_shape(self):
+        rep = LocalMap(2, (2,), fn=lambda x: x, jac=lambda x: np.eye(3), name="bad-jac")
+        with pytest.raises(OutputShapeMismatch, match=r"bad-jac.*jac.*\(3, 3\).*\(2, 2\)"):
+            rep.derivs_upto([[0.1, 0.2], [0.3, 0.4]], 2)
+
+    @pytest.mark.parametrize("form", ["list", "row", "mixed"])
+    def test_outputs_of_the_right_size_still_reshape(self, form):
+        def plain(x):
+            return np.array([math.sin(x[0]) * x[1], x[0] ** 2])
+
+        def fn(x):
+            y = plain(x)
+            if form == "list":
+                return y.tolist()
+            if form == "row" or x[0] > 0.3:  # "mixed": (1, 2) rows among (2,) rows
+                return y.reshape(1, 2)
+            return y
+
+        X = np.array([[0.3, -0.5], [0.7, 0.2], [-0.0, 1.0]])
+        ref = LocalMap(2, (2,), fn=plain).derivs_upto(X, 2)
+        for got, want in zip(LocalMap(2, (2,), fn=fn).derivs_upto(X, 2), ref, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_undefined_point_still_none(self):
         rep = LocalMap(1, (1,), fn=lambda x: np.array([1.0 / x[0]]),
