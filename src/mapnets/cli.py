@@ -172,18 +172,24 @@ def dump_json(record, path: Optional[str]) -> str:
     return text
 
 
+def write_series_csvs(out_dir: str, prefix: str, series: dict) -> None:
+    """One CSV per series, named ``<prefix>__<key>.csv`` with every character
+    that is not alphanumeric or one of ``-_.`` replaced by ``_``."""
+    for key, s in series.items():
+        if s is None:
+            continue
+        safe = "".join(ch if ch.isalnum() or ch in "-_." else "_"
+                       for ch in f"{prefix}__{key}")
+        with open(os.path.join(out_dir, f"{safe}.csv"), "w", encoding="utf-8") as fh:
+            fh.write(s.to_csv())
+
+
 def write_outputs(out_dir: Optional[str], name: str, record,
                   series: Optional[dict] = None) -> None:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         dump_json(record, os.path.join(out_dir, f"{name}.json"))
-        for key, s in (series or {}).items():
-            if s is None:
-                continue
-            safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in key)
-            with open(os.path.join(out_dir, f"{name}__{safe}.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(s.to_csv())
+        write_series_csvs(out_dir, name, series or {})
     else:
         sys.stdout.write(dump_json(record, None))
 
@@ -212,7 +218,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-base", type=float)
     p.add_argument("--grid-k-min", type=int)
     p.add_argument("--grid-k-max", type=int)
-    p.add_argument("--lattice-density", type=int)
     p.add_argument("--k-max", type=int)
     p.add_argument("--n-cap", type=int)
     p.add_argument("--m-probe", type=int)
@@ -227,10 +232,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _config_from(args) -> Config:
     base = DEFAULT_CONFIG.as_dict()
     if args.config:
-        base.update(json.load(open(args.config, "r", encoding="utf-8")))
-    for name in ("grid_base", "grid_k_min", "grid_k_max", "lattice_density",
-                 "k_max", "n_cap", "m_probe", "r2_min", "vanish_tol",
-                 "margin_min", "seed"):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            base.update(json.load(fh))
+    for name in ("grid_base", "grid_k_min", "grid_k_max", "k_max", "n_cap",
+                 "m_probe", "r2_min", "vanish_tol", "margin_min", "seed"):
         v = getattr(args, name, None)
         if v is not None:
             base[name] = v
@@ -240,7 +245,8 @@ def _config_from(args) -> Config:
 def _env_from(args) -> SpecEnv:
     spec = None
     if getattr(args, "spec", None):
-        spec = json.load(open(args.spec, "r", encoding="utf-8"))
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
     return SpecEnv(spec)
 
 
@@ -391,7 +397,6 @@ def _cmd_tensor_insert(args) -> int:
     cfg = _config_from(args)
     env = _env_from(args)
     grid = cfg.grid()
-    from .gallery import get_atlas
     from .manifold import LocalMap
     from .vbundle import TensorSectionNet, tensor_insert
 
@@ -439,14 +444,7 @@ def _cmd_gallery(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         dump_json(record, os.path.join(args.out, "gallery.json"))
         for entry_name, series in all_series.items():
-            for key, s in series.items():
-                if s is None:
-                    continue
-                safe = "".join(ch if ch.isalnum() or ch in "-_." else "_"
-                               for ch in f"{entry_name}__{key}")
-                with open(os.path.join(args.out, f"{safe}.csv"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write(s.to_csv())
+            write_series_csvs(args.out, entry_name, series)
     width = max(len(e["entry"]) for e in summary)
     for e in summary:
         mark = "ok " if e["ok"] else "FAIL"

@@ -13,7 +13,6 @@ class Config:
     """Check parameters; defaults resolve every gallery entry in < 1 s each.
 
     grid_base / grid_k_min / grid_k_max : the epsilon grid base**k.
-    lattice_density : sample points per axis of compact-region lattices.
     k_max           : highest derivative order checked.
     n_cap           : moderateness cap, Pass requires slope >= -n_cap.
     m_probe         : negligibility probe order (cutoff for "all m").
@@ -28,7 +27,6 @@ class Config:
     grid_base: float = 0.5
     grid_k_min: int = 2
     grid_k_max: int = 16
-    lattice_density: int = 33
     k_max: int = 3
     n_cap: int = 10
     m_probe: int = 5
@@ -42,8 +40,6 @@ class Config:
     def __post_init__(self):
         if not 0.0 < self.grid_base < 1.0:
             raise ValueError("grid_base must lie in (0,1)")
-        if self.lattice_density < 2:
-            raise ValueError("lattice_density must be >= 2")
         if self.k_max < 1 or self.n_cap < 0 or self.m_probe < 0:
             raise ValueError("k_max >= 1, n_cap >= 0, m_probe >= 0 required")
         if not 0.0 <= self.r2_min <= 1.0:

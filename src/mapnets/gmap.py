@@ -230,85 +230,74 @@ class ChainedLocalMap(LocalMap):
     Routes are (mid chart box check, inner rep, outer rep); the value in the
     final chart does not depend on the route taken (transition consistency),
     so the first admissible route is used.  Derivatives: exact jet chaining
-    when both factors carry expressions, else the first-order chain rule,
-    and beyond it nested finite differences of chain-rule tensors over one
-    stencil tree (``fd_tree``).  Like every ``LocalMap``, the oracle takes a
-    point or a stack of points; each row (and each stencil node) takes its
-    own route.
+    when both factors carry expressions, through the route's jet-chained map
+    built once here, else the first-order chain rule, and beyond it nested
+    finite differences of chain-rule tensors over one stencil tree
+    (``fd_tree``).  Like every ``LocalMap``, the oracle takes a point or a
+    stack of points; each row (and each stencil node) takes its own route.
     """
 
     def __init__(self, routes: list, in_dim: int, out_shape, name: str = ""):
         self.routes = routes  # list of (mid_contains, inner, outer)
-        self._all_expr = all(
-            inner.expr is not None and outer.expr is not None
-            for _, inner, outer in routes)
-        super().__init__(in_dim, out_shape, fn=self._fn, name=name)
+        super().__init__(in_dim, out_shape, fn=lambda x: self._route(x)[2], name=name)
+        # per route: the jet-chained map when both factors are expressions
+        self.jet_maps = [LocalMap.from_expr(lambda t, f=inner.expr, g=outer.expr: g(f(t)),
+                                            out_shape=self.out_shape, name=name)
+                         if inner.expr is not None and outer.expr is not None else None
+                         for _ok, inner, outer in routes]
+        if all(jet is not None for jet in self.jet_maps):
+            self.exact_order = math.inf
+        elif all(min(inner.exact_order, outer.exact_order) >= 1
+                 for _ok, inner, outer in routes):
+            self.exact_order = 1
 
-    def _route_for(self, x: np.ndarray):
-        for mid_ok, inner, outer in self.routes:
+    def _route(self, x: np.ndarray) -> tuple:
+        """(route index, middle point, value) of the first admissible route
+        at x; ValueError, which ``try_call`` turns into None, when none is."""
+        for i, (mid_ok, inner, outer) in enumerate(self.routes):
             y = inner.try_call(x)
             if y is None or not mid_ok(y):
                 continue
             z = outer.try_call(y)
             if z is not None:
-                return (inner, outer, y, z)
-        return None
-
-    def _route(self, x: np.ndarray):
-        r = self._route_for(x)
-        if r is None:
-            raise ValueError("no admissible route")
-        return r
-
-    def _fn(self, x: np.ndarray) -> np.ndarray:
-        return self._route(np.atleast_1d(np.asarray(x, dtype=float)))[3]
-
-    def try_call(self, x) -> Optional[np.ndarray]:
-        r = self._route_for(np.atleast_1d(np.asarray(x, dtype=float)))
-        return None if r is None else r[3].reshape(self.out_shape)
+                return i, y, z
+        raise ValueError("no admissible route")
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.derivs_upto(x, k)[k]
 
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack,
-        each row by its own route: a row whose route chains two expressions
-        takes one jet evaluation, all other rows share one stencil tree over
-        ``_chain_jacobians``.  Results come back in row order."""
+        each row by its own route: the rows of a route that chains two
+        expressions take one stacked call of its jet-chained map, all other
+        rows share one stencil tree over ``_chain_jacobians``.  Results come
+        back in row order."""
         P, single = point_rows(x)
         routes = [self._route(p) for p in P]
-        fd_rows = [i for i, (inner, outer, _y, _z) in enumerate(routes)
-                   if inner.expr is None or outer.expr is None]
         ts = [np.empty((len(P),) + self.out_shape + (self.in_dim,) * k)
               for k in range(k_max + 1)]
+        fd_rows = [r for r, (i, _y, _z) in enumerate(routes) if self.jet_maps[i] is None]
         if fd_rows:
-            values = np.array([routes[i][3].reshape(self.out_shape) for i in fd_rows])
+            values = np.array([routes[r][2].reshape(self.out_shape) for r in fd_rows])
             for t, rows in zip(ts, [values] + fd_tree(self._chain_jacobians, P[fd_rows],
                                                       k_max - 1)):
                 t[fd_rows] = rows
-        for i, (inner, outer, _y, _z) in enumerate(routes):
-            if inner.expr is None or outer.expr is None:
-                continue
-            chained = LocalMap.from_expr(lambda t, f=inner.expr, g=outer.expr: g(f(t)),
-                                         out_shape=self.out_shape, name=self.name)
-            for t, row in zip(ts, chained.derivs_upto(P[i], k_max)):
-                t[i] = row
+        for i, jet in enumerate(self.jet_maps):
+            rows = [r for r, route in enumerate(routes) if route[0] == i]
+            if jet is not None and rows:
+                for t, got in zip(ts, jet.derivs_upto(P[rows], k_max)):
+                    t[rows] = got
         return [t[0] for t in ts] if single else ts
 
     def _chain_jacobians(self, P: np.ndarray) -> np.ndarray:
         """Order-1 chain-rule tensors at the rows of P, each by its own route."""
         out = []
         for w in P:
-            inner, outer, y, _ = self._route(w)
+            i, y, _ = self._route(w)
+            _ok, inner, outer = self.routes[i]
             out.append((outer.jacobian(y) @ inner.jacobian(w)).reshape(
                 self.out_shape + (self.in_dim,)))
         return np.array(out)
-
-    def exact_to(self, k: int) -> bool:
-        if k == 0 or self._all_expr:
-            return True
-        return k == 1 and all(inner.exact_to(1) and outer.exact_to(1)
-                              for _ok, inner, outer in self.routes)
 
 
 def effective_reps(sm: SmoothMap, chart_a: str) -> dict:
@@ -582,7 +571,7 @@ def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
     otherwise differentiate the pointwise difference, which keeps stencil
     noise proportional to the gap itself rather than to the operands.
     """
-    if all(ru.exact_to(k) and rv.exact_to(k) for k in range(k_max + 1)):
+    if min(ru.exact_order, rv.exact_order) >= k_max:
         def diffs(x):
             tu = ru.derivs_upto(x, k_max)
             tv = rv.derivs_upto(x, k_max)

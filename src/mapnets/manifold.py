@@ -210,18 +210,20 @@ class Point:
 class LocalMap:
     """Smooth map between chart coordinate patches, with derivative oracle.
 
-    Evaluation returns an ndarray of shape ``out_shape``.  Derivatives, in
-    order of preference: an expression closure over jets (exact, any order,
-    1-D input only), an exact Jacobian, then nested 4th-order central
-    differences with step 1e-4*(1+|y|) at each stencil node y, read from one
-    stencil tree (``fd_tree``) whose leaves evaluate the value, or the
-    Jacobian when the map has one.
+    Evaluation returns an ndarray of shape ``out_shape``.  Every derivative
+    tensor comes from one method, ``derivs_upto``, which takes, in order of
+    preference: an expression closure over jets (exact, any order, 1-D input
+    only), an exact Jacobian, then nested 4th-order central differences with
+    step 1e-4*(1+|y|) at each stencil node y, read from one stencil tree
+    (``fd_tree``) over the value, or over the Jacobian when the map has one.
+    ``exact_order`` is the highest order those tensors are exact to: inf
+    for an expression, 1 with a Jacobian, else 0.
 
     The derivative oracle takes a point, shape ``(in_dim,)``, or a stack of
     points, shape ``(N, in_dim)``; for a stack every tensor gains a leading
     row axis, and a point is the one-row stack.  All rows share one stencil
-    tree, whose leaf levels call ``fn`` (or ``jac``) once per row and stack
-    the level once; expression rows take one jet evaluation each.
+    tree, each of whose levels calls ``fn`` (or ``jac``) once per row and
+    stacks the level once; expression rows take one jet evaluation each.
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
@@ -238,6 +240,7 @@ class LocalMap:
             raise ValueError("expression oracles require 1-D input")
         if fn is None and expr is None:
             raise ValueError("a local map needs fn or expr")
+        self.exact_order = math.inf if expr is not None else 1 if jac is not None else 0
 
     @classmethod
     def from_expr(cls, expr, out_shape=(1,), defined=None, name: str = "") -> "LocalMap":
@@ -271,14 +274,7 @@ class LocalMap:
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         """Total derivative of order k, shape out_shape + (in_dim,)*k (with a
         leading row axis for a stack of points)."""
-        if k > 0 and self.expr is not None:
-            return self.derivs_upto(x, k)[k]
-        P, single = point_rows(x)
-        if k == 0:
-            t = self._values(P)
-        else:
-            t = fd_tree(self._leaf, P, k - (self.jac is not None), every_level=False)[0]
-        return t[0] if single else t
+        return self.derivs_upto(x, k)[k]
 
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack:
@@ -294,9 +290,11 @@ class LocalMap:
             ts = [np.array([[c[k] * f for c in coeffs] for coeffs in rows]).reshape(
                 shape + (1,) * k) for k, f in enumerate(jets.factorials(k_max))]
         elif self.jac is None:
-            ts = fd_tree(self._leaf, P, k_max)
+            ts = fd_tree(self._values, P, k_max)
         else:
-            ts = [self._values(P)] + fd_tree(self._leaf, P, k_max - 1)
+            jacs = lambda Q: self._stack(self.jac, Q, self.out_shape + (self.in_dim,),
+                                         "jac returned")
+            ts = [self._values(P)] + fd_tree(jacs, P, k_max - 1)
         return [t[0] for t in ts] if single else ts
 
     def _jet_coeffs(self, x0: float, k_max: int) -> list:
@@ -316,13 +314,6 @@ class LocalMap:
         if self.fn is None:
             return np.array([self._value(p) for p in P]).reshape((len(P),) + self.out_shape)
         return self._stack(self.fn, P, self.out_shape, "returned")
-
-    def _leaf(self, P: np.ndarray) -> np.ndarray:
-        """Stencil-tree leaf oracle: the Jacobians at the rows of P when the
-        map has one, else the values."""
-        if self.jac is None:
-            return self._values(P)
-        return self._stack(self.jac, P, self.out_shape + (self.in_dim,), "jac returned")
 
     def _stack(self, f, P: np.ndarray, shape: tuple, what: str) -> np.ndarray:
         """f at every row of P as one array of shape (len(P),) + shape.
@@ -349,12 +340,6 @@ class LocalMap:
         j = self.deriv_tensor(x, 1)
         return j.reshape(self.out_size, self.in_dim)
 
-    def exact_to(self, k: int) -> bool:
-        """Whether order-k derivatives come from an exact oracle (no FD)."""
-        if k == 0 or self.expr is not None:
-            return True
-        return k == 1 and self.jac is not None
-
     def derivative_map(self) -> "LocalMap":
         return _DerivedMap(self)
 
@@ -370,15 +355,13 @@ class _DerivedMap(LocalMap):
         super().__init__(parent.in_dim, parent.out_shape + (parent.in_dim,),
                          fn=lambda x: parent.deriv_tensor(x, 1),
                          defined=parent.defined, name=f"D({parent.name})")
+        self.exact_order = parent.exact_order - 1
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.parent.deriv_tensor(x, k + 1)
 
     def derivs_upto(self, x, k_max: int) -> list:
         return self.parent.derivs_upto(x, k_max + 1)[1:]
-
-    def exact_to(self, k: int) -> bool:
-        return self.parent.exact_to(k + 1)
 
 
 def point_rows(x) -> tuple:
@@ -390,16 +373,15 @@ def point_rows(x) -> tuple:
     return P, False
 
 
-def fd_tree(leaf, P: np.ndarray, depth: int, every_level: bool = True) -> list:
+def fd_tree(leaf, P: np.ndarray, depth: int) -> list:
     """Nested central differences at the rows of P, 0..depth deep, from one
     stencil tree.
 
     Level 0 is P, shape (N, n); level l+1 is ``jets.fd_points`` of level l,
     every node with its own step.  ``leaf(Q)`` stacks the oracle's tensors at
-    the rows of Q; it runs once on every level, or only on the deepest unless
-    ``every_level``.  ``fd_partial`` then differentiates level by level from
-    the deepest up.  Returns the oracle's tensors at the N rows differentiated
-    d = 0..depth times (only d = depth unless ``every_level``), each with the
+    the rows of Q and runs once on every level; ``fd_partial`` then
+    differentiates level by level from the deepest up.  Returns the oracle's
+    tensors at the N rows differentiated d = 0..depth times, each with the
     row axis first; the last tensor axis is the outermost differentiation.
     """
     levels, steps = [P], []
@@ -409,8 +391,7 @@ def fd_tree(leaf, P: np.ndarray, depth: int, every_level: bool = True) -> list:
     ts = []
     for lvl in range(depth, -1, -1):
         ts = [jets.fd_partial(t, steps[lvl]) for t in ts]
-        if every_level or lvl == depth:
-            ts.insert(0, leaf(levels[lvl]))
+        ts.insert(0, leaf(levels[lvl]))
     return ts
 
 
@@ -576,10 +557,6 @@ class RiemannianMetric:
     fields: dict
     analytic: Optional[Callable] = None
     name: str = ""
-
-    @property
-    def analytic_distance_available(self) -> bool:
-        return self.analytic is not None
 
     def at(self, chart: str, x) -> np.ndarray:
         fld = self.fields[chart]

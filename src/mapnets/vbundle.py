@@ -10,6 +10,7 @@ per-eps chart algebra plus the asymptotic judges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,16 +74,9 @@ class VBHomNet:
         self.src = src
         self.dst = dst
         self.local_factory = local_factory
+        self.locals_at = functools.cache(local_factory)  # eps -> local table
         self.tag = tag
-        self._cache: dict = {}
         self._base: Optional[MapNet] = None
-
-    def locals_at(self, eps: float) -> dict:
-        loc = self._cache.get(eps)
-        if loc is None:
-            loc = self.local_factory(eps)
-            self._cache[eps] = loc
-        return loc
 
     @property
     def base_net(self) -> MapNet:
@@ -192,15 +186,8 @@ class SectionNet:
                  tag: str = ""):
         self.bundle = bundle
         self.coeff_factory = coeff_factory
+        self.coeffs_at = functools.cache(coeff_factory)  # eps -> coefficient table
         self.tag = tag
-        self._cache: dict = {}
-
-    def coeffs_at(self, eps: float) -> dict:
-        c = self._cache.get(eps)
-        if c is None:
-            c = self.coeff_factory(eps)
-            self._cache[eps] = c
-        return c
 
     def element_at(self, eps: float, p: Point) -> BundleElement:
         coeffs = self.coeffs_at(eps)
@@ -566,15 +553,8 @@ class TensorSectionNet:
         self.r = r
         self.s = s
         self.coeff_factory = coeff_factory
+        self.coeffs_at = functools.cache(coeff_factory)  # eps -> coefficient table
         self.tag = tag
-        self._cache: dict = {}
-
-    def coeffs_at(self, eps: float) -> dict:
-        c = self._cache.get(eps)
-        if c is None:
-            c = self.coeff_factory(eps)
-            self._cache[eps] = c
-        return c
 
     def value_at(self, eps: float, chart: str, x: np.ndarray) -> np.ndarray:
         fld = self.coeffs_at(eps)[chart]

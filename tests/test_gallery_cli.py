@@ -215,13 +215,26 @@ class TestCLI:
         assert rec["inputs"]["config"]["grid_k_max"] == 10
         assert len(rec["samples"]) == 9
 
+    def test_no_lattice_density_setting(self, capsys):
+        # regions carry their own lattice density; a config-wide one was read
+        # by nothing, yet written into every record
+        with pytest.raises(SystemExit) as exc:
+            main(["check-moderate", "--net", "sigma_sin", "--region", "K_unit",
+                  "--lattice-density", "5"])
+        assert exc.value.code == 2
+        assert "--lattice-density" in capsys.readouterr().err
+        code, out, _ = run_cli(["check-moderate", "--net", "sigma_sin",
+                                "--region", "K_unit"], capsys)
+        assert code == 0
+        assert "lattice_density" not in json.loads(out)["inputs"]["config"]
+        with pytest.raises(ValueError):
+            Config.from_dict({"lattice_density": 33})
+
 
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             Config(grid_base=1.5)
-        with pytest.raises(ValueError):
-            Config(lattice_density=1)
         with pytest.raises(ValueError):
             Config(r2_min=1.5)
         with pytest.raises(ValueError):

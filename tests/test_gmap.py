@@ -372,9 +372,9 @@ class TestOneStencilTreePerGroup:
         calls = []
         tree = manifold.fd_tree
 
-        def counted(leaf, P, depth, every_level=True):
+        def counted(leaf, P, depth):
             calls.append(len(P))
-            return tree(leaf, P, depth, every_level)
+            return tree(leaf, P, depth)
 
         monkeypatch.setattr(manifold, "fd_tree", counted)
         monkeypatch.setattr(gmap, "fd_tree", counted)

@@ -106,7 +106,8 @@ def ref_chained_derivs_upto(cm, x, k_max):
     """ChainedLocalMap.derivs_upto off the jet path: chain rule at order 1,
     then one recursive stencil per order, each node taking its own route."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    inner, outer, y, z = cm._route_for(x)
+    i, y, z = cm._route(x)
+    _ok, inner, outer = cm.routes[i]
     assert inner.expr is None or outer.expr is None
     out = [z.reshape(cm.out_shape)]
     if k_max >= 1:
@@ -418,12 +419,12 @@ def test_fd_tree_order3_in_3d_matches_reference():
             same_bytes(got, want)
 
 
-def chained_sphere_rep():
+def chained_sphere_rep(jac=None):
     """The 'south' representative of a map given only out of 'north': a 2-D fn
-    map after the sphere's inversion transition."""
+    map, with an optional Jacobian, after the sphere's inversion transition."""
     sphere, plane = sphere_atlas(), euclidean_atlas([(-10.0, 10.0)] * 2)
     rep = LocalMap(2, (2,), fn=lambda x: np.array([math.sin(x[0]) * x[1], math.exp(0.3 * x[0])]),
-                   name="plain")
+                   jac=jac, name="plain")
     sm = SmoothMap(sphere, plane, {("north", "e0"): rep})
     return effective_reps(sm, "south")["e0"]
 
@@ -529,3 +530,112 @@ def test_stacked_chained_map_tree_matches_old_loop(points, k):
     for i, x in enumerate(X):
         for j, want in enumerate(ref_chained_derivs_upto(cm, x, k)):
             same_bytes(stacked[j][i], want)
+
+
+# -- one derivative path: exact_order, deriv_tensor, chained jet maps ------------
+
+
+def ref_exact_to(rep, k):
+    """The per-order rule that ``exact_order`` replaced: whether order-k
+    tensors come from an exact oracle (no FD)."""
+    from mapnets.gmap import ChainedLocalMap
+    from mapnets.manifold import _DerivedMap
+
+    if isinstance(rep, _DerivedMap):
+        return ref_exact_to(rep.parent, k + 1)
+    if isinstance(rep, ChainedLocalMap):
+        if k == 0 or all(inner.expr is not None and outer.expr is not None
+                         for _ok, inner, outer in rep.routes):
+            return True
+        return k == 1 and all(ref_exact_to(inner, 1) and ref_exact_to(outer, 1)
+                              for _ok, inner, outer in rep.routes)
+    if k == 0 or rep.expr is not None:
+        return True
+    return k == 1 and rep.jac is not None
+
+
+def sigma_chain():
+    """The (e0, e0) representative of compose(sigma_sin, sigma_tanh) at eps 1/4:
+    one route that chains two expressions."""
+    from mapnets.gallery import get_net
+    from mapnets.gmap import compose
+
+    return compose(get_net("sigma_sin"), get_net("sigma_tanh")).at(0.25).locals[("e0", "e0")]
+
+
+def exact_order_cases():
+    from mapnets.jets import sin
+
+    expr = LocalMap.from_expr(lambda t: sin(t), name="sin")
+    fn_jac = fd_map(2, (2,), True, 9.0, math.inf, 0)
+    fn = fd_map(2, (2,), False, 9.0, math.inf, 0)
+    return [
+        ("expr", expr, math.inf),
+        ("fn+jac", fn_jac, 1),
+        ("fn", fn, 0),
+        ("D(expr)", expr.derivative_map(), math.inf),
+        ("D(fn+jac)", fn_jac.derivative_map(), 0),
+        ("D(D(fn+jac))", fn_jac.derivative_map().derivative_map(), -1),
+        ("D(fn)", fn.derivative_map(), -1),
+        ("chain of expressions", sigma_chain(), math.inf),
+        ("sphere chain, jac rep", chained_sphere_rep(
+            jac=lambda x: np.array([[math.cos(x[0]) * x[1], math.sin(x[0])],
+                                    [0.3 * math.exp(0.3 * x[0]), 0.0]])), 1),
+        ("sphere chain, fn rep", chained_sphere_rep(), 0),
+        ("two-route chain", two_route_chain()[0], 0),
+    ]
+
+
+def test_exact_order_matches_the_per_order_rule():
+    for label, rep, want in exact_order_cases():
+        assert rep.exact_order == want, label
+        for k in range(5):
+            assert (k <= rep.exact_order) == ref_exact_to(rep, k), (label, k)
+
+
+def test_stacked_chain_of_expressions_builds_no_local_map(monkeypatch):
+    cm = sigma_chain()
+    built = []
+    init = LocalMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalMap, "__init__", counted)
+    X = np.linspace(-1.0, 1.0, 33)[:, None]
+    ts = cm.derivs_upto(X, 3)
+    assert built == []
+    for i, x in enumerate(X):
+        for j, want in enumerate(cm.jet_maps[0].derivs_upto(x, 3)):
+            same_bytes(ts[j][i], want)
+
+
+def expression_reps():
+    """(label, rep, points) for every representative of the gallery's nets at
+    two eps and for every registered expression family."""
+    from mapnets.exprs import EXPRESSION_FAMILIES, build_expr
+    from mapnets.gallery import get_net, list_nets
+
+    X = np.linspace(-1.0, 1.0, 33)[:, None]
+    for name in list_nets():
+        for eps in (0.25, 2.0**-10):
+            for pair, rep in sorted(get_net(name).at(eps).locals.items()):
+                yield f"{name}@{eps}:{pair}", rep, X
+    for family in EXPRESSION_FAMILIES:
+        for eps in (0.25, 2.0**-10):
+            rep = LocalMap.from_expr(build_expr(family)(eps), name=family)
+            yield f"{family}@{eps}", rep, X + 2.0 if family == "exp_recip" else X
+
+
+def test_expression_deriv_tensor_reads_derivs_upto():
+    for label, rep, X in expression_reps():
+        assert rep.expr is not None, label
+        for k in (1, 2, 3):
+            same_bytes(rep.deriv_tensor(X, k), rep.derivs_upto(X, k)[k])
+
+
+def test_expression_order0_tensor_is_the_value():
+    for label, rep, X in expression_reps():
+        for x in X:
+            assert np.array_equal(rep.deriv_tensor(x, 0), rep(x)), (label, x)
