@@ -152,6 +152,14 @@ def sweep_sups(grid: EpsGrid, samples, zero_tol: float = 0.0,
             for key, vals in sups.items()}
 
 
+def stack_sup(values: np.ndarray) -> tuple:
+    """(sup, row) of a stack of samples as ``sweep_sups`` reads them: NaN
+    counts as overflow, and the first row of the largest value wins."""
+    values = np.where(np.isnan(values), math.inf, values)
+    row = int(np.argmax(values))
+    return float(values[row]), row
+
+
 def series_from_fn(fn, grid: EpsGrid, context: str = "", zero_tol: float = 0.0) -> SupSeries:
     """Sample ``fn(eps)`` on the grid; values <= zero_tol clamp to exact 0,
     NaN counts as overflow."""

@@ -230,16 +230,22 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> Config:
-    base = DEFAULT_CONFIG.as_dict()
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base.update(json.load(fh))
-    for name in ("grid_base", "grid_k_min", "grid_k_max", "k_max", "n_cap",
-                 "m_probe", "r2_min", "vanish_tol", "margin_min", "seed"):
-        v = getattr(args, name, None)
-        if v is not None:
-            base[name] = v
-    return Config.from_dict(base)
+    """Defaults, then the --config file, then flags; any failure is a SpecError."""
+    try:
+        base = DEFAULT_CONFIG.as_dict()
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                base.update(json.load(fh))
+        for name in ("grid_base", "grid_k_min", "grid_k_max", "k_max", "n_cap",
+                     "m_probe", "r2_min", "vanish_tol", "margin_min", "seed"):
+            v = getattr(args, name, None)
+            if v is not None:
+                base[name] = v
+        cfg = Config.from_dict(base)
+        cfg.grid()
+    except (OSError, ValueError, TypeError) as exc:
+        raise SpecError(str(exc), "config") from exc
+    return cfg
 
 
 def _env_from(args) -> SpecEnv:

@@ -36,6 +36,7 @@ from .asymptotics import (
     judge_moderate,
     judge_negligible,
     judge_vanishing,
+    stack_sup,
     sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
@@ -290,14 +291,20 @@ class ChainedLocalMap(LocalMap):
         return [t[0] for t in ts] if single else ts
 
     def _chain_jacobians(self, P: np.ndarray) -> np.ndarray:
-        """Order-1 chain-rule tensors at the rows of P, each by its own route."""
-        out = []
-        for w in P:
-            i, y, _ = self._route(w)
-            _ok, inner, outer = self.routes[i]
-            out.append((outer.jacobian(y) @ inner.jacobian(w)).reshape(
-                self.out_shape + (self.in_dim,)))
-        return np.array(out)
+        """Order-1 chain-rule tensors at the rows of P, each by its own route,
+        with one stacked Jacobian call per factor of a route."""
+        routes = [self._route(w) for w in P]
+        out = np.empty((len(P), self.out_size, self.in_dim))
+        for i, (_ok, inner, outer) in enumerate(self.routes):
+            rows = [r for r, route in enumerate(routes) if route[0] == i]
+            if not rows:
+                continue
+            Y = np.array([routes[r][1] for r in rows])
+            Jo = outer.deriv_tensor(Y, 1).reshape(len(rows), outer.out_size, outer.in_dim)
+            Ji = inner.deriv_tensor(P[rows], 1).reshape(len(rows), inner.out_size, inner.in_dim)
+            for r, jo, ji in zip(rows, Jo, Ji):
+                out[r] = jo @ ji
+        return out.reshape((len(P),) + self.out_shape + (self.in_dim,))
 
 
 def effective_reps(sm: SmoothMap, chart_a: str) -> dict:
@@ -412,18 +419,6 @@ class SingleChartReport:
 # ======================================================================
 
 
-def _lands_in(x: np.ndarray, reps, chart_b, b: str, L_prime: Optional[dict]) -> bool:
-    """Does every representative map x into chart b, and into L' when given?"""
-    for rep in reps:
-        y = rep.try_call(x)
-        if y is None or not chart_b.contains(y):
-            return False
-        if L_prime is not None and not any(box.contains(y, closed=True)
-                                           for box in L_prime.get(b, ())):
-            return False
-    return True
-
-
 def _chart_sups(dst: Atlas, K: CompactRegion, grid: EpsGrid, k_max: int,
                 L_prime: Optional[dict], pieces, context, cfg: Config) -> dict:
     """Chart-wise lattice sups of derivative-tensor norms, orders 0..k_max.
@@ -431,10 +426,11 @@ def _chart_sups(dst: Atlas, K: CompactRegion, grid: EpsGrid, k_max: int,
     ``pieces(eps, cid)`` yields (dst chart b, representatives, tensors_of).
     A lattice point x of K's piece pi (in chart cid) counts under the keys
     (pi, cid, b, k) when every representative lands x in chart b and in L'.
-    ``tensors_of(X)`` takes the stack X of the admitted points, in lattice
-    order, and gives their tensors of orders 0..k_max, row axis first: one
-    call per (eps, piece, b), none when no point is admitted.  Each series
-    is labelled ``context(pi, cid, b, k)``.
+    Each (eps, piece, b) group is one array pass: a stacked ``try_call`` per
+    representative; one call ``tensors_of(X)`` on the stack X of admitted
+    points, in lattice order, giving their tensors of orders 0..k_max, row
+    axis first (none when no point is admitted); one ``tensor_norm`` and one
+    sup per order.  Each series is labelled ``context(pi, cid, b, k)``.
     """
     lattices = [(pi, cid, lat, [Point(cid, x) for x in lat])
                 for pi, (cid, lat) in enumerate(K.lattices())]
@@ -442,15 +438,20 @@ def _chart_sups(dst: Atlas, K: CompactRegion, grid: EpsGrid, k_max: int,
     def samples(eps):
         for pi, cid, lat, at in lattices:
             for b, reps, tensors_of in pieces(eps, cid):
-                chart_b = dst.chart(b)
-                rows = [j for j, x in enumerate(lat)
-                        if _lands_in(x, reps, chart_b, b, L_prime)]
-                if not rows:
-                    continue
-                tensors = tensors_of(lat[rows])
-                for i, j in enumerate(rows):
+                rows = np.arange(len(lat))
+                for rep in reps:
+                    Y = rep.try_call(lat[rows])
+                    inside = _in_boxes(Y, dst.chart(b).domain, closed=False)
+                    if L_prime is not None:
+                        inside &= _in_boxes(Y, L_prime.get(b, ()))
+                    rows = rows[inside]
+                    if not len(rows):
+                        break
+                else:
+                    tensors = tensors_of(lat[rows])
                     for k in range(k_max + 1):
-                        yield (pi, cid, b, k), tensor_norm(tensors[k][i], k), at[j]
+                        sup, i = stack_sup(tensor_norm(tensors[k], k))
+                        yield (pi, cid, b, k), sup, at[rows[i]]
 
     return sweep_sups(grid, samples, cfg.zero_tol, lambda key: context(*key))
 
@@ -519,12 +520,18 @@ def _metric_route(u: MapNet, v: MapNet, K: CompactRegion,
     return route, d_series, dists
 
 
-def _in_boxes(y: np.ndarray, boxes) -> np.ndarray:
-    """Which points y[..., :] lie in some closed box of boxes (NaN in none)."""
+def _in_boxes(y: np.ndarray, boxes, closed: bool = True) -> np.ndarray:
+    """Which points y[..., :] lie in some box of boxes, closed or open (a
+    non-finite point in none); ValueError on a dimension mismatch."""
     inside = np.zeros(y.shape[:-1], dtype=bool)
     for box in boxes:
-        inside |= np.all((box.lo <= y) & (y <= box.hi), axis=-1)
-    return inside
+        if y.shape[-1:] != (box.dim,):
+            raise ValueError(f"points of dimension {y.shape[-1]} in a box of dimension {box.dim}")
+        if closed:
+            inside |= np.all((box.lo <= y) & (y <= box.hi), axis=-1)
+        else:
+            inside |= np.all((box.lo < y) & (y < box.hi), axis=-1)
+    return inside & np.all(np.isfinite(y), axis=-1)
 
 
 def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,

@@ -1,18 +1,22 @@
 """Truncated Taylor jets and finite-difference fallbacks.
 
 A ``Jet`` holds the Taylor coefficients ``c[j] = f^(j)(x0)/j!`` of a scalar
-function at a point, up to a fixed order, as a tuple of Python floats.
+function at a point, up to a fixed order, as a tuple of Python floats, or
+at N points at once as ``(N,)`` arrays (a float entry broadcasts).
 Evaluating a closed-form expression on ``Jet.var(x0, order)`` yields exact
 derivatives of the whole composite at ``x0`` in one pass, which is what the
 local-map derivative oracles use on one-dimensional charts.  The polymorphic
 wrappers (``sin``, ``tanh``, ...) accept either floats or jets so the same
 expression holds for both evaluation and differentiation.
 
-The recurrences run in plain float arithmetic; each coefficient of a product
-is summed in order j = 0..k.  Overflow is silent: a coefficient becomes inf
-or NaN (``exp`` of a jet at 800 reads ``(inf, inf, nan)``) and the sup
-reducer counts NaN as inf.  ``wrap_angle`` of a non-finite angle is NaN,
-so an overflowing angle chart gives an overflowing sup, not an error.
+The recurrences run in IEEE float arithmetic, each coefficient of a product
+summed in order j = 0..k, and order-0 transcendentals come from ``math``
+entry by entry, so each row of an array jet has the bits of the float jet
+(a NaN's sign aside); a value check raises if any row fails it.  Overflow
+is silent: a coefficient becomes inf or NaN (``exp`` of a jet at 800 reads
+``(inf, inf, nan)``) and the sup reducer counts NaN as inf.  ``wrap_angle``
+of a non-finite angle is NaN, so an overflowing angle chart gives an
+overflowing sup, not an error.
 
 For maps without an expression form, nested 4th-order central differences
 are the fallback, one stencil-tree level at a time (``manifold.fd_tree``):
@@ -22,8 +26,7 @@ and ``fd_partial`` applies the stencil to the values at a whole level.  A
 (node, axis) stencil with a non-finite value gives inf, without a warning.
 All three take the level as rows, so level 0 may hold a whole stack of
 points (every admitted lattice point of a sweep), and their outputs keep
-that row axis first.  Jets stay scalar: an expression is evaluated on one
-jet per point.
+that row axis first.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ FD_STEP_SCALE = 1e-4  # step h = FD_STEP_SCALE * (1 + |y|) at a stencil node y
 class Jet:
     """Taylor polynomial of a scalar function, truncated at a fixed order.
 
-    ``c`` is a tuple of Python floats; every operation returns a new jet.
+    ``c`` is a tuple of Python floats, or of floats and ``(N,)`` arrays (see
+    the module notes); every operation returns a new jet.
     """
 
     __slots__ = ("c",)
@@ -51,8 +55,10 @@ class Jet:
         self.c = tuple(map(float, coeffs))
 
     @classmethod
-    def var(cls, x0: float, order: int) -> "Jet":
-        return _jet(((float(x0), 1.0) + (0.0,) * (order - 1))[: order + 1])
+    def var(cls, x0, order: int) -> "Jet":
+        """The variable at a float x0, or at every entry of an array x0."""
+        x0 = np.asarray(x0, dtype=float) if isinstance(x0, np.ndarray) and x0.ndim else float(x0)
+        return _jet(((x0, 1.0) + (0.0,) * (order - 1))[: order + 1])
 
     @classmethod
     def const(cls, v: float, order: int) -> "Jet":
@@ -63,12 +69,12 @@ class Jet:
         return len(self.c) - 1
 
     @property
-    def value(self) -> float:
+    def value(self):
         return self.c[0]
 
     def derivatives(self) -> np.ndarray:
         """Return [f, f', f'', ...]; entry j is c[j] * j!."""
-        return np.array([a * f for a, f in zip(self.c, factorials(self.order))])
+        return np.array(np.broadcast_arrays(*map(operator.mul, self.c, factorials(self.order))))
 
     # -- ring operations -------------------------------------------------
     # A scalar operand s acts as the constant jet (s, 0, ..., 0).  Products
@@ -144,7 +150,7 @@ class Jet:
 
     def exp(self) -> "Jet":
         c = self.c
-        e = [math.exp(c[0]) if c[0] < 709.0 else math.inf]
+        e = [_entrywise(exp, c[0])]
         for k in range(1, len(c)):
             acc = 0.0
             for j in range(1, k + 1):
@@ -155,9 +161,9 @@ class Jet:
     def log(self) -> "Jet":
         c = self.c
         c0 = c[0]
-        if c0 <= 0.0:
+        if np.any(c0 <= 0.0):
             raise ValueError("jet log of non-positive value")
-        l = [math.log(c0)]
+        l = [_entrywise(math.log, c0)]
         for k in range(1, len(c)):
             acc = k * c[k]
             for j in range(1, k):
@@ -176,8 +182,8 @@ class Jet:
 
     def _sincos(self):
         c = self.c
-        s = [math.sin(c[0])]
-        co = [math.cos(c[0])]
+        s = [_entrywise(math.sin, c[0])]
+        co = [_entrywise(math.cos, c[0])]
         for k in range(1, len(c)):
             sa = 0.0
             ca = 0.0
@@ -191,7 +197,7 @@ class Jet:
     def tanh(self) -> "Jet":
         # t' = (1 - t^2) u'; compute t and w = 1 - t^2 jointly order by order.
         c = self.c
-        t0 = math.tanh(c[0])
+        t0 = _entrywise(math.tanh, c[0])
         t = [t0]
         w = [1.0 - t0 * t0]
         for k in range(1, len(c)):
@@ -212,7 +218,7 @@ class Jet:
         den = (1.0 + sq[0],) + sq[1:]
         du = tuple([c[j] * j for j in range(1, len(c))]) + (0.0,)
         da = _div(du, den)
-        return _jet((math.atan(c[0]),) + tuple([da[k - 1] / k for k in range(1, len(c))]))
+        return _jet((_entrywise(math.atan, c[0]),) + tuple(d / k for k, d in enumerate(da[:-1], 1)))
 
     def __repr__(self):
         return f"Jet({list(self.c)})"
@@ -222,10 +228,15 @@ _new = object.__new__
 
 
 def _jet(c: tuple) -> Jet:
-    """Wrap a tuple of floats built in this module (no copy, no conversion)."""
+    """Wrap a coefficient tuple built in this module (no copy, no conversion)."""
     j = _new(Jet)
     j.c = c
     return j
+
+
+def _entrywise(f, x):
+    """f at a float, or at each entry of an array (numpy's tanh, exp round unlike math's)."""
+    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -242,7 +253,7 @@ def _mul(a: tuple, b: tuple) -> tuple:
 def _div(a: tuple, b: tuple) -> tuple:
     """Quotient series q with q * b = a."""
     b0 = b[0]
-    if b0 == 0.0:
+    if np.any(b0 == 0.0):
         raise ZeroDivisionError("jet division by zero-valued jet")
     q = []
     for k in range(len(a)):
@@ -297,7 +308,7 @@ def atan(x):
     return x.atan() if isinstance(x, Jet) else math.atan(x)
 
 
-def value_of(x) -> float:
+def value_of(x):
     return x.value if isinstance(x, Jet) else float(x)
 
 
@@ -311,10 +322,7 @@ def wrap_angle(x):
     overflow.
     """
     if isinstance(x, Jet):
-        w = wrap_angle(x.value)
-        if w == x.value:
-            return x
-        return _jet((w,) + x.c[1:])
+        return _jet((_entrywise(wrap_angle, x.value),) + x.c[1:])
     v = float(x)
     if not math.isfinite(v):
         return math.nan
@@ -325,10 +333,15 @@ def wrap_angle(x):
 
 
 def bump(x, center=0.0, width=1.0):
-    """Smooth compactly supported bump, peak 1 at ``center``, support width*2."""
+    """Smooth compactly supported bump, peak 1 at ``center``, support width*2;
+    on an array jet the rows outside the support read 0.0."""
     s = (x - center) / width
-    v = value_of(s)
-    if abs(v) >= 1.0 - 1e-12:
+    outside = abs(value_of(s)) >= 1.0 - 1e-12
+    if isinstance(outside, np.ndarray):
+        s = _jet(tuple([np.where(outside, 0.0, a) for a in s.c]))
+        y = exp(1.0 - 1.0 / (1.0 - s * s))
+        return _jet(tuple([np.where(outside, 0.0, a) for a in y.c]))
+    if outside:
         return Jet.const(0.0, x.order) if isinstance(x, Jet) else 0.0
     return exp(1.0 - 1.0 / (1.0 - s * s))
 

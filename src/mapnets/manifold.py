@@ -31,6 +31,7 @@ from .errors import (
 from .jets import Jet
 
 LATTICE_CAP = 100_000  # total lattice points per region
+_UNDEFINED = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)  # see try_call
 
 
 # ======================================================================
@@ -219,11 +220,11 @@ class LocalMap:
     ``exact_order`` is the highest order those tensors are exact to: inf
     for an expression, 1 with a Jacobian, else 0.
 
-    The derivative oracle takes a point, shape ``(in_dim,)``, or a stack of
-    points, shape ``(N, in_dim)``; for a stack every tensor gains a leading
-    row axis, and a point is the one-row stack.  All rows share one stencil
-    tree, each of whose levels calls ``fn`` (or ``jac``) once per row and
-    stacks the level once; expression rows take one jet evaluation each.
+    The derivative oracle and ``try_call`` take a point, shape ``(in_dim,)``,
+    or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
+    gains a leading row axis.  An expression is evaluated once on the array
+    jet of the stack's column; otherwise all rows share one stencil tree,
+    each of whose levels calls ``fn`` (or ``jac``) once per row.
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
@@ -263,13 +264,26 @@ class LocalMap:
         return self._value(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def try_call(self, x) -> Optional[np.ndarray]:
+        """The value at x, or None where undefined (``defined`` false, or a raise); at a
+        stack, the values with NaN rows there, from one ``_values`` call or row by row."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.defined is not None and not self.defined(x):
-            return None
+        if x.ndim == 1:
+            if self.defined is not None and not self.defined(x):
+                return None
+            try:
+                return self._value(x)
+            except _UNDEFINED:
+                return None
+        rows = [r for r, p in enumerate(x) if self.defined is None or self.defined(p)]
+        Y = np.full((len(x),) + self.out_shape, math.nan)
         try:
-            return self._value(x)
-        except (ValueError, ZeroDivisionError, OverflowError, FloatingPointError):
-            return None
+            Y[rows] = self._values(x[rows])
+        except _UNDEFINED + (DerivativeUndefined,):
+            for r in rows:
+                y = self.try_call(x[r])
+                if y is not None:
+                    Y[r] = y
+        return Y
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         """Total derivative of order k, shape out_shape + (in_dim,)*k (with a
@@ -278,17 +292,14 @@ class LocalMap:
 
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack:
-        one jet evaluation per row on the expr path, else one stencil tree
-        (``fd_tree``) over all rows.
+        one jet evaluation over all rows on the expr path, else one stencil
+        tree (``fd_tree``) over all rows.
 
         Raises DerivativeUndefined where the expression has a value but its
         jet fails (log or division by zero inside the jet recurrences)."""
         P, single = point_rows(x)
         if self.expr is not None:
-            rows = [self._jet_coeffs(float(p[0]), k_max) for p in P]
-            shape = (len(P),) + self.out_shape
-            ts = [np.array([[c[k] * f for c in coeffs] for coeffs in rows]).reshape(
-                shape + (1,) * k) for k, f in enumerate(jets.factorials(k_max))]
+            ts = self._expr_tensors(P, k_max)
         elif self.jac is None:
             ts = fd_tree(self._values, P, k_max)
         else:
@@ -297,7 +308,23 @@ class LocalMap:
             ts = [self._values(P)] + fd_tree(jacs, P, k_max - 1)
         return [t[0] for t in ts] if single else ts
 
-    def _jet_coeffs(self, x0: float, k_max: int) -> list:
+    def _expr_tensors(self, P: np.ndarray, k_max: int) -> list:
+        """Tensors of orders 0..k_max at the rows of P from one jet over P's
+        column (the float jet for one row), else row by row: DerivativeUndefined
+        names the first failing row, and a value-branching expression works."""
+        n = len(P)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                coeffs = self._jet_coeffs(float(P[0, 0]) if n == 1 else P[:, 0], k_max)
+        except DerivativeUndefined:
+            rows = [self._jet_coeffs(float(p[0]), k_max) for p in P]
+            coeffs = [tuple(np.array(c) for c in zip(*outs)) for outs in zip(*rows)]
+        with np.errstate(over="ignore"):  # c_k * k! overflows to inf, as on floats
+            return [np.stack([np.broadcast_to(c[k] * f, (n,)) for c in coeffs], axis=-1)
+                    .reshape((n,) + self.out_shape + (1,) * k)
+                    for k, f in enumerate(jets.factorials(k_max))]
+
+    def _jet_coeffs(self, x0, k_max: int) -> list:
         """Taylor coefficients (c_0..c_k_max) of every output value at x0."""
         try:
             vals = self.expr(Jet.var(x0, k_max))
@@ -312,7 +339,7 @@ class LocalMap:
     def _values(self, P: np.ndarray) -> np.ndarray:
         """Values at the rows of P, shape (len(P),) + out_shape."""
         if self.fn is None:
-            return np.array([self._value(p) for p in P]).reshape((len(P),) + self.out_shape)
+            return self._expr_tensors(P, 0)[0]
         return self._stack(self.fn, P, self.out_shape, "returned")
 
     def _stack(self, f, P: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -418,25 +445,28 @@ def difference_map(a: LocalMap, b: LocalMap) -> LocalMap:
                     jac=jac, defined=defined, name=f"({a.name})-({b.name})")
 
 
-def tensor_norm(t: np.ndarray, order: int) -> float:
-    """Norm used for derivative tensors: operator 2-norm for matrices of
-    order <= 1, max-abs entry beyond (any norm is admissible)."""
+def tensor_norm(t: np.ndarray, order: int) -> np.ndarray:
+    """Norms of a stack of derivative tensors (row axis first), shape (N,):
+    the euclidean norm of a vector, from a stacked matmul that rounds as
+    ``np.linalg.norm`` does; the operator 2-norm of a matrix of order <= 1,
+    from one batched SVD (inf with a non-finite entry, |v| for a 1x1 [[v]]);
+    else the max-abs entry (any norm is admissible).  Overflow is silent."""
     t = np.asarray(t, dtype=float)
-    if t.size == 1:  # every tensor on a 1-D chart, on floats
-        v = t.item()
-        if t.ndim <= 1:
-            return math.sqrt(v * v)  # as the vector norm: |v| > 1e154 overflows to inf
-        if t.ndim == 2 and order <= 1 and not math.isfinite(v):
-            return math.inf
-        return abs(v)
-    if t.ndim <= 1:
-        with np.errstate(over="ignore"):  # an overflowed norm is inf, as documented
-            return float(np.linalg.norm(t.ravel()))
-    if t.ndim == 2 and order <= 1:
-        if not np.all(np.isfinite(t)):
-            return math.inf
-        return float(np.linalg.norm(t, 2))
-    return float(np.max(np.abs(t)))
+    n, shape = len(t), t.shape[1:]
+    if len(shape) <= 1:
+        v = t.reshape(n, -1)
+        with np.errstate(over="ignore"):
+            return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(n))
+    flat = np.abs(t.reshape(n, -1))
+    if len(shape) > 2 or order > 1:
+        return flat.max(axis=1)
+    out = np.full(n, math.inf)
+    finite = np.isfinite(flat).all(axis=1)
+    if shape == (1, 1):  # LAPACK may round the singular value of [[v]] below |v|
+        out[finite] = flat[finite, 0]
+    elif finite.any():
+        out[finite] = np.linalg.svd(t[finite], compute_uv=False)[:, 0]
+    return out
 
 
 # ======================================================================

@@ -26,6 +26,7 @@ from .asymptotics import (
     judge_moderate,
     judge_negligible,
     series_from_fn,
+    stack_sup,
     sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
@@ -227,15 +228,10 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
 
     def samples(eps):
         for pi, (cid, lat) in lattices:
-            for k in range(1, k_max + 1):
-                yield (pi, cid, k), 0.0, None  # every piece is judged, if only on zeros
             fld = s.coeffs_at(eps).get(cid)
-            if fld is None:
-                continue
-            tensors = fld.derivs_upto(lat, k_max)
-            for i in range(len(lat)):
-                for k in range(1, k_max + 1):
-                    yield (pi, cid, k), tensor_norm(tensors[k][i], k), None
+            ts = None if fld is None else fld.derivs_upto(lat, k_max)
+            for k in range(1, k_max + 1):  # every piece is judged, if only on zeros
+                yield (pi, cid, k), 0.0 if ts is None else stack_sup(tensor_norm(ts[k], k))[0], None
 
     series = sweep_sups(grid, samples, cfg.zero_tol,
                         lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")

@@ -230,6 +230,26 @@ class TestCLI:
         with pytest.raises(ValueError):
             Config.from_dict({"lattice_density": 33})
 
+    @pytest.mark.parametrize("content,what", [
+        (json.dumps({"lattice_density": 5}), "lattice_density"),
+        (json.dumps({"r2_min": 1.5}), "r2_min"),
+        (json.dumps({"grid_k_min": 2, "grid_k_max": 4}), "grid"),
+        (json.dumps([1, 2]), "sequence"),
+        ("{not json", "Expecting property name"),
+        (None, "No such file"),
+    ], ids=["unknown-key", "out-of-range", "short-grid", "not-an-object", "malformed",
+            "unreadable"])
+    def test_config_file_errors_exit_code(self, capsys, tmp_path, content, what):
+        # a bad --config file is a spec error (field "config"), not a traceback
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        code, _, err = run_cli(["check-moderate", "--net", "sigma_sin", "--region", "K_unit",
+                                "--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("spec error: config: ") and what in err
+        assert "Traceback" not in err
+
 
 class TestConfig:
     def test_validation(self):

@@ -1,8 +1,9 @@
 """Kernels against the reference implementations they replaced.
 
-``Box.contains``, ``Box.norm_margin`` and ``tensor_norm`` run once per
-sampled point and work on Python floats; the reference functions below are
-the numpy bodies they replaced.  Every test requires the same bool or the
+``Box.contains`` and ``Box.norm_margin`` run once per sampled point and work
+on Python floats; ``tensor_norm`` takes a stack of tensors.  The reference
+functions below are the per-tensor numpy bodies they replaced.  Every test
+requires, for every point or every row of a stack, the same bool or the
 same float (sign of zero and NaN included), on boundary points, non-finite
 coordinates and unbounded axes.  The one exception is the 2-norm of a tiny or
 huge 1x1 matrix, where numpy's SVD may round one ulp below the exact ``|v|``
@@ -246,26 +247,35 @@ SINGLE_VALUES = st.one_of(
     st.floats(width=64))
 
 
-@given(SINGLE_VALUES, st.integers(0, 3), st.integers(0, 3))
+@given(st.lists(SINGLE_VALUES, min_size=1, max_size=6), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=400, deadline=None)
-def test_single_entry_tensor_norm_matches_reference(v, ndim, order):
-    t = np.full((1,) * ndim, v)
-    got, ref = tensor_norm(t, order), ref_tensor_norm(t, order)
-    if ndim == 2 and order <= 1 and math.isfinite(v) and not 1e-137 <= abs(v) <= 1e137:
-        # LAPACK's SVD rescales a matrix whose entries lie outside about
-        # [1e-138, 1e138], which can round the singular value of [[v]] one
-        # ulp below |v|; the kernel returns the exact |v|
-        assert got == abs(v) and ref in (got, float(np.nextafter(got, 0.0)))
-    else:
-        assert same_float(got, ref)
+def test_single_entry_tensor_norm_matches_reference(vs, ndim, order):
+    stack = np.array(vs).reshape((len(vs),) + (1,) * ndim)
+    norms = tensor_norm(stack, order)
+    assert norms.shape == (len(vs),)
+    for v, t, got in zip(vs, stack, norms.tolist()):
+        ref = ref_tensor_norm(t, order)
+        if ndim == 2 and order <= 1 and math.isfinite(v) and not 1e-137 <= abs(v) <= 1e137:
+            # LAPACK's SVD rescales a matrix whose entries lie outside about
+            # [1e-138, 1e138], which can round the singular value of [[v]] one
+            # ulp below |v|; the kernel returns the exact |v|
+            assert got == abs(v) and ref in (got, float(np.nextafter(got, 0.0)))
+        else:
+            assert same_float(got, ref)
 
 
-@given(st.lists(SINGLE_VALUES, min_size=2, max_size=9), st.integers(0, 3))
+@given(st.integers(2, 9).flatmap(lambda n: st.lists(
+    st.lists(SINGLE_VALUES, min_size=n, max_size=n), min_size=1, max_size=5)),
+    st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_multi_entry_tensor_norm_matches_reference(vals, order):
-    for shape in [(len(vals),), (1, len(vals)), (len(vals), 1, 1)]:
-        t = np.array(vals).reshape(shape)
-        assert same_float(tensor_norm(t, order), ref_tensor_norm(t, order))
+def test_multi_entry_tensor_norm_matches_reference(rows, order):
+    n = len(rows[0])
+    for shape in [(n,), (1, n), (n, 1, 1)]:
+        stack = np.array(rows).reshape((len(rows),) + shape)
+        norms = tensor_norm(stack, order)
+        assert norms.shape == (len(rows),)
+        for t, got in zip(stack, norms.tolist()):
+            assert same_float(got, ref_tensor_norm(t, order))
 
 
 # -- finite differences -----------------------------------------------------------
@@ -438,6 +448,30 @@ def test_chained_map_tree_matches_old_loop(coords, flips, k):
     x = np.array([-c if f else c for c, f in zip(coords, flips)])
     for got, want in zip(cm.derivs_upto(x, k), ref_chained_derivs_upto(cm, x, k), strict=True):
         same_bytes(got, want)
+
+
+def test_chain_jacobians_take_one_call_per_route_and_level(monkeypatch):
+    """A stacked derivs_upto of a chained fn map builds the chain's stencil
+    tree, plus one tree per factor of its route on each tree level: the
+    Jacobians of a level are one stacked call per factor, not one per node."""
+    from mapnets import gmap, manifold
+
+    trees = []
+    tree = manifold.fd_tree
+
+    def counted(leaf, P, depth):
+        trees.append((len(P), depth))
+        return tree(leaf, P, depth)
+
+    monkeypatch.setattr(manifold, "fd_tree", counted)
+    monkeypatch.setattr(gmap, "fd_tree", counted)
+    cm = chained_sphere_rep()
+    X = np.array([[x, y] for x in (0.4, -1.1, 1.7, -0.6) for y in (0.5, 1.3, -0.8, -1.9)])
+    ts = cm.derivs_upto(X, 3)
+    assert len(trees) == 1 + 2 * 3, trees
+    for i, x in enumerate(X):
+        for j, want in enumerate(ref_chained_derivs_upto(cm, x, 3)):
+            same_bytes(ts[j][i], want)
 
 
 # -- stacked points: one stencil tree over every row ----------------------------
