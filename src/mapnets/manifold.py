@@ -809,7 +809,9 @@ class SmoothMap:
         return self.locals.get((a, b))
 
     def eval_candidates(self, p: Point) -> list:
-        """(dst chart, coords, margin) for each representative applying to p."""
+        """(dst chart b, coords, margin, src chart a) for each representative
+        (a, b) applying to p, best first: largest margin, then the smaller b,
+        then the smaller a."""
         out = []
         for (a, b), rep in sorted(self.locals.items()):
             x = p.coords if a == p.chart else self.src.rechart(p, a)
@@ -820,7 +822,7 @@ class SmoothMap:
                 continue
             m = self.dst.chart(b).norm_margin(y)
             if m > 0:
-                out.append((b, y, m))
+                out.append((b, y, m, a))
         out.sort(key=lambda c: (-c[2], c[0]))
         return out
 
@@ -828,7 +830,7 @@ class SmoothMap:
         cands = self.eval_candidates(p)
         if not cands:
             raise ChartEscape(f"{self.name or 'map'} has no chart for image of {p}")
-        b, y, _ = cands[0]
+        b, y, _m, _a = cands[0]
         return Point(b, y)
 
 

@@ -6,6 +6,12 @@ structural rather than checked.  Tangent maps of map nets, point evaluation
 of sections and homomorphisms, the module structure on bundle points over a
 fixed generalized base point, and pointwise tensor insertion all reduce to
 per-eps chart algebra plus the asymptotic judges.
+
+``vbhom_compose`` is ``compose`` on the base nets plus, at each point, the
+matrix product along the route its base point takes.  ``u.eval``,
+``VBHomNet.eval`` and ``tangent_norm_series`` take the first chart pair of
+``SmoothMap.eval_candidates``: largest margin, then the smaller target chart,
+then the smaller source chart.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .gmap import (
     check_equiv0,
     check_moderate,
     check_single_chart,
-    effective_reps,
+    compose,
     sample_points,
     _chart_sups,
     _gap_tensors,
@@ -77,36 +83,23 @@ class VBHomNet:
         self.local_factory = local_factory
         self.locals_at = functools.cache(local_factory)  # eps -> local table
         self.tag = tag
-        self._base: Optional[MapNet] = None
 
-    @property
+    @functools.cached_property
     def base_net(self) -> MapNet:
-        if self._base is None:
-            self._base = MapNet(
-                self.src.base, self.dst.base,
-                lambda eps: {pair: vb.base for pair, vb in self.locals_at(eps).items()},
-                tag=f"base({self.tag})")
-        return self._base
+        return MapNet(self.src.base, self.dst.base,
+                      lambda eps: {pair: vb.base for pair, vb in self.locals_at(eps).items()},
+                      tag=f"base({self.tag})")
 
     def eval(self, eps: float, e: BundleElement) -> BundleElement:
-        """Apply the eps-slice to a bundle element (best-margin chart pair)."""
-        best = None
-        for (a, b), loc in sorted(self.locals_at(eps).items()):
-            ea = self.src.rechart(e, a)
-            if ea is None:
-                continue
-            y = loc.base.try_call(ea.x)
-            if y is None:
-                continue
-            m = self.dst.base.chart(b).norm_margin(y)
-            if m <= 0:
-                continue
-            if best is None or m > best[0]:
-                M = np.asarray(loc.matrix(ea.x), dtype=float)
-                best = (m, BundleElement(b, y, M @ ea.xi))
-        if best is None:
+        """Apply the eps-slice to a bundle element, in the chart pair the base
+        map evaluates by (the first of ``SmoothMap.eval_candidates``)."""
+        cands = self.base_net.at(eps).eval_candidates(e.base)
+        if not cands:
             raise NoSharedChart(f"{self.tag!r} has no chart pair applying to {e}")
-        return best[1]
+        b, y, _m, a = cands[0]
+        ea = self.src.rechart(e, a)
+        M = np.asarray(self.locals_at(eps)[(a, b)].matrix(ea.x), dtype=float)
+        return BundleElement(b, y, M @ ea.xi)
 
 
 def identity_vbhom(bundle: VectorBundle, tag: str = "id") -> VBHomNet:
@@ -141,35 +134,29 @@ def tangent(u: MapNet, src_bundle: Optional[VectorBundle] = None,
 
 
 def vbhom_compose(v2: VBHomNet, v1: VBHomNet, tag: str = "") -> VBHomNet:
-    """Composite vb-homomorphism net (matrix parts chain-multiplied)."""
+    """Composite vb-homomorphism net: the base parts are those of
+    ``compose(v2.base_net, v1.base_net)``, and the matrix part at x is
+    M2(y) @ M1(x) along the route (middle chart, point y) x's base takes.
+    Raises ChartMismatch, as compose does, when the bases do not chain."""
+    base = compose(v2.base_net, v1.base_net)
 
     def factory(eps: float) -> dict:
         loc1 = v1.locals_at(eps)
         loc2 = v2.locals_at(eps)
         table = {}
-        for (a, b), p1 in sorted(loc1.items()):
-            for (b2, c), p2 in sorted(loc2.items()):
-                if b2 != b or (a, c) in table:
-                    continue
+        for (a, c), chained in base.at(eps).locals.items():
+            # one factor pair per route of compose: middle charts b in sorted order
+            mats = [(loc1[(a, b)].matrix, loc2[(b, c)].matrix)
+                    for (a2, b) in sorted(loc1) if a2 == a and (b, c) in loc2]
 
-                def base_fn(x, p1=p1, p2=p2):
-                    y = p1.base.try_call(x)
-                    if y is None:
-                        raise ValueError("outside route")
-                    z = p2.base.try_call(y)
-                    if z is None:
-                        raise ValueError("outside route")
-                    return z
+            def mat_fn(x, chained=chained, mats=mats):
+                i, y, _z = chained._route(x)
+                m1, m2 = mats[i]
+                return np.asarray(m2(y)) @ np.asarray(m1(x))
 
-                def mat_fn(x, p1=p1, p2=p2):
-                    y = p1.base(x)
-                    return np.asarray(p2.matrix(y)) @ np.asarray(p1.matrix(x))
-
-                n = p1.base.in_dim
-                base = LocalMap(n, p2.base.out_shape, fn=base_fn)
-                mat = LocalMap(n, (p2.matrix.out_shape[0], p1.matrix.out_shape[1]),
-                               fn=mat_fn)
-                table[(a, c)] = VBLocal(base, mat)
+            m1, m2 = mats[0]
+            mat = LocalMap(chained.in_dim, (m2.out_shape[0], m1.out_shape[1]), fn=mat_fn)
+            table[(a, c)] = VBLocal(chained, mat)
         return table
 
     return VBHomNet(v1.src, v2.dst, factory, tag=tag or f"{v2.tag}o{v1.tag}")
@@ -192,9 +179,8 @@ class SectionNet:
 
     def element_at(self, eps: float, p: Point) -> BundleElement:
         coeffs = self.coeffs_at(eps)
-        for cid, _y, _m in self.bundle.base.representations(p):
+        for cid, x, _m in self.bundle.base.representations(p):
             if cid in coeffs:
-                x = _y
                 return BundleElement(cid, x, np.atleast_1d(coeffs[cid](x)).ravel())
         raise NoSharedChart(f"section {self.tag!r} has no coefficients at {p}")
 
@@ -295,18 +281,13 @@ def zero_vbpoint_over(e: VBPoint, tag: str = "") -> VBPoint:
 
 
 def _common_chart_pair(bundle: VectorBundle, e1: BundleElement, e2: BundleElement):
-    """Best chart where both elements are representable, or None."""
-    best = None
-    for cid in bundle.base.chart_ids:
-        r1 = bundle.rechart(e1, cid)
-        r2 = bundle.rechart(e2, cid)
-        if r1 is None or r2 is None:
-            continue
-        m = min(bundle.base.chart(cid).norm_margin(r1.x),
-                bundle.base.chart(cid).norm_margin(r2.x))
-        if m > 0 and (best is None or m > best[0]):
-            best = (m, cid, r1, r2)
-    return best
+    """(margin, chart, e1 there, e2 there) for the chart where both elements
+    are representable with the largest smaller margin (ties: smaller chart),
+    or None."""
+    reps2 = {b: (eb, m) for b, eb, m in bundle.representations(e2)}
+    pairs = [(min(m, reps2[b][1]), b, eb, reps2[b][0])
+             for b, eb, m in bundle.representations(e1) if b in reps2]
+    return min(pairs, key=lambda pair: (-pair[0], pair[1]), default=None)
 
 
 def vbpoints_equal(e: VBPoint, e2: VBPoint, grid: Optional[EpsGrid] = None,
@@ -508,22 +489,17 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
     lattices = K.lattices()
 
     def samples(eps):
+        sm = u.at(eps)
         for cid, lat in lattices:
-            reps = effective_reps(u.at(eps), cid)
             for x in lat:
-                best = None
-                for b in sorted(reps):
-                    y = reps[b].try_call(x)
-                    if y is None:
-                        continue
-                    m = u.dst.chart(b).norm_margin(y)
-                    if m > 0 and (best is None or m > best[0]):
-                        best = (m, b, y, reps[b])
-                if best is None:
-                    continue
-                _m, b, y, rep = best
-                yield None, riemannian_operator_norm(rep.jacobian(x), u.src.metric.at(cid, x),
-                                                     u.dst.metric.at(b, y)), Point(cid, x)
+                p = Point(cid, x)
+                cands = sm.eval_candidates(p)
+                if cands:  # the chart pair u.eval takes
+                    b, y, _m, a = cands[0]
+                    xa = u.src.rechart(p, a)
+                    yield None, riemannian_operator_norm(
+                        sm.locals[(a, b)].jacobian(xa), u.src.metric.at(a, xa),
+                        u.dst.metric.at(b, y)), p
 
     return sweep_sups(grid, samples, cfg.zero_tol,
                       lambda _key: f"sup |T {u.tag}|_g,h on K")[None]
