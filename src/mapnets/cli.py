@@ -43,13 +43,23 @@ from .gpoints import GenPoint, eval_at
 from .manifold import (
     Atlas,
     Box,
+    BundleElement,
     CompactRegion,
+    LocalMap,
     Point,
     circle_atlas,
     euclidean_atlas,
     sphere_atlas,
 )
-from .vbundle import check_vbhom_equiv, check_vbhom_moderate, tangent, vbhom_eval
+from .vbundle import (
+    TensorSectionNet,
+    VBPoint,
+    check_vbhom_equiv,
+    check_vbhom_moderate,
+    tangent,
+    tensor_insert,
+    vbhom_eval,
+)
 
 
 # ======================================================================
@@ -62,18 +72,10 @@ class SpecEnv:
 
     def __init__(self, spec: Optional[dict] = None):
         spec = spec or {}
-        self.atlases: dict = {}
-        self.nets: dict = {}
-        self.regions: dict = {}
-        self.points: dict = {}
-        for name, a in spec.get("atlases", {}).items():
-            self.atlases[name] = self._build_atlas(name, a)
-        for name, n in spec.get("nets", {}).items():
-            self.nets[name] = self._build_net(name, n)
-        for name, r in spec.get("regions", {}).items():
-            self.regions[name] = self._build_region(name, r)
-        for name, p in spec.get("points", {}).items():
-            self.points[name] = self._build_point(name, p)
+        self.atlases = {k: self._build_atlas(k, a) for k, a in spec.get("atlases", {}).items()}
+        self.nets = {k: self._build_net(k, n) for k, n in spec.get("nets", {}).items()}
+        self.regions = {k: self._build_region(k, r) for k, r in spec.get("regions", {}).items()}
+        self.points = {k: self._build_point(k, p) for k, p in spec.get("points", {}).items()}
 
     def _build_atlas(self, name: str, a: dict) -> Atlas:
         kind = a.get("builtin")
@@ -212,21 +214,37 @@ def _collect_series(verdict: Verdict) -> dict:
 # Argument plumbing
 # ======================================================================
 
+# Config fields settable by flag (--grid-base ... --seed), typed by their defaults.
+CONFIG_FLAGS = ("grid_base", "grid_k_min", "grid_k_max", "k_max", "n_cap",
+                "m_probe", "r2_min", "vanish_tol", "margin_min", "seed")
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+
+def _add_config_flags(p: argparse.ArgumentParser, run=None) -> None:
+    """The config and I/O flags; ``run`` is the subcommand function ``_run`` calls."""
     p.add_argument("--config", help="JSON file of config overrides")
-    p.add_argument("--grid-base", type=float)
-    p.add_argument("--grid-k-min", type=int)
-    p.add_argument("--grid-k-max", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--n-cap", type=int)
-    p.add_argument("--m-probe", type=int)
-    p.add_argument("--r2-min", type=float)
-    p.add_argument("--vanish-tol", type=float)
-    p.add_argument("--margin-min", type=float)
-    p.add_argument("--seed", type=int)
+    for name in CONFIG_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=type(getattr(DEFAULT_CONFIG, name)))
     p.add_argument("--out", help="directory for verdict JSON and series CSV")
     p.add_argument("--spec", help="JSON description of atlases/nets/regions/points")
+    if run is not None:
+        p.set_defaults(func=_run, run=run)
+
+
+def _read_json(path: str, where: str):
+    """The JSON value of a file; an unreadable file or malformed JSON is a SpecError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SpecError(str(exc), where) from exc
+
+
+def _json_arg(text: str, where: str):
+    """The JSON value of a flag; malformed JSON is a SpecError naming the flag."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise SpecError(str(exc), where) from exc
 
 
 def _config_from(args) -> Config:
@@ -234,26 +252,33 @@ def _config_from(args) -> Config:
     try:
         base = DEFAULT_CONFIG.as_dict()
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                base.update(json.load(fh))
-        for name in ("grid_base", "grid_k_min", "grid_k_max", "k_max", "n_cap",
-                     "m_probe", "r2_min", "vanish_tol", "margin_min", "seed"):
-            v = getattr(args, name, None)
-            if v is not None:
-                base[name] = v
+            base.update(_read_json(args.config, "config"))
+        base.update({k: getattr(args, k) for k in CONFIG_FLAGS if getattr(args, k) is not None})
         cfg = Config.from_dict(base)
         cfg.grid()
-    except (OSError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise SpecError(str(exc), "config") from exc
     return cfg
 
 
 def _env_from(args) -> SpecEnv:
-    spec = None
-    if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+    """The --spec description; it must be a JSON object."""
+    spec = _read_json(args.spec, "spec") if args.spec else {}
+    if not isinstance(spec, dict):
+        raise SpecError(f"expected a JSON object, got {type(spec).__name__}", "spec")
     return SpecEnv(spec)
+
+
+def _run(args) -> int:
+    """Shared driver of the record-writing subcommands: reads the config, the
+    --spec objects and the grid, calls ``args.run(args, cfg, env, grid)`` ->
+    (record, series, passed), writes the record and series, and returns
+    exit code 0 iff passed, else 1."""
+    cfg = _config_from(args)
+    env = _env_from(args)
+    record, series, passed = args.run(args, cfg, env, cfg.grid())
+    write_outputs(args.out, args.cmd, record, series)
+    return 0 if passed else 1
 
 
 # ======================================================================
@@ -261,35 +286,23 @@ def _env_from(args) -> SpecEnv:
 # ======================================================================
 
 
-def _cmd_check(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
+def _verdict_out(args, inputs: dict, v: Verdict):
+    return verdict_record(args.cmd, inputs, v), _collect_series(v), v.status is Status.PASS
+
+
+def _check(args, cfg, env, grid):
     u = env.net(args.net)
     K = env.region(args.region)
     inputs = {"net": args.net, "region": args.region, "config": cfg.as_dict()}
-    if args.cmd == "check-cbounded":
-        rep = check_cbounded(u, K, grid, cfg)
-        rec = {"check": "check-cbounded", "inputs": inputs, **rep.as_record()}
-        write_outputs(args.out, "check-cbounded", rec, {"margins": rep.margins})
-        return 0 if rep.status is Status.PASS else 1
     if args.cmd == "check-moderate":
-        v = check_moderate(u, K, grid, cfg=cfg)
-        rec = verdict_record("check-moderate", inputs, v)
-        write_outputs(args.out, "check-moderate", rec, _collect_series(v))
-        return 0 if v.status is Status.PASS else 1
-    if args.cmd == "check-single-chart":
-        rep = check_single_chart(u, K, grid, cfg)
-        rec = {"check": "check-single-chart", "inputs": inputs, **rep.as_record()}
-        write_outputs(args.out, "check-single-chart", rec)
-        return 0 if rep.status is Status.PASS else 1
-    raise SpecError(f"unknown check {args.cmd!r}", "cli")
+        return _verdict_out(args, inputs, check_moderate(u, K, grid, cfg=cfg))
+    cbounded = args.cmd == "check-cbounded"
+    rep = (check_cbounded if cbounded else check_single_chart)(u, K, grid, cfg)
+    return ({"check": args.cmd, "inputs": inputs, **rep.as_record()},
+            {"margins": rep.margins} if cbounded else {}, rep.status is Status.PASS)
 
 
-def _cmd_equiv(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
+def _equiv(args, cfg, env, grid):
     u = env.net(args.net)
     v = env.net(args.net2)
     K = env.region(args.region)
@@ -299,29 +312,18 @@ def _cmd_equiv(args) -> int:
         out = check_equiv0(u, v, K, None, grid, cfg)
     else:
         out = check_equiv(u, v, [K], grid, cfg.k_max, cfg)
-    rec = verdict_record(args.cmd, inputs, out)
-    write_outputs(args.out, args.cmd, rec, _collect_series(out))
-    return 0 if out.status is Status.PASS else 1
+    return _verdict_out(args, inputs, out)
 
 
-def _cmd_eval_point(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
+def _eval_point(args, cfg, env, grid):
     u = env.net(args.net)
     p = env.point(args.point)
-    q = eval_at(u, p, grid, cfg)
-    rec = {"check": "eval-point",
-           "inputs": {"net": args.net, "point": args.point, "config": cfg.as_dict()},
-           "result": q.as_record(grid)}
-    write_outputs(args.out, "eval-point", rec)
-    return 0
+    return ({"check": "eval-point",
+             "inputs": {"net": args.net, "point": args.point, "config": cfg.as_dict()},
+             "result": eval_at(u, p, grid, cfg).as_record(grid)}, None, True)
 
 
-def _cmd_compose(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
+def _compose(args, cfg, env, grid):
     inner = env.net(args.inner)
     outer = env.net(args.outer)
     K = env.region(args.region) if args.region else None
@@ -331,53 +333,36 @@ def _cmd_compose(args) -> int:
                       "region": args.region, "config": cfg.as_dict()},
            "tag": w.tag, "provenance": w.provenance}
     if args.point:
-        p = env.point(args.point)
-        rec["result"] = eval_at(w, p, grid, cfg).as_record(grid)
-    write_outputs(args.out, "compose", rec)
-    return 0
+        rec["result"] = eval_at(w, env.point(args.point), grid, cfg).as_record(grid)
+    return rec, None, True
 
 
-def _cmd_tangent(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
-    u = env.net(args.net)
-    K = env.region(args.region)
-    v = check_vbhom_moderate(tangent(u), K, grid, cfg.k_max, cfg)
-    rec = verdict_record("tangent", {"net": args.net, "region": args.region,
-                                     "config": cfg.as_dict()}, v)
-    write_outputs(args.out, "tangent", rec, _collect_series(v))
-    return 0 if v.status is Status.PASS else 1
-
-
-def _cmd_vb_check(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
+def _vb_check(args, cfg, env, grid):
+    """tangent, and vb-check: vb-moderateness of T(net), or with --net2 (a
+    vb-check flag) the equivalence of T(net) and T(net2)."""
     u = tangent(env.net(args.net))
     K = env.region(args.region)
-    inputs = {"net": args.net, "net2": args.net2, "region": args.region,
-              "config": cfg.as_dict()}
-    if args.net2:
+    inputs = {"net": args.net, "region": args.region, "config": cfg.as_dict()}
+    if args.cmd == "tangent" or not args.net2:
+        out = check_vbhom_moderate(u, K, grid, cfg.k_max, cfg)
+    else:
         v2 = tangent(env.net(args.net2))
         out = check_vbhom_equiv(u, v2, K, grid, cfg.k_max, args.order0, cfg)
-    else:
-        out = check_vbhom_moderate(u, K, grid, cfg.k_max, cfg)
-    rec = verdict_record("vb-check", inputs, out)
-    write_outputs(args.out, "vb-check", rec, _collect_series(out))
-    return 0 if out.status is Status.PASS else 1
+    if args.cmd == "vb-check":
+        inputs["net2"] = args.net2
+    return _verdict_out(args, inputs, out)
 
 
-def _cmd_vb_eval(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
+def _vb_eval(args, cfg, env, grid):
     u = tangent(env.net(args.net))
     p = env.point(args.point)
-    from .manifold import BundleElement
-    from .vbundle import VBPoint
-
-    xi = np.asarray(json.loads(args.fiber), dtype=float)
+    xi = _json_arg(args.fiber, "--fiber")
+    n = u.src.fiber_dim
+    if not (isinstance(xi, list) and len(xi) == n
+            and all(isinstance(c, (int, float)) for c in xi)):
+        raise SpecError(f"expected a list of {n} numbers, the fiber dimension of "
+                        f"{u.src.name}; got {args.fiber}", "--fiber")
+    xi = np.asarray(xi, dtype=float)
 
     def at(eps: float, p=p, xi=xi):
         pt = p.at(eps)
@@ -391,21 +376,13 @@ def _cmd_vb_eval(args) -> int:
         samples.append({"eps": float(eps), "chart": b.chart,
                         "base": [float(c) for c in b.x],
                         "fiber": [float(c) for c in b.xi]})
-    rec = {"check": "vb-eval",
-           "inputs": {"net": args.net, "point": args.point, "fiber": args.fiber,
-                      "config": cfg.as_dict()},
-           "growth": out.growth(grid, cfg).as_record(), "samples": samples}
-    write_outputs(args.out, "vb-eval", rec)
-    return 0
+    return ({"check": "vb-eval",
+             "inputs": {"net": args.net, "point": args.point, "fiber": args.fiber,
+                        "config": cfg.as_dict()},
+             "growth": out.growth(grid, cfg).as_record(), "samples": samples}, None, True)
 
 
-def _cmd_tensor_insert(args) -> int:
-    cfg = _config_from(args)
-    env = _env_from(args)
-    grid = cfg.grid()
-    from .manifold import LocalMap
-    from .vbundle import TensorSectionNet, tensor_insert
-
+def _tensor_insert(args, cfg, env, grid):
     atlas = env.atlas(args.atlas)
     p = env.point(args.point)
 
@@ -418,20 +395,18 @@ def _cmd_tensor_insert(args) -> int:
 
         return TensorSectionNet(atlas, r, s, coeffs, tag=tag)
 
-    tensor = scalar_tensor(json.loads(args.tensor), args.r, args.s, "tensor")
-    omegas = [scalar_tensor(json.loads(w), 0, 1, f"omega{i}")
+    tensor = scalar_tensor(_json_arg(args.tensor, "--tensor"), args.r, args.s, "tensor")
+    omegas = [scalar_tensor(_json_arg(w, "--omega"), 0, 1, f"omega{i}")
               for i, w in enumerate(args.omega or [])]
-    xis = [scalar_tensor(json.loads(x), 1, 0, f"xi{i}")
+    xis = [scalar_tensor(_json_arg(x, "--xi"), 1, 0, f"xi{i}")
            for i, x in enumerate(args.xi or [])]
     out = tensor_insert(tensor, omegas, xis, p, grid, cfg)
-    rec = {"check": "tensor-insert",
-           "inputs": {"atlas": args.atlas, "point": args.point,
-                      "type": [args.r, args.s], "config": cfg.as_dict()},
-           "moderate_bound": None if out.moderate_bound is None
-           else out.moderate_bound.as_record(),
-           "samples": [[float(e), float(out(e))] for e in grid.values()]}
-    write_outputs(args.out, "tensor-insert", rec)
-    return 0
+    return ({"check": "tensor-insert",
+             "inputs": {"atlas": args.atlas, "point": args.point,
+                        "type": [args.r, args.s], "config": cfg.as_dict()},
+             "moderate_bound": None if out.moderate_bound is None
+             else out.moderate_bound.as_record(),
+             "samples": [[float(e), float(out(e))] for e in grid.values()]}, None, True)
 
 
 def _cmd_gallery(args) -> int:
@@ -464,12 +439,17 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    try:
+        fnames = sorted(os.listdir(args.dir))
+    except OSError as exc:
+        raise SpecError(str(exc), "--dir") from exc
     rows = []
-    for fname in sorted(os.listdir(args.dir)):
+    for fname in fnames:
         if not fname.endswith(".json"):
             continue
-        with open(os.path.join(args.dir, fname), "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
+        rec = _read_json(os.path.join(args.dir, fname), fname)
+        if not isinstance(rec, dict):
+            raise SpecError(f"expected a JSON object, got {type(rec).__name__}", fname)
         status = rec.get("status") or ("ok" if rec.get("ok") else rec.get("check"))
         rows.append((fname, rec.get("check", "?"), status, rec.get("slope")))
     for fname, check, status, slope in rows:
@@ -488,51 +468,44 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--net", required=True)
         p.add_argument("--region", required=True)
-        _add_config_flags(p)
-        p.set_defaults(func=_cmd_check)
+        _add_config_flags(p, _check)
 
     for name in ("check-equiv", "check-equiv0"):
         p = sub.add_parser(name)
         p.add_argument("--net", required=True)
         p.add_argument("--net2", required=True)
         p.add_argument("--region", required=True)
-        _add_config_flags(p)
-        p.set_defaults(func=_cmd_equiv)
+        _add_config_flags(p, _equiv)
 
     p = sub.add_parser("eval-point")
     p.add_argument("--net", required=True)
     p.add_argument("--point", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_eval_point)
+    _add_config_flags(p, _eval_point)
 
     p = sub.add_parser("compose")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--region")
     p.add_argument("--point")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_compose)
+    _add_config_flags(p, _compose)
 
     p = sub.add_parser("tangent")
     p.add_argument("--net", required=True)
     p.add_argument("--region", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_tangent)
+    _add_config_flags(p, _vb_check)
 
     p = sub.add_parser("vb-check")
     p.add_argument("--net", required=True)
     p.add_argument("--net2")
     p.add_argument("--region", required=True)
     p.add_argument("--order0", action="store_true")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_vb_check)
+    _add_config_flags(p, _vb_check)
 
     p = sub.add_parser("vb-eval")
     p.add_argument("--net", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--fiber", default="[1.0]")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_vb_eval)
+    _add_config_flags(p, _vb_eval)
 
     p = sub.add_parser("tensor-insert")
     p.add_argument("--atlas", default="line")
@@ -542,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--omega", action="append")
     p.add_argument("--xi", action="append")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_tensor_insert)
+    _add_config_flags(p, _tensor_insert)
 
     p = sub.add_parser("gallery")
     p.add_argument("action", choices=["list", "run"])
@@ -557,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecError as exc:

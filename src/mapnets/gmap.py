@@ -487,11 +487,11 @@ def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
     dists = np.array([[distance(u.dst, g, tu.image(eps, pi), tv.image(eps, pi))
                        for pi in range(tu.chart.shape[1])] for eps in grid.values()])
     pts = K.sample_points()
-    rows = dists[:, :len(pts)].tolist()
+    lattice = dists[:, :len(pts)]
 
     def samples(eps):
-        for d, p in zip(rows[tu.rows[eps]], pts):
-            yield None, d, p
+        d, i = stack_sup(lattice[tu.rows[eps]])
+        yield None, d, pts[i]
 
     return sweep_sups(grid, samples, cfg.zero_tol,
                       lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None], dists
@@ -552,19 +552,20 @@ def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
             ok &= _in_boxes(yu, boxes) & _in_boxes(yv, boxes)
         with np.errstate(over="ignore"):  # an overflowed norm is inf, as in tensor_norm
             gap = np.sqrt(np.sum((yu - yv) ** 2, axis=-1))
-        charts.append((b, ok.tolist(), gap.tolist()))
-    pieces, offset = [], 0  # per piece: its index, chart, first column, lattice points
+        charts.append((b, ok, gap))
+    pieces, offset = [], 0  # per piece: its index, chart, columns, lattice points
     for pi, (cid, lat) in enumerate(K.lattices()):
-        pieces.append((pi, cid, offset, [Point(cid, x) for x in lat]))
+        pieces.append((pi, cid, slice(offset, offset + len(lat)), [Point(cid, x) for x in lat]))
         offset += len(lat)
 
     def samples(eps):
         ei = tu.rows[eps]
-        for pi, cid, first, at in pieces:
+        for pi, cid, cols, at in pieces:
             for b, ok, gap in charts:
-                for j, x in enumerate(at, first):
-                    if ok[ei][j]:
-                        yield (pi, cid, b, 0), gap[ei][j], x
+                rows = np.flatnonzero(ok[ei, cols])
+                if len(rows):
+                    sup, i = stack_sup(gap[ei, cols][rows])
+                    yield (pi, cid, b, 0), sup, at[rows[i]]
 
     return sweep_sups(grid, samples, cfg.zero_tol,
                       lambda key: f"|D^0({u.tag}-{v.tag})| K[{key[0]}] {key[1]}->{key[2]}")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -249,6 +250,54 @@ class TestCLI:
         assert code == 2
         assert err.startswith("spec error: config: ") and what in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("argv,files,where,what", [
+        (["--spec", "TMP/none.json"], {}, "spec", "No such file"),
+        (["--spec", "TMP/s.json"], {"s.json": "{not json"}, "spec", "Expecting property name"),
+        (["--spec", "TMP/s.json"], {"s.json": "[1, 2]"}, "spec", "got list"),
+        (["report", "--dir", "TMP/none"], {}, "--dir", "No such file"),
+        (["report", "--dir", "TMP"], {"bad.json": "{not json"}, "bad.json", "Expecting"),
+        (["vb-eval", "--fiber", "[1.0,"], {}, "--fiber", "Expecting value"),
+        (["vb-eval", "--fiber", "[1.0, 2.0]"], {}, "--fiber", "fiber dimension of T(line)"),
+        (["tensor-insert", "--tensor", '"identity'], {}, "--tensor", "Unterminated string"),
+        (["tensor-insert", "--tensor", '"identity"', "--omega", "{"], {}, "--omega",
+         "Expecting property name"),
+        (["tensor-insert", "--tensor", '"identity"', "--xi", "sin"], {}, "--xi",
+         "Expecting value"),
+    ], ids=["spec-unreadable", "spec-malformed", "spec-not-an-object", "report-no-dir",
+            "report-malformed", "fiber-malformed", "fiber-wrong-length", "tensor-malformed",
+            "omega-malformed", "xi-malformed"])
+    def test_input_errors_exit_code(self, capsys, tmp_path, argv, files, where, what):
+        # bad input from outside the program is a spec error naming it, not a traceback
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"points": {"p": {"atlas": "line", "chart": "e0", "coords": [0.3]}}}))
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+        if argv[0] == "--spec":
+            argv = ["check-moderate", "--net", "sigma_sin", "--region", "K_unit"] + argv
+        elif argv[0] != "report":
+            argv += ["--point", "p", "--spec", str(tmp_path / "p.json")]
+            if argv[0] == "vb-eval":
+                argv += ["--net", "s1_jump"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"spec error: {where}: ") and what in err
+        assert "Traceback" not in err
+
+    def test_readme_cli_block_runs(self, capsys, tmp_path, monkeypatch):
+        # every `mapnets ...` line of README section CLI is a valid invocation
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("mapnets ")]
+        assert len(lines) >= 5
+        monkeypatch.chdir(tmp_path)  # `out/` lands in tmp_path
+        for line in lines:
+            code, _, err = run_cli(shlex.split(line)[1:], capsys)
+            assert code in (0, 1), (line, err)
 
 
 class TestConfig:
