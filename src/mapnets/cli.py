@@ -18,39 +18,19 @@ import numpy as np
 
 from .asymptotics import Status, Verdict
 from .config import DEFAULT_CONFIG, Config
-from .errors import MapnetsError, SpecError
+from .errors import MapnetsError, SpecError, expect_object
 from .exprs import EXPRESSION_FAMILIES, build_expr
-from .gallery import (
-    GALLERY,
-    gallery_run_all,
-    get_atlas,
-    get_net,
-    get_region,
-    list_nets,
-)
+from .gallery import GALLERY, REGISTRY_ENV, SpecEnv, gallery_run_all, list_nets
 from .gmap import (
-    MapNet,
-    angle_net,
     check_cbounded,
     check_equiv,
     check_equiv0,
     check_moderate,
     check_single_chart,
     compose,
-    scalar_net,
 )
-from .gpoints import GenPoint, eval_at
-from .manifold import (
-    Atlas,
-    Box,
-    BundleElement,
-    CompactRegion,
-    LocalMap,
-    Point,
-    circle_atlas,
-    euclidean_atlas,
-    sphere_atlas,
-)
+from .gpoints import eval_at
+from .manifold import BundleElement, LocalMap
 from .vbundle import (
     TensorSectionNet,
     VBPoint,
@@ -60,86 +40,6 @@ from .vbundle import (
     tensor_insert,
     vbhom_eval,
 )
-
-
-# ======================================================================
-# JSON descriptions
-# ======================================================================
-
-
-class SpecEnv:
-    """Objects declared by a JSON description, on top of the registries."""
-
-    def __init__(self, spec: Optional[dict] = None):
-        spec = spec or {}
-        self.atlases = {k: self._build_atlas(k, a) for k, a in spec.get("atlases", {}).items()}
-        self.nets = {k: self._build_net(k, n) for k, n in spec.get("nets", {}).items()}
-        self.regions = {k: self._build_region(k, r) for k, r in spec.get("regions", {}).items()}
-        self.points = {k: self._build_point(k, p) for k, p in spec.get("points", {}).items()}
-
-    def _build_atlas(self, name: str, a: dict) -> Atlas:
-        kind = a.get("builtin")
-        if kind == "euclidean":
-            if "bounds" not in a:
-                raise SpecError("euclidean atlas needs 'bounds'", f"atlases.{name}")
-            return euclidean_atlas(a["bounds"], name=name)
-        if kind == "circle":
-            return circle_atlas(name=name)
-        if kind == "sphere":
-            return sphere_atlas(name=name)
-        raise SpecError(f"unknown builtin {kind!r}", f"atlases.{name}")
-
-    def atlas(self, name: str) -> Atlas:
-        if name in self.atlases:
-            return self.atlases[name]
-        return get_atlas(name)
-
-    def _build_net(self, name: str, n: dict) -> MapNet:
-        where = f"nets.{name}"
-        kind = n.get("kind")
-        try:
-            factory = build_expr(n.get("expr", "identity"))
-        except SpecError as exc:
-            raise SpecError(str(exc), where)
-        src = self.atlas(n.get("src", "line"))
-        if kind == "scalar":
-            dst = self.atlas(n.get("dst", "line"))
-            return scalar_net(src, dst, factory, tag=name)
-        if kind == "circle_angle":
-            return angle_net(src, self.atlas(n.get("dst", "circle")), factory, tag=name)
-        raise SpecError(f"unknown net kind {kind!r}", where)
-
-    def net(self, name: str) -> MapNet:
-        if name in self.nets:
-            return self.nets[name]
-        return get_net(name)
-
-    def _build_region(self, name: str, r: dict) -> CompactRegion:
-        where = f"regions.{name}"
-        try:
-            pieces = [(p["chart"], Box.of(p["box"])) for p in r["pieces"]]
-            return CompactRegion(pieces, r.get("lattice_density", 33))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad region: {exc}", where)
-
-    def region(self, name: str) -> CompactRegion:
-        if name in self.regions:
-            return self.regions[name]
-        return get_region(name)
-
-    def _build_point(self, name: str, p: dict) -> GenPoint:
-        where = f"points.{name}"
-        try:
-            atlas = self.atlas(p["atlas"])
-            pt = Point(p["chart"], np.asarray(p["coords"], dtype=float))
-            return GenPoint.constant(atlas, pt, pad=p.get("pad", 0.05), tag=name)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad point: {exc}", where)
-
-    def point(self, name: str) -> GenPoint:
-        if name in self.points:
-            return self.points[name]
-        raise SpecError(f"unknown point {name!r}", "points")
 
 
 # ======================================================================
@@ -262,11 +162,8 @@ def _config_from(args) -> Config:
 
 
 def _env_from(args) -> SpecEnv:
-    """The --spec description; it must be a JSON object."""
-    spec = _read_json(args.spec, "spec") if args.spec else {}
-    if not isinstance(spec, dict):
-        raise SpecError(f"expected a JSON object, got {type(spec).__name__}", "spec")
-    return SpecEnv(spec)
+    """The objects of the --spec description, on top of the registry."""
+    return SpecEnv(_read_json(args.spec, "spec") if args.spec else {}, parent=REGISTRY_ENV)
 
 
 def _run(args) -> int:
@@ -447,9 +344,7 @@ def _cmd_report(args) -> int:
     for fname in fnames:
         if not fname.endswith(".json"):
             continue
-        rec = _read_json(os.path.join(args.dir, fname), fname)
-        if not isinstance(rec, dict):
-            raise SpecError(f"expected a JSON object, got {type(rec).__name__}", fname)
+        rec = expect_object(_read_json(os.path.join(args.dir, fname), fname), fname)
         status = rec.get("status") or ("ok" if rec.get("ok") else rec.get("check"))
         rows.append((fname, rec.get("check", "?"), status, rec.get("slope")))
     for fname, check, status, slope in rows:

@@ -67,3 +67,10 @@ class SpecError(MapnetsError):
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location}: {message}" if location else message)
         self.location = location
+
+
+def expect_object(value, where: str) -> dict:
+    """``value`` itself if it is a JSON object (a dict), else a SpecError at ``where``."""
+    if not isinstance(value, dict):
+        raise SpecError(f"expected a JSON object, got {type(value).__name__}", where)
+    return value

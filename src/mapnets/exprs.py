@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import SpecError
+from .errors import SpecError, expect_object
 from .jets import bump, cos, exp, sin, tanh
 
 EpsFactory = Callable[[float], Callable]
@@ -32,13 +32,30 @@ def step_slope_sup(eps: float) -> float:
 # -- family builders ------------------------------------------------------
 
 
+def _param(params: dict, key: str, default):
+    """The numeric parameter ``key``: a float, or a nonempty tuple of floats
+    where ``default`` is a list.  Anything else is a SpecError at
+    ``expr.params.<key>``."""
+    value = params.get(key, default)
+    many = isinstance(default, list)
+    try:
+        if not many:
+            return float(value)
+        if isinstance(value, list) and value:
+            return tuple(float(c) for c in value)
+    except (TypeError, ValueError):
+        pass
+    raise SpecError(f"expected {'a nonempty list of numbers' if many else 'a number'}, "
+                    f"got {value!r}", f"expr.params.{key}")
+
+
 def _shape_fn(params: dict) -> Callable:
     shape = params.get("shape", "const")
     if shape == "const":
         return lambda t: 1.0 + 0.0 * t
     if shape == "bump":
-        c = float(params.get("center", 0.0))
-        w = float(params.get("width", 0.5))
+        c = _param(params, "center", 0.0)
+        w = _param(params, "width", 0.5)
         return lambda t: bump(t, center=c, width=w)
     if shape == "cos":
         return lambda t: cos(t)
@@ -62,17 +79,17 @@ def build_expr(spec) -> EpsFactory:
     """
     if isinstance(spec, str):
         spec = {"name": spec, "params": {}}
-    if not isinstance(spec, dict) or "name" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
         raise SpecError("expression spec needs a 'name'", "expr")
     name = spec["name"]
-    params = spec.get("params", {})
+    params = expect_object(spec.get("params", {}), "expr.params")
     if name in _BASE_FNS:
         fn = _BASE_FNS[name]
         return lambda eps: fn
     if name == "poly":
-        coeffs = [float(c) for c in params.get("coeffs", [0.0])]
+        coeffs = _param(params, "coeffs", [0.0])
 
-        def horner(t, cs=tuple(coeffs)):
+        def horner(t, cs=coeffs):
             acc = 0.0 * t + cs[-1]
             for c in reversed(cs[:-1]):
                 acc = acc * t + c
@@ -80,13 +97,13 @@ def build_expr(spec) -> EpsFactory:
 
         return lambda eps: horner
     if name == "affine":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 0.0))
+        a = _param(params, "a", 1.0)
+        b = _param(params, "b", 0.0)
         return lambda eps: (lambda t: a * t + b)
     if name == "bump":
-        c = float(params.get("center", 0.0))
-        w = float(params.get("width", 0.5))
-        h = float(params.get("height", 1.0))
+        c = _param(params, "center", 0.0)
+        w = _param(params, "width", 0.5)
+        h = _param(params, "height", 1.0)
         return lambda eps: (lambda t: h * bump(t, center=c, width=w))
     if name == "smoothed_step":
         return smoothed_step
@@ -94,7 +111,7 @@ def build_expr(spec) -> EpsFactory:
         # angle profile of the circle-valued jump: pi * smoothed_step
         return lambda eps: (lambda t, e=eps: math.pi * smoothed_step(e)(t))
     if name == "winding":
-        rate = float(params.get("rate", 1.0))
+        rate = _param(params, "rate", 1.0)
         return lambda eps: (lambda t, e=eps: rate * t / e)
     if name == "eps_const":
         return lambda eps: (lambda t, e=eps: 0.0 * t + e)
@@ -103,8 +120,8 @@ def build_expr(spec) -> EpsFactory:
         return lambda eps: (lambda t: exp(1.0 / t))
     if name == "plus_power":
         base = build_expr(params.get("base", "identity"))
-        order = float(params.get("order", 1.0))
-        coeff = float(params.get("coeff", 1.0))
+        order = _param(params, "order", 1.0)
+        coeff = _param(params, "coeff", 1.0)
         shape = _shape_fn(params)
 
         def factory(eps: float, base=base, order=order, coeff=coeff, shape=shape):
@@ -116,8 +133,8 @@ def build_expr(spec) -> EpsFactory:
     if name == "plus_flat":
         # additive defect decaying faster than every power: c * e^(-rate/eps)
         base = build_expr(params.get("base", "identity"))
-        rate = float(params.get("rate", 1.0))
-        coeff = float(params.get("coeff", 1.0))
+        rate = _param(params, "rate", 1.0)
+        coeff = _param(params, "coeff", 1.0)
         shape = _shape_fn(params)
 
         def factory(eps: float, base=base, rate=rate, coeff=coeff, shape=shape):

@@ -1,4 +1,4 @@
-"""Curated gallery of nets with expected verdicts, plus object registries.
+"""Curated gallery of nets with expected verdicts, plus the named-object registry.
 
 Each entry reconstructs a known example (counterexamples that motivated the
 c-boundedness and chart-growth clauses, the circle-valued jump, the winding
@@ -10,6 +10,7 @@ non-negligible perturbations) and self-checks against its expected verdicts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,8 +19,8 @@ import numpy as np
 from . import jets
 from .asymptotics import Verdict, judge_moderate
 from .config import DEFAULT_CONFIG, Config
-from .errors import SpecError
-from .exprs import build_expr, smoothed_step
+from .errors import SpecError, expect_object
+from .exprs import build_expr
 from .gmap import (
     MapNet,
     angle_net,
@@ -36,6 +37,7 @@ from .gmap import (
 from .gpoints import GenPoint, eval_at, points_equal, separate_by_points
 from .manifold import (
     Atlas,
+    Box,
     CompactRegion,
     LocalMap,
     Point,
@@ -55,93 +57,152 @@ from .vbundle import (
 )
 
 # ======================================================================
-# Registries (cached: nets share atlas instances)
+# Named objects: JSON descriptions and the registry
 # ======================================================================
 
-_ATLAS_CACHE: dict = {}
+
+class SpecEnv:
+    """Atlases, nets, regions and points built from a JSON description.
+
+    Each object is built on first lookup and kept, so nets share atlas
+    instances; a name the description does not declare resolves through
+    ``parent``.  Unless ``lazy``, every declared entry is built up front, in
+    file order.  A malformed section or entry is a SpecError at ``<section>``
+    or ``<section>.<name>``.
+    """
+
+    # section -> (noun, location of the unknown-name error)
+    SECTIONS = {"atlases": ("atlas", "atlas"), "nets": ("net", "net"),
+                "regions": ("region", "region"), "points": ("point", "points")}
+
+    def __init__(self, spec: dict, parent: Optional["SpecEnv"] = None, lazy: bool = False):
+        spec = expect_object(spec, "spec")
+        self.spec = {sec: {name: expect_object(entry, f"{sec}.{name}") for name, entry
+                           in expect_object(spec.get(sec, {}), sec).items()}
+                     for sec in self.SECTIONS}
+        self.parent = parent
+        self.objects = {sec: {} for sec in self.SECTIONS}
+        if not lazy:
+            for sec, entries in self.spec.items():
+                for name in entries:
+                    self.lookup(sec, name)
+
+    def lookup(self, section: str, name: str):
+        """The object ``name`` of ``section``: built here, or the parent's."""
+        objects, (noun, where) = self.objects[section], self.SECTIONS[section]
+        if name in objects:
+            return objects[name]
+        if name in self.spec[section]:
+            try:
+                objects[name] = getattr(self, "_build_" + noun)(name, self.spec[section][name])
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                raise SpecError(f"bad {noun}: {exc}", f"{section}.{name}") from exc
+            return objects[name]
+        if self.parent is not None:
+            return self.parent.lookup(section, name)
+        raise SpecError(f"unknown {noun} {name!r}", where)
+
+    def atlas(self, name: str) -> Atlas:
+        return self.lookup("atlases", name)
+
+    def net(self, name: str) -> MapNet:
+        return self.lookup("nets", name)
+
+    def region(self, name: str) -> CompactRegion:
+        return self.lookup("regions", name)
+
+    def point(self, name: str) -> GenPoint:
+        return self.lookup("points", name)
+
+    def _build_atlas(self, name: str, a: dict) -> Atlas:
+        kind = a.get("builtin")
+        if kind == "euclidean":
+            return euclidean_atlas(a["bounds"], name=name)
+        if kind == "circle":
+            return circle_atlas(name=name)
+        if kind == "sphere":
+            return sphere_atlas(name=name)
+        if kind == "union":
+            where = f"atlases.{name}.parts"
+            return disjoint_union(
+                {k: self._build_atlas(f"{name}.{k}", expect_object(part, f"{where}.{k}"))
+                 for k, part in expect_object(a["parts"], where).items()}, name=name)
+        raise SpecError(f"unknown builtin {kind!r}", f"atlases.{name}")
+
+    def _build_net(self, name: str, n: dict) -> MapNet:
+        try:
+            factory = build_expr(n.get("expr", "identity"))
+        except SpecError as exc:
+            raise SpecError(str(exc), f"nets.{name}") from exc
+        src = self.atlas(n.get("src", "line"))
+        kind = n.get("kind")
+        if kind == "scalar":
+            return scalar_net(src, self.atlas(n.get("dst", "line")), factory, tag=name)
+        if kind == "circle_angle":
+            return angle_net(src, self.atlas(n.get("dst", "circle")), factory, tag=name)
+        raise SpecError(f"unknown net kind {kind!r}", f"nets.{name}")
+
+    def _build_region(self, name: str, r: dict) -> CompactRegion:
+        pieces = [(p["chart"], Box.of(p["box"])) for p in r["pieces"]]
+        return CompactRegion(pieces, operator.index(r.get("lattice_density", 33)))
+
+    def _build_point(self, name: str, p: dict) -> GenPoint:
+        pt = Point(p["chart"], np.asarray(p["coords"], dtype=float))
+        return GenPoint.constant(self.atlas(p["atlas"]), pt, pad=p.get("pad", 0.05), tag=name)
+
+
+# The registered objects, as a description in the --spec format.
+REGISTRY: dict = {
+    "atlases": {
+        "line": {"builtin": "euclidean", "bounds": [[-10.0, 10.0]]},
+        "interval02": {"builtin": "euclidean", "bounds": [[0.0, 2.0]]},
+        "halfline_exp": {"builtin": "euclidean", "bounds": [[math.exp(0.5), math.inf]]},
+        "circle": {"builtin": "circle"},
+        "sphere": {"builtin": "sphere"},
+        "two_lines": {"builtin": "union", "parts": {
+            "a": {"builtin": "euclidean", "bounds": [[-2.0, 2.0]]},
+            "b": {"builtin": "euclidean", "bounds": [[-2.0, 2.0]]}}},
+    },
+    "nets": {
+        "sigma_sin": {"kind": "scalar", "expr": "sin"},
+        "sigma_tanh": {"kind": "scalar", "expr": "tanh"},
+        "epsilon_into_0_2": {"kind": "scalar", "dst": "interval02", "expr": "eps_const"},
+        "heaviside_tanh": {"kind": "scalar", "expr": "smoothed_step"},
+        "s1_jump": {"kind": "circle_angle", "expr": "scaled_step_angle"},
+        "winder": {"kind": "circle_angle", "expr": "winding"},
+        "sin_plus_flat": {"kind": "scalar",
+                          "expr": {"name": "plus_flat", "params": {"base": "sin"}}},
+        "sin_plus_eps2": {"kind": "scalar", "expr": {
+            "name": "plus_power", "params": {"base": "sin", "order": 2}}},
+        "s1_jump_flat": {"kind": "circle_angle", "expr": {
+            "name": "plus_flat", "params": {"base": "scaled_step_angle"}}},
+        "s1_jump_eps_bump": {"kind": "circle_angle", "expr": {
+            "name": "plus_power", "params": {"base": "scaled_step_angle", "order": 1,
+                                             "shape": "bump", "center": 0.25, "width": 0.4}}},
+    },
+    "regions": {
+        "K_unit": {"pieces": [{"chart": "e0", "box": [[-1.0, 1.0]]}]},
+        "K_half": {"pieces": [{"chart": "e0", "box": [[0.0, 1.0]]}]},
+    },
+}
+
+REGISTRY_ENV = SpecEnv(REGISTRY, lazy=True)
 
 
 def get_atlas(name: str) -> Atlas:
-    if name not in _ATLAS_CACHE:
-        if name == "line":
-            _ATLAS_CACHE[name] = euclidean_atlas([(-10.0, 10.0)], name="line")
-        elif name == "interval02":
-            _ATLAS_CACHE[name] = euclidean_atlas([(0.0, 2.0)], name="interval02")
-        elif name == "halfline_exp":
-            _ATLAS_CACHE[name] = euclidean_atlas([(math.exp(0.5), math.inf)],
-                                                 name="halfline_exp")
-        elif name == "circle":
-            _ATLAS_CACHE[name] = circle_atlas()
-        elif name == "sphere":
-            _ATLAS_CACHE[name] = sphere_atlas()
-        elif name == "two_lines":
-            _ATLAS_CACHE[name] = disjoint_union(
-                {"a": euclidean_atlas([(-2.0, 2.0)], name="seg"),
-                 "b": euclidean_atlas([(-2.0, 2.0)], name="seg")}, name="two_lines")
-        else:
-            raise SpecError(f"unknown atlas {name!r}", "atlas")
-    return _ATLAS_CACHE[name]
-
-
-def _expr_net(src: str, dst: str, spec, tag: str) -> MapNet:
-    factory = build_expr(spec)
-    return scalar_net(get_atlas(src), get_atlas(dst), factory, tag=tag)
-
-
-def _angle_expr_net(src: str, spec, tag: str) -> MapNet:
-    factory = build_expr(spec)
-    return angle_net(get_atlas(src), get_atlas("circle"), factory, tag=tag)
-
-
-_NET_BUILDERS: dict = {
-    "sigma_sin": lambda: _expr_net("line", "line", "sin", "sigma_sin"),
-    "sigma_tanh": lambda: _expr_net("line", "line", "tanh", "sigma_tanh"),
-    "epsilon_into_0_2": lambda: _expr_net("line", "interval02", "eps_const",
-                                          "epsilon_into_0_2"),
-    "heaviside_tanh": lambda: _expr_net("line", "line", "smoothed_step",
-                                        "heaviside_tanh"),
-    "s1_jump": lambda: _angle_expr_net("line", "scaled_step_angle", "s1_jump"),
-    "winder": lambda: _angle_expr_net("line", "winding", "winder"),
-    "sin_plus_flat": lambda: _expr_net(
-        "line", "line", {"name": "plus_flat", "params": {"base": "sin"}},
-        "sin_plus_flat"),
-    "sin_plus_eps2": lambda: _expr_net(
-        "line", "line",
-        {"name": "plus_power", "params": {"base": "sin", "order": 2}},
-        "sin_plus_eps2"),
-    "s1_jump_flat": lambda: _angle_expr_net(
-        "line",
-        {"name": "plus_flat", "params": {"base": "scaled_step_angle"}},
-        "s1_jump_flat"),
-    "s1_jump_eps_bump": lambda: _angle_expr_net(
-        "line",
-        {"name": "plus_power",
-         "params": {"base": "scaled_step_angle", "order": 1, "shape": "bump",
-                    "center": 0.25, "width": 0.4}},
-        "s1_jump_eps_bump"),
-}
-
-_NET_CACHE: dict = {}
+    return REGISTRY_ENV.atlas(name)
 
 
 def get_net(name: str) -> MapNet:
-    if name not in _NET_CACHE:
-        if name not in _NET_BUILDERS:
-            raise SpecError(f"unknown net {name!r}", "net")
-        _NET_CACHE[name] = _NET_BUILDERS[name]()
-    return _NET_CACHE[name]
+    return REGISTRY_ENV.net(name)
 
 
 def get_region(name: str) -> CompactRegion:
-    if name == "K_unit":
-        return region_box("e0", [-1.0], [1.0])
-    if name == "K_half":
-        return region_box("e0", [0.0], [1.0])
-    raise SpecError(f"unknown region {name!r}", "region")
+    return REGISTRY_ENV.region(name)
 
 
 def list_nets() -> list:
-    return sorted(_NET_BUILDERS)
+    return sorted(REGISTRY["nets"])
 
 
 # ======================================================================

@@ -660,8 +660,8 @@ def _graph_distance(atlas, g, p, q, region, density) -> float:
                 idx.append(rem // s)
                 rem %= s
             for off in itertools.product((-1, 0, 1), repeat=dim):
-                if all(o == 0 for o in off) or any(o < 0 for o in off):
-                    continue  # each undirected pair once
+                if off <= (0,) * dim:
+                    continue  # each undirected pair once: first nonzero step positive
                 nidx = [i + o for i, o in zip(idx, off)]
                 if any(i2 < 0 or i2 >= n for i2 in nidx):
                     continue

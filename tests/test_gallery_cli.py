@@ -38,6 +38,34 @@ class TestGallery:
         with pytest.raises(SpecError):
             get_entry("nope")
 
+    def test_registry_objects_built_once_and_shared(self):
+        from mapnets.gallery import REGISTRY_ENV, SpecEnv, get_atlas, get_net, get_region
+
+        assert get_net("sigma_sin") is get_net("sigma_sin")
+        assert get_region("K_unit") is get_region("K_unit")
+        assert get_net("sigma_sin").src is get_atlas("line") is get_net("s1_jump").src
+        assert get_net("s1_jump").dst is get_atlas("circle")
+        user = SpecEnv({"nets": {"mine": {"kind": "scalar", "expr": "cos"}}},
+                       parent=REGISTRY_ENV)
+        assert user.net("sigma_sin") is get_net("sigma_sin")
+        assert user.net("mine").src is get_atlas("line")
+        assert get_atlas("two_lines").chart_ids == ["a.e0", "b.e0"]
+        assert get_atlas("halfline_exp").chart("e0").main_box.hi[0] == math.inf
+
+    @pytest.mark.parametrize("argv,err", [
+        (["check-moderate", "--net", "nope", "--region", "K_unit"], "net: unknown net 'nope'"),
+        (["check-moderate", "--net", "sigma_sin", "--region", "nope"],
+         "region: unknown region 'nope'"),
+        (["eval-point", "--net", "sigma_sin", "--point", "nope"],
+         "points: unknown point 'nope'"),
+        (["tensor-insert", "--atlas", "nope", "--point", "p", "--tensor", '"identity"'],
+         "atlas: unknown atlas 'nope'"),
+    ], ids=["net", "region", "point", "atlas"])
+    def test_unknown_names_exit_code(self, capsys, argv, err):
+        code, _, got = run_cli(argv, capsys)
+        assert code == 2
+        assert got == f"spec error: {err}\n"
+
     def test_coarse_grid_never_wrong_signed(self):
         # shallow grid may soften a verdict to Inconclusive, never flip it
         coarse = Config(grid_k_max=8)
@@ -179,15 +207,14 @@ class TestCLI:
     def test_output_shape_error_exit_code(self, capsys, monkeypatch):
         import numpy as np
 
-        from mapnets import cli
-        from mapnets.gallery import get_atlas
+        from mapnets.gallery import REGISTRY_ENV, get_atlas
         from mapnets.gmap import MapNet
         from mapnets.manifold import LocalMap
 
         line = get_atlas("line")
         bad = MapNet(line, line, lambda eps: {("e0", "e0"): LocalMap(
             1, (1,), fn=lambda x: np.array([x[0], x[0]]), name="doubled")}, tag="doubled")
-        monkeypatch.setattr(cli, "get_net", lambda name: bad)
+        monkeypatch.setitem(REGISTRY_ENV.objects["nets"], "doubled", bad)
         code, _, err = run_cli(["check-cbounded", "--net", "doubled",
                                 "--region", "K_unit"], capsys)
         assert code == 2
@@ -195,14 +222,13 @@ class TestCLI:
         assert "ChartEscape" not in err
 
     def test_derivative_undefined_exit_code(self, capsys, monkeypatch):
-        from mapnets import cli
-        from mapnets.gallery import get_atlas
+        from mapnets.gallery import REGISTRY_ENV, get_atlas
         from mapnets.gmap import scalar_net
         from mapnets.jets import sqrt
 
         line = get_atlas("line")
         net = scalar_net(line, line, lambda eps: lambda t: sqrt(t * t), tag="abs")
-        monkeypatch.setattr(cli, "get_net", lambda name: net)
+        monkeypatch.setitem(REGISTRY_ENV.objects["nets"], "abs", net)
         code, _, err = run_cli(["check-moderate", "--net", "abs", "--region", "K_unit"], capsys)
         assert code == 2
         assert "DerivativeUndefined" in err and "x = 0.0" in err
@@ -286,6 +312,55 @@ class TestCLI:
         assert err.startswith(f"spec error: {where}: ") and what in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec,where,what", [
+        ({"nets": {"x": 5}}, "nets.x", "expected a JSON object, got int"),
+        ({"nets": [1]}, "nets", "expected a JSON object, got list"),
+        ({"atlases": "x"}, "atlases", "expected a JSON object, got str"),
+        ({"atlases": {"s": {"builtin": "euclidean", "bounds": 5}}}, "atlases.s", "bad atlas"),
+        ({"atlases": {"s": {"builtin": "euclidean", "bounds": [[1.0, 0.0]]}}}, "atlases.s",
+         "nonempty"),
+        ({"atlases": {"s": {"builtin": "union", "parts": {"a": 1}}}}, "atlases.s.parts.a",
+         "expected a JSON object"),
+        ({"nets": {"x": {"kind": "scalar", "src": ["line"]}}}, "nets.x", "unhashable"),
+        ({"nets": {"x": {"kind": "scalar",
+                         "expr": {"name": "poly", "params": {"coeffs": ["a"]}}}}},
+         "nets.x: expr.params.coeffs", "expected a nonempty list of numbers"),
+        ({"regions": {"K": {"pieces": 3}}}, "regions.K", "bad region"),
+        ({"regions": {"K": {"pieces": [{"chart": "e0", "box": [[-1.0, 1.0]]}],
+                            "lattice_density": "9"}}}, "regions.K", "bad region"),
+        ({"points": {"p": {"atlas": "line", "chart": "e0"}}}, "points.p", "'coords'"),
+    ], ids=["entry-not-an-object", "section-a-list", "section-a-string", "bounds-a-number",
+            "bounds-empty-box", "union-part-not-an-object", "name-a-list", "net-expr-param",
+            "pieces-a-number", "density-a-string", "point-no-coords"])
+    def test_malformed_spec_entry_exit_code(self, capsys, tmp_path, spec, where, what):
+        # every malformed section or entry of a --spec file is a spec error
+        # naming it, not a traceback (whose exit code 1 reads as a failed check)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(["check-moderate", "--net", "sigma_sin", "--region", "K_unit",
+                                "--spec", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"spec error: {where}: ") and what in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tensor,where,what", [
+        ({"name": "poly", "params": {"coeffs": ["a"]}}, "expr.params.coeffs", "got ['a']"),
+        ({"name": "poly", "params": {"coeffs": 3}}, "expr.params.coeffs", "got 3"),
+        ({"name": "plus_flat", "params": [1]}, "expr.params", "got list"),
+        ({"name": "affine", "params": {"a": "x"}}, "expr.params.a", "expected a number"),
+        ({"name": ["sin"]}, "expr", "needs a 'name'"),
+    ], ids=["coeff-not-a-number", "coeffs-a-number", "params-a-list", "param-a-string",
+            "name-a-list"])
+    def test_expression_parameter_errors_exit_code(self, capsys, tmp_path, tensor, where,
+                                                   what):
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"points": {"p": {"atlas": "line", "chart": "e0", "coords": [0.3]}}}))
+        code, _, err = run_cli(["tensor-insert", "--point", "p", "--tensor", json.dumps(tensor),
+                                "--spec", str(tmp_path / "p.json")], capsys)
+        assert code == 2
+        assert err.startswith(f"spec error: {where}: ") and what in err
+        assert "Traceback" not in err
+
     def test_readme_cli_block_runs(self, capsys, tmp_path, monkeypatch):
         # every `mapnets ...` line of README section CLI is a valid invocation
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -298,6 +373,23 @@ class TestCLI:
         for line in lines:
             code, _, err = run_cli(shlex.split(line)[1:], capsys)
             assert code in (0, 1), (line, err)
+
+
+    def test_readme_spec_example_builds(self):
+        # every object of README section CLI's --spec example builds, on top
+        # of the registry (the net `loop` lands in the registered `circle`)
+        from mapnets.gallery import REGISTRY_ENV, SpecEnv
+
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1]
+        spec = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        env = SpecEnv(spec, parent=REGISTRY_ENV)
+        for sec in SpecEnv.SECTIONS:
+            assert sorted(env.objects[sec]) == sorted(spec.get(sec, {}))
+        assert sorted(spec) == sorted(SpecEnv.SECTIONS)
+        assert env.net("loop").dst is REGISTRY_ENV.atlas("circle")
+        assert env.point("p").atlas is env.atlas("seg")
 
 
 class TestConfig:

@@ -161,6 +161,17 @@ class TestDistance:
                      region=region)
         assert d == pytest.approx(2.0, rel=0.08)
 
+    @pytest.mark.parametrize("p,q", [((-1.0, -1.0), (1.0, 1.0)), ((-1.0, 1.0), (1.0, -1.0))],
+                             ids=["diagonal", "anti-diagonal"])
+    def test_graph_fallback_plane_diagonals(self, p, q):
+        # the lattice graph links (i, j) to (i+1, j-1) as well as to (i+1, j+1),
+        # so both diagonals of a flat square are straight lines
+        atlas = euclidean_atlas([(-2.0, 2.0), (-2.0, 2.0)], name="plane")
+        flat = RiemannianMetric(fields=dict(atlas.metric.fields), analytic=None)
+        region = region_box("e0", [-1.5, -1.5], [1.5, 1.5], density=9)
+        d = distance(atlas, flat, Point("e0", list(p)), Point("e0", list(q)), region=region)
+        assert d == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-9)
+
     def test_product_distance(self):
         prod = product_atlas(LINE, CIRCLE)
         p = Point("e0*ang0", [0.0, 0.0])
@@ -230,6 +241,15 @@ class TestMetricAndRegions:
     @pytest.mark.parametrize("atlas", [CIRCLE, SPHERE, LINE])
     def test_metric_spd(self, atlas):
         assert check_metric_spd(atlas, atlas.metric) > 0.0
+
+    def test_product_transitions_and_metric_blocks(self):
+        # the product's transitions pair each factor's own, and its metric is
+        # block diagonal in the factors' metrics (flat line, unit circle)
+        prod = product_atlas(LINE, CIRCLE)
+        rep = check_transitions(prod, n=100, tau=1e-12)
+        assert rep["n_round"] >= 100
+        assert rep["round_trip"] <= 1e-12
+        assert check_metric_spd(prod, prod.metric) == pytest.approx(1.0, abs=1e-12)
 
     def test_region_must_sit_inside_chart(self):
         region = region_box("e0", [-11.0], [0.0])
