@@ -12,8 +12,8 @@ from suprema; a supremum over an empty admissible set is recorded as zero.
 The order-0 clauses (c-boundedness, single chart, metric gaps, both routes of
 order-0 equivalence, separating points) all read the image of a region's
 sample points at every grid eps.  ``MapNet.image_table`` evaluates that image
-once per (region, grid), plus once per set of extra samples, and keeps it on
-the net as an ``ImageTable`` of compact arrays.
+in one array pass per (region, grid), plus one per set of extra samples (see
+``ImageTable``), and keeps it on the net as compact arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .asymptotics import (
     sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
-from .errors import ChartMismatch
+from .errors import ChartEscape, ChartMismatch
 from .manifold import (
     Atlas,
     Box,
@@ -122,14 +122,20 @@ class MapNet:
 class ImageTable:
     """Images u_eps(p) of sample points p at every grid eps, as arrays.
 
-    Built with one ``u.eval`` and one ``representations`` call per (eps,
-    point).  ``margins[ei, pi, c]`` is the normalized margin of the image in
-    chart ``charts[c]`` (-inf where it has no representation there),
-    ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
-    the chart ``u.eval`` returned.  The arrays are read-only, so an image
-    handed out (a view into ``coords``) cannot corrupt the table.  With a
-    ``head`` table (same net and grid), the table holds head's points first,
-    copied, and evaluates only ``pts``.
+    Built in one array pass: per eps, one stacked ``u.at(eps)`` call per
+    source chart holding sample points (a stacked ``try_call`` per
+    representative); then, once over all (eps, point) rows, the candidates'
+    margins, each row's best candidate (largest margin, then the smaller
+    target chart, then the smaller source chart, as in
+    ``SmoothMap.eval_candidates``) and its ``representations``.  The first
+    row in (eps, point) order without a candidate raises the ``ChartEscape``
+    ``u.eval`` raises there.  ``margins[ei, pi, c]`` is the normalized margin
+    of the image in chart ``charts[c]`` (-inf where it has no representation
+    there), ``coords[ei, pi, c]`` its coordinates in that chart, and
+    ``chart[ei, pi]`` the best candidate's chart.  The arrays are read-only,
+    so an image handed out (a view into ``coords``) cannot corrupt the
+    table.  With a ``head`` table (same net and grid), the table holds
+    head's points first, copied, and evaluates only ``pts``.
     """
 
     def __init__(self, u: MapNet, pts: list, eps_vals: np.ndarray,
@@ -139,31 +145,66 @@ class ImageTable:
         self.dims = [dst.chart(b).dim for b in self.charts]
         self.rows = {eps: ei for ei, eps in enumerate(eps_vals.tolist())}
         col = {b: c for c, b in enumerate(self.charts)}
-        n0 = 0 if head is None else head.chart.shape[1]
-        shape = (len(eps_vals), n0 + len(pts), len(self.charts))
-        self.margins = np.full(shape, -math.inf)
-        self.coords = np.full(shape + (max(self.dims),), math.nan)
-        self.chart = np.empty(shape[:2], dtype=np.int32)
+        E, n = len(eps_vals), len(pts)
+        maps = [u.at(eps) for eps in eps_vals]
+        images: dict = {}  # (b, a): the images of the (eps, point) rows under rep (a, b)
+        for a, rows, P in _source_groups(u.src, pts, {a for sm in maps for a, _b in sm.locals}):
+            for ei, sm in enumerate(maps):
+                for q in sm(P):
+                    if (q.chart, a) not in images:
+                        images[q.chart, a] = np.full((E, n) + q.coords.shape[1:], math.nan)
+                    images[q.chart, a][ei, rows] = q.coords
+        keys = sorted(images)
+        flat = [images[k].reshape(E * n, -1) for k in keys]
+        M = np.array([dst.chart(b).norm_margin(Y) for (b, _a), Y in zip(keys, flat)])
+        found = (M.reshape(len(keys), E * n) > 0).any(axis=0)
+        if not found.all():
+            ei, pi = divmod(int(np.argmin(found)), n)
+            raise ChartEscape(f"{maps[ei].name or 'map'} has no chart for image of {pts[pi]}")
+        best = M.argmax(axis=0)  # the first of equal margins: the smaller (b, a)
+        chart = np.array([col[b] for b, _a in keys], dtype=np.int32)[best]
+        margins = np.full((E * n, len(self.charts)), -math.inf)
+        coords = np.full((E * n, len(self.charts), max(self.dims)), math.nan)
+        for c, b in enumerate(self.charts):
+            rows = np.flatnonzero(chart == c)
+            if len(rows):  # the keys (b, a) are contiguous, from js[0]
+                js = [j for j, k in enumerate(keys) if k[0] == b]
+                Y = np.stack([flat[j] for j in js])[best[rows] - js[0], rows]
+                for b2, y, m in dst.representations(Point(b, Y)):
+                    margins[rows, col[b2]] = m
+                    coords[rows, col[b2], :y.shape[1]] = y
+        arrays = [margins.reshape(E, n, -1), coords.reshape((E, n) + coords.shape[1:]),
+                  chart.reshape(E, n)]
         if head is not None:
-            for arr, old in ((self.margins, head.margins), (self.coords, head.coords),
-                             (self.chart, head.chart)):
-                arr[:, :n0] = old
-        for ei, eps in enumerate(eps_vals):
-            for pi, p in enumerate(pts, n0):
-                q = u.eval(eps, p)
-                self.chart[ei, pi] = col[q.chart]
-                for b, y, m in dst.representations(q):  # q.chart's entry is q.coords
-                    c = col[b]
-                    self.margins[ei, pi, c] = m
-                    self.coords[ei, pi, c, :len(y)] = y
-        for arr in (self.margins, self.coords, self.chart):
+            arrays = [np.concatenate(pair, axis=1)
+                      for pair in zip((head.margins, head.coords, head.chart), arrays)]
+        self.margins, self.coords, self.chart = arrays
+        for arr in arrays:
             arr.flags.writeable = False
 
     def image(self, eps: float, pi: int) -> Point:
-        """u_eps(point pi), equal to what ``u.eval`` returned."""
+        """u_eps(point pi): the best candidate, as ``u.eval`` chooses it."""
         ei = self.rows[eps]
         c = self.chart[ei, pi]
         return Point(self.charts[c], self.coords[ei, pi, c, :self.dims[c]])
+
+
+def _source_groups(src: Atlas, pts: list, charts):
+    """(a, rows, P) for each source chart a of ``charts`` that holds some of
+    the points ``pts``: their indices, and their chart-a coordinates as one
+    stacked Point P (``Atlas.rechart`` of each chart's stack of points)."""
+    own: dict = {}
+    for i, p in enumerate(pts):
+        own.setdefault(p.chart, []).append(i)
+    for a in sorted(charts):
+        X = np.full((len(pts), src.chart(a).dim), math.nan)
+        for c, idx in own.items():
+            Y = src.rechart(Point(c, np.array([pts[i].coords for i in idx])), a)
+            if Y is not None:
+                X[idx] = Y
+        rows = np.flatnonzero(~np.isnan(X[:, 0]))
+        if len(rows):
+            yield a, rows, Point(a, X[rows])
 
 
 def sample_points(K: CompactRegion, trials: int = 0, seed: int = 0) -> list:
@@ -441,7 +482,7 @@ def _chart_sups(dst: Atlas, K: CompactRegion, grid: EpsGrid, k_max: int,
                 rows = np.arange(len(lat))
                 for rep in reps:
                     Y = rep.try_call(lat[rows])
-                    inside = _in_boxes(Y, dst.chart(b).domain, closed=False)
+                    inside = dst.chart(b).contains(Y)
                     if L_prime is not None:
                         inside &= _in_boxes(Y, L_prime.get(b, ()))
                     rows = rows[inside]
@@ -520,18 +561,13 @@ def _metric_route(u: MapNet, v: MapNet, K: CompactRegion,
     return route, d_series, dists
 
 
-def _in_boxes(y: np.ndarray, boxes, closed: bool = True) -> np.ndarray:
-    """Which points y[..., :] lie in some box of boxes, closed or open (a
-    non-finite point in none); ValueError on a dimension mismatch."""
+def _in_boxes(y: np.ndarray, boxes) -> np.ndarray:
+    """Which points y[..., :] lie in some closed box of boxes (a non-finite
+    point in none; ValueError on a dimension mismatch, see ``Box.contains``)."""
     inside = np.zeros(y.shape[:-1], dtype=bool)
     for box in boxes:
-        if y.shape[-1:] != (box.dim,):
-            raise ValueError(f"points of dimension {y.shape[-1]} in a box of dimension {box.dim}")
-        if closed:
-            inside |= np.all((box.lo <= y) & (y <= box.hi), axis=-1)
-        else:
-            inside |= np.all((box.lo < y) & (y < box.hi), axis=-1)
-    return inside & np.all(np.isfinite(y), axis=-1)
+        inside |= box.contains(y, closed=True)
+    return inside
 
 
 def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,

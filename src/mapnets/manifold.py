@@ -10,6 +10,7 @@ the check gallery needs at desk scale.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -42,10 +43,10 @@ _UNDEFINED = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError) 
 class Box:
     """Axis-aligned box; open for chart domains, closed for compact pieces.
 
-    Containment and margins run once per sampled image point, so they work on
-    Python floats: ``bounds`` holds the per-axis ``(lo, hi)`` pairs, and the
-    read-only arrays ``lo``/``hi`` serve the array users (lattices, clipping,
-    padding).
+    Containment and margins take a point, on Python floats (``bounds`` holds
+    the per-axis ``(lo, hi)`` pairs), or a stack, an array of shape (..., dim),
+    with the same float operations per row; the read-only arrays ``lo``/``hi``
+    serve the array users (stacks, lattices, clipping, padding).
     """
 
     __slots__ = ("lo", "hi", "bounds")
@@ -86,9 +87,23 @@ class Box:
             raise ValueError(f"point of shape {x.shape} in a box of dimension {self.dim}")
         return x.tolist()
 
-    def contains(self, x, margin: float = 0.0, closed: bool = False) -> bool:
+    def _rows(self, x) -> bool:
+        """Is x a stack of points (ValueError unless of dim columns)?"""
+        if type(x) is not np.ndarray or x.ndim < 2:
+            return False
+        if x.shape[-1:] != (len(self.bounds),):
+            raise ValueError(f"points of shape {x.shape} in a box of dimension {self.dim}")
+        return True
+
+    def contains(self, x, margin: float = 0.0, closed: bool = False):
         """Is x inside, shrunk (open) or grown (closed) by margin?  A
-        non-finite coordinate lies in no box."""
+        non-finite coordinate lies in no box.  At a stack, a bool per row."""
+        if self._rows(x):
+            if closed:
+                inside = np.isfinite(x) & (self.lo - margin <= x) & (x <= self.hi + margin)
+            else:
+                inside = (self.lo + margin < x) & (x < self.hi - margin)
+            return inside.all(axis=-1)
         xs = self._coords(x)
         if closed:
             for xi, (lo, hi) in zip(xs, self.bounds):
@@ -100,13 +115,19 @@ class Box:
                 return False
         return True
 
-    def norm_margin(self, x) -> float:
+    def norm_margin(self, x):
         """Distance to the boundary, normalized by extent; negative outside.
 
         Axes with an infinite bound use a reciprocal escape statistic so that
         points running off to infinity score margins tending to zero.  A
-        non-finite coordinate scores -inf.
+        non-finite coordinate scores -inf.  At a stack, each row's, bit for bit.
         """
+        if self._rows(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = functools.reduce(_rows_min, [
+                    _axis_margin(x[..., i], lo, hi, _rows_min, _rows_max)
+                    for i, (lo, hi) in enumerate(self.bounds)], math.inf)
+            return np.where(np.isfinite(x).all(axis=-1), m, -math.inf)
         m = math.inf
         for xi, (lo, hi) in zip(self._coords(x), self.bounds):
             if not math.isfinite(xi):
@@ -139,22 +160,31 @@ class Box:
         return f"Box({self.as_record()})"
 
 
-def _axis_margin(x: float, lo: float, hi: float) -> float:
+def _axis_margin(x, lo: float, hi: float, lesser=min, greater=max):
+    """The margin of coordinate(s) x: an array with row-wise lesser/greater."""
     if math.isfinite(lo) and math.isfinite(hi):
-        return min(x - lo, hi - x) / (hi - lo)
+        return lesser(x - lo, hi - x) / (hi - lo)
     s = 1.0 + (abs(lo) if math.isfinite(lo) else 0.0) + (abs(hi) if math.isfinite(hi) else 0.0)
     m = 0.5
     if math.isfinite(lo):
-        m = min(m, (x - lo) / s)
+        m = lesser(m, (x - lo) / s)
         if not math.isfinite(hi):
-            beyond = max(0.0, x - (lo + s))
-            m = min(m, s / (s + beyond))
+            beyond = greater(0.0, x - (lo + s))
+            m = lesser(m, s / (s + beyond))
     if math.isfinite(hi):
-        m = min(m, (hi - x) / s)
+        m = lesser(m, (hi - x) / s)
         if not math.isfinite(lo):
-            beyond = max(0.0, (hi - s) - x)
-            m = min(m, s / (s + beyond))
+            beyond = greater(0.0, (hi - s) - x)
+            m = lesser(m, s / (s + beyond))
     return m
+
+
+def _rows_min(a, b):  # min(a, b) row by row: a unless b < a (np.minimum may differ on -0.0)
+    return np.where(b < a, b, a)
+
+
+def _rows_max(a, b):  # max(a, b) row by row: a unless b > a
+    return np.where(b > a, b, a)
 
 
 @dataclass(frozen=True)
@@ -175,10 +205,16 @@ class Chart:
             if b.dim != self.dim:
                 raise ValueError("domain box dimension mismatch")
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x, margin: float = 0.0):
+        """Is x in some domain box (see ``Box.contains``)?  At a stack, a bool per row."""
+        if type(x) is np.ndarray and x.ndim > 1:
+            return functools.reduce(np.logical_or, [b.contains(x, margin) for b in self.domain])
         return any(b.contains(x, margin=margin) for b in self.domain)
 
-    def norm_margin(self, x) -> float:
+    def norm_margin(self, x):
+        """The best domain box's margin (see ``Box.norm_margin``); at a stack, per row."""
+        if type(x) is np.ndarray and x.ndim > 1:
+            return functools.reduce(_rows_max, [b.norm_margin(x) for b in self.domain])
         return max(b.norm_margin(x) for b in self.domain)
 
     @property
@@ -523,19 +559,30 @@ class Atlas:
         return self.transitions.get((a, b))
 
     def rechart(self, p: Point, b: str) -> Optional[np.ndarray]:
-        """Coordinates of p in chart b, or None when not representable."""
-        if p.chart == b:
-            return p.coords if self.chart(b).contains(p.coords) else None
-        tm = self.transition_map(p.chart, b)
-        if tm is None:
+        """Coordinates of p in chart b, or None when not representable; at a
+        stacked point, NaN rows where not (None without a transition to b)."""
+        tm = self.transition_map(p.chart, b)  # None for b == p.chart
+        y = p.coords if b == p.chart else None if tm is None else tm.try_call(p.coords)
+        if y is None:
             return None
-        y = tm.try_call(p.coords)
-        if y is None or not self.chart(b).contains(y):
-            return None
-        return y
+        inside = self.chart(b).contains(y)
+        if y.ndim > 1:
+            return np.where(inside[..., None], y, math.nan)
+        return y if inside else None
 
     def representations(self, p: Point) -> list:
-        """All chart representations of p: (chart, coords, margin), best first."""
+        """All chart representations of p: (chart, coords, margin), best first.
+        At a stacked point, (chart, coords, margins) per chart in id order, a
+        row without a representation there NaN and -inf."""
+        if p.coords.ndim > 1:
+            out = []
+            for b in self.chart_ids:
+                y = p.coords if b == p.chart else self.rechart(p, b)
+                if y is not None:
+                    m = self.chart(b).norm_margin(y)
+                    m[~(m > 0)] = -math.inf
+                    out.append((b, np.where(m[:, None] > 0, y, math.nan), m))
+            return out
         reps = []
         for b in self.chart_ids:
             y = p.coords if b == p.chart else None
@@ -826,7 +873,14 @@ class SmoothMap:
         out.sort(key=lambda c: (-c[2], c[0]))
         return out
 
-    def __call__(self, p: Point) -> Point:
+    def __call__(self, p: Point):
+        """The image of p, the first of ``eval_candidates`` (ChartEscape if none).
+        At a stack of points inside chart a, the candidates instead: the stacked
+        ``try_call`` of each representative out of a, as a Point of its target
+        chart; the caller chooses among them (``gmap.ImageTable``)."""
+        if p.coords.ndim > 1:
+            return [Point(b, rep.try_call(p.coords))
+                    for (a, b), rep in sorted(self.locals.items()) if a == p.chart]
         cands = self.eval_candidates(p)
         if not cands:
             raise ChartEscape(f"{self.name or 'map'} has no chart for image of {p}")
@@ -835,29 +889,20 @@ class SmoothMap:
 
 
 def check_smooth_map_consistency(sm: SmoothMap, n: int = 50, tau: float = 1e-8) -> float:
-    """Max disagreement of local representatives under dst transitions."""
+    """Max disagreement of local representatives under dst transitions, over
+    a stack of lattice points of the source chart's main box per pair."""
     worst = 0.0
     for (a, b1), rep1 in sm.locals.items():
         for (a2, b2), rep2 in sm.locals.items():
-            if a2 != a or b2 <= b1:
+            tm, box = sm.dst.transition_map(b1, b2), sm.src.chart(a).main_box
+            if a2 != a or b2 <= b1 or tm is None or not box.bounded:
                 continue
-            tm = sm.dst.transition_map(b1, b2)
-            if tm is None:
-                continue
-            box = sm.src.chart(a).main_box
-            if not box.bounded:
-                continue
-            for x in box.lattice(n)[:: max(1, n // 10)]:
-                y1 = rep1.try_call(x)
-                y2 = rep2.try_call(x)
-                if y1 is None or y2 is None:
-                    continue
-                if not sm.dst.chart(b1).contains(y1) or not sm.dst.chart(b2).contains(y2):
-                    continue
-                y12 = tm.try_call(y1)
-                if y12 is None:
-                    continue
-                worst = max(worst, float(np.max(np.abs(y12 - y2))))
+            X = box.lattice(n)[:: max(1, n // 10)]
+            Y1, Y2 = rep1.try_call(X), rep2.try_call(X)
+            inside = sm.dst.chart(b1).contains(Y1) & sm.dst.chart(b2).contains(Y2)
+            if inside.any():
+                d = np.abs(tm.try_call(Y1[inside]) - Y2[inside]).max(axis=1)
+                worst = max(worst, float(d[~np.isnan(d)].max(initial=0.0)))
     if worst > tau:
         raise OutOfDomain(f"local representatives disagree by {worst:g} > {tau:g}")
     return worst
@@ -1262,53 +1307,31 @@ def check_transitions(atlas: Atlas, n: int = 100, tau: float = 1e-8) -> dict:
 
     Returns {'round_trip': max deviation, 'cocycle': max deviation,
     'n_round': ..., 'n_cocycle': ...}; raises OutOfDomain when tau is hit.
+    Each transition (a, b) takes a lattice of chart a's main box as one stack;
+    the rows it lands in chart b go back to a, and to each third chart c both
+    ways (the rows where every map is defined count).
     """
-    worst_rt = 0.0
-    n_rt = 0
-    for (a, b), tab in atlas.transitions.items():
-        tba = atlas.transition_map(b, a)
-        if tba is None:
-            continue
+    gaps: dict = {"round_trip": [], "cocycle": []}
+    for a, b in atlas.transitions:
         box = atlas.chart(a).main_box
         if not box.bounded:
             continue
-        for x in box.lattice(max(2, int(math.ceil(n ** (1.0 / box.dim))))):
-            y = tab.try_call(x)
-            if y is None or not atlas.chart(b).contains(y):
-                continue
-            back = tba.try_call(y)
-            if back is None:
-                continue
-            worst_rt = max(worst_rt, float(np.max(np.abs(back - x))))
-            n_rt += 1
-    worst_cc = 0.0
-    n_cc = 0
-    for (a, b), tab in atlas.transitions.items():
+        X = box.lattice(max(2, int(math.ceil(n ** (1.0 / box.dim)))))
+        Y = atlas.rechart(Point(a, X), b)
+        X, Y = X[~np.isnan(Y[:, 0])], Y[~np.isnan(Y[:, 0])]
         for c in atlas.chart_ids:
-            if c in (a, b):
-                continue
-            tbc = atlas.transition_map(b, c)
-            tac = atlas.transition_map(a, c)
-            if tbc is None or tac is None:
-                continue
-            box = atlas.chart(a).main_box
-            if not box.bounded:
-                continue
-            for x in box.lattice(max(2, int(math.ceil(n ** (1.0 / box.dim))))):
-                y = tab.try_call(x)
-                if y is None or not atlas.chart(b).contains(y):
-                    continue
-                z1 = tbc.try_call(y)
-                z2 = tac.try_call(x)
-                if z1 is None or z2 is None:
-                    continue
-                worst_cc = max(worst_cc, float(np.max(np.abs(z1 - z2))))
-                n_cc += 1
-    if worst_rt > tau or worst_cc > tau:
-        raise OutOfDomain(
-            f"transition consistency {max(worst_rt, worst_cc):g} exceeds {tau:g}")
-    return {"round_trip": worst_rt, "cocycle": worst_cc,
-            "n_round": n_rt, "n_cocycle": n_cc}
+            tbc, tac = atlas.transition_map(b, c), atlas.transition_map(a, c)
+            if len(X) and tbc is not None and (c == a or tac is not None):
+                d = np.abs(tbc.try_call(Y) - (X if c == a else tac.try_call(X))).max(axis=1)
+                gaps["round_trip" if c == a else "cocycle"].append(d[~np.isnan(d)])
+    out = {}
+    for kind, count in (("round_trip", "n_round"), ("cocycle", "n_cocycle")):
+        d = np.concatenate([np.zeros(0)] + gaps[kind])
+        out[kind], out[count] = float(d.max(initial=0.0)), len(d)
+    if max(out["round_trip"], out["cocycle"]) > tau:
+        raise OutOfDomain(f"transition consistency {max(out['round_trip'], out['cocycle']):g} "
+                          f"exceeds {tau:g}")
+    return out
 
 
 def check_metric_spd(atlas: Atlas, g: RiemannianMetric,

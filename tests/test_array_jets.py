@@ -361,12 +361,12 @@ def test_stacked_admission_matches_the_per_point_rule(label, nets, K, cfg):
 
 def test_an_image_of_the_wrong_dimension_is_refused():
     from mapnets.gmap import _in_boxes
-    from mapnets.manifold import Box
+    from mapnets.manifold import Box, Chart
 
     with pytest.raises(ValueError):
-        _in_boxes(np.zeros((3, 1)), [Box([-1.0, -1.0], [1.0, 1.0])], closed=False)
+        Chart("c", 2, (Box([-1.0, -1.0], [1.0, 1.0]),)).contains(np.zeros((3, 1)))
     inside = _in_boxes(np.array([[0.0, 0.0], [np.inf, 0.0], [np.nan, 0.0], [2.0, 0.0]]),
-                       [Box([-np.inf, -1.0], [np.inf, 1.0])], closed=True)
+                       [Box([-np.inf, -1.0], [np.inf, 1.0])])
     assert inside.tolist() == [True, False, False, True]
 
 

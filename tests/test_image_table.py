@@ -430,12 +430,14 @@ class TestChartRouteFromTables:
 
 @pytest.fixture
 def evals(monkeypatch):
-    """Counts SmoothMap evaluations per (map, point)."""
+    """Counts SmoothMap evaluations per (map, point); each row of a stacked
+    point counts as one evaluation at that row."""
     seen = collections.Counter()
     call = SmoothMap.__call__
 
     def counting(sm, p):
-        seen[(id(sm), p.chart, p.coords.tobytes())] += 1
+        for x in p.coords.reshape(-1, p.coords.shape[-1]):
+            seen[(id(sm), p.chart, x.tobytes())] += 1
         return call(sm, p)
 
     monkeypatch.setattr(SmoothMap, "__call__", counting)

@@ -50,3 +50,15 @@ def test_python_m_mapnets_gallery_list():
     out = run_script("-m", "mapnets", "gallery", "list")
     assert out.returncode == 0, out.stderr
     assert "sigma_sin" in out.stdout
+
+
+def test_record_digest_is_reproducible():
+    # one line per workload at seed 1, then one over `gallery run --out`
+    runs = [run_script("scripts/record_digest.py", "--seeds", "1") for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["gallery", "fd_2d", "sphere_images",
+                                               "gallery-run"]
+    assert all(len(ln.split()[-1]) == 64 for ln in lines)
+    assert runs[1].stdout == runs[0].stdout
