@@ -10,10 +10,11 @@ Lattice points whose image leaves the admissible compact L' are excluded
 from suprema; a supremum over an empty admissible set is recorded as zero.
 
 The order-0 clauses (c-boundedness, single chart, metric gaps, both routes of
-order-0 equivalence, separating points) all read the image of a region's
-sample points at every grid eps.  ``MapNet.image_table`` evaluates that image
-in one array pass per (region, grid), plus one per set of extra samples (see
-``ImageTable``), and keeps it on the net as compact arrays.
+order-0 equivalence, separating points) read the image of a region's sample
+points at every grid eps, and the derivative sweeps admit points by it.
+``MapNet.image_table`` evaluates it in one array pass per (region, grid), plus
+one per set of extra samples, and keeps it on the net (``ImageTable``); an
+image that leaves every chart is a row too, so an escaped table is cached too.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class MapNet:
         Keyed by the grid and the region's content, so an equal region object
         shares the table.  A table with extras is the lattice table
         (``trials = 0``, built first if missing) plus the extras' images, so
-        no lattice image is evaluated twice.  A build that raises (e.g.
-        ``ChartEscape``) caches nothing.
+        no lattice image is evaluated twice.  A table with an escaped image
+        (``ImageTable.escape``) is cached like any other.
         """
         key = (grid, K.lattice_density,
                tuple((cid, box.lo.tobytes(), box.hi.tobytes()) for cid, box in K.pieces),
@@ -127,15 +128,16 @@ class ImageTable:
     representative); then, once over all (eps, point) rows, the candidates'
     margins, each row's best candidate (largest margin, then the smaller
     target chart, then the smaller source chart, as in
-    ``SmoothMap.eval_candidates``) and its ``representations``.  The first
-    row in (eps, point) order without a candidate raises the ``ChartEscape``
-    ``u.eval`` raises there.  ``margins[ei, pi, c]`` is the normalized margin
-    of the image in chart ``charts[c]`` (-inf where it has no representation
-    there), ``coords[ei, pi, c]`` its coordinates in that chart, and
-    ``chart[ei, pi]`` the best candidate's chart.  The arrays are read-only,
-    so an image handed out (a view into ``coords``) cannot corrupt the
-    table.  With a ``head`` table (same net and grid), the table holds
-    head's points first, copied, and evaluates only ``pts``.
+    ``SmoothMap.eval_candidates``) and its ``representations``.
+    ``margins[ei, pi, c]`` is the normalized margin of the image in chart
+    ``charts[c]`` (-inf where it has no representation there),
+    ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
+    the best candidate's chart (-1 for an escaped row, one without candidate:
+    it has no representation).  ``escape`` is the ``ChartEscape`` ``u.eval``
+    raises at the first escaped row in (eps, point) order, else None.  The
+    arrays are read-only, so an image handed out (a view into ``coords``)
+    cannot corrupt the table.  With a ``head`` table (same net and grid), the
+    table holds head's points first, copied, and evaluates only ``pts``.
     """
 
     def __init__(self, u: MapNet, pts: list, eps_vals: np.ndarray,
@@ -158,11 +160,13 @@ class ImageTable:
         flat = [images[k].reshape(E * n, -1) for k in keys]
         M = np.array([dst.chart(b).norm_margin(Y) for (b, _a), Y in zip(keys, flat)])
         found = (M.reshape(len(keys), E * n) > 0).any(axis=0)
-        if not found.all():
+        self.escape = head.escape if head is not None else None
+        if self.escape is None and not found.all():
             ei, pi = divmod(int(np.argmin(found)), n)
-            raise ChartEscape(f"{maps[ei].name or 'map'} has no chart for image of {pts[pi]}")
-        best = M.argmax(axis=0)  # the first of equal margins: the smaller (b, a)
-        chart = np.array([col[b] for b, _a in keys], dtype=np.int32)[best]
+            self.escape = ChartEscape(f"{maps[ei].name or 'map'} has no chart for image of {pts[pi]}")
+        # the best candidate: the first of equal margins, the smaller (b, a); -1 if none
+        best = M.argmax(axis=0) if keys else np.zeros(E * n, dtype=int)
+        chart = np.where(found, np.array([col[b] for b, _a in keys] or [-1])[best], -1)
         margins = np.full((E * n, len(self.charts)), -math.inf)
         coords = np.full((E * n, len(self.charts), max(self.dims)), math.nan)
         for c, b in enumerate(self.charts):
@@ -174,7 +178,7 @@ class ImageTable:
                     margins[rows, col[b2]] = m
                     coords[rows, col[b2], :y.shape[1]] = y
         arrays = [margins.reshape(E, n, -1), coords.reshape((E, n) + coords.shape[1:]),
-                  chart.reshape(E, n)]
+                  chart.astype(np.int32).reshape(E, n)]
         if head is not None:
             arrays = [np.concatenate(pair, axis=1)
                       for pair in zip((head.margins, head.coords, head.chart), arrays)]
@@ -183,7 +187,9 @@ class ImageTable:
             arr.flags.writeable = False
 
     def image(self, eps: float, pi: int) -> Point:
-        """u_eps(point pi): the best candidate, as ``u.eval`` chooses it."""
+        """u_eps(point pi): the best candidate, as ``u.eval`` chooses it (or raise ``escape``)."""
+        if self.escape is not None:
+            raise self.escape.with_traceback(None)
         ei = self.rows[eps]
         c = self.chart[ei, pi]
         return Point(self.charts[c], self.coords[ei, pi, c, :self.dims[c]])
@@ -353,10 +359,7 @@ def effective_reps(sm: SmoothMap, chart_a: str) -> dict:
 
     Returns {dst chart: LocalMap in chart_a coordinates}.
     """
-    out = {}
-    for (a, b), rep in sorted(sm.locals.items()):
-        if a == chart_a:
-            out[b] = rep
+    out = {b: rep for (a, b), rep in sorted(sm.locals.items()) if a == chart_a}
     for (a, b), rep in sorted(sm.locals.items()):
         if a == chart_a or b in out:
             continue
@@ -460,41 +463,64 @@ class SingleChartReport:
 # ======================================================================
 
 
-def _chart_sups(dst: Atlas, K: CompactRegion, grid: EpsGrid, k_max: int,
+def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
                 L_prime: Optional[dict], pieces, context, cfg: Config) -> dict:
     """Chart-wise lattice sups of derivative-tensor norms, orders 0..k_max.
 
-    ``pieces(eps, cid)`` yields (dst chart b, representatives, tensors_of).
-    A lattice point x of K's piece pi (in chart cid) counts under the keys
-    (pi, cid, b, k) when every representative lands x in chart b and in L'.
-    Each (eps, piece, b) group is one array pass: a stacked ``try_call`` per
-    representative; one call ``tensors_of(X)`` on the stack X of admitted
-    points, in lattice order, giving their tensors of orders 0..k_max, row
-    axis first (none when no point is admitted); one ``tensor_norm`` and one
+    ``pieces(eps, cid)`` yields (dst chart b, tensors_of).  A lattice point x
+    of K's piece pi (in chart cid) counts under the keys (pi, cid, b, k) when
+    the image tables of ``nets`` (cached, escaped images included as rows)
+    admit it for b (``_admitted``), so no point is evaluated for admission.
+    Each (eps, piece, b) group with admitted points is one array pass: one
+    call ``tensors_of(X)`` on their stack X, in lattice order, giving their
+    tensors of orders 0..k_max, row axis first; one ``tensor_norm`` and one
     sup per order.  Each series is labelled ``context(pi, cid, b, k)``.
     """
-    lattices = [(pi, cid, lat, [Point(cid, x) for x in lat])
-                for pi, (cid, lat) in enumerate(K.lattices())]
+    tables = [u.image_table(K, grid) for u in nets]
+    ok = _admitted(tables, L_prime)
+    lattice = _lattice_pieces(K)
 
     def samples(eps):
-        for pi, cid, lat, at in lattices:
-            for b, reps, tensors_of in pieces(eps, cid):
-                rows = np.arange(len(lat))
-                for rep in reps:
-                    Y = rep.try_call(lat[rows])
-                    inside = dst.chart(b).contains(Y)
-                    if L_prime is not None:
-                        inside &= _in_boxes(Y, L_prime.get(b, ()))
-                    rows = rows[inside]
-                    if not len(rows):
-                        break
-                else:
+        ei = tables[0].rows[eps]
+        for pi, cid, cols, lat, at in lattice:
+            for b, tensors_of in pieces(eps, cid):
+                rows = np.flatnonzero(ok[ei, cols, tables[0].charts.index(b)])
+                if len(rows):
                     tensors = tensors_of(lat[rows])
                     for k in range(k_max + 1):
                         sup, i = stack_sup(tensor_norm(tensors[k], k))
                         yield (pi, cid, b, k), sup, at[rows[i]]
 
     return sweep_sups(grid, samples, cfg.zero_tol, lambda key: context(*key))
+
+
+def _lattice_pieces(K: CompactRegion) -> list:
+    """Per piece of K: (index, chart, its columns in K's image tables, its
+    lattice, the lattice as Points)."""
+    lattices = K.lattices()
+    ends = np.cumsum([len(lat) for _cid, lat in lattices]).tolist()
+    return [(pi, cid, slice(end - len(lat), end), lat, [Point(cid, x) for x in lat])
+            for pi, ((cid, lat), end) in enumerate(zip(lattices, ends))]
+
+
+def _admitted(tables, L_prime: Optional[dict]) -> np.ndarray:
+    """Which (eps, sample point) rows count for each target chart, shape
+    (eps, point, chart): every table has a chart-b representation of its
+    image and, when L' is given, that image lies in a closed L' box of b."""
+    ok = np.logical_and.reduce([t.margins > -math.inf for t in tables])
+    for t in tables if L_prime is not None else ():
+        for c, b in enumerate(t.charts):
+            ok[:, :, c] &= _in_boxes(t.coords[:, :, c, :t.dims[c]], L_prime.get(b, ()))
+    return ok
+
+
+def _in_boxes(y: np.ndarray, boxes) -> np.ndarray:
+    """Which points y[..., :] lie in some closed box of boxes (a non-finite
+    point in none; ValueError on a dimension mismatch, see ``Box.contains``)."""
+    inside = np.zeros(y.shape[:-1], dtype=bool)
+    for box in boxes:
+        inside |= box.contains(y, closed=True)
+    return inside
 
 
 def derivative_sup_series(u: MapNet, K: CompactRegion, grid: EpsGrid,
@@ -509,9 +535,9 @@ def derivative_sup_series(u: MapNet, K: CompactRegion, grid: EpsGrid,
     def pieces(eps, cid):
         reps = effective_reps(u.at(eps), cid)
         for b in sorted(reps):
-            yield b, (reps[b],), lambda x, rep=reps[b]: rep.derivs_upto(x, k_max)
+            yield b, lambda x, rep=reps[b]: rep.derivs_upto(x, k_max)
 
-    return _chart_sups(u.dst, K, grid, k_max, L_prime, pieces,
+    return _chart_sups((u,), K, grid, k_max, L_prime, pieces,
                        lambda pi, cid, b, k: f"|D^{k}| K[{pi}] {cid}->{b} of {u.tag}", cfg)
 
 
@@ -561,46 +587,27 @@ def _metric_route(u: MapNet, v: MapNet, K: CompactRegion,
     return route, d_series, dists
 
 
-def _in_boxes(y: np.ndarray, boxes) -> np.ndarray:
-    """Which points y[..., :] lie in some closed box of boxes (a non-finite
-    point in none; ValueError on a dimension mismatch, see ``Box.contains``)."""
-    inside = np.zeros(y.shape[:-1], dtype=bool)
-    for box in boxes:
-        inside |= box.contains(y, closed=True)
-    return inside
-
-
 def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
                  L_prime: Optional[dict], cfg: Config) -> dict:
     """Order-0 chart-wise gaps |y_u - y_v| read from the two image tables.
 
-    Keys (pi, cid, b, 0) as in ``chart_gap_series``.  A lattice point of piece
-    pi counts for target chart b at eps when both images have a chart-b
-    representation and, when L' is given, both lie in a closed L' box of b.
+    Keys (pi, cid, b, 0) as in ``chart_gap_series``, over the lattice points
+    ``_admitted`` admits for both nets' images.
     """
     tu, tv = u.image_table(K, grid), v.image_table(K, grid)
-    charts = []
-    for c, b in enumerate(tu.charts):
-        yu, yv = tu.coords[:, :, c, :tu.dims[c]], tv.coords[:, :, c, :tu.dims[c]]
-        ok = (tu.margins[:, :, c] > -math.inf) & (tv.margins[:, :, c] > -math.inf)
-        if L_prime is not None:
-            boxes = L_prime.get(b, ())
-            ok &= _in_boxes(yu, boxes) & _in_boxes(yv, boxes)
-        with np.errstate(over="ignore"):  # an overflowed norm is inf, as in tensor_norm
-            gap = np.sqrt(np.sum((yu - yv) ** 2, axis=-1))
-        charts.append((b, ok, gap))
-    pieces, offset = [], 0  # per piece: its index, chart, columns, lattice points
-    for pi, (cid, lat) in enumerate(K.lattices()):
-        pieces.append((pi, cid, slice(offset, offset + len(lat)), [Point(cid, x) for x in lat]))
-        offset += len(lat)
+    ok = _admitted((tu, tv), L_prime)
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, as in tensor_norm
+        # per (eps, point, chart); a chart's NaN padding beyond its dimension adds 0
+        gap = np.sqrt(np.nansum((tu.coords - tv.coords) ** 2, axis=-1))
+    lattice = _lattice_pieces(K)
 
     def samples(eps):
         ei = tu.rows[eps]
-        for pi, cid, cols, at in pieces:
-            for b, ok, gap in charts:
-                rows = np.flatnonzero(ok[ei, cols])
+        for pi, cid, cols, _lat, at in lattice:
+            for c, b in enumerate(tu.charts):
+                rows = np.flatnonzero(ok[ei, cols, c])
                 if len(rows):
-                    sup, i = stack_sup(gap[ei, cols][rows])
+                    sup, i = stack_sup(gap[ei, cols, c][rows])
                     yield (pi, cid, b, 0), sup, at[rows[i]]
 
     return sweep_sups(grid, samples, cfg.zero_tol,
@@ -639,9 +646,9 @@ def chart_gap_series(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
         reps_u = effective_reps(u.at(eps), cid)
         reps_v = effective_reps(v.at(eps), cid)
         for b in sorted(set(reps_u) & set(reps_v)):
-            yield b, (reps_u[b], reps_v[b]), _gap_tensors(reps_u[b], reps_v[b], k_max)
+            yield b, _gap_tensors(reps_u[b], reps_v[b], k_max)
 
-    return _chart_sups(u.dst, K, grid, k_max, L_prime, pieces,
+    return _chart_sups((u, v), K, grid, k_max, L_prime, pieces,
                        lambda pi, cid, b, k: f"|D^{k}({u.tag}-{v.tag})| K[{pi}] {cid}->{b}",
                        cfg)
 
@@ -742,22 +749,19 @@ def check_single_chart(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = No
     at least 3 tail grid points.
     """
     grid = grid or cfg.grid()
-    eps_vals = grid.values()
     table = u.image_table(K, grid)
-    worst = table.margins.min(axis=1)  # per (eps, chart): the lowest image margin
-    best: Optional[tuple] = None
-    for c, b in enumerate(table.charts):
-        margins = worst[:, c]
-        for start in range(0, len(eps_vals) - 2):
-            if np.all(margins[start:] >= cfg.margin_min):
-                eps0 = float(eps_vals[start - 1]) if start > 0 else 1.0
-                if best is None or eps0 > best[1]:
-                    best = (b, eps0)
-                break
-    if best is None:
+    if table.escape is not None:
+        raise table.escape.with_traceback(None)
+    inside = table.margins.min(axis=1) >= cfg.margin_min  # per (eps, chart): every image
+    # per (start, chart), start < len(grid) - 2: every image from eps index start on
+    tail = np.logical_and.accumulate(inside[::-1], axis=0)[::-1][:-2]
+    # per chart: its largest eps0, the eps before the first such start (1.0 before eps[0])
+    eps0 = np.where(tail, np.concatenate(([1.0], grid.values()[:-3]))[:, None], -1.0).max(axis=0)
+    c = int(np.argmax(eps0))  # the largest eps0, then the first chart
+    if eps0[c] < 0.0:
         return SingleChartReport(K, None, None, Status.FAIL,
                                  notes="sampled image union escapes every stored chart")
-    return SingleChartReport(K, best[0], best[1], Status.PASS)
+    return SingleChartReport(K, table.charts[c], float(eps0[c]), Status.PASS)
 
 
 def check_equiv0(u: MapNet, v: MapNet, K: CompactRegion,

@@ -301,7 +301,7 @@ class LocalMap:
 
     def try_call(self, x) -> Optional[np.ndarray]:
         """The value at x, or None where undefined (``defined`` false, or a raise); at a
-        stack, the values with NaN rows there, from one ``_values`` call or row by row."""
+        stack, the values with NaN rows there, from one ``_values`` call, else one per row."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim == 1:
             if self.defined is not None and not self.defined(x):
@@ -315,8 +315,8 @@ class LocalMap:
         try:
             Y[rows] = self._values(x[rows])
         except _UNDEFINED + (DerivativeUndefined,):
-            for r in rows:
-                y = self.try_call(x[r])
+            for r in rows:  # a one-row stack; only a lone row that raises takes the point call
+                y = self.try_call(x[r:r + 1] if len(rows) > 1 else x[r])
                 if y is not None:
                     Y[r] = y
         return Y
@@ -698,14 +698,8 @@ def _graph_distance(atlas, g, p, q, region, density) -> float:
     for chart_id, pts, spacing, offset in piece_nodes:
         dim = pts.shape[1]
         n = int(round(len(pts) ** (1 / dim)))
-        shape = (n,) * dim
-        strides = [int(np.prod(shape[i + 1:])) for i in range(dim)]
-        for flat in range(len(pts)):
-            idx = []
-            rem = flat
-            for s in strides:
-                idx.append(rem // s)
-                rem %= s
+        strides = [n ** (dim - 1 - i) for i in range(dim)]
+        for flat, idx in enumerate(itertools.product(range(n), repeat=dim)):  # C order
             for off in itertools.product((-1, 0, 1), repeat=dim):
                 if off <= (0,) * dim:
                     continue  # each undirected pair once: first nonzero step positive
@@ -1145,8 +1139,8 @@ def sphere_atlas(name: str = "sphere") -> Atlas:
         r2 = float(x @ x)
         return (np.eye(2) - 2.0 * np.outer(x, x) / r2) / r2
 
-    def inv_defined(x):
-        return float(x @ x) > 1e-12
+    def inv_defined(x):  # off the origin, and finite: inf / inf is no coordinate
+        return 1e-12 < float(x @ x) < math.inf
 
     tm = LocalMap(2, (2,), fn=inversion, jac=inversion_jac,
                   defined=inv_defined, name="inversion")

@@ -189,14 +189,18 @@ def section_norm_series(s: SectionNet, K: CompactRegion, grid: EpsGrid,
                         cfg: Config = DEFAULT_CONFIG,
                         trials: int = 0) -> SupSeries:
     """sup over K of the fiber norm of the section values."""
+    return _section_norm_sweep(s, K, grid, cfg, trials)[0]
+
+
+def _section_norm_sweep(s: SectionNet, K: CompactRegion, grid: EpsGrid, cfg: Config, trials: int):
+    """(sup series, table, sample points) of the section's fiber norms: the
+    table holds the norm at every (eps, id(sample point)), each taken once."""
     pts = sample_points(K, trials, cfg.seed)
-
-    def samples(eps):
-        for p in pts:
-            yield None, fiber_norm(s.bundle, s.element_at(eps, p)), p
-
-    return sweep_sups(grid, samples, cfg.zero_tol,
-                      lambda _key: f"sup |{s.tag}|_h on K")[None]
+    norms = {(eps, id(p)): fiber_norm(s.bundle, s.element_at(eps, p))
+             for eps in grid.values() for p in pts}
+    series = sweep_sups(grid, lambda eps: ((None, norms[eps, id(p)], p) for p in pts),
+                        cfg.zero_tol, lambda _key: f"sup |{s.tag}|_h on K")[None]
+    return series, norms, pts
 
 
 def check_section_moderate(s: SectionNet, K: CompactRegion,
@@ -380,13 +384,14 @@ def matrix_gap_series(u: VBHomNet, v: Optional[VBHomNet], L: CompactRegion,
                 continue
             pu = loc_u[(a, b)]
             if loc_v is None:
-                yield b, (pu.base,), lambda x, m=pu.matrix: m.derivs_upto(x, k_max)
+                yield b, lambda x, m=pu.matrix: m.derivs_upto(x, k_max)
             else:
                 pv = loc_v[(a, b)]
-                yield b, (pu.base, pv.base), _gap_tensors(pu.matrix, pv.matrix, k_max)
+                yield b, _gap_tensors(pu.matrix, pv.matrix, k_max)
 
     what = u.tag if v is None else f"{u.tag}-{v.tag}"
-    return _chart_sups(u.dst.base, L, grid, k_max, L_prime, pieces,
+    nets = (u.base_net,) if v is None else (u.base_net, v.base_net)
+    return _chart_sups(nets, L, grid, k_max, L_prime, pieces,
                        lambda pi, a, b, k: f"|D^{k} mat({what})| L[{pi}] {a}->{b}", cfg)
 
 
@@ -467,12 +472,11 @@ def section_zero_witness(s: SectionNet, K: CompactRegion,
     fails the zero test.
     """
     grid = grid or cfg.grid()
-    ser = section_norm_series(s, K, grid, cfg, trials=trials)
+    ser, norms, pts = _section_norm_sweep(s, K, grid, cfg, trials)
     v = judge_negligible(ser, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
     if v.status is Status.PASS:
         return None
-    return argmax_net(s.bundle.base, K, sample_points(K, trials, cfg.seed), grid,
-                      lambda eps, p: fiber_norm(s.bundle, s.element_at(eps, p)),
+    return argmax_net(s.bundle.base, K, pts, grid, lambda eps, p: norms[eps, id(p)],
                       tag=f"zero-witness({s.tag})")
 
 

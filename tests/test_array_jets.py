@@ -27,12 +27,13 @@ from test_jet_reference import (
     WRAPPERS,
     coeff_lists,
 )
+from test_stacked_tables import escaping_net
 
 from mapnets import gmap, jets
 from mapnets.asymptotics import EpsGrid
 from mapnets.errors import DerivativeUndefined
 from mapnets.exprs import EXPRESSION_FAMILIES, build_expr
-from mapnets.gallery import get_net, get_region, list_nets
+from mapnets.gallery import get_atlas, get_net, get_region, list_nets
 from mapnets.gmap import (
     MapNet,
     _chart_sups,
@@ -43,9 +44,17 @@ from mapnets.gmap import (
     check_moderate,
     compose,
     effective_reps,
+    embed_smooth,
 )
 from mapnets.jets import Jet
-from mapnets.manifold import LocalMap, euclidean_atlas, sphere_atlas
+from mapnets.manifold import (
+    Box,
+    CompactRegion,
+    LocalMap,
+    SmoothMap,
+    euclidean_atlas,
+    sphere_atlas,
+)
 
 RAISES = (ZeroDivisionError, ValueError, OverflowError)
 
@@ -268,7 +277,7 @@ def test_a_raising_row_is_named_as_by_the_point_call(expr, xs, bad):
         assert np.all(np.isnan(y)) if want is None else same_values(y, want)
 
 
-# -- stacked admission ---------------------------------------------------------
+# -- admission from the image tables ------------------------------------------
 
 GRID = EpsGrid(0.5, 2, 9)
 
@@ -303,8 +312,8 @@ def ref_groups(nets, K, grid, L_prime):
 
 
 def stacked_groups(nets, K, grid, L_prime, cfg):
-    """The same groups as ``_chart_sups`` admits them, read off the stacks
-    it hands to ``tensors_of``."""
+    """The same groups as ``_chart_sups`` admits them from the nets' image
+    tables, read off the stacks it hands to ``tensors_of``."""
     seen = []
 
     def pieces(eps, cid):
@@ -314,9 +323,9 @@ def stacked_groups(nets, K, grid, L_prime, cfg):
                 seen.append((float(eps), cid, b, X.copy()))
                 return rep.derivs_upto(X, 1)
 
-            yield b, tuple(r[b] for r in reps), tensors_of
+            yield b, tensors_of
 
-    _chart_sups(nets[0].dst, K, grid, 1, L_prime, pieces, lambda pi, cid, b, k: "", cfg)
+    _chart_sups(nets, K, grid, 1, L_prime, pieces, lambda pi, cid, b, k: "", cfg)
     return seen
 
 
@@ -345,18 +354,56 @@ def admission_cases():
     yield "sin-vs-sin_plus_eps2", [get_net("sigma_sin"), get_net("sin_plus_eps2")], K_unit
     yield "sin o tanh", [compose(get_net("sigma_sin"), get_net("sigma_tanh"))], K_unit
     yield "sphere", [sphere_net()], region_box("e0", [-1.0, -1.0], [1.0, 1.0], density=9)
+    # images that leave every chart: escaped table rows, and no L' (no c-boundedness report)
+    psi = SmoothMap(get_atlas("interval02"), get_atlas("halfline_exp"),
+                    {("e0", "e0"): LocalMap.from_expr(lambda y: jets.exp(1.0 / y))},
+                    name="exp_recip")
+    yield "transformed epsilon_into_0_2", [compose(embed_smooth(psi),
+                                                   get_net("epsilon_into_0_2"))], K_unit
+    yield "escaping", [escaping_net({"c0": 2.0**-8, "c1": 2.0**-5})], CompactRegion(
+        [("c0", Box([-2.5], [-1.5])), ("c1", Box([1.5], [2.5]))], lattice_density=4)
+
+
+ESCAPING = {"transformed epsilon_into_0_2", "escaping"}
+ESCAPE_GRID = EpsGrid(0.5, 2, 11)  # the transformed counterexample escapes below 2^-9
 
 
 @pytest.mark.parametrize("label,nets,K", list(admission_cases()),
                          ids=[c[0] for c in admission_cases()])
 def test_stacked_admission_matches_the_per_point_rule(label, nets, K, cfg):
-    reports = [check_cbounded(u, K, GRID, cfg) for u in nets]
-    for L_prime in (None, _merge_l_prime(*reports)):
-        want = ref_groups(nets, K, GRID, L_prime)
-        got = stacked_groups(nets, K, GRID, L_prime, cfg)
+    grid = ESCAPE_GRID if label in ESCAPING else GRID
+    tables = [u.image_table(K, grid) for u in nets]
+    assert any(t.escape for t in tables) == (label in ESCAPING)
+    assert all(t.margins.max() > -math.inf for t in tables)  # some row is admitted
+    L_primes = [None]
+    if label not in ESCAPING:
+        L_primes.append(_merge_l_prime(*[check_cbounded(u, K, grid, cfg) for u in nets]))
+    for L_prime in L_primes:
+        want = ref_groups(nets, K, grid, L_prime)
+        got = stacked_groups(nets, K, grid, L_prime, cfg)
         assert [g[:3] for g in got] == [w[:3] for w in want], label
         for (*_, X), (*_, Y) in zip(got, want):
             assert X.tobytes() == Y.tobytes(), label
+
+
+def test_series_builders_evaluate_no_point_once_tables_exist(monkeypatch, cfg):
+    """Admission reads the image tables: once they exist, the three derivative
+    series builders make no ``try_call`` (the base nets' tables serve the
+    matrix parts of vb-homomorphisms)."""
+    from mapnets.vbundle import matrix_gap_series, tangent
+
+    u, v, K = get_net("sin_plus_eps2"), get_net("sigma_sin"), get_region("K_unit")
+    tu, tv = tangent(u), tangent(v)
+    for net in (u, v, tu.base_net, tv.base_net):
+        net.image_table(K, GRID)
+    calls = []
+    try_call = LocalMap.try_call
+    monkeypatch.setattr(LocalMap, "try_call",
+                        lambda self, x: calls.append(self.name) or try_call(self, x))
+    assert gmap.derivative_sup_series(u, K, GRID, 2, None, cfg)
+    assert gmap.chart_gap_series(u, v, K, GRID, 2, None, cfg)
+    assert matrix_gap_series(tu, tv, K, GRID, 1, None, cfg)
+    assert not calls
 
 
 def test_an_image_of_the_wrong_dimension_is_refused():
@@ -402,8 +449,8 @@ def test_check_moderate_evaluates_per_group(counters, cfg):
     check_moderate(u, K, GRID, k_max, cfg)
     assert n_groups == len(GRID)
     assert counters["var"].count(k_max) == n_groups
-    assert counters["var"].count(0) == n_groups  # admission: one order-0 jet per group
-    assert len(counters["var"]) == 2 * n_groups
+    assert counters["var"].count(0) == 0  # admission reads the image table
+    assert len(counters["var"]) == n_groups
     assert counters["norm"] == n_groups * (k_max + 1)
 
 
@@ -416,7 +463,7 @@ def test_check_equiv_evaluates_per_group_and_representative(counters, cfg):
     check_equiv(u, v, K, GRID, k_max, cfg)
     assert n_groups == len(GRID)
     assert counters["var"].count(k_max) == 2 * n_groups
-    assert counters["var"].count(0) == 2 * n_groups
-    assert len(counters["var"]) == 4 * n_groups
+    assert counters["var"].count(0) == 0  # admission reads the image tables
+    assert len(counters["var"]) == 2 * n_groups
     assert counters["norm"] == n_groups * (k_max + 1)
 

@@ -7,6 +7,7 @@ Lipschitz constants against brute-force lattice pair ratios.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestTransitions:
     def test_sphere_inversion_point(self):
         y = transition(SPHERE, "north", "south", [1.0, 0.0])
         assert y == pytest.approx([1.0, 0.0], abs=1e-14)
+
+    def test_sphere_inversion_of_an_inf_row_is_undefined(self):
+        """An inf row has no south coordinates (not inf / inf), and warns nowhere."""
+        inf = np.array([math.inf, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SPHERE.rechart(Point("north", inf), "south") is None
+            Y = SPHERE.rechart(Point("north", np.array([inf, [1.0, 0.0]])), "south")
+        assert np.isnan(Y[0]).all() and Y[1] == pytest.approx([1.0, 0.0], abs=1e-14)
 
     def test_sphere_transition_matches_embedding(self):
         # independent oracle: embed from the north chart, project to south
@@ -417,6 +427,16 @@ class TestDerivativeUndefined:
     def test_defined_points_still_differentiate(self):
         ts = self.rep().derivs_upto([-0.5], 2)
         assert [float(t.ravel()[0]) for t in ts] == pytest.approx([0.5, -1.0, 0.0], abs=1e-12)
+
+    def test_a_stacked_call_keeps_the_jet_values_beside_a_jetless_row(self):
+        """A row whose jet fails (t = 0 here) moves no other row of the stack
+        off the order-0 jet values; it alone takes the float expression."""
+        rep = LocalMap.from_expr(lambda t: sqrt(1.0 + t * t) + 0.0 * sqrt(t * t))
+        X = np.linspace(0.001, 1.0, 501)[:, None]
+        want = rep.try_call(X)  # one array jet: no row fails
+        got = rep.try_call(np.concatenate([[[0.0]], X]))
+        assert got[0].tolist() == [1.0]
+        assert got[1:].tobytes() == want.tobytes()
 
     def test_check_moderate_reports_it(self):
         from mapnets import errors

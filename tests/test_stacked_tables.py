@@ -7,9 +7,8 @@ through the stacked forms of ``Box``/``Chart.contains``,
 ``Box``/``Chart.norm_margin``, ``Atlas.rechart`` and
 ``Atlas.representations``.  These tests pin each stacked kernel bit for bit
 to its per-point call, the table to the per-point best-candidate rule
-(including which ``ChartEscape`` is raised), the number of calls per table,
-and the one value path the table shares with the derivative sweeps'
-admission test.
+(including which ``ChartEscape`` it records and the checks raise), the
+number of calls per table, and its images as the stacked ``try_call`` values.
 """
 
 import collections
@@ -26,7 +25,7 @@ from mapnets.asymptotics import EpsGrid
 from mapnets.config import Config
 from mapnets.errors import ChartEscape
 from mapnets.gallery import REGISTRY, get_atlas, get_net, get_region, list_nets
-from mapnets.gmap import MapNet, scalar_net
+from mapnets.gmap import MapNet, check_cbounded, scalar_net
 from mapnets.manifold import (
     Atlas,
     Box,
@@ -45,10 +44,11 @@ from mapnets.manifold import (
 @pytest.mark.parametrize("label,expr", [("sqrt", lambda t: jets.sqrt(1.0 + t * t)),
                                         ("pow", lambda t: (2.0 + t) ** 1.5)])
 def test_table_images_are_the_admission_values(label, expr):
-    """The table's images are the stacked ``try_call`` values that
-    ``_chart_sups`` admits points with (the order-0 jet of an expression);
-    the float expression differs from them in the last bits at many of these
-    1,001 points (sqrt and ** on a jet go through exp and log)."""
+    """The table's images, which the derivative sweeps admit points by, are
+    the stacked ``try_call`` values (the order-0 jet of an expression), the
+    value path of those sweeps' tensors; the float expression differs from
+    them in the last bits at many of these 1,001 points (sqrt and ** on a
+    jet go through exp and log)."""
     line = get_atlas("line")
     u = scalar_net(line, line, lambda eps: expr, tag=label)
     K = region_box("e0", [-1.0], [1.0], density=1001)
@@ -142,7 +142,6 @@ def probe_stack(atlas, cid):
 
 
 @pytest.mark.parametrize("name", sorted(ATLASES))
-@np.errstate(invalid="ignore")  # the sphere's inversion at an inf row: inf / inf
 def test_stacked_representations_match_point_calls(name):
     atlas = ATLASES[name]
     for cid in atlas.chart_ids:
@@ -249,8 +248,10 @@ def test_chart_escape_names_the_first_eps_then_point(piece_eps):
     u = escaping_net(piece_eps)
     want = point_escape(u, K, GRID)
     assert want is not None
+    table = u.image_table(K, GRID)  # an escape is a row of the table, not a build failure
+    assert str(table.escape) == want
     with pytest.raises(ChartEscape) as exc:
-        u.image_table(K, GRID)
+        check_cbounded(u, K, GRID, Config())
     assert str(exc.value) == want
 
 

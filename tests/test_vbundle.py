@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from mapnets import jets
-from mapnets.asymptotics import Status, judge_moderate
+from mapnets.asymptotics import Status, judge_moderate, sweep_sups
 from mapnets.config import Config
 from mapnets.errors import BaseMismatch, SingleChartMissing, TypeMismatch
 from mapnets.exprs import step_slope_sup
 from mapnets.gallery import get_atlas, get_net, get_region
-from mapnets.gmap import check_equiv, check_moderate, compose, scalar_net
-from mapnets.gpoints import GenNumber, GenPoint, gennumbers_equal, points_equal
+from mapnets.gmap import check_equiv, check_moderate, compose, sample_points, scalar_net
+from mapnets.gpoints import GenNumber, GenPoint, argmax_net, gennumbers_equal, points_equal
 from mapnets.manifold import (
     BundleElement,
     LocalMap,
@@ -40,6 +40,7 @@ from mapnets.vbundle import (
     fiber_combine,
     identity_vbhom,
     section_eval,
+    section_norm_series,
     section_zero_witness,
     tangent,
     tangent_norm_series,
@@ -323,6 +324,35 @@ class TestSections:
                               CFG).status is Status.FAIL
         v = judge_moderate(out.norm_series(GRID, CFG), CFG.n_cap, CFG.r2_min)
         assert v.estimate.slope == pytest.approx(slope, abs=0.1)
+
+    @pytest.mark.parametrize("trials", [0, 3])
+    def test_zero_witness_takes_each_fiber_norm_once(self, monkeypatch, trials):
+        """The series and the witness read one (eps, sample point) array of
+        fiber norms, and equal the per-point loops that took each norm twice."""
+        s = SectionNet(R_BUNDLE, lambda eps: {"e0": LocalMap.from_expr(
+            lambda t, e=eps: e * (2.0 + jets.sin(t)))}, tag="lin")
+        pts = sample_points(K_UNIT, trials, CFG.seed)
+
+        def norm(eps, p):
+            return fiber_norm(R_BUNDLE, s.element_at(eps, p))
+
+        want = sweep_sups(GRID, lambda eps: ((None, norm(eps, p), p) for p in pts),
+                          CFG.zero_tol, lambda _key: "sup |lin|_h on K")[None]
+        want_w = argmax_net(LINE, K_UNIT, pts, GRID, norm)
+        calls = []
+        element_at = SectionNet.element_at
+        monkeypatch.setattr(SectionNet, "element_at",
+                            lambda self, eps, p: calls.append(eps) or element_at(self, eps, p))
+        got = section_norm_series(s, K_UNIT, GRID, CFG, trials)
+        calls.clear()
+        w = section_zero_witness(s, K_UNIT, GRID, trials, CFG)
+        assert len(calls) == len(GRID) * len(pts)
+        assert got.sup.tobytes() == want.sup.tobytes() and got.context == want.context
+        assert [(a.chart, a.coords.tobytes()) for a in got.args] == [
+            (a.chart, a.coords.tobytes()) for a in want.args]
+        for eps in GRID.values():
+            assert w.at(eps).chart == want_w.at(eps).chart
+            assert w.at(eps).coords.tobytes() == want_w.at(eps).coords.tobytes()
 
     def test_nan_section_is_not_zero(self):
         s = const_section(lambda eps: math.nan, "nan")
