@@ -194,6 +194,13 @@ class ImageTable:
         c = self.chart[ei, pi]
         return Point(self.charts[c], self.coords[ei, pi, c, :self.dims[c]])
 
+    def images(self, c: int, rows: np.ndarray) -> Point:
+        """The images at the (eps, point) mask ``rows``, in row order and all in
+        chart ``charts[c]``, as one stacked Point (or raise ``escape``)."""
+        if self.escape is not None:
+            raise self.escape.with_traceback(None)
+        return Point(self.charts[c], self.coords[:, :, c, :self.dims[c]][rows])
+
 
 def _source_groups(src: Atlas, pts: list, charts):
     """(a, rows, P) for each source chart a of ``charts`` that holds some of
@@ -546,13 +553,16 @@ def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
                     trials: int = 0, seed: int = 0):
     """d_h(u_eps(p), v_eps(p)) between the two nets' table images, each
     computed once: the (eps, sample point) array, K's lattice points first,
-    then the ``trials`` extras, and the sup series of its lattice prefix."""
+    then the ``trials`` extras, and the sup series of its lattice prefix.
+    One ``distance`` call per (chart of u's image, chart of v's image)."""
     g = g or u.dst.metric
     if g is None:
         raise ValueError("no target metric available")
     tu, tv = u.image_table(K, grid, trials, seed), v.image_table(K, grid, trials, seed)
-    dists = np.array([[distance(u.dst, g, tu.image(eps, pi), tv.image(eps, pi))
-                       for pi in range(tu.chart.shape[1])] for eps in grid.values()])
+    dists = np.empty(tu.chart.shape)
+    for cu, cv in sorted(set(zip(tu.chart.ravel().tolist(), tv.chart.ravel().tolist()))):
+        rows = (tu.chart == cu) & (tv.chart == cv)
+        dists[rows] = distance(u.dst, g, tu.images(cu, rows), tv.images(cv, rows))
     pts = K.sample_points()
     lattice = dists[:, :len(pts)]
 

@@ -231,27 +231,23 @@ def separate_by_points(u: MapNet, v: MapNet, K: CompactRegion,
     K.validate(u.src)  # as check_equiv0's c-boundedness checks do
     if route.status is Status.PASS:
         return None
-    pts = sample_points(K, trials, cfg.seed)
-    rows = {eps: ei for ei, eps in enumerate(grid.values().tolist())}
-    index = {id(p): pi for pi, p in enumerate(pts)}
-    return argmax_net(u.src, K, pts, grid, lambda eps, p: dists[rows[eps], index[id(p)]],
+    return argmax_net(u.src, K, sample_points(K, trials, cfg.seed), grid, dists,
                       tag=f"sep({u.tag},{v.tag})")
 
 
 def argmax_net(atlas: Atlas, K: CompactRegion, pts: list, grid: EpsGrid,
-               value: Callable[[float, Point], float], tag: str = "") -> GenPoint:
-    """Piecewise-constant net of the per-eps argmax of ``value(eps, p)`` over pts.
+               values: np.ndarray, tag: str = "") -> GenPoint:
+    """Piecewise-constant net of the per-eps argmax over pts of ``values``,
+    the (eps, point) array of the values at grid eps and pts.
 
     Only an improvement by more than 1e-15 moves the argmax, so near-ties
     break to the lowest index; pts[0] stands when every value is NaN.
     """
-    eps_vals = grid.values()
     argmaxes = []
-    for eps in eps_vals:
-        best, best_v = pts[0], -1.0
-        for p in pts:
-            val = value(eps, p)
+    for row in np.asarray(values, dtype=float).tolist():
+        best, best_v = 0, -1.0
+        for i, val in enumerate(row):
             if val > best_v + 1e-15:
-                best, best_v = p, val
-        argmaxes.append(best)
-    return GenPoint.from_table(atlas, eps_vals, argmaxes, K, tag=tag)
+                best, best_v = i, val
+        argmaxes.append(pts[best])
+    return GenPoint.from_table(atlas, grid.values(), argmaxes, K, tag=tag)

@@ -626,9 +626,9 @@ def transition(atlas: Atlas, a: str, b: str, x) -> np.ndarray:
 class RiemannianMetric:
     """Per-chart symmetric positive-definite matrix fields g_ij(x).
 
-    ``analytic`` is an optional closed-form distance (atlas, p, q) -> float;
-    when absent, ``distance`` falls back to a shortest path on the
-    metric-weighted lattice graph of a compact region.
+    ``analytic`` is an optional closed-form distance (atlas, P, Q) -> (N,) of
+    two stacked Points (one chart each), row by row; when absent, ``distance``
+    takes a shortest path on the metric-weighted lattice graph of a compact region.
     """
 
     fields: dict
@@ -641,20 +641,30 @@ class RiemannianMetric:
 
 
 def distance(atlas: Atlas, g: RiemannianMetric, p: Point, q: Point,
-             region: Optional["CompactRegion"] = None, density: int = 17) -> float:
-    """Riemannian distance; inf iff p, q lie in different components."""
-    for pt in (p, q):
-        if not atlas.chart(pt.chart).contains(pt.coords):
-            raise OutOfDomain(f"invalid point {pt}")
+             region: Optional["CompactRegion"] = None, density: int = 17):
+    """Riemannian distance; inf iff p, q lie in different components.  A
+    point pair gives a float, two stacked Points of equal length the (N,)
+    distances from one ``g.analytic`` call (a point is the one-row stack).
+    The first row (p's before q's) outside its chart raises ``OutOfDomain``."""
+    (P, single), (Q, _) = point_rows(p.coords), point_rows(q.coords)
+    if len(P) != len(Q):
+        raise ValueError(f"distance between stacks of {len(P)} and {len(Q)} points")
+    bad = np.stack([~atlas.chart(pt.chart).contains(X) for pt, X in ((p, P), (q, Q))], axis=1)
+    if bad.any():  # the first bad row, p before q
+        i, j = divmod(int(np.argmax(bad)), 2)
+        raise OutOfDomain(f"invalid point {Point((p, q)[j].chart, (P, Q)[j][i])}")
     if not atlas.same_component(p, q):
-        return math.inf
-    if g.analytic is not None:
-        return float(g.analytic(atlas, p, q))
-    if region is None:
-        region = _default_region(atlas)
-    coarse = _graph_distance(atlas, g, p, q, region, density)
-    fine = _graph_distance(atlas, g, p, q, region, 2 * density - 1)
-    return fine if math.isfinite(fine) else coarse
+        d = np.full(len(P), math.inf)
+    elif g.analytic is not None:
+        d = np.asarray(g.analytic(atlas, Point(p.chart, P), Point(q.chart, Q)), dtype=float)
+    else:
+        region = _default_region(atlas) if region is None else region
+        d = np.empty(len(P))
+        for i, (x, y) in enumerate(zip(P, Q)):
+            pq = (Point(p.chart, x), Point(q.chart, y))
+            fine = _graph_distance(atlas, g, *pq, region, 2 * density - 1)
+            d[i] = fine if math.isfinite(fine) else _graph_distance(atlas, g, *pq, region, density)
+    return float(d[0]) if single else d
 
 
 def _default_region(atlas: Atlas) -> "CompactRegion":
@@ -1053,9 +1063,9 @@ def euclidean_atlas(bounds, name: str = "euclid", chart_id: str = "e0") -> Atlas
     return Atlas([chart], {}, name=name, metric=metric)
 
 
-def _euclid_distance(atlas: Atlas, p: Point, q: Point) -> float:
+def _euclid_distance(atlas: Atlas, P: Point, Q: Point) -> np.ndarray:
     # all charts of a multi-chart euclidean atlas share the ambient coords
-    return float(np.linalg.norm(p.coords - q.coords))
+    return tensor_norm(P.coords - Q.coords, 1)
 
 
 def euclidean_multichart(chart_boxes: dict, name: str = "euclid-multi") -> Atlas:
@@ -1104,21 +1114,20 @@ def circle_atlas(name: str = "circle") -> Atlas:
     fields = {cid: LocalMap(1, (1, 1), fn=lambda x: np.eye(1), name="round")
               for cid in ("ang0", "angpi")}
 
-    def circ_distance(atlas, p, q):
-        return abs(jets.wrap_angle(circle_angle(p) - circle_angle(q)))
+    def circ_distance(atlas, P, Q):
+        return np.abs(jets._entrywise(jets.wrap_angle, circle_angle(P) - circle_angle(Q)))
 
     metric = RiemannianMetric(fields, analytic=circ_distance, name="round")
     return Atlas([c0, c1], transitions, name=name, metric=metric)
 
 
-def circle_angle(p: Point) -> float:
-    """Global angle in (-pi, pi] of a circle point."""
-    t = float(p.coords[0])
-    if p.chart == "ang0":
-        return jets.wrap_angle(t)
-    if p.chart == "angpi":
-        return jets.wrap_angle(t + math.pi)
-    raise NoOverlap(f"{p.chart!r} is not a circle chart")
+def circle_angle(P: Point) -> np.ndarray:
+    """Global angles in (-pi, pi] of a stacked circle Point (coords (N, 1))."""
+    if P.chart == "ang0":
+        return jets._entrywise(jets.wrap_angle, P.coords[:, 0])
+    if P.chart == "angpi":
+        return jets._entrywise(lambda t: jets.wrap_angle(t + math.pi), P.coords[:, 0])
+    raise NoOverlap(f"{P.chart!r} is not a circle chart")
 
 
 SPHERE_BOX_HALF = 4.0
@@ -1153,26 +1162,23 @@ def sphere_atlas(name: str = "sphere") -> Atlas:
     fields = {cid: LocalMap(2, (2, 2), fn=round_field, name="round")
               for cid in ("north", "south")}
 
-    def sph_distance(atlas, p, q):
+    def sph_distance(atlas, P, Q):
         # chord-based formula: exact at coincident points, stable for small gaps
-        a = sphere_embed(p)
-        b = sphere_embed(q)
-        chord = float(np.linalg.norm(a - b))
-        return 2.0 * math.asin(min(1.0, chord / 2.0))
+        chord = tensor_norm(sphere_embed(P) - sphere_embed(Q), 1)
+        return jets._entrywise(lambda c: 2.0 * math.asin(min(1.0, c / 2.0)), chord)
 
     metric = RiemannianMetric(fields, analytic=sph_distance, name="round")
     return Atlas([north, south], transitions, name=name, metric=metric)
 
 
-def sphere_embed(p: Point) -> np.ndarray:
-    """Unit-sphere point in R^3 from stereographic coordinates."""
-    x = p.coords
-    r2 = float(x @ x)
-    if p.chart == "north":
-        return np.array([2 * x[0], 2 * x[1], r2 - 1.0]) / (r2 + 1.0)
-    if p.chart == "south":
-        return np.array([2 * x[0], 2 * x[1], 1.0 - r2]) / (r2 + 1.0)
-    raise NoOverlap(f"{p.chart!r} is not a sphere chart")
+def sphere_embed(P: Point) -> np.ndarray:
+    """Unit-sphere points (N, 3) from a stacked Point's stereographic coordinates (N, 2)."""
+    if P.chart not in ("north", "south"):
+        raise NoOverlap(f"{P.chart!r} is not a sphere chart")
+    X = P.coords
+    r2 = (X[:, None, :] @ X[:, :, None]).reshape(len(X))
+    z = r2 - 1.0 if P.chart == "north" else 1.0 - r2
+    return np.stack([2 * X[:, 0], 2 * X[:, 1], z], axis=1) / (r2 + 1.0)[:, None]
 
 
 def disjoint_union(parts: dict, name: str = "union") -> Atlas:
@@ -1180,7 +1186,6 @@ def disjoint_union(parts: dict, name: str = "union") -> Atlas:
     charts = []
     transitions = {}
     fields = {}
-    analytic_parts = {}
     for prefix, atlas in sorted(parts.items()):
         for cid in atlas.chart_ids:
             c = atlas.chart(cid)
@@ -1190,24 +1195,18 @@ def disjoint_union(parts: dict, name: str = "union") -> Atlas:
         if atlas.metric is not None:
             for cid, fld in atlas.metric.fields.items():
                 fields[f"{prefix}.{cid}"] = fld
-            analytic_parts[prefix] = (atlas, atlas.metric)
 
-    def union_distance(_atlas, p, q):
-        pa, ca = p.chart.split(".", 1)
-        qa, cb = q.chart.split(".", 1)
+    def union_distance(_atlas, P, Q):  # P's rows share a component, Q's rows another
+        pa, ca = P.chart.split(".", 1)
+        qa, cb = Q.chart.split(".", 1)
         if pa != qa:
-            return math.inf
-        part_atlas, part_metric = analytic_parts[pa]
-        if part_metric.analytic is None:
-            raise NoOverlap("component metric lacks analytic distance")
-        return part_metric.analytic(part_atlas, Point(ca, p.coords), Point(cb, q.coords))
+            return np.full(len(P.coords), math.inf)
+        part = parts[pa]
+        return part.metric.analytic(part, Point(ca, P.coords), Point(cb, Q.coords))
 
-    metric = None
-    if len(analytic_parts) == len(parts) and all(
-            m.analytic is not None for _, m in analytic_parts.values()):
-        metric = RiemannianMetric(fields, analytic=union_distance, name="union")
-    elif fields:
-        metric = RiemannianMetric(fields, analytic=None, name="union")
+    analytic = all(a.metric is not None and a.metric.analytic is not None for a in parts.values())
+    metric = (RiemannianMetric(fields, analytic=union_distance if analytic else None, name="union")
+              if analytic or fields else None)
     return Atlas(charts, transitions, name=name, metric=metric)
 
 
@@ -1255,21 +1254,16 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
                     na + b.chart(cb).dim,
                     (na + b.chart(cb).dim, na + b.chart(cb).dim), fn=block)
 
-    def prod_distance(_atlas, p, q, na_map=dims_a):
-        ca, cb = p.chart.split("*", 1)
-        cc, cd = q.chart.split("*", 1)
-        na = na_map[ca]
-        da = a.metric.analytic(a, Point(ca, p.coords[:na]), Point(cc, q.coords[:na]))
-        db = b.metric.analytic(b, Point(cb, p.coords[na:]), Point(cd, q.coords[na:]))
-        if math.isinf(da) or math.isinf(db):
-            return math.inf
-        return math.hypot(da, db)
+    def prod_distance(_atlas, P, Q):  # hypot(inf, nan) is inf, as across components
+        ca, cb = P.chart.split("*", 1)
+        cc, cd = Q.chart.split("*", 1)
+        na = dims_a[ca]
+        da = a.metric.analytic(a, Point(ca, P.coords[:, :na]), Point(cc, Q.coords[:, :na]))
+        db = b.metric.analytic(b, Point(cb, P.coords[:, na:]), Point(cd, Q.coords[:, na:]))
+        return np.array([math.hypot(x, y) for x, y in zip(da.tolist(), db.tolist())])
 
-    metric = None
-    if fields and a.metric.analytic is not None and b.metric.analytic is not None:
-        metric = RiemannianMetric(fields, analytic=prod_distance, name="product")
-    elif fields:
-        metric = RiemannianMetric(fields, analytic=None, name="product")
+    analytic = prod_distance if fields and a.metric.analytic and b.metric.analytic else None
+    metric = RiemannianMetric(fields, analytic=analytic, name="product") if fields else None
     return Atlas(charts, transitions, name=name or f"{a.name}x{b.name}", metric=metric)
 
 

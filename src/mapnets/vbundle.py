@@ -193,12 +193,13 @@ def section_norm_series(s: SectionNet, K: CompactRegion, grid: EpsGrid,
 
 
 def _section_norm_sweep(s: SectionNet, K: CompactRegion, grid: EpsGrid, cfg: Config, trials: int):
-    """(sup series, table, sample points) of the section's fiber norms: the
-    table holds the norm at every (eps, id(sample point)), each taken once."""
+    """(sup series, norms, sample points) of the section's fiber norms:
+    ``norms`` is the (eps, sample point) array, each norm taken once."""
     pts = sample_points(K, trials, cfg.seed)
-    norms = {(eps, id(p)): fiber_norm(s.bundle, s.element_at(eps, p))
-             for eps in grid.values() for p in pts}
-    series = sweep_sups(grid, lambda eps: ((None, norms[eps, id(p)], p) for p in pts),
+    norms = np.array([[fiber_norm(s.bundle, s.element_at(eps, p)) for p in pts]
+                      for eps in grid.values()])
+    rows = dict(zip(grid.values().tolist(), norms.tolist()))
+    series = sweep_sups(grid, lambda eps: zip([None] * len(pts), rows[eps], pts),
                         cfg.zero_tol, lambda _key: f"sup |{s.tag}|_h on K")[None]
     return series, norms, pts
 
@@ -476,8 +477,7 @@ def section_zero_witness(s: SectionNet, K: CompactRegion,
     v = judge_negligible(ser, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
     if v.status is Status.PASS:
         return None
-    return argmax_net(s.bundle.base, K, pts, grid, lambda eps, p: norms[eps, id(p)],
-                      tag=f"zero-witness({s.tag})")
+    return argmax_net(s.bundle.base, K, pts, grid, norms, tag=f"zero-witness({s.tag})")
 
 
 def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = None,

@@ -171,8 +171,7 @@ class TestArgmaxNet:
     PTS = [Point("e0", [x]) for x in (-0.2, 0.0, 0.2)]
 
     def argmax_coords(self, values):
-        value_of = {id(p): v for p, v in zip(self.PTS, values)}
-        net = argmax_net(LINE, SUPPORT, self.PTS, GRID, lambda eps, p: value_of[id(p)])
+        net = argmax_net(LINE, SUPPORT, self.PTS, GRID, np.tile(values, (len(GRID), 1)))
         return {float(net.at(eps).coords[0]) for eps in GRID.values()}
 
     def test_near_tie_breaks_to_lower_index(self):

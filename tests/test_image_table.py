@@ -161,9 +161,10 @@ def ref_separate_by_points(u, v, K, grid, trials, cfg):
         return None
     g = u.dst.metric
     rng = np.random.default_rng(cfg.seed) if trials > 0 else None
-    return argmax_net(u.src, K, K.sample_points(rng=rng, extra=trials), grid,
-                      lambda eps, p: distance(u.dst, g, u.eval(eps, p), v.eval(eps, p)),
-                      tag=f"sep({u.tag},{v.tag})")
+    pts = K.sample_points(rng=rng, extra=trials)
+    dists = [[distance(u.dst, g, u.eval(eps, p), v.eval(eps, p)) for p in pts]
+             for eps in grid.values()]
+    return argmax_net(u.src, K, pts, grid, np.array(dists), tag=f"sep({u.tag},{v.tag})")
 
 
 def ref_chart_route(u, v, K, grid, cfg):
@@ -466,8 +467,10 @@ class TestSweepsAndCacheKey:
                                                             trials, equivalent):
         calls = collections.Counter()
 
-        def counting(atlas, g, p, q, *args, **kwargs):
-            calls[(p.chart, p.coords.tobytes(), q.chart, q.coords.tobytes())] += 1
+        def counting(atlas, g, p, q, *args, **kwargs):  # each (p, q) row of a stack once
+            for x, y in zip(p.coords.reshape(-1, p.coords.shape[-1]),
+                            q.coords.reshape(-1, q.coords.shape[-1])):
+                calls[(p.chart, x.tobytes(), q.chart, y.tobytes())] += 1
             return distance(atlas, g, p, q, *args, **kwargs)
 
         def no_equiv0(*args, **kwargs):
@@ -488,6 +491,21 @@ class TestSweepsAndCacheKey:
         assert sum(calls.values()) == len(GRID) * n_samples
         assert len(evals) == 2 * len(GRID) * n_samples  # each image once, extras too
         assert set(evals.values()) == {1}
+
+    @pytest.mark.parametrize("name", sorted(CHART_PAIRS))
+    def test_one_distance_call_per_chart_pair_of_the_tables(self, monkeypatch, name):
+        u, v, K = CHART_PAIRS[name]
+        tu, tv = u.image_table(K, GRID), v.image_table(K, GRID)
+        pairs = collections.Counter()
+
+        def counting(atlas, g, p, q, *args, **kwargs):
+            pairs[p.chart, q.chart] += 1
+            return distance(atlas, g, p, q, *args, **kwargs)
+
+        monkeypatch.setattr(gmap, "distance", counting)
+        metric_gap_series(u, v, K, u.dst.metric, GRID, CFG)
+        present = {(tu.charts[a], tv.charts[b]) for a, b in zip(tu.chart.ravel(), tv.chart.ravel())}
+        assert set(pairs) == present and set(pairs.values()) == {1}
 
     @pytest.mark.parametrize("name", ["line", "circle", "multichart", "sphere"])
     def test_check_equiv0_evaluates_nothing_once_tables_exist(self, evals, monkeypatch,

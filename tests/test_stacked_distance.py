@@ -1,0 +1,301 @@
+"""Stacked Riemannian distances against the per-point formulas they replaced.
+
+``distance`` takes two stacked Points of equal length (one chart each, coords
+``(N, dim)``) and makes one ``g.analytic`` call for all N rows; a point pair
+is the one-row stack.  ``gmap._distance_sweep`` makes one such call per
+(chart of u's image, chart of v's image).  The ``ref_*`` functions below are
+the per-point analytic distances as they were before they took stacks; every
+test requires each stacked row to equal them bit for bit.  The matmul norm
+behind the flat distance and the sphere's chord is checked against per-row
+``np.linalg.norm`` over magnitudes 1e-150 to 1e150 and three memory layouts.
+"""
+
+import collections
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_image_table import CFG, CHART_PAIRS, GRID
+
+from mapnets import gmap, jets
+from mapnets.errors import ChartEscape, OutOfDomain
+from mapnets.gmap import metric_gap_series, scalar_net
+from mapnets.manifold import (
+    Atlas,
+    Point,
+    RiemannianMetric,
+    circle_atlas,
+    disjoint_union,
+    distance,
+    euclidean_atlas,
+    euclidean_multichart,
+    product_atlas,
+    region_box,
+    sphere_atlas,
+    tensor_norm,
+)
+
+# -- the per-point formulas the stacked distances replaced ---------------------
+
+
+def ref_euclid(p, q):
+    return float(np.linalg.norm(p.coords - q.coords))
+
+
+def ref_circle_angle(p):
+    t = float(p.coords[0])
+    return jets.wrap_angle(t) if p.chart == "ang0" else jets.wrap_angle(t + math.pi)
+
+
+def ref_circle(p, q):
+    return abs(jets.wrap_angle(ref_circle_angle(p) - ref_circle_angle(q)))
+
+
+def ref_sphere_embed(p):
+    x = p.coords
+    r2 = float(x @ x)
+    z = r2 - 1.0 if p.chart == "north" else 1.0 - r2
+    return np.array([2 * x[0], 2 * x[1], z]) / (r2 + 1.0)
+
+
+def ref_sphere(p, q):
+    chord = float(np.linalg.norm(ref_sphere_embed(p) - ref_sphere_embed(q)))
+    return 2.0 * math.asin(min(1.0, chord / 2.0))
+
+
+def ref_union(part_refs):
+    def ref(p, q):
+        pa, ca = p.chart.split(".", 1)
+        qa, cb = q.chart.split(".", 1)
+        if pa != qa:
+            return math.inf
+        return part_refs[pa](Point(ca, p.coords), Point(cb, q.coords))
+    return ref
+
+
+def ref_product(ref_a, ref_b, na):
+    def ref(p, q):
+        ca, cb = p.chart.split("*", 1)
+        cc, cd = q.chart.split("*", 1)
+        da = ref_a(Point(ca, p.coords[:na]), Point(cc, q.coords[:na]))
+        db = ref_b(Point(cb, p.coords[na:]), Point(cd, q.coords[na:]))
+        if math.isinf(da) or math.isinf(db):
+            return math.inf
+        return math.hypot(da, db)
+    return ref
+
+
+LINE = euclidean_atlas([(-5.0, 5.0)])
+CIRCLE = circle_atlas()
+SPHERE = sphere_atlas()
+CASES = {
+    # name: (atlas, per-point reference)
+    "line": (LINE, ref_euclid),
+    "plane": (euclidean_atlas([(-5.0, 5.0), (-2.0, 3.0)]), ref_euclid),
+    "space": (euclidean_atlas([(-5.0, 5.0)] * 3), ref_euclid),
+    "multichart": (euclidean_multichart({"c0": [(-5.0, 1.0), (-3.0, 3.0)],
+                                         "c1": [(-1.0, 5.0), (-3.0, 3.0)]}), ref_euclid),
+    "circle": (CIRCLE, ref_circle),
+    "sphere": (SPHERE, ref_sphere),
+    "union": (disjoint_union({"a": CIRCLE, "b": LINE}),
+              ref_union({"a": ref_circle, "b": ref_euclid})),
+    "circle-x-line": (product_atlas(CIRCLE, LINE), ref_product(ref_circle, ref_euclid, 1)),
+    "sphere-x-line": (product_atlas(SPHERE, LINE), ref_product(ref_sphere, ref_euclid, 2)),
+}
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+# -- stacked rows against the per-point formulas -------------------------------
+
+
+@st.composite
+def chart_coords(draw, chart):
+    box = chart.main_box
+    return [draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+            for lo, hi in box.bounds]
+
+
+@st.composite
+def stacked_pairs(draw, atlas):
+    """(P, Q): a stack of rows in one chart each, some q rows the p row's
+    point (in q's chart where it has a representation), some its antipode
+    on the sphere."""
+    cp, cq = (draw(st.sampled_from(atlas.chart_ids)) for _ in range(2))
+    P, Q = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(chart_coords(atlas.chart(cp)))
+        mode = draw(st.sampled_from(["free", "same", "antipode"]))
+        y = atlas.rechart(Point(cp, x), cq) if mode == "same" else None
+        if mode == "antipode" and atlas is SPHERE:
+            y = atlas.rechart(Point("south" if cp == "north" else "north", -np.array(x)), cq)
+        P.append(x)
+        Q.append(y.tolist() if y is not None else draw(chart_coords(atlas.chart(cq))))
+    return Point(cp, np.array(P)), Point(cq, np.array(Q))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_rows_equal_the_per_point_formulas(name, data):
+    atlas, ref = CASES[name]
+    P, Q = data.draw(stacked_pairs(atlas))
+    got = distance(atlas, atlas.metric, P, Q)
+    assert got.shape == (len(P.coords),)
+    for i, (x, y) in enumerate(zip(P.coords, Q.coords)):
+        p, q = Point(P.chart, x), Point(Q.chart, y)
+        want = ref(p, q)
+        assert bits(got[i]) == bits(want), (i, p, q, got[i], want)
+        point = distance(atlas, atlas.metric, p, q)
+        assert type(point) is float and bits(point) == bits(want)
+        if np.array_equal(p.coords, q.coords) and p.chart == q.chart:
+            assert bits(want) == bits(0.0)
+
+
+@pytest.mark.parametrize("north", [[1.0, 0.0], [1.805502219651654, -0.11243702054838867],
+                                   [-1.7316890673006753, -0.5444912928985315], [0.3, -2.5]])
+def test_sphere_coincident_and_antipodal_rows(north):
+    """Coincident points are exactly 0.0 in either chart; an antipode is pi
+    up to its chord's rounding (chord / 2 may reach or pass 1)."""
+    x = np.array(north)
+    same = Point("south", x / (x @ x))
+    anti_south, anti_north = Point("south", -x), Point("north", -x / (x @ x))
+    P = Point("north", np.array([x, x, x]))
+    for Q in (Point("north", np.array([x, -x / (x @ x), x])),
+              Point("south", np.array([same.coords, anti_south.coords, same.coords]))):
+        got = distance(SPHERE, SPHERE.metric, P, Q)
+        want = [ref_sphere(Point("north", x), Point(Q.chart, y)) for y in Q.coords]
+        assert [bits(d) for d in got] == [bits(d) for d in want]
+        assert got[1] == pytest.approx(math.pi, abs=1e-7)
+    assert distance(SPHERE, SPHERE.metric, Point("north", x), Point("north", x)) == 0.0
+    assert distance(SPHERE, SPHERE.metric, Point("north", x), anti_north) == \
+        pytest.approx(math.pi, abs=1e-7)
+
+
+def test_union_rows_across_components_are_inf():
+    atlas, ref = CASES["union"]
+    P = Point("a.ang0", [[0.5], [-2.0]])
+    Q = Point("b.e0", [[0.5], [1.0]])
+    assert distance(atlas, atlas.metric, P, Q).tolist() == [math.inf, math.inf]
+    assert atlas.metric.analytic(atlas, P, Q).tolist() == [math.inf, math.inf]
+    same = Point("a.angpi", [[0.5], [2.9]])
+    got = distance(atlas, atlas.metric, P, same)
+    assert [bits(d) for d in got] == [bits(ref(Point(P.chart, x), Point(same.chart, y)))
+                                      for x, y in zip(P.coords, same.coords)]
+
+
+def test_product_of_a_union_with_a_line_is_inf_across_components():
+    """The product's analytic distance is inf across the union's components
+    (``math.hypot(inf, d)`` is inf), as ``distance`` reads it from the
+    components."""
+    atlas = product_atlas(disjoint_union({"a": LINE, "b": LINE}), LINE)
+    P = Point("a.e0*e0", [[0.0, 1.0], [2.0, -3.0]])
+    Q = Point("b.e0*e0", [[0.0, 1.0], [4.0, 4.0]])
+    assert distance(atlas, atlas.metric, P, Q).tolist() == [math.inf, math.inf]
+    assert atlas.metric.analytic(atlas, P, Q).tolist() == [math.inf, math.inf]
+    Q = Point("a.e0*e0", Q.coords)
+    assert distance(atlas, atlas.metric, P, Q).tolist() == [0.0, math.hypot(2.0, 7.0)]
+
+
+def test_a_union_with_a_part_lacking_an_analytic_distance_has_none():
+    graph = Atlas(list(LINE.charts.values()), {}, metric=RiemannianMetric(LINE.metric.fields))
+    assert disjoint_union({"a": CIRCLE, "b": graph}).metric.analytic is None
+    assert disjoint_union({"a": CIRCLE, "b": LINE}).metric.analytic is not None
+
+
+def test_a_metric_without_analytic_distance_keeps_a_row_loop():
+    graph = RiemannianMetric(LINE.metric.fields)
+    P, Q = Point("e0", [[-1.0], [0.0]]), Point("e0", [[1.0], [0.5]])
+    got = distance(LINE, graph, P, Q)
+    want = [distance(LINE, graph, Point("e0", x), Point("e0", y)) for x, y in zip(P.coords, Q.coords)]
+    assert got.tolist() == want
+    assert want == pytest.approx([2.0, 0.5], abs=1e-9)
+
+
+# -- the matmul norm against np.linalg.norm ------------------------------------
+
+
+@given(n=st.integers(1, 70), dim=st.integers(1, 3), scale=st.integers(-150, 150),
+       seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["C", "F", "reversed"]))
+@settings(max_examples=200, deadline=None)
+def test_matmul_norm_matches_linalg_norm(n, dim, scale, seed, layout):
+    D = np.random.default_rng(seed).standard_normal((n, dim)) * 10.0**scale
+    want = [bits(np.linalg.norm(d)) for d in D]
+    D = {"C": D, "F": np.asfortranarray(D), "reversed": D[::-1].copy()[::-1]}[layout]
+    assert [bits(x) for x in tensor_norm(D, 1)] == want
+
+
+@given(dim=st.integers(1, 3), scale=st.integers(-150, 150), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_flat_distance_over_all_magnitudes(dim, scale, seed):
+    atlas = euclidean_atlas([(-math.inf, math.inf)] * dim)
+    X = np.random.default_rng(seed).standard_normal((2, 16, dim)) * 10.0**scale
+    got = distance(atlas, atlas.metric, Point("e0", X[0]), Point("e0", X[1]))
+    assert [bits(d) for d in got] == [bits(ref_euclid(Point("e0", x), Point("e0", y)))
+                                      for x, y in zip(X[0], X[1])]
+
+
+# -- errors, in the order the point calls raised them ---------------------------
+
+
+def test_first_bad_row_raises_p_before_q():
+    P = Point("e0", [[0.0], [1.0], [9.0], [7.0]])
+    Q = Point("e0", [[0.0], [1.0], [8.0], [1.0]])
+    with pytest.raises(OutOfDomain) as got:
+        distance(LINE, LINE.metric, P, Q)
+    assert str(got.value) == "invalid point Point(e0, [9.])"
+    Q = Point("e0", [[0.0], [6.0], [8.0], [1.0]])
+    with pytest.raises(OutOfDomain) as got:
+        distance(LINE, LINE.metric, P, Q)
+    assert str(got.value) == "invalid point Point(e0, [6.])"
+    with pytest.raises(OutOfDomain) as point:
+        distance(LINE, LINE.metric, Point("e0", [1.0]), Point("e0", [6.0]))
+    assert str(point.value) == str(got.value)
+
+
+def test_stacks_of_different_lengths_are_refused():
+    with pytest.raises(ValueError, match="stacks of 2 and 3 points"):
+        distance(LINE, LINE.metric, Point("e0", [[0.0], [1.0]]),
+                 Point("e0", [[0.0], [1.0], [2.0]]))
+
+
+def test_sweep_raises_u_escape_before_v_escape(monkeypatch):
+    box = euclidean_atlas([(-1.0, 1.0)])
+    u = scalar_net(LINE, box, lambda eps: lambda t: 5.0 + t, tag="far")
+    v = scalar_net(LINE, box, lambda eps: lambda t: 7.0 + t, tag="farther")
+    K = region_box("e0", [-1.0], [1.0], density=5)
+    monkeypatch.setattr(gmap, "distance", lambda *a, **k: pytest.fail("a distance was taken"))
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(ChartEscape) as got:
+            metric_gap_series(a, b, K, None, GRID, CFG)
+        assert str(got.value) == str(a.image_table(K, GRID).escape)
+    assert str(u.image_table(K, GRID).escape) != str(v.image_table(K, GRID).escape)
+
+
+# -- the sweep: one stacked call per chart pair, the per-point formulas' rows ---
+
+REFS = {"line": ref_euclid, "plane": ref_euclid, "euclid-multi": ref_euclid,
+        "circle": ref_circle, "sphere": ref_sphere}  # by the target atlas's name
+
+
+@pytest.mark.parametrize("name", sorted(CHART_PAIRS))
+def test_sweep_rows_equal_the_per_point_formulas(monkeypatch, name):
+    u, v, K = CHART_PAIRS[name]
+    ref = REFS[u.dst.name]
+    tu, tv = u.image_table(K, GRID), v.image_table(K, GRID)
+    calls = collections.Counter()
+
+    def counting(atlas, g, p, q, *args, **kwargs):
+        calls[p.chart, q.chart] += 1
+        return distance(atlas, g, p, q, *args, **kwargs)
+
+    monkeypatch.setattr(gmap, "distance", counting)
+    _series, dists = gmap._distance_sweep(u, v, K, None, GRID, CFG)
+    want = [[bits(ref(tu.image(eps, pi), tv.image(eps, pi))) for pi in range(dists.shape[1])]
+            for eps in GRID.values()]
+    assert [[bits(d) for d in row] for row in dists] == want
+    assert max(calls.values()) == 1

@@ -338,7 +338,8 @@ class TestSections:
 
         want = sweep_sups(GRID, lambda eps: ((None, norm(eps, p), p) for p in pts),
                           CFG.zero_tol, lambda _key: "sup |lin|_h on K")[None]
-        want_w = argmax_net(LINE, K_UNIT, pts, GRID, norm)
+        want_w = argmax_net(LINE, K_UNIT, pts, GRID,
+                            np.array([[norm(eps, p) for p in pts] for eps in GRID.values()]))
         calls = []
         element_at = SectionNet.element_at
         monkeypatch.setattr(SectionNet, "element_at",
