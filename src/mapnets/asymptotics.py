@@ -152,12 +152,22 @@ def sweep_sups(grid: EpsGrid, samples, zero_tol: float = 0.0,
             for key, vals in sups.items()}
 
 
-def stack_sup(values: np.ndarray) -> tuple:
-    """(sup, row) of a stack of samples as ``sweep_sups`` reads them: NaN
-    counts as overflow, and the first row of the largest value wins."""
-    values = np.where(np.isnan(values), math.inf, values)
-    row = int(np.argmax(values))
-    return float(values[row]), row
+def sweep_stacks(grid: EpsGrid, stacks, zero_tol: float = 0.0,
+                 context=lambda key: "") -> dict:
+    """``sweep_sups`` of stacks ``(key, eis, values, where)``: the values of
+    (eps, point) rows with non-decreasing grid eps indices ``eis``, and
+    ``where(i)`` the location of row i.  Per eps with rows, a stack is one
+    sample: its largest value (NaN as inf) at the first row holding it."""
+    found: list = [[] for _ in range(len(grid))]
+    for key, eis, values, where in stacks:
+        starts = np.flatnonzero(np.diff(eis, prepend=-1))
+        values = np.where(np.isnan(values), math.inf, values)
+        peaks = np.repeat(np.maximum.reduceat(values, starts), np.diff(starts, append=len(eis)))
+        firsts = np.flatnonzero(values == peaks)
+        for ei, row in zip(eis[starts].tolist(), firsts[np.searchsorted(firsts, starts)].tolist()):
+            found[ei].append((key, float(values[row]), where(row)))
+    samples = iter(found)
+    return sweep_sups(grid, lambda _eps: next(samples), zero_tol, context)
 
 
 def series_from_fn(fn, grid: EpsGrid, context: str = "", zero_tol: float = 0.0) -> SupSeries:

@@ -2,18 +2,25 @@
 
 JSON descriptions reference these by name; arbitrary expression parsing is
 out of scope.  Every family returns an eps-indexed factory whose expressions
-evaluate on floats and on jets alike, so derivative oracles are exact.
+evaluate on floats and on jets alike, so derivative oracles are exact.  A
+factory also takes an eps column, an (N,) array with one eps per row of the
+array jet it meets, and gives each row the float path's bits: eps-dependent
+scalars that are no IEEE basic operation go entry by entry through ``**``
+and ``math`` (``jets._entrywise``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 from .errors import SpecError, expect_object
-from .jets import bump, cos, exp, sin, tanh
+from .jets import _entrywise, bump, cos, exp, sin, tanh
 
-EpsFactory = Callable[[float], Callable]
+
+class EpsFamily(functools.partial):
+    """A factory from ``build_expr``: ``family(eps)`` takes a float or an eps column."""
 
 
 def smoothed_step(eps: float) -> Callable:
@@ -70,13 +77,17 @@ _BASE_FNS = {
 }
 
 
-def build_expr(spec) -> EpsFactory:
+def build_expr(spec) -> EpsFamily:
     """Build an eps-indexed expression factory from a JSON spec.
 
     Spec is either a registered base name (string) or
     {"name": ..., "params": {...}}; additive-perturbation families nest a
     "base" spec.
     """
+    return EpsFamily(_build(spec))
+
+
+def _build(spec) -> Callable:
     if isinstance(spec, str):
         spec = {"name": spec, "params": {}}
     if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
@@ -119,27 +130,28 @@ def build_expr(spec) -> EpsFactory:
         # the range-space diffeomorphism y -> e^(1/y)
         return lambda eps: (lambda t: exp(1.0 / t))
     if name == "plus_power":
-        base = build_expr(params.get("base", "identity"))
+        base = _build(params.get("base", "identity"))
         order = _param(params, "order", 1.0)
         coeff = _param(params, "coeff", 1.0)
         shape = _shape_fn(params)
 
         def factory(eps: float, base=base, order=order, coeff=coeff, shape=shape):
             b = base(eps)
-            amp = coeff * eps**order
+            amp = coeff * _entrywise(lambda e: e**order, eps)
             return lambda t: b(t) + amp * shape(t)
 
         return factory
     if name == "plus_flat":
         # additive defect decaying faster than every power: c * e^(-rate/eps)
-        base = build_expr(params.get("base", "identity"))
+        base = _build(params.get("base", "identity"))
         rate = _param(params, "rate", 1.0)
         coeff = _param(params, "coeff", 1.0)
         shape = _shape_fn(params)
 
         def factory(eps: float, base=base, rate=rate, coeff=coeff, shape=shape):
             b = base(eps)
-            amp = coeff * math.exp(-rate / eps) if rate / eps < 709.0 else 0.0
+            amp = _entrywise(lambda e: coeff * math.exp(-rate / e) if rate / e < 709.0 else 0.0,
+                             eps)
             return lambda t: b(t) + amp * shape(t)
 
         return factory

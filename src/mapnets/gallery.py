@@ -277,21 +277,33 @@ def _row(label: str, verdict: Verdict, slope: Optional[float] = None) -> ResultR
     return ResultRow(label, str(verdict.status), s)
 
 
-def _run_sigma_sin(cfg: Config):
-    u = get_net("sigma_sin")
-    K = get_region("K_unit")
-    grid = cfg.grid()
-    rows = []
-    series = {}
-    rep = check_cbounded(u, K, grid, cfg)
-    rows.append(ResultRow("check-cbounded", str(rep.status)))
-    v = check_moderate(u, K, grid, cfg=cfg, cbounded=rep)
-    rows.append(_row("check-moderate", v))
-    if v.series is not None:
-        series["moderate"] = v.series
-    sc = check_single_chart(u, K, grid, cfg)
-    rows.append(ResultRow("check-single-chart", str(sc.status)))
-    return rows, series
+def _net_checks(name: str, region: str = "K_unit", moderate: str = "",
+                single_chart: str = "") -> Callable:
+    """The runner of an entry that checks one net: c-boundedness, then
+    ``moderate`` ("plain": its row and series; "slope": also the k=1 slope
+    row, and every sub-series) and ``single_chart`` ("plain", or "notes":
+    with the chart and eps0)."""
+
+    def run(cfg: Config):
+        u, K, grid = get_net(name), get_region(region), cfg.grid()
+        rep = check_cbounded(u, K, grid, cfg)
+        rows, series = [ResultRow("check-cbounded", str(rep.status))], {}
+        if moderate:
+            v = check_moderate(u, K, grid, cfg=cfg, cbounded=rep)
+            rows.append(_row("check-moderate", v))
+            if moderate == "slope":
+                rows.append(ResultRow("moderate-k1-slope", str(v.status), _k_slope(v, 1)))
+                series = {lbl.replace("|", "_"): sv.series for lbl, sv in v.details.items()
+                          if sv.series is not None}
+            elif v.series is not None:
+                series["moderate"] = v.series
+        if single_chart:
+            sc = check_single_chart(u, K, grid, cfg)
+            notes = f"chart={sc.chart} eps0={sc.eps0}" if single_chart == "notes" else ""
+            rows.append(ResultRow("check-single-chart", str(sc.status), None, notes=notes))
+        return rows, series
+
+    return run
 
 
 def _run_epsilon_into_0_2(cfg: Config):
@@ -314,71 +326,22 @@ def _run_epsilon_into_0_2(cfg: Config):
     return rows, {"transformed_k0": merged, "margins": rep.margins}
 
 
-def _run_heaviside_tanh(cfg: Config):
-    u = get_net("heaviside_tanh")
-    K = get_region("K_unit")
-    grid = cfg.grid()
-    rows = []
-    rep = check_cbounded(u, K, grid, cfg)
-    rows.append(ResultRow("check-cbounded", str(rep.status)))
-    v = check_moderate(u, K, grid, cfg=cfg, cbounded=rep)
-    rows.append(_row("check-moderate", v))
-    rows.append(ResultRow("moderate-k1-slope", str(v.status), _k_slope(v, 1)))
-    series = {lbl.replace("|", "_"): sv.series for lbl, sv in v.details.items()
-              if sv.series is not None}
-    return rows, series
-
-
-def _run_s1_jump(cfg: Config):
-    u = get_net("s1_jump")
-    K = get_region("K_unit")
-    grid = cfg.grid()
-    rows = []
-    rep = check_cbounded(u, K, grid, cfg)
-    rows.append(ResultRow("check-cbounded", str(rep.status)))
-    v = check_moderate(u, K, grid, cfg=cfg, cbounded=rep)
-    rows.append(_row("check-moderate", v))
-    rows.append(ResultRow("moderate-k1-slope", str(v.status), _k_slope(v, 1)))
-    sc = check_single_chart(u, K, grid, cfg)
-    rows.append(ResultRow("check-single-chart", str(sc.status), None,
-                          notes=f"chart={sc.chart} eps0={sc.eps0}"))
-    series = {lbl.replace("|", "_"): sv.series for lbl, sv in v.details.items()
-              if sv.series is not None}
-    return rows, series
-
-
-def _run_winder(cfg: Config):
-    u = get_net("winder")
-    K = get_region("K_half")
-    grid = cfg.grid()
-    rows = []
-    rep = check_cbounded(u, K, grid, cfg)
-    rows.append(ResultRow("check-cbounded", str(rep.status)))
-    sc = check_single_chart(u, K, grid, cfg)
-    rows.append(ResultRow("check-single-chart", str(sc.status)))
-    return rows, {}
-
-
 def _run_negligible_perturbations(cfg: Config):
     grid = cfg.grid()
     K = get_region("K_unit")
     rows = []
     series = {}
-    v = check_equiv0(get_net("sigma_sin"), get_net("sin_plus_flat"), K, None, grid, cfg)
-    rows.append(_row("equiv0-sin-flat", v))
-    series["equiv0_sin_flat"] = v.series
-    v = check_equiv(get_net("sigma_sin"), get_net("sin_plus_flat"), [K], grid,
-                    cfg.k_max, cfg)
-    rows.append(_row("equiv-sin-flat", v))
-    v = check_equiv0(get_net("sigma_sin"), get_net("sin_plus_eps2"), K, None, grid, cfg)
-    rows.append(_row("equiv0-sin-eps2", v))
-    series["equiv0_sin_eps2"] = v.series
-    v = check_equiv(get_net("s1_jump"), get_net("s1_jump_flat"), [K], grid,
-                    cfg.k_max, cfg)
-    rows.append(_row("equiv-jump-flat", v))
-    v = check_equiv(get_net("s1_jump"), get_net("s1_jump_eps_bump"), [K], grid,
-                    cfg.k_max, cfg)
-    rows.append(_row("equiv-jump-eps-bump", v))
+    for label, u, v in [("equiv0-sin-flat", "sigma_sin", "sin_plus_flat"),
+                        ("equiv-sin-flat", "sigma_sin", "sin_plus_flat"),
+                        ("equiv0-sin-eps2", "sigma_sin", "sin_plus_eps2"),
+                        ("equiv-jump-flat", "s1_jump", "s1_jump_flat"),
+                        ("equiv-jump-eps-bump", "s1_jump", "s1_jump_eps_bump")]:
+        if label.startswith("equiv0"):
+            out = check_equiv0(get_net(u), get_net(v), K, None, grid, cfg)
+            series[label.replace("-", "_")] = out.series
+        else:
+            out = check_equiv(get_net(u), get_net(v), [K], grid, cfg.k_max, cfg)
+        rows.append(_row(label, out))
     return rows, series
 
 
@@ -489,7 +452,7 @@ GALLERY: list = [
         [Expectation("check-cbounded", "Pass"),
          Expectation("check-moderate", "Pass"),
          Expectation("check-single-chart", "Pass")],
-        _run_sigma_sin),
+        _net_checks("sigma_sin", moderate="plain", single_chart="plain")),
     GalleryEntry(
         "epsilon_into_0_2",
         "constant-at-eps net into (0,2); escapes the boundary, and the "
@@ -502,19 +465,19 @@ GALLERY: list = [
         [Expectation("check-cbounded", "Pass"),
          Expectation("check-moderate", "Pass"),
          Expectation("moderate-k1-slope", "Pass", slope_range=(-1.1, -0.9))],
-        _run_heaviside_tanh),
+        _net_checks("heaviside_tanh", moderate="slope")),
     GalleryEntry(
         "s1_jump", "circle-valued jump net; moderate, single-chart on [-1,1]",
         [Expectation("check-cbounded", "Pass"),
          Expectation("check-moderate", "Pass"),
          Expectation("moderate-k1-slope", "Pass", slope_range=(-1.1, -0.9)),
          Expectation("check-single-chart", "Pass")],
-        _run_s1_jump),
+        _net_checks("s1_jump", moderate="slope", single_chart="notes")),
     GalleryEntry(
         "winder", "winding net covers the circle; fails single-chart",
         [Expectation("check-cbounded", "Pass"),
          Expectation("check-single-chart", "Fail")],
-        _run_winder),
+        _net_checks("winder", region="K_half", single_chart="plain")),
     GalleryEntry(
         "negligible_perturbations",
         "additive defects: faster-than-every-power pass, power-law fail",

@@ -37,12 +37,13 @@ from .asymptotics import (
     judge_moderate,
     judge_negligible,
     judge_vanishing,
-    stack_sup,
-    sweep_sups,
+    sweep_stacks,
 )
 from .config import DEFAULT_CONFIG, Config
-from .errors import ChartEscape, ChartMismatch
+from .errors import ChartEscape, ChartMismatch, DerivativeUndefined
+from .exprs import EpsFamily
 from .manifold import (
+    _UNDEFINED,
     Atlas,
     Box,
     CompactRegion,
@@ -67,20 +68,28 @@ class MapNet:
     """An eps-parametrized net of smooth maps src -> dst.
 
     ``local_factory(eps)`` returns the table of local representatives for
-    the map at that eps.  Evaluation is pure; instances are safe to share.
+    the map at that eps, and with ``eps_columns`` at an eps column too (see
+    ``at``).  Evaluation is pure; instances are safe to share.
     """
 
     def __init__(self, src: Atlas, dst: Atlas, local_factory: Callable[[float], dict],
-                 tag: str = "", provenance: Optional[dict] = None):
+                 tag: str = "", provenance: Optional[dict] = None, eps_columns: bool = False):
         self.src = src
         self.dst = dst
         self.local_factory = local_factory
         self.tag = tag
         self.provenance = provenance or {}
+        self.eps_columns = eps_columns
         self._cache: dict = {}
         self._tables: dict = {}
 
-    def at(self, eps: float) -> SmoothMap:
+    def at(self, eps) -> SmoothMap:
+        """The map at a float eps (cached), or at an eps column, an (N,) array
+        (with ``eps_columns``): its representatives take stacks of N points."""
+        if isinstance(eps, np.ndarray):
+            if not self.eps_columns:
+                raise TypeError(f"{self!r} takes one eps at a time")
+            return SmoothMap(self.src, self.dst, self.local_factory(eps), name=f"{self.tag}@eps")
         sm = self._cache.get(eps)
         if sm is None:
             sm = SmoothMap(self.src, self.dst, self.local_factory(eps),
@@ -123,11 +132,12 @@ class MapNet:
 class ImageTable:
     """Images u_eps(p) of sample points p at every grid eps, as arrays.
 
-    Built in one array pass: per eps, one stacked ``u.at(eps)`` call per
-    source chart holding sample points (a stacked ``try_call`` per
-    representative); then, once over all (eps, point) rows, the candidates'
-    margins, each row's best candidate (largest margin, then the smaller
-    target chart, then the smaller source chart, as in
+    Built in one array pass: per source chart holding sample points, one
+    stacked ``u.at`` call over all (eps, point) rows at their eps column (a
+    stacked ``try_call`` per representative), or one per eps for a net
+    without eps columns (``_eps_rows``); then, once over all rows, the
+    candidates' margins, each row's best candidate (largest margin, then the
+    smaller target chart, then the smaller source chart, as in
     ``SmoothMap.eval_candidates``) and its ``representations``.
     ``margins[ei, pi, c]`` is the normalized margin of the image in chart
     ``charts[c]`` (-inf where it has no representation there),
@@ -148,14 +158,18 @@ class ImageTable:
         self.rows = {eps: ei for ei, eps in enumerate(eps_vals.tolist())}
         col = {b: c for c, b in enumerate(self.charts)}
         E, n = len(eps_vals), len(pts)
-        maps = [u.at(eps) for eps in eps_vals]
+        pairs = _eps_rows((u,), eps_vals, np.arange(E), lambda eps, _rows: u.at(eps).locals)
         images: dict = {}  # (b, a): the images of the (eps, point) rows under rep (a, b)
-        for a, rows, P in _source_groups(u.src, pts, {a for sm in maps for a, _b in sm.locals}):
-            for ei, sm in enumerate(maps):
-                for q in sm(P):
+        for a, rows, P in _source_groups(u.src, pts, {a for _r, loc in pairs for a, _b in loc}):
+            X = np.tile(P.coords, (E, 1))  # the (eps, point) rows, eps-major
+            eis = np.repeat(np.arange(E), len(rows))
+            at = eis * n + np.tile(rows, E)  # their rows in the table
+            for sel, cands in _eps_rows((u,), eps_vals, eis,
+                                        lambda eps, sel: u.at(eps)(Point(a, X[sel]))):
+                for q in cands:
                     if (q.chart, a) not in images:
-                        images[q.chart, a] = np.full((E, n) + q.coords.shape[1:], math.nan)
-                    images[q.chart, a][ei, rows] = q.coords
+                        images[q.chart, a] = np.full((E * n,) + q.coords.shape[1:], math.nan)
+                    images[q.chart, a][at[sel]] = q.coords
         keys = sorted(images)
         flat = [images[k].reshape(E * n, -1) for k in keys]
         M = np.array([dst.chart(b).norm_margin(Y) for (b, _a), Y in zip(keys, flat)])
@@ -163,7 +177,8 @@ class ImageTable:
         self.escape = head.escape if head is not None else None
         if self.escape is None and not found.all():
             ei, pi = divmod(int(np.argmin(found)), n)
-            self.escape = ChartEscape(f"{maps[ei].name or 'map'} has no chart for image of {pts[pi]}")
+            self.escape = ChartEscape(
+                f"{u.at(eps_vals[ei]).name or 'map'} has no chart for image of {pts[pi]}")
         # the best candidate: the first of equal margins, the smaller (b, a); -1 if none
         best = M.argmax(axis=0) if keys else np.zeros(E * n, dtype=int)
         chart = np.where(found, np.array([col[b] for b, _a in keys] or [-1])[best], -1)
@@ -202,6 +217,20 @@ class ImageTable:
         return Point(self.charts[c], self.coords[:, :, c, :self.dims[c]][rows])
 
 
+def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, call) -> list:
+    """[(rows, call(eps, rows))] over (eps, point) rows of non-decreasing grid
+    eps indices ``eis``, rows an index array: one call at their eps column
+    when all ``nets`` take one and it is defined, else one per eps."""
+    rows = np.arange(len(eis))
+    if len(eis) and all(u.eps_columns for u in nets):
+        try:
+            return [(rows, call(eps_vals[eis], rows))]
+        except _UNDEFINED + (DerivativeUndefined,):
+            pass
+    return [(r, call(eps_vals[eis[r[0]]], r))
+            for r in np.split(rows, np.flatnonzero(np.diff(eis)) + 1) if len(r)]
+
+
 def _source_groups(src: Atlas, pts: list, charts):
     """(a, rows, P) for each source chart a of ``charts`` that holds some of
     the points ``pts``: their indices, and their chart-a coordinates as one
@@ -226,6 +255,20 @@ def sample_points(K: CompactRegion, trials: int = 0, seed: int = 0) -> list:
     return K.sample_points(rng=rng, extra=trials)
 
 
+def _expr_net(src: Atlas, dst: Atlas, expr_of_eps: Callable, tag: str, targets) -> MapNet:
+    """The net whose representative (a, b) is ``to(expr)`` for each (b, to) of
+    ``targets``, expr the expression at eps; an ``exprs.EpsFamily`` builds it
+    at an eps column too (``MapNet.at``)."""
+
+    def factory(eps) -> dict:
+        expr = expr_of_eps(eps)
+        col = eps if isinstance(eps, np.ndarray) else None
+        return {(a, b): LocalMap.from_expr(to(expr), name=f"{tag}:{a}->{b}", eps_column=col)
+                for a in src.chart_ids for b, to in targets}
+
+    return MapNet(src, dst, factory, tag=tag, eps_columns=isinstance(expr_of_eps, EpsFamily))
+
+
 def scalar_net(src: Atlas, dst: Atlas, expr_of_eps: Callable[[float], Callable],
                tag: str = "") -> MapNet:
     """Net between 1-D euclidean atlases from an eps-indexed expression.
@@ -233,17 +276,7 @@ def scalar_net(src: Atlas, dst: Atlas, expr_of_eps: Callable[[float], Callable],
     The same expression serves every chart pair (euclidean charts share
     ambient coordinates); exact derivatives come from jet evaluation.
     """
-
-    def factory(eps: float) -> dict:
-        expr = expr_of_eps(eps)
-        table = {}
-        for a in src.chart_ids:
-            for b in dst.chart_ids:
-                table[(a, b)] = LocalMap.from_expr(expr, out_shape=(1,),
-                                                   name=f"{tag}:{a}->{b}")
-        return table
-
-    return MapNet(src, dst, factory, tag=tag)
+    return _expr_net(src, dst, expr_of_eps, tag, [(b, lambda e: e) for b in dst.chart_ids])
 
 
 def angle_net(src: Atlas, circle: Atlas, angle_of_eps: Callable[[float], Callable],
@@ -254,19 +287,11 @@ def angle_net(src: Atlas, circle: Atlas, angle_of_eps: Callable[[float], Callabl
     chart's reference frame; the wrap shift is locally constant, so all
     derivatives are those of the raw angle expression.
     """
+    def wrap(shift):  # the chart's angle, minus its shift
+        return lambda e: lambda t: jets.wrap_angle(e(t) - shift)
 
-    def factory(eps: float) -> dict:
-        a_expr = angle_of_eps(eps)
-        table = {}
-        for a in src.chart_ids:
-            table[(a, "ang0")] = LocalMap.from_expr(
-                lambda t, e=a_expr: jets.wrap_angle(e(t)), name=f"{tag}:{a}->ang0")
-            table[(a, "angpi")] = LocalMap.from_expr(
-                lambda t, e=a_expr: jets.wrap_angle(e(t) - math.pi),
-                name=f"{tag}:{a}->angpi")
-        return table
-
-    return MapNet(src, circle, factory, tag=tag)
+    return _expr_net(src, circle, angle_of_eps, tag,
+                     [("ang0", wrap(0.0)), ("angpi", wrap(math.pi))])
 
 
 def embed_smooth(sm: SmoothMap, tag: str = "") -> MapNet:
@@ -474,31 +499,43 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
                 L_prime: Optional[dict], pieces, context, cfg: Config) -> dict:
     """Chart-wise lattice sups of derivative-tensor norms, orders 0..k_max.
 
-    ``pieces(eps, cid)`` yields (dst chart b, tensors_of).  A lattice point x
-    of K's piece pi (in chart cid) counts under the keys (pi, cid, b, k) when
-    the image tables of ``nets`` (cached, escaped images included as rows)
-    admit it for b (``_admitted``), so no point is evaluated for admission.
-    Each (eps, piece, b) group with admitted points is one array pass: one
-    call ``tensors_of(X)`` on their stack X, in lattice order, giving their
-    tensors of orders 0..k_max, row axis first; one ``tensor_norm`` and one
-    sup per order.  Each series is labelled ``context(pi, cid, b, k)``.
+    ``pieces(eps, cid)`` gives (dst chart b, tensors_of) pairs for the nets
+    at eps: a grid eps, or the eps column of the stack tensors_of takes.
+    A lattice point x of K's piece pi (in chart cid) counts under the keys
+    (pi, cid, b, k) at an eps when the image tables of ``nets`` (cached,
+    escaped images included as rows) admit it for b (``_admitted``), so no
+    point is evaluated for admission.  Each (piece, b) group is one array
+    pass over its admitted (eps, point) rows, eps-major and in lattice order
+    (one pass per eps for nets without eps columns, ``_eps_rows``): one call
+    ``tensors_of(X)`` on their stack X, giving their tensors of orders
+    0..k_max, row axis first; one ``tensor_norm`` per order over all the
+    rows, and its sup per eps (``sweep_stacks``).  Each series is labelled
+    ``context(pi, cid, b, k)``.
     """
     tables = [u.image_table(K, grid) for u in nets]
     ok = _admitted(tables, L_prime)
-    lattice = _lattice_pieces(K)
+    eps_vals = grid.values()
 
-    def samples(eps):
-        ei = tables[0].rows[eps]
-        for pi, cid, cols, lat, at in lattice:
-            for b, tensors_of in pieces(eps, cid):
-                rows = np.flatnonzero(ok[ei, cols, tables[0].charts.index(b)])
-                if len(rows):
-                    tensors = tensors_of(lat[rows])
-                    for k in range(k_max + 1):
-                        sup, i = stack_sup(tensor_norm(tensors[k], k))
-                        yield (pi, cid, b, k), sup, at[rows[i]]
+    def stacks():
+        for pi, cid, cols, lat, at in _lattice_pieces(K):
+            for c, b in enumerate(tables[0].charts):
+                eis, js = np.nonzero(ok[:, cols, c])
 
-    return sweep_sups(grid, samples, cfg.zero_tol, lambda key: context(*key))
+                def tensors(eps, rows, b=b, js=js):
+                    tensors_of = dict(pieces(eps, cid)).get(b)
+                    return None if tensors_of is None else tensors_of(lat[js[rows]])
+
+                parts = [(rows, ts) for rows, ts in _eps_rows(nets, eps_vals, eis, tensors)
+                         if ts is not None]
+                if not parts:
+                    continue
+                rows = np.concatenate([rows for rows, _ts in parts])
+                for k in range(k_max + 1):
+                    t = np.concatenate([ts[k] for _rows, ts in parts])
+                    yield ((pi, cid, b, k), eis[rows], tensor_norm(t, k),
+                           lambda i, j=js[rows]: at[j[i]])
+
+    return sweep_stacks(grid, stacks(), cfg.zero_tol, lambda key: context(*key))
 
 
 def _lattice_pieces(K: CompactRegion) -> list:
@@ -540,9 +577,8 @@ def derivative_sup_series(u: MapNet, K: CompactRegion, grid: EpsGrid,
     """
 
     def pieces(eps, cid):
-        reps = effective_reps(u.at(eps), cid)
-        for b in sorted(reps):
-            yield b, lambda x, rep=reps[b]: rep.derivs_upto(x, k_max)
+        return {b: (lambda x, rep=rep: rep.derivs_upto(x, k_max))
+                for b, rep in effective_reps(u.at(eps), cid).items()}
 
     return _chart_sups((u,), K, grid, k_max, L_prime, pieces,
                        lambda pi, cid, b, k: f"|D^{k}| K[{pi}] {cid}->{b} of {u.tag}", cfg)
@@ -565,13 +601,10 @@ def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
         dists[rows] = distance(u.dst, g, tu.images(cu, rows), tv.images(cv, rows))
     pts = K.sample_points()
     lattice = dists[:, :len(pts)]
-
-    def samples(eps):
-        d, i = stack_sup(lattice[tu.rows[eps]])
-        yield None, d, pts[i]
-
-    return sweep_sups(grid, samples, cfg.zero_tol,
-                      lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None], dists
+    stack = (None, np.repeat(np.arange(len(grid)), len(pts)), lattice.ravel(),
+             lambda i: pts[i % len(pts)])
+    return sweep_stacks(grid, [stack], cfg.zero_tol,
+                        lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None], dists
 
 
 def metric_gap_series(u: MapNet, v: MapNet, K: CompactRegion,
@@ -609,19 +642,17 @@ def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
     with np.errstate(over="ignore"):  # an overflowed norm is inf, as in tensor_norm
         # per (eps, point, chart); a chart's NaN padding beyond its dimension adds 0
         gap = np.sqrt(np.nansum((tu.coords - tv.coords) ** 2, axis=-1))
-    lattice = _lattice_pieces(K)
 
-    def samples(eps):
-        ei = tu.rows[eps]
-        for pi, cid, cols, _lat, at in lattice:
+    def stacks():
+        for pi, cid, cols, _lat, at in _lattice_pieces(K):
             for c, b in enumerate(tu.charts):
-                rows = np.flatnonzero(ok[ei, cols, c])
-                if len(rows):
-                    sup, i = stack_sup(gap[ei, cols, c][rows])
-                    yield (pi, cid, b, 0), sup, at[rows[i]]
+                mask = ok[:, cols, c]
+                eis, js = np.nonzero(mask)
+                if len(js):
+                    yield (pi, cid, b, 0), eis, gap[:, cols, c][mask], lambda i, js=js: at[js[i]]
 
-    return sweep_sups(grid, samples, cfg.zero_tol,
-                      lambda key: f"|D^0({u.tag}-{v.tag})| K[{key[0]}] {key[1]}->{key[2]}")
+    return sweep_stacks(grid, stacks(), cfg.zero_tol,
+                        lambda key: f"|D^0({u.tag}-{v.tag})| K[{key[0]}] {key[1]}->{key[2]}")
 
 
 def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
@@ -653,10 +684,8 @@ def chart_gap_series(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
     """
 
     def pieces(eps, cid):
-        reps_u = effective_reps(u.at(eps), cid)
-        reps_v = effective_reps(v.at(eps), cid)
-        for b in sorted(set(reps_u) & set(reps_v)):
-            yield b, _gap_tensors(reps_u[b], reps_v[b], k_max)
+        ru, rv = effective_reps(u.at(eps), cid), effective_reps(v.at(eps), cid)
+        return {b: _gap_tensors(ru[b], rv[b], k_max) for b in ru.keys() & rv.keys()}
 
     return _chart_sups((u, v), K, grid, k_max, L_prime, pieces,
                        lambda pi, cid, b, k: f"|D^{k}({u.tag}-{v.tag})| K[{pi}] {cid}->{b}",

@@ -12,7 +12,9 @@ expression holds for both evaluation and differentiation.
 The recurrences run in IEEE float arithmetic, each coefficient of a product
 summed in order j = 0..k, and order-0 transcendentals come from ``math``
 entry by entry, so each row of an array jet has the bits of the float jet
-(a NaN's sign aside); a value check raises if any row fails it.  Overflow
+(a NaN's sign aside); a value check raises if any row fails it.  A
+scalar operand of the ring operations may be an ``(N,)`` array too, one
+float per row (an expression at an eps column, see ``exprs``).  Overflow
 is silent: a coefficient becomes inf or NaN (``exp`` of a jet at 800 reads
 ``(inf, inf, nan)``) and the sup reducer counts NaN as inf.  ``wrap_angle``
 of a non-finite angle is NaN, so an overflowing angle chart gives an
@@ -77,37 +79,36 @@ class Jet:
         return np.array(np.broadcast_arrays(*map(operator.mul, self.c, factorials(self.order))))
 
     # -- ring operations -------------------------------------------------
-    # A scalar operand s acts as the constant jet (s, 0, ..., 0).  Products
-    # and quotients keep the constant jet's zero terms: c[j] * 0.0 is NaN for
-    # an infinite or NaN c[j], so a non-finite coefficient turns every higher
-    # one into NaN, as with a jet operand.
+    # A scalar operand s (a float, or an (N,) array of per-row floats) acts as
+    # the constant jet (s, 0, ..., 0).  Products and quotients keep the
+    # constant jet's zero terms: c[j] * 0.0 is NaN for an infinite or NaN
+    # c[j], so a non-finite coefficient turns every higher one into NaN, as
+    # with a jet operand.  numpy defers to these: ``ndarray * Jet`` is
+    # ``Jet.__rmul__``, never an object array.
+    __array_ufunc__ = None
 
     def __add__(self, other):
         c = self.c
         if isinstance(other, Jet):
             return _jet(tuple([a + b for a, b in zip(c, other.c)]))
-        return _jet((c[0] + float(other),) + c[1:])
+        return _jet((c[0] + _scalar(other),) + c[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
         return _jet(tuple([-a for a in self.c]))
 
-    def __sub__(self, other):
-        c = self.c
-        if isinstance(other, Jet):
-            return _jet(tuple([a - b for a, b in zip(c, other.c)]))
-        return _jet((c[0] - float(other),) + c[1:])
+    def __sub__(self, other):  # in IEEE arithmetic a - b is a + (-b), bit for bit
+        return self + (-other if isinstance(other, Jet) else -_scalar(other))
 
     def __rsub__(self, other):
-        c = self.c
-        return _jet((float(other) - c[0],) + tuple([-a for a in c[1:]]))
+        return -self + other
 
     def __mul__(self, other):
         a = self.c
         if isinstance(other, Jet):
             return _jet(_mul(a, other.c))
-        s = float(other)
+        s = _scalar(other)
         out = []
         z = 0.0  # sum of c[j] * 0.0 over the lower orders
         for x in a:
@@ -120,8 +121,8 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return _jet(_div(self.c, other.c))
-        s = float(other)
-        if s == 0.0:
+        s = _scalar(other)
+        if np.any(s == 0.0):
             raise ZeroDivisionError("jet division by zero-valued jet")
         out = []
         z = 0.0  # sum of q[j] * 0.0 over the lower orders
@@ -132,7 +133,7 @@ class Jet:
         return _jet(tuple(out))
 
     def __rtruediv__(self, other):
-        return _jet(_div((float(other),) + (0.0,) * self.order, self.c))
+        return _jet(_div((_scalar(other),) + (0.0,) * self.order, self.c))
 
     def __pow__(self, p):
         if isinstance(p, int):
@@ -234,9 +235,16 @@ def _jet(c: tuple) -> Jet:
     return j
 
 
+def _scalar(s):
+    """A scalar operand as the ring operations take it: an array as is, else a float."""
+    return s if isinstance(s, np.ndarray) else float(s)
+
+
 def _entrywise(f, x):
     """f at a float, or at each entry of an array (numpy's tanh, exp round unlike math's)."""
-    return np.array([f(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else f(x)
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.tolist()), float, len(x))
+    return f(x)
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -319,10 +327,15 @@ def wrap_angle(x):
     all derivatives pass through unchanged; the wrap discontinuity sits at odd
     multiples of pi, which angle-chart domains exclude.  A non-finite angle
     (an overflowed expression) wraps to NaN, which the sup reducer counts as
-    overflow.
+    overflow.  An array of angles wraps entry by entry, with the bits of the
+    float path.
     """
     if isinstance(x, Jet):
-        return _jet((_entrywise(wrap_angle, x.value),) + x.c[1:])
+        return _jet((wrap_angle(x.value),) + x.c[1:])
+    if isinstance(x, np.ndarray):  # the float steps below, entry by entry
+        with np.errstate(invalid="ignore"):  # inf - inf; non-finite rows are NaN anyway
+            w = x - TWO_PI * np.floor((x + math.pi) / TWO_PI)
+        return np.where(np.isfinite(x), np.where(w <= -math.pi, w + TWO_PI, w), math.nan)
     v = float(x)
     if not math.isfinite(v):
         return math.nan

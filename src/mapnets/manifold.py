@@ -260,11 +260,13 @@ class LocalMap:
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
     gains a leading row axis.  An expression is evaluated once on the array
     jet of the stack's column; otherwise all rows share one stencil tree,
-    each of whose levels calls ``fn`` (or ``jac``) once per row.
+    each of whose levels calls ``fn`` (or ``jac``) once per row.  An
+    expression at an ``eps_column`` (``exprs``) takes only stacks of its
+    rows, and raises where others retry a row alone (a row has no eps).
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
-                 defined=None, name: str = ""):
+                 defined=None, name: str = "", eps_column=None):
         self.in_dim = int(in_dim)
         self.out_shape = tuple(out_shape) if isinstance(out_shape, (tuple, list)) else (int(out_shape),)
         self.out_size = math.prod(self.out_shape)
@@ -273,6 +275,7 @@ class LocalMap:
         self.jac = jac
         self.defined = defined
         self.name = name
+        self.eps_column = eps_column
         if expr is not None and in_dim != 1:
             raise ValueError("expression oracles require 1-D input")
         if fn is None and expr is None:
@@ -280,8 +283,8 @@ class LocalMap:
         self.exact_order = math.inf if expr is not None else 1 if jac is not None else 0
 
     @classmethod
-    def from_expr(cls, expr, out_shape=(1,), defined=None, name: str = "") -> "LocalMap":
-        return cls(1, out_shape, expr=expr, defined=defined, name=name)
+    def from_expr(cls, expr, out_shape=(1,), name: str = "", **kw) -> "LocalMap":
+        return cls(1, out_shape, expr=expr, name=name, **kw)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         if self.fn is not None:
@@ -303,6 +306,8 @@ class LocalMap:
         """The value at x, or None where undefined (``defined`` false, or a raise); at a
         stack, the values with NaN rows there, from one ``_values`` call, else one per row."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.eps_column is not None:
+            return self._values(x)
         if x.ndim == 1:
             if self.defined is not None and not self.defined(x):
                 return None
@@ -353,6 +358,8 @@ class LocalMap:
             with np.errstate(over="ignore", invalid="ignore"):
                 coeffs = self._jet_coeffs(float(P[0, 0]) if n == 1 else P[:, 0], k_max)
         except DerivativeUndefined:
+            if self.eps_column is not None:
+                raise
             rows = [self._jet_coeffs(float(p[0]), k_max) for p in P]
             coeffs = [tuple(np.array(c) for c in zip(*outs)) for outs in zip(*rows)]
         with np.errstate(over="ignore"):  # c_k * k! overflows to inf, as on floats
@@ -657,13 +664,14 @@ def distance(atlas: Atlas, g: RiemannianMetric, p: Point, q: Point,
         d = np.full(len(P), math.inf)
     elif g.analytic is not None:
         d = np.asarray(g.analytic(atlas, Point(p.chart, P), Point(q.chart, Q)), dtype=float)
-    else:
+    else:  # each density's lattice graph built once, on first use
         region = _default_region(atlas) if region is None else region
+        graph = functools.cache(lambda n: _graph_distance(atlas, g, region, n))
         d = np.empty(len(P))
         for i, (x, y) in enumerate(zip(P, Q)):
             pq = (Point(p.chart, x), Point(q.chart, y))
-            fine = _graph_distance(atlas, g, *pq, region, 2 * density - 1)
-            d[i] = fine if math.isfinite(fine) else _graph_distance(atlas, g, *pq, region, density)
+            fine = graph(2 * density - 1)(*pq)
+            d[i] = fine if math.isfinite(fine) else graph(density)(*pq)
     return float(d[0]) if single else d
 
 
@@ -689,16 +697,18 @@ def _segment_length(g: RiemannianMetric, chart: str, x: np.ndarray, y: np.ndarra
     return (qs[0] + 4.0 * qs[1] + qs[2]) / 6.0
 
 
-def _graph_distance(atlas, g, p, q, region, density) -> float:
-    nodes = []       # (chart, coords)
+def _graph_distance(atlas, g, region, density) -> Callable:
+    """(p, q) -> the shortest path from p to q on the metric-weighted lattice
+    graph of a region at a density, built here once; p and q attach to the
+    lattice nodes near them."""
     piece_nodes = []  # list of (chart, pts, spacing, index_offset)
+    offset = 0
     for chart_id, box in region.pieces:
         pts = box.lattice(density)
         spacing = float(np.max(box.extent) / max(1, int(round(len(pts) ** (1 / box.dim))) - 1))
-        offset = len(nodes)
-        nodes.extend((chart_id, pt) for pt in pts)
         piece_nodes.append((chart_id, pts, spacing, offset))
-    adj = [[] for _ in nodes]
+        offset += len(pts)
+    adj = [[] for _ in range(offset)]
 
     def add_edge(i, j, w):
         adj[i].append((j, w))
@@ -745,26 +755,29 @@ def _graph_distance(atlas, g, p, q, region, density) -> float:
                     ids.append((offset + int(j), _segment_length(g, b, ycoords, pts[j])))
         return ids
 
-    src = attach(p)
-    dsts = attach(q)
-    if not src or not dsts:
-        return math.inf
-    dist = [math.inf] * len(nodes)
-    heap = []
-    for i, w in src:
-        if w < dist[i]:
-            dist[i] = w
-            heapq.heappush(heap, (w, i))
-    while heap:
-        d, i = heapq.heappop(heap)
-        if d > dist[i]:
-            continue
-        for j, w in adj[i]:
-            nd = d + w
-            if nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, j))
-    return min(dist[i] + w for i, w in dsts)
+    def shortest(p: Point, q: Point) -> float:
+        src = attach(p)
+        dsts = attach(q)
+        if not src or not dsts:
+            return math.inf
+        dist = [math.inf] * len(adj)
+        heap = []
+        for i, w in src:
+            if w < dist[i]:
+                dist[i] = w
+                heapq.heappush(heap, (w, i))
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dist[i]:
+                continue
+            for j, w in adj[i]:
+                nd = d + w
+                if nd < dist[j]:
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+        return min(dist[i] + w for i, w in dsts)
+
+    return shortest
 
 
 # ======================================================================
@@ -1115,7 +1128,7 @@ def circle_atlas(name: str = "circle") -> Atlas:
               for cid in ("ang0", "angpi")}
 
     def circ_distance(atlas, P, Q):
-        return np.abs(jets._entrywise(jets.wrap_angle, circle_angle(P) - circle_angle(Q)))
+        return np.abs(jets.wrap_angle(circle_angle(P) - circle_angle(Q)))
 
     metric = RiemannianMetric(fields, analytic=circ_distance, name="round")
     return Atlas([c0, c1], transitions, name=name, metric=metric)
@@ -1123,11 +1136,10 @@ def circle_atlas(name: str = "circle") -> Atlas:
 
 def circle_angle(P: Point) -> np.ndarray:
     """Global angles in (-pi, pi] of a stacked circle Point (coords (N, 1))."""
-    if P.chart == "ang0":
-        return jets._entrywise(jets.wrap_angle, P.coords[:, 0])
-    if P.chart == "angpi":
-        return jets._entrywise(lambda t: jets.wrap_angle(t + math.pi), P.coords[:, 0])
-    raise NoOverlap(f"{P.chart!r} is not a circle chart")
+    if P.chart not in ("ang0", "angpi"):
+        raise NoOverlap(f"{P.chart!r} is not a circle chart")
+    x = P.coords[:, 0]
+    return jets.wrap_angle(x + math.pi if P.chart == "angpi" else x)
 
 
 SPHERE_BOX_HALF = 4.0

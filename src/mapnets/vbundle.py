@@ -32,7 +32,7 @@ from .asymptotics import (
     judge_moderate,
     judge_negligible,
     series_from_fn,
-    stack_sup,
+    sweep_stacks,
     sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
@@ -198,10 +198,10 @@ def _section_norm_sweep(s: SectionNet, K: CompactRegion, grid: EpsGrid, cfg: Con
     pts = sample_points(K, trials, cfg.seed)
     norms = np.array([[fiber_norm(s.bundle, s.element_at(eps, p)) for p in pts]
                       for eps in grid.values()])
-    rows = dict(zip(grid.values().tolist(), norms.tolist()))
-    series = sweep_sups(grid, lambda eps: zip([None] * len(pts), rows[eps], pts),
-                        cfg.zero_tol, lambda _key: f"sup |{s.tag}|_h on K")[None]
-    return series, norms, pts
+    stack = (None, np.repeat(np.arange(len(grid)), len(pts)), norms.ravel(),
+             lambda i: pts[i % len(pts)])
+    return sweep_stacks(grid, [stack], cfg.zero_tol,
+                        lambda _key: f"sup |{s.tag}|_h on K")[None], norms, pts
 
 
 def check_section_moderate(s: SectionNet, K: CompactRegion,
@@ -222,7 +222,8 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
             fld = s.coeffs_at(eps).get(cid)
             ts = None if fld is None else fld.derivs_upto(lat, k_max)
             for k in range(1, k_max + 1):  # every piece is judged, if only on zeros
-                yield (pi, cid, k), 0.0 if ts is None else stack_sup(tensor_norm(ts[k], k))[0], None
+                norms = np.zeros(1) if ts is None else tensor_norm(ts[k], k)
+                yield (pi, cid, k), np.where(np.isnan(norms), np.inf, norms).max(), None
 
     series = sweep_sups(grid, samples, cfg.zero_tol,
                         lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")
@@ -378,17 +379,12 @@ def matrix_gap_series(u: VBHomNet, v: Optional[VBHomNet], L: CompactRegion,
     when v is given), orders 0..k_max, with the usual L' exclusion."""
 
     def pieces(eps, cid):
-        loc_u = u.locals_at(eps)
         loc_v = v.locals_at(eps) if v is not None else None
-        for (a, b) in sorted(loc_u):
-            if a != cid or (loc_v is not None and (a, b) not in loc_v):
-                continue
-            pu = loc_u[(a, b)]
-            if loc_v is None:
+        for (a, b), pu in sorted(u.locals_at(eps).items()):
+            if a == cid and loc_v is None:
                 yield b, lambda x, m=pu.matrix: m.derivs_upto(x, k_max)
-            else:
-                pv = loc_v[(a, b)]
-                yield b, _gap_tensors(pu.matrix, pv.matrix, k_max)
+            elif a == cid and (a, b) in loc_v:
+                yield b, _gap_tensors(pu.matrix, loc_v[a, b].matrix, k_max)
 
     what = u.tag if v is None else f"{u.tag}-{v.tag}"
     nets = (u.base_net,) if v is None else (u.base_net, v.base_net)

@@ -7,8 +7,9 @@ the float jet at that row (-0.0 and inf included, any NaN as NaN), raise
 where some row raises, and warn nowhere.  A stacked ``try_call`` must agree with per-point
 calls, ``_chart_sups`` must admit exactly the lattice points the per-point
 rule admits, and a sweep must evaluate one jet per representative and one
-``tensor_norm`` per order for each (eps, piece, target chart) group, not one
-per lattice point.
+``tensor_norm`` per order for each (piece, target chart) group over all its
+(eps, point) rows when the nets take eps columns, not one per eps or per
+lattice point.
 """
 
 import math
@@ -313,20 +314,23 @@ def ref_groups(nets, K, grid, L_prime):
 
 def stacked_groups(nets, K, grid, L_prime, cfg):
     """The same groups as ``_chart_sups`` admits them from the nets' image
-    tables, read off the stacks it hands to ``tensors_of``."""
+    tables, read off the stacks it hands to ``tensors_of`` (a stack at an
+    eps column split by eps), in the per-point rule's order."""
     seen = []
 
     def pieces(eps, cid):
         reps = [effective_reps(u.at(eps), cid) for u in nets]
         for b in sorted(set.intersection(*[set(r) for r in reps])):
             def tensors_of(X, eps=eps, cid=cid, b=b, rep=reps[0][b]):
-                seen.append((float(eps), cid, b, X.copy()))
+                col = np.broadcast_to(eps, len(X))
+                for e in dict.fromkeys(col.tolist()):
+                    seen.append((e, cid, b, X[col == e].copy()))
                 return rep.derivs_upto(X, 1)
 
             yield b, tensors_of
 
     _chart_sups(nets, K, grid, 1, L_prime, pieces, lambda pi, cid, b, k: "", cfg)
-    return seen
+    return sorted(seen, key=lambda g: -g[0])  # stable: piece, then chart, within an eps
 
 
 def sphere_net():
@@ -441,29 +445,29 @@ def counters(monkeypatch):
 
 
 def test_check_moderate_evaluates_per_group(counters, cfg):
+    """One jet per (piece, target chart) over all its (eps, point) rows."""
     u, K, k_max = get_net("heaviside_tanh"), get_region("K_unit"), 3
     L_prime = _l_prime_of(check_cbounded(u, K, GRID, cfg))
-    n_groups = len(ref_groups([u], K, GRID, L_prime))
+    groups = ref_groups([u], K, GRID, L_prime)
     counters["var"].clear()
     counters["norm"] = 0
     check_moderate(u, K, GRID, k_max, cfg)
-    assert n_groups == len(GRID)
-    assert counters["var"].count(k_max) == n_groups
-    assert counters["var"].count(0) == 0  # admission reads the image table
-    assert len(counters["var"]) == n_groups
-    assert counters["norm"] == n_groups * (k_max + 1)
+    assert len(groups) == len(GRID)
+    assert len({g[1:3] for g in groups}) == 1  # one (piece, target chart)
+    assert counters["var"] == [k_max]  # admission reads the image table
+    assert counters["norm"] == k_max + 1
 
 
 def test_check_equiv_evaluates_per_group_and_representative(counters, cfg):
+    """One jet per (piece, target chart) and representative over all eps."""
     u, v, K, k_max = get_net("sin_plus_eps2"), get_net("sigma_sin"), get_region("K_unit"), 2
     L_prime = _merge_l_prime(check_cbounded(u, K, GRID, cfg), check_cbounded(v, K, GRID, cfg))
-    n_groups = len(ref_groups([u, v], K, GRID, L_prime))
+    groups = ref_groups([u, v], K, GRID, L_prime)
     counters["var"].clear()
     counters["norm"] = 0
     check_equiv(u, v, K, GRID, k_max, cfg)
-    assert n_groups == len(GRID)
-    assert counters["var"].count(k_max) == 2 * n_groups
-    assert counters["var"].count(0) == 0  # admission reads the image tables
-    assert len(counters["var"]) == 2 * n_groups
-    assert counters["norm"] == n_groups * (k_max + 1)
+    assert len(groups) == len(GRID)
+    assert len({g[1:3] for g in groups}) == 1
+    assert counters["var"] == [k_max, k_max]  # admission reads the image tables
+    assert counters["norm"] == k_max + 1
 

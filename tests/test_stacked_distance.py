@@ -216,6 +216,53 @@ def test_a_metric_without_analytic_distance_keeps_a_row_loop():
     assert want == pytest.approx([2.0, 0.5], abs=1e-9)
 
 
+def square_graph_call():
+    """The flat square [-1, 1]^2 with its metric but no analytic distance,
+    and three point pairs (the last crossing the square)."""
+    square = euclidean_atlas([(-1.0, 1.0)] * 2, name="square")
+    P = Point("e0", [[-0.5, -0.5], [0.0, 0.25], [-0.9, 0.9]])
+    Q = Point("e0", [[0.5, 0.5], [0.125, -0.25], [0.9, -0.9]])
+    return square, RiemannianMetric(square.metric.fields), P, Q
+
+
+def test_a_stacked_graph_distance_equals_its_point_calls():
+    square, graph, P, Q = square_graph_call()
+    want = [bits(distance(square, graph, Point("e0", x), Point("e0", y)))
+            for x, y in zip(P.coords, Q.coords)]
+    assert [bits(d) for d in distance(square, graph, P, Q)] == want
+    assert [float(d) for d in distance(square, graph, P, Q)] == pytest.approx(
+        [math.hypot(1.0, 1.0), math.hypot(0.125, 0.5), math.hypot(1.8, 1.8)], rel=0.1)
+
+
+def test_a_stacked_graph_distance_builds_each_graph_once(monkeypatch):
+    """Per density used, one graph's ``_segment_length`` calls; per row only
+    those that attach its two points."""
+    from mapnets import manifold
+
+    square, graph, P, Q = square_graph_call()
+    calls = collections.Counter()
+    seg = manifold._segment_length
+
+    def counted(*args):
+        calls["segment"] += 1
+        return seg(*args)
+
+    monkeypatch.setattr(manifold, "_segment_length", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return calls["segment"]
+
+    region = manifold._default_region(square)
+    one_graph = count(manifold._graph_distance, square, graph, region, 2 * 17 - 1)
+    per_point = [count(distance, square, graph, Point("e0", x), Point("e0", y))
+                 for x, y in zip(P.coords, Q.coords)]
+    attach = [n - one_graph for n in per_point]  # every row's fine distance is finite
+    assert 0 < max(attach) < one_graph // 100
+    assert count(distance, square, graph, P, Q) == one_graph + sum(attach)
+
+
 # -- the matmul norm against np.linalg.norm ------------------------------------
 
 
