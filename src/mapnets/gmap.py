@@ -143,7 +143,8 @@ class ImageTable:
     ``charts[c]`` (-inf where it has no representation there),
     ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
     the best candidate's chart (-1 for an escaped row, one without candidate:
-    it has no representation).  ``escape`` is the ``ChartEscape`` ``u.eval``
+    it has no representation), ``source[ei, pi]`` its source chart, an index
+    into ``u.src.chart_ids`` (-1 likewise).  ``escape`` is the ``ChartEscape`` ``u.eval``
     raises at the first escaped row in (eps, point) order, else None.  The
     arrays are read-only, so an image handed out (a view into ``coords``)
     cannot corrupt the table.  With a ``head`` table (same net and grid), the
@@ -181,7 +182,8 @@ class ImageTable:
                 f"{u.at(eps_vals[ei]).name or 'map'} has no chart for image of {pts[pi]}")
         # the best candidate: the first of equal margins, the smaller (b, a); -1 if none
         best = M.argmax(axis=0) if keys else np.zeros(E * n, dtype=int)
-        chart = np.where(found, np.array([col[b] for b, _a in keys] or [-1])[best], -1)
+        cols = np.array([(col[b], u.src.chart_ids.index(a)) for b, a in keys] or [(-1, -1)])
+        chart, source = np.where(found, cols[best].T, -1)
         margins = np.full((E * n, len(self.charts)), -math.inf)
         coords = np.full((E * n, len(self.charts), max(self.dims)), math.nan)
         for c, b in enumerate(self.charts):
@@ -193,11 +195,11 @@ class ImageTable:
                     margins[rows, col[b2]] = m
                     coords[rows, col[b2], :y.shape[1]] = y
         arrays = [margins.reshape(E, n, -1), coords.reshape((E, n) + coords.shape[1:]),
-                  chart.astype(np.int32).reshape(E, n)]
+                  chart.astype(np.int32).reshape(E, n), source.astype(np.int32).reshape(E, n)]
         if head is not None:
-            arrays = [np.concatenate(pair, axis=1)
-                      for pair in zip((head.margins, head.coords, head.chart), arrays)]
-        self.margins, self.coords, self.chart = arrays
+            arrays = [np.concatenate(pair, axis=1) for pair in
+                      zip((head.margins, head.coords, head.chart, head.source), arrays)]
+        self.margins, self.coords, self.chart, self.source = arrays
         for arr in arrays:
             arr.flags.writeable = False
 

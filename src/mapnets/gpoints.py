@@ -26,6 +26,7 @@ from .asymptotics import (
     conjunction,
     judge_negligible,
     series_from_fn,
+    sweep_stacks,
     sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
@@ -166,18 +167,32 @@ def points_equal(p: GenPoint, q: GenPoint, g: Optional[RiemannianMetric] = None,
     grid = grid or cfg.grid()
     atlas = p.atlas
     g = g or atlas.metric
-    d_series = series_from_fn(lambda eps: distance(atlas, g, p.at(eps), q.at(eps)), grid,
-                              f"d({p.tag},{q.tag})", cfg.zero_tol)
+    pairs = []  # (p_eps, q_eps), each evaluated once
+    try:
+        for eps in grid.values():
+            pairs.append((p.at(eps), q.at(eps)))
+        charts = [(pe.chart, qe.chart) for pe, qe in pairs]
+        d = np.empty(len(pairs))
+        for cp, cq in sorted(set(charts)):  # one distance call per (p chart, q chart)
+            rows = [i for i, pq in enumerate(charts) if pq == (cp, cq)]
+            d[rows] = distance(atlas, g, *(Point(c, np.array([pairs[i][j].coords for i in rows]))
+                                           for j, c in enumerate((cp, cq))))
+    except Exception:
+        for pe, qe in pairs:  # raise what an eps loop raises first (an earlier OutOfDomain)
+            distance(atlas, g, pe, qe)
+        raise
+    d_series = sweep_stacks(grid, [(None, np.arange(len(d)), d, lambda _i: None)], cfg.zero_tol,
+                            lambda _key: f"d({p.tag},{q.tag})")[None]
     metric_verdict = judge_negligible(d_series, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
 
-    def coord_gaps(eps):
+    def coord_gaps(pe, qe):
         for cid in atlas.chart_ids:
-            xp = atlas.rechart(p.at(eps), cid)
-            xq = atlas.rechart(q.at(eps), cid)
+            xp, xq = atlas.rechart(pe, cid), atlas.rechart(qe, cid)
             if xp is not None and xq is not None:  # else excluded (empty-sup convention)
                 yield cid, float(np.max(np.abs(xp - xq))), None
 
-    gaps = sweep_sups(grid, coord_gaps, cfg.zero_tol,
+    per_eps = iter(pairs)
+    gaps = sweep_sups(grid, lambda _eps: coord_gaps(*next(per_eps)), cfg.zero_tol,
                       lambda cid: f"|{cid}({p.tag})-{cid}({q.tag})|")
     chart_parts = {f"chart:{cid}": judge_negligible(gaps[cid], cfg.m_probe, cfg.r2_min,
                                                     floor=cfg.zero_tol)

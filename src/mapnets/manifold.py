@@ -406,9 +406,9 @@ class LocalMap:
             Y = np.array([y.reshape(shape) for y in ys])
         return Y.reshape((len(outs),) + shape)
 
-    def jacobian(self, x) -> np.ndarray:
+    def jacobian(self, x) -> np.ndarray:  # (out_size, in_dim) at a point, or their stack
         j = self.deriv_tensor(x, 1)
-        return j.reshape(self.out_size, self.in_dim)
+        return j.reshape(j.shape[:j.ndim - len(self.out_shape) - 1] + (self.out_size, self.in_dim))
 
     def derivative_map(self) -> "LocalMap":
         return _DerivedMap(self)

@@ -1,23 +1,25 @@
 """Generalized vector-bundle homomorphisms, sections, and bundle points.
 
-A vb-homomorphism net is fiberwise linear by representation: each local
-piece is a base map plus a matrix field, so linearity over the fibers is
-structural rather than checked.  Tangent maps of map nets, point evaluation
-of sections and homomorphisms, the module structure on bundle points over a
-fixed generalized base point, and pointwise tensor insertion all reduce to
-per-eps chart algebra plus the asymptotic judges.
+A vb-homomorphism net is its base map net plus matrix fields, so linearity
+over the fibers is structural rather than checked.  The tangent map T(u) of
+a map net u has u itself as its base net, and the Jacobian fields of u's
+representatives as its matrix fields: its checks read u's image tables and,
+for a net with eps columns, take the matrix parts at u's eps columns too.
+Point evaluation of sections and homomorphisms, the module structure on
+bundle points over a fixed generalized base point, and pointwise tensor
+insertion reduce to per-eps chart algebra plus the asymptotic judges.
 
 ``vbhom_compose`` is ``compose`` on the base nets plus, at each point, the
-matrix product along the route its base point takes.  ``u.eval``,
-``VBHomNet.eval`` and ``tangent_norm_series`` take the first chart pair of
+matrix product along the route its base point takes.  ``u.eval`` and
+``VBHomNet.eval`` take the first chart pair of
 ``SmoothMap.eval_candidates``: largest margin, then the smaller target chart,
-then the smaller source chart.
+then the smaller source chart; ``tangent_norm_series`` takes the same pair
+from u's image table.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,9 +49,11 @@ from .gmap import (
     compose,
     sample_points,
     _chart_sups,
+    _eps_rows,
     _gap_tensors,
     _l_prime_of,
     _merge_l_prime,
+    _source_groups,
 )
 from .gpoints import GenNumber, GenPoint, argmax_net, points_equal
 from .manifold import (
@@ -61,34 +65,24 @@ from .manifold import (
     VectorBundle,
     fiber_norm,
     riemannian_operator_norm,
+    tangent_bundle,
     tensor_norm,
 )
 
 
-@dataclass
-class VBLocal:
-    """Local vb-homomorphism piece: base map plus matrix field."""
-
-    base: LocalMap
-    matrix: LocalMap  # out_shape (m', n'), argument in src chart coords
-
-
 class VBHomNet:
-    """eps-net of vector-bundle homomorphisms src -> dst."""
+    """eps-net of vector-bundle homomorphisms src -> dst: the map net
+    ``base_net`` plus matrix fields, ``matrices_at(eps)`` -> {(a, b): LocalMap
+    of out_shape (m', n'), argument in chart-a coords} for the representatives
+    (a, b) of ``base_net.at(eps)``, at an eps column whenever it takes one."""
 
-    def __init__(self, src: VectorBundle, dst: VectorBundle,
-                 local_factory: Callable[[float], dict], tag: str = ""):
+    def __init__(self, src: VectorBundle, dst: VectorBundle, base_net: MapNet,
+                 matrices_at: Callable, tag: str = ""):
         self.src = src
         self.dst = dst
-        self.local_factory = local_factory
-        self.locals_at = functools.cache(local_factory)  # eps -> local table
+        self.base_net = base_net
+        self.matrices_at = matrices_at
         self.tag = tag
-
-    @functools.cached_property
-    def base_net(self) -> MapNet:
-        return MapNet(self.src.base, self.dst.base,
-                      lambda eps: {pair: vb.base for pair, vb in self.locals_at(eps).items()},
-                      tag=f"base({self.tag})")
 
     def eval(self, eps: float, e: BundleElement) -> BundleElement:
         """Apply the eps-slice to a bundle element, in the chart pair the base
@@ -98,68 +92,59 @@ class VBHomNet:
             raise NoSharedChart(f"{self.tag!r} has no chart pair applying to {e}")
         b, y, _m, a = cands[0]
         ea = self.src.rechart(e, a)
-        M = np.asarray(self.locals_at(eps)[(a, b)].matrix(ea.x), dtype=float)
+        M = np.asarray(self.matrices_at(eps)[(a, b)](ea.x), dtype=float)
         return BundleElement(b, y, M @ ea.xi)
 
 
 def identity_vbhom(bundle: VectorBundle, tag: str = "id") -> VBHomNet:
-    def factory(eps: float) -> dict:
-        table = {}
-        for cid in bundle.base.chart_ids:
-            n = bundle.base.chart(cid).dim
-            base = LocalMap(n, (n,), fn=lambda x: x,
-                            jac=lambda x, n=n: np.eye(n), name="id")
-            mat = LocalMap(n, (bundle.fiber_dim, bundle.fiber_dim),
-                           fn=lambda x, k=bundle.fiber_dim: np.eye(k), name="Id")
-            table[(cid, cid)] = VBLocal(base, mat)
-        return table
-
-    return VBHomNet(bundle, bundle, factory, tag=tag)
+    atlas, k = bundle.base, bundle.fiber_dim
+    base, mats = {}, {}
+    for cid in atlas.chart_ids:
+        n = atlas.chart(cid).dim
+        base[cid, cid] = LocalMap(n, (n,), fn=lambda x: x, jac=lambda x, n=n: np.eye(n), name="id")
+        mats[cid, cid] = LocalMap(n, (k, k), fn=lambda x: np.eye(k), name="Id")
+    return VBHomNet(bundle, bundle, MapNet(atlas, atlas, lambda eps: base, tag=f"base({tag})"),
+                    lambda eps: mats, tag=tag)
 
 
 def tangent(u: MapNet, src_bundle: Optional[VectorBundle] = None,
             dst_bundle: Optional[VectorBundle] = None, tag: str = "") -> VBHomNet:
-    """Tangent map of a map net: base parts are u's local representatives,
-    matrix parts their Jacobian fields (exact through the derivative oracle)."""
-    from .manifold import tangent_bundle
+    """Tangent map of a map net: the base net is u itself, and the matrix
+    parts are the Jacobian fields of u's representatives (exact through the
+    derivative oracle), at a float eps or at one of u's eps columns."""
 
-    src_bundle = src_bundle or tangent_bundle(u.src)
-    dst_bundle = dst_bundle or tangent_bundle(u.dst)
+    def matrices_at(eps) -> dict:
+        return {pair: rep.derivative_map() for pair, rep in u.at(eps).locals.items()}
 
-    def factory(eps: float) -> dict:
-        return {pair: VBLocal(rep, rep.derivative_map())
-                for pair, rep in u.at(eps).locals.items()}
-
-    return VBHomNet(src_bundle, dst_bundle, factory, tag=tag or f"T({u.tag})")
+    return VBHomNet(src_bundle or tangent_bundle(u.src), dst_bundle or tangent_bundle(u.dst), u,
+                    matrices_at, tag=tag or f"T({u.tag})")
 
 
 def vbhom_compose(v2: VBHomNet, v1: VBHomNet, tag: str = "") -> VBHomNet:
-    """Composite vb-homomorphism net: the base parts are those of
+    """Composite vb-homomorphism net: the base net is
     ``compose(v2.base_net, v1.base_net)``, and the matrix part at x is
     M2(y) @ M1(x) along the route (middle chart, point y) x's base takes.
     Raises ChartMismatch, as compose does, when the bases do not chain."""
     base = compose(v2.base_net, v1.base_net)
 
-    def factory(eps: float) -> dict:
-        loc1 = v1.locals_at(eps)
-        loc2 = v2.locals_at(eps)
+    def matrices_at(eps: float) -> dict:
+        mats1, mats2 = v1.matrices_at(eps), v2.matrices_at(eps)
         table = {}
         for (a, c), chained in base.at(eps).locals.items():
             # one factor pair per route of compose: middle charts b in sorted order
-            mats = [(loc1[(a, b)].matrix, loc2[(b, c)].matrix)
-                    for (a2, b) in sorted(loc1) if a2 == a and (b, c) in loc2]
+            mats = [(mats1[(a, b)], mats2[(b, c)])
+                    for (a2, b) in sorted(mats1) if a2 == a and (b, c) in mats2]
 
             def mat_fn(x, chained=chained, mats=mats):
                 i, y, _z = chained._route(x)
                 m1, m2 = mats[i]
                 return np.asarray(m2(y)) @ np.asarray(m1(x))
 
-            m1, m2 = mats[0]
-            mat = LocalMap(chained.in_dim, (m2.out_shape[0], m1.out_shape[1]), fn=mat_fn)
-            table[(a, c)] = VBLocal(chained, mat)
+            shape = (mats[0][1].out_shape[0], mats[0][0].out_shape[1])
+            table[a, c] = LocalMap(chained.in_dim, shape, fn=mat_fn)
         return table
 
-    return VBHomNet(v1.src, v2.dst, factory, tag=tag or f"{v2.tag}o{v1.tag}")
+    return VBHomNet(v1.src, v2.dst, base, matrices_at, tag=tag or f"{v2.tag}o{v1.tag}")
 
 
 # ======================================================================
@@ -173,7 +158,6 @@ class SectionNet:
     def __init__(self, bundle: VectorBundle, coeff_factory: Callable[[float], dict],
                  tag: str = ""):
         self.bundle = bundle
-        self.coeff_factory = coeff_factory
         self.coeffs_at = functools.cache(coeff_factory)  # eps -> coefficient table
         self.tag = tag
 
@@ -379,12 +363,12 @@ def matrix_gap_series(u: VBHomNet, v: Optional[VBHomNet], L: CompactRegion,
     when v is given), orders 0..k_max, with the usual L' exclusion."""
 
     def pieces(eps, cid):
-        loc_v = v.locals_at(eps) if v is not None else None
-        for (a, b), pu in sorted(u.locals_at(eps).items()):
-            if a == cid and loc_v is None:
-                yield b, lambda x, m=pu.matrix: m.derivs_upto(x, k_max)
-            elif a == cid and (a, b) in loc_v:
-                yield b, _gap_tensors(pu.matrix, loc_v[a, b].matrix, k_max)
+        mats_v = v.matrices_at(eps) if v is not None else None
+        for (a, b), mu in sorted(u.matrices_at(eps).items()):
+            if a == cid and mats_v is None:
+                yield b, lambda x, m=mu: m.derivs_upto(x, k_max)
+            elif a == cid and (a, b) in mats_v:
+                yield b, _gap_tensors(mu, mats_v[a, b], k_max)
 
     what = u.tag if v is None else f"{u.tag}-{v.tag}"
     nets = (u.base_net,) if v is None else (u.base_net, v.base_net)
@@ -481,28 +465,29 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
     """sup over K of the metric operator norm of the pointwise tangent map.
 
     The norm is taken between the source and target Riemannian metrics; its
-    growth order matches the chart-wise first-derivative order.
+    growth order matches the chart-wise first-derivative order.  Each (eps,
+    point) row takes the chart pair of ``u.eval`` from u's image table, with one
+    stacked Jacobian per chart pair (``_eps_rows``); escaped rows are left out.
     """
     grid = grid or cfg.grid()
     if u.src.metric is None or u.dst.metric is None:
         raise ValueError("tangent_norm_series needs metrics on both atlases")
-    lattices = K.lattices()
-
-    def samples(eps):
-        sm = u.at(eps)
-        for cid, lat in lattices:
-            for x in lat:
-                p = Point(cid, x)
-                cands = sm.eval_candidates(p)
-                if cands:  # the chart pair u.eval takes
-                    b, y, _m, a = cands[0]
-                    xa = u.src.rechart(p, a)
-                    yield None, riemannian_operator_norm(
-                        sm.locals[(a, b)].jacobian(xa), u.src.metric.at(a, xa),
-                        u.dst.metric.at(b, y)), p
-
-    return sweep_sups(grid, samples, cfg.zero_tol,
-                      lambda _key: f"sup |T {u.tag}|_g,h on K")[None]
+    table = u.image_table(K, grid)
+    pts = sample_points(K)
+    norms = np.empty(table.chart.shape)
+    for a, held, P in _source_groups(u.src, pts, u.src.chart_ids):
+        for c, b in enumerate(table.charts):
+            eis, pis = np.nonzero((table.source == u.src.chart_ids.index(a)) & (table.chart == c))
+            X, Y = P.coords[np.searchsorted(held, pis)], table.coords[eis, pis, c, :table.dims[c]]
+            for rows, J in _eps_rows((u,), grid.values(), eis,
+                                     lambda eps, rows: u.at(eps).locals[a, b].jacobian(X[rows])):
+                norms[eis[rows], pis[rows]] = [
+                    riemannian_operator_norm(j, u.src.metric.at(a, x), u.dst.metric.at(b, y))
+                    for j, x, y in zip(J, X[rows], Y[rows])]
+    eis, pis = np.nonzero(table.chart >= 0)
+    stack = (None, eis, norms[eis, pis], lambda i: pts[pis[i]])
+    return sweep_stacks(grid, [stack], cfg.zero_tol,
+                        lambda _key: f"sup |T {u.tag}|_g,h on K")[None]
 
 
 # ======================================================================
@@ -524,7 +509,6 @@ class TensorSectionNet:
         self.atlas = atlas
         self.r = r
         self.s = s
-        self.coeff_factory = coeff_factory
         self.coeffs_at = functools.cache(coeff_factory)  # eps -> coefficient table
         self.tag = tag
 

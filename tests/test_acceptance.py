@@ -249,8 +249,8 @@ def test_criterion_6_tangent_chain_rule_suite():
         t_chain = vbhom_compose(tangent(outer), tangent(inner))
         for eps in GRID.values():
             for x in np.linspace(-1, 1, 23):
-                a = t_direct.locals_at(eps)[("e0", "e0")].matrix(np.array([x]))
-                b = t_chain.locals_at(eps)[("e0", "e0")].matrix(np.array([x]))
+                a = t_direct.matrices_at(eps)[("e0", "e0")](np.array([x]))
+                b = t_chain.matrices_at(eps)[("e0", "e0")](np.array([x]))
                 worst = max(worst, float(np.max(np.abs(a - b))))
                 n_samples += 1
     ok = ok and worst <= 1e-6 and n_samples >= 1000

@@ -88,18 +88,19 @@ def sphere_net() -> MapNet:
 
 def reference_eval(v, eps, e):
     best = None
-    for (a, b), loc in sorted(v.locals_at(eps).items()):
+    mats = v.matrices_at(eps)
+    for (a, b), base in sorted(v.base_net.at(eps).locals.items()):
         ea = v.src.rechart(e, a)
         if ea is None:
             continue
-        y = loc.base.try_call(ea.x)
+        y = base.try_call(ea.x)
         if y is None:
             continue
         m = v.dst.base.chart(b).norm_margin(y)
         if m <= 0:
             continue
         if best is None or m > best[0]:
-            M = np.asarray(loc.matrix(ea.x), dtype=float)
+            M = np.asarray(mats[a, b](ea.x), dtype=float)
             best = (m, BundleElement(b, y, M @ ea.xi))
     if best is None:
         raise NoSharedChart("no chart pair")
@@ -160,18 +161,19 @@ class TestComposeRoutes:
         checked = 0
         for eps in (0.5, 2.0**-8):
             want_base = direct.at(eps).locals[("e0", "e0")]
-            want_mat = t_direct.locals_at(eps)[("e0", "e0")].matrix
-            got = chained.locals_at(eps)[("e0", "e0")]
+            want_mat = t_direct.matrices_at(eps)[("e0", "e0")]
+            got_base = chained.base_net.at(eps).locals[("e0", "e0")]
+            got_mat = chained.matrices_at(eps)[("e0", "e0")]
             for x in np.linspace(-1.0, 1.0, 41):
                 z = want_base.try_call(x)
                 if z is None:
                     continue
-                zc = got.base.try_call(x)
+                zc = got_base.try_call(x)
                 assert zc is not None, x
                 assert bits(zc) == bits(z), x
-                assert np.max(np.abs(got.matrix(np.array([x])) - want_mat(np.array([x])))) <= 1e-9
+                assert np.max(np.abs(got_mat(np.array([x])) - want_mat(np.array([x])))) <= 1e-9
                 checked += 1
-            assert got.base(np.array([1.0]))[0] == pytest.approx(math.sin(3.1), abs=1e-12)
+            assert got_base(np.array([1.0]))[0] == pytest.approx(math.sin(3.1), abs=1e-12)
         assert checked == 82
 
     def test_mismatched_charts_raise(self):

@@ -16,7 +16,14 @@ from mapnets.config import Config
 from mapnets.errors import BaseMismatch, SingleChartMissing, TypeMismatch
 from mapnets.exprs import step_slope_sup
 from mapnets.gallery import get_atlas, get_net, get_region
-from mapnets.gmap import check_equiv, check_moderate, compose, sample_points, scalar_net
+from mapnets.gmap import (
+    MapNet,
+    check_equiv,
+    check_moderate,
+    compose,
+    sample_points,
+    scalar_net,
+)
 from mapnets.gpoints import GenNumber, GenPoint, argmax_net, gennumbers_equal, points_equal
 from mapnets.manifold import (
     BundleElement,
@@ -31,7 +38,6 @@ from mapnets.vbundle import (
     SectionNet,
     TensorSectionNet,
     VBHomNet,
-    VBLocal,
     VBPoint,
     align_representative,
     check_section_moderate,
@@ -61,13 +67,17 @@ R_BUNDLE = trivial_bundle(LINE, 1)
 def scaled_identity_vbhom(scale_of_eps, tag):
     """R-bundle endomorphism with matrix part scale(eps) * Id over identity."""
 
-    def factory(eps):
-        s = scale_of_eps(eps)
-        base = LocalMap(1, (1,), fn=lambda x: x, jac=lambda x: np.eye(1), name="id")
-        mat = LocalMap(1, (1, 1), fn=lambda x, s=s: np.array([[s]]), name="scale")
-        return {("e0", "e0"): VBLocal(base, mat)}
+    def base(eps):
+        return {("e0", "e0"): LocalMap(1, (1,), fn=lambda x: x, jac=lambda x: np.eye(1),
+                                       name="id")}
 
-    return VBHomNet(R_BUNDLE, R_BUNDLE, factory, tag=tag)
+    def matrices_at(eps):
+        s = scale_of_eps(eps)
+        return {("e0", "e0"): LocalMap(1, (1, 1), fn=lambda x, s=s: np.array([[s]]),
+                                       name="scale")}
+
+    return VBHomNet(R_BUNDLE, R_BUNDLE, MapNet(LINE, LINE, base, tag=f"base({tag})"),
+                    matrices_at, tag=tag)
 
 
 def const_section(value_of_eps, tag):
@@ -103,7 +113,7 @@ class TestVBHomModerate:
     def test_step_matrix_values_match_closed_form(self):
         tu = tangent(get_net("heaviside_tanh"))
         for eps in (0.25, 2.0**-6):
-            M = tu.locals_at(eps)[("e0", "e0")].matrix(np.array([0.0]))
+            M = tu.matrices_at(eps)[("e0", "e0")](np.array([0.0]))
             assert M[0, 0] == pytest.approx(step_slope_sup(eps), rel=1e-12)
 
 
@@ -136,7 +146,7 @@ class TestTangent:
     def test_sine_jacobian_closed_form(self):
         tu = tangent(get_net("sigma_sin"))
         for x in np.linspace(-1, 1, 11):
-            M = tu.locals_at(0.25)[("e0", "e0")].matrix(np.array([x]))
+            M = tu.matrices_at(0.25)[("e0", "e0")](np.array([x]))
             assert M[0, 0] == pytest.approx(math.cos(x), abs=1e-8)
 
     def test_chain_rule_composite(self):
@@ -146,8 +156,8 @@ class TestTangent:
         chained = vbhom_compose(tangent(g), tangent(f))
         for eps in (0.25, 2.0**-10):
             for x in np.linspace(-1, 1, 21):
-                a = direct.locals_at(eps)[("e0", "e0")].matrix(np.array([x]))
-                b = chained.locals_at(eps)[("e0", "e0")].matrix(np.array([x]))
+                a = direct.matrices_at(eps)[("e0", "e0")](np.array([x]))
+                b = chained.matrices_at(eps)[("e0", "e0")](np.array([x]))
                 assert np.max(np.abs(a - b)) <= 1e-6
 
     def test_jump_tangent_slope(self):
