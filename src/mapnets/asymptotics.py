@@ -157,9 +157,13 @@ def sweep_stacks(grid: EpsGrid, stacks, zero_tol: float = 0.0,
     """``sweep_sups`` of stacks ``(key, eis, values, where)``: the values of
     (eps, point) rows with non-decreasing grid eps indices ``eis``, and
     ``where(i)`` the location of row i.  Per eps with rows, a stack is one
-    sample: its largest value (NaN as inf) at the first row holding it."""
+    sample: its largest value (NaN as inf) at the first row holding it; a
+    stack without rows reads 0 at every eps (empty-sup convention)."""
     found: list = [[] for _ in range(len(grid))]
     for key, eis, values, where in stacks:
+        if not len(eis):
+            found[0].append((key, 0.0, None))
+            continue
         starts = np.flatnonzero(np.diff(eis, prepend=-1))
         values = np.where(np.isnan(values), math.inf, values)
         peaks = np.repeat(np.maximum.reduceat(values, starts), np.diff(starts, append=len(eis)))

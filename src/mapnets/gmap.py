@@ -297,8 +297,9 @@ def angle_net(src: Atlas, circle: Atlas, angle_of_eps: Callable[[float], Callabl
 
 
 def embed_smooth(sm: SmoothMap, tag: str = "") -> MapNet:
-    """Canonical embedding of a smooth map as an eps-constant net."""
-    return MapNet(sm.src, sm.dst, lambda eps: sm.locals, tag=tag or sm.name)
+    """Canonical embedding of a smooth map as an eps-constant net.  It takes
+    any eps column: its representatives are sm's, which take every stack."""
+    return MapNet(sm.src, sm.dst, lambda eps: sm.locals, tag=tag or sm.name, eps_columns=True)
 
 
 # ======================================================================
@@ -309,82 +310,112 @@ def embed_smooth(sm: SmoothMap, tag: str = "") -> MapNet:
 class ChainedLocalMap(LocalMap):
     """Local representative of a composite, routed through middle charts.
 
-    Routes are (mid chart box check, inner rep, outer rep); the value in the
-    final chart does not depend on the route taken (transition consistency),
-    so the first admissible route is used.  Derivatives: exact jet chaining
-    when both factors carry expressions, through the route's jet-chained map
-    built once here, else the first-order chain rule, and beyond it nested
-    finite differences of chain-rule tensors over one stencil tree
-    (``fd_tree``).  Like every ``LocalMap``, the oracle takes a point or a
-    stack of points; each row (and each stencil node) takes its own route.
+    Routes are (middle Chart, inner rep, outer rep); the value in the final
+    chart does not depend on the route taken (transition consistency), so
+    each row of a stack takes the first route that admits it (``_routed``);
+    a point is a one-row stack.  Derivatives: exact jet chaining when both
+    factors carry expressions, through the route's jet-chained map built
+    once here, else the first-order chain rule, and beyond it nested finite
+    differences of chain-rule tensors over one stencil tree (``fd_tree``).
+    With a factor at an eps column the map carries that ``eps_column`` and
+    takes only whole stacks of its rows (see ``_routed``).
     """
 
     def __init__(self, routes: list, in_dim: int, out_shape, name: str = ""):
-        self.routes = routes  # list of (mid_contains, inner, outer)
-        super().__init__(in_dim, out_shape, fn=lambda x: self._route(x)[2], name=name)
+        self.routes = routes  # list of (middle Chart, inner, outer)
+        cols = [f.eps_column for _mid, inner, outer in routes for f in (inner, outer)
+                if f.eps_column is not None]
+        super().__init__(in_dim, out_shape, name=name, eps_column=cols[0] if cols else None,
+                         fn=lambda x: self._routed(x[None], every=True)[0][3][0])  # one row
         # per route: the jet-chained map when both factors are expressions
         self.jet_maps = [LocalMap.from_expr(lambda t, f=inner.expr, g=outer.expr: g(f(t)),
-                                            out_shape=self.out_shape, name=name)
+                                            out_shape=self.out_shape, name=name,
+                                            eps_column=self.eps_column)
                          if inner.expr is not None and outer.expr is not None else None
-                         for _ok, inner, outer in routes]
+                         for _mid, inner, outer in routes]
         if all(jet is not None for jet in self.jet_maps):
             self.exact_order = math.inf
         elif all(min(inner.exact_order, outer.exact_order) >= 1
-                 for _ok, inner, outer in routes):
+                 for _mid, inner, outer in routes):
             self.exact_order = 1
 
-    def _route(self, x: np.ndarray) -> tuple:
-        """(route index, middle point, value) of the first admissible route
-        at x; ValueError, which ``try_call`` turns into None, when none is."""
-        for i, (mid_ok, inner, outer) in enumerate(self.routes):
-            y = inner.try_call(x)
-            if y is None or not mid_ok(y):
-                continue
-            z = outer.try_call(y)
-            if z is not None:
-                return i, y, z
-        raise ValueError("no admissible route")
+    def _routed(self, P: np.ndarray, every: bool = False) -> list:
+        """[(i, rows, Y, Z)] per route i that admits rows of the stack P: the
+        rows (indices) whose first admissible route it is, their middle
+        points and their values.  Per route, one inner ``try_call`` on the
+        rows not yet routed, one ``contains`` of the middle chart and one
+        outer ``try_call``; a row is admitted when its middle point lies in
+        the chart and its value is not a NaN row.  ValueError when ``every``
+        and a row has no route; at an eps column, DerivativeUndefined where a
+        factor would take a stack other than all the column's rows."""
+        col = self.eps_column
+
+        def whole(mask):
+            if col is not None and (len(mask) != len(col) or 0 < mask.sum() < len(mask)):
+                raise DerivativeUndefined(f"local map {self.name!r} takes only whole stacks "
+                                          "of its eps column")
+            return mask
+
+        todo, out = whole(np.ones(len(P), dtype=bool)), []
+        for i, (mid, inner, outer) in enumerate(self.routes):
+            rows = np.flatnonzero(todo)
+            if not len(rows):
+                break
+            Y = inner.try_call(P[rows])
+            Z = np.full((len(rows),) + self.out_shape, math.nan)
+            ok = whole(mid.contains(Y))
+            if ok.any():
+                Z[ok] = outer.try_call(Y[ok])
+            ok = whole(~np.isnan(Z.reshape(len(rows), -1)).all(axis=1))
+            if ok.any():
+                todo[rows[ok]] = False
+                out.append((i, rows[ok], Y[ok], Z[ok]))
+        if every and todo.any():
+            raise ValueError(f"local map {self.name!r} has no admissible route at some row")
+        return out
+
+    def try_call(self, x) -> Optional[np.ndarray]:
+        """The value at a point (None where no route admits it), or at every
+        row of a stack (NaN rows there)."""
+        P, single = point_rows(x)
+        Z = np.full((len(P),) + self.out_shape, math.nan)
+        for _i, rows, _Y, z in self._routed(P):
+            Z[rows] = z
+        return Z if not single else None if np.isnan(Z).all() else Z[0]
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.derivs_upto(x, k)[k]
 
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack,
-        each row by its own route: the rows of a route that chains two
-        expressions take one stacked call of its jet-chained map, all other
-        rows share one stencil tree over ``_chain_jacobians``.  Results come
-        back in row order."""
+        each row by its own route (``_routed``, ValueError where a row has
+        none): the rows of a route that chains two expressions take one
+        stacked call of its jet-chained map, all other rows share one stencil
+        tree over ``_chain_jacobians``.  Results come back in row order."""
         P, single = point_rows(x)
-        routes = [self._route(p) for p in P]
         ts = [np.empty((len(P),) + self.out_shape + (self.in_dim,) * k)
               for k in range(k_max + 1)]
-        fd_rows = [r for r, (i, _y, _z) in enumerate(routes) if self.jet_maps[i] is None]
-        if fd_rows:
-            values = np.array([routes[r][2].reshape(self.out_shape) for r in fd_rows])
-            for t, rows in zip(ts, [values] + fd_tree(self._chain_jacobians, P[fd_rows],
-                                                      k_max - 1)):
-                t[fd_rows] = rows
-        for i, jet in enumerate(self.jet_maps):
-            rows = [r for r, route in enumerate(routes) if route[0] == i]
-            if jet is not None and rows:
-                for t, got in zip(ts, jet.derivs_upto(P[rows], k_max)):
+        fd_rows = []
+        for i, rows, _Y, Z in self._routed(P, every=True):
+            if self.jet_maps[i] is None:
+                ts[0][rows] = Z
+                fd_rows.append(rows)
+            else:
+                for t, got in zip(ts, self.jet_maps[i].derivs_upto(P[rows], k_max)):
                     t[rows] = got
+        if fd_rows:
+            rows = np.sort(np.concatenate(fd_rows))
+            for t, got in zip(ts[1:], fd_tree(self._chain_jacobians, P[rows], k_max - 1)):
+                t[rows] = got
         return [t[0] for t in ts] if single else ts
 
     def _chain_jacobians(self, P: np.ndarray) -> np.ndarray:
         """Order-1 chain-rule tensors at the rows of P, each by its own route,
         with one stacked Jacobian call per factor of a route."""
-        routes = [self._route(w) for w in P]
         out = np.empty((len(P), self.out_size, self.in_dim))
-        for i, (_ok, inner, outer) in enumerate(self.routes):
-            rows = [r for r, route in enumerate(routes) if route[0] == i]
-            if not rows:
-                continue
-            Y = np.array([routes[r][1] for r in rows])
-            Jo = outer.deriv_tensor(Y, 1).reshape(len(rows), outer.out_size, outer.in_dim)
-            Ji = inner.deriv_tensor(P[rows], 1).reshape(len(rows), inner.out_size, inner.in_dim)
-            for r, jo, ji in zip(rows, Jo, Ji):
-                out[r] = jo @ ji
+        for i, rows, Y, _Z in self._routed(P, every=True):
+            _mid, inner, outer = self.routes[i]
+            out[rows] = outer.jacobian(Y) @ inner.jacobian(P[rows])
         return out.reshape((len(P),) + self.out_shape + (self.in_dim,))
 
 
@@ -400,8 +431,7 @@ def effective_reps(sm: SmoothMap, chart_a: str) -> dict:
         tm = sm.src.transition_map(chart_a, a)
         if tm is None:
             continue
-        mid_ok = lambda y, ch=sm.src.chart(a): ch.contains(y)
-        out[b] = ChainedLocalMap([(mid_ok, tm, rep)], tm.in_dim, rep.out_shape,
+        out[b] = ChainedLocalMap([(sm.src.chart(a), tm, rep)], tm.in_dim, rep.out_shape,
                                  name=f"{rep.name} via {a}")
     return out
 
@@ -414,13 +444,14 @@ def compose(v: MapNet, u: MapNet, K: Optional[CompactRegion] = None,
     Composition of raw nets is unconditional; the class-level guarantee
     requires v to satisfy the single-target-chart condition on the relevant
     compacts, so when K is given the report is run and stamped into the
-    result's provenance (not enforced).
+    result's provenance (not enforced).  The composite has eps columns when
+    both nets do: its representatives at a column chain the factors' there.
     """
     if set(u.dst.chart_ids) != set(v.src.chart_ids):
         raise ChartMismatch(
             f"dst of {u.tag!r} ({u.dst.name}) is not src of {v.tag!r} ({v.src.name})")
 
-    def factory(eps: float) -> dict:
+    def factory(eps) -> dict:
         u_loc = u.at(eps).locals
         v_loc = v.at(eps).locals
         routes: dict = {}
@@ -428,8 +459,7 @@ def compose(v: MapNet, u: MapNet, K: Optional[CompactRegion] = None,
             for (b2, c), vrep in sorted(v_loc.items()):
                 if b2 != b:
                     continue
-                mid_ok = lambda y, ch=v.src.chart(b): ch.contains(y)
-                routes.setdefault((a, c), []).append((mid_ok, urep, vrep))
+                routes.setdefault((a, c), []).append((v.src.chart(b), urep, vrep))
         return {
             (a, c): ChainedLocalMap(rs, rs[0][1].in_dim, rs[0][2].out_shape,
                                     name=f"{v.tag}o{u.tag}:{a}->{c}")
@@ -449,7 +479,7 @@ def compose(v: MapNet, u: MapNet, K: Optional[CompactRegion] = None,
             prov["single_chart"] = {"status": "Inconclusive",
                                     "notes": "inner net not c-bounded on K"}
     return MapNet(u.src, v.dst, factory, tag=tag or f"{v.tag}o{u.tag}",
-                  provenance=prov)
+                  provenance=prov, eps_columns=u.eps_columns and v.eps_columns)
 
 
 # ======================================================================

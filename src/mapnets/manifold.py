@@ -418,14 +418,19 @@ class _DerivedMap(LocalMap):
     """D(parent): order-k derivatives are parent's order k+1 derivatives.
 
     The parent's order-(k+1) tensor already has this map's order-k shape,
-    out_shape + (in_dim,)*k, so points and stacks pass straight through."""
+    out_shape + (in_dim,)*k, so points and stacks pass straight through: the
+    values at a stack are one ``parent.derivs_upto(P, 1)``, at the parent's
+    ``eps_column`` too."""
 
     def __init__(self, parent: LocalMap):
         self.parent = parent
         super().__init__(parent.in_dim, parent.out_shape + (parent.in_dim,),
-                         fn=lambda x: parent.deriv_tensor(x, 1),
-                         defined=parent.defined, name=f"D({parent.name})")
+                         fn=lambda x: parent.deriv_tensor(x, 1), defined=parent.defined,
+                         name=f"D({parent.name})", eps_column=parent.eps_column)
         self.exact_order = parent.exact_order - 1
+
+    def _values(self, P: np.ndarray) -> np.ndarray:
+        return self.parent.derivs_upto(P, 1)[1]
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.parent.deriv_tensor(x, k + 1)

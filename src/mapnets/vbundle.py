@@ -9,12 +9,11 @@ Point evaluation of sections and homomorphisms, the module structure on
 bundle points over a fixed generalized base point, and pointwise tensor
 insertion reduce to per-eps chart algebra plus the asymptotic judges.
 
-``vbhom_compose`` is ``compose`` on the base nets plus, at each point, the
-matrix product along the route its base point takes.  ``u.eval`` and
-``VBHomNet.eval`` take the first chart pair of
-``SmoothMap.eval_candidates``: largest margin, then the smaller target chart,
-then the smaller source chart; ``tangent_norm_series`` takes the same pair
-from u's image table.
+``vbhom_compose`` is ``compose`` on the base nets plus the matrix products
+along the routes the base points take, one stacked product per route.
+``u.eval`` and ``VBHomNet.eval`` take the first chart pair of
+``SmoothMap.eval_candidates`` (largest margin, then the smaller target chart,
+then the smaller source chart); ``tangent_norm_series`` reads it in u's table.
 """
 
 from __future__ import annotations
@@ -123,28 +122,39 @@ def tangent(u: MapNet, src_bundle: Optional[VectorBundle] = None,
 def vbhom_compose(v2: VBHomNet, v1: VBHomNet, tag: str = "") -> VBHomNet:
     """Composite vb-homomorphism net: the base net is
     ``compose(v2.base_net, v1.base_net)``, and the matrix part at x is
-    M2(y) @ M1(x) along the route (middle chart, point y) x's base takes.
-    Raises ChartMismatch, as compose does, when the bases do not chain."""
+    M2(y) @ M1(x) along the route (middle chart, point y) x's base takes: one
+    stacked product per route of a stack (``_RouteProduct``), at the base's
+    eps columns too.  Raises ChartMismatch, as compose does, when the bases
+    do not chain."""
     base = compose(v2.base_net, v1.base_net)
 
-    def matrices_at(eps: float) -> dict:
+    def matrices_at(eps) -> dict:
         mats1, mats2 = v1.matrices_at(eps), v2.matrices_at(eps)
-        table = {}
-        for (a, c), chained in base.at(eps).locals.items():
-            # one factor pair per route of compose: middle charts b in sorted order
-            mats = [(mats1[(a, b)], mats2[(b, c)])
-                    for (a2, b) in sorted(mats1) if a2 == a and (b, c) in mats2]
-
-            def mat_fn(x, chained=chained, mats=mats):
-                i, y, _z = chained._route(x)
-                m1, m2 = mats[i]
-                return np.asarray(m2(y)) @ np.asarray(m1(x))
-
-            shape = (mats[0][1].out_shape[0], mats[0][0].out_shape[1])
-            table[a, c] = LocalMap(chained.in_dim, shape, fn=mat_fn)
-        return table
+        # one factor pair per route of compose: middle charts b in sorted order
+        return {(a, c): _RouteProduct(chained, [(mats1[(a, b)], mats2[(b, c)])
+                                               for (a2, b) in sorted(mats1)
+                                               if a2 == a and (b, c) in mats2])
+                for (a, c), chained in base.at(eps).locals.items()}
 
     return VBHomNet(v1.src, v2.dst, base, matrices_at, tag=tag or f"{v2.tag}o{v1.tag}")
+
+
+class _RouteProduct(LocalMap):
+    """M2(y) @ M1(x) at each row x, along the route i (middle point y) that
+    the chained base representative takes there, ``mats[i]`` = (M1, M2): one
+    stacked product per route; ValueError where a row has no route."""
+
+    def __init__(self, chained: LocalMap, mats: list):
+        self.chained, self.mats = chained, mats
+        super().__init__(chained.in_dim, (mats[0][1].out_shape[0], mats[0][0].out_shape[1]),
+                         fn=lambda x: self._values(x[None])[0], name=f"mat({chained.name})",
+                         eps_column=chained.eps_column)
+
+    def _values(self, P: np.ndarray) -> np.ndarray:
+        out = np.empty((len(P),) + self.out_shape)
+        for i, rows, Y, _Z in self.chained._routed(P, every=True):
+            out[rows] = self.mats[i][1]._values(Y) @ self.mats[i][0]._values(P[rows])
+        return out
 
 
 # ======================================================================

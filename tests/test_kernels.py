@@ -104,11 +104,24 @@ def ref_deriv_tensor(rep, x, k):
     return np.stack(cols, axis=-1)
 
 
+def ref_route(cm, x):
+    """The per-point router that ``ChainedLocalMap._routed`` replaced:
+    (route index, middle point, value) of the first admissible route at x."""
+    for i, (mid, inner, outer) in enumerate(cm.routes):
+        y = inner.try_call(x)
+        if y is None or not mid.contains(y):
+            continue
+        z = outer.try_call(y)
+        if z is not None:
+            return i, y, z
+    raise ValueError("no admissible route")
+
+
 def ref_chained_derivs_upto(cm, x, k_max):
     """ChainedLocalMap.derivs_upto off the jet path: chain rule at order 1,
     then one recursive stencil per order, each node taking its own route."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    i, y, z = cm._route(x)
+    i, y, z = ref_route(cm, x)
     _ok, inner, outer = cm.routes[i]
     assert inner.expr is None or outer.expr is None
     out = [z.reshape(cm.out_shape)]
@@ -532,8 +545,10 @@ def two_route_chain():
     from mapnets.jets import sin
 
     outer = LocalMap.from_expr(lambda t: sin(2.0 * t) + t * t, name="outer-expr")
-    routes = [(lambda y: y[0] > 0.0, LocalMap.from_expr(lambda t: t, name="id-expr"), outer),
-              (lambda y: True, LocalMap(1, (1,), fn=lambda x: x, name="id-fn"),
+    routes = [(Chart("pos", 1, Box([0.0], [math.inf])),
+               LocalMap.from_expr(lambda t: t, name="id-expr"), outer),
+              (Chart("all", 1, Box([-math.inf], [math.inf])),
+               LocalMap(1, (1,), fn=lambda x: x, name="id-fn"),
                LocalMap(1, (1,), fn=lambda x: np.array([math.sin(2.0 * x[0]) + x[0] * x[0]]),
                         name="outer-fn"))]
     return ChainedLocalMap(routes, 1, (1,), name="two-route"), outer

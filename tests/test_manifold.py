@@ -28,6 +28,7 @@ from mapnets.jets import Jet, sin, sqrt
 from mapnets.manifold import (
     Box,
     BundleElement,
+    Chart,
     CompactRegion,
     LocalMap,
     Point,
@@ -458,7 +459,8 @@ class TestDerivativeUndefined:
         from mapnets.gmap import ChainedLocalMap
 
         inner = LocalMap.from_expr(lambda t: t - 1.0, name="shift")
-        chain = ChainedLocalMap([(lambda y: True, inner, self.rep())], 1, (1,), name="chain")
+        line = Chart("all", 1, Box([-math.inf], [math.inf]))
+        chain = ChainedLocalMap([(line, inner, self.rep())], 1, (1,), name="chain")
         assert chain.try_call([1.0]) == pytest.approx([0.0])
         with pytest.raises(errors.DerivativeUndefined, match="'chain'.*x = 1\\.0"):
             chain.derivs_upto([1.0], 2)

@@ -166,6 +166,18 @@ def test_tangent_norm_series_reads_the_table(label, u, K, monkeypatch, cfg):
     assert [repr(p) for p in got.args] == [repr(p) for p in want.args]
 
 
+def test_tangent_norm_series_of_an_escaped_table_reads_zero(cfg):
+    """Every (eps, point) row escapes: the empty-sup convention, 0 at every eps."""
+    u = escaping_net({"c0": 2.0, "c1": 2.0})
+    K = CompactRegion([("c0", Box([-2.5], [-1.5]))], lattice_density=4)
+    assert (u.image_table(K, GRID).chart == -1).all()
+    got = tangent_norm_series(u, K, GRID, cfg)
+    assert got.eps.tobytes() == GRID.values().tobytes()
+    assert got.sup.tolist() == [0.0] * len(GRID)
+    assert got.args == [None] * len(GRID)
+    assert got.context == "sup |T escape|_g,h on K"
+
+
 # -- points_equal evaluates each point once per eps --------------------------------
 
 
