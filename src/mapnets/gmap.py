@@ -374,14 +374,12 @@ class ChainedLocalMap(LocalMap):
             raise ValueError(f"local map {self.name!r} has no admissible route at some row")
         return out
 
-    def try_call(self, x) -> Optional[np.ndarray]:
-        """The value at a point (None where no route admits it), or at every
-        row of a stack (NaN rows there)."""
-        P, single = point_rows(x)
+    def _values(self, P: np.ndarray) -> np.ndarray:
+        """Values at the rows of P, NaN rows where no route admits a row."""
         Z = np.full((len(P),) + self.out_shape, math.nan)
         for _i, rows, _Y, z in self._routed(P):
             Z[rows] = z
-        return Z if not single else None if np.isnan(Z).all() else Z[0]
+        return Z
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.derivs_upto(x, k)[k]

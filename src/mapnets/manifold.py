@@ -262,7 +262,8 @@ class LocalMap:
     jet of the stack's column; otherwise all rows share one stencil tree,
     each of whose levels calls ``fn`` (or ``jac``) once per row.  An
     expression at an ``eps_column`` (``exprs``) takes only stacks of its
-    rows, and raises where others retry a row alone (a row has no eps).
+    rows, and raises DerivativeUndefined at a point (a point has no eps),
+    where others retry a row alone.
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
@@ -287,6 +288,9 @@ class LocalMap:
         return cls(1, out_shape, expr=expr, name=name, **kw)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
+        if self.eps_column is not None:
+            raise DerivativeUndefined(f"local map {self.name!r} at an eps column takes "
+                                      "stacks of its rows, not a point")
         if self.fn is not None:
             y = np.asarray(self.fn(x), dtype=float)
         else:
@@ -304,10 +308,9 @@ class LocalMap:
 
     def try_call(self, x) -> Optional[np.ndarray]:
         """The value at x, or None where undefined (``defined`` false, or a raise); at a
-        stack, the values with NaN rows there, from one ``_values`` call, else one per row."""
+        stack, the values with NaN rows there, from one ``_values`` call, else one per row
+        (at an eps column, only the one call, and a point raises DerivativeUndefined)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.eps_column is not None:
-            return self._values(x)
         if x.ndim == 1:
             if self.defined is not None and not self.defined(x):
                 return None
@@ -315,7 +318,10 @@ class LocalMap:
                 return self._value(x)
             except _UNDEFINED:
                 return None
-        rows = [r for r, p in enumerate(x) if self.defined is None or self.defined(p)]
+        if self.eps_column is not None:
+            return self._values(x)
+        rows = (np.arange(len(x)) if self.defined is None
+                else np.flatnonzero([bool(self.defined(p)) for p in x]))
         Y = np.full((len(x),) + self.out_shape, math.nan)
         try:
             Y[rows] = self._values(x[rows])

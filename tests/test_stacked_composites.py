@@ -35,7 +35,15 @@ from mapnets.config import Config
 from mapnets.errors import DerivativeUndefined
 from mapnets.exprs import build_expr
 from mapnets.gallery import get_atlas, get_net, get_region
-from mapnets.gmap import MapNet, angle_net, compose, derivative_sup_series, embed_smooth
+from mapnets.gmap import (
+    MapNet,
+    angle_net,
+    chart_gap_series,
+    check_equiv,
+    compose,
+    derivative_sup_series,
+    embed_smooth,
+)
 from mapnets.jets import Jet
 from mapnets.manifold import Box, Chart, LocalMap, SmoothMap, _DerivedMap
 from mapnets.vbundle import matrix_gap_series, tangent, vbhom_compose
@@ -192,6 +200,31 @@ def test_the_router_matches_the_per_point_router(chain, xs, k):
             same_bytes(single[j], want[j])
 
 
+def test_a_route_whose_value_is_a_nan_row_leaves_the_row_to_the_next():
+    """A factor that returns NaN without raising: the router reads a NaN row
+    as no value, as a stacked ``try_call`` does, and takes the next route
+    there, where the per-point router admitted any value that did not raise;
+    a row that every route leaves NaN has no route."""
+    nan_above_1 = LocalMap(1, (1,), fn=lambda x: np.array([math.nan if x[0] > 1.0 else 2.0 * x[0]]),
+                           name="nan-above-1")
+    routes = [(Chart("all", 1, Box([-math.inf], [math.inf])),
+               LocalMap(1, (1,), fn=lambda x: x, name="id-fn"), nan_above_1),
+              (Chart("small", 1, Box([-2.0], [2.0])),
+               LocalMap(1, (1,), fn=lambda x: x, name="id-fn"),
+               LocalMap(1, (1,), fn=lambda x: 3.0 * x, name="triple"))]
+    cm = gmap.ChainedLocalMap(routes, 1, (1,), name="nan-route")
+    X = np.array([[0.5], [1.5], [3.0]])
+    same_bytes(cm.try_call(X), [[1.0], [4.5], [math.nan]])
+    assert [(i, rows.tolist()) for i, rows, _Y, _Z in cm._routed(X)] == [(0, [0]), (1, [1])]
+    same_bytes(cm(X[1]), [4.5])
+    assert cm.try_call(X[2]) is None
+    assert ref_route(cm, X[1])[0] == ref_route(cm, X[2])[0] == 0  # NaN admitted there
+    d = cm.derivs_upto(X[:2], 1)[1]
+    assert np.max(np.abs(d.ravel() - [2.0, 3.0])) <= 1e-9
+    with pytest.raises(ValueError, match="no admissible route"):
+        cm.derivs_upto(X, 1)
+
+
 def test_the_router_makes_one_call_per_factor_and_route(monkeypatch):
     calls = []
     for cls in (LocalMap, Chart):
@@ -311,12 +344,39 @@ def test_a_composite_at_an_eps_column_takes_only_whole_stacks():
             rep.try_call(stack)
     with pytest.raises(DerivativeUndefined):
         rep.try_call(X[0])
+    (expr_rep,) = fresh("heaviside_tanh").at(E).locals.values()
+    for call in (expr_rep, expr_rep.try_call):  # a point has no eps
+        with pytest.raises(DerivativeUndefined, match="not a point"):
+            call(X[0])
     # a route of plain fn maps differentiates on stencil rows, which are no eps column
     plain = SmoothMap(LINE, LINE, {("e0", "e0"): LocalMap(1, (1,), fn=np.sin, name="sin-fn")})
     (rep,) = compose(embed_smooth(plain, "sin-fn"), fresh("sigma_tanh")).at(E).locals.values()
     assert rep.derivs_upto(X, 1)[1].shape == (3, 1, 1)
     with pytest.raises(DerivativeUndefined, match="whole stacks"):
         rep.derivs_upto(X, 2)
+
+
+@pytest.mark.parametrize("composite_first", [False, True])
+def test_an_inexact_composite_and_an_expression_net_compare_one_eps_at_a_time(
+        composite_first, cfg):
+    """sin (a plain fn map) o heaviside_tanh is exact to order 0 only, so its
+    gap to heaviside_tanh at k_max 2 is the stencil tree of a difference map,
+    whose rows call each operand at a point: at an eps column that raises
+    DerivativeUndefined in either operand order, and check_equiv takes one eps
+    at a time, as for the same nets without eps columns."""
+    plain = SmoothMap(LINE, LINE, {("e0", "e0"): LocalMap(1, (1,), fn=np.sin, name="sin-fn")})
+
+    def nets(c):
+        u = fresh("heaviside_tanh", c)
+        v = compose(embed_smooth(plain, "sin-fn"), fresh("heaviside_tanh", c))
+        return (v, u) if composite_first else (u, v)
+
+    got, want = nets(True), nets(False)
+    assert all(u.eps_columns for u in got) and not any(u.eps_columns for u in want)
+    K = get_region("K_unit")
+    assert same_series(chart_gap_series(*got, K, GRID, 2, None, cfg),
+                       chart_gap_series(*want, K, GRID, 2, None, cfg))
+    assert repr(check_equiv(*got, K, GRID, 2, cfg)) == repr(check_equiv(*want, K, GRID, 2, cfg))
 
 
 # -- matrix fields: the tangent and the composite's ----------------------------------
