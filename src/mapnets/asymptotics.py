@@ -465,7 +465,5 @@ def conjunction(parts: dict[str, Verdict], notes: str = "") -> Verdict:
         status = Status.INCONCLUSIVE
     if worst is not None and n_or_m is not None:
         worst = OrderEstimate(worst.slope, worst.r2, worst.window, n_or_m)
-    if status is Status.PASS and worst is None:
-        worst = ALL_ZERO_ESTIMATE
     return Verdict(status, estimate=worst, witness=witness, notes=notes,
                    details=dict(parts), series=worst_series)

@@ -51,7 +51,6 @@ from .manifold import (
     Point,
     RiemannianMetric,
     SmoothMap,
-    difference_map,
     distance,
     fd_tree,
     point_rows,
@@ -689,9 +688,14 @@ def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
     """Derivative tensors of the gap between two representatives, at a
     point or at every row of a stack.
 
-    When both oracles are exact through order k_max, subtract exact tensors;
-    otherwise differentiate the pointwise difference, which keeps stencil
-    noise proportional to the gap itself rather than to the operands.
+    When both oracles are exact through order k_max, subtract exact tensors.
+    Otherwise differentiate the gap itself, which keeps stencil noise
+    proportional to the gap rather than to the operands: one stencil tree
+    whose leaf is the stacked difference ``ru._values(Q) - rv._values(Q)``
+    (an expression's order-0 jet), or beyond order 0 the stacked difference
+    of their ``jac`` values when both maps carry one.  At an eps column the
+    tree's levels are no stacks of the column's rows, so the tree raises
+    DerivativeUndefined and a sweep takes one eps at a time (``_eps_rows``).
     """
     if min(ru.exact_order, rv.exact_order) >= k_max:
         def diffs(x):
@@ -700,8 +704,19 @@ def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
             return [tu[k] - tv[k] for k in range(k_max + 1)]
 
         return diffs
-    dmap = difference_map(ru, rv)
-    return lambda x: dmap.derivs_upto(x, k_max)
+
+    values = lambda Q: ru._values(Q) - rv._values(Q)
+    jacobians = lambda Q: ru._jacobians(Q) - rv._jacobians(Q)
+
+    def gap(x):
+        P, single = point_rows(x)
+        if ru.jac is None or rv.jac is None:
+            ts = fd_tree(values, P, k_max)
+        else:
+            ts = [values(P)] + fd_tree(jacobians, P, k_max - 1)
+        return [t[0] for t in ts] if single else ts
+
+    return gap
 
 
 def chart_gap_series(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,

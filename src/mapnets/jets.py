@@ -109,9 +109,9 @@ class Jet:
         if isinstance(other, Jet):
             return _jet(_mul(a, other.c))
         s = _scalar(other)
-        out = []
-        z = 0.0  # sum of c[j] * 0.0 over the lower orders
-        for x in a:
+        out = [a[0] * s]  # as on floats, so -0.0 * s keeps its sign
+        z = 0.0 + a[0] * 0.0  # sum of c[j] * 0.0 over the lower orders, from +0.0
+        for x in a[1:]:
             out.append(z + x * s)
             z += x * 0.0
         return _jet(tuple(out))

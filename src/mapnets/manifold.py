@@ -260,10 +260,11 @@ class LocalMap:
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
     gains a leading row axis.  An expression is evaluated once on the array
     jet of the stack's column; otherwise all rows share one stencil tree,
-    each of whose levels calls ``fn`` (or ``jac``) once per row.  An
-    expression at an ``eps_column`` (``exprs``) takes only stacks of its
-    rows, and raises DerivativeUndefined at a point (a point has no eps),
-    where others retry a row alone.
+    each of whose levels calls ``fn`` (or ``jac``) once per row
+    (``_values``, ``_jacobians``).  An expression at an ``eps_column``
+    (``exprs``) takes only stacks of its rows, one row per eps: it raises
+    DerivativeUndefined at a stack of another length (such as a stencil
+    level) and at a point (a point has no eps), where others retry a row alone.
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
@@ -350,9 +351,7 @@ class LocalMap:
         elif self.jac is None:
             ts = fd_tree(self._values, P, k_max)
         else:
-            jacs = lambda Q: self._stack(self.jac, Q, self.out_shape + (self.in_dim,),
-                                         "jac returned")
-            ts = [self._values(P)] + fd_tree(jacs, P, k_max - 1)
+            ts = [self._values(P)] + fd_tree(self._jacobians, P, k_max - 1)
         return [t[0] for t in ts] if single else ts
 
     def _expr_tensors(self, P: np.ndarray, k_max: int) -> list:
@@ -360,6 +359,9 @@ class LocalMap:
         column (the float jet for one row), else row by row: DerivativeUndefined
         names the first failing row, and a value-branching expression works."""
         n = len(P)
+        if self.eps_column is not None and n != len(self.eps_column):
+            raise DerivativeUndefined(f"local map {self.name!r} at an eps column takes only "
+                                      f"stacks of its rows: {n} rows, {len(self.eps_column)} eps")
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 coeffs = self._jet_coeffs(float(P[0, 0]) if n == 1 else P[:, 0], k_max)
@@ -390,6 +392,10 @@ class LocalMap:
         if self.fn is None:
             return self._expr_tensors(P, 0)[0]
         return self._stack(self.fn, P, self.out_shape, "returned")
+
+    def _jacobians(self, P: np.ndarray) -> np.ndarray:
+        """``jac`` at the rows of P, shape (len(P),) + out_shape + (in_dim,)."""
+        return self._stack(self.jac, P, self.out_shape + (self.in_dim,), "jac returned")
 
     def _stack(self, f, P: np.ndarray, shape: tuple, what: str) -> np.ndarray:
         """f at every row of P as one array of shape (len(P),) + shape.
@@ -474,29 +480,6 @@ def fd_tree(leaf, P: np.ndarray, depth: int) -> list:
         ts = [jets.fd_partial(t, steps[lvl]) for t in ts]
         ts.insert(0, leaf(levels[lvl]))
     return ts
-
-
-def difference_map(a: LocalMap, b: LocalMap) -> LocalMap:
-    """Pointwise difference a - b as a LocalMap.
-
-    Differentiating the difference (rather than subtracting derivative
-    tensors) keeps finite-difference noise proportional to the gap itself:
-    the stencil is linear, so the value is the same in exact arithmetic.
-    """
-    if a.out_shape != b.out_shape or a.in_dim != b.in_dim:
-        raise ValueError("difference of maps with mismatched shapes")
-    jac = None
-    if a.jac is not None and b.jac is not None:
-        jac = lambda x: np.asarray(a.jac(x), dtype=float) - np.asarray(b.jac(x),
-                                                                       dtype=float)
-
-    def defined(x):
-        oka = a.defined(x) if a.defined is not None else True
-        okb = b.defined(x) if b.defined is not None else True
-        return oka and okb
-
-    return LocalMap(a.in_dim, a.out_shape, fn=lambda x: a(x) - b(x),
-                    jac=jac, defined=defined, name=f"({a.name})-({b.name})")
 
 
 def tensor_norm(t: np.ndarray, order: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from mapnets.asymptotics import (
     SupSeries,
     Verdict,
     OrderEstimate,
+    conjunction,
     fit_order,
     judge_moderate,
     judge_negligible,
@@ -242,3 +243,68 @@ class TestSweepSups:
                                             (0, math.inf, "inf")])
         assert out[0].n_overflow == len(GRID)
         assert out[0].args == ["nan"] * len(GRID)
+
+
+class TestShortAndOverflowingSeries:
+    """Verdict branches for power laws past the cap, series with fewer than
+    three positive samples and overflowing series, on the default grid."""
+
+    @staticmethod
+    def series(values: dict) -> SupSeries:
+        """Zeros on the grid, except {grid index: value}."""
+        sup = np.zeros(len(GRID))
+        for i, v in values.items():
+            sup[i] = v
+        return SupSeries(GRID.values(), sup)
+
+    @pytest.mark.parametrize("a", [11, 12])
+    def test_a_power_law_past_the_cap_fails(self, a):
+        v = judge_moderate(closed_form_series(lambda e: e ** -a), n_cap=10)
+        assert v.status is Status.FAIL and v.witness is not None
+        assert v.notes == f"slope {-a} below -n_cap=-10"
+
+    def test_a_power_law_at_the_cap_passes(self):
+        v = judge_moderate(closed_form_series(lambda e: e ** -10), n_cap=10)
+        assert v.status is Status.PASS and v.estimate.n_or_m == 10
+
+    def test_two_positives_then_zeros_are_bounded(self):
+        v = judge_moderate(self.series({0: 1.0, 1: 2.0}), n_cap=10)
+        assert v.status is Status.PASS and v.notes == "bounded head with zero tail"
+        assert v.estimate.n_or_m == 0 and v.estimate.window == (0, 1)
+
+    def test_two_positives_at_the_end_are_inconclusive(self):
+        v = judge_moderate(self.series({13: 1.0, 14: 2.0}), n_cap=10)
+        assert v.status is Status.INCONCLUSIVE and v.notes == "too few positive samples"
+
+    def test_an_overflow_with_one_positive_fails_with_slope_minus_inf(self):
+        v = judge_moderate(self.series({3: 1.0, 14: math.inf}), n_cap=10)
+        assert v.status is Status.FAIL and v.notes == "overflow in sup series"
+        assert v.estimate.slope == -math.inf
+        assert v.witness.eps == GRID.values()[14] and v.witness.value == math.inf
+
+    @pytest.mark.parametrize("values", [{13: 1e-3, 14: 1e-4},  # no zero tail
+                                        {0: 1.0, 1: 0.5},  # slope 1 < m_probe
+                                        {0: 1.0}])  # no slope at all
+    def test_uncorroborated_short_series_are_not_negligible(self, values):
+        v = judge_negligible(self.series(values), m_probe=5)
+        assert v.status is Status.INCONCLUSIVE and v.notes == "too few positive samples"
+
+    def test_an_overflow_does_not_vanish(self):
+        v = judge_vanishing(self.series({3: 1.0, 14: math.inf}))
+        assert v.status is Status.FAIL and v.notes == "overflow in sup series"
+        assert v.witness.value == math.inf
+
+    def test_two_positives_above_vanish_tol_are_inconclusive(self):
+        v = judge_vanishing(self.series({0: 1.0, 14: 0.5}), vanish_tol=1e-3)
+        assert v.status is Status.INCONCLUSIVE and v.notes == "too few positive samples"
+
+    def test_a_conjunction_of_nothing_raises(self):
+        with pytest.raises(ValueError, match="no verdicts"):
+            conjunction({})
+
+    def test_a_pass_conjunction_carries_its_worst_estimate(self):
+        parts = {"a": judge_moderate(closed_form_series(lambda e: 1.0 / e), n_cap=10),
+                 "b": judge_moderate(closed_form_series(lambda e: e ** -3), n_cap=10)}
+        v = conjunction(parts)
+        assert v.status is Status.PASS
+        assert v.estimate.slope == parts["b"].estimate.slope and v.estimate.n_or_m == 3

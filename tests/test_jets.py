@@ -103,6 +103,21 @@ def test_wrap_angle_scalar_and_jet():
     assert w.derivatives()[1] == pytest.approx(math.cos(7.0), rel=1e-12)
 
 
+def test_a_scalar_product_keeps_the_sign_of_zero_on_every_value_path():
+    """3.1 * t at t = -0.0 is -0.0 on floats, and the jet's order-0 term is
+    too: the point value (the float expression), a one-row stack and a row of
+    an N-row stack (the order-0 jet) of wrap_angle(3.1 * t) agree bit for bit."""
+    rep = LocalMap.from_expr(lambda t: wrap_angle(3.1 * t), name="wind")
+    for t in (-0.0, 0.0):
+        want = rep.try_call(np.array([t]))
+        assert math.copysign(1.0, want[0]) == math.copysign(1.0, t)
+        one = rep.try_call(np.array([[t]]))
+        many = rep.try_call(np.array([[0.5], [t], [-1.0]]))
+        assert one[0].tobytes() == many[1].tobytes() == want.tobytes()
+    c = (Jet.var(-0.0, 2) * 3.1).c
+    assert [math.copysign(1.0, x) for x in c] == [-1.0, 1.0, 1.0] and c[1] == 3.1
+
+
 def test_bump_support_and_smoothness():
     assert bump(2.0, center=0.0, width=1.0) == 0.0
     assert bump(0.0) == pytest.approx(1.0)

@@ -9,9 +9,8 @@ a point is a one-row stack.  Its values and tensors must equal, bit for bit
 circle angle charts, a chain with rows that no route admits, and rows with
 inf or NaN entries.  A factor's own two value paths are outside that claim:
 the router reads a factor's stacked value, which for an expression is the
-order-0 jet, where the per-point router read the float expression, and the
-two differ in the sign of zero for ``3.1 * t`` at t = -0.0, so the circle
-case draws no -0.0.
+order-0 jet, where the per-point router read the float expression; for the
+circle case (``3.1 * t``, -0.0 included) the two agree bit for bit.
 
 A composite of two nets with eps columns has eps columns (an ``embed_smooth``
 net takes any column): its image table and sweeps make one call over the
@@ -156,8 +155,6 @@ ROW = st.one_of(st.floats(-2.5, 2.5),
 @settings(max_examples=150, deadline=None)
 def test_the_router_matches_the_per_point_router(chain, xs, k):
     cm = CHAINS[chain]()
-    if chain == "circle":  # 3.1 * -0.0 is -0.0 on floats, +0.0 on a jet (ROADMAP item 5)
-        xs = [0.0 if x == 0.0 else x for x in xs]
     X = np.array(xs)[:, None]
     refs = []
     for x in X:
@@ -360,10 +357,11 @@ def test_a_composite_at_an_eps_column_takes_only_whole_stacks():
 def test_an_inexact_composite_and_an_expression_net_compare_one_eps_at_a_time(
         composite_first, cfg):
     """sin (a plain fn map) o heaviside_tanh is exact to order 0 only, so its
-    gap to heaviside_tanh at k_max 2 is the stencil tree of a difference map,
-    whose rows call each operand at a point: at an eps column that raises
-    DerivativeUndefined in either operand order, and check_equiv takes one eps
-    at a time, as for the same nets without eps columns."""
+    gap to heaviside_tanh at k_max 2 is a stencil tree over both operands'
+    stacked values, whose levels are no stacks of an eps column's rows: at an
+    eps column that raises DerivativeUndefined in either operand order, and
+    check_equiv takes one eps at a time, as for the same nets without eps
+    columns."""
     plain = SmoothMap(LINE, LINE, {("e0", "e0"): LocalMap(1, (1,), fn=np.sin, name="sin-fn")})
 
     def nets(c):

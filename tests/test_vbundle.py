@@ -489,6 +489,25 @@ class TestTensorInsertion:
         val = tensor_insert(g, [], [xi, xi], p, GRID, CFG)
         assert val(0.25) == pytest.approx(3.0)
 
+    def test_one_form_and_vector_arguments_contract_in_order(self):
+        """A (1,1) field A (contravariant axis first) takes the one-form w on
+        its first axis and the vector v on its second: the value is w^T A v,
+        which differs from v^T A w for this non-symmetric A."""
+        plane = __import__("mapnets").euclidean_atlas([(-3, 3), (-3, 3)], name="plane")
+        A = np.array([[1.0, 2.0], [3.0, 4.0]])
+        a = TensorSectionNet(plane, 1, 1, lambda eps: {
+            "e0": LocalMap(2, (2, 2), fn=lambda x, s=1.0 + eps: s * A)}, tag="A")
+        w = TensorSectionNet(plane, 0, 1, lambda eps: {
+            "e0": LocalMap(2, (2,), fn=lambda x: np.array([1.0 + x[0], 2.0]))}, tag="w")
+        v = TensorSectionNet(plane, 1, 0, lambda eps: {
+            "e0": LocalMap(2, (2,), fn=lambda x: np.array([3.0, x[1] - 1.0]))}, tag="v")
+        p = GenPoint.constant(plane, Point("e0", [0.5, -0.5]), tag="p2d")
+        val = tensor_insert(a, [w], [v], p, GRID, CFG)
+        wx, vx = np.array([1.5, 2.0]), np.array([3.0, -1.5])
+        assert wx @ A @ vx == 6.0 and vx @ A @ wx == -2.25
+        for eps in GRID.values():
+            assert val(eps) == pytest.approx((1.0 + eps) * 6.0, rel=1e-15)
+
 
 class TestPerturbationRobustness:
     def test_negligible_perturbations_never_flip_passes(self):
