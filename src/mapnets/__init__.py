@@ -50,7 +50,6 @@ from .manifold import (
     euclidean_atlas,
     euclidean_multichart,
     fiber_norm,
-    lipschitz_bound,
     product_atlas,
     region_box,
     sphere_atlas,

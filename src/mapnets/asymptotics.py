@@ -9,7 +9,7 @@ Numerical floors: sup values at or below ``zero_tol`` are recorded as exact
 zeros (legitimate zeros arise from the empty-supremum convention); overflowed
 values are kept as ``inf`` markers and force growth verdicts to Fail.  NaN
 counts as overflow, never as zero.  Order fitting always works on the finite
-positive part of a series.  Every sup series is built by ``sweep_sups``.
+positive part of a series.  Every sup series is built by ``sweep_stacks``.
 """
 
 from __future__ import annotations
@@ -124,61 +124,37 @@ class SupSeries:
         return "\n".join(lines) + "\n"
 
 
-def sweep_sups(grid: EpsGrid, samples, zero_tol: float = 0.0,
-               context=lambda key: "") -> dict:
-    """Per-key suprema over the grid of the samples ``samples(eps)`` yields.
+def sweep_stacks(grid: EpsGrid, stacks, zero_tol: float = 0.0,
+                 context=lambda key: "") -> dict:
+    """Per-key suprema over the grid of stacks ``(key, eis, values, where)``:
+    the values of (eps, point) rows with non-decreasing grid eps indices
+    ``eis``, and ``where(i)`` the location of row i.
 
-    Each sample is ``(key, value, location)``.  Per key and eps the first
-    location of the largest value wins; a key exists once any sample yields
-    it, and reads 0 at every other eps (empty-sup convention).  NaN counts as
-    overflow (``inf``); values <= zero_tol clamp to exact 0.  Returns
-    {key: SupSeries} labelled by ``context(key)``.
+    Per key and eps the first row of the largest value wins, over the key's
+    stacks in order.  A key exists once a stack names it, a stack without
+    rows too, and reads 0 at every eps where it has no row (empty-sup
+    convention).  NaN counts as overflow (``inf``); values <= zero_tol clamp
+    to exact 0.  Returns {key: SupSeries} labelled by ``context(key)``.
     """
     eps_vals = grid.values()
     sups: dict = {}
     args: dict = {}
-    for ei, eps in enumerate(eps_vals):
-        for key, value, location in samples(eps):
-            if key not in sups:
-                sups[key] = np.zeros(len(eps_vals))
-                args[key] = [None] * len(eps_vals)
-            if math.isnan(value):
-                value = math.inf
-            if value > sups[key][ei]:
-                sups[key][ei] = value
-                args[key][ei] = location
+    for key, eis, values, where in stacks:
+        if key not in sups:
+            sups[key], args[key] = np.zeros(len(eps_vals)), [None] * len(eps_vals)
+        starts = np.flatnonzero(np.diff(eis, prepend=-1))
+        values = np.where(np.isnan(values), math.inf, values)
+        peaks = np.maximum.reduceat(values, starts)
+        firsts = np.flatnonzero(values == np.repeat(peaks, np.diff(starts, append=len(eis))))
+        sup, arg = sups[key], args[key]
+        for ei, peak, row in zip(eis[starts].tolist(), peaks.tolist(),
+                                 firsts[np.searchsorted(firsts, starts)].tolist()):
+            if peak > sup[ei]:
+                sup[ei] = peak
+                arg[ei] = where(row)
     return {key: SupSeries(eps_vals, np.where(vals <= zero_tol, 0.0, vals),
                            context=context(key), args=args[key])
             for key, vals in sups.items()}
-
-
-def sweep_stacks(grid: EpsGrid, stacks, zero_tol: float = 0.0,
-                 context=lambda key: "") -> dict:
-    """``sweep_sups`` of stacks ``(key, eis, values, where)``: the values of
-    (eps, point) rows with non-decreasing grid eps indices ``eis``, and
-    ``where(i)`` the location of row i.  Per eps with rows, a stack is one
-    sample: its largest value (NaN as inf) at the first row holding it; a
-    stack without rows reads 0 at every eps (empty-sup convention)."""
-    found: list = [[] for _ in range(len(grid))]
-    for key, eis, values, where in stacks:
-        if not len(eis):
-            found[0].append((key, 0.0, None))
-            continue
-        starts = np.flatnonzero(np.diff(eis, prepend=-1))
-        values = np.where(np.isnan(values), math.inf, values)
-        peaks = np.repeat(np.maximum.reduceat(values, starts), np.diff(starts, append=len(eis)))
-        firsts = np.flatnonzero(values == peaks)
-        for ei, row in zip(eis[starts].tolist(), firsts[np.searchsorted(firsts, starts)].tolist()):
-            found[ei].append((key, float(values[row]), where(row)))
-    samples = iter(found)
-    return sweep_sups(grid, lambda _eps: next(samples), zero_tol, context)
-
-
-def series_from_fn(fn, grid: EpsGrid, context: str = "", zero_tol: float = 0.0) -> SupSeries:
-    """Sample ``fn(eps)`` on the grid; values <= zero_tol clamp to exact 0,
-    NaN counts as overflow."""
-    return sweep_sups(grid, lambda e: [(None, float(fn(e)), None)], zero_tol,
-                      lambda _key: context)[None]
 
 
 @dataclass

@@ -49,6 +49,7 @@ from .manifold import (
     CompactRegion,
     LocalMap,
     Point,
+    PointStack,
     RiemannianMetric,
     SmoothMap,
     distance,
@@ -129,12 +130,15 @@ class MapNet:
 
 
 class ImageTable:
-    """Images u_eps(p) of sample points p at every grid eps, as arrays.
+    """Images u_eps(p) of (eps, sample point) rows at every grid eps, as arrays.
 
-    Built in one array pass: per source chart holding sample points, one
-    stacked ``u.at`` call over all (eps, point) rows at their eps column (a
-    stacked ``try_call`` per representative), or one per eps for a net
-    without eps columns (``_eps_rows``); then, once over all rows, the
+    The rows are the sample points ``pts`` at every grid eps, or with
+    ``column`` a generalized point's column: ``pts[ei]`` is the point at grid
+    eps ei alone, in a table of one column.  Built in one array pass: per
+    source chart a, the rows whose points have chart-a coordinates
+    (``PointStack.rechart``) in one stacked ``u.at`` call at their eps
+    column (a stacked ``try_call`` per representative), or one per eps for
+    a net without eps columns (``_eps_rows``); then, once over all rows, the
     candidates' margins, each row's best candidate (largest margin, then the
     smaller target chart, then the smaller source chart, as in
     ``SmoothMap.eval_candidates``) and its ``representations``.
@@ -143,27 +147,38 @@ class ImageTable:
     ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
     the best candidate's chart (-1 for an escaped row, one without candidate:
     it has no representation), ``source[ei, pi]`` its source chart, an index
-    into ``u.src.chart_ids`` (-1 likewise).  ``escape`` is the ``ChartEscape`` ``u.eval``
-    raises at the first escaped row in (eps, point) order, else None.  The
-    arrays are read-only, so an image handed out (a view into ``coords``)
-    cannot corrupt the table.  With a ``head`` table (same net and grid), the
-    table holds head's points first, copied, and evaluates only ``pts``.
+    into ``u.src.chart_ids`` (-1 likewise).  ``escaped(ei, pi)`` is the
+    ``ChartEscape`` ``u.eval`` raises at an escaped row (ei, pi), which
+    ``image`` raises there, and ``escape`` that of the first escaped row in
+    (eps, point) order, else None.  The arrays are read-only, so an image
+    handed out (a view into ``coords``) cannot corrupt the table.  With a
+    ``head`` table (same net and grid), the table holds head's points first,
+    copied, and evaluates only ``pts``.
     """
 
     def __init__(self, u: MapNet, pts: list, eps_vals: np.ndarray,
-                 head: Optional["ImageTable"] = None):
+                 head: Optional["ImageTable"] = None, column: bool = False):
         dst = u.dst
         self.charts = dst.chart_ids
         self.dims = [dst.chart(b).dim for b in self.charts]
         self.rows = {eps: ei for ei, eps in enumerate(eps_vals.tolist())}
+        n0 = 0 if head is None else head.chart.shape[1]  # head's points come first
+        self.escaped = lambda ei, pi: head.escaped(ei, pi) if pi < n0 else ChartEscape(
+            f"{u.at(eps_vals[ei]).name or 'map'} has no chart for image of "
+            f"{pts[ei if column else pi - n0]}")
         col = {b: c for c, b in enumerate(self.charts)}
-        E, n = len(eps_vals), len(pts)
+        E, n = len(eps_vals), 1 if column else len(pts)
         pairs = _eps_rows((u,), eps_vals, np.arange(E), lambda eps, _rows: u.at(eps).locals)
         images: dict = {}  # (b, a): the images of the (eps, point) rows under rep (a, b)
-        for a, rows, P in _source_groups(u.src, pts, {a for _r, loc in pairs for a, _b in loc}):
-            X = np.tile(P.coords, (E, 1))  # the (eps, point) rows, eps-major
-            eis = np.repeat(np.arange(E), len(rows))
-            at = eis * n + np.tile(rows, E)  # their rows in the table
+        stack = PointStack(u.src, pts)
+        for a in sorted({a for _r, loc in pairs for a, _b in loc}):
+            P = stack.rechart(a)  # the points' chart-a coordinates, NaN rows where none
+            rows = np.flatnonzero(~np.isnan(P[:, 0]))
+            if column:  # row ei holds pts[ei]
+                X, eis, at = P[rows], rows, rows
+            else:  # the (eps, point) rows, eps-major
+                X, eis = np.tile(P[rows], (E, 1)), np.repeat(np.arange(E), len(rows))
+                at = eis * n + np.tile(rows, E)  # their rows in the table
             for sel, cands in _eps_rows((u,), eps_vals, eis,
                                         lambda eps, sel: u.at(eps)(Point(a, X[sel]))):
                 for q in cands:
@@ -177,8 +192,7 @@ class ImageTable:
         self.escape = head.escape if head is not None else None
         if self.escape is None and not found.all():
             ei, pi = divmod(int(np.argmin(found)), n)
-            self.escape = ChartEscape(
-                f"{u.at(eps_vals[ei]).name or 'map'} has no chart for image of {pts[pi]}")
+            self.escape = self.escaped(ei, n0 + pi)
         # the best candidate: the first of equal margins, the smaller (b, a); -1 if none
         best = M.argmax(axis=0) if keys else np.zeros(E * n, dtype=int)
         cols = np.array([(col[b], u.src.chart_ids.index(a)) for b, a in keys] or [(-1, -1)])
@@ -203,11 +217,12 @@ class ImageTable:
             arr.flags.writeable = False
 
     def image(self, eps: float, pi: int) -> Point:
-        """u_eps(point pi): the best candidate, as ``u.eval`` chooses it (or raise ``escape``)."""
-        if self.escape is not None:
-            raise self.escape.with_traceback(None)
+        """u_eps(point pi): the best candidate, as ``u.eval`` chooses it (an
+        escaped row raises its ChartEscape, ``escaped``)."""
         ei = self.rows[eps]
         c = self.chart[ei, pi]
+        if c < 0:
+            raise self.escaped(ei, pi)
         return Point(self.charts[c], self.coords[ei, pi, c, :self.dims[c]])
 
     def images(self, c: int, rows: np.ndarray) -> Point:
@@ -230,24 +245,6 @@ def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, call) -> list:
             pass
     return [(r, call(eps_vals[eis[r[0]]], r))
             for r in np.split(rows, np.flatnonzero(np.diff(eis)) + 1) if len(r)]
-
-
-def _source_groups(src: Atlas, pts: list, charts):
-    """(a, rows, P) for each source chart a of ``charts`` that holds some of
-    the points ``pts``: their indices, and their chart-a coordinates as one
-    stacked Point P (``Atlas.rechart`` of each chart's stack of points)."""
-    own: dict = {}
-    for i, p in enumerate(pts):
-        own.setdefault(p.chart, []).append(i)
-    for a in sorted(charts):
-        X = np.full((len(pts), src.chart(a).dim), math.nan)
-        for c, idx in own.items():
-            Y = src.rechart(Point(c, np.array([pts[i].coords for i in idx])), a)
-            if Y is not None:
-                X[idx] = Y
-        rows = np.flatnonzero(~np.isnan(X[:, 0]))
-        if len(rows):
-            yield a, rows, Point(a, X[rows])
 
 
 def sample_points(K: CompactRegion, trials: int = 0, seed: int = 0) -> list:

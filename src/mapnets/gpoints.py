@@ -6,6 +6,12 @@ power of eps.  Point evaluation of a map net and the argmax-based witness
 search (which separates order-0 inequivalent nets by a single generalized
 point) live here.
 
+At the eps of a grid a generalized point is read as a column
+(``manifold.PointStack``): one row per eps, a chart per row and the
+coordinates stacked.  Point evaluation builds the column of ``u(p)`` as the
+image table of p's column, and equality compares two columns with one
+distance call per chart pair and one stacked ``rechart`` per chart.
+
 Witness falsification is always relative to the probed region: the compact
 set in the uniqueness statement is not canonical, so the searcher takes K
 explicitly.
@@ -25,25 +31,25 @@ from .asymptotics import (
     Verdict,
     conjunction,
     judge_negligible,
-    series_from_fn,
     sweep_stacks,
-    sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
 from .errors import SupportEscape
-from .gmap import MapNet, _metric_route, check_cbounded, sample_points
+from .gmap import ImageTable, MapNet, _metric_route, check_cbounded, sample_points
 from .manifold import (
     Atlas,
     Box,
     CompactRegion,
     Point,
+    PointStack,
     RiemannianMetric,
     distance,
 )
 
 
 class GenPoint:
-    """Compactly supported eps-net of points of an atlas."""
+    """Compactly supported eps-net of points of an atlas: ``at(eps)`` is
+    the point at eps, and ``column(grid)`` its values at the grid eps."""
 
     def __init__(self, atlas: Atlas, at: Callable[[float], Point],
                  support: CompactRegion, eps0: float = 1.0, tag: str = ""):
@@ -52,6 +58,13 @@ class GenPoint:
         self.support = support
         self.eps0 = eps0
         self.tag = tag
+        self._columns: dict = {}
+
+    def column(self, grid: EpsGrid) -> PointStack:
+        """The values at the grid eps, read once per grid: one row per eps."""
+        if grid not in self._columns:
+            self._columns[grid] = PointStack(self.atlas, [self.at(eps) for eps in grid.values()])
+        return self._columns[grid]
 
     @classmethod
     def constant(cls, atlas: Atlas, p: Point, pad: float = 0.05,
@@ -133,7 +146,9 @@ class GenNumber:
         return GenNumber(lambda eps: self(eps) - o(eps), tag=f"({self.tag}-{o.tag})")
 
     def abs_series(self, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG) -> SupSeries:
-        return series_from_fn(lambda e: abs(self(e)), grid, f"|{self.tag}|", cfg.zero_tol)
+        values = np.abs([self(e) for e in grid.values()])
+        return sweep_stacks(grid, [(None, np.arange(len(grid)), values, lambda _i: None)],
+                            cfg.zero_tol, lambda _key: f"|{self.tag}|")[None]
 
     def record_moderate(self, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG) -> "GenNumber":
         from .asymptotics import judge_moderate
@@ -162,38 +177,37 @@ def points_equal(p: GenPoint, q: GenPoint, g: Optional[RiemannianMetric] = None,
 
     Also computed: the chart-coordinate route (coordinate differences per
     chart, sampled only where both points co-locate); both routes are
-    reported and flagged when their statuses disagree.
+    reported and flagged when their statuses disagree.  Both read the two
+    points' columns: one distance call per (p chart, q chart) and one
+    stacked ``rechart`` per chart of each column.  A failure raises what an
+    eps loop over the rows raises first.
     """
     grid = grid or cfg.grid()
     atlas = p.atlas
     g = g or atlas.metric
-    pairs = []  # (p_eps, q_eps), each evaluated once
+    d = np.empty(len(grid))
     try:
-        for eps in grid.values():
-            pairs.append((p.at(eps), q.at(eps)))
-        charts = [(pe.chart, qe.chart) for pe, qe in pairs]
-        d = np.empty(len(pairs))
-        for cp, cq in sorted(set(charts)):  # one distance call per (p chart, q chart)
-            rows = [i for i, pq in enumerate(charts) if pq == (cp, cq)]
-            d[rows] = distance(atlas, g, *(Point(c, np.array([pairs[i][j].coords for i in rows]))
-                                           for j, c in enumerate((cp, cq))))
+        cp, cq = p.column(grid), q.column(grid)
+        for a, b in sorted(set(zip(cp.chart.tolist(), cq.chart.tolist()))):
+            rows = (cp.chart == a) & (cq.chart == b)
+            d[rows] = distance(atlas, g, cp.stack(a, rows), cq.stack(b, rows))
     except Exception:
-        for pe, qe in pairs:  # raise what an eps loop raises first (an earlier OutOfDomain)
-            distance(atlas, g, pe, qe)
+        for eps in grid.values():  # raise what an eps loop raises first (an earlier OutOfDomain)
+            distance(atlas, g, p.at(eps), q.at(eps))
         raise
     d_series = sweep_stacks(grid, [(None, np.arange(len(d)), d, lambda _i: None)], cfg.zero_tol,
                             lambda _key: f"d({p.tag},{q.tag})")[None]
     metric_verdict = judge_negligible(d_series, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
 
-    def coord_gaps(pe, qe):
+    def coord_gaps():
         for cid in atlas.chart_ids:
-            xp, xq = atlas.rechart(pe, cid), atlas.rechart(qe, cid)
-            if xp is not None and xq is not None:  # else excluded (empty-sup convention)
-                yield cid, float(np.max(np.abs(xp - xq))), None
+            xp, xq = cp.rechart(cid), cq.rechart(cid)
+            eis = np.flatnonzero(~np.isnan(xp[:, 0]) & ~np.isnan(xq[:, 0]))
+            if len(eis):  # else never sampled (empty-sup convention)
+                yield cid, eis, np.max(np.abs(xp[eis] - xq[eis]), axis=1), lambda _i: None
 
-    per_eps = iter(pairs)
-    gaps = sweep_sups(grid, lambda _eps: coord_gaps(*next(per_eps)), cfg.zero_tol,
-                      lambda cid: f"|{cid}({p.tag})-{cid}({q.tag})|")
+    gaps = sweep_stacks(grid, coord_gaps(), cfg.zero_tol,
+                        lambda cid: f"|{cid}({p.tag})-{cid}({q.tag})|")
     chart_parts = {f"chart:{cid}": judge_negligible(gaps[cid], cfg.m_probe, cfg.r2_min,
                                                     floor=cfg.zero_tol)
                    for cid in atlas.chart_ids if cid in gaps}
@@ -215,7 +229,13 @@ def eval_at(u: MapNet, p: GenPoint, grid: Optional[EpsGrid] = None,
     """Point evaluation eps -> u_eps(p_eps); support is the image region.
 
     Requires u to be c-bounded on the point's support; otherwise the values
-    have no compact home and SupportEscape is raised.
+    have no compact home and SupportEscape is raised.  The column of the
+    result (``GenPoint.column``) is the image table of p's column, a table
+    of one column (``ImageTable``): one stacked ``u.at`` call per source
+    chart at u's eps column, each row's candidate chosen as ``u.eval``
+    chooses it.  A row whose image escapes every chart raises u.eval's
+    ChartEscape when it is read; at an eps off the grid, ``at`` calls
+    ``u.eval``.
     """
     grid = grid or cfg.grid()
     rep = check_cbounded(u, p.support, grid, cfg)
@@ -223,8 +243,19 @@ def eval_at(u: MapNet, p: GenPoint, grid: Optional[EpsGrid] = None,
         w = rep.witness.as_record() if rep.witness else None
         raise SupportEscape(
             f"{u.tag!r} is not c-bounded on support of {p.tag!r} (witness: {w})")
-    return GenPoint(u.dst, lambda eps: u.eval(eps, p.at(eps)), rep.K_image,
-                    eps0=min(p.eps0, rep.eps0), tag=f"{u.tag}({p.tag})")
+    col = p.column(grid)
+    table = ImageTable(u, [col.point(ei) for ei in range(len(grid))], grid.values(), column=True)
+    errors = {ei: table.escaped(ei, 0) for ei in np.flatnonzero(table.chart[:, 0] < 0).tolist()}
+    image = PointStack(u.dst, [None if ei in errors else table.image(eps, 0)
+                               for ei, eps in enumerate(grid.values())], errors)
+
+    def at(eps: float) -> Point:
+        ei = table.rows.get(eps)
+        return u.eval(eps, p.at(eps)) if ei is None else image.point(ei)
+
+    out = GenPoint(u.dst, at, rep.K_image, eps0=min(p.eps0, rep.eps0), tag=f"{u.tag}({p.tag})")
+    out._columns[grid] = image
+    return out
 
 
 def separate_by_points(u: MapNet, v: MapNet, K: CompactRegion,

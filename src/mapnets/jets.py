@@ -12,7 +12,9 @@ expression holds for both evaluation and differentiation.
 The recurrences run in IEEE float arithmetic, each coefficient of a product
 summed in order j = 0..k, and order-0 transcendentals come from ``math``
 entry by entry, so each row of an array jet has the bits of the float jet
-(a NaN's sign aside); a value check raises if any row fails it.  A
+(a NaN's sign aside); a value check raises if any row fails it.  The
+order-0 coefficient of ``sqrt`` and ``**`` is ``math.sqrt`` and float ``**``
+entry by entry too, so every order-0 jet has the float expression's bits.  A
 scalar operand of the ring operations may be an ``(N,)`` array too, one
 float per row (an expression at an eps column, see ``exprs``).  Overflow
 is silent: a coefficient becomes inf or NaN (``exp`` of a jet at 800 reads
@@ -136,16 +138,20 @@ class Jet:
         return _jet(_div((_scalar(other),) + (0.0,) * self.order, self.c))
 
     def __pow__(self, p):
+        """By the product (integer p) or log-exp recurrences, except the order-0
+        coefficient: float ``**`` entry by entry, the float expression's bits."""
         if isinstance(p, int):
             if p == 0:
                 return Jet.const(1.0, self.order)
             if p < 0:
-                return 1.0 / (self ** (-p))
-            out = self
-            for _ in range(p - 1):
-                out = out * self
-            return out
-        return (self.log() * float(p)).exp()
+                out = 1.0 / (self ** (-p))
+            else:
+                out = self
+                for _ in range(p - 1):
+                    out = out * self
+        else:
+            out = (self.log() * float(p)).exp()
+        return _jet((_entrywise(lambda x: _float_pow(x, p), self.c[0]),) + out.c[1:])
 
     # -- elementary functions (standard Taylor recurrences) --------------
 
@@ -172,8 +178,8 @@ class Jet:
             l.append(acc / (k * c0))
         return _jet(tuple(l))
 
-    def sqrt(self) -> "Jet":
-        return self ** 0.5
+    def sqrt(self) -> "Jet":  # the order-0 coefficient from math.sqrt, as on floats
+        return _jet((_entrywise(math.sqrt, self.c[0]),) + (self ** 0.5).c[1:])
 
     def sin(self) -> "Jet":
         return self._sincos()[0]
@@ -245,6 +251,14 @@ def _entrywise(f, x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(f, x.tolist()), float, len(x))
     return f(x)
+
+
+def _float_pow(x: float, p) -> float:
+    """x ** p on floats, an overflow reading +-inf as in the recurrences."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.copysign(math.inf, x) if p % 2 == 1 else math.inf
 
 
 def _mul(a: tuple, b: tuple) -> tuple:

@@ -119,7 +119,8 @@ class Box:
         """Distance to the boundary, normalized by extent; negative outside.
 
         Axes with an infinite bound use a reciprocal escape statistic so that
-        points running off to infinity score margins tending to zero.  A
+        points running off to infinity score margins tending to zero (both
+        ways on an axis without bounds, see ``_axis_margin``).  A
         non-finite coordinate scores -inf.  At a stack, each row's, bit for bit.
         """
         if self._rows(x):
@@ -161,7 +162,9 @@ class Box:
 
 
 def _axis_margin(x, lo: float, hi: float, lesser=min, greater=max):
-    """The margin of coordinate(s) x: an array with row-wise lesser/greater."""
+    """The margin of coordinate(s) x: an array with row-wise lesser/greater.
+    Past s = 1 + |finite bounds| from a finite bound, or from 0 on an axis
+    without bounds, an infinite side reads s / (s + distance beyond)."""
     if math.isfinite(lo) and math.isfinite(hi):
         return lesser(x - lo, hi - x) / (hi - lo)
     s = 1.0 + (abs(lo) if math.isfinite(lo) else 0.0) + (abs(hi) if math.isfinite(hi) else 0.0)
@@ -176,6 +179,8 @@ def _axis_margin(x, lo: float, hi: float, lesser=min, greater=max):
         if not math.isfinite(lo):
             beyond = greater(0.0, (hi - s) - x)
             m = lesser(m, s / (s + beyond))
+    if not (math.isfinite(lo) or math.isfinite(hi)):  # running off either end
+        m = lesser(m, s / (s + greater(0.0, abs(x) - s)))
     return m
 
 
@@ -237,6 +242,48 @@ class Point:
 
     def __repr__(self):
         return f"Point({self.chart}, {np.array2string(self.coords, precision=6)})"
+
+
+class PointStack:
+    """Points of an atlas stacked, each row in its own chart: ``chart[i]``
+    indexes ``atlas.chart_ids`` and ``coords[i, :dim]`` holds row i's
+    coordinates there (NaN beyond the chart's dimension).  Built from a list
+    of Points, None for a row without a point: its chart is -1, and reading
+    it (``point``) raises ``errors[i]``."""
+
+    def __init__(self, atlas: "Atlas", pts: list, errors: Optional[dict] = None):
+        ids = atlas.chart_ids
+        self.atlas, self.errors = atlas, errors or {}
+        self.chart = np.array([-1 if p is None else ids.index(atlas.chart(p.chart).id)
+                               for p in pts], dtype=int)  # NoOverlap for a chart not in atlas
+        self.coords = np.full((len(pts), max(atlas.chart(c).dim for c in ids)), math.nan)
+        for i, p in enumerate(pts):
+            if p is not None:
+                self.coords[i, :len(p.coords)] = p.coords
+
+    def point(self, i: int) -> Point:
+        if self.chart[i] < 0:
+            raise self.errors[i]
+        return self.stack(self.chart[i], i)
+
+    def stack(self, c: int, rows) -> Point:
+        """The rows ``rows``, all in the chart of index c, as one (stacked)
+        Point; rows without value (c = -1, ``rows`` a mask) raise the first
+        one's error."""
+        if c < 0:
+            raise self.errors[int(np.argmax(rows))]
+        cid = self.atlas.chart_ids[c]
+        return Point(cid, self.coords[rows, :self.atlas.chart(cid).dim])
+
+    def rechart(self, b: str) -> np.ndarray:
+        """Each row's coordinates in chart b (NaN rows where it has none), from
+        one stacked ``Atlas.rechart`` per chart of the stack."""
+        out = np.full((len(self.chart), self.atlas.chart(b).dim), math.nan)
+        for c in set(self.chart.tolist()) - {-1}:
+            rows = self.chart == c
+            y = self.atlas.rechart(self.stack(c, rows), b)
+            out[rows] = math.nan if y is None else y
+        return out
 
 
 # ======================================================================
@@ -1017,41 +1064,6 @@ def trivial_bundle(atlas: Atlas, fiber_dim: int = 1) -> VectorBundle:
                         fn=lambda x, M=dim_id: M, name="id")
           for cid in atlas.chart_ids}
     return VectorBundle(atlas, fiber_dim, vb_trans, fm, name=f"{atlas.name}xR{fiber_dim}")
-
-
-# ======================================================================
-# Lipschitz certificates
-# ======================================================================
-
-
-def lipschitz_bound(f: LocalMap, K: Box, domain: Optional[Box] = None,
-                    pad_frac: float = 0.1, density: int = 33) -> float:
-    """Certified Lipschitz constant of f on the compact box K.
-
-    Returns C = C1 * sup_L (|f| + |Df|) over a lattice of a fixed compact
-    neighborhood L of K, with C1 = max(1, 2/delta) for padding delta (the
-    bump-function derivative in the underlying cutoff argument scales like
-    1/delta).
-    """
-    pad = pad_frac * np.maximum(K.extent, 1e-6)
-    if domain is not None:
-        gap_lo = K.lo - domain.lo
-        gap_hi = domain.hi - K.hi
-        if np.any(gap_lo <= 0) or np.any(gap_hi <= 0):
-            raise MarginTooSmall("K touches the domain boundary")
-        pad = np.minimum(pad, np.minimum(gap_lo, gap_hi) / 2.0)
-    if np.any(pad <= 0):
-        raise MarginTooSmall("no compact neighborhood with positive margin")
-    L = Box(K.lo - pad, K.hi + pad)
-    c1 = max(1.0, 2.0 / float(np.min(pad)))
-    sup = 0.0
-    for z in L.lattice(density):
-        v = f.try_call(z)
-        if v is None:
-            raise MarginTooSmall(f"f undefined at {z} in the padded neighborhood")
-        J = f.jacobian(z)
-        sup = max(sup, float(np.linalg.norm(v.ravel())) + float(np.linalg.norm(J, 2)))
-    return c1 * sup
 
 
 # ======================================================================

@@ -32,9 +32,7 @@ from .asymptotics import (
     conjunction,
     judge_moderate,
     judge_negligible,
-    series_from_fn,
     sweep_stacks,
-    sweep_sups,
 )
 from .config import DEFAULT_CONFIG, Config
 from .errors import BaseMismatch, NoSharedChart, SingleChartMissing, TypeMismatch
@@ -52,7 +50,6 @@ from .gmap import (
     _gap_tensors,
     _l_prime_of,
     _merge_l_prime,
-    _source_groups,
 )
 from .gpoints import GenNumber, GenPoint, argmax_net, points_equal
 from .manifold import (
@@ -61,6 +58,7 @@ from .manifold import (
     CompactRegion,
     LocalMap,
     Point,
+    PointStack,
     VectorBundle,
     fiber_norm,
     riemannian_operator_norm,
@@ -209,18 +207,19 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
     k_max = cfg.k_max if k_max is None else k_max
     parts = {"fiber-norm": judge_moderate(section_norm_series(s, K, grid, cfg),
                                           cfg.n_cap, cfg.r2_min)}
-    lattices = list(enumerate(K.lattices()))
+    eps_vals = grid.values()
 
-    def samples(eps):
-        for pi, (cid, lat) in lattices:
-            fld = s.coeffs_at(eps).get(cid)
-            ts = None if fld is None else fld.derivs_upto(lat, k_max)
+    def stacks():
+        for pi, (cid, lat) in enumerate(K.lattices()):
+            flds = [s.coeffs_at(eps).get(cid) for eps in eps_vals]
+            ts = [None if fld is None else fld.derivs_upto(lat, k_max) for fld in flds]
             for k in range(1, k_max + 1):  # every piece is judged, if only on zeros
-                norms = np.zeros(1) if ts is None else tensor_norm(ts[k], k)
-                yield (pi, cid, k), np.where(np.isnan(norms), np.inf, norms).max(), None
+                norms = [np.zeros(1) if t is None else tensor_norm(t[k], k) for t in ts]
+                eis = np.repeat(np.arange(len(eps_vals)), [len(n) for n in norms])
+                yield (pi, cid, k), eis, np.concatenate(norms), lambda _i: None
 
-    series = sweep_sups(grid, samples, cfg.zero_tol,
-                        lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")
+    series = sweep_stacks(grid, stacks(), cfg.zero_tol,
+                          lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")
     for (pi, cid, k), ser in sorted(series.items()):
         parts[f"k={k}|K[{pi}]|{cid}"] = judge_moderate(ser, cfg.n_cap, cfg.r2_min)
     return conjunction(parts, notes=f"section moderateness of {s.tag}")
@@ -260,8 +259,9 @@ class VBPoint:
                         self.support, self.eps0, tag=f"base({self.tag})")
 
     def norm_series(self, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG) -> SupSeries:
-        return series_from_fn(lambda e: fiber_norm(self.bundle, self.at(e)), grid,
-                              f"|{self.tag}|_h", cfg.zero_tol)
+        norms = np.array([fiber_norm(self.bundle, self.at(e)) for e in grid.values()])
+        return sweep_stacks(grid, [(None, np.arange(len(grid)), norms, lambda _i: None)],
+                            cfg.zero_tol, lambda _key: f"|{self.tag}|_h")[None]
 
     def growth(self, grid: Optional[EpsGrid] = None,
                cfg: Config = DEFAULT_CONFIG) -> OrderEstimate:
@@ -297,14 +297,16 @@ def vbpoints_equal(e: VBPoint, e2: VBPoint, grid: Optional[EpsGrid] = None,
     grid = grid or cfg.grid()
     base_v = points_equal(e.base_point(), e2.base_point(), grid=grid, cfg=cfg)
 
-    def samples(eps):
+    eis, gaps = [], []
+    for ei, eps in enumerate(grid.values()):
         pair = _common_chart_pair(e.bundle, e.at(eps), e2.at(eps))
         if pair is not None:  # else an excluded sample (empty-sup convention)
             _m, _cid, r1, r2 = pair
-            yield None, float(np.max(np.abs(r1.xi - r2.xi))), None
-
-    gap = sweep_sups(grid, samples, cfg.zero_tol,
-                     lambda _key: f"fiber gap |{e.tag}-{e2.tag}|").get(None)
+            eis.append(ei)
+            gaps.append(np.max(np.abs(r1.xi - r2.xi)))
+    stacks = [(None, np.array(eis), np.array(gaps), lambda _i: None)] if eis else []
+    gap = sweep_stacks(grid, stacks, cfg.zero_tol,
+                       lambda _key: f"fiber gap |{e.tag}-{e2.tag}|").get(None)
     if gap is None:
         fiber_v = Verdict(Status.INCONCLUSIVE, notes="bases never co-located")
     else:
@@ -485,10 +487,12 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
     table = u.image_table(K, grid)
     pts = sample_points(K)
     norms = np.empty(table.chart.shape)
-    for a, held, P in _source_groups(u.src, pts, u.src.chart_ids):
+    stack = PointStack(u.src, pts)
+    for ai, a in enumerate(u.src.chart_ids):
+        Xa = stack.rechart(a)
         for c, b in enumerate(table.charts):
-            eis, pis = np.nonzero((table.source == u.src.chart_ids.index(a)) & (table.chart == c))
-            X, Y = P.coords[np.searchsorted(held, pis)], table.coords[eis, pis, c, :table.dims[c]]
+            eis, pis = np.nonzero((table.source == ai) & (table.chart == c))
+            X, Y = Xa[pis], table.coords[eis, pis, c, :table.dims[c]]
             for rows, J in _eps_rows((u,), grid.values(), eis,
                                      lambda eps, rows: u.at(eps).locals[a, b].jacobian(X[rows])):
                 norms[eis[rows], pis[rows]] = [

@@ -22,16 +22,41 @@ from mapnets.asymptotics import (
     judge_moderate,
     judge_negligible,
     judge_vanishing,
-    series_from_fn,
-    sweep_sups,
+    sweep_stacks,
 )
 from mapnets.errors import TooFewSamples
 
 GRID = EpsGrid(0.5, 2, 16)
 
 
-def closed_form_series(fn) -> SupSeries:
-    return series_from_fn(fn, GRID)
+def ref_sweep_sups(grid: EpsGrid, samples, zero_tol: float = 0.0,
+                   context=lambda key: "") -> dict:
+    """The per-eps reducer ``sweep_stacks`` replaced, kept as the reference:
+    ``samples(eps)`` yields (key, value, location); per key and eps the first
+    location of the largest value wins, NaN counts as inf, values <= zero_tol
+    read 0, and a key reads 0 at every eps where it yields nothing."""
+    eps_vals = grid.values()
+    sups: dict = {}
+    args: dict = {}
+    for ei, eps in enumerate(eps_vals):
+        for key, value, location in samples(eps):
+            if key not in sups:
+                sups[key] = np.zeros(len(eps_vals))
+                args[key] = [None] * len(eps_vals)
+            if math.isnan(value):
+                value = math.inf
+            if value > sups[key][ei]:
+                sups[key][ei] = value
+                args[key][ei] = location
+    return {key: SupSeries(eps_vals, np.where(vals <= zero_tol, 0.0, vals),
+                           context=context(key), args=args[key])
+            for key, vals in sups.items()}
+
+
+def closed_form_series(fn, grid: EpsGrid = GRID) -> SupSeries:
+    """fn sampled on the grid: one row per eps, reduced by ``sweep_stacks``."""
+    values = np.array([float(fn(e)) for e in grid.values()])
+    return sweep_stacks(grid, [(None, np.arange(len(grid)), values, lambda _i: None)])[None]
 
 
 class TestEpsGrid:
@@ -164,8 +189,8 @@ class TestInvariants:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
     def test_monotone_refinement(self, a):
-        coarse = series_from_fn(lambda e: e**-a, EpsGrid(0.5, 2, 16))
-        fine = series_from_fn(lambda e: e**-a, EpsGrid(0.5, 2, 20))
+        coarse = closed_form_series(lambda e: e**-a, EpsGrid(0.5, 2, 16))
+        fine = closed_form_series(lambda e: e**-a, EpsGrid(0.5, 2, 20))
         vc = judge_moderate(coarse, n_cap=10)
         vf = judge_moderate(fine, n_cap=10)
         assert vc.status is Status.PASS
@@ -199,21 +224,24 @@ class TestSeriesPlumbing:
 
     def test_nan_is_not_negligible(self):
         # NaN is overflow, never an exact zero
-        s = series_from_fn(lambda e: math.nan, GRID)
+        s = closed_form_series(lambda e: math.nan)
         assert s.n_overflow == len(GRID)
         assert judge_negligible(s, 5).status is Status.FAIL
 
 
-class TestSweepSups:
+class TestSweepStacks:
     EPS = GRID.values()
+    E = len(GRID)
+
+    def rows(self, values, names):
+        """A key-0 stack holding the same rows at every eps: values[j] at names[j]."""
+        eis = np.repeat(np.arange(self.E), len(values))
+        return 0, eis, np.tile(values, self.E), lambda i: names[i % len(names)]
 
     def test_lazy_keys_read_zero_elsewhere(self):
-        def samples(eps):
-            yield "a", 1.0, "pa"
-            if eps == self.EPS[3]:
-                yield "b", 2.0, "pb"
-
-        out = sweep_sups(GRID, samples, context=lambda key: f"sup {key}")
+        out = sweep_stacks(GRID, [("a", np.arange(self.E), np.ones(self.E), lambda i: "pa"),
+                                  ("b", np.array([3]), np.array([2.0]), lambda i: "pb")],
+                           context=lambda key: f"sup {key}")
         assert list(out) == ["a", "b"]
         b = out["b"]
         assert b.context == "sup b"
@@ -221,28 +249,77 @@ class TestSweepSups:
         assert b.n_zero == len(GRID) - 1
         assert b.arg_at(0) is None
 
+    def test_a_stack_without_rows_reads_zero_and_an_unnamed_key_is_absent(self):
+        out = sweep_stacks(GRID, [("empty", np.array([], dtype=int), np.array([]), None)])
+        assert list(out) == ["empty"]
+        assert out["empty"].n_zero == len(GRID) and out["empty"].args == [None] * len(GRID)
+        assert sweep_stacks(GRID, []) == {}
+
     def test_first_location_wins_exact_ties(self):
-        out = sweep_sups(GRID, lambda eps: [(0, 0.5, "first"), (0, 0.5, "second"),
-                                            (0, 0.25, "third")])
+        out = sweep_stacks(GRID, [self.rows([0.5, 0.5, 0.25], ["first", "second", "third"])])
         assert np.all(out[0].sup == 0.5)
         assert out[0].args == ["first"] * len(GRID)
 
+    def test_first_stack_wins_exact_ties_across_stacks(self):
+        later = (0, np.arange(self.E), np.full(self.E, 0.5), lambda i: "later")
+        out = sweep_stacks(GRID, [self.rows([0.25, 0.5], ["low", "first"]), later])
+        assert out[0].args == ["first"] * len(GRID)
+        out = sweep_stacks(GRID, [later, self.rows([0.25, 0.5], ["low", "first"])])
+        assert out[0].args == ["later"] * len(GRID)
+
     def test_zero_tol_clamps_to_exact_zero(self):
-        out = sweep_sups(GRID, lambda eps: [(0, eps**2, None)], zero_tol=1e-6)
         eps = self.EPS
+        out = sweep_stacks(GRID, [(0, np.arange(self.E), eps**2, lambda i: None)], zero_tol=1e-6)
         assert np.all(out[0].sup[eps**2 <= 1e-6] == 0.0)
         assert np.all(out[0].sup[eps**2 > 1e-6] == eps[eps**2 > 1e-6] ** 2)
 
     def test_nonpositive_values_stay_zero(self):
-        out = sweep_sups(GRID, lambda eps: [(0, -1.0, "neg"), (0, -math.inf, "ninf")])
+        out = sweep_stacks(GRID, [self.rows([-1.0, -math.inf], ["neg", "ninf"])])
         assert out[0].n_zero == len(GRID)
         assert out[0].args == [None] * len(GRID)
 
     def test_nan_counts_as_overflow(self):
-        out = sweep_sups(GRID, lambda eps: [(0, 1.0, "finite"), (0, math.nan, "nan"),
-                                            (0, math.inf, "inf")])
+        out = sweep_stacks(GRID, [self.rows([1.0, math.nan, math.inf], ["finite", "nan", "inf"])])
         assert out[0].n_overflow == len(GRID)
         assert out[0].args == ["nan"] * len(GRID)
+
+
+VALUES = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 1.0, math.inf, -math.inf, math.nan]),
+                   st.floats(min_value=-2.0, max_value=2.0))
+
+
+@st.composite
+def stack_lists(draw):
+    """Stacks of keys 0-2 with non-decreasing eps indices, ties and NaN included."""
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        eis = sorted(draw(st.lists(st.integers(0, len(GRID) - 1), max_size=12)))
+        vals = draw(st.lists(VALUES, min_size=len(eis), max_size=len(eis)))
+        out.append((draw(st.integers(0, 2)), np.array(eis, dtype=int), np.array(vals)))
+    return out
+
+
+@given(stacks=stack_lists(), zero_tol=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_sweep_stacks_matches_the_per_eps_reducer(stacks, zero_tol):
+    """Rows fed one eps at a time, stack by stack, give the same series."""
+    def samples(eps):
+        ei = int(np.flatnonzero(GRID.values() == eps)[0])
+        for si, (key, eis, vals) in enumerate(stacks):
+            if not len(eis):
+                if ei == 0:  # a stack without rows names its key
+                    yield key, 0.0, None
+                continue
+            for i in np.flatnonzero(eis == ei).tolist():
+                yield key, float(vals[i]), (si, i)
+
+    got = sweep_stacks(GRID, [(key, eis, vals, lambda i, si=si: (si, i))
+                              for si, (key, eis, vals) in enumerate(stacks)], zero_tol, str)
+    want = ref_sweep_sups(GRID, samples, zero_tol, str)
+    assert sorted(got) == sorted(want)
+    for key, s in want.items():
+        assert got[key].sup.tobytes() == s.sup.tobytes()
+        assert got[key].args == s.args and got[key].context == s.context
 
 
 class TestShortAndOverflowingSeries:

@@ -137,6 +137,16 @@ class TestCLI:
         assert rec["result"]["samples"][0]["coords"][0] == pytest.approx(
             math.sin(0.4), abs=1e-12)
 
+    def test_check_cbounded_into_a_doubly_infinite_chart_fails(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"atlases": {"R": {"builtin": "euclidean", '
+                             '"bounds": [[-Infinity, Infinity]]}}, '
+                             '"nets": {"wind": {"kind": "scalar", "dst": "R", "expr": "winding"}}}')
+        code, out, _ = run_cli(["check-cbounded", "--net", "wind", "--region", "K_unit",
+                                "--spec", str(spec_file)], capsys)
+        assert code == 1
+        assert json.loads(out)["status"] == "Fail"
+
     def test_compose_and_tangent(self, capsys):
         code, out, _ = run_cli(["compose", "--outer", "sigma_tanh",
                                 "--inner", "sigma_sin", "--region", "K_unit"], capsys)

@@ -13,7 +13,7 @@ import pytest
 from mapnets import jets
 from mapnets.asymptotics import Status
 from mapnets.config import Config
-from mapnets.exprs import smoothed_step, step_slope_sup
+from mapnets.exprs import EpsFamily, smoothed_step, step_slope_sup
 from mapnets.gallery import get_atlas, get_net, get_region
 from mapnets.gmap import (
     MapNet,
@@ -97,6 +97,15 @@ class TestCBounded:
         assert rep.witness is not None
         # witness point hugs the lower boundary of (0,2)
         assert float(rep.witness.location.coords[0]) < 0.01
+
+    def test_running_off_a_doubly_infinite_axis_fails(self):
+        """t/eps is not c-bounded into (-inf, inf), an axis without bounds."""
+        real = euclidean_atlas([(-math.inf, math.inf)], name="R")
+        u = scalar_net(get_atlas("line"), real, EpsFamily(lambda eps: lambda t: t / eps),
+                       tag="t/eps")
+        rep = check_cbounded(u, K_UNIT, GRID, CFG)
+        assert rep.status is Status.FAIL
+        assert rep.margins.sup[-1] < 1e-4
 
     def test_circle_jump_passes(self):
         rep = check_cbounded(get_net("s1_jump"), K_UNIT, GRID, CFG)

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from test_asymptotics import ref_sweep_sups
 
 from mapnets import gmap, gpoints, jets
 from mapnets.asymptotics import (
@@ -29,7 +30,6 @@ from mapnets.asymptotics import (
     conjunction,
     judge_negligible,
     judge_vanishing,
-    sweep_sups,
 )
 from mapnets.config import Config
 from mapnets.errors import ChartEscape
@@ -147,8 +147,8 @@ def ref_metric_gap_series(u, v, K, grid, cfg):
         for p in pts:
             yield None, distance(u.dst, g, u.eval(eps, p), v.eval(eps, p)), p
 
-    return sweep_sups(grid, samples, cfg.zero_tol,
-                      lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None]
+    return ref_sweep_sups(grid, samples, cfg.zero_tol,
+                          lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None]
 
 
 def ref_separate_by_points(u, v, K, grid, trials, cfg):

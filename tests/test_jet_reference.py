@@ -1,8 +1,10 @@
 """Float-coefficient jets against the numpy jet they replaced.
 
 ``RefJet`` below is the numpy ``Jet`` body (coefficients in an ndarray, one
-``np.dot`` per Cauchy-product coefficient), kept as the reference.  Two
-flavours are compared with ``mapnets.jets``:
+``np.dot`` per Cauchy-product coefficient), kept as the reference, except
+that the order-0 coefficient of ``sqrt`` and ``**`` is the float
+expression's (``math.sqrt`` and float ``**``, an overflow reading inf), as
+in ``mapnets.jets``.  Two flavours are compared with ``mapnets.jets``:
 
 * ``SeqRefJet`` sums each dot product sequentially, j = 0..k, the order the
   float jet uses.  With that one change every operation and wrapper must
@@ -14,7 +16,7 @@ flavours are compared with ``mapnets.jets``:
   agree within 4 ulp of the sum of the absolute terms and be non-finite in
   the same places.  Inside the fused loop a product that overflows stays
   exact, so one side may read NaN (inf - inf) where the other reads inf;
-  ``sweep_sups`` counts both as overflow.
+  the sup reducer (``sweep_stacks``) counts both as overflow.
 """
 
 import math
@@ -117,12 +119,23 @@ class RefJet:
             if p == 0:
                 return type(self).const(1.0, self.order)
             if p < 0:
-                return 1.0 / (self ** (-p))
-            out = self
-            for _ in range(p - 1):
-                out = out * self
-            return out
-        return (self.log() * float(p)).exp()
+                out = 1.0 / (self ** (-p))
+            else:
+                out = self
+                for _ in range(p - 1):
+                    out = out * self
+        else:
+            out = (self.log() * float(p)).exp()
+        try:  # the order-0 term is the float expression's, an overflow inf
+            c0 = self.c[0] ** p
+        except OverflowError:
+            c0 = -math.inf if self.c[0] < 0.0 and p % 2 == 1 else math.inf
+        return out._with_value(c0)
+
+    def _with_value(self, c0):
+        c = self.c.copy()
+        c[0] = c0
+        return type(self)(c)
 
     def exp(self):
         K = self.order
@@ -149,7 +162,7 @@ class RefJet:
         return type(self)(l)
 
     def sqrt(self):
-        return self ** 0.5
+        return (self ** 0.5)._with_value(math.sqrt(self.c[0]))
 
     def sin(self):
         return self._sincos()[0]

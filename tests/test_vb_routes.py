@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 import pytest
+from test_asymptotics import ref_sweep_sups
 
 from mapnets import jets
-from mapnets.asymptotics import sweep_sups
 from mapnets.config import Config
 from mapnets.errors import ChartMismatch, NoSharedChart
 from mapnets.gallery import get_atlas, get_net
@@ -128,7 +128,7 @@ def reference_tangent_norm_series(u, K, grid, cfg):
                 yield None, riemannian_operator_norm(rep.jacobian(x), u.src.metric.at(cid, x),
                                                      u.dst.metric.at(b, y)), Point(cid, x)
 
-    return sweep_sups(grid, samples, cfg.zero_tol)[None]
+    return ref_sweep_sups(grid, samples, cfg.zero_tol)[None]
 
 
 def reference_common_chart_pair(bundle, e1, e2):

@@ -18,10 +18,11 @@ import math
 import numpy as np
 import pytest
 from test_array_jets import bits
+from test_asymptotics import ref_sweep_sups
 from test_stacked_tables import MULTI, escaping_net
 
 from mapnets import gmap
-from mapnets.asymptotics import EpsGrid, series_from_fn, sweep_sups
+from mapnets.asymptotics import EpsGrid
 from mapnets.errors import OutOfDomain
 from mapnets.gallery import get_atlas, get_net, get_region
 from mapnets.gmap import MapNet, check_cbounded
@@ -120,7 +121,7 @@ def eval_candidates_norm_series(u, K, grid, cfg):
                         sm.locals[(a, b)].jacobian(xa), u.src.metric.at(a, xa),
                         u.dst.metric.at(b, y)), p
 
-    return sweep_sups(grid, samples, cfg.zero_tol)[None]
+    return ref_sweep_sups(grid, samples, cfg.zero_tol)[None]
 
 
 def two_source_net() -> MapNet:
@@ -183,8 +184,9 @@ def test_tangent_norm_series_of_an_escaped_table_reads_zero(cfg):
 
 def loop_series(p, q, grid, cfg):
     """The per-eps loop: d(p_eps, q_eps) at each grid eps, in order."""
-    return series_from_fn(lambda eps: distance(p.atlas, p.atlas.metric, p.at(eps), q.at(eps)),
-                          grid, f"d({p.tag},{q.tag})", cfg.zero_tol)
+    return ref_sweep_sups(
+        grid, lambda eps: [(None, distance(p.atlas, p.atlas.metric, p.at(eps), q.at(eps)), None)],
+        cfg.zero_tol, lambda _key: f"d({p.tag},{q.tag})")[None]
 
 
 def counted(point: GenPoint, log: list) -> GenPoint:

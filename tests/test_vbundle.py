@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from test_asymptotics import ref_sweep_sups
 
 from mapnets import jets
-from mapnets.asymptotics import Status, judge_moderate, sweep_sups
+from mapnets.asymptotics import Status, judge_moderate
 from mapnets.config import Config
 from mapnets.errors import BaseMismatch, SingleChartMissing, TypeMismatch
 from mapnets.exprs import step_slope_sup
@@ -346,8 +347,8 @@ class TestSections:
         def norm(eps, p):
             return fiber_norm(R_BUNDLE, s.element_at(eps, p))
 
-        want = sweep_sups(GRID, lambda eps: ((None, norm(eps, p), p) for p in pts),
-                          CFG.zero_tol, lambda _key: "sup |lin|_h on K")[None]
+        want = ref_sweep_sups(GRID, lambda eps: ((None, norm(eps, p), p) for p in pts),
+                              CFG.zero_tol, lambda _key: "sup |lin|_h on K")[None]
         want_w = argmax_net(LINE, K_UNIT, pts, GRID,
                             np.array([[norm(eps, p) for p in pts] for eps in GRID.values()]))
         calls = []
