@@ -12,7 +12,7 @@ Python lines under src/, and the count and wall time of one Tier-1 run
 written at the repository root; per-run details go to perfbench/out/ as
 usual.
 
-Usage: python scripts/bench.py --pr N [--seed 1] [--seconds 35]
+Usage: python scripts/bench.py --pr N
 """
 
 import argparse
@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 1
 
 
 def src_lines(root: Path) -> int:
@@ -61,20 +62,19 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     args = ap.parse_args(argv)
+    seconds = float(bench["run_seconds"])
     command = bench["command"]
     if command[0] in ("python", "python3"):
         command = [sys.executable, *command[1:]]
     record = {
         "pr": args.pr,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__},
         "src_lines": src_lines(ROOT),
-        "workloads": {w["name"]: run_workload(command, w["name"], args.seed, args.seconds)
+        "workloads": {w["name"]: run_workload(command, w["name"], SEED, seconds)
                       for w in bench["workloads"]},
         "tier1": run_tier1(),
     }

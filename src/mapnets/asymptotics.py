@@ -134,7 +134,8 @@ def sweep_stacks(grid: EpsGrid, stacks, zero_tol: float = 0.0,
     stacks in order.  A key exists once a stack names it, a stack without
     rows too, and reads 0 at every eps where it has no row (empty-sup
     convention).  NaN counts as overflow (``inf``); values <= zero_tol clamp
-    to exact 0.  Returns {key: SupSeries} labelled by ``context(key)``.
+    to exact 0.  Returns {key: SupSeries} labelled by ``context(key)``, keys
+    in the order of the first stack naming each.
     """
     eps_vals = grid.values()
     sups: dict = {}

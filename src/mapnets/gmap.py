@@ -119,9 +119,9 @@ class MapNet:
             if trials > 0:
                 lattice = self.image_table(K, grid)
                 extras = sample_points(K, trials, seed)[lattice.chart.shape[1]:]
-                table = ImageTable(self, extras, grid.values(), lattice)
+                table = ImageTable(self, PointStack.of(self.src, extras), grid.values(), lattice)
             else:
-                table = ImageTable(self, sample_points(K), grid.values())
+                table = ImageTable(self, PointStack.of(self.src, sample_points(K)), grid.values())
             self._tables[key] = table
         return table
 
@@ -132,9 +132,9 @@ class MapNet:
 class ImageTable:
     """Images u_eps(p) of (eps, sample point) rows at every grid eps, as arrays.
 
-    The rows are the sample points ``pts`` at every grid eps, or with
-    ``column`` a generalized point's column: ``pts[ei]`` is the point at grid
-    eps ei alone, in a table of one column.  Built in one array pass: per
+    The rows are the points of the stack ``pts`` at every grid eps, or with
+    ``column`` a generalized point's column: row ei of ``pts`` is the point
+    at grid eps ei alone, in a table of one column.  Built in one array pass: per
     source chart a, the rows whose points have chart-a coordinates
     (``PointStack.rechart``) in one stacked ``u.at`` call at their eps
     column (a stacked ``try_call`` per representative), or one per eps for
@@ -148,33 +148,39 @@ class ImageTable:
     the best candidate's chart (-1 for an escaped row, one without candidate:
     it has no representation), ``source[ei, pi]`` its source chart, an index
     into ``u.src.chart_ids`` (-1 likewise).  ``escaped(ei, pi)`` is the
-    ``ChartEscape`` ``u.eval`` raises at an escaped row (ei, pi), which
-    ``image`` raises there, and ``escape`` that of the first escaped row in
+    ``ChartEscape`` ``u.eval`` raises at an escaped row (ei, pi), or the
+    stack's own error for a row of ``pts`` without a point, which ``image``
+    raises there, and ``escape`` that of the first escaped row in
     (eps, point) order, else None.  The arrays are read-only, so an image
     handed out (a view into ``coords``) cannot corrupt the table.  With a
     ``head`` table (same net and grid), the table holds head's points first,
     copied, and evaluates only ``pts``.
     """
 
-    def __init__(self, u: MapNet, pts: list, eps_vals: np.ndarray,
+    def __init__(self, u: MapNet, pts: PointStack, eps_vals: np.ndarray,
                  head: Optional["ImageTable"] = None, column: bool = False):
         dst = u.dst
         self.charts = dst.chart_ids
         self.dims = [dst.chart(b).dim for b in self.charts]
         self.rows = {eps: ei for ei, eps in enumerate(eps_vals.tolist())}
         n0 = 0 if head is None else head.chart.shape[1]  # head's points come first
-        self.escaped = lambda ei, pi: head.escaped(ei, pi) if pi < n0 else ChartEscape(
-            f"{u.at(eps_vals[ei]).name or 'map'} has no chart for image of "
-            f"{pts[ei if column else pi - n0]}")
+
+        def escaped(ei: int, pi: int) -> Exception:
+            if pi < n0:
+                return head.escaped(ei, pi)
+            i = ei if column else pi - n0
+            return pts.error(i) if pts.chart[i] < 0 else ChartEscape(
+                f"{u.at(eps_vals[ei]).name or 'map'} has no chart for image of {pts.point(i)}")
+
+        self.escaped = escaped
         col = {b: c for c, b in enumerate(self.charts)}
-        E, n = len(eps_vals), 1 if column else len(pts)
+        E, n = len(eps_vals), 1 if column else len(pts.chart)
         pairs = _eps_rows((u,), eps_vals, np.arange(E), lambda eps, _rows: u.at(eps).locals)
         images: dict = {}  # (b, a): the images of the (eps, point) rows under rep (a, b)
-        stack = PointStack(u.src, pts)
         for a in sorted({a for _r, loc in pairs for a, _b in loc}):
-            P = stack.rechart(a)  # the points' chart-a coordinates, NaN rows where none
+            P = pts.rechart(a)  # the points' chart-a coordinates, NaN rows where none
             rows = np.flatnonzero(~np.isnan(P[:, 0]))
-            if column:  # row ei holds pts[ei]
+            if column:  # row ei holds the point at eps ei
                 X, eis, at = P[rows], rows, rows
             else:  # the (eps, point) rows, eps-major
                 X, eis = np.tile(P[rows], (E, 1)), np.repeat(np.arange(E), len(rows))

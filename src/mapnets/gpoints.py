@@ -61,9 +61,19 @@ class GenPoint:
         self._columns: dict = {}
 
     def column(self, grid: EpsGrid) -> PointStack:
-        """The values at the grid eps, read once per grid: one row per eps."""
+        """The values at the grid eps, read once per grid: one row per eps.
+        A row where ``at`` raised has no point and raises that error, with its
+        original traceback, whenever it is read."""
         if grid not in self._columns:
-            self._columns[grid] = PointStack(self.atlas, [self.at(eps) for eps in grid.values()])
+            pts, errors = [], {}
+            for ei, eps in enumerate(grid.values()):
+                try:
+                    pts.append(self.at(eps))
+                except Exception as exc:  # raised where row ei is read, as by ``at``
+                    pts.append(None)
+                    errors[ei] = exc, exc.__traceback__
+            self._columns[grid] = PointStack.of(
+                self.atlas, pts, lambda i: errors[i][0].with_traceback(errors[i][1]))
         return self._columns[grid]
 
     @classmethod
@@ -83,17 +93,9 @@ class GenPoint:
                    support: CompactRegion, tag: str = "") -> "GenPoint":
         """Piecewise-constant net: value at grid point eps_k holds on
         (eps_{k+1}, eps_k]; the ends extend constantly."""
-        eps_vals = np.asarray(eps_vals, dtype=float)
-
-        def at(eps: float) -> Point:
-            if eps >= eps_vals[0]:
-                return points[0]
-            for k in range(len(eps_vals) - 1):
-                if eps_vals[k + 1] < eps <= eps_vals[k]:
-                    return points[k]
-            return points[-1]
-
-        return cls(atlas, at, support, tag=tag)
+        later = np.asarray(eps_vals, dtype=float)[1:]  # k are >= an eps in (eps_{k+1}, eps_k]
+        return cls(atlas, lambda eps: points[int(np.count_nonzero(later >= eps))], support,
+                   tag=tag)
 
     def validate(self, grid: EpsGrid) -> None:
         for eps in grid.values():
@@ -234,8 +236,8 @@ def eval_at(u: MapNet, p: GenPoint, grid: Optional[EpsGrid] = None,
     of one column (``ImageTable``): one stacked ``u.at`` call per source
     chart at u's eps column, each row's candidate chosen as ``u.eval``
     chooses it.  A row whose image escapes every chart raises u.eval's
-    ChartEscape when it is read; at an eps off the grid, ``at`` calls
-    ``u.eval``.
+    ChartEscape when it is read, and a row where p raised raises p's error;
+    at an eps off the grid, ``at`` calls ``u.eval``.
     """
     grid = grid or cfg.grid()
     rep = check_cbounded(u, p.support, grid, cfg)
@@ -243,11 +245,10 @@ def eval_at(u: MapNet, p: GenPoint, grid: Optional[EpsGrid] = None,
         w = rep.witness.as_record() if rep.witness else None
         raise SupportEscape(
             f"{u.tag!r} is not c-bounded on support of {p.tag!r} (witness: {w})")
-    col = p.column(grid)
-    table = ImageTable(u, [col.point(ei) for ei in range(len(grid))], grid.values(), column=True)
-    errors = {ei: table.escaped(ei, 0) for ei in np.flatnonzero(table.chart[:, 0] < 0).tolist()}
-    image = PointStack(u.dst, [None if ei in errors else table.image(eps, 0)
-                               for ei, eps in enumerate(grid.values())], errors)
+    table = ImageTable(u, p.column(grid), grid.values(), column=True)
+    chart = table.chart[:, 0]
+    image = PointStack(u.dst, chart, table.coords[np.arange(len(chart)), 0, np.maximum(chart, 0)],
+                       lambda ei: table.escaped(ei, 0))
 
     def at(eps: float) -> Point:
         ei = table.rows.get(eps)

@@ -247,23 +247,30 @@ class Point:
 class PointStack:
     """Points of an atlas stacked, each row in its own chart: ``chart[i]``
     indexes ``atlas.chart_ids`` and ``coords[i, :dim]`` holds row i's
-    coordinates there (NaN beyond the chart's dimension).  Built from a list
-    of Points, None for a row without a point: its chart is -1, and reading
-    it (``point``) raises ``errors[i]``."""
+    coordinates there (NaN beyond the chart's dimension; read-only, as the
+    points handed out are views into it).  A row without a point has chart
+    -1, and reading it raises ``error(i)``."""
 
-    def __init__(self, atlas: "Atlas", pts: list, errors: Optional[dict] = None):
+    def __init__(self, atlas: "Atlas", chart: np.ndarray, coords: np.ndarray,
+                 error: Optional[Callable[[int], Exception]] = None):
+        self.atlas, self.chart, self.coords, self.error = atlas, chart, coords, error
+        coords.flags.writeable = False
+
+    @classmethod
+    def of(cls, atlas: "Atlas", pts: list, error=None) -> "PointStack":
+        """The stack of a list of Points, None for a row without a point."""
         ids = atlas.chart_ids
-        self.atlas, self.errors = atlas, errors or {}
-        self.chart = np.array([-1 if p is None else ids.index(atlas.chart(p.chart).id)
-                               for p in pts], dtype=int)  # NoOverlap for a chart not in atlas
-        self.coords = np.full((len(pts), max(atlas.chart(c).dim for c in ids)), math.nan)
+        chart = np.array([-1 if p is None else ids.index(atlas.chart(p.chart).id)
+                          for p in pts], dtype=int)  # NoOverlap for a chart not in atlas
+        coords = np.full((len(pts), max(atlas.chart(c).dim for c in ids)), math.nan)
         for i, p in enumerate(pts):
             if p is not None:
-                self.coords[i, :len(p.coords)] = p.coords
+                coords[i, :len(p.coords)] = p.coords
+        return cls(atlas, chart, coords, error)
 
     def point(self, i: int) -> Point:
         if self.chart[i] < 0:
-            raise self.errors[i]
+            raise self.error(i)
         return self.stack(self.chart[i], i)
 
     def stack(self, c: int, rows) -> Point:
@@ -271,7 +278,7 @@ class PointStack:
         Point; rows without value (c = -1, ``rows`` a mask) raise the first
         one's error."""
         if c < 0:
-            raise self.errors[int(np.argmax(rows))]
+            raise self.error(int(np.argmax(rows)))
         cid = self.atlas.chart_ids[c]
         return Point(cid, self.coords[rows, :self.atlas.chart(cid).dim])
 

@@ -487,7 +487,7 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
     table = u.image_table(K, grid)
     pts = sample_points(K)
     norms = np.empty(table.chart.shape)
-    stack = PointStack(u.src, pts)
+    stack = PointStack.of(u.src, pts)
     for ai, a in enumerate(u.src.chart_ids):
         Xa = stack.rechart(a)
         for c, b in enumerate(table.charts):

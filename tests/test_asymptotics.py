@@ -302,7 +302,8 @@ def stack_lists(draw):
 @given(stacks=stack_lists(), zero_tol=st.sampled_from([0.0, 0.3]))
 @settings(max_examples=200, deadline=None)
 def test_sweep_stacks_matches_the_per_eps_reducer(stacks, zero_tol):
-    """Rows fed one eps at a time, stack by stack, give the same series."""
+    """Rows fed one eps at a time, stack by stack, give the same series; keys
+    come in the order of the first stack naming each."""
     def samples(eps):
         ei = int(np.flatnonzero(GRID.values() == eps)[0])
         for si, (key, eis, vals) in enumerate(stacks):
@@ -316,6 +317,7 @@ def test_sweep_stacks_matches_the_per_eps_reducer(stacks, zero_tol):
     got = sweep_stacks(GRID, [(key, eis, vals, lambda i, si=si: (si, i))
                               for si, (key, eis, vals) in enumerate(stacks)], zero_tol, str)
     want = ref_sweep_sups(GRID, samples, zero_tol, str)
+    assert list(got) == list(dict.fromkeys(key for key, _eis, _vals in stacks))
     assert sorted(got) == sorted(want)
     for key, s in want.items():
         assert got[key].sup.tobytes() == s.sup.tobytes()

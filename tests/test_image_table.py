@@ -602,7 +602,8 @@ class TestSweepsAndCacheKey:
     def test_extras_table_equals_a_direct_build(self, name):
         u, _, K = PAIRS[name]
         table = u.image_table(K, GRID, 3, 7)
-        direct = gmap.ImageTable(u, gmap.sample_points(K, 3, 7), GRID.values())
+        direct = gmap.ImageTable(u, gmap.PointStack.of(u.src, gmap.sample_points(K, 3, 7)),
+                                 GRID.values())
         for attr in ("margins", "coords", "chart"):
             got, want = getattr(table, attr), getattr(direct, attr)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -8,6 +8,8 @@ chart and bits, and a row that escapes raises its ChartEscape at its own
 eps only.
 """
 
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,14 @@ from mapnets.exprs import EpsFamily
 from mapnets.gallery import REGISTRY, get_atlas, get_net
 from mapnets.gmap import ImageTable, check_cbounded, compose, scalar_net
 from mapnets.gpoints import GenPoint, eval_at, points_equal
-from mapnets.manifold import BundleElement, LocalMap, Point, region_box, trivial_bundle
+from mapnets.manifold import (
+    BundleElement,
+    LocalMap,
+    Point,
+    PointStack,
+    region_box,
+    trivial_bundle,
+)
 from mapnets.vbundle import VBPoint, vbpoints_equal
 
 CFG = Config()
@@ -74,7 +83,7 @@ def test_a_table_row_equals_u_eval_on_sqrt_and_power_nets(which, xs):
     u = power_net(which)
     pts = [Point("e0", [x]) for x in xs]
     eps_vals = GRID.values()
-    table = ImageTable(u, pts, eps_vals)
+    table = ImageTable(u, PointStack.of(LINE, pts), eps_vals)
     for ei, eps in enumerate(eps_vals.tolist()):
         for pi, p in enumerate(pts):
             c = table.chart[ei, pi]
@@ -123,9 +132,44 @@ def test_an_escaped_row_raises_only_at_its_eps():
         points_equal(q, q, grid=GRID, cfg=CFG)
 
 
-def test_eval_at_reads_the_point_column_at_once():
-    """An error of p at a grid eps is raised by eval_at, which reads p's
-    column, and by points_equal, after an earlier OutOfDomain of the eps loop."""
+def test_a_row_where_the_point_raised_raises_only_at_its_eps():
+    """eval_at carries p's error rows through: the error is raised when its
+    eps is read, the same object each time without a growing traceback."""
+    eps_vals = GRID.values()
+
+    def at(eps):
+        if eps == eps_vals[4]:
+            raise ZeroDivisionError("no point here")
+        return Point("e0", [0.5])
+
+    u = get_net("sigma_sin")
+    p = GenPoint(LINE, at, region_box("e0", [-1.0], [1.0]))
+    q = eval_at(u, p, GRID, CFG)
+    for eps in eps_vals[eps_vals != eps_vals[4]]:
+        assert q.at(eps).coords.tobytes() == u.eval(eps, at(eps)).coords.tobytes()
+    depths = []
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="no point here") as got:
+            q.at(eps_vals[4])
+        depths.append(len(traceback.extract_tb(got.value.__traceback__)))
+    assert depths[0] == depths[1]
+
+
+def test_a_nested_eval_at_keeps_the_inner_escape_at_its_eps():
+    eps_vals = GRID.values()
+    p = GenPoint(LINE, lambda eps: Point("e0", [6.0 if eps == eps_vals[2] else 0.5]),
+                 region_box("e0", [-1.0], [1.0]), tag="p")
+    q = eval_at(escaping_net(), p, GRID, CFG)
+    w = scalar_net(get_atlas("interval02"), LINE,
+                   EpsFamily(lambda eps: lambda t: (1.0 + eps) * t), tag="w")
+    r = eval_at(w, q, GRID, CFG)
+    same_rows(r, w, q, GRID)
+    with pytest.raises(ChartEscape, match="tilt@eps=0.0625"):
+        r.at(eps_vals[2])
+
+
+def test_points_equal_raises_what_the_eps_loop_raises_first():
+    """An error row of a column, after an earlier OutOfDomain of the eps loop."""
     eps_vals = GRID.values()
 
     def at(eps):
@@ -134,10 +178,13 @@ def test_eval_at_reads_the_point_column_at_once():
         return Point("e0", [50.0 if eps == eps_vals[2] else 0.5])
 
     p = GenPoint(LINE, at, region_box("e0", [-1.0], [1.0]))
-    with pytest.raises(ZeroDivisionError, match="no point here"):
-        eval_at(get_net("sigma_sin"), p, GRID, CFG)
     with pytest.raises(OutOfDomain, match="50"):
         points_equal(p, p, grid=GRID, cfg=CFG)
+
+
+def test_a_column_point_is_read_only():
+    q = eval_at(get_net("sigma_sin"), GenPoint.constant(LINE, Point("e0", [0.3])), GRID, CFG)
+    assert not q.at(GRID.values()[1]).coords.flags.writeable
 
 
 def test_at_an_eps_off_the_grid_evaluates_the_net():
