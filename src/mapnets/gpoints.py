@@ -97,12 +97,6 @@ class GenPoint:
         return cls(atlas, lambda eps: points[int(np.count_nonzero(later >= eps))], support,
                    tag=tag)
 
-    def validate(self, grid: EpsGrid) -> None:
-        for eps in grid.values():
-            if eps < self.eps0 and not self.support.contains(self.at(eps), self.atlas,
-                                                             margin=1e-12):
-                raise SupportEscape(f"{self.tag or 'point'} leaves support at eps={eps:g}")
-
     def as_record(self, grid: EpsGrid) -> dict:
         return {
             "support": self.support.as_record(),

@@ -314,11 +314,15 @@ class LocalMap:
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
     gains a leading row axis.  An expression is evaluated once on the array
     jet of the stack's column; otherwise all rows share one stencil tree,
-    each of whose levels calls ``fn`` (or ``jac``) once per row
-    (``_values``, ``_jacobians``).  An expression at an ``eps_column``
-    (``exprs``) takes only stacks of its rows, one row per eps: it raises
-    DerivativeUndefined at a stack of another length (such as a stencil
-    level) and at a point (a point has no eps), where others retry a row alone.
+    each of whose levels reads ``_values`` (or ``_jacobians``), and
+    ``try_call`` masks rows by ``_defined_rows``.  These hooks call a user's
+    ``fn``, ``jac`` and ``defined`` once per row (their contract is per point);
+    the atlas maps built here (transitions, their Jacobians and domains,
+    metric and bundle fields) take a whole stack in one call (``_ArrayMap``).
+    An expression at an ``eps_column`` (``exprs``) takes only stacks of its
+    rows, one row per eps: it raises DerivativeUndefined at a stack of another
+    length (such as a stencil level) and at a point (a point has no eps),
+    where others retry a row alone.
     """
 
     def __init__(self, in_dim: int, out_shape, fn=None, expr=None, jac=None,
@@ -375,17 +379,30 @@ class LocalMap:
                 return None
         if self.eps_column is not None:
             return self._values(x)
-        rows = (np.arange(len(x)) if self.defined is None
-                else np.flatnonzero([bool(self.defined(p)) for p in x]))
-        Y = np.full((len(x),) + self.out_shape, math.nan)
+        return self._tried(x)[0]
+
+    def _tried(self, P: np.ndarray) -> tuple:
+        """(y, ok): ``try_call`` at a point and whether it has a value, or at a
+        stack its values (NaN rows where undefined) and a bool per row."""
+        if P.ndim == 1:
+            y = self.try_call(P)
+            return y, y is not None
+        ok = self._defined_rows(P)
+        Y = np.full((len(P),) + self.out_shape, math.nan)
         try:
-            Y[rows] = self._values(x[rows])
+            Y[ok] = self._values(P[ok])
         except _UNDEFINED + (DerivativeUndefined,):
+            rows = np.flatnonzero(ok)
             for r in rows:  # a one-row stack; only a lone row that raises takes the point call
-                y = self.try_call(x[r:r + 1] if len(rows) > 1 else x[r])
-                if y is not None:
+                y, ok[r] = self._tried(P[r:r + 1] if len(rows) > 1 else P[r])
+                if ok[r]:
                     Y[r] = y
-        return Y
+        return Y, ok
+
+    def _defined_rows(self, P: np.ndarray) -> np.ndarray:
+        """A new bool per row of P: ``defined`` row by row (true without one)."""
+        return (np.ones(len(P), dtype=bool) if self.defined is None
+                else np.array([bool(self.defined(p)) for p in P], dtype=bool))
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         """Total derivative of order k, shape out_shape + (in_dim,)*k (with a
@@ -498,11 +515,48 @@ class _DerivedMap(LocalMap):
     def _values(self, P: np.ndarray) -> np.ndarray:
         return self.parent.derivs_upto(P, 1)[1]
 
+    def _defined_rows(self, P: np.ndarray) -> np.ndarray:
+        return self.parent._defined_rows(P)
+
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.parent.deriv_tensor(x, k + 1)
 
     def derivs_upto(self, x, k_max: int) -> list:
         return self.parent.derivs_upto(x, k_max + 1)[1:]
+
+
+class _ArrayMap(LocalMap):
+    """A local map whose ``fn``, ``jac`` and ``defined`` are array formulas:
+    each takes a point ``(in_dim,)`` or a stack ``(N, in_dim)``, row by row
+    the same floating-point operations, so a stack is one call of each."""
+
+    def _values(self, P: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(P), dtype=float).reshape((len(P),) + self.out_shape)
+
+    def _jacobians(self, P: np.ndarray) -> np.ndarray:
+        return np.asarray(self.jac(P), dtype=float).reshape(
+            (len(P),) + self.out_shape + (self.in_dim,))
+
+    def _defined_rows(self, P: np.ndarray) -> np.ndarray:
+        return (np.ones(len(P), dtype=bool) if self.defined is None
+                else np.array(self.defined(P), dtype=bool))
+
+
+def _constant(in_dim: int, M: np.ndarray, name: str = "") -> _ArrayMap:
+    """The constant matrix field M (a new copy per point) on chart coordinates."""
+    return _ArrayMap(in_dim, M.shape, fn=lambda x: np.tile(M, x.shape[:-1] + (1,) * M.ndim),
+                     name=name)
+
+
+def _identity(n: int, name: str, defined=None) -> _ArrayMap:
+    """The identity of R^n, whose Jacobian is the constant field I."""
+    return _ArrayMap(n, (n,), fn=np.copy, jac=_constant(n, np.eye(n)).fn, defined=defined,
+                     name=name)
+
+
+def _values_at(m: LocalMap, x: np.ndarray) -> np.ndarray:
+    """m at a point, or its stacked values at every row of a stack."""
+    return m(x) if x.ndim == 1 else m._values(x)
 
 
 def point_rows(x) -> tuple:
@@ -691,8 +745,8 @@ class RiemannianMetric:
     name: str = ""
 
     def at(self, chart: str, x) -> np.ndarray:
-        fld = self.fields[chart]
-        return np.asarray(fld(x), dtype=float)
+        """The field of chart at a point, or at every row of a stack in one call."""
+        return np.asarray(_values_at(self.fields[chart], np.asarray(x, dtype=float)), dtype=float)
 
 
 def distance(atlas: Atlas, g: RiemannianMetric, p: Point, q: Point,
@@ -1062,14 +1116,8 @@ def tangent_bundle(atlas: Atlas, fiber_metric_from_base: bool = True) -> VectorB
 
 def trivial_bundle(atlas: Atlas, fiber_dim: int = 1) -> VectorBundle:
     dim_id = np.eye(fiber_dim)
-    vb_trans = {}
-    for (a, b) in atlas.transitions:
-        n = atlas.chart(a).dim
-        vb_trans[(a, b)] = LocalMap(n, (fiber_dim, fiber_dim),
-                                    fn=lambda x, M=dim_id: M, name="id")
-    fm = {cid: LocalMap(atlas.chart(cid).dim, (fiber_dim, fiber_dim),
-                        fn=lambda x, M=dim_id: M, name="id")
-          for cid in atlas.chart_ids}
+    vb_trans = {(a, b): _constant(atlas.chart(a).dim, dim_id, "id") for (a, b) in atlas.transitions}
+    fm = {cid: _constant(atlas.chart(cid).dim, dim_id, "id") for cid in atlas.chart_ids}
     return VectorBundle(atlas, fiber_dim, vb_trans, fm, name=f"{atlas.name}xR{fiber_dim}")
 
 
@@ -1083,8 +1131,7 @@ def euclidean_atlas(bounds, name: str = "euclid", chart_id: str = "e0") -> Atlas
     box = Box.of(bounds)
     chart = Chart(chart_id, box.dim, (box,), label=name)
     metric = RiemannianMetric(
-        fields={chart_id: LocalMap(box.dim, (box.dim, box.dim),
-                                   fn=lambda x, n=box.dim: np.eye(n), name="flat")},
+        fields={chart_id: _constant(box.dim, np.eye(box.dim), "flat")},
         analytic=_euclid_distance, name="flat")
     return Atlas([chart], {}, name=name, metric=metric)
 
@@ -1105,12 +1152,8 @@ def euclidean_multichart(chart_boxes: dict, name: str = "euclid-multi") -> Atlas
     for a, b in itertools.permutations(sorted(boxes), 2):
         if boxes[a].clip(boxes[b]) is None:
             continue
-        transitions[(a, b)] = LocalMap(
-            dim, (dim,), fn=lambda x: x,
-            jac=lambda x, n=dim: np.eye(n),
-            defined=lambda x, bb=boxes[b]: bb.contains(x), name=f"id:{a}->{b}")
-    metric_fields = {cid: LocalMap(dim, (dim, dim), fn=lambda x, n=dim: np.eye(n))
-                     for cid in boxes}
+        transitions[(a, b)] = _identity(dim, f"id:{a}->{b}", defined=boxes[b].contains)
+    metric_fields = {cid: _constant(dim, np.eye(dim)) for cid in boxes}
     metric = RiemannianMetric(metric_fields, analytic=_euclid_distance, name="flat")
     return Atlas(charts, transitions, name=name, metric=metric)
 
@@ -1137,8 +1180,7 @@ def circle_atlas(name: str = "circle") -> Atlas:
         ("ang0", "angpi"): shift(-math.pi),
         ("angpi", "ang0"): shift(math.pi),
     }
-    fields = {cid: LocalMap(1, (1, 1), fn=lambda x: np.eye(1), name="round")
-              for cid in ("ang0", "angpi")}
+    fields = {cid: _constant(1, np.eye(1), "round") for cid in ("ang0", "angpi")}
 
     def circ_distance(atlas, P, Q):
         return np.abs(jets.wrap_angle(circle_angle(P) - circle_angle(Q)))
@@ -1166,25 +1208,27 @@ def sphere_atlas(name: str = "sphere") -> Atlas:
     south = Chart("south", 2, (box,), label="stereographic from south pole")
 
     def inversion(x):
-        r2 = float(x @ x)
-        return x / r2
+        return x / _r2(x)[..., None]
 
     def inversion_jac(x):
-        r2 = float(x @ x)
-        return (np.eye(2) - 2.0 * np.outer(x, x) / r2) / r2
+        r2 = _r2(x)[..., None, None]
+        return (np.eye(2) - 2.0 * (x[..., :, None] * x[..., None, :]) / r2) / r2
 
     def inv_defined(x):  # off the origin, and finite: inf / inf is no coordinate
-        return 1e-12 < float(x @ x) < math.inf
+        r2 = _r2(x)
+        return (1e-12 < r2) & (r2 < math.inf)
 
-    tm = LocalMap(2, (2,), fn=inversion, jac=inversion_jac,
-                  defined=inv_defined, name="inversion")
+    tm = _ArrayMap(2, (2,), fn=inversion, jac=inversion_jac, defined=inv_defined,
+                   name="inversion")
     transitions = {("north", "south"): tm, ("south", "north"): tm}
 
     def round_field(x):
-        c = 4.0 / (1.0 + float(x @ x)) ** 2
-        return c * np.eye(2)
+        s = 1.0 + _r2(x)
+        with np.errstate(over="raise"):  # where a float's ** 2 raises OverflowError
+            c = 4.0 / np.float_power(s, 2.0)  # C pow, as a float's ** 2 (np.square may differ)
+        return c[..., None, None] * np.eye(2)
 
-    fields = {cid: LocalMap(2, (2, 2), fn=round_field, name="round")
+    fields = {cid: _ArrayMap(2, (2, 2), fn=round_field, name="round")
               for cid in ("north", "south")}
 
     def sph_distance(atlas, P, Q):
@@ -1196,12 +1240,18 @@ def sphere_atlas(name: str = "sphere") -> Atlas:
     return Atlas([north, south], transitions, name=name, metric=metric)
 
 
+def _r2(x: np.ndarray):
+    """x @ x at a point, or at each row of a stack, shape (N,), from a stacked
+    matmul, which rounds as x @ x does (a row-wise sum or einsum may not)."""
+    return x @ x if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def sphere_embed(P: Point) -> np.ndarray:
     """Unit-sphere points (N, 3) from a stacked Point's stereographic coordinates (N, 2)."""
     if P.chart not in ("north", "south"):
         raise NoOverlap(f"{P.chart!r} is not a sphere chart")
     X = P.coords
-    r2 = (X[:, None, :] @ X[:, :, None]).reshape(len(X))
+    r2 = _r2(X)
     z = r2 - 1.0 if P.chart == "north" else 1.0 - r2
     return np.stack([2 * X[:, 0], 2 * X[:, 1], z], axis=1) / (r2 + 1.0)[:, None]
 
@@ -1263,21 +1313,15 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
     if a.metric is not None and b.metric is not None:
         for ca in a.chart_ids:
             for cb in b.chart_ids:
-                na = dims_a[ca]
-                fa = a.metric.fields[ca]
-                fb = b.metric.fields[cb]
+                na, n = dims_a[ca], dims_a[ca] + b.chart(cb).dim
 
-                def block(x, fa=fa, fb=fb, na=na):
-                    ga = np.asarray(fa(x[:na]), dtype=float)
-                    gb = np.asarray(fb(x[na:]), dtype=float)
-                    out = np.zeros((len(x), len(x)))
-                    out[:na, :na] = ga
-                    out[na:, na:] = gb
+                def block(x, fa=a.metric.fields[ca], fb=b.metric.fields[cb], na=na, n=n):
+                    out = np.zeros(x.shape[:-1] + (n, n))
+                    out[..., :na, :na] = _values_at(fa, x[..., :na])
+                    out[..., na:, na:] = _values_at(fb, x[..., na:])
                     return out
 
-                fields[f"{ca}*{cb}"] = LocalMap(
-                    na + b.chart(cb).dim,
-                    (na + b.chart(cb).dim, na + b.chart(cb).dim), fn=block)
+                fields[f"{ca}*{cb}"] = _ArrayMap(n, (n, n), fn=block)
 
     def prod_distance(_atlas, P, Q):  # hypot(inf, nan) is inf, as across components
         ca, cb = P.chart.split("*", 1)
@@ -1293,21 +1337,21 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
 
 
 def _product_transition(ta, tb, na: int, out_dim: int) -> LocalMap:
+    def tried(x):  # (values, defined) of each factor on its columns of a point or a stack
+        return [(xs, True) if t == "id" else t._tried(xs)
+                for t, xs in ((ta, x[..., :na]), (tb, x[..., na:]))]
+
     def fn(x):
-        xa, xb = x[:na], x[na:]
-        ya = xa if ta == "id" else ta.try_call(xa)
-        yb = xb if tb == "id" else tb.try_call(xb)
-        if ya is None or yb is None:
+        (ya, ok_a), (yb, ok_b) = tried(x)
+        if not np.all(ok_a & ok_b):
             raise ValueError("outside overlap")
-        return np.concatenate([np.atleast_1d(ya), np.atleast_1d(yb)])
+        return np.concatenate([ya, yb], axis=-1)
 
     def defined(x):
-        ok_a = True if ta == "id" else ta.try_call(x[:na]) is not None
-        ok_b = True if tb == "id" else tb.try_call(x[na:]) is not None
-        return ok_a and ok_b
+        (_ya, ok_a), (_yb, ok_b) = tried(x)
+        return ok_a & ok_b
 
-    return LocalMap(na + (out_dim - na), (out_dim,), fn=fn, defined=defined,
-                    name="product-transition")
+    return _ArrayMap(out_dim, (out_dim,), fn=fn, defined=defined, name="product-transition")
 
 
 # ======================================================================
@@ -1364,14 +1408,21 @@ def check_metric_spd(atlas: Atlas, g: RiemannianMetric,
     return min_eig
 
 
-def riemannian_operator_norm(J: np.ndarray, G_src: np.ndarray, G_dst: np.ndarray) -> float:
-    """Operator norm of a linear map between inner-product spaces."""
-    # largest singular value of G_dst^{1/2} J G_src^{-1/2}
+def riemannian_operator_norm(J: np.ndarray, G_src: np.ndarray, G_dst: np.ndarray):
+    """Operator norm of a linear map between inner-product spaces: the largest
+    singular value of G_dst^{1/2} J G_src^{-1/2}, inf where not finite.  At
+    stacks of J, G_src and G_dst (row axis first), the (N,) norms from one
+    stacked ``eigh`` per metric and one stacked SVD; a point is the one-row stack."""
+    single = np.ndim(J) == 2
+    J, G_src, G_dst = (np.array(a, dtype=float, ndmin=3) for a in (J, G_src, G_dst))
     ws, Vs = np.linalg.eigh(G_src)
     wd, Vd = np.linalg.eigh(G_dst)
-    s_inv_half = Vs @ np.diag(1.0 / np.sqrt(np.maximum(ws, 1e-300))) @ Vs.T
-    d_half = Vd @ np.diag(np.sqrt(np.maximum(wd, 0.0))) @ Vd.T
-    M = d_half @ np.asarray(J, dtype=float) @ s_inv_half
-    if not np.all(np.isfinite(M)):
-        return math.inf
-    return float(np.linalg.norm(M, 2))
+    # V @ diag(w) @ V.T, with V's columns scaled by w
+    s_inv_half = (Vs * (1.0 / np.sqrt(np.maximum(ws, 1e-300)))[:, None, :]) @ Vs.swapaxes(1, 2)
+    d_half = (Vd * np.sqrt(np.maximum(wd, 0.0))[:, None, :]) @ Vd.swapaxes(1, 2)
+    M = d_half @ J @ s_inv_half
+    out = np.full(len(M), math.inf)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    if finite.any():
+        out[finite] = np.linalg.norm(M[finite], 2, axis=(1, 2))
+    return float(out[0]) if single else out

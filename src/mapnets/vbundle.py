@@ -60,6 +60,8 @@ from .manifold import (
     Point,
     PointStack,
     VectorBundle,
+    _constant,
+    _identity,
     fiber_norm,
     riemannian_operator_norm,
     tangent_bundle,
@@ -98,8 +100,8 @@ def identity_vbhom(bundle: VectorBundle, tag: str = "id") -> VBHomNet:
     base, mats = {}, {}
     for cid in atlas.chart_ids:
         n = atlas.chart(cid).dim
-        base[cid, cid] = LocalMap(n, (n,), fn=lambda x: x, jac=lambda x, n=n: np.eye(n), name="id")
-        mats[cid, cid] = LocalMap(n, (k, k), fn=lambda x: np.eye(k), name="Id")
+        base[cid, cid] = _identity(n, "id")
+        mats[cid, cid] = _constant(n, np.eye(k), "Id")
     return VBHomNet(bundle, bundle, MapNet(atlas, atlas, lambda eps: base, tag=f"base({tag})"),
                     lambda eps: mats, tag=tag)
 
@@ -479,7 +481,8 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
     The norm is taken between the source and target Riemannian metrics; its
     growth order matches the chart-wise first-derivative order.  Each (eps,
     point) row takes the chart pair of ``u.eval`` from u's image table, with one
-    stacked Jacobian per chart pair (``_eps_rows``); escaped rows are left out.
+    stacked Jacobian per chart pair (``_eps_rows``), one stacked call of each
+    metric field and one stacked operator norm; escaped rows are left out.
     """
     grid = grid or cfg.grid()
     if u.src.metric is None or u.dst.metric is None:
@@ -492,12 +495,14 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
         Xa = stack.rechart(a)
         for c, b in enumerate(table.charts):
             eis, pis = np.nonzero((table.source == ai) & (table.chart == c))
+            if not len(eis):
+                continue
             X, Y = Xa[pis], table.coords[eis, pis, c, :table.dims[c]]
-            for rows, J in _eps_rows((u,), grid.values(), eis,
-                                     lambda eps, rows: u.at(eps).locals[a, b].jacobian(X[rows])):
-                norms[eis[rows], pis[rows]] = [
-                    riemannian_operator_norm(j, u.src.metric.at(a, x), u.dst.metric.at(b, y))
-                    for j, x, y in zip(J, X[rows], Y[rows])]
+            rows, J = zip(*_eps_rows((u,), grid.values(), eis,
+                                     lambda eps, rows: u.at(eps).locals[a, b].jacobian(X[rows])))
+            rows = np.concatenate(rows)
+            norms[eis[rows], pis[rows]] = riemannian_operator_norm(
+                np.concatenate(J), u.src.metric.at(a, X[rows]), u.dst.metric.at(b, Y[rows]))
     eis, pis = np.nonzero(table.chart >= 0)
     stack = (None, eis, norms[eis, pis], lambda i: pts[pis[i]])
     return sweep_stacks(grid, [stack], cfg.zero_tol,
