@@ -52,6 +52,7 @@ from .manifold import (
     PointStack,
     RiemannianMetric,
     SmoothMap,
+    best_candidates,
     distance,
     fd_tree,
     point_rows,
@@ -138,10 +139,10 @@ class ImageTable:
     source chart a, the rows whose points have chart-a coordinates
     (``PointStack.rechart``) in one stacked ``u.at`` call at their eps
     column (a stacked ``try_call`` per representative), or one per eps for
-    a net without eps columns (``_eps_rows``); then, once over all rows, the
-    candidates' margins, each row's best candidate (largest margin, then the
-    smaller target chart, then the smaller source chart, as in
-    ``SmoothMap.eval_candidates``) and its ``representations``.
+    a net without eps columns (``_eps_rows``); then, once over all rows, each
+    row's best candidate (``manifold.best_candidates``: largest margin, then
+    the smaller target chart, then the smaller source chart, the rule by which
+    ``u.eval`` chooses a point's image) and its ``representations``.
     ``margins[ei, pi, c]`` is the normalized margin of the image in chart
     ``charts[c]`` (-inf where it has no representation there),
     ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
@@ -191,16 +192,11 @@ class ImageTable:
                     if (q.chart, a) not in images:
                         images[q.chart, a] = np.full((E * n,) + q.coords.shape[1:], math.nan)
                     images[q.chart, a][at[sel]] = q.coords
-        keys = sorted(images)
-        flat = [images[k].reshape(E * n, -1) for k in keys]
-        M = np.array([dst.chart(b).norm_margin(Y) for (b, _a), Y in zip(keys, flat)])
-        found = (M.reshape(len(keys), E * n) > 0).any(axis=0)
+        keys, best, found = best_candidates(dst, images, E * n)
         self.escape = head.escape if head is not None else None
         if self.escape is None and not found.all():
             ei, pi = divmod(int(np.argmin(found)), n)
             self.escape = self.escaped(ei, n0 + pi)
-        # the best candidate: the first of equal margins, the smaller (b, a); -1 if none
-        best = M.argmax(axis=0) if keys else np.zeros(E * n, dtype=int)
         cols = np.array([(col[b], u.src.chart_ids.index(a)) for b, a in keys] or [(-1, -1)])
         chart, source = np.where(found, cols[best].T, -1)
         margins = np.full((E * n, len(self.charts)), -math.inf)
@@ -209,7 +205,7 @@ class ImageTable:
             rows = np.flatnonzero(chart == c)
             if len(rows):  # the keys (b, a) are contiguous, from js[0]
                 js = [j for j, k in enumerate(keys) if k[0] == b]
-                Y = np.stack([flat[j] for j in js])[best[rows] - js[0], rows]
+                Y = np.stack([images[keys[j]] for j in js])[best[rows] - js[0], rows]
                 for b2, y, m in dst.representations(Point(b, Y)):
                     margins[rows, col[b2]] = m
                     coords[rows, col[b2], :y.shape[1]] = y
@@ -382,6 +378,11 @@ class ChainedLocalMap(LocalMap):
         for _i, rows, _Y, z in self._routed(P):
             Z[rows] = z
         return Z
+
+    def _tried(self, P: np.ndarray) -> tuple:
+        """``_values``, a row that no route admits (a NaN row) undefined."""
+        Z = self._values(P)
+        return Z, ~np.isnan(Z.reshape(len(P), -1)).all(axis=1)
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.derivs_upto(x, k)[k]

@@ -43,10 +43,11 @@ _UNDEFINED = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError) 
 class Box:
     """Axis-aligned box; open for chart domains, closed for compact pieces.
 
-    Containment and margins take a point, on Python floats (``bounds`` holds
-    the per-axis ``(lo, hi)`` pairs), or a stack, an array of shape (..., dim),
-    with the same float operations per row; the read-only arrays ``lo``/``hi``
-    serve the array users (stacks, lattices, clipping, padding).
+    Containment and margins take a stack, an array of shape (..., dim), and
+    answer per row; a point is the one-row stack (``point_rows``), answered
+    as a Python bool or float.  ``bounds`` holds the per-axis ``(lo, hi)``
+    pairs; the read-only arrays ``lo``/``hi`` serve the array users (stacks,
+    lattices, clipping, padding).
     """
 
     __slots__ = ("lo", "hi", "bounds")
@@ -79,41 +80,16 @@ class Box:
     def bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
 
-    def _coords(self, x) -> list:
-        """The coordinates of x as Python floats; ValueError unless x has dim entries."""
-        if type(x) is not np.ndarray or x.dtype != np.float64 or x.ndim == 0:
-            x = np.array(x, dtype=float, ndmin=1)
-        if x.shape != (len(self.bounds),):
-            raise ValueError(f"point of shape {x.shape} in a box of dimension {self.dim}")
-        return x.tolist()
-
-    def _rows(self, x) -> bool:
-        """Is x a stack of points (ValueError unless of dim columns)?"""
-        if type(x) is not np.ndarray or x.ndim < 2:
-            return False
-        if x.shape[-1:] != (len(self.bounds),):
-            raise ValueError(f"points of shape {x.shape} in a box of dimension {self.dim}")
-        return True
-
     def contains(self, x, margin: float = 0.0, closed: bool = False):
         """Is x inside, shrunk (open) or grown (closed) by margin?  A
         non-finite coordinate lies in no box.  At a stack, a bool per row."""
-        if self._rows(x):
-            if closed:
-                inside = np.isfinite(x) & (self.lo - margin <= x) & (x <= self.hi + margin)
-            else:
-                inside = (self.lo + margin < x) & (x < self.hi - margin)
-            return inside.all(axis=-1)
-        xs = self._coords(x)
+        P, single = _dim_rows(x, self.dim)
         if closed:
-            for xi, (lo, hi) in zip(xs, self.bounds):
-                if not (math.isfinite(xi) and lo - margin <= xi <= hi + margin):
-                    return False
-            return True
-        for xi, (lo, hi) in zip(xs, self.bounds):
-            if not lo + margin < xi < hi - margin:  # strict: false for NaN and +-inf
-                return False
-        return True
+            inside = np.isfinite(P) & (self.lo - margin <= P) & (P <= self.hi + margin)
+        else:
+            inside = (self.lo + margin < P) & (P < self.hi - margin)  # false for NaN, +-inf
+        inside = inside.all(axis=-1)
+        return bool(inside[0]) if single else inside
 
     def norm_margin(self, x):
         """Distance to the boundary, normalized by extent; negative outside.
@@ -121,20 +97,14 @@ class Box:
         Axes with an infinite bound use a reciprocal escape statistic so that
         points running off to infinity score margins tending to zero (both
         ways on an axis without bounds, see ``_axis_margin``).  A
-        non-finite coordinate scores -inf.  At a stack, each row's, bit for bit.
+        non-finite coordinate scores -inf.  At a stack, each row's.
         """
-        if self._rows(x):
-            with np.errstate(over="ignore", invalid="ignore"):
-                m = functools.reduce(_rows_min, [
-                    _axis_margin(x[..., i], lo, hi, _rows_min, _rows_max)
-                    for i, (lo, hi) in enumerate(self.bounds)], math.inf)
-            return np.where(np.isfinite(x).all(axis=-1), m, -math.inf)
-        m = math.inf
-        for xi, (lo, hi) in zip(self._coords(x), self.bounds):
-            if not math.isfinite(xi):
-                return -math.inf
-            m = min(m, _axis_margin(xi, lo, hi))
-        return m
+        P, single = _dim_rows(x, self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = functools.reduce(_rows_min, [_axis_margin(P[..., i], lo, hi)
+                                             for i, (lo, hi) in enumerate(self.bounds)], math.inf)
+        m = np.where(np.isfinite(P).all(axis=-1), m, -math.inf)
+        return float(m[0]) if single else m
 
     def clip(self, other: "Box") -> Optional["Box"]:
         lo = np.maximum(self.lo, other.lo)
@@ -161,26 +131,35 @@ class Box:
         return f"Box({self.as_record()})"
 
 
-def _axis_margin(x, lo: float, hi: float, lesser=min, greater=max):
-    """The margin of coordinate(s) x: an array with row-wise lesser/greater.
+def _dim_rows(x, dim: int) -> tuple:
+    """``point_rows(x)``, ValueError unless each row has dim coordinates (only
+    an ndarray is a stack: a nested list is a malformed point)."""
+    P, single = point_rows(x)
+    if P.shape[-1:] != (dim,) or not (single or type(x) is np.ndarray):
+        raise ValueError(f"point(s) of shape {np.shape(x)} in a box of dimension {dim}")
+    return P, single
+
+
+def _axis_margin(x, lo: float, hi: float):
+    """The margins of the coordinates x (an array) on the axis (lo, hi).
     Past s = 1 + |finite bounds| from a finite bound, or from 0 on an axis
     without bounds, an infinite side reads s / (s + distance beyond)."""
     if math.isfinite(lo) and math.isfinite(hi):
-        return lesser(x - lo, hi - x) / (hi - lo)
+        return _rows_min(x - lo, hi - x) / (hi - lo)
     s = 1.0 + (abs(lo) if math.isfinite(lo) else 0.0) + (abs(hi) if math.isfinite(hi) else 0.0)
     m = 0.5
     if math.isfinite(lo):
-        m = lesser(m, (x - lo) / s)
+        m = _rows_min(m, (x - lo) / s)
         if not math.isfinite(hi):
-            beyond = greater(0.0, x - (lo + s))
-            m = lesser(m, s / (s + beyond))
+            beyond = _rows_max(0.0, x - (lo + s))
+            m = _rows_min(m, s / (s + beyond))
     if math.isfinite(hi):
-        m = lesser(m, (hi - x) / s)
+        m = _rows_min(m, (hi - x) / s)
         if not math.isfinite(lo):
-            beyond = greater(0.0, (hi - s) - x)
-            m = lesser(m, s / (s + beyond))
+            beyond = _rows_max(0.0, (hi - s) - x)
+            m = _rows_min(m, s / (s + beyond))
     if not (math.isfinite(lo) or math.isfinite(hi)):  # running off either end
-        m = lesser(m, s / (s + greater(0.0, abs(x) - s)))
+        m = _rows_min(m, s / (s + _rows_max(0.0, abs(x) - s)))
     return m
 
 
@@ -212,15 +191,15 @@ class Chart:
 
     def contains(self, x, margin: float = 0.0):
         """Is x in some domain box (see ``Box.contains``)?  At a stack, a bool per row."""
-        if type(x) is np.ndarray and x.ndim > 1:
-            return functools.reduce(np.logical_or, [b.contains(x, margin) for b in self.domain])
-        return any(b.contains(x, margin=margin) for b in self.domain)
+        P, single = _dim_rows(x, self.dim)
+        inside = functools.reduce(np.logical_or, [b.contains(P, margin) for b in self.domain])
+        return bool(inside[0]) if single else inside
 
     def norm_margin(self, x):
         """The best domain box's margin (see ``Box.norm_margin``); at a stack, per row."""
-        if type(x) is np.ndarray and x.ndim > 1:
-            return functools.reduce(_rows_max, [b.norm_margin(x) for b in self.domain])
-        return max(b.norm_margin(x) for b in self.domain)
+        P, single = _dim_rows(x, self.dim)
+        m = functools.reduce(_rows_max, [b.norm_margin(P) for b in self.domain])
+        return float(m[0]) if single else m
 
     @property
     def main_box(self) -> Box:
@@ -366,37 +345,34 @@ class LocalMap:
         return self._value(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def try_call(self, x) -> Optional[np.ndarray]:
-        """The value at x, or None where undefined (``defined`` false, or a raise); at a
-        stack, the values with NaN rows there, from one ``_values`` call, else one per row
-        (at an eps column, only the one call, and a point raises DerivativeUndefined)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim == 1:
-            if self.defined is not None and not self.defined(x):
-                return None
-            try:
-                return self._value(x)
-            except _UNDEFINED:
-                return None
+        """The values at a stack, NaN rows where undefined (``defined`` false, or a
+        raise; see ``_tried``); at a point, the one-row stack's row, or None.  At an
+        eps column, one ``_values`` call, and a point raises DerivativeUndefined."""
+        P, single = point_rows(x)
         if self.eps_column is not None:
-            return self._values(x)
-        return self._tried(x)[0]
+            return self._value(P[0]) if single else self._values(P)
+        Y, ok = self._tried(P)
+        return (Y[0] if ok[0] else None) if single else Y
 
     def _tried(self, P: np.ndarray) -> tuple:
-        """(y, ok): ``try_call`` at a point and whether it has a value, or at a
-        stack its values (NaN rows where undefined) and a bool per row."""
-        if P.ndim == 1:
-            y = self.try_call(P)
-            return y, y is not None
+        """(Y, ok): the values at the stack P (NaN rows where undefined) and whether
+        each row has one, from one ``_values`` call; where it raises, each row as a
+        one-row stack, and a lone row that raises by ``_value`` (for an expression,
+        the float expression: sqrt(t*t) has a value at 0, but no jet)."""
         ok = self._defined_rows(P)
         Y = np.full((len(P),) + self.out_shape, math.nan)
         try:
             Y[ok] = self._values(P[ok])
         except _UNDEFINED + (DerivativeUndefined,):
             rows = np.flatnonzero(ok)
-            for r in rows:  # a one-row stack; only a lone row that raises takes the point call
-                y, ok[r] = self._tried(P[r:r + 1] if len(rows) > 1 else P[r])
-                if ok[r]:
-                    Y[r] = y
+            if len(rows) > 1:
+                for r in rows:
+                    Y[r:r + 1], ok[r:r + 1] = self._tried(P[r:r + 1])
+            elif len(rows):
+                try:
+                    Y[rows] = self._value(P[rows[0]])
+                except _UNDEFINED:
+                    ok[rows] = False
         return Y, ok
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
@@ -554,11 +530,6 @@ def _identity(n: int, name: str, defined=None) -> _ArrayMap:
                      name=name)
 
 
-def _values_at(m: LocalMap, x: np.ndarray) -> np.ndarray:
-    """m at a point, or its stacked values at every row of a stack."""
-    return m(x) if x.ndim == 1 else m._values(x)
-
-
 def point_rows(x) -> tuple:
     """(P, single): a point (in_dim,) as the one-row stack P, or a stack
     (N, in_dim) as itself."""
@@ -680,33 +651,30 @@ class Atlas:
         return y if inside else None
 
     def representations(self, p: Point) -> list:
-        """All chart representations of p: (chart, coords, margin), best first.
-        At a stacked point, (chart, coords, margins) per chart in id order, a
-        row without a representation there NaN and -inf."""
-        if p.coords.ndim > 1:
-            out = []
-            for b in self.chart_ids:
-                y = p.coords if b == p.chart else self.rechart(p, b)
-                if y is not None:
-                    m = self.chart(b).norm_margin(y)
-                    m[~(m > 0)] = -math.inf
-                    out.append((b, np.where(m[:, None] > 0, y, math.nan), m))
-            return out
-        reps = []
+        """The chart representations of a stacked point: (chart, coords,
+        margins) per chart in id order, a row without a representation there
+        NaN and -inf.  At a point, the one-row stack's (``row_representations``)."""
+        P, single = point_rows(p.coords)
+        out = []
         for b in self.chart_ids:
-            y = p.coords if b == p.chart else None
-            if y is None:
-                y = self.rechart(p, b)
-            if y is None:
-                continue
-            m = self.chart(b).norm_margin(y)
-            if m > 0:
-                reps.append((b, y, m))
-        reps.sort(key=lambda r: (-r[2], r[0]))
-        return reps
+            y = P if b == p.chart else self.rechart(Point(p.chart, P), b)
+            if y is not None:
+                m = self.chart(b).norm_margin(y)
+                m[~(m > 0)] = -math.inf
+                out.append((b, np.where(m[:, None] > 0, y, math.nan), m))
+        return row_representations(out, 0) if single else out
 
     def same_component(self, p: Point, q: Point) -> bool:
         return self.components[p.chart] == self.components[q.chart]
+
+
+def row_representations(reps: list, i: int) -> list:
+    """Row i of stacked ``Atlas.representations`` as a point's: (chart,
+    coords, margin) where the margin is > 0, best first (largest margin,
+    then the smaller chart)."""
+    out = [(b, Y[i], float(M[i])) for b, Y, M in reps if M[i] > 0]
+    out.sort(key=lambda r: (-r[2], r[0]))
+    return out
 
 
 def transition(atlas: Atlas, a: str, b: str, x) -> np.ndarray:
@@ -745,8 +713,11 @@ class RiemannianMetric:
     name: str = ""
 
     def at(self, chart: str, x) -> np.ndarray:
-        """The field of chart at a point, or at every row of a stack in one call."""
-        return np.asarray(_values_at(self.fields[chart], np.asarray(x, dtype=float)), dtype=float)
+        """The field of chart at every row of a stack in one call; a point is
+        the one-row stack."""
+        P, single = point_rows(x)
+        G = np.asarray(self.fields[chart]._values(P), dtype=float)
+        return G[0] if single else G
 
 
 def distance(atlas: Atlas, g: RiemannianMetric, p: Point, q: Point,
@@ -790,19 +761,22 @@ def _default_region(atlas: Atlas) -> "CompactRegion":
     return CompactRegion(pieces)
 
 
-def _segment_length(g: RiemannianMetric, chart: str, x: np.ndarray, y: np.ndarray) -> float:
-    v = y - x
+def _segment_lengths(g: RiemannianMetric, chart: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Lengths of the straight segments from the rows of X to those of Y in
+    chart's coordinates, by Simpson's rule: one stacked ``g.at`` per node."""
+    V = Y - X
     qs = []
     for t in (0.0, 0.5, 1.0):
-        G = g.at(chart, x + t * v)
-        qs.append(math.sqrt(max(0.0, float(v @ G @ v))))
+        q = (V[:, None, :] @ g.at(chart, X + t * V) @ V[:, :, None])[:, 0, 0]
+        qs.append(np.sqrt(np.where(q > 0.0, q, 0.0)))
     return (qs[0] + 4.0 * qs[1] + qs[2]) / 6.0
 
 
 def _graph_distance(atlas, g, region, density) -> Callable:
     """(p, q) -> the shortest path from p to q on the metric-weighted lattice
     graph of a region at a density, built here once; p and q attach to the
-    lattice nodes near them."""
+    lattice nodes near them.  The edge weights of each piece, of each pair of
+    glued pieces and of each attached point come from one ``_segment_lengths``."""
     piece_nodes = []  # list of (chart, pts, spacing, index_offset)
     offset = 0
     for chart_id, box in region.pieces:
@@ -812,49 +786,40 @@ def _graph_distance(atlas, g, region, density) -> Callable:
         offset += len(pts)
     adj = [[] for _ in range(offset)]
 
-    def add_edge(i, j, w):
-        adj[i].append((j, w))
-        adj[j].append((i, w))
+    def add_edges(chart_id, I, J, X, Y):  # the segments X[k] -> Y[k] join nodes I[k], J[k]
+        for i, j, w in zip(I.tolist(), J.tolist(), _segment_lengths(g, chart_id, X, Y).tolist()):
+            adj[i].append((j, w))
+            adj[j].append((i, w))
 
-    # intra-piece lattice edges (all neighbor offsets)
-    for chart_id, pts, spacing, offset in piece_nodes:
-        dim = pts.shape[1]
-        n = int(round(len(pts) ** (1 / dim)))
-        strides = [n ** (dim - 1 - i) for i in range(dim)]
-        for flat, idx in enumerate(itertools.product(range(n), repeat=dim)):  # C order
-            for off in itertools.product((-1, 0, 1), repeat=dim):
-                if off <= (0,) * dim:
-                    continue  # each undirected pair once: first nonzero step positive
-                nidx = [i + o for i, o in zip(idx, off)]
-                if any(i2 < 0 or i2 >= n for i2 in nidx):
-                    continue
-                nflat = sum(i2 * s for i2, s in zip(nidx, strides))
-                w = _segment_length(g, chart_id, pts[flat], pts[nflat])
-                add_edge(offset + flat, offset + nflat, w)
+    for chart_id, pts, spacing, offset in piece_nodes:  # lattice edges, all neighbor offsets
+        shape = (int(round(len(pts) ** (1 / pts.shape[1]))),) * pts.shape[1]
+        idx = np.indices(shape).reshape(len(shape), -1).T  # C order, as the lattice
+        # each undirected pair once: the first nonzero step of its offset is positive
+        offs = [o for o in itertools.product((-1, 0, 1), repeat=len(shape)) if o > (0,) * len(shape)]
+        I = [np.flatnonzero(((idx + o >= 0) & (idx + o < shape[0])).all(axis=1)) for o in offs]
+        J = [np.ravel_multi_index((idx[i] + o).T, shape) for i, o in zip(I, offs)]
+        I, J = np.concatenate(I), np.concatenate(J)
+        add_edges(chart_id, offset + I, offset + J, pts[I], pts[J])
     # cross-piece gluing through transitions
     for (ca, ptsa, spa, offa), (cb, ptsb, spb, offb) in itertools.permutations(piece_nodes, 2):
-        if ca == cb:
-            continue
         tm = atlas.transition_map(ca, cb)
-        if tm is None:
+        if ca == cb or tm is None:
             continue
-        for i, x in enumerate(ptsa):
-            y = tm.try_call(x)
-            if y is None or not atlas.chart(cb).contains(y):
-                continue
-            d2 = np.linalg.norm(ptsb - y, axis=1)
-            for j in np.where(d2 <= 1.2 * spb)[0]:
-                add_edge(offa + i, offb + int(j), _segment_length(g, cb, y, ptsb[j]))
+        Y = tm.try_call(ptsa)
+        pairs = [(i, j) for i in np.flatnonzero(atlas.chart(cb).contains(Y))
+                 for j in np.flatnonzero(np.linalg.norm(ptsb - Y[i], axis=1) <= 1.2 * spb)]
+        if pairs:
+            I, J = np.array(pairs).T
+            add_edges(cb, offa + I, offb + J, Y[I], ptsb[J])
 
     def attach(point: Point):
         ids = []
-        for b, ycoords, _m in atlas.representations(point):
+        for b, Y, M in atlas.representations(Point(point.chart, point.coords[None])):
             for chart_id, pts, spacing, offset in piece_nodes:
-                if chart_id != b:
-                    continue
-                d2 = np.linalg.norm(pts - ycoords, axis=1)
-                for j in np.where(d2 <= 2.0 * spacing)[0]:
-                    ids.append((offset + int(j), _segment_length(g, b, ycoords, pts[j])))
+                if chart_id == b and M[0] > 0:
+                    J = np.flatnonzero(np.linalg.norm(pts - Y[0], axis=1) <= 2.0 * spacing)
+                    w = _segment_lengths(g, b, np.repeat(Y, len(J), axis=0), pts[J])
+                    ids.extend(zip((offset + J).tolist(), w.tolist()))
         return ids
 
     def shortest(p: Point, q: Point) -> float:
@@ -974,37 +939,43 @@ class SmoothMap:
     def local(self, a: str, b: str) -> Optional[LocalMap]:
         return self.locals.get((a, b))
 
-    def eval_candidates(self, p: Point) -> list:
-        """(dst chart b, coords, margin, src chart a) for each representative
-        (a, b) applying to p, best first: largest margin, then the smaller b,
-        then the smaller a."""
-        out = []
-        for (a, b), rep in sorted(self.locals.items()):
-            x = p.coords if a == p.chart else self.src.rechart(p, a)
-            if x is None or not self.src.chart(a).contains(x):
-                continue
-            y = rep.try_call(x)
-            if y is None:
-                continue
-            m = self.dst.chart(b).norm_margin(y)
-            if m > 0:
-                out.append((b, y, m, a))
-        out.sort(key=lambda c: (-c[2], c[0]))
-        return out
-
     def __call__(self, p: Point):
-        """The image of p, the first of ``eval_candidates`` (ChartEscape if none).
-        At a stack of points inside chart a, the candidates instead: the stacked
+        """The image of a point, its ``best_image`` (ChartEscape if none).  At a
+        stack of points inside chart a, the candidates instead: the stacked
         ``try_call`` of each representative out of a, as a Point of its target
         chart; the caller chooses among them (``gmap.ImageTable``)."""
         if p.coords.ndim > 1:
             return [Point(b, rep.try_call(p.coords))
                     for (a, b), rep in sorted(self.locals.items()) if a == p.chart]
-        cands = self.eval_candidates(p)
-        if not cands:
+        best = self.best_image(p)
+        if best is None:
             raise ChartEscape(f"{self.name or 'map'} has no chart for image of {p}")
-        b, y, _m, _a = cands[0]
-        return Point(b, y)
+        return Point(best[0], best[1])
+
+    def best_image(self, p: Point) -> Optional[tuple]:
+        """(b, y, a): p's image y in chart b under the representative (a, b) that
+        ``best_candidates`` picks among p's one-row stacks; None if none."""
+        images, P = {}, Point(p.chart, p.coords[None])
+        for a in {a for a, _b in self.locals}:
+            x = self.src.rechart(P, a)
+            if x is not None and not np.isnan(x).any():
+                images.update(((q.chart, a), q.coords) for q in self(Point(a, x)))
+        keys, best, found = best_candidates(self.dst, images, 1)
+        if not found[0]:
+            return None
+        b, a = keys[best[0]]
+        return b, images[b, a][0], a
+
+
+def best_candidates(dst: Atlas, images: dict, n: int) -> tuple:
+    """(keys, best, found) for n rows whose images under the representative
+    (a, b) are ``images[(b, a)]`` (n, dim b), NaN rows where none: the sorted
+    keys, and per row the index into keys of the best candidate (the largest
+    margin, then the smaller b, then the smaller a) and whether it has one."""
+    keys = sorted(images)
+    M = np.array([dst.chart(b).norm_margin(images[b, a]) for b, a in keys]).reshape(len(keys), n)
+    best = M.argmax(axis=0) if keys else np.zeros(n, dtype=int)  # the first of equal margins
+    return keys, best, (M > 0).any(axis=0)
 
 
 def check_smooth_map_consistency(sm: SmoothMap, n: int = 50, tau: float = 1e-8) -> float:
@@ -1306,9 +1277,8 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
                     tb = b.transition_map(cb1, cb2) if cb1 != cb2 else "id"
                     if tb is None or (ta == "id" and tb == "id"):
                         continue
-                    na = dims_a[ca1]
-                    transitions[(f"{ca1}*{cb1}", f"{ca2}*{cb2}")] = _product_transition(
-                        ta, tb, na, a.chart(ca2).dim + b.chart(cb2).dim)
+                    transitions[(f"{ca1}*{cb1}", f"{ca2}*{cb2}")] = _ProductMap(
+                        ta, tb, dims_a[ca1], a.chart(ca2).dim + b.chart(cb2).dim)
     fields = {}
     if a.metric is not None and b.metric is not None:
         for ca in a.chart_ids:
@@ -1316,10 +1286,11 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
                 na, n = dims_a[ca], dims_a[ca] + b.chart(cb).dim
 
                 def block(x, fa=a.metric.fields[ca], fb=b.metric.fields[cb], na=na, n=n):
-                    out = np.zeros(x.shape[:-1] + (n, n))
-                    out[..., :na, :na] = _values_at(fa, x[..., :na])
-                    out[..., na:, na:] = _values_at(fb, x[..., na:])
-                    return out
+                    X = x.reshape(-1, n)  # a point is the one-row stack
+                    out = np.zeros((len(X), n, n))
+                    out[:, :na, :na] = fa._values(X[:, :na])
+                    out[:, na:, na:] = fb._values(X[:, na:])
+                    return out.reshape(x.shape[:-1] + (n, n))
 
                 fields[f"{ca}*{cb}"] = _ArrayMap(n, (n, n), fn=block)
 
@@ -1336,22 +1307,29 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
     return Atlas(charts, transitions, name=name or f"{a.name}x{b.name}", metric=metric)
 
 
-def _product_transition(ta, tb, na: int, out_dim: int) -> LocalMap:
-    def tried(x):  # (values, defined) of each factor on its columns of a point or a stack
-        return [(xs, True) if t == "id" else t._tried(xs)
-                for t, xs in ((ta, x[..., :na]), (tb, x[..., na:]))]
+class _ProductMap(_ArrayMap):
+    """A product-atlas transition: ta on the first na coordinates, tb on the
+    rest ("id" for a factor's identity).  A stacked ``try_call`` reads each
+    factor's ``_tried`` once; ``fn`` (ValueError outside the overlap) and
+    ``defined`` read ``_tried`` too."""
 
-    def fn(x):
-        (ya, ok_a), (yb, ok_b) = tried(x)
-        if not np.all(ok_a & ok_b):
-            raise ValueError("outside overlap")
-        return np.concatenate([ya, yb], axis=-1)
+    def __init__(self, ta, tb, na: int, out_dim: int):
+        self.factors = ((ta, slice(None, na)), (tb, slice(na, None)))
 
-    def defined(x):
-        (_ya, ok_a), (_yb, ok_b) = tried(x)
-        return ok_a & ok_b
+        def fn(x):
+            Y, ok = self._tried(x.reshape(-1, out_dim))
+            if not ok.all():
+                raise ValueError("outside overlap")
+            return Y.reshape(x.shape)
 
-    return _ArrayMap(out_dim, (out_dim,), fn=fn, defined=defined, name="product-transition")
+        super().__init__(out_dim, (out_dim,), fn=fn, name="product-transition", defined=lambda x:
+                         self._tried(x.reshape(-1, out_dim))[1].reshape(x.shape[:-1]))
+
+    def _tried(self, P: np.ndarray) -> tuple:
+        (ya, ok_a), (yb, ok_b) = [(P[:, cols], np.ones(len(P), dtype=bool)) if t == "id"
+                                  else t._tried(P[:, cols]) for t, cols in self.factors]
+        ok = ok_a & ok_b
+        return np.where(ok[:, None], np.concatenate([ya, yb], axis=1), math.nan), ok
 
 
 # ======================================================================
@@ -1396,13 +1374,12 @@ def check_metric_spd(atlas: Atlas, g: RiemannianMetric,
     """Smallest sampled eigenvalue of g (must be > 0); also checks symmetry."""
     region = region or _default_region(atlas)
     min_eig = math.inf
-    for cid, lat in region.lattices():
-        for x in lat:
-            G = g.at(cid, x)
-            if not np.allclose(G, G.T, atol=1e-10):
-                raise ValueError(f"metric not symmetric at {x} in chart {cid!r}")
-            w = np.linalg.eigvalsh(G)
-            min_eig = min(min_eig, float(w[0]))
+    for cid, lat in region.lattices():  # one stacked field, symmetry test and eigvalsh per piece
+        G = g.at(cid, lat)
+        symmetric = np.isclose(G, G.swapaxes(1, 2), atol=1e-10).all(axis=(1, 2))
+        if not symmetric.all():
+            raise ValueError(f"metric not symmetric at {lat[np.argmin(symmetric)]} in chart {cid!r}")
+        min_eig = float(np.fmin.reduce(np.linalg.eigvalsh(G)[:, 0], initial=min_eig))  # NaN skipped
     if min_eig <= 0:
         raise ValueError(f"metric not positive definite (min eig {min_eig:g})")
     return min_eig

@@ -11,9 +11,10 @@ insertion reduce to per-eps chart algebra plus the asymptotic judges.
 
 ``vbhom_compose`` is ``compose`` on the base nets plus the matrix products
 along the routes the base points take, one stacked product per route.
-``u.eval`` and ``VBHomNet.eval`` take the first chart pair of
-``SmoothMap.eval_candidates`` (largest margin, then the smaller target chart,
-then the smaller source chart); ``tangent_norm_series`` reads it in u's table.
+``u.eval`` and ``VBHomNet.eval`` take the chart pair of
+``SmoothMap.best_image``, the rule of ``manifold.best_candidates`` (largest
+margin, then the smaller target chart, then the smaller source chart), by
+which ``tangent_norm_series`` reads it in u's image table too.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .manifold import (
     _identity,
     fiber_norm,
     riemannian_operator_norm,
+    row_representations,
     tangent_bundle,
     tensor_norm,
 )
@@ -85,11 +87,11 @@ class VBHomNet:
 
     def eval(self, eps: float, e: BundleElement) -> BundleElement:
         """Apply the eps-slice to a bundle element, in the chart pair the base
-        map evaluates by (the first of ``SmoothMap.eval_candidates``)."""
-        cands = self.base_net.at(eps).eval_candidates(e.base)
-        if not cands:
+        map evaluates by (``SmoothMap.best_image``)."""
+        best = self.base_net.at(eps).best_image(e.base)
+        if best is None:
             raise NoSharedChart(f"{self.tag!r} has no chart pair applying to {e}")
-        b, y, _m, a = cands[0]
+        b, y, a = best
         ea = self.src.rechart(e, a)
         M = np.asarray(self.matrices_at(eps)[(a, b)](ea.x), dtype=float)
         return BundleElement(b, y, M @ ea.xi)
@@ -544,7 +546,10 @@ def tensor_insert(s: TensorSectionNet, omegas: list, xis: list, p: GenPoint,
 
     The headline property (the value depends only on the argument values at
     p) is exercised by the test suite; here the contraction is computed per
-    eps in a chart containing p_eps.
+    eps in the best chart containing p_eps where every argument has
+    coefficients.  At the grid eps, p's representations come from its column
+    (``GenPoint.column``), one stacked ``representations`` per chart of it,
+    as ``eval_at`` reads it; off the grid, from ``p.at``.
     """
     if len(omegas) != s.r or len(xis) != s.s:
         raise TypeMismatch(
@@ -556,9 +561,21 @@ def tensor_insert(s: TensorSectionNet, omegas: list, xis: list, p: GenPoint,
         if (xi.r, xi.s) != (1, 0):
             raise TypeMismatch("vector-field arguments must be (1,0) tensor nets")
 
+    grid = grid or cfg.grid()
+    col = p.column(grid)
+    rows = {eps: ei for ei, eps in enumerate(grid.values().tolist())}
+    reps = {}  # grid eps index: p's representations there, best first
+    for c in set(col.chart.tolist()) - {-1}:
+        eis = np.flatnonzero(col.chart == c)
+        stacked = s.atlas.representations(col.stack(c, eis))
+        reps.update((ei, row_representations(stacked, i)) for i, ei in enumerate(eis.tolist()))
+
     def value(eps: float) -> float:
         nets = [s, *omegas, *xis]
-        for cid, x, _m in s.atlas.representations(p.at(eps)):
+        ei = rows.get(eps)
+        # off the grid p.at; on it the column's row, whose point raises where p raised
+        q = p.at(eps) if ei is None else None if ei in reps else col.point(ei)
+        for cid, x, _m in reps[ei] if q is None else s.atlas.representations(q):
             if all(cid in net.coeffs_at(eps) for net in nets):
                 T = s.value_at(eps, cid, x)
                 for w in omegas:
@@ -566,8 +583,8 @@ def tensor_insert(s: TensorSectionNet, omegas: list, xis: list, p: GenPoint,
                 for xi in xis:
                     T = np.tensordot(xi.value_at(eps, cid, x), T, axes=(0, 0))
                 return float(T)
-        raise NoSharedChart(f"arguments share no chart at {p.at(eps)}")
+        raise NoSharedChart(f"arguments share no chart at {col.point(ei) if q is None else q}")
 
     out = GenNumber(value, tag=f"{s.tag}(...)({p.tag})")
-    out.record_moderate(grid or cfg.grid(), cfg)
+    out.record_moderate(grid, cfg)
     return out

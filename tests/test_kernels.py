@@ -1,8 +1,9 @@
 """Kernels against the reference implementations they replaced.
 
-``Box.contains`` and ``Box.norm_margin`` run once per sampled point and work
-on Python floats; ``tensor_norm`` takes a stack of tensors.  The reference
-functions below are the per-tensor numpy bodies they replaced.  Every test
+``Box.contains`` and ``Box.norm_margin`` take a stack of points, and a
+point as the one-row stack; ``tensor_norm`` takes a stack of tensors.  The
+reference functions below are the per-point and per-tensor bodies they
+replaced (``ref_axis_margin`` on Python floats).  Every test
 requires, for every point or every row of a stack, the same bool or the
 same float (sign of zero and NaN included), on boundary points, non-finite
 coordinates and unbounded axes.  The one exception is the 2-norm of a tiny or
@@ -32,7 +33,6 @@ from mapnets.manifold import (
     Chart,
     LocalMap,
     SmoothMap,
-    _axis_margin,
     euclidean_atlas,
     sphere_atlas,
     tensor_norm,
@@ -50,13 +50,32 @@ def ref_contains(box, x, margin=0.0, closed=False):
     return bool(np.all(x > box.lo + margin) and np.all(x < box.hi - margin))
 
 
+def ref_axis_margin(x, lo, hi):
+    """The margin of the coordinate x on the axis (lo, hi), on Python floats."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return min(x - lo, hi - x) / (hi - lo)
+    s = 1.0 + (abs(lo) if math.isfinite(lo) else 0.0) + (abs(hi) if math.isfinite(hi) else 0.0)
+    m = 0.5
+    if math.isfinite(lo):
+        m = min(m, (x - lo) / s)
+        if not math.isfinite(hi):
+            m = min(m, s / (s + max(0.0, x - (lo + s))))
+    if math.isfinite(hi):
+        m = min(m, (hi - x) / s)
+        if not math.isfinite(lo):
+            m = min(m, s / (s + max(0.0, (hi - s) - x)))
+    if not (math.isfinite(lo) or math.isfinite(hi)):
+        m = min(m, s / (s + max(0.0, abs(x) - s)))
+    return m
+
+
 def ref_norm_margin(box, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         return -math.inf
     m = math.inf
     for xi, lo, hi in zip(x, box.lo, box.hi):
-        m = min(m, _axis_margin(float(xi), float(lo), float(hi)))
+        m = min(m, ref_axis_margin(float(xi), float(lo), float(hi)))
     return m
 
 

@@ -11,6 +11,8 @@ behind the flat distance and the sphere's chord is checked against per-row
 """
 
 import collections
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from mapnets.errors import ChartEscape, OutOfDomain
 from mapnets.gmap import metric_gap_series, scalar_net
 from mapnets.manifold import (
     Atlas,
+    LocalMap,
     Point,
     RiemannianMetric,
     circle_atlas,
@@ -235,19 +238,19 @@ def test_a_stacked_graph_distance_equals_its_point_calls():
 
 
 def test_a_stacked_graph_distance_builds_each_graph_once(monkeypatch):
-    """Per density used, one graph's ``_segment_length`` calls; per row only
-    those that attach its two points."""
+    """Per density used, one graph's segments (rows of ``_segment_lengths``);
+    per row only those that attach its two points."""
     from mapnets import manifold
 
     square, graph, P, Q = square_graph_call()
     calls = collections.Counter()
-    seg = manifold._segment_length
+    seg = manifold._segment_lengths
 
-    def counted(*args):
-        calls["segment"] += 1
-        return seg(*args)
+    def counted(g, chart, X, Y):
+        calls["segment"] += len(X)
+        return seg(g, chart, X, Y)
 
-    monkeypatch.setattr(manifold, "_segment_length", counted)
+    monkeypatch.setattr(manifold, "_segment_lengths", counted)
 
     def count(fn, *args):
         calls.clear()
@@ -261,6 +264,131 @@ def test_a_stacked_graph_distance_builds_each_graph_once(monkeypatch):
     attach = [n - one_graph for n in per_point]  # every row's fine distance is finite
     assert 0 < max(attach) < one_graph // 100
     assert count(distance, square, graph, P, Q) == one_graph + sum(attach)
+
+
+def ref_segment_length(g, chart, x, y):
+    v = y - x
+    qs = []
+    for t in (0.0, 0.5, 1.0):
+        G = g.at(chart, x + t * v)
+        qs.append(math.sqrt(max(0.0, float(v @ G @ v))))
+    return (qs[0] + 4.0 * qs[1] + qs[2]) / 6.0
+
+
+def ref_graph_distance(atlas, g, region, density):
+    """The per-edge lattice graph ``_graph_distance`` replaced: one
+    ``ref_segment_length`` per edge, one point ``try_call`` per glued node."""
+    piece_nodes = []
+    offset = 0
+    for chart_id, box in region.pieces:
+        pts = box.lattice(density)
+        spacing = float(np.max(box.extent) / max(1, int(round(len(pts) ** (1 / box.dim))) - 1))
+        piece_nodes.append((chart_id, pts, spacing, offset))
+        offset += len(pts)
+    adj = [[] for _ in range(offset)]
+
+    def add_edge(i, j, w):
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+
+    for chart_id, pts, spacing, offset in piece_nodes:
+        dim = pts.shape[1]
+        n = int(round(len(pts) ** (1 / dim)))
+        strides = [n ** (dim - 1 - i) for i in range(dim)]
+        for flat, idx in enumerate(itertools.product(range(n), repeat=dim)):
+            for off in itertools.product((-1, 0, 1), repeat=dim):
+                if off <= (0,) * dim:
+                    continue
+                nidx = [i + o for i, o in zip(idx, off)]
+                if any(i2 < 0 or i2 >= n for i2 in nidx):
+                    continue
+                nflat = sum(i2 * s for i2, s in zip(nidx, strides))
+                add_edge(offset + flat, offset + nflat,
+                         ref_segment_length(g, chart_id, pts[flat], pts[nflat]))
+    for (ca, ptsa, spa, offa), (cb, ptsb, spb, offb) in itertools.permutations(piece_nodes, 2):
+        tm = atlas.transition_map(ca, cb)
+        if ca == cb or tm is None:
+            continue
+        for i, x in enumerate(ptsa):
+            y = tm.try_call(x)
+            if y is None or not atlas.chart(cb).contains(y):
+                continue
+            for j in np.where(np.linalg.norm(ptsb - y, axis=1) <= 1.2 * spb)[0]:
+                add_edge(offa + i, offb + int(j), ref_segment_length(g, cb, y, ptsb[j]))
+
+    def attach(point):
+        ids = []
+        for b, y, _m in atlas.representations(point):
+            for chart_id, pts, spacing, offset in piece_nodes:
+                if chart_id == b:
+                    for j in np.where(np.linalg.norm(pts - y, axis=1) <= 2.0 * spacing)[0]:
+                        ids.append((offset + int(j), ref_segment_length(g, b, y, pts[j])))
+        return ids
+
+    def shortest(p, q):
+        src, dsts = attach(p), attach(q)
+        if not src or not dsts:
+            return math.inf
+        dist = [math.inf] * len(adj)
+        heap = []
+        for i, w in src:
+            if w < dist[i]:
+                dist[i] = w
+                heapq.heappush(heap, (w, i))
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dist[i]:
+                continue
+            for j, w in adj[i]:
+                if d + w < dist[j]:
+                    dist[j] = d + w
+                    heapq.heappush(heap, (d + w, j))
+        return min(dist[i] + w for i, w in dsts)
+
+    return shortest
+
+
+GRAPH_CASES = {  # atlas, metric without analytic distance, point pairs
+    "square": (*square_graph_call()[:2], [(Point("e0", [-0.5, -0.5]), Point("e0", [0.5, 0.5])),
+                                          (Point("e0", [-0.9, 0.9]), Point("e0", [0.9, -0.9]))]),
+    "sphere": (SPHERE, RiemannianMetric(SPHERE.metric.fields),
+               [(Point("north", [0.5, 0.2]), Point("south", [0.3, -1.0])),
+                (Point("north", [3.0, -2.5]), Point("north", [-0.1, 0.4])),
+                (Point("south", [0.0, 0.0]), Point("north", [0.0, 0.0]))]),
+    "multichart": (CASES["multichart"][0], RiemannianMetric(CASES["multichart"][0].metric.fields),
+                   [(Point("c0", [-4.0, 2.0]), Point("c1", [4.0, -2.0]))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_CASES))
+def test_the_graph_distance_equals_the_per_edge_graph(name):
+    from mapnets import manifold
+
+    atlas, g, pairs = GRAPH_CASES[name]
+    region = manifold._default_region(atlas)
+    for density in (5, 9):
+        got = manifold._graph_distance(atlas, g, region, density)
+        want = ref_graph_distance(atlas, g, region, density)
+        for p, q in pairs:
+            d = want(p, q)
+            assert math.isfinite(d) and d > 0.0
+            assert got(p, q) == pytest.approx(d, rel=1e-12, abs=0.0)
+
+
+def test_a_sphere_graph_distance_makes_stacked_calls_only(monkeypatch):
+    """One distance on the sphere's two 9x9 pieces: three field calls (one
+    per Simpson node) per piece, per glued piece pair and per attached
+    representation (p and q have one in each chart), and no point ``try_call``."""
+    g = RiemannianMetric(SPHERE.metric.fields)
+    calls = collections.Counter()
+    for f in g.fields.values():
+        monkeypatch.setattr(f, "fn", lambda x, fn=f.fn: calls.update(["field"]) or fn(x))
+    try_call = LocalMap.try_call
+    monkeypatch.setattr(LocalMap, "try_call", lambda self, x: calls.update(
+        [f"try_call {np.ndim(x)}-d"]) or try_call(self, x))
+    d = distance(SPHERE, g, Point("north", [0.5, 0.2]), Point("south", [0.3, -1.0]), density=5)
+    assert math.isfinite(d)
+    assert dict(calls) == {"field": 3 * (2 + 2 + 4), "try_call 2-d": 4}
 
 
 # -- the matmul norm against np.linalg.norm ------------------------------------

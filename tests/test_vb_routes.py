@@ -2,8 +2,9 @@
 
 ``vbhom_compose`` takes its base parts from ``compose`` on the base nets and
 multiplies the matrix parts along the route each point's base takes.
-``VBHomNet.eval`` and ``tangent_norm_series`` pick their chart pair with
-``SmoothMap.eval_candidates``, and ``_common_chart_pair`` reads
+``VBHomNet.eval`` and ``tangent_norm_series`` pick their chart pair by the
+rule of ``SmoothMap.best_image`` (its per-point loop, ``ref_eval_candidates``,
+is the reference), and ``_common_chart_pair`` reads
 ``VectorBundle.representations``.  The reference functions below are the
 hand-written loops those three used before; the tests require the same chart,
 coordinates, fiber and sup, byte for byte, on a circle-valued and a
@@ -19,6 +20,7 @@ import math
 import numpy as np
 import pytest
 from test_asymptotics import ref_sweep_sups
+from test_vb_tables import ref_eval_candidates
 
 from mapnets import jets
 from mapnets.config import Config
@@ -208,7 +210,7 @@ class TestChartChoice:
                 got, want = v.eval(eps, e), reference_eval(v, eps, e)
                 assert got.chart == want.chart
                 assert bits(got.x) == bits(want.x) and bits(got.xi) == bits(want.xi)
-                assert len(u.at(eps).eval_candidates(e.base)) == 2  # in the overlap
+                assert len(ref_eval_candidates(u.at(eps), e.base)) == 2  # in the overlap
                 targets.add(got.chart)
         assert len(targets) == 2  # both target charts win somewhere
 

@@ -105,15 +105,35 @@ def test_matrix_sups_at_eps_columns_match_one_eps_at_a_time(name, cfg):
 # -- tangent_norm_series reads the image table ------------------------------------
 
 
+def ref_eval_candidates(sm, p):
+    """The per-point image rule ``SmoothMap.best_image`` replaced: (dst chart
+    b, coords, margin, src chart a) for each representative (a, b) applying
+    to the point p, best first: largest margin, then the smaller b, then the
+    smaller a."""
+    out = []
+    for (a, b), rep in sorted(sm.locals.items()):
+        x = p.coords if a == p.chart else sm.src.rechart(p, a)
+        if x is None or not sm.src.chart(a).contains(x):
+            continue
+        y = rep.try_call(x)
+        if y is None:
+            continue
+        m = sm.dst.chart(b).norm_margin(y)
+        if m > 0:
+            out.append((b, y, m, a))
+    out.sort(key=lambda c: (-c[2], c[0]))
+    return out
+
+
 def eval_candidates_norm_series(u, K, grid, cfg):
-    """The per-point loop: each lattice point's first ``eval_candidates`` pair."""
+    """The per-point loop: each lattice point's first ``ref_eval_candidates`` pair."""
 
     def samples(eps):
         sm = u.at(eps)
         for cid, lat in K.lattices():
             for x in lat:
                 p = Point(cid, x)
-                cands = sm.eval_candidates(p)
+                cands = ref_eval_candidates(sm, p)
                 if cands:
                     b, y, _m, a = cands[0]
                     xa = u.src.rechart(p, a)
@@ -155,7 +175,7 @@ def test_tangent_norm_series_reads_the_table(label, u, K, monkeypatch, cfg):
         assert set(table.source.ravel().tolist()) == {0, 1}
     calls = []
     for cls in (LocalMap, SmoothMap):
-        name = "try_call" if cls is LocalMap else "eval_candidates"
+        name = "try_call" if cls is LocalMap else "best_image"
         method = getattr(cls, name)
         monkeypatch.setattr(cls, name, lambda self, x, method=method:
                             calls.append(self.name) or method(self, x))
