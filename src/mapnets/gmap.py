@@ -625,8 +625,6 @@ def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
     then the ``trials`` extras, and the sup series of its lattice prefix.
     One ``distance`` call per (chart of u's image, chart of v's image)."""
     g = g or u.dst.metric
-    if g is None:
-        raise ValueError("no target metric available")
     tu, tv = u.image_table(K, grid, trials, seed), v.image_table(K, grid, trials, seed)
     dists = np.empty(tu.chart.shape)
     for cu, cv in sorted(set(zip(tu.chart.ravel().tolist(), tv.chart.ravel().tolist()))):
@@ -792,15 +790,6 @@ def check_cbounded(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = None,
     return CBoundednessReport(K, eps0, None, Status.INCONCLUSIVE, margins=margins)
 
 
-def _l_prime_of(report: CBoundednessReport) -> Optional[dict]:
-    if report.K_image is None:
-        return None
-    out: dict = {}
-    for cid, box in report.K_image.pieces:
-        out.setdefault(cid, []).append(box)
-    return out
-
-
 def check_moderate(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = None,
                    k_max: Optional[int] = None, cfg: Config = DEFAULT_CONFIG,
                    cbounded: Optional[CBoundednessReport] = None) -> Verdict:
@@ -815,7 +804,7 @@ def check_moderate(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = None,
         return Verdict(status, estimate=None,
                        witness=witness if status is Status.FAIL else None,
                        notes="c-boundedness failed", series=report.margins)
-    L_prime = _l_prime_of(report)
+    L_prime = _merge_l_prime(report)
     series = derivative_sup_series(u, K, grid, k_max, L_prime, cfg)
     parts = {}
     for (pi, cid, b, k), s in sorted(series.items()):
@@ -883,16 +872,16 @@ def check_equiv0(u: MapNet, v: MapNet, K: CompactRegion,
 
 
 def _merge_l_prime(*reports: CBoundednessReport) -> Optional[dict]:
+    """L': the image boxes per target chart of every report with a compact
+    image, or None when no report has one."""
+    images = [rep.K_image for rep in reports if rep.K_image is not None]
+    if not images:
+        return None
     merged: dict = {}
-    any_pass = False
-    for rep in reports:
-        lp = _l_prime_of(rep)
-        if lp is None:
-            continue
-        any_pass = True
-        for cid, boxes in lp.items():
-            merged.setdefault(cid, []).extend(boxes)
-    return merged if any_pass else None
+    for image in images:
+        for cid, box in image.pieces:
+            merged.setdefault(cid, []).append(box)
+    return merged
 
 
 def check_equiv(u: MapNet, v: MapNet, K_list, grid: Optional[EpsGrid] = None,

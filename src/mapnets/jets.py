@@ -20,7 +20,8 @@ float per row (an expression at an eps column, see ``exprs``).  Overflow
 is silent: a coefficient becomes inf or NaN (``exp`` of a jet at 800 reads
 ``(inf, inf, nan)``) and the sup reducer counts NaN as inf.  ``wrap_angle``
 of a non-finite angle is NaN, so an overflowing angle chart gives an
-overflowing sup, not an error.
+overflowing sup, not an error; it has one numpy body, which a float angle
+runs as a one-element array.
 
 For maps without an expression form, nested 4th-order central differences
 are the fallback, one stencil-tree level at a time (``manifold.fd_tree``):
@@ -341,22 +342,17 @@ def wrap_angle(x):
     all derivatives pass through unchanged; the wrap discontinuity sits at odd
     multiples of pi, which angle-chart domains exclude.  A non-finite angle
     (an overflowed expression) wraps to NaN, which the sup reducer counts as
-    overflow.  An array of angles wraps entry by entry, with the bits of the
-    float path.
+    overflow.  One numpy body: an array of angles wraps entry by entry, and a
+    float goes through as a one-element array and comes back a Python float.
     """
     if isinstance(x, Jet):
         return _jet((wrap_angle(x.value),) + x.c[1:])
-    if isinstance(x, np.ndarray):  # the float steps below, entry by entry
-        with np.errstate(invalid="ignore"):  # inf - inf; non-finite rows are NaN anyway
-            w = x - TWO_PI * np.floor((x + math.pi) / TWO_PI)
-        return np.where(np.isfinite(x), np.where(w <= -math.pi, w + TWO_PI, w), math.nan)
-    v = float(x)
-    if not math.isfinite(v):
-        return math.nan
-    w = v - TWO_PI * math.floor((v + math.pi) / TWO_PI)
-    if w <= -math.pi:  # boundary representative is +pi, not -pi
-        w += TWO_PI
-    return w
+    a = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf; non-finite entries are NaN anyway
+        w = a - TWO_PI * np.floor((a + math.pi) / TWO_PI)
+    # the boundary representative is +pi, not -pi
+    w = np.where(np.isfinite(a), np.where(w <= -math.pi, w + TWO_PI, w), math.nan)
+    return w if isinstance(x, np.ndarray) else float(w)
 
 
 def bump(x, center=0.0, width=1.0):

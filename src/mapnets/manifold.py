@@ -356,23 +356,19 @@ class LocalMap:
 
     def _tried(self, P: np.ndarray) -> tuple:
         """(Y, ok): the values at the stack P (NaN rows where undefined) and whether
-        each row has one, from one ``_values`` call; where it raises, each row as a
-        one-row stack, and a lone row that raises by ``_value`` (for an expression,
-        the float expression: sqrt(t*t) has a value at 0, but no jet)."""
+        each row has one, from one ``_values`` call on the defined rows; where it
+        raises, each defined row by ``_value`` or, where that raises, undefined (for
+        an expression, the float expression: sqrt(t*t) has a value at 0, no jet)."""
         ok = self._defined_rows(P)
         Y = np.full((len(P),) + self.out_shape, math.nan)
         try:
             Y[ok] = self._values(P[ok])
         except _UNDEFINED + (DerivativeUndefined,):
-            rows = np.flatnonzero(ok)
-            if len(rows) > 1:
-                for r in rows:
-                    Y[r:r + 1], ok[r:r + 1] = self._tried(P[r:r + 1])
-            elif len(rows):
+            for r in np.flatnonzero(ok):
                 try:
-                    Y[rows] = self._value(P[rows[0]])
+                    Y[r] = self._value(P[r])
                 except _UNDEFINED:
-                    ok[rows] = False
+                    ok[r] = False
         return Y, ok
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
@@ -720,12 +716,15 @@ class RiemannianMetric:
         return G[0] if single else G
 
 
-def distance(atlas: Atlas, g: RiemannianMetric, p: Point, q: Point,
+def distance(atlas: Atlas, g: Optional[RiemannianMetric], p: Point, q: Point,
              region: Optional["CompactRegion"] = None, density: int = 17):
     """Riemannian distance; inf iff p, q lie in different components.  A
     point pair gives a float, two stacked Points of equal length the (N,)
     distances from one ``g.analytic`` call (a point is the one-row stack).
-    The first row (p's before q's) outside its chart raises ``OutOfDomain``."""
+    The first row (p's before q's) outside its chart raises ``OutOfDomain``;
+    without a metric (g None), a ValueError."""
+    if g is None:
+        raise ValueError(f"atlas {atlas.name!r} has no metric")
     (P, single), (Q, _) = point_rows(p.coords), point_rows(q.coords)
     if len(P) != len(Q):
         raise ValueError(f"distance between stacks of {len(P)} and {len(Q)} points")

@@ -49,7 +49,6 @@ from .gmap import (
     _chart_sups,
     _eps_rows,
     _gap_tensors,
-    _l_prime_of,
     _merge_l_prime,
 )
 from .gpoints import GenNumber, GenPoint, argmax_net, points_equal
@@ -65,7 +64,6 @@ from .manifold import (
     _identity,
     fiber_norm,
     riemannian_operator_norm,
-    row_representations,
     tangent_bundle,
     tensor_norm,
 )
@@ -403,7 +401,7 @@ def check_vbhom_moderate(u: VBHomNet, L: CompactRegion,
     base_rep = check_cbounded(u.base_net, L, grid, cfg)
     base_v = check_moderate(u.base_net, L, grid, k_max, cfg, cbounded=base_rep)
     parts = {"base": base_v}
-    L_prime = _l_prime_of(base_rep)
+    L_prime = _merge_l_prime(base_rep)
     for (pi, a, b, k), s in sorted(matrix_gap_series(u, None, L, grid, k_max,
                                                      L_prime, cfg).items()):
         parts[f"mat k={k}|L[{pi}]|{a}->{b}"] = judge_moderate(s, cfg.n_cap, cfg.r2_min)
@@ -546,10 +544,10 @@ def tensor_insert(s: TensorSectionNet, omegas: list, xis: list, p: GenPoint,
 
     The headline property (the value depends only on the argument values at
     p) is exercised by the test suite; here the contraction is computed per
-    eps in the best chart containing p_eps where every argument has
-    coefficients.  At the grid eps, p's representations come from its column
-    (``GenPoint.column``), one stacked ``representations`` per chart of it,
-    as ``eval_at`` reads it; off the grid, from ``p.at``.
+    eps in the best chart containing p_eps (``p.at``) where every argument has
+    coefficients.  It is computed once per grid eps, in grid order, so the
+    first failing grid eps raises here; the returned number reads those values
+    and computes only off-grid eps.
     """
     if len(omegas) != s.r or len(xis) != s.s:
         raise TypeMismatch(
@@ -562,29 +560,20 @@ def tensor_insert(s: TensorSectionNet, omegas: list, xis: list, p: GenPoint,
             raise TypeMismatch("vector-field arguments must be (1,0) tensor nets")
 
     grid = grid or cfg.grid()
-    col = p.column(grid)
-    rows = {eps: ei for ei, eps in enumerate(grid.values().tolist())}
-    reps = {}  # grid eps index: p's representations there, best first
-    for c in set(col.chart.tolist()) - {-1}:
-        eis = np.flatnonzero(col.chart == c)
-        stacked = s.atlas.representations(col.stack(c, eis))
-        reps.update((ei, row_representations(stacked, i)) for i, ei in enumerate(eis.tolist()))
+    nets = [s, *omegas, *xis]
 
     def value(eps: float) -> float:
-        nets = [s, *omegas, *xis]
-        ei = rows.get(eps)
-        # off the grid p.at; on it the column's row, whose point raises where p raised
-        q = p.at(eps) if ei is None else None if ei in reps else col.point(ei)
-        for cid, x, _m in reps[ei] if q is None else s.atlas.representations(q):
+        q = p.at(eps)
+        for cid, x, _m in s.atlas.representations(q):
             if all(cid in net.coeffs_at(eps) for net in nets):
                 T = s.value_at(eps, cid, x)
-                for w in omegas:
-                    T = np.tensordot(w.value_at(eps, cid, x), T, axes=(0, 0))
-                for xi in xis:
-                    T = np.tensordot(xi.value_at(eps, cid, x), T, axes=(0, 0))
+                for arg in nets[1:]:
+                    T = np.tensordot(arg.value_at(eps, cid, x), T, axes=(0, 0))
                 return float(T)
-        raise NoSharedChart(f"arguments share no chart at {col.point(ei) if q is None else q}")
+        raise NoSharedChart(f"arguments share no chart at {q}")
 
-    out = GenNumber(value, tag=f"{s.tag}(...)({p.tag})")
+    at_grid = {eps: value(eps) for eps in grid.values().tolist()}
+    out = GenNumber(lambda eps: at_grid[eps] if eps in at_grid else value(eps),
+                    tag=f"{s.tag}(...)({p.tag})")
     out.record_moderate(grid, cfg)
     return out

@@ -12,6 +12,7 @@ rule admits, and a sweep must evaluate one jet per representative and one
 lattice point.
 """
 
+import collections
 import math
 import warnings
 
@@ -38,7 +39,6 @@ from mapnets.gallery import get_atlas, get_net, get_region, list_nets
 from mapnets.gmap import (
     MapNet,
     _chart_sups,
-    _l_prime_of,
     _merge_l_prime,
     check_cbounded,
     check_equiv,
@@ -278,6 +278,38 @@ def test_a_raising_row_is_named_as_by_the_point_call(expr, xs, bad):
         assert np.all(np.isnan(y)) if want is None else same_values(y, want)
 
 
+def raising_fn(x):
+    if x[0] < 0.0:
+        raise ValueError("negative")
+    return [math.sqrt(x[0]), 2.0 * x[0]]
+
+
+@pytest.mark.parametrize("rep", [
+    LocalMap(1, (2,), fn=raising_fn, defined=lambda x: x[0] != 9.0, name="fn"),
+    LocalMap.from_expr(lambda t: jets.sqrt(t * t), name="abs"),
+], ids=["fn", "sqrt-square"])
+def test_a_raising_stack_reads_each_defined_row_once_by_value(rep, monkeypatch):
+    """Where ``_values`` raises, ``_tried`` reads each defined row from one
+    ``_value`` call (None where that raises too), after one ``_defined_rows``."""
+    X = np.array([[4.0], [-1.0], [0.0], [9.0], [-0.0], [0.25]])
+    defined = [rep.defined is None or rep.defined(x) for x in X]
+    want = []
+    for x, d in zip(X, defined):
+        try:
+            want.append(rep._value(x) if d else None)
+        except ValueError:
+            want.append(None)
+    calls = collections.Counter()
+    for hook in ("_value", "_defined_rows"):
+        monkeypatch.setattr(LocalMap, hook, lambda self, P, f=getattr(LocalMap, hook), hook=hook:
+                            calls.update([hook]) or f(self, P))
+    Y, ok = rep._tried(X)
+    assert calls == {"_value": sum(defined), "_defined_rows": 1}
+    assert ok.tolist() == [w is not None for w in want]
+    for y, w in zip(Y, want):
+        assert np.isnan(y).all() if w is None else y.tobytes() == w.tobytes()
+
+
 # -- admission from the image tables ------------------------------------------
 
 GRID = EpsGrid(0.5, 2, 9)
@@ -447,7 +479,7 @@ def counters(monkeypatch):
 def test_check_moderate_evaluates_per_group(counters, cfg):
     """One jet per (piece, target chart) over all its (eps, point) rows."""
     u, K, k_max = get_net("heaviside_tanh"), get_region("K_unit"), 3
-    L_prime = _l_prime_of(check_cbounded(u, K, GRID, cfg))
+    L_prime = _merge_l_prime(check_cbounded(u, K, GRID, cfg))
     groups = ref_groups([u], K, GRID, L_prime)
     counters["var"].clear()
     counters["norm"] = 0

@@ -80,15 +80,33 @@ def test_families_on_whole_eps_grids_match_float_jets(spec):
 
 
 ANGLES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-    [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -5 * math.pi, 1e300, -1e300])
+    [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -5 * math.pi, 1e300, -1e300,
+     math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, 0.0), math.nextafter(-math.pi, -4.0)])
+
+
+def ref_wrap_angle(v: float) -> float:
+    """``jets.wrap_angle`` of one float in float steps: the reference."""
+    v = float(v)
+    if not math.isfinite(v):
+        return math.nan
+    w = v - jets.TWO_PI * math.floor((v + math.pi) / jets.TWO_PI)
+    if w <= -math.pi:  # boundary representative is +pi, not -pi
+        w += jets.TWO_PI
+    return w
 
 
 @given(st.lists(ANGLES, min_size=1, max_size=30))
 @settings(max_examples=300, deadline=None)
 def test_wrap_angle_of_an_array_is_the_float_path(angles):
+    """An array wraps entry by entry, and a float comes back a float, each with
+    the bits of the float steps."""
+    want = [bits(ref_wrap_angle(v)) for v in angles]
     got = run_quietly(jets.wrap_angle, np.array(angles))
     assert got[0] == "ok"
-    assert [bits(w) for w in got[1].tolist()] == [bits(jets.wrap_angle(v)) for v in angles]
+    assert [bits(w) for w in got[1].tolist()] == want
+    floats = [run_quietly(jets.wrap_angle, v) for v in angles]
+    assert all(kind == "ok" and type(w) is float for kind, w in floats)
+    assert [bits(w) for _kind, w in floats] == want
 
 
 # -- sweeps and tables against the same net one eps at a time --------------------

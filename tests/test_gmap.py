@@ -261,6 +261,13 @@ class TestCompose:
                        grid=GRID, cfg=CFG)
         assert comp.provenance["single_chart"]["status"] == "Pass"
 
+    def test_provenance_when_the_inner_net_is_not_cbounded(self):
+        inner = get_net("epsilon_into_0_2")
+        outer = scalar_net(inner.dst, get_atlas("line"), lambda eps: lambda t: t, tag="id")
+        comp = compose(outer, inner, K=K_UNIT, grid=GRID, cfg=CFG)
+        assert comp.provenance["single_chart"] == {
+            "status": "Inconclusive", "notes": "inner net not c-bounded on K"}
+
     def test_chart_mismatch(self):
         from mapnets.errors import ChartMismatch
 

@@ -13,7 +13,7 @@ from mapnets.asymptotics import Status
 from mapnets.config import Config
 from mapnets.errors import SupportEscape
 from mapnets.gallery import get_atlas, get_net, get_region
-from mapnets.gmap import check_equiv, check_equiv0
+from mapnets.gmap import MapNet, check_equiv, check_equiv0, metric_gap_series
 from mapnets.gpoints import (
     GenNumber,
     GenPoint,
@@ -23,12 +23,21 @@ from mapnets.gpoints import (
     points_equal,
     separate_by_points,
 )
-from mapnets.manifold import Point, region_box
+from mapnets.manifold import (
+    Atlas,
+    BundleElement,
+    LocalMap,
+    Point,
+    region_box,
+    trivial_bundle,
+)
+from mapnets.vbundle import VBPoint, vbpoints_equal
 
 CFG = Config()
 GRID = CFG.grid()
 LINE = get_atlas("line")
 SUPPORT = region_box("e0", [-0.5], [0.5])
+BARE = Atlas(list(LINE.charts.values()), {}, name="bare")  # LINE without a metric
 
 
 def flat_point(tag="p_flat"):
@@ -89,6 +98,26 @@ class TestPointsEqual:
         q = GenPoint.from_fn(circ, lambda eps: Point("angpi", [2.0 - math.pi]), supp,
                              tag="b")  # same manifold point, other chart
         assert points_equal(p, q, grid=GRID, cfg=CFG).status is Status.PASS
+
+
+class TestMetriclessAtlas:
+    """A distance on an atlas without a metric is a ValueError naming the atlas."""
+
+    def test_points_equal(self):
+        p = GenPoint.constant(BARE, Point("e0", [0.2]))
+        with pytest.raises(ValueError, match="'bare' has no metric"):
+            points_equal(p, p, grid=GRID, cfg=CFG)
+
+    def test_vbpoints_equal(self):
+        e = VBPoint.constant(trivial_bundle(BARE), BundleElement("e0", [0.2], [1.0]))
+        with pytest.raises(ValueError, match="'bare' has no metric"):
+            vbpoints_equal(e, e, GRID, CFG)
+
+    def test_metric_gap_series_with_a_metricless_target(self):
+        u = MapNet(LINE, BARE, lambda eps: {("e0", "e0"): LocalMap(1, (1,), fn=lambda x: 0.5 * x)},
+                   tag="u")
+        with pytest.raises(ValueError, match="metric"):
+            metric_gap_series(u, u, SUPPORT, None, GRID, CFG)
 
 
 class TestEvalAt:

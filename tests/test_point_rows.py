@@ -6,9 +6,10 @@ one implementation, the stacked one; a point call runs the one-row stack and
 converts its row back, to a Python bool or float, an array or None, or a
 list of (chart, coords, margin) best first.  The tests require those types
 and the stacked row's bits.  The per-point loops that the stacked product
-transitions, metric check and tensor insertion replaced are kept here as the
-reference, with call counts pinning one stacked call where the loop made one
-per point or per factor read.
+transitions and metric check replaced are kept here as the reference, with
+call counts pinning one stacked call where the loop made one per point or per
+factor read.  Tensor insertion is checked against its per-eps contraction,
+with a count pinning one contraction per grid eps.
 """
 
 import collections
@@ -20,7 +21,6 @@ import pytest
 from mapnets import jets, manifold
 from mapnets.gpoints import GenPoint
 from mapnets.manifold import (
-    Atlas,
     Box,
     Chart,
     CompactRegion,
@@ -177,7 +177,7 @@ def test_check_metric_spd_makes_one_field_call_per_piece(monkeypatch):
     assert shapes == [(33 * 33, 2), (33 * 33, 2)]
 
 
-# -- tensor insertion reads the point's column --------------------------------------
+# -- tensor insertion contracts each grid eps once ----------------------------------
 
 
 def moving_point():
@@ -212,22 +212,24 @@ def ref_tensor_value(s, xis, p, eps):
     raise AssertionError("no shared chart")
 
 
-def test_tensor_insert_at_grid_eps_makes_no_point_representations_call(monkeypatch):
+def test_tensor_insert_contracts_each_grid_eps_once(monkeypatch):
     om, xi = args()
     p = moving_point()
     want = {eps: ref_tensor_value(om, [xi], p, eps) for eps in GRID.values().tolist()}
+    off_grid = 0.3
+    want_off = ref_tensor_value(om, [xi], p, off_grid)
     calls = collections.Counter()
-    reps = Atlas.representations
-    monkeypatch.setattr(Atlas, "representations", lambda self, q: calls.update(
-        [np.ndim(q.coords)]) or reps(self, q))
+    value_at = TensorSectionNet.value_at
+    monkeypatch.setattr(TensorSectionNet, "value_at", lambda self, eps, cid, x: calls.update(
+        [self.tag]) or value_at(self, eps, cid, x))
     val = tensor_insert(om, [], [xi], p, GRID)
+    assert calls == {"om": len(GRID), "xi": len(GRID)}  # one per net and grid eps
     got = {eps: val(eps) for eps in GRID.values().tolist()}
-    assert calls[1] == 0 and calls[2] == 2  # one stacked call per chart of the column
+    assert calls == {"om": len(GRID), "xi": len(GRID)}  # grid reads compute nothing
     assert [bits(got[e]) for e in want] == [bits(w) for w in want.values()]
     assert len(set(p.column(GRID).chart.tolist())) == 2
-    off_grid = 0.3
-    assert bits(val(off_grid)) == bits(ref_tensor_value(om, [xi], p, off_grid))
-    assert calls[1] == 2  # off the grid: per eps (the value, then the reference)
+    assert bits(val(off_grid)) == bits(val(off_grid)) == bits(want_off)
+    assert calls == {"om": len(GRID) + 2, "xi": len(GRID) + 2}  # off the grid: per read
 
 
 def test_a_point_at_an_eps_column_raises_also_at_a_column_of_one_row():

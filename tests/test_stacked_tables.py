@@ -25,7 +25,7 @@ from mapnets.asymptotics import EpsGrid
 from mapnets.config import Config
 from mapnets.errors import ChartEscape
 from mapnets.gallery import REGISTRY, get_atlas, get_net, get_region, list_nets
-from mapnets.gmap import MapNet, check_cbounded, scalar_net
+from mapnets.gmap import MapNet, check_cbounded, check_single_chart, scalar_net
 from mapnets.manifold import (
     Atlas,
     Box,
@@ -250,9 +250,10 @@ def test_chart_escape_names_the_first_eps_then_point(piece_eps):
     assert want is not None
     table = u.image_table(K, GRID)  # an escape is a row of the table, not a build failure
     assert str(table.escape) == want
-    with pytest.raises(ChartEscape) as exc:
-        check_cbounded(u, K, GRID, Config())
-    assert str(exc.value) == want
+    for check in (check_cbounded, check_single_chart):  # each re-raises the table's escape
+        with pytest.raises(ChartEscape) as exc:
+            check(u, K, GRID, Config())
+        assert str(exc.value) == want
 
 
 # -- one stacked call per (eps, source chart), the rest once per table ------------

@@ -14,7 +14,7 @@ from test_asymptotics import ref_sweep_sups
 from mapnets import jets
 from mapnets.asymptotics import Status, judge_moderate
 from mapnets.config import Config
-from mapnets.errors import BaseMismatch, SingleChartMissing, TypeMismatch
+from mapnets.errors import BaseMismatch, NoSharedChart, SingleChartMissing, TypeMismatch
 from mapnets.exprs import step_slope_sup
 from mapnets.gallery import get_atlas, get_net, get_region
 from mapnets.gmap import (
@@ -27,9 +27,11 @@ from mapnets.gmap import (
 )
 from mapnets.gpoints import GenNumber, GenPoint, argmax_net, gennumbers_equal, points_equal
 from mapnets.manifold import (
+    Atlas,
     BundleElement,
     LocalMap,
     Point,
+    VectorBundle,
     fiber_norm,
     region_box,
     tangent_bundle,
@@ -477,6 +479,10 @@ class TestTensorInsertion:
             tensor_insert(self.metric_like(), [], [xi], self.p(), GRID, CFG)
         with pytest.raises(TypeMismatch):
             tensor_insert(dx, [], [dx], self.p(), GRID, CFG)
+        a11 = TensorSectionNet(LINE, 1, 1, lambda eps: {
+            "e0": LocalMap(1, (1, 1), fn=lambda x: np.eye(1))}, tag="A")
+        with pytest.raises(TypeMismatch, match="one-form"):
+            tensor_insert(a11, [xi], [xi], self.p(), GRID, CFG)
         with pytest.raises(TypeMismatch):
             TensorSectionNet(LINE, 3, 2, lambda eps: {}, tag="toolarge")
 
@@ -508,6 +514,73 @@ class TestTensorInsertion:
         assert wx @ A @ vx == 6.0 and vx @ A @ wx == -2.25
         for eps in GRID.values():
             assert val(eps) == pytest.approx((1.0 + eps) * 6.0, rel=1e-15)
+
+
+TWO_LINES = get_atlas("two_lines")
+TWO_BUNDLE = trivial_bundle(TWO_LINES, 1)
+
+
+def on_line_a(value, tag):
+    """A constant field given on line a of ``two_lines`` only."""
+    return {"a.e0": LocalMap(1, (1,), fn=lambda x: np.array([value]), name=tag)}
+
+
+class TestNoSharedChart:
+    """A base point on line b of ``two_lines`` shares no chart with data given
+    on line a only."""
+
+    def over(self, chart, tag):
+        return VBPoint.constant(TWO_BUNDLE, BundleElement(chart, [0.5], [1.0]), tag=tag)
+
+    def test_vbhom_eval(self):
+        base = MapNet(TWO_LINES, TWO_LINES, lambda eps: {
+            ("a.e0", "a.e0"): LocalMap(1, (1,), fn=lambda x: x, name="id")}, tag="id_a")
+        v = VBHomNet(TWO_BUNDLE, TWO_BUNDLE, base, lambda eps: {
+            ("a.e0", "a.e0"): LocalMap(1, (1, 1), fn=lambda x: np.eye(1), name="I")}, tag="v")
+        assert v.eval(0.25, BundleElement("a.e0", [0.5], [1.0])).chart == "a.e0"
+        with pytest.raises(NoSharedChart, match="no chart pair"):
+            v.eval(0.25, BundleElement("b.e0", [0.5], [1.0]))
+
+    def test_section_element_at(self):
+        s = SectionNet(TWO_BUNDLE, lambda eps: on_line_a(2.0, "s"), tag="s_a")
+        assert s.element_at(0.25, Point("a.e0", [0.5])).xi.tolist() == [2.0]
+        with pytest.raises(NoSharedChart, match="no coefficients"):
+            s.element_at(0.25, Point("b.e0", [0.5]))
+
+    def test_align_representative(self):
+        p = GenPoint.constant(TWO_LINES, Point("b.e0", [0.5]), tag="p_b")
+        aligned = align_representative(self.over("a.e0", "e_a"), p)
+        with pytest.raises(NoSharedChart, match="share no vb-chart"):
+            aligned.at(0.25)
+
+    def test_fiber_combine(self):
+        c = fiber_combine(self.over("a.e0", "e_a"), self.over("b.e0", "e_b"),
+                          GenNumber.constant(1.0))
+        with pytest.raises(NoSharedChart, match="no common vb-chart"):
+            c.at(0.25)
+
+    def test_tensor_insert(self):
+        w = TensorSectionNet(TWO_LINES, 0, 1, lambda eps: on_line_a(1.0, "w"), tag="w")
+        xi = TensorSectionNet(TWO_LINES, 1, 0, lambda eps: on_line_a(3.0, "xi"), tag="xi")
+        p_a = GenPoint.constant(TWO_LINES, Point("a.e0", [0.5]), tag="p_a")
+        assert tensor_insert(w, [], [xi], p_a, GRID, CFG)(0.25) == 3.0
+        p_b = GenPoint.constant(TWO_LINES, Point("b.e0", [0.5]), tag="p_b")
+        with pytest.raises(NoSharedChart, match="share no chart"):
+            tensor_insert(w, [], [xi], p_b, GRID, CFG)
+
+
+class TestMissingStructure:
+    def test_tangent_norm_series_needs_metrics(self):
+        bare = Atlas(list(LINE.charts.values()), {}, name="bare")  # LINE without a metric
+        u = scalar_net(LINE, bare, lambda eps: lambda t: t, tag="u")
+        with pytest.raises(ValueError, match="needs metrics"):
+            tangent_norm_series(u, K_UNIT, GRID, CFG)
+
+    def test_rechart_without_a_vb_transition_is_none(self):
+        circle = get_atlas("circle")
+        e = BundleElement("ang0", [0.5], [1.0])
+        assert circle.rechart(e.base, "angpi") is not None
+        assert VectorBundle(circle, 1, {}).rechart(e, "angpi") is None
 
 
 class TestPerturbationRobustness:
