@@ -150,12 +150,13 @@ class ImageTable:
     it has no representation), ``source[ei, pi]`` its source chart, an index
     into ``u.src.chart_ids`` (-1 likewise).  ``escaped(ei, pi)`` is the
     ``ChartEscape`` ``u.eval`` raises at an escaped row (ei, pi), or the
-    stack's own error for a row of ``pts`` without a point, which ``image``
-    raises there, and ``escape`` that of the first escaped row in
-    (eps, point) order, else None.  The arrays are read-only, so an image
-    handed out (a view into ``coords``) cannot corrupt the table.  With a
-    ``head`` table (same net and grid), the table holds head's points first,
-    copied, and evaluates only ``pts``.
+    stack's own error for a row of ``pts`` without a point, and ``escape``
+    that of the first escaped row in (eps, point) order, else None.  ``best``
+    stacks each row's best candidate (a ``PointStack`` of E*n rows, row i the
+    image at (ei, pi) = divmod(i, n), whose error is ``escaped(ei, pi)``).
+    The arrays are read-only, so an image handed out (a view into ``best``)
+    cannot corrupt the table.  With a ``head`` table (same net and grid), the
+    table holds head's points first, copied, and evaluates only ``pts``.
     """
 
     def __init__(self, u: MapNet, pts: PointStack, eps_vals: np.ndarray,
@@ -217,22 +218,16 @@ class ImageTable:
         self.margins, self.coords, self.chart, self.source = arrays
         for arr in arrays:
             arr.flags.writeable = False
+        n = self.chart.shape[1]
+        chart = self.chart.ravel()
+        best = self.coords.reshape((len(chart),) + self.coords.shape[2:])
+        self.best = PointStack(dst, chart, best[np.arange(len(chart)), np.maximum(chart, 0)],
+                               lambda i: self.escaped(*divmod(i, n)))
 
     def image(self, eps: float, pi: int) -> Point:
         """u_eps(point pi): the best candidate, as ``u.eval`` chooses it (an
         escaped row raises its ChartEscape, ``escaped``)."""
-        ei = self.rows[eps]
-        c = self.chart[ei, pi]
-        if c < 0:
-            raise self.escaped(ei, pi)
-        return Point(self.charts[c], self.coords[ei, pi, c, :self.dims[c]])
-
-    def images(self, c: int, rows: np.ndarray) -> Point:
-        """The images at the (eps, point) mask ``rows``, in row order and all in
-        chart ``charts[c]``, as one stacked Point (or raise ``escape``)."""
-        if self.escape is not None:
-            raise self.escape.with_traceback(None)
-        return Point(self.charts[c], self.coords[:, :, c, :self.dims[c]][rows])
+        return self.best.point(self.rows[eps] * self.chart.shape[1] + pi)
 
 
 def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, call) -> list:
@@ -623,13 +618,13 @@ def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
     """d_h(u_eps(p), v_eps(p)) between the two nets' table images, each
     computed once: the (eps, sample point) array, K's lattice points first,
     then the ``trials`` extras, and the sup series of its lattice prefix.
-    One ``distance`` call per (chart of u's image, chart of v's image)."""
+    u's table escape is raised, else v's, else one ``distance`` call between
+    the two tables' ``best`` stacks."""
     g = g or u.dst.metric
     tu, tv = u.image_table(K, grid, trials, seed), v.image_table(K, grid, trials, seed)
-    dists = np.empty(tu.chart.shape)
-    for cu, cv in sorted(set(zip(tu.chart.ravel().tolist(), tv.chart.ravel().tolist()))):
-        rows = (tu.chart == cu) & (tv.chart == cv)
-        dists[rows] = distance(u.dst, g, tu.images(cu, rows), tv.images(cv, rows))
+    if escape := tu.escape or tv.escape:
+        raise escape.with_traceback(None)
+    dists = distance(u.dst, g, tu.best, tv.best).reshape(tu.chart.shape)
     pts = K.sample_points()
     lattice = dists[:, :len(pts)]
     stack = (None, np.repeat(np.arange(len(grid)), len(pts)), lattice.ravel(),

@@ -8,9 +8,10 @@ point) live here.
 
 At the eps of a grid a generalized point is read as a column
 (``manifold.PointStack``): one row per eps, a chart per row and the
-coordinates stacked.  Point evaluation builds the column of ``u(p)`` as the
-image table of p's column, and equality compares two columns with one
-distance call per chart pair and one stacked ``rechart`` per chart.
+coordinates stacked.  Point evaluation takes the column of ``u(p)`` from the
+image table of p's column (``ImageTable.best``), equality compares two
+columns with one ``distance`` call and one stacked ``rechart`` per chart,
+and a record reads the column's rows.
 
 Witness falsification is always relative to the probed region: the compact
 set in the uniqueness statement is not canonical, so the searcher takes K
@@ -98,10 +99,11 @@ class GenPoint:
                    tag=tag)
 
     def as_record(self, grid: EpsGrid) -> dict:
+        col = self.column(grid)
         return {
             "support": self.support.as_record(),
-            "samples": [dict(eps=float(e), **self.at(e).as_record())
-                        for e in grid.values()],
+            "samples": [dict(eps=float(e), **col.point(ei).as_record())
+                        for ei, e in enumerate(grid.values())],
         }
 
 
@@ -174,23 +176,14 @@ def points_equal(p: GenPoint, q: GenPoint, g: Optional[RiemannianMetric] = None,
     Also computed: the chart-coordinate route (coordinate differences per
     chart, sampled only where both points co-locate); both routes are
     reported and flagged when their statuses disagree.  Both read the two
-    points' columns: one distance call per (p chart, q chart) and one
-    stacked ``rechart`` per chart of each column.  A failure raises what an
-    eps loop over the rows raises first.
+    points' columns: one ``distance`` call between them (a failure raises
+    what an eps loop over the rows raises first) and one stacked
+    ``rechart`` per chart of each column.
     """
     grid = grid or cfg.grid()
     atlas = p.atlas
-    g = g or atlas.metric
-    d = np.empty(len(grid))
-    try:
-        cp, cq = p.column(grid), q.column(grid)
-        for a, b in sorted(set(zip(cp.chart.tolist(), cq.chart.tolist()))):
-            rows = (cp.chart == a) & (cq.chart == b)
-            d[rows] = distance(atlas, g, cp.stack(a, rows), cq.stack(b, rows))
-    except Exception:
-        for eps in grid.values():  # raise what an eps loop raises first (an earlier OutOfDomain)
-            distance(atlas, g, p.at(eps), q.at(eps))
-        raise
+    cp, cq = p.column(grid), q.column(grid)
+    d = distance(atlas, g or atlas.metric, cp, cq)
     d_series = sweep_stacks(grid, [(None, np.arange(len(d)), d, lambda _i: None)], cfg.zero_tol,
                             lambda _key: f"d({p.tag},{q.tag})")[None]
     metric_verdict = judge_negligible(d_series, cfg.m_probe, cfg.r2_min, floor=cfg.zero_tol)
@@ -224,33 +217,34 @@ def eval_at(u: MapNet, p: GenPoint, grid: Optional[EpsGrid] = None,
             cfg: Config = DEFAULT_CONFIG) -> GenPoint:
     """Point evaluation eps -> u_eps(p_eps); support is the image region.
 
-    Requires u to be c-bounded on the point's support; otherwise the values
-    have no compact home and SupportEscape is raised.  The column of the
-    result (``GenPoint.column``) is the image table of p's column, a table
-    of one column (``ImageTable``): one stacked ``u.at`` call per source
-    chart at u's eps column, each row's candidate chosen as ``u.eval``
-    chooses it.  A row whose image escapes every chart raises u.eval's
-    ChartEscape when it is read, and a row where p raised raises p's error;
-    at an eps off the grid, ``at`` calls ``u.eval``.
+    Requires u to be c-bounded on the point's support (``_image_support``).
+    The column of the result (``GenPoint.column``) is the ``best`` stack of
+    the image table of p's column, a table of one column (``ImageTable``):
+    one stacked ``u.at`` call per source chart at u's eps column, each row's
+    candidate chosen as ``u.eval`` chooses it.  A row whose image escapes
+    every chart raises u.eval's ChartEscape when it is read, and a row where
+    p raised raises p's error; at an eps off the grid, ``at`` calls ``u.eval``.
     """
     grid = grid or cfg.grid()
+    rep = _image_support(u, p, grid, cfg)
+    table = ImageTable(u, p.column(grid), grid.values(), column=True)
+
+    def at(eps: float) -> Point:
+        return table.image(eps, 0) if eps in table.rows else u.eval(eps, p.at(eps))
+
+    out = GenPoint(u.dst, at, rep.K_image, eps0=min(p.eps0, rep.eps0), tag=f"{u.tag}({p.tag})")
+    out._columns[grid] = table.best
+    return out
+
+
+def _image_support(u: MapNet, p: GenPoint, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG):
+    """u's c-boundedness report on p's support (K_image: u(p)'s), or SupportEscape."""
     rep = check_cbounded(u, p.support, grid, cfg)
     if rep.status is not Status.PASS or rep.K_image is None:
         w = rep.witness.as_record() if rep.witness else None
         raise SupportEscape(
             f"{u.tag!r} is not c-bounded on support of {p.tag!r} (witness: {w})")
-    table = ImageTable(u, p.column(grid), grid.values(), column=True)
-    chart = table.chart[:, 0]
-    image = PointStack(u.dst, chart, table.coords[np.arange(len(chart)), 0, np.maximum(chart, 0)],
-                       lambda ei: table.escaped(ei, 0))
-
-    def at(eps: float) -> Point:
-        ei = table.rows.get(eps)
-        return u.eval(eps, p.at(eps)) if ei is None else image.point(ei)
-
-    out = GenPoint(u.dst, at, rep.K_image, eps0=min(p.eps0, rep.eps0), tag=f"{u.tag}({p.tag})")
-    out._columns[grid] = image
-    return out
+    return rep
 
 
 def separate_by_points(u: MapNet, v: MapNet, K: CompactRegion,

@@ -716,13 +716,29 @@ class RiemannianMetric:
         return G[0] if single else G
 
 
-def distance(atlas: Atlas, g: Optional[RiemannianMetric], p: Point, q: Point,
-             region: Optional["CompactRegion"] = None, density: int = 17):
+def distance(atlas: Atlas, g: Optional[RiemannianMetric], p: Point | PointStack,
+             q: Point | PointStack, region: Optional["CompactRegion"] = None, density: int = 17):
     """Riemannian distance; inf iff p, q lie in different components.  A
     point pair gives a float, two stacked Points of equal length the (N,)
     distances from one ``g.analytic`` call (a point is the one-row stack).
     The first row (p's before q's) outside its chart raises ``OutOfDomain``;
-    without a metric (g None), a ValueError."""
+    without a metric (g None), a ValueError.  Two ``PointStack``s of equal
+    length give the (N,) distances from one stacked call per (p chart,
+    q chart); if one raises, the row loop ``distance(p.point(i), q.point(i))``
+    raises its first error."""
+    if isinstance(p, PointStack):
+        if len(p.chart) != len(q.chart):
+            raise ValueError(f"distance between stacks of {len(p.chart)} and {len(q.chart)} points")
+        d = np.empty(len(p.chart))
+        try:
+            for a, b in sorted(set(zip(p.chart.tolist(), q.chart.tolist()))):
+                rows = (p.chart == a) & (q.chart == b)
+                d[rows] = distance(atlas, g, p.stack(a, rows), q.stack(b, rows), region, density)
+        except Exception:
+            for i in range(len(d)):
+                distance(atlas, g, p.point(i), q.point(i), region, density)
+            raise
+        return d
     if g is None:
         raise ValueError(f"atlas {atlas.name!r} has no metric")
     (P, single), (Q, _) = point_rows(p.coords), point_rows(q.coords)
@@ -1017,6 +1033,11 @@ class BundleElement:
     @property
     def base(self) -> Point:
         return Point(self.chart, self.x)
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The base coordinates x, so an element reads as its base point."""
+        return self.x
 
 
 @dataclass

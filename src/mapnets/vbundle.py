@@ -5,9 +5,11 @@ over the fibers is structural rather than checked.  The tangent map T(u) of
 a map net u has u itself as its base net, and the Jacobian fields of u's
 representatives as its matrix fields: its checks read u's image tables and,
 for a net with eps columns, take the matrix parts at u's eps columns too.
-Point evaluation of sections and homomorphisms, the module structure on
-bundle points over a fixed generalized base point, and pointwise tensor
-insertion reduce to per-eps chart algebra plus the asymptotic judges.
+A vb-point is a ``GenPoint`` of the bundle's base, read as its base column.
+Its fibers, point evaluation of sections and homomorphisms, the module
+structure on bundle points over a fixed generalized base point, and
+pointwise tensor insertion reduce to per-eps chart algebra plus the
+asymptotic judges.
 
 ``vbhom_compose`` is ``compose`` on the base nets plus the matrix products
 along the routes the base points take, one stacked product per route.
@@ -51,7 +53,7 @@ from .gmap import (
     _gap_tensors,
     _merge_l_prime,
 )
-from .gpoints import GenNumber, GenPoint, argmax_net, points_equal
+from .gpoints import GenNumber, GenPoint, _image_support, argmax_net, points_equal
 from .manifold import (
     Atlas,
     BundleElement,
@@ -232,33 +234,15 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
 # ======================================================================
 
 
-class VBPoint:
-    """eps-net of bundle elements: compactly supported base, recorded growth."""
+class VBPoint(GenPoint):
+    """eps-net of bundle elements: a ``GenPoint`` of ``bundle.base`` (an element
+    reads as its base point), built by GenPoint's constructors with the bundle
+    for the atlas; the fibers' growth is recorded, never enforced."""
 
     def __init__(self, bundle: VectorBundle, at: Callable[[float], BundleElement],
                  support: CompactRegion, eps0: float = 1.0, tag: str = ""):
+        super().__init__(bundle.base, at, support, eps0, tag)
         self.bundle = bundle
-        self.at = at
-        self.support = support
-        self.eps0 = eps0
-        self.tag = tag
-
-    @classmethod
-    def constant(cls, bundle: VectorBundle, e: BundleElement, pad: float = 0.05,
-                 tag: str = "") -> "VBPoint":
-        from .manifold import Box
-
-        support = CompactRegion([(e.chart, Box(e.x - pad, e.x + pad))])
-        return cls(bundle, lambda eps: e, support, tag=tag or "const")
-
-    @classmethod
-    def from_fn(cls, bundle: VectorBundle, fn: Callable[[float], BundleElement],
-                support: CompactRegion, eps0: float = 1.0, tag: str = "") -> "VBPoint":
-        return cls(bundle, fn, support, eps0, tag)
-
-    def base_point(self) -> GenPoint:
-        return GenPoint(self.bundle.base, lambda eps: self.at(eps).base,
-                        self.support, self.eps0, tag=f"base({self.tag})")
 
     def norm_series(self, grid: EpsGrid, cfg: Config = DEFAULT_CONFIG) -> SupSeries:
         norms = np.array([fiber_norm(self.bundle, self.at(e)) for e in grid.values()])
@@ -297,7 +281,7 @@ def vbpoints_equal(e: VBPoint, e2: VBPoint, grid: Optional[EpsGrid] = None,
     """Equality of vb-points: equal base nets and negligible fiber-coordinate
     differences wherever the bases co-locate in a vb-chart."""
     grid = grid or cfg.grid()
-    base_v = points_equal(e.base_point(), e2.base_point(), grid=grid, cfg=cfg)
+    base_v = points_equal(e, e2, grid=grid, cfg=cfg)  # the base columns
 
     eis, gaps = [], []
     for ei, eps in enumerate(grid.values()):
@@ -437,16 +421,16 @@ def vbhom_eval(v: VBHomNet, e: VBPoint, grid: Optional[EpsGrid] = None,
     """Apply a vb-homomorphism net to a vb-point.
 
     Requires the base net to satisfy the single-target-chart condition on
-    the point's support (the hypothesis that makes the value well-defined).
+    the point's support (the hypothesis that makes the value well-defined),
+    and c-boundedness there, as ``eval_at`` does: the value's support is the image.
     """
     grid = grid or cfg.grid()
     sc = check_single_chart(v.base_net, e.support, grid, cfg)
     if sc.status is not Status.PASS:
         raise SingleChartMissing(
             f"base of {v.tag!r} fails the single-chart condition on support of {e.tag!r}")
-    rep = check_cbounded(v.base_net, e.support, grid, cfg)
-    support = rep.K_image if rep.K_image is not None else e.support
-    return VBPoint(v.dst, lambda eps: v.eval(eps, e.at(eps)), support,
+    rep = _image_support(v.base_net, e, grid, cfg)
+    return VBPoint(v.dst, lambda eps: v.eval(eps, e.at(eps)), rep.K_image,
                    eps0=min(e.eps0, rep.eps0), tag=f"{v.tag}({e.tag})")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from test_asymptotics import ref_sweep_sups
 
-from mapnets import gmap, gpoints, jets
+from mapnets import gmap, jets, manifold
 from mapnets.asymptotics import (
     Status,
     SupSeries,
@@ -467,7 +467,7 @@ class TestSweepsAndCacheKey:
                                                             trials, equivalent):
         calls = collections.Counter()
 
-        def counting(atlas, g, p, q, *args, **kwargs):  # each (p, q) row of a stack once
+        def counting(atlas, g, p, q, *args, **kwargs):  # each row of a chart pair's call once
             for x, y in zip(p.coords.reshape(-1, p.coords.shape[-1]),
                             q.coords.reshape(-1, q.coords.shape[-1])):
                 calls[(p.chart, x.tobytes(), q.chart, y.tobytes())] += 1
@@ -476,10 +476,9 @@ class TestSweepsAndCacheKey:
         def no_equiv0(*args, **kwargs):
             raise AssertionError("separate_by_points ran check_equiv0")
 
-        for module in (gmap, gpoints):
-            monkeypatch.setattr(module, "distance", counting)
-            if hasattr(module, "check_equiv0"):
-                monkeypatch.setattr(module, "check_equiv0", no_equiv0)
+        # the stacked-Point calls ``distance`` makes per chart pair of two columns
+        monkeypatch.setattr(manifold, "distance", counting)
+        monkeypatch.setattr(gmap, "check_equiv0", no_equiv0)
         u, v = fresh_pair()
         if equivalent:
             v = scalar_net(get_atlas("line"), get_atlas("line"),
@@ -502,7 +501,8 @@ class TestSweepsAndCacheKey:
             pairs[p.chart, q.chart] += 1
             return distance(atlas, g, p, q, *args, **kwargs)
 
-        monkeypatch.setattr(gmap, "distance", counting)
+        # the stacked-Point calls ``distance`` makes per chart pair of the tables' columns
+        monkeypatch.setattr(manifold, "distance", counting)
         metric_gap_series(u, v, K, u.dst.metric, GRID, CFG)
         present = {(tu.charts[a], tv.charts[b]) for a, b in zip(tu.chart.ravel(), tv.chart.ravel())}
         assert set(pairs) == present and set(pairs.values()) == {1}

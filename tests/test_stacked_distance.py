@@ -2,8 +2,9 @@
 
 ``distance`` takes two stacked Points of equal length (one chart each, coords
 ``(N, dim)``) and makes one ``g.analytic`` call for all N rows; a point pair
-is the one-row stack.  ``gmap._distance_sweep`` makes one such call per
-(chart of u's image, chart of v's image).  The ``ref_*`` functions below are
+is the one-row stack.  Two ``PointStack``s (rows in charts of their own)
+take one such call per (p chart, q chart) pair, and ``gmap._distance_sweep``
+takes the distance of its two image tables' stacks.  The ``ref_*`` functions below are
 the per-point analytic distances as they were before they took stacks; every
 test requires each stacked row to equal them bit for bit.  The matmul norm
 behind the flat distance and the sphere's chord is checked against per-row
@@ -21,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_image_table import CFG, CHART_PAIRS, GRID
 
-from mapnets import gmap, jets
+from mapnets import gmap, jets, manifold
 from mapnets.errors import ChartEscape, OutOfDomain
 from mapnets.gmap import metric_gap_series, scalar_net
 from mapnets.manifold import (
     Atlas,
     LocalMap,
     Point,
+    PointStack,
     RiemannianMetric,
     circle_atlas,
     disjoint_union,
@@ -189,6 +191,12 @@ def test_union_rows_across_components_are_inf():
     got = distance(atlas, atlas.metric, P, same)
     assert [bits(d) for d in got] == [bits(ref(Point(P.chart, x), Point(same.chart, y)))
                                       for x, y in zip(P.coords, same.coords)]
+    # two columns, rows in charts of their own
+    P = [Point("a.ang0", [0.5]), Point("b.e0", [1.0]), Point("a.angpi", [2.0])]
+    Q = [Point("b.e0", [0.5]), Point("b.e0", [-1.0]), Point("a.ang0", [0.1])]
+    got = distance(atlas, atlas.metric, PointStack.of(atlas, P), PointStack.of(atlas, Q))
+    assert got[0] == math.inf and got[1] == 2.0
+    assert [bits(d) for d in got] == [bits(ref(p, q)) for p, q in zip(P, Q)]
 
 
 def test_product_of_a_union_with_a_line_is_inf_across_components():
@@ -436,19 +444,81 @@ def test_stacks_of_different_lengths_are_refused():
     with pytest.raises(ValueError, match="stacks of 2 and 3 points"):
         distance(LINE, LINE.metric, Point("e0", [[0.0], [1.0]]),
                  Point("e0", [[0.0], [1.0], [2.0]]))
+    with pytest.raises(ValueError, match="stacks of 2 and 3 points"):
+        distance(LINE, LINE.metric, PointStack.of(LINE, [Point("e0", [0.0])] * 2),
+                 PointStack.of(LINE, [Point("e0", [0.0])] * 3))
+
+
+# -- two columns: one stacked call per chart pair, the row loop's first error --
+
+
+@st.composite
+def mixed_columns(draw, atlas):
+    """(P, Q): two lists of Points of one length, each row in a chart of its own."""
+    n = draw(st.integers(1, 8))
+    return tuple([Point(c, draw(chart_coords(atlas.chart(c))))
+                  for c in draw(st.lists(st.sampled_from(atlas.chart_ids), min_size=n,
+                                         max_size=n))] for _ in range(2))
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere", "multichart", "union"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mixed_chart_columns_equal_the_row_distances(name, data):
+    atlas = CASES[name][0]
+    P, Q = data.draw(mixed_columns(atlas))
+    got = distance(atlas, atlas.metric, PointStack.of(atlas, P), PointStack.of(atlas, Q))
+    assert [bits(d) for d in got] == [bits(distance(atlas, atlas.metric, p, q))
+                                      for p, q in zip(P, Q)]
+
+
+def column(atlas, pts, errors=None):
+    """The stack of pts, a row None raising ``errors[i]``."""
+    return PointStack.of(atlas, pts, lambda i: errors[i])
+
+
+def test_columns_raise_the_first_error_of_the_row_loop():
+    multi = CASES["multichart"][0]  # c0: (-5, 1) x (-3, 3), c1: (-1, 5) x (-3, 3)
+    ok, bad_c0, bad_c1 = Point("c0", [0.0, 0.0]), Point("c0", [4.0, 0.0]), Point("c1", [9.0, 0.0])
+    # q's error at row 1 comes before p's at row 2, although p's chart pair sorts first
+    P = column(multi, [Point("c1", [0.0, 0.0]), Point("c1", [0.5, 0.0]), None],
+               {2: KeyError("p at 2")})
+    Q = column(multi, [ok, None, ok], {1: KeyError("q at 1")})
+    with pytest.raises(KeyError, match="q at 1"):
+        distance(multi, multi.metric, P, Q)
+    # OutOfDomain of p before q in one row; the bad row of pair (c0, c0) comes later
+    for p0, q0, want in ((bad_c1, bad_c0, "Point(c1, [9. 0.])"),
+                         (Point("c1", [0.0, 0.0]), Point("c0", [3.0, 0.0]),
+                          "Point(c0, [3. 0.])")):
+        P, Q = column(multi, [p0, bad_c0]), column(multi, [q0, ok])
+        with pytest.raises(OutOfDomain) as got:
+            distance(multi, multi.metric, P, Q)
+        assert str(got.value) == f"invalid point {want}"
+    # without a metric, a row-0 point error comes first, then the missing metric
+    P = column(LINE, [None, Point("e0", [0.0])], {0: ZeroDivisionError("p at 0")})
+    Q = column(LINE, [Point("e0", [0.0])] * 2)
+    with pytest.raises(ZeroDivisionError, match="p at 0"):
+        distance(LINE, None, P, Q)
+    with pytest.raises(ValueError, match="has no metric"):
+        distance(LINE, None, Q, Q)
 
 
 def test_sweep_raises_u_escape_before_v_escape(monkeypatch):
+    """Also when v's image escapes at an earlier eps than u's (``late``
+    escapes only at small eps), where the row loop would raise v's."""
     box = euclidean_atlas([(-1.0, 1.0)])
     u = scalar_net(LINE, box, lambda eps: lambda t: 5.0 + t, tag="far")
     v = scalar_net(LINE, box, lambda eps: lambda t: 7.0 + t, tag="farther")
+    late = scalar_net(LINE, box, lambda eps: lambda t: (5.0 if eps < 2.0**-5 else 0.0) + 0.5 * t,
+                      tag="late")
     K = region_box("e0", [-1.0], [1.0], density=5)
+    assert late.image_table(K, GRID).chart[0].min() >= 0  # no escape at the first eps
     monkeypatch.setattr(gmap, "distance", lambda *a, **k: pytest.fail("a distance was taken"))
-    for a, b in ((u, v), (v, u)):
+    for a, b in ((u, v), (v, u), (late, v)):
         with pytest.raises(ChartEscape) as got:
             metric_gap_series(a, b, K, None, GRID, CFG)
         assert str(got.value) == str(a.image_table(K, GRID).escape)
-    assert str(u.image_table(K, GRID).escape) != str(v.image_table(K, GRID).escape)
+    assert len({str(n.image_table(K, GRID).escape) for n in (u, v, late)}) == 3
 
 
 # -- the sweep: one stacked call per chart pair, the per-point formulas' rows ---
@@ -468,7 +538,7 @@ def test_sweep_rows_equal_the_per_point_formulas(monkeypatch, name):
         calls[p.chart, q.chart] += 1
         return distance(atlas, g, p, q, *args, **kwargs)
 
-    monkeypatch.setattr(gmap, "distance", counting)
+    monkeypatch.setattr(manifold, "distance", counting)  # the per-chart-pair calls
     _series, dists = gmap._distance_sweep(u, v, K, None, GRID, CFG)
     want = [[bits(ref(tu.image(eps, pi), tv.image(eps, pi))) for pi in range(dists.shape[1])]
             for eps in GRID.values()]

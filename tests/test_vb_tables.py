@@ -226,7 +226,7 @@ def test_points_equal_evaluates_each_point_once_per_eps(monkeypatch, cfg):
         groups.append((a.chart, b.chart))
         return dist(atlas, g, a, b, *args)
 
-    monkeypatch.setattr("mapnets.gpoints.distance", counting)
+    monkeypatch.setattr("mapnets.manifold.distance", counting)  # the per-chart-pair calls
     v = points_equal(counted(up, log_p), counted(uq, log_q), grid=GRID, cfg=cfg)
     assert log_p == log_q == GRID.values().tolist()
     assert len(groups) == len(set(groups))  # one call per (p chart, q chart)

@@ -14,13 +14,22 @@ from test_asymptotics import ref_sweep_sups
 from mapnets import jets
 from mapnets.asymptotics import Status, judge_moderate
 from mapnets.config import Config
-from mapnets.errors import BaseMismatch, NoSharedChart, SingleChartMissing, TypeMismatch
+from mapnets.errors import (
+    BaseMismatch,
+    MarginTooSmall,
+    NoSharedChart,
+    SingleChartMissing,
+    SupportEscape,
+    TypeMismatch,
+)
 from mapnets.exprs import step_slope_sup
 from mapnets.gallery import get_atlas, get_net, get_region
 from mapnets.gmap import (
     MapNet,
+    check_cbounded,
     check_equiv,
     check_moderate,
+    check_single_chart,
     compose,
     sample_points,
     scalar_net,
@@ -216,6 +225,25 @@ class TestVBPoints:
         e = VBPoint(R_BUNDLE, lambda eps: BundleElement("e0", [0.0], [1.0 / eps]), supp)
         assert e.growth(GRID, CFG).slope == pytest.approx(-1.0, abs=0.05)
 
+    def test_constructors_keep_support_eps0_and_tag(self):
+        e = VBPoint.constant(R_BUNDLE, BundleElement("e0", [0.5], [1.0]), pad=0.25, tag="c")
+        assert (e.bundle, e.atlas, e.eps0, e.tag) == (R_BUNDLE, LINE, 1.0, "c")
+        assert e.support.as_record() == region_box("e0", [0.25], [0.75]).as_record()
+        assert VBPoint.constant(R_BUNDLE, BundleElement("e0", [0.2], [1.0])).tag == "const"
+        supp = region_box("e0", [-0.5], [0.5])
+        f = VBPoint.from_fn(R_BUNDLE, lambda eps: BundleElement("e0", [eps], [2.0]), supp,
+                            eps0=0.125, tag="f")
+        assert (type(f), f.bundle, f.support, f.eps0, f.tag) == (VBPoint, R_BUNDLE, supp,
+                                                                 0.125, "f")
+        assert f.at(0.25).xi.tolist() == [2.0]
+
+    def test_the_column_is_the_base_column(self):
+        supp = region_box("e0", [-0.5], [0.5])
+        e = VBPoint(R_BUNDLE, lambda eps: BundleElement("e0", [eps], [1.0 / eps]), supp, tag="e")
+        p = GenPoint(LINE, lambda eps: Point("e0", [eps]), supp, tag="p")
+        assert e.as_record(GRID) == p.as_record(GRID)
+        assert e.column(GRID).coords.tobytes() == p.column(GRID).coords.tobytes()
+
 
 class TestAlignAndCombine:
     def test_align_identity_when_already_aligned(self):
@@ -398,6 +426,20 @@ class TestVBHomEval:
             assert fiber_norm(out.bundle, out.at(eps)) == pytest.approx(
                 math.pi * step_slope_sup(eps), rel=1e-10)
         assert out.growth(GRID, CFG).slope == pytest.approx(-1.0, abs=0.05)
+
+    def test_a_base_net_not_cbounded_on_the_support_raises_support_escape(self):
+        """Single-chart but not c-bounded: the value has no support in the
+        target's base atlas (the source support does not lie in it)."""
+        line, interval = get_atlas("line"), get_atlas("interval02")
+        u = scalar_net(line, interval, lambda eps: (lambda t: 1.985 + 0.001 * t)
+                       if eps > 2**-10 else (lambda t: 1.0 + 0.5 * t), tag="late_jump")
+        e = VBPoint.constant(tangent(u).src, BundleElement("e0", [0.0], [1.0]), tag="e")
+        assert check_single_chart(u, e.support, GRID, CFG).status is Status.PASS
+        assert check_cbounded(u, e.support, GRID, CFG).status is Status.INCONCLUSIVE
+        with pytest.raises(MarginTooSmall):
+            e.support.validate(interval)
+        with pytest.raises(SupportEscape, match="not c-bounded on support of 'e'"):
+            vbhom_eval(tangent(u), e, GRID, CFG)
 
     def test_single_chart_precondition(self):
         tw = tangent(get_net("winder"))
