@@ -421,8 +421,6 @@ def conjunction(parts: dict[str, Verdict], notes: str = "") -> Verdict:
     """
     if not parts:
         raise ValueError("conjunction of no verdicts")
-    status = Status.PASS
-    witness = None
     worst: Optional[OrderEstimate] = None
     worst_series = None
     n_or_m = None
@@ -433,13 +431,9 @@ def conjunction(parts: dict[str, Verdict], notes: str = "") -> Verdict:
                 worst_series = v.series
             if v.estimate.n_or_m is not None:
                 n_or_m = v.estimate.n_or_m if n_or_m is None else max(n_or_m, v.estimate.n_or_m)
-    for v in parts.values():
-        if v.status is Status.FAIL and witness is None:
-            witness = v.witness
-    if any(v.status is Status.FAIL for v in parts.values()):
-        status = Status.FAIL
-    elif any(v.status is Status.INCONCLUSIVE for v in parts.values()):
-        status = Status.INCONCLUSIVE
+    status = next(s for s in (Status.FAIL, Status.INCONCLUSIVE, Status.PASS)
+                  if any(v.status is s for v in parts.values()))
+    witness = next((v.witness for v in parts.values() if v.status is Status.FAIL), None)
     if worst is not None and n_or_m is not None:
         worst = OrderEstimate(worst.slope, worst.r2, worst.window, n_or_m)
     return Verdict(status, estimate=worst, witness=witness, notes=notes,

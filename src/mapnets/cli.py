@@ -359,58 +359,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="asymptotic verdicts for eps-nets of maps between chart atlases")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    for name in ("check-cbounded", "check-moderate", "check-single-chart"):
+    req = {"required": True}
+    commands = {  # the record-writing subcommands: name -> (run, {flag: argparse options})
+        **{name: (_check, {"--net": req, "--region": req})
+           for name in ("check-cbounded", "check-moderate", "check-single-chart")},
+        **{name: (_equiv, {"--net": req, "--net2": req, "--region": req})
+           for name in ("check-equiv", "check-equiv0")},
+        "eval-point": (_eval_point, {"--net": req, "--point": req}),
+        "compose": (_compose, {"--outer": req, "--inner": req, "--region": {}, "--point": {}}),
+        "tangent": (_vb_check, {"--net": req, "--region": req}),
+        "vb-check": (_vb_check, {"--net": req, "--net2": {}, "--region": req,
+                                 "--order0": {"action": "store_true"}}),
+        "vb-eval": (_vb_eval, {"--net": req, "--point": req, "--fiber": {"default": "[1.0]"}}),
+        "tensor-insert": (_tensor_insert, {
+            "--atlas": {"default": "line"}, "--point": req,
+            "--tensor": {**req, "help": "expression spec (JSON)"},
+            "--r": {"type": int, "default": 0}, "--s": {"type": int, "default": 1},
+            "--omega": {"action": "append"}, "--xi": {"action": "append"}}),
+    }
+    for name, (run, flags) in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--net", required=True)
-        p.add_argument("--region", required=True)
-        _add_config_flags(p, _check)
-
-    for name in ("check-equiv", "check-equiv0"):
-        p = sub.add_parser(name)
-        p.add_argument("--net", required=True)
-        p.add_argument("--net2", required=True)
-        p.add_argument("--region", required=True)
-        _add_config_flags(p, _equiv)
-
-    p = sub.add_parser("eval-point")
-    p.add_argument("--net", required=True)
-    p.add_argument("--point", required=True)
-    _add_config_flags(p, _eval_point)
-
-    p = sub.add_parser("compose")
-    p.add_argument("--outer", required=True)
-    p.add_argument("--inner", required=True)
-    p.add_argument("--region")
-    p.add_argument("--point")
-    _add_config_flags(p, _compose)
-
-    p = sub.add_parser("tangent")
-    p.add_argument("--net", required=True)
-    p.add_argument("--region", required=True)
-    _add_config_flags(p, _vb_check)
-
-    p = sub.add_parser("vb-check")
-    p.add_argument("--net", required=True)
-    p.add_argument("--net2")
-    p.add_argument("--region", required=True)
-    p.add_argument("--order0", action="store_true")
-    _add_config_flags(p, _vb_check)
-
-    p = sub.add_parser("vb-eval")
-    p.add_argument("--net", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--fiber", default="[1.0]")
-    _add_config_flags(p, _vb_eval)
-
-    p = sub.add_parser("tensor-insert")
-    p.add_argument("--atlas", default="line")
-    p.add_argument("--point", required=True)
-    p.add_argument("--tensor", required=True, help="expression spec (JSON)")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--omega", action="append")
-    p.add_argument("--xi", action="append")
-    _add_config_flags(p, _tensor_insert)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        _add_config_flags(p, run)
 
     p = sub.add_parser("gallery")
     p.add_argument("action", choices=["list", "run"])

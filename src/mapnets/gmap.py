@@ -54,7 +54,7 @@ from .manifold import (
     SmoothMap,
     best_candidates,
     distance,
-    fd_tree,
+    fd_tensors,
     point_rows,
     tensor_norm,
 )
@@ -308,8 +308,8 @@ class ChainedLocalMap(LocalMap):
     each row of a stack takes the first route that admits it (``_routed``);
     a point is a one-row stack.  Derivatives: exact jet chaining when both
     factors carry expressions, through the route's jet-chained map built
-    once here, else the first-order chain rule, and beyond it nested finite
-    differences of chain-rule tensors over one stencil tree (``fd_tree``).
+    once here, else the first-order chain rule, and beyond it central
+    differences of chain-rule tensors on one grid per row (``fd_tensors``).
     With a factor at an eps column the map carries that ``eps_column`` and
     takes only whole stacks of its rows (see ``_routed``).
     """
@@ -386,8 +386,9 @@ class ChainedLocalMap(LocalMap):
         """Tensors of orders 0..k_max at a point or at every row of a stack,
         each row by its own route (``_routed``, ValueError where a row has
         none): the rows of a route that chains two expressions take one
-        stacked call of its jet-chained map, all other rows share one stencil
-        tree over ``_chain_jacobians``.  Results come back in row order."""
+        stacked call of its jet-chained map, all other rows share one
+        ``_chain_jacobians`` call on their grids (``fd_tensors``).  Results
+        come back in row order."""
         P, single = point_rows(x)
         ts = [np.empty((len(P),) + self.out_shape + (self.in_dim,) * k)
               for k in range(k_max + 1)]
@@ -401,7 +402,8 @@ class ChainedLocalMap(LocalMap):
                     t[rows] = got
         if fd_rows:
             rows = np.sort(np.concatenate(fd_rows))
-            for t, got in zip(ts[1:], fd_tree(self._chain_jacobians, P[rows], k_max - 1)):
+            values = lambda _Q: ts[0][rows]  # the routes' values, read above
+            for t, got in zip(ts, fd_tensors(values, self._chain_jacobians, P[rows], k_max)):
                 t[rows] = got
         return [t[0] for t in ts] if single else ts
 
@@ -687,11 +689,11 @@ def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
 
     When both oracles are exact through order k_max, subtract exact tensors.
     Otherwise differentiate the gap itself, which keeps stencil noise
-    proportional to the gap rather than to the operands: one stencil tree
-    whose leaf is the stacked difference ``ru._values(Q) - rv._values(Q)``
-    (an expression's order-0 jet), or beyond order 0 the stacked difference
+    proportional to the gap rather than to the operands: central differences
+    (``fd_tensors``) of the stacked difference ``ru._values(Q) - rv._values(Q)``
+    (an expression's order-0 jet), or beyond order 0 of the stacked difference
     of their ``jac`` values when both maps carry one.  At an eps column the
-    tree's levels are no stacks of the column's rows, so the tree raises
+    grids' rows are no stack of the column's rows, so the gap raises
     DerivativeUndefined and a sweep takes one eps at a time (``_eps_rows``).
     """
     if min(ru.exact_order, rv.exact_order) >= k_max:
@@ -703,14 +705,12 @@ def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
         return diffs
 
     values = lambda Q: ru._values(Q) - rv._values(Q)
-    jacobians = lambda Q: ru._jacobians(Q) - rv._jacobians(Q)
+    jacobians = (None if ru.jac is None or rv.jac is None
+                 else lambda Q: ru._jacobians(Q) - rv._jacobians(Q))
 
     def gap(x):
         P, single = point_rows(x)
-        if ru.jac is None or rv.jac is None:
-            ts = fd_tree(values, P, k_max)
-        else:
-            ts = [values(P)] + fd_tree(jacobians, P, k_max - 1)
+        ts = fd_tensors(values, jacobians, P, k_max)
         return [t[0] for t in ts] if single else ts
 
     return gap

@@ -60,6 +60,7 @@ class GenPoint:
         self.eps0 = eps0
         self.tag = tag
         self._columns: dict = {}
+        self._read: dict = {}  # grid -> the values ``column`` read (None where ``at`` raised)
 
     def column(self, grid: EpsGrid) -> PointStack:
         """The values at the grid eps, read once per grid: one row per eps.
@@ -73,6 +74,7 @@ class GenPoint:
                 except Exception as exc:  # raised where row ei is read, as by ``at``
                     pts.append(None)
                     errors[ei] = exc, exc.__traceback__
+            self._read[grid] = pts
             self._columns[grid] = PointStack.of(
                 self.atlas, pts, lambda i: errors[i][0].with_traceback(errors[i][1]))
         return self._columns[grid]
@@ -203,14 +205,11 @@ def points_equal(p: GenPoint, q: GenPoint, g: Optional[RiemannianMetric] = None,
     chart_verdict = (conjunction(chart_parts, notes="chart route") if chart_parts
                      else Verdict(Status.INCONCLUSIVE, notes="points never co-located"))
 
-    notes = ""
-    if chart_verdict.status is not Status.INCONCLUSIVE and \
-            chart_verdict.status is not metric_verdict.status:
-        notes = "route disagreement: metric vs chart"
-    out = Verdict(metric_verdict.status, estimate=metric_verdict.estimate,
-                  witness=metric_verdict.witness, notes=notes, series=d_series)
-    out.details = {"metric": metric_verdict, "chart": chart_verdict}
-    return out
+    disagree = chart_verdict.status not in (Status.INCONCLUSIVE, metric_verdict.status)
+    return Verdict(metric_verdict.status, estimate=metric_verdict.estimate,
+                   witness=metric_verdict.witness, series=d_series,
+                   notes="route disagreement: metric vs chart" if disagree else "",
+                   details={"metric": metric_verdict, "chart": chart_verdict})
 
 
 def eval_at(u: MapNet, p: GenPoint, grid: Optional[EpsGrid] = None,

@@ -23,28 +23,28 @@ of a non-finite angle is NaN, so an overflowing angle chart gives an
 overflowing sup, not an error; it has one numpy body, which a float angle
 runs as a one-element array.
 
-For maps without an expression form, nested 4th-order central differences
-are the fallback, one stencil-tree level at a time (``manifold.fd_tree``):
-``fd_step`` gives every node y of a level its own step h = 1e-4 * (1 + |y|),
-``fd_points`` builds the next level's points y + s*h*e_j (s = 2, 1, -1, -2),
-and ``fd_partial`` applies the stencil to the values at a whole level.  A
-(node, axis) stencil with a non-finite value gives inf, without a warning.
-All three take the level as rows, so level 0 may hold a whole stack of
-points (every admitted lattice point of a sweep), and their outputs keep
-that row axis first.
+For maps without an expression form, central differences on one grid per
+root are the fallback (``manifold.fd_tensors``): ``fd_step`` gives a root y
+its step h = 1e-4 * (1 + |y|), ``fd_grid`` the offsets o of its grid y + h*o
+(the stencils of every multi-index up to a depth), and ``fd_partial`` one
+multi-index's difference from the values on every root's grid, inf without
+a warning where one of them is non-finite.  Roots are rows, first in every
+output, so a whole stack of points shares one evaluation of the map.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-FD_STEP_SCALE = 1e-4  # step h = FD_STEP_SCALE * (1 + |y|) at a stencil node y
+FD_STEP_SCALE = 1e-4  # step h = FD_STEP_SCALE * (1 + |y|) at a root y
 
 
 class Jet:
@@ -371,8 +371,6 @@ def bump(x, center=0.0, width=1.0):
 
 # -- finite-difference fallback ------------------------------------------
 
-FD_OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])  # stencil points y + s*h*e_j
-
 
 def fd_step(P: np.ndarray) -> np.ndarray:
     """Steps h = 1e-4 * (1 + |y|) of the rows y of P, shape (m, n) -> (m,).
@@ -383,27 +381,57 @@ def fd_step(P: np.ndarray) -> np.ndarray:
     return FD_STEP_SCALE * (1.0 + np.sqrt((P[:, None, :] @ P[:, :, None]).ravel()))
 
 
-def fd_points(P: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Stencil points y + (s*h)*e_j of every row y of P, each with its own step
-    h, for every axis j and s in FD_OFFSETS: shape (m*n*4, n), ordered by
-    (row, axis, s)."""
-    n = P.shape[1]
-    offsets = (h[:, None] * FD_OFFSETS)[:, None, :, None] * np.eye(n)[:, None, :]
-    return (P[:, None, None, :] + offsets).reshape(-1, n)
+@functools.cache
+def _central_weights(m: int) -> dict:
+    """{s: w}: the 4th-order central weights of the m-th derivative on the
+    nodes |s| <= (m + 1) // 2 + 1, exact, zeros dropped: the m-th derivatives
+    at 0 of the Lagrange basis polynomials (Fornberg, Math. Comp. 51, 1988)."""
+    nodes = range(-((m + 1) // 2 + 1), (m + 1) // 2 + 2)
+    out = {}
+    for s in nodes:
+        poly = [Fraction(1)]  # prod over t != s of (x - t) / (s - t), lowest power first
+        for t in set(nodes) - {s}:
+            poly = [(a - t * b) / (s - t) for a, b in zip([0] + poly, poly + [0])]
+        out[s] = poly[m] * math.factorial(m)
+    return {s: w for s, w in out.items() if w}
 
 
-def fd_partial(vals: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """4th-order central differences over a whole stencil level.
+@functools.cache
+def fd_grid(n: int, depth: int) -> tuple:
+    """(offsets, stencils) of the central differences of orders 1..depth in n
+    variables.  ``offsets`` (M, n) is 0 (the root), then the union of the
+    tensor-product stencils of the multi-indices alpha, 1 <= |alpha| <= depth,
+    whose weight at o is the product over axes i of the 1-D weights of order
+    alpha_i at o_i; ``stencils`` holds per alpha ``(orders, cols, weights)``:
+    its index orders, and the rows other than 0 that it reads."""
+    rows, stencils = {(0,) * n: 0}, []
+    for d in range(1, depth + 1):
+        for axes in itertools.combinations_with_replacement(range(n), d):
+            cols, weights = [], []
+            for picks in itertools.product(*[_central_weights(axes.count(i)).items()
+                                             for i in range(n)]):
+                if any(o for o, _w in picks):
+                    cols.append(rows.setdefault(tuple(o for o, _w in picks), len(rows)))
+                    weights.append(float(math.prod(w for _o, w in picks)))
+            stencils.append((sorted(set(itertools.permutations(axes))), cols, weights))
+    return np.array(list(rows), dtype=float), tuple(stencils)
 
-    ``vals`` stacks a map's values, of any shape S, at ``fd_points(P, h)``:
-    shape (m*n*4,) + S.  Returns shape (m,) + S + (n,), the partial along
-    axis j in the last slot: (-g(+2h) + 8 g(+h) - 8 g(-h) + g(-2h)) / (12 h),
-    or inf over all of S when any of the four values along j is non-finite.
-    """
-    m, shape = len(h), vals.shape[1:]
-    v = vals.reshape(m, -1, 4, math.prod(shape))  # (row, axis, s, entry)
-    with np.errstate(invalid="ignore"):  # inf - inf, masked below
-        d = (-v[:, :, 0] + 8.0 * v[:, :, 1] - 8.0 * v[:, :, 2] + v[:, :, 3]) / (
-            12.0 * h[:, None, None])
-    d[~np.isfinite(v).all(axis=(2, 3))] = np.inf
-    return d.transpose(0, 2, 1).reshape((m,) + shape + (v.shape[1],))
+
+def fd_partial(vals: np.ndarray, h: np.ndarray, stencil: tuple) -> np.ndarray:
+    """One multi-index's central difference at every root, from the values,
+    of any shape S, on the grid of every root: ``vals`` (N, M) + S, column 0
+    the root, and h the roots' steps, shape (N,) + (1,) * len(S).  Returns
+    (N,) + S: the sum, term by term in a fixed order (no BLAS: a root alone
+    has its bits in a stack), of w * (vals[:, c] - vals[:, 0]) over the
+    stencil's (c, w), over h^|alpha| (a constant map's is 0.0), or inf over
+    all of S where the root's or a stencil value is non-finite."""
+    orders, cols, weights = stencil
+    root = vals[:, 0]
+    acc = np.zeros_like(root)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, masked below
+        for c, w in zip(cols, weights):
+            acc += w * (vals[:, c] - root)
+        for _ in orders[0]:
+            acc /= h
+    acc[~np.isfinite(vals[:, [0] + cols]).reshape(len(vals), -1).all(axis=1)] = np.inf
+    return acc

@@ -283,24 +283,24 @@ class LocalMap:
     Evaluation returns an ndarray of shape ``out_shape``.  Every derivative
     tensor comes from one method, ``derivs_upto``, which takes, in order of
     preference: an expression closure over jets (exact, any order, 1-D input
-    only), an exact Jacobian, then nested 4th-order central differences with
-    step 1e-4*(1+|y|) at each stencil node y, read from one stencil tree
-    (``fd_tree``) over the value, or over the Jacobian when the map has one.
+    only), an exact Jacobian, then 4th-order central differences on one grid
+    of offsets per root y with the one step 1e-4*(1+|y|) (``fd_tensors``), of
+    the value, or of the Jacobian when the map has one.
     ``exact_order`` is the highest order those tensors are exact to: inf
     for an expression, 1 with a Jacobian, else 0.
 
     The derivative oracle and ``try_call`` take a point, shape ``(in_dim,)``,
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
     gains a leading row axis.  An expression is evaluated once on the array
-    jet of the stack's column; otherwise all rows share one stencil tree,
-    each of whose levels reads ``_values`` (or ``_jacobians``), and
+    jet of the stack's column; otherwise one ``_values`` (or ``_jacobians``)
+    call reads the grids of all rows, and
     ``try_call`` masks rows by ``_defined_rows``.  These hooks call a user's
     ``fn``, ``jac`` and ``defined`` once per row (their contract is per point);
     the atlas maps built here (transitions, their Jacobians and domains,
     metric and bundle fields) take a whole stack in one call (``_ArrayMap``).
     An expression at an ``eps_column`` (``exprs``) takes only stacks of its
     rows, one row per eps: it raises DerivativeUndefined at a stack of another
-    length (such as a stencil level) and at a point (a point has no eps),
+    length (such as the rows of the grids) and at a point (a point has no eps),
     where others retry a row alone.
     """
 
@@ -383,18 +383,17 @@ class LocalMap:
 
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack:
-        one jet evaluation over all rows on the expr path, else one stencil
-        tree (``fd_tree``) over all rows.
+        one jet evaluation over all rows on the expr path, else central
+        differences on the grids of all rows (``fd_tensors``).
 
         Raises DerivativeUndefined where the expression has a value but its
         jet fails (log or division by zero inside the jet recurrences)."""
         P, single = point_rows(x)
         if self.expr is not None:
             ts = self._expr_tensors(P, k_max)
-        elif self.jac is None:
-            ts = fd_tree(self._values, P, k_max)
         else:
-            ts = [self._values(P)] + fd_tree(self._jacobians, P, k_max - 1)
+            ts = fd_tensors(self._values, None if self.jac is None else self._jacobians, P,
+                            k_max)
         return [t[0] for t in ts] if single else ts
 
     def _expr_tensors(self, P: np.ndarray, k_max: int) -> list:
@@ -443,8 +442,8 @@ class LocalMap:
     def _stack(self, f, P: np.ndarray, shape: tuple, what: str) -> np.ndarray:
         """f at every row of P as one array of shape (len(P),) + shape.
 
-        The outputs are stacked once and their size checked once; only a
-        level that does not stack to that size is looked at row by row, to
+        The outputs are stacked once and their size checked once; only
+        outputs that do not stack to that size are looked at row by row, to
         name the first output of the wrong size (OutputShapeMismatch) or to
         reshape outputs of the right size but different shapes."""
         outs = [f(p) for p in P]
@@ -535,26 +534,29 @@ def point_rows(x) -> tuple:
     return P, False
 
 
-def fd_tree(leaf, P: np.ndarray, depth: int) -> list:
-    """Nested central differences at the rows of P, 0..depth deep, from one
-    stencil tree.
-
-    Level 0 is P, shape (N, n); level l+1 is ``jets.fd_points`` of level l,
-    every node with its own step.  ``leaf(Q)`` stacks the oracle's tensors at
-    the rows of Q and runs once on every level; ``fd_partial`` then
-    differentiates level by level from the deepest up.  Returns the oracle's
-    tensors at the N rows differentiated d = 0..depth times, each with the
-    row axis first; the last tensor axis is the outermost differentiation.
-    """
-    levels, steps = [P], []
-    for _ in range(depth):
-        steps.append(jets.fd_step(levels[-1]))
-        levels.append(jets.fd_points(levels[-1], steps[-1]))
-    ts = []
-    for lvl in range(depth, -1, -1):
-        ts = [jets.fd_partial(t, steps[lvl]) for t in ts]
-        ts.insert(0, leaf(levels[lvl]))
-    return ts
+def fd_tensors(values, jacobians, P: np.ndarray, k_max: int) -> list:
+    """Tensors of orders 0..k_max at the rows of P (row axis first) by central
+    differences of the stacked ``values`` or, with ``jacobians``, order 0 from
+    ``values`` and the rest from differences of the Jacobians.  Each root y
+    takes one step h and the grid y + h * offsets of ``jets.fd_grid`` (a
+    coordinate at offset 0 is y's own, -0.0 too); the leaf runs once on all
+    grids, and ``jets.fd_partial`` once per multi-index, filling its orders."""
+    leaf, depth, ts = (values, k_max, []) if jacobians is None else (
+        jacobians, k_max - 1, [values(P)])
+    if depth < 1:  # no difference to take: the leaf at the roots, if asked
+        return ts + [leaf(P) for _ in range(depth + 1)]
+    (N, n), (offsets, stencils) = P.shape, jets.fd_grid(P.shape[1], depth)
+    h, Y = jets.fd_step(P), P[:, None, :]
+    vals = leaf(np.where(offsets == 0.0, Y, Y + h[:, None, None] * offsets).reshape(-1, n))
+    vals = vals.reshape((N, len(offsets)) + vals.shape[1:])
+    out = [vals[:, 0]] + [np.empty(vals.shape[:1] + vals.shape[2:] + (n,) * d)
+                          for d in range(1, depth + 1)]
+    h = h.reshape((N,) + (1,) * (vals.ndim - 2))
+    for stencil in stencils:
+        t = jets.fd_partial(vals, h, stencil)
+        for idx in stencil[0]:
+            out[len(idx)][(..., *idx)] = t
+    return ts + out
 
 
 def tensor_norm(t: np.ndarray, order: int) -> np.ndarray:
@@ -717,7 +719,8 @@ class RiemannianMetric:
 
 
 def distance(atlas: Atlas, g: Optional[RiemannianMetric], p: Point | PointStack,
-             q: Point | PointStack, region: Optional["CompactRegion"] = None, density: int = 17):
+             q: Point | PointStack, region: Optional["CompactRegion"] = None, density: int = 17,
+             graphs: Optional[Callable] = None):
     """Riemannian distance; inf iff p, q lie in different components.  A
     point pair gives a float, two stacked Points of equal length the (N,)
     distances from one ``g.analytic`` call (a point is the one-row stack).
@@ -725,7 +728,12 @@ def distance(atlas: Atlas, g: Optional[RiemannianMetric], p: Point | PointStack,
     without a metric (g None), a ValueError.  Two ``PointStack``s of equal
     length give the (N,) distances from one stacked call per (p chart,
     q chart); if one raises, the row loop ``distance(p.point(i), q.point(i))``
-    raises its first error."""
+    raises its first error.  Without an analytic distance, ``graphs``
+    (density -> lattice graph, each built on first use) is made here when
+    None, so the calls of two stacks share their outer call's."""
+    if graphs is None and g is not None and g.analytic is None:
+        graphs = functools.cache(lambda n: _graph_distance(
+            atlas, g, _default_region(atlas) if region is None else region, n))
     if isinstance(p, PointStack):
         if len(p.chart) != len(q.chart):
             raise ValueError(f"distance between stacks of {len(p.chart)} and {len(q.chart)} points")
@@ -733,10 +741,11 @@ def distance(atlas: Atlas, g: Optional[RiemannianMetric], p: Point | PointStack,
         try:
             for a, b in sorted(set(zip(p.chart.tolist(), q.chart.tolist()))):
                 rows = (p.chart == a) & (q.chart == b)
-                d[rows] = distance(atlas, g, p.stack(a, rows), q.stack(b, rows), region, density)
+                d[rows] = distance(atlas, g, p.stack(a, rows), q.stack(b, rows), region, density,
+                                   graphs)
         except Exception:
             for i in range(len(d)):
-                distance(atlas, g, p.point(i), q.point(i), region, density)
+                distance(atlas, g, p.point(i), q.point(i), region, density, graphs)
             raise
         return d
     if g is None:
@@ -752,14 +761,12 @@ def distance(atlas: Atlas, g: Optional[RiemannianMetric], p: Point | PointStack,
         d = np.full(len(P), math.inf)
     elif g.analytic is not None:
         d = np.asarray(g.analytic(atlas, Point(p.chart, P), Point(q.chart, Q)), dtype=float)
-    else:  # each density's lattice graph built once, on first use
-        region = _default_region(atlas) if region is None else region
-        graph = functools.cache(lambda n: _graph_distance(atlas, g, region, n))
+    else:
         d = np.empty(len(P))
         for i, (x, y) in enumerate(zip(P, Q)):
             pq = (Point(p.chart, x), Point(q.chart, y))
-            fine = graph(2 * density - 1)(*pq)
-            d[i] = fine if math.isfinite(fine) else graph(density)(*pq)
+            fine = graphs(2 * density - 1)(*pq)
+            d[i] = fine if math.isfinite(fine) else graphs(density)(*pq)
     return float(d[0]) if single else d
 
 

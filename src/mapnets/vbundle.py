@@ -279,13 +279,14 @@ def _common_chart_pair(bundle: VectorBundle, e1: BundleElement, e2: BundleElemen
 def vbpoints_equal(e: VBPoint, e2: VBPoint, grid: Optional[EpsGrid] = None,
                    cfg: Config = DEFAULT_CONFIG) -> Verdict:
     """Equality of vb-points: equal base nets and negligible fiber-coordinate
-    differences wherever the bases co-locate in a vb-chart."""
+    differences wherever the bases co-locate in a vb-chart.  Each element is
+    read once per grid eps: the fibers are those the base columns read."""
     grid = grid or cfg.grid()
-    base_v = points_equal(e, e2, grid=grid, cfg=cfg)  # the base columns
+    base_v = points_equal(e, e2, grid=grid, cfg=cfg)  # raises where an ``at`` raised
 
-    eis, gaps = [], []
-    for ei, eps in enumerate(grid.values()):
-        pair = _common_chart_pair(e.bundle, e.at(eps), e2.at(eps))
+    eis, gaps = [], []  # over the elements that the base columns read
+    for ei, (a, b) in enumerate(zip(e._read[grid], e2._read[grid])):
+        pair = _common_chart_pair(e.bundle, a, b)
         if pair is not None:  # else an excluded sample (empty-sup convention)
             _m, _cid, r1, r2 = pair
             eis.append(ei)

@@ -7,7 +7,7 @@ per (piece, target chart) or source chart over all (eps, point) rows.  Every
 family at an eps column must give each row the bits of the float jet at that
 (eps, t); the sweeps and tables of such a net must equal, bit for bit, those
 of the same net taken one eps at a time; the work must not grow with the
-grid; and a net from a plain factory keeps one stencil tree per eps.
+grid; and a net from a plain factory keeps one difference call per eps.
 """
 
 import math
@@ -198,7 +198,7 @@ def test_check_moderate_makes_as_many_jets_on_a_deep_grid(monkeypatch):
     assert counts[0] == [0] * 4 + [cfg.k_max] * 2
 
 
-def test_a_plain_2d_net_builds_one_stencil_tree_per_eps_piece_and_chart(monkeypatch, cfg):
+def test_a_plain_2d_net_differentiates_once_per_eps_piece_and_chart(monkeypatch, cfg):
     plane = euclidean_atlas([(-3.0, 3.0)] * 2, name="plane")
 
     def factory(eps):
@@ -208,10 +208,10 @@ def test_a_plain_2d_net_builds_one_stencil_tree_per_eps_piece_and_chart(monkeypa
     u = MapNet(plane, plane, factory, tag="plain-2d")
     K = region_box("e0", [-1.0, -1.0], [1.0, 1.0], density=3)
     u.image_table(K, GRID)
-    trees = []
-    fd_tree = manifold.fd_tree
-    monkeypatch.setattr(manifold, "fd_tree",
-                        lambda leaf, P, depth: trees.append(len(P)) or fd_tree(leaf, P, depth))
+    calls = []
+    fd_tensors = manifold.fd_tensors
+    monkeypatch.setattr(manifold, "fd_tensors", lambda values, jacobians, P, k_max: calls.append(
+        len(P)) or fd_tensors(values, jacobians, P, k_max))
     series = derivative_sup_series(u, K, GRID, 2, None, cfg)
-    assert trees == [9] * len(GRID)  # one tree per eps over the lattice's 9 points
+    assert calls == [9] * len(GRID)  # one call per eps over the lattice's 9 points
     assert len(series) == 3

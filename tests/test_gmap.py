@@ -154,6 +154,19 @@ class TestModerate:
         assert v.status is Status.FAIL
         assert v.estimate.slope < -50.0
 
+    @pytest.mark.parametrize("name,fn", [
+        ("scale", lambda eps: lambda x: np.array([x[0] / (1.0 + eps), x[1]])),
+        ("tanh", lambda eps: lambda x: np.array([math.tanh(x[0] / eps), x[1]])),
+    ])
+    def test_plain_2d_nets_are_moderate_at_order_2(self, name, fn):
+        """Plain-fn nets differentiated by central differences at k_max 2 on
+        a 3x3 lattice: bounded derivatives (scale) and |D^k| ~ eps^-k (tanh)
+        read Pass.  Nested stencils with a step per node read Inconclusive."""
+        u = MapNet(PLANE, PLANE, lambda eps: {("e0", "e0"): LocalMap(2, (2,), fn=fn(eps))},
+                   tag=name)
+        K = region_box("e0", [-1.0, -1.0], [1.0, 1.0], density=3)
+        assert check_moderate(u, K, GRID, k_max=2, cfg=CFG).status is Status.PASS
+
     def test_cbounded_failure_propagates(self):
         v = check_moderate(get_net("epsilon_into_0_2"), K_UNIT, GRID, cfg=CFG)
         assert v.status is Status.FAIL
@@ -361,10 +374,10 @@ class TestStructuralInvariants:
         assert v.status is Status.PASS
 
 
-class TestOneStencilTreePerGroup:
+class TestOneDifferenceCallPerGroup:
     """The derivative sweeps differentiate every admitted lattice point of an
-    (eps, piece, target chart) group in one stencil tree, and make none for
-    a group without admitted points."""
+    (eps, piece, target chart) group in one ``fd_tensors`` call, and make
+    none for a group without admitted points."""
 
     PIECES = CompactRegion([("e0", Box([-1.0, -1.0], [0.0, 0.0])),
                             ("e0", Box([0.2, 0.2], [1.0, 1.0]))], lattice_density=3)
@@ -382,18 +395,18 @@ class TestOneStencilTreePerGroup:
 
         return MapNet(PLANE, PLANE, factory, tag=tag)
 
-    def count_trees(self, monkeypatch):
+    def count_calls(self, monkeypatch):
         from mapnets import gmap, manifold
 
         calls = []
-        tree = manifold.fd_tree
+        tensors = manifold.fd_tensors
 
-        def counted(leaf, P, depth):
+        def counted(values, jacobians, P, k_max):
             calls.append(len(P))
-            return tree(leaf, P, depth)
+            return tensors(values, jacobians, P, k_max)
 
-        monkeypatch.setattr(manifold, "fd_tree", counted)
-        monkeypatch.setattr(gmap, "fd_tree", counted)
+        monkeypatch.setattr(manifold, "fd_tensors", counted)
+        monkeypatch.setattr(gmap, "fd_tensors", counted)
         return calls
 
     def expected(self):
@@ -403,7 +416,7 @@ class TestOneStencilTreePerGroup:
 
     def test_check_moderate(self, monkeypatch):
         u = self.far_net("far", lambda eps, x: 0.0)
-        calls = self.count_trees(monkeypatch)
+        calls = self.count_calls(monkeypatch)
         v = check_moderate(u, self.PIECES, GRID, k_max=2, cfg=CFG)
         assert v.status is Status.PASS
         assert calls == self.expected()
@@ -411,6 +424,6 @@ class TestOneStencilTreePerGroup:
     def test_check_equiv(self, monkeypatch):
         u = self.far_net("far", lambda eps, x: 0.0)
         v = self.far_net("far_eps2", lambda eps, x: eps**2 * np.sin(x))
-        calls = self.count_trees(monkeypatch)
+        calls = self.count_calls(monkeypatch)
         check_equiv(u, v, [self.PIECES], GRID, k_max=2, cfg=CFG)
         assert calls == self.expected()

@@ -12,15 +12,12 @@ from mapnets.jets import (
     bump,
     cos,
     exp,
-    fd_partial,
-    fd_points,
-    fd_step,
     log,
     sin,
     tanh,
     wrap_angle,
 )
-from mapnets.manifold import LocalMap
+from mapnets.manifold import LocalMap, fd_tensors
 
 
 def test_var_and_const():
@@ -128,10 +125,9 @@ def test_bump_support_and_smoothness():
 
 
 def partials(g, x):
-    """First partials of g at x from one stencil level, shape g(x).shape + (n,)."""
-    P = np.array([x], dtype=float)
-    h = fd_step(P)
-    return fd_partial(np.array([g(p) for p in fd_points(P, h)]), h)[0]
+    """First partials of g at x from one grid, shape g(x).shape + (n,)."""
+    return fd_tensors(lambda Q: np.array([g(q) for q in Q]), None,
+                      np.array([x], dtype=float), 1)[1][0]
 
 
 def test_fd_partial_fourth_order():
@@ -143,27 +139,29 @@ def test_fd_partial_fourth_order():
 def test_fd_partial_vector_input():
     g = lambda x: np.array([x[0] * x[1], x[1] ** 2])
     d = partials(g, [1.0, 2.0])
-    assert d[:, 1] == pytest.approx([1.0, 4.0], abs=1e-9)
+    assert d == pytest.approx(np.array([[2.0, 1.0], [0.0, 4.0]]), abs=1e-9)
 
 
 class TestNonFiniteStencilsStayQuiet:
-    """A stencil with a non-finite value gives inf partials, and no
-    RuntimeWarning (Tier-1 turns one into an error)."""
+    """A multi-index whose stencil or root holds a non-finite value gives inf,
+    and no RuntimeWarning (Tier-1 turns one into an error)."""
 
     @staticmethod
-    def pole(x):
-        with np.errstate(divide="ignore"):
-            return np.array([np.divide(1.0, x[0]), x[1]])
+    def branch(x):
+        """sqrt(x0), inf left of x0 = 0: finite at the root (0, x1) and on
+        the rows that keep x0, inf on every row left of it."""
+        return np.array([math.sqrt(x[0]) if x[0] >= 0.0 else math.inf, x[1]])
 
     def test_all_inf_stencil(self):
         d = partials(lambda x: np.array([math.inf, -math.inf]), [0.5, 0.5])
         assert np.all(d == math.inf)
 
     def test_order2_tensor_beside_a_pole(self):
-        # along x1 every stencil node keeps x0 = 0, where 1/x0 is inf
-        t = LocalMap(2, (2,), fn=self.pole).derivs_upto([0.0, 0.5], 2)[2]
-        assert np.all(t[..., 1] == math.inf)
-        assert np.all(np.isfinite(t[..., 0]))
+        # only the stencil of d^2/dx1^2 keeps x0 = 0; every other reaches x0 < 0
+        t = LocalMap(2, (2,), fn=self.branch).derivs_upto([0.0, 0.5], 2)[2]
+        assert np.abs(t[..., 1, 1]).max() < 1e-6
+        t[..., 1, 1] = math.inf
+        assert np.all(t == math.inf)
 
 
 class TestOverflowStaysQuiet:

@@ -10,30 +10,34 @@ coordinates and unbounded axes.  The one exception is the 2-norm of a tiny or
 huge 1x1 matrix, where numpy's SVD may round one ulp below the exact ``|v|``
 that the kernel returns.
 
-Nested finite differences run one stencil-tree level at a time
-(``fd_step``, ``fd_points``, ``fd_partial``, ``manifold.fd_tree``).  Their
-reference is the per-point recursion they replaced (``ref_fd_partial``,
-``ref_deriv_tensor``, ``ref_chained_derivs_upto``), and every tensor must be
-byte-equal to it.  A stack of points shares one stencil tree; each row of
-its tensors must be byte-equal to the single-point call and to the
-reference.  In these tensor comparisons (``same_bytes``) any NaN equals any
-NaN, since numpy sets a NaN's sign bit by code path.
+Central differences run on one grid of offsets per root (``fd_step``,
+``fd_grid``, ``fd_partial``, ``manifold.fd_tensors``).  Their tensors are
+compared with closed forms, within the roundoff that a step of 1e-4 leaves
+at each order, and read inf exactly on the multi-indices whose stencil, or
+root, meets a pole.  A stack of points shares one grid evaluation; each row
+of its tensors must be byte-equal to the single-point call, and a chained
+map's tensors to those of the per-point chain rule they replaced
+(``ref_chained_derivs_upto``).  In these tensor comparisons (``same_bytes``)
+any NaN equals any NaN, since numpy sets a NaN's sign bit by code path.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapnets.gmap import effective_reps
-from mapnets.jets import fd_partial, fd_points, fd_step
+from mapnets.jets import fd_grid, fd_partial, fd_step
 from mapnets.manifold import (
     Box,
     Chart,
     LocalMap,
     SmoothMap,
     euclidean_atlas,
+    fd_tensors,
     sphere_atlas,
     tensor_norm,
 )
@@ -95,32 +99,28 @@ def ref_fd_step(x):
     return 1e-4 * (1.0 + float(np.linalg.norm(x)))
 
 
-def ref_fd_partial(g, x, axis, h=None):
+def ref_grid(x):
+    """The grid rows x + h*o of a root x at every offset o of ``fd_grid``, a
+    coordinate at offset 0 being x's own."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = ref_fd_step(x)
-    e = np.zeros_like(x)
-    e[axis] = 1.0
-    gp2 = np.asarray(g(x + 2 * h * e), dtype=float)
-    gp1 = np.asarray(g(x + h * e), dtype=float)
-    gm1 = np.asarray(g(x - h * e), dtype=float)
-    gm2 = np.asarray(g(x - 2 * h * e), dtype=float)
-    if not all(np.all(np.isfinite(v)) for v in (gp2, gp1, gm1, gm2)):
-        return np.full(gp1.shape, np.inf)
-    return (-gp2 + 8.0 * gp1 - 8.0 * gm1 + gm2) / (12.0 * h)
+    offsets, _stencils = fd_grid(len(x), 3)
+    return offsets, np.where(offsets == 0.0, x, x + ref_fd_step(x) * offsets)
 
 
-def ref_deriv_tensor(rep, x, k):
-    """Order-k tensor of a fn map by the per-point recursion."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if k == 0:
-        return rep._value(x)
-    if k == 1 and rep.jac is not None:
-        return np.asarray(rep.jac(x), dtype=float).reshape(rep.out_shape + (rep.in_dim,))
-    prev = lambda y: ref_deriv_tensor(rep, y, k - 1)
-    h = ref_fd_step(x)
-    cols = [ref_fd_partial(prev, x, axis=j, h=h) for j in range(rep.in_dim)]
-    return np.stack(cols, axis=-1)
+def ref_fd_partial(vals, h, cols, weights, order):
+    """One root's multi-index difference on Python floats, term by term:
+    ``vals`` (M, size) are the values on the root's grid."""
+    if not np.isfinite(vals[[0] + list(cols)]).all():
+        return np.full(vals.shape[1], np.inf)
+    out = []
+    for e in range(vals.shape[1]):
+        acc = 0.0
+        for c, w in zip(cols, weights):
+            acc += w * (float(vals[c, e]) - float(vals[0, e]))
+        for _ in range(order):
+            acc /= h
+        out.append(acc)
+    return np.array(out)
 
 
 def ref_route(cm, x):
@@ -137,23 +137,17 @@ def ref_route(cm, x):
 
 
 def ref_chained_derivs_upto(cm, x, k_max):
-    """ChainedLocalMap.derivs_upto off the jet path: chain rule at order 1,
-    then one recursive stencil per order, each node taking its own route."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    i, y, z = ref_route(cm, x)
-    _ok, inner, outer = cm.routes[i]
-    assert inner.expr is None or outer.expr is None
-    out = [z.reshape(cm.out_shape)]
-    if k_max >= 1:
-        J = (ref_deriv_tensor(outer, y, 1).reshape(outer.out_size, outer.in_dim)
-             @ ref_deriv_tensor(inner, x, 1).reshape(inner.out_size, inner.in_dim))
-        out.append(J.reshape(cm.out_shape + (cm.in_dim,)))
-    for k in range(2, k_max + 1):
-        prev = lambda w, kk=k - 1: ref_chained_derivs_upto(cm, w, kk)[kk]
-        h = ref_fd_step(x)
-        cols = [ref_fd_partial(prev, x, axis=j, h=h) for j in range(cm.in_dim)]
-        out.append(np.stack(cols, axis=-1))
-    return out
+    """ChainedLocalMap.derivs_upto off the jet path, point by point: the
+    derivatives of a fn map whose value and Jacobian at each grid point come
+    from that point's own ``ref_route``, the Jacobian by the chain rule."""
+    def jac(w):
+        i, y, _z = ref_route(cm, w)
+        _mid, inner, outer = cm.routes[i]
+        return (outer.deriv_tensor(y, 1).reshape(outer.out_size, outer.in_dim)
+                @ inner.deriv_tensor(w, 1).reshape(inner.out_size, inner.in_dim))
+
+    rep = LocalMap(cm.in_dim, cm.out_shape, fn=lambda w: ref_route(cm, w)[2], jac=jac)
+    return rep.derivs_upto(x, k_max)
 
 
 def same_float(a, b):
@@ -346,77 +340,158 @@ def test_fd_step_matches_per_row_norm_on_edge_rows(P):
     same_bytes(fd_step(P), [ref_fd_step(p) for p in P])
 
 
+GRIDS = [(n, depth) for n in (1, 2, 3) for depth in (0, 1, 2, 3)]
+
+
+def test_rows_per_root():
+    """One grid evaluation per root: 29 user-fn rows at n = 2, k = 3, 25 at
+    k = 2, 9 at k = 1 and 7 at n = 1, k = 3; a stack of roots takes its rows
+    in one leaf call."""
+    for (n, k), want in {(2, 3): 29, (2, 2): 25, (2, 1): 9, (1, 3): 7}.items():
+        calls = []
+        rep = LocalMap(n, (1,), fn=lambda x: calls.append(x) or np.array([x.sum()]))
+        rep.derivs_upto(np.full(n, 0.3), k)
+        assert len(calls) == want, (n, k)
+        leaves = []
+        fd_tensors(lambda Q: leaves.append(len(Q)) or np.zeros(len(Q)), None,
+                   np.zeros((3, n)), k)
+        assert leaves == [3 * want]
+
+
+@pytest.mark.parametrize("n,depth", GRIDS)
+def test_fd_grid_is_the_union_of_4th_order_stencils(n, depth):
+    """Row 0 is the root; every other row is read by some multi-index; each
+    index order up to ``depth`` belongs to one stencil, whose weights w(o)
+    on the offsets o != 0 have the moments of D^alpha to 4th order:
+    sum_o w(o) o^beta / beta! = [beta == alpha] for 0 < |beta| < |alpha| + 4."""
+    offsets, stencils = fd_grid(n, depth)
+    assert offsets.shape[1] == n and not offsets[0].any()
+    assert len({tuple(o) for o in offsets}) == len(offsets)
+    assert sorted({c for _orders, cols, _w in stencils for c in cols}) == list(
+        range(1, len(offsets)))
+    orders = [idx for o, _c, _w in stencils for idx in o]
+    assert sorted(orders) == sorted(idx for d in range(1, depth + 1)
+                                    for idx in itertools.product(range(n), repeat=d))
+    for idxs, cols, weights in stencils:
+        alpha = [idxs[0].count(i) for i in range(n)]
+        assert all([idx.count(i) for i in range(n)] == alpha for idx in idxs)
+        for beta in itertools.product(range(sum(alpha) + 4), repeat=n):
+            if 0 < sum(beta) < sum(alpha) + 4:
+                moment = sum(w * math.prod(o ** b / math.factorial(b)
+                                           for o, b in zip(offsets[c], beta))
+                             for c, w in zip(cols, weights))
+                assert moment == pytest.approx(float(list(beta) == alpha), abs=1e-12)
+
+
 @given(st.integers(1, 3).flatmap(rows))
-@settings(max_examples=200, deadline=None)
-def test_fd_points_are_the_stencil_points(P):
-    m, n = P.shape
-    h = fd_step(P)
-    got = fd_points(P, h).reshape(m, n, 4, n)
+@settings(max_examples=100, deadline=None)
+def test_the_leaf_reads_the_grid_of_every_root(P):
+    """The leaf's rows are, root by root, x + h*o at the grid's offsets, with
+    the root's one step h = 1e-4 * (1 + |x|) and a coordinate at offset 0 kept
+    as x's own (-0.0 too)."""
+    seen = []
+    fd_tensors(lambda Q: seen.append(Q) or np.zeros(len(Q)), None, P, 3)
+    got = seen[0].reshape(len(P), -1, P.shape[1])
     for i, x in enumerate(P):
-        hx = ref_fd_step(x)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            same_bytes(got[i, j], [x + 2 * hx * e, x + hx * e, x - hx * e, x - 2 * hx * e])
-
-
-def stencil_map(values):
-    """A map that returns the given outputs in stencil call order."""
-    it = iter(values)
-    return lambda x: next(it)
+        same_bytes(got[i], ref_grid(x)[1])
 
 
 @st.composite
-def stencil_level(draw, non_finite):
-    """Rows P (m, n_in) and the values (m*n_in*4, n_out) at fd_points(P); with
-    ``non_finite``, one value of each (row, axis) stencil is non-finite."""
-    n_in, n_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    P = draw(rows(n_in))
-    vals = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(P) * n_in * 4 * n_out,
-                                  max_size=len(P) * n_in * 4 * n_out)))
-    vals = vals.reshape(len(P), n_in, 4, n_out)
+def grid_values(draw, non_finite):
+    """Roots P (N, n), values (N, M, n_out) on their grids and the stencils;
+    with ``non_finite``, one value of each root's grid is non-finite."""
+    n, depth = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    P = draw(rows(n))
+    offsets, stencils = fd_grid(n, depth)
+    n_out = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(-1e3, 1e3, (len(P), len(offsets), n_out))
     if non_finite:
         for i in range(len(P)):
-            for j in range(n_in):
-                vals[i, j, draw(st.integers(0, 3)), draw(st.integers(0, n_out - 1))] = draw(
-                    st.sampled_from(NONFINITE))
-    return P, vals
+            vals[i, draw(st.sampled_from([0, draw(st.integers(0, len(offsets) - 1))])),
+                 draw(st.integers(0, n_out - 1))] = draw(st.sampled_from(NONFINITE))
+    return P, vals, stencils
 
 
-@given(stencil_level(non_finite=True))
-@settings(max_examples=200, deadline=None)
-def test_fd_partial_one_non_finite_value_gives_all_inf(level):
-    P, vals = level
-    got = fd_partial(vals.reshape(-1, vals.shape[-1]), fd_step(P))
-    assert got.shape == (len(P), vals.shape[-1], P.shape[1]) and np.all(got == np.inf)
-    for i, x in enumerate(P):
-        for j in range(P.shape[1]):
-            same_bytes(got[i, :, j], ref_fd_partial(stencil_map(vals[i, j]), x, j))
-
-
-@given(stencil_level(non_finite=False))
+@given(grid_values(non_finite=True))
 @settings(max_examples=100, deadline=None)
-def test_fd_partial_finite_matches_reference(level):
-    P, vals = level
-    got = fd_partial(vals.reshape(-1, vals.shape[-1]), fd_step(P))
-    for i, x in enumerate(P):
-        for j in range(P.shape[1]):
-            same_bytes(got[i, :, j], ref_fd_partial(stencil_map(vals[i, j]), x, j))
+def test_fd_partial_one_non_finite_value_gives_all_inf(case):
+    """A multi-index whose root or stencil holds a non-finite value reads
+    inf over the whole value shape; the others keep their sums."""
+    P, vals, stencils = case
+    h = fd_step(P)
+    hit = 0
+    for orders, cols, weights in stencils:
+        got = fd_partial(vals, h[:, None], (orders, cols, weights))
+        assert got.shape == (len(P), vals.shape[-1])
+        for i in range(len(P)):
+            bad = not np.isfinite(vals[i, [0] + cols]).all()
+            hit += bad
+            assert not bad or np.all(got[i] == np.inf)
+            same_bytes(got[i], ref_fd_partial(vals[i], h[i], cols, weights, len(orders[0])))
+    assert hit
+
+
+@given(grid_values(non_finite=False))
+@settings(max_examples=100, deadline=None)
+def test_fd_partial_finite_matches_reference(case):
+    P, vals, stencils = case
+    h = fd_step(P)
+    for orders, cols, weights in stencils:
+        got = fd_partial(vals, h[:, None], (orders, cols, weights))
+        for i in range(len(P)):
+            same_bytes(got[i], ref_fd_partial(vals[i], h[i], cols, weights, len(orders[0])))
+
+
+def test_fd_errors_on_a_closed_form_stay_near_the_nested_stencils():
+    """e^(0.3 x0) (cos x1, sin x1) at (0.3, -0.7): the largest relative error
+    of an entry at orders 1, 2, 3 read 6.9e-13, 2.4e-8 and 8.6e-4 from the
+    nested stencil tree this grid replaced, and read 4.7e-13, 1.0e-7 and
+    9.8e-4 here.  Roundoff at h = 1e-4 rules orders 2 and 3, and one stencil
+    of order 2 or 3 weighs it more than nested first differences do (sum |w|
+    2.8 and 5.5 against 2.25 and 3.4), so the bar is ten times the tree's."""
+    x = np.array([0.3, -0.7])
+    rep = LocalMap(2, (2,), fn=lambda y: math.exp(0.3 * y[0]) * np.array(
+        [math.cos(y[1]), math.sin(y[1])]))
+    ts = rep.derivs_upto(x, 3)
+    for k, tree_error in ((1, 6.9e-13), (2, 2.4e-8), (3, 8.6e-4)):
+        want = np.empty((2,) + (2,) * k)
+        for idx in itertools.product(range(2), repeat=k):
+            r, phase = math.exp(0.3 * x[0]) * 0.3 ** idx.count(0), x[1] + idx.count(1) * math.pi / 2
+            want[(slice(None),) + idx] = [r * math.cos(phase), r * math.sin(phase)]
+        assert np.abs((ts[k] - want) / want).max() <= 10 * tree_error, k
+
+
+def test_a_constant_map_has_derivatives_of_exactly_zero():
+    """Differences to the root's value: the weights' float sum is not 0, the
+    differences of a constant are."""
+    for n in (1, 2, 3):
+        rep = LocalMap(n, (2, 2), fn=lambda x: np.array([[0.1, -3.7], [1e5, math.pi]]))
+        X = np.array([[0.3, -1.1, 2.0][:n], [-0.0, 1e3, 0.5][:n]])
+        for t in rep.derivs_upto(X, 3)[1:]:
+            assert np.all(t == 0.0) and not np.signbit(t).any()
+
+
+def test_a_non_finite_root_reads_inf_at_every_order():
+    rep = LocalMap(2, (1,), fn=lambda x: np.array([math.inf if x[0] == 0.25 else x[0]]))
+    ts = rep.derivs_upto(np.array([[0.25, 0.5], [0.5, 0.5]]), 3)
+    for t in ts[1:]:
+        assert np.all(t[0] == np.inf) and np.all(np.isfinite(t[1]))
 
 
 POLE_RADIUS = 3e-5  # below a third of any step (1e-4 * (1 + |x|))
 
 
-def fd_map(in_dim, out_shape, with_jac, pole, kind, seed):
-    """A fn map, optionally with a Jacobian, that depends on the sign of zero
-    coordinates and is non-finite (``kind`` in entry 0) within POLE_RADIUS of
-    x0 = pole."""
+def fd_map(in_dim, out_shape, with_jac, pole, kind, seed, signed=False):
+    """A fn map sin(A x + c), optionally with its Jacobian, non-finite
+    (``kind`` in entry 0) within POLE_RADIUS of x0 = pole; ``signed`` adds a
+    term that depends on the sign of zero coordinates (no closed form)."""
     rng = np.random.default_rng(seed)
     size = math.prod(out_shape)
     A, c = rng.uniform(-1.0, 1.0, (size, in_dim)), rng.uniform(-1.0, 1.0, size)
 
     def fn(x):
-        y = np.sin(A @ x + c) + 1e-3 * np.copysign(1.0, x).sum()
+        y = np.sin(A @ x + c) + (1e-3 * np.copysign(1.0, x).sum() if signed else 0.0)
         if abs(x[0] - pole) < POLE_RADIUS:
             y[0] = kind
         return y
@@ -427,7 +502,44 @@ def fd_map(in_dim, out_shape, with_jac, pole, kind, seed):
             J[0, -1] = kind
         return J
 
-    return LocalMap(in_dim, out_shape, fn=fn, jac=jac if with_jac else None, name="fd_map")
+    rep = LocalMap(in_dim, out_shape, fn=fn, jac=jac if with_jac else None, name="fd_map")
+    rep.closed_form = None if signed else (A, c, pole)
+    return rep
+
+
+# the roundoff that h = 1e-4 leaves after d differences, by d: about 4e-16
+# (the error of a value of size 1) times sum |w| (1.5, 2.8, 5.5) over h^d
+FD_BARS = {1: 2e-11, 2: 3e-7, 3: 3e-3}
+
+
+def check_closed_form(rep, x, ts):
+    """The tensors ``ts`` of ``fd_map`` ``rep`` at x against its closed form:
+    order 0 the value's bits, order 1 with a Jacobian the Jacobian's bits;
+    elsewhere inf over the value shape on each multi-index whose stencil or
+    root lies at the pole, else within FD_BARS of the closed form."""
+    A, c, pole = rep.closed_form
+    x = np.asarray(x, dtype=float)
+    same_bytes(ts[0], rep._value(x))
+    offsets, Q = ref_grid(x)
+    at_pole = np.abs(Q[:, 0] - pole) < POLE_RADIUS
+    diffs = 0 if rep.jac is None else 1
+    _, stencils = fd_grid(len(x), 3)
+    for k in range(1, len(ts)):
+        if k == diffs:
+            same_bytes(ts[k], np.asarray(rep.jac(x)).reshape(ts[k].shape))
+            continue
+        want = np.empty((len(c),) + (len(x),) * k)
+        for idx in itertools.product(range(len(x)), repeat=k):
+            want[(slice(None),) + idx] = np.sin(A @ x + c + k * math.pi / 2) * math.prod(
+                A[:, j] for j in idx)
+        want = want.reshape(ts[k].shape)
+        for orders, cols, _w in stencils:
+            if len(orders[0]) == k - diffs and at_pole[[0] + cols].any():
+                for idx in orders:
+                    want[(..., *idx)] = np.inf
+        inf = np.isinf(want)
+        assert np.all(ts[k][inf] == np.inf), k
+        assert np.abs(ts[k][~inf] - want[~inf]).max(initial=0.0) <= FD_BARS[k - diffs], k
 
 
 @st.composite
@@ -437,7 +549,7 @@ def fd_cases(draw):
     out_shape = draw(st.sampled_from([(1,), (2,), (2, 2)]))
     x = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
                                min_size=in_dim, max_size=in_dim)))
-    # a pole 0, 1, -2 or 3 steps from x0 puts non-finite values on stencil nodes
+    # a pole 0, 1, -2 or 3 steps from x0 puts non-finite values on grid rows
     pole = x[0] + draw(st.sampled_from([0.0, 1.0, -2.0, 3.0, 1e4])) * ref_fd_step(x)
     rep = fd_map(in_dim, out_shape, draw(st.booleans()), pole,
                  draw(st.sampled_from(NONFINITE)), draw(st.integers(0, 3)))
@@ -446,24 +558,25 @@ def fd_cases(draw):
 
 @given(fd_cases())
 @settings(max_examples=150, deadline=None)
-def test_fd_tree_matches_recursive_reference(case):
+def test_fd_tensors_match_closed_forms(case):
     rep, x, k = case
-    ref = [ref_deriv_tensor(rep, x, j) for j in range(k + 1)]
-    for got, want in zip(rep.derivs_upto(x, k), ref, strict=True):
-        same_bytes(got, want)
-    same_bytes(rep.deriv_tensor(x, k), ref[k])
+    ts = rep.derivs_upto(x, k)
+    assert len(ts) == k + 1
+    check_closed_form(rep, x, ts)
+    same_bytes(rep.deriv_tensor(x, k), ts[k])
 
 
-def test_fd_tree_order3_in_3d_matches_reference():
+def test_fd_tensors_order3_in_3d_mark_only_the_stencils_at_the_pole():
     for with_jac in (False, True):
         x = np.array([0.3, -0.0, 1.2])
-        # only the deepest nodes, every move along axis 0, reach the pole
-        steps = 3.0 if with_jac else 5.0
+        # only the widest offsets along axis 0 reach the pole: +3h of the
+        # order-3 stencil of x0 alone, or +2h of the Jacobian's grid
+        steps = 2.0 if with_jac else 3.0
         rep = fd_map(3, (2,), with_jac, 0.3 + steps * ref_fd_step(x), math.inf, 5)
-        ref = [ref_deriv_tensor(rep, x, j) for j in range(4)]
-        assert np.isinf(ref[3]).any() and np.isfinite(ref[3]).any()
-        for got, want in zip(rep.derivs_upto(x, 3), ref, strict=True):
-            same_bytes(got, want)
+        ts = rep.derivs_upto(x, 3)
+        assert np.isinf(ts[3]).any() and np.isfinite(ts[3]).any()
+        assert not with_jac or np.isinf(ts[2]).any()
+        check_closed_form(rep, x, ts)
 
 
 def chained_sphere_rep(jac=None):
@@ -479,7 +592,7 @@ def chained_sphere_rep(jac=None):
 @given(st.lists(st.floats(0.3, 2.0), min_size=2, max_size=2),
        st.lists(st.booleans(), min_size=2, max_size=2), st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
-def test_chained_map_tree_matches_old_loop(coords, flips, k):
+def test_chained_map_matches_the_per_point_chain(coords, flips, k):
     cm = chained_sphere_rep()
     assert type(cm).__name__ == "ChainedLocalMap"
     x = np.array([-c if f else c for c, f in zip(coords, flips)])
@@ -487,37 +600,39 @@ def test_chained_map_tree_matches_old_loop(coords, flips, k):
         same_bytes(got, want)
 
 
-def test_chain_jacobians_take_one_call_per_route_and_level(monkeypatch):
-    """A stacked derivs_upto of a chained fn map builds the chain's stencil
-    tree, plus one tree per factor of its route on each tree level: the
-    Jacobians of a level are one stacked call per factor, not one per node."""
+def test_chain_jacobians_take_one_call_per_route(monkeypatch):
+    """A stacked derivs_upto of a chained fn map differentiates the chain on
+    one grid per row, whose Jacobians are one stacked call per factor of the
+    route (each factor a plain fn map, so one grid of its own), not one per
+    grid row."""
     from mapnets import gmap, manifold
 
-    trees = []
-    tree = manifold.fd_tree
+    grids = []
+    tensors = manifold.fd_tensors
 
-    def counted(leaf, P, depth):
-        trees.append((len(P), depth))
-        return tree(leaf, P, depth)
+    def counted(values, jacobians, P, k_max):
+        grids.append((len(P), k_max))
+        return tensors(values, jacobians, P, k_max)
 
-    monkeypatch.setattr(manifold, "fd_tree", counted)
-    monkeypatch.setattr(gmap, "fd_tree", counted)
+    monkeypatch.setattr(manifold, "fd_tensors", counted)
+    monkeypatch.setattr(gmap, "fd_tensors", counted)
     cm = chained_sphere_rep()
     X = np.array([[x, y] for x in (0.4, -1.1, 1.7, -0.6) for y in (0.5, 1.3, -0.8, -1.9)])
     ts = cm.derivs_upto(X, 3)
-    assert len(trees) == 1 + 2 * 3, trees
+    assert grids == [(16, 3), (16 * 25, 1), (16 * 25, 1)], grids
     for i, x in enumerate(X):
         for j, want in enumerate(ref_chained_derivs_upto(cm, x, 3)):
             same_bytes(ts[j][i], want)
 
 
-# -- stacked points: one stencil tree over every row ----------------------------
+# -- stacked points: one grid evaluation over every row ---------------------------
 
 
 @st.composite
 def stacked_fd_cases(draw):
-    """A fn map (optionally with a Jacobian) and 1-16 rows, some with -0.0
-    coordinates, one with a pole 0, 1, -2 or 3 steps off."""
+    """A fn map (optionally with a Jacobian, optionally sign-of-zero
+    dependent) and 1-16 rows, some with -0.0 coordinates, one with a pole 0,
+    1, -2 or 3 steps off."""
     in_dim = draw(st.integers(1, 3))
     k = draw(st.integers(0, 3 if in_dim < 3 else 2))
     coords = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
@@ -526,7 +641,8 @@ def stacked_fd_cases(draw):
     near = X[draw(st.integers(0, len(X) - 1))]
     pole = near[0] + draw(st.sampled_from([0.0, 1.0, -2.0, 3.0, 1e4])) * ref_fd_step(near)
     rep = fd_map(in_dim, draw(st.sampled_from([(1,), (2,), (2, 2)])), draw(st.booleans()),
-                 pole, draw(st.sampled_from(NONFINITE)), draw(st.integers(0, 3)))
+                 pole, draw(st.sampled_from(NONFINITE)), draw(st.integers(0, 3)),
+                 signed=draw(st.booleans()))
     return rep, X, k
 
 
@@ -541,7 +657,8 @@ def test_stacked_derivs_match_single_points_and_reference(case):
         for j in range(k + 1):
             assert stacked[j].shape == (len(X),) + single[j].shape
             same_bytes(stacked[j][i], single[j])
-            same_bytes(stacked[j][i], ref_deriv_tensor(rep, x, j))
+        if rep.closed_form is not None:
+            check_closed_form(rep, x, single)
     same_bytes(rep.deriv_tensor(X, k), stacked[k])
 
 
@@ -552,8 +669,9 @@ def test_stacked_derived_map_matches_parent_orders(case):
     assume(k > 0)
     stacked = rep.derivative_map().derivs_upto(X, k - 1)
     for i, x in enumerate(X):
+        parent = rep.derivs_upto(x, k)
         for j, t in enumerate(stacked):
-            same_bytes(t[i], ref_deriv_tensor(rep, x, j + 1))
+            same_bytes(t[i], parent[j + 1])
     same_bytes(rep.derivative_map().deriv_tensor(X, k - 1), stacked[-1])
 
 
@@ -584,9 +702,9 @@ def test_stacked_chain_routes_each_row_on_its_own(xs, k):
         single = cm.derivs_upto(x, k)
         if x[0] > 0.0:  # the jet route
             ref = outer.derivs_upto(x, k)
-        elif x[0] < -1e-3:  # the FD route, every stencil node on it too
+        elif x[0] < -1e-3:  # the FD route, every grid row on it too
             ref = ref_chained_derivs_upto(cm, x, k)
-        else:  # nodes right of 0 take the jet route, which the reference lacks
+        else:  # grid rows right of 0 take the jet route, which the reference lacks
             ref = single
         for j in range(k + 1):
             same_bytes(stacked[j][i], single[j])
@@ -596,7 +714,7 @@ def test_stacked_chain_routes_each_row_on_its_own(xs, k):
 @given(st.lists(st.tuples(st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.booleans(),
                           st.booleans()), min_size=1, max_size=16), st.integers(0, 3))
 @settings(max_examples=15, deadline=None)
-def test_stacked_chained_map_tree_matches_old_loop(points, k):
+def test_stacked_chained_map_matches_the_per_point_chain(points, k):
     cm = chained_sphere_rep()
     X = np.array([[-a if fa else a, -b if fb else b] for a, b, fa, fb in points])
     stacked = cm.derivs_upto(X, k)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernels import ref_fd_partial, ref_fd_step, ref_route, same_bytes, two_route_chain
+from test_kernels import ref_chained_derivs_upto, ref_route, same_bytes, two_route_chain
 
 from mapnets import gmap, jets
 from mapnets.asymptotics import EpsGrid
@@ -124,25 +124,15 @@ CHAINS = {"two-route": lambda: two_route_chain()[0], "circle": circle_chain,
           "gapped": gapped_chain}
 
 
-def ref_derivs(cm, x, k_max, top=True):
+def ref_derivs(cm, x, k_max):
     """The tensors of the per-point path: a row on a route that chains two
-    expressions takes its jet-chained map; otherwise the chain rule at order
-    1 by each point's ``ref_route`` (stencil nodes too, whatever their route),
-    then one recursive stencil per order."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    i, y, z = ref_route(cm, x)
-    if top and cm.jet_maps[i] is not None:
+    expressions takes its jet-chained map; otherwise the chain rule on the
+    row's grid, each grid row by its own ``ref_route`` whatever its route
+    (``ref_chained_derivs_upto``)."""
+    i, _y, _z = ref_route(cm, np.atleast_1d(np.asarray(x, dtype=float)))
+    if cm.jet_maps[i] is not None:
         return cm.jet_maps[i].derivs_upto(x, k_max)
-    _mid, inner, outer = cm.routes[i]
-    out = [z.reshape(cm.out_shape)]
-    if k_max >= 1:
-        out.append((outer.jacobian(y) @ inner.jacobian(x)).reshape(cm.out_shape + (cm.in_dim,)))
-    for k in range(2, k_max + 1):
-        prev = lambda w, kk=k - 1: ref_derivs(cm, w, kk, top=False)[kk]
-        h = ref_fd_step(x)
-        out.append(np.stack([ref_fd_partial(prev, x, axis=j, h=h) for j in range(cm.in_dim)],
-                            axis=-1))
-    return out
+    return ref_chained_derivs_upto(cm, x, k_max)
 
 
 ROW = st.one_of(st.floats(-2.5, 2.5),
@@ -179,7 +169,7 @@ def test_the_router_matches_the_per_point_router(chain, xs, k):
     for x in X:
         try:
             wants.append(ref_derivs(cm, x, k))
-        except ValueError:  # the row, or a stencil node of it, has no route
+        except ValueError:  # the row, or a row of its grid, has no route
             wants.append(None)
     if any(want is None for want in wants):
         with pytest.raises(ValueError, match="no admissible route"):
@@ -345,7 +335,7 @@ def test_a_composite_at_an_eps_column_takes_only_whole_stacks():
     for call in (expr_rep, expr_rep.try_call):  # a point has no eps
         with pytest.raises(DerivativeUndefined, match="not a point"):
             call(X[0])
-    # a route of plain fn maps differentiates on stencil rows, which are no eps column
+    # a route of plain fn maps differentiates on grid rows, which are no eps column
     plain = SmoothMap(LINE, LINE, {("e0", "e0"): LocalMap(1, (1,), fn=np.sin, name="sin-fn")})
     (rep,) = compose(embed_smooth(plain, "sin-fn"), fresh("sigma_tanh")).at(E).locals.values()
     assert rep.derivs_upto(X, 1)[1].shape == (3, 1, 1)
@@ -357,8 +347,8 @@ def test_a_composite_at_an_eps_column_takes_only_whole_stacks():
 def test_an_inexact_composite_and_an_expression_net_compare_one_eps_at_a_time(
         composite_first, cfg):
     """sin (a plain fn map) o heaviside_tanh is exact to order 0 only, so its
-    gap to heaviside_tanh at k_max 2 is a stencil tree over both operands'
-    stacked values, whose levels are no stacks of an eps column's rows: at an
+    gap to heaviside_tanh at k_max 2 takes differences of both operands'
+    stacked values on grids, whose rows are no stack of an eps column's: at an
     eps column that raises DerivativeUndefined in either operand order, and
     check_equiv takes one eps at a time, as for the same nets without eps
     columns."""

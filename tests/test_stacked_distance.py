@@ -449,6 +449,30 @@ def test_stacks_of_different_lengths_are_refused():
                  PointStack.of(LINE, [Point("e0", [0.0])] * 3))
 
 
+def test_columns_build_each_graph_once_per_call(monkeypatch):
+    """Two columns whose rows fall in four chart pairs share one lattice-graph
+    cache: each density's graph is built once per ``distance`` call, not once
+    per chart pair."""
+    multi = CASES["multichart"][0]
+    graph = RiemannianMetric(multi.metric.fields)
+    builds = collections.Counter()
+    build = manifold._graph_distance
+
+    def counted(atlas, g, region, density):
+        builds[density] += 1
+        return build(atlas, g, region, density)
+
+    monkeypatch.setattr(manifold, "_graph_distance", counted)
+    charts = ["c0", "c0", "c1", "c1"]
+    P = PointStack.of(multi, [Point(c, [0.0, 0.5]) for c in charts])
+    Q = PointStack.of(multi, [Point(c, [0.5, -0.5]) for c in charts[1:] + charts[:1]])
+    assert len(set(zip(P.chart.tolist(), Q.chart.tolist()))) == 4
+    got = distance(multi, graph, P, Q, density=5)
+    assert builds == {9: 1}
+    assert got == pytest.approx([math.hypot(0.5, 1.0)] * 4, rel=0.1)
+
+
+
 # -- two columns: one stacked call per chart pair, the row loop's first error --
 
 

@@ -1,10 +1,10 @@
 """The gap between two representatives, differentiated on stacked values.
 
 ``gmap._gap_tensors(ru, rv, k)`` subtracts exact tensors when both oracles
-are exact through order k; otherwise its stencil tree (``fd_tree``) reads the
-stacked difference ``ru._values(Q) - rv._values(Q)`` at each level (or, when
-both maps carry a Jacobian, the stacked difference of their ``jac`` values
-beyond order 0).  Its reference is the per-point difference map it replaced
+are exact through order k; otherwise its central differences (``fd_tensors``)
+read the stacked difference ``ru._values(Q) - rv._values(Q)`` on the grids of
+the rows (or, when both maps carry a Jacobian, the stacked difference of their
+``jac`` values beyond order 0).  Its reference is the per-point difference map it replaced
 (``ref_difference_map``): every tensor must equal the reference's bit for
 bit (any NaN as NaN), at a point and at a stack, for plain fn maps, maps with
 a Jacobian, expressions with no ``sqrt`` or ``**``, chained, derived and
@@ -161,8 +161,8 @@ def test_an_expression_at_an_eps_column_takes_only_stacks_of_its_length():
 
 
 def test_a_gap_at_an_eps_column_raises_on_stencil_rows():
-    """The stencil levels of an inexact gap have 4x the rows per level, which
-    an expression at an eps column does not take: the gap raises, and a sweep
+    """The grids of an inexact gap have 5x the rows at order 1, which an
+    expression at an eps column does not take: the gap raises, and a sweep
     takes one eps at a time."""
     E = np.array([0.5, 0.25, 0.125])
     (ru,) = get_net("heaviside_tanh").at(E).locals.values()

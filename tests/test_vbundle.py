@@ -214,6 +214,19 @@ class TestVBPoints:
                                                [1.0 + math.exp(-1.0 / eps)]), supp)
         assert vbpoints_equal(e1, e2, GRID, CFG).status is Status.PASS
 
+    def test_equality_reads_each_element_once_per_eps(self):
+        """The fiber gaps read the elements that the base columns read: one
+        ``at`` call per grid eps and vb-point (15 on the default grid)."""
+        calls = []
+
+        def counted(xi):
+            return lambda eps: calls.append(xi) or BundleElement("e0", [0.2], [xi])
+
+        supp = region_box("e0", [-0.5], [0.5])
+        e1, e2 = VBPoint(R_BUNDLE, counted(1.0), supp), VBPoint(R_BUNDLE, counted(1.5), supp)
+        assert vbpoints_equal(e1, e2, GRID, CFG).status is Status.FAIL
+        assert len(GRID) == 15 and calls.count(1.0) == calls.count(1.5) == 15
+
     def test_constant_fiber_gap_fails(self):
         supp = region_box("e0", [-0.5], [0.5])
         e1 = VBPoint(R_BUNDLE, lambda eps: BundleElement("e0", [0.0], [1.0]), supp)
