@@ -52,9 +52,9 @@ from .manifold import (
     PointStack,
     RiemannianMetric,
     SmoothMap,
+    _StackMap,
     best_candidates,
     distance,
-    fd_tensors,
     point_rows,
     tensor_norm,
 )
@@ -306,31 +306,30 @@ class ChainedLocalMap(LocalMap):
     Routes are (middle Chart, inner rep, outer rep); the value in the final
     chart does not depend on the route taken (transition consistency), so
     each row of a stack takes the first route that admits it (``_routed``);
-    a point is a one-row stack.  Derivatives: exact jet chaining when both
-    factors carry expressions, through the route's jet-chained map built
-    once here, else the first-order chain rule, and beyond it central
-    differences of chain-rule tensors on one grid per row (``fd_tensors``).
-    With a factor at an eps column the map carries that ``eps_column`` and
-    takes only whole stacks of its rows (see ``_routed``).
+    a point is a one-row stack.  A row's tensors are its route's map's
+    (``maps``, built here: the jet-chained expression when both factors are
+    expressions, else ``_chain_rule``), so its grid stays on its route.
+    Given ``maps`` (such as ``vbhom_compose``'s matrix parts), the routes
+    only admit rows and the values are the maps'.  With a factor at an eps
+    column the map carries that ``eps_column`` and takes only whole stacks
+    of its rows (see ``_routed``).
     """
 
-    def __init__(self, routes: list, in_dim: int, out_shape, name: str = ""):
+    def __init__(self, routes: list, in_dim: int, out_shape, name: str = "",
+                 maps: Optional[list] = None):
         self.routes = routes  # list of (middle Chart, inner, outer)
         cols = [f.eps_column for _mid, inner, outer in routes for f in (inner, outer)
                 if f.eps_column is not None]
         super().__init__(in_dim, out_shape, name=name, eps_column=cols[0] if cols else None,
-                         fn=lambda x: self._routed(x[None], every=True)[0][3][0])  # one row
-        # per route: the jet-chained map when both factors are expressions
-        self.jet_maps = [LocalMap.from_expr(lambda t, f=inner.expr, g=outer.expr: g(f(t)),
-                                            out_shape=self.out_shape, name=name,
-                                            eps_column=self.eps_column)
-                         if inner.expr is not None and outer.expr is not None else None
-                         for _mid, inner, outer in routes]
-        if all(jet is not None for jet in self.jet_maps):
-            self.exact_order = math.inf
-        elif all(min(inner.exact_order, outer.exact_order) >= 1
-                 for _mid, inner, outer in routes):
-            self.exact_order = 1
+                         fn=lambda x: self._values(x[None], every=True)[0])  # one row
+        self.router_values = maps is None  # the values are the outer factors'
+        self.maps = maps or [LocalMap.from_expr(lambda t, f=inner.expr, g=outer.expr: g(f(t)),
+                                                out_shape=self.out_shape, name=name,
+                                                eps_column=self.eps_column)
+                             if inner.expr is not None and outer.expr is not None
+                             else _chain_rule(inner, outer, self.out_shape, name, self.eps_column)
+                             for _mid, inner, outer in routes]
+        self.exact_order = min(m.exact_order for m in self.maps)
 
     def _routed(self, P: np.ndarray, every: bool = False) -> list:
         """[(i, rows, Y, Z)] per route i that admits rows of the stack P: the
@@ -355,7 +354,7 @@ class ChainedLocalMap(LocalMap):
             if not len(rows):
                 break
             Y = inner.try_call(P[rows])
-            Z = np.full((len(rows),) + self.out_shape, math.nan)
+            Z = np.full((len(rows),) + outer.out_shape, math.nan)
             ok = whole(mid.contains(Y))
             if ok.any():
                 Z[ok] = outer.try_call(Y[ok])
@@ -367,11 +366,11 @@ class ChainedLocalMap(LocalMap):
             raise ValueError(f"local map {self.name!r} has no admissible route at some row")
         return out
 
-    def _values(self, P: np.ndarray) -> np.ndarray:
+    def _values(self, P: np.ndarray, every: bool = False) -> np.ndarray:
         """Values at the rows of P, NaN rows where no route admits a row."""
         Z = np.full((len(P),) + self.out_shape, math.nan)
-        for _i, rows, _Y, z in self._routed(P):
-            Z[rows] = z
+        for i, rows, _Y, z in self._routed(P, every):
+            Z[rows] = z if self.router_values else self.maps[i]._values(P[rows])
         return Z
 
     def _tried(self, P: np.ndarray) -> tuple:
@@ -379,59 +378,47 @@ class ChainedLocalMap(LocalMap):
         Z = self._values(P)
         return Z, ~np.isnan(Z.reshape(len(P), -1)).all(axis=1)
 
-    def deriv_tensor(self, x, k: int) -> np.ndarray:
+    def deriv_tensor(self, x, k: int) -> np.ndarray:  # its own: perfbench/layers.py wraps it
         return self.derivs_upto(x, k)[k]
 
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack,
         each row by its own route (``_routed``, ValueError where a row has
-        none): the rows of a route that chains two expressions take one
-        stacked call of its jet-chained map, all other rows share one
-        ``_chain_jacobians`` call on their grids (``fd_tensors``).  Results
-        come back in row order."""
+        none): one stacked ``derivs_upto`` of each route's map on its rows.
+        Results come back in row order."""
         P, single = point_rows(x)
         ts = [np.empty((len(P),) + self.out_shape + (self.in_dim,) * k)
               for k in range(k_max + 1)]
-        fd_rows = []
-        for i, rows, _Y, Z in self._routed(P, every=True):
-            if self.jet_maps[i] is None:
-                ts[0][rows] = Z
-                fd_rows.append(rows)
-            else:
-                for t, got in zip(ts, self.jet_maps[i].derivs_upto(P[rows], k_max)):
-                    t[rows] = got
-        if fd_rows:
-            rows = np.sort(np.concatenate(fd_rows))
-            values = lambda _Q: ts[0][rows]  # the routes' values, read above
-            for t, got in zip(ts, fd_tensors(values, self._chain_jacobians, P[rows], k_max)):
+        for i, rows, _Y, _Z in self._routed(P, every=True):
+            for t, got in zip(ts, self.maps[i].derivs_upto(P[rows], k_max)):
                 t[rows] = got
         return [t[0] for t in ts] if single else ts
 
-    def _chain_jacobians(self, P: np.ndarray) -> np.ndarray:
-        """Order-1 chain-rule tensors at the rows of P, each by its own route,
-        with one stacked Jacobian call per factor of a route."""
-        out = np.empty((len(P), self.out_size, self.in_dim))
-        for i, rows, Y, _Z in self._routed(P, every=True):
-            _mid, inner, outer = self.routes[i]
-            out[rows] = outer.jacobian(Y) @ inner.jacobian(P[rows])
-        return out.reshape((len(P),) + self.out_shape + (self.in_dim,))
+
+def _chain_rule(inner: LocalMap, outer: LocalMap, out_shape: tuple, name: str,
+                eps_column) -> _StackMap:
+    """outer o inner: the values ``outer._values(Y)`` at Y = ``inner._values(P)``
+    and the Jacobians ``outer.jacobian(Y) @ inner.jacobian(P)``, one stacked
+    call per factor; exact to order min(1, both factors'), FD beyond it."""
+    jacobians = lambda P: (outer.jacobian(inner._values(P)) @ inner.jacobian(P)).reshape(
+        (len(P),) + out_shape + (inner.in_dim,))
+    return _StackMap(inner.in_dim, out_shape, lambda P: outer._values(inner._values(P)),
+                     jacobians, min(1, inner.exact_order, outer.exact_order), name, eps_column)
 
 
 def effective_reps(sm: SmoothMap, chart_a: str) -> dict:
-    """Representatives out of chart_a, chaining a src transition if needed.
-
-    Returns {dst chart: LocalMap in chart_a coordinates}.
-    """
-    out = {b: rep for (a, b), rep in sorted(sm.locals.items()) if a == chart_a}
+    """{dst chart b: representative in chart_a coordinates}: sm's own, else
+    a chain routed through every source chart with a representative into b,
+    in id order."""
+    out = {b: rep for (a, b), rep in sm.locals.items() if a == chart_a}
+    routes: dict = {}
     for (a, b), rep in sorted(sm.locals.items()):
-        if a == chart_a or b in out:
-            continue
         tm = sm.src.transition_map(chart_a, a)
-        if tm is None:
-            continue
-        out[b] = ChainedLocalMap([(sm.src.chart(a), tm, rep)], tm.in_dim, rep.out_shape,
-                                 name=f"{rep.name} via {a}")
-    return out
+        if b not in out and tm is not None:
+            routes.setdefault(b, []).append((sm.src.chart(a), tm, rep))
+    return out | {b: ChainedLocalMap(rs, rs[0][1].in_dim, rs[0][2].out_shape,
+                                     name=f"{rs[0][2].name} via {'/'.join(r[0].id for r in rs)}")
+                  for b, rs in routes.items()}
 
 
 def compose(v: MapNet, u: MapNet, K: Optional[CompactRegion] = None,
@@ -529,17 +516,17 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
                 L_prime: Optional[dict], pieces, context, cfg: Config) -> dict:
     """Chart-wise lattice sups of derivative-tensor norms, orders 0..k_max.
 
-    ``pieces(eps, cid)`` gives (dst chart b, tensors_of) pairs for the nets
-    at eps: a grid eps, or the eps column of the stack tensors_of takes.
+    ``pieces(eps, cid)`` gives (dst chart b, local map) pairs for the nets
+    at eps: a grid eps, or the eps column of the stack the map takes.
     A lattice point x of K's piece pi (in chart cid) counts under the keys
     (pi, cid, b, k) at an eps when the image tables of ``nets`` (cached,
     escaped images included as rows) admit it for b (``_admitted``), so no
     point is evaluated for admission.  Each (piece, b) group is one array
     pass over its admitted (eps, point) rows, eps-major and in lattice order
-    (one pass per eps for nets without eps columns, ``_eps_rows``): one call
-    ``tensors_of(X)`` on their stack X, giving their tensors of orders
-    0..k_max, row axis first; one ``tensor_norm`` per order over all the
-    rows, and its sup per eps (``sweep_stacks``).  Each series is labelled
+    (one pass per eps for nets without eps columns, ``_eps_rows``): one
+    ``derivs_upto(X, k_max)`` of the map on their stack X, giving their
+    tensors of orders 0..k_max, row axis first; one ``tensor_norm`` per
+    order over all the rows, and its sup per eps (``sweep_stacks``).  Each series is labelled
     ``context(pi, cid, b, k)``.
     """
     tables = [u.image_table(K, grid) for u in nets]
@@ -552,8 +539,8 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
                 eis, js = np.nonzero(ok[:, cols, c])
 
                 def tensors(eps, rows, b=b, js=js):
-                    tensors_of = dict(pieces(eps, cid)).get(b)
-                    return None if tensors_of is None else tensors_of(lat[js[rows]])
+                    rep = dict(pieces(eps, cid)).get(b)
+                    return None if rep is None else rep.derivs_upto(lat[js[rows]], k_max)
 
                 parts = [(rows, ts) for rows, ts in _eps_rows(nets, eps_vals, eis, tensors)
                          if ts is not None]
@@ -606,11 +593,8 @@ def derivative_sup_series(u: MapNet, K: CompactRegion, grid: EpsGrid,
     outside L' (when given) are excluded; empty suprema record 0.
     """
 
-    def pieces(eps, cid):
-        return {b: (lambda x, rep=rep: rep.derivs_upto(x, k_max))
-                for b, rep in effective_reps(u.at(eps), cid).items()}
-
-    return _chart_sups((u,), K, grid, k_max, L_prime, pieces,
+    return _chart_sups((u,), K, grid, k_max, L_prime,
+                       lambda eps, cid: effective_reps(u.at(eps), cid),
                        lambda pi, cid, b, k: f"|D^{k}| K[{pi}] {cid}->{b} of {u.tag}", cfg)
 
 
@@ -683,37 +667,26 @@ def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
                         lambda key: f"|D^0({u.tag}-{v.tag})| K[{key[0]}] {key[1]}->{key[2]}")
 
 
-def _gap_tensors(ru: LocalMap, rv: LocalMap, k_max: int):
-    """Derivative tensors of the gap between two representatives, at a
-    point or at every row of a stack.
+class _GapMap(_StackMap):
+    """The gap ru - rv: through the order both are exact to, the difference
+    of their tensors; beyond it ``LocalMap.derivs_upto`` of the gap itself
+    (stencil noise proportional to the gap, not to the operands), from the
+    stacked differences of their values (an expression's order-0 jet) and,
+    when both maps carry one, of their Jacobians.  An inexact gap at an eps
+    column raises DerivativeUndefined on its grids' rows (see ``_eps_rows``)."""
 
-    When both oracles are exact through order k_max, subtract exact tensors.
-    Otherwise differentiate the gap itself, which keeps stencil noise
-    proportional to the gap rather than to the operands: central differences
-    (``fd_tensors``) of the stacked difference ``ru._values(Q) - rv._values(Q)``
-    (an expression's order-0 jet), or beyond order 0 of the stacked difference
-    of their ``jac`` values when both maps carry one.  At an eps column the
-    grids' rows are no stack of the column's rows, so the gap raises
-    DerivativeUndefined and a sweep takes one eps at a time (``_eps_rows``).
-    """
-    if min(ru.exact_order, rv.exact_order) >= k_max:
-        def diffs(x):
-            tu = ru.derivs_upto(x, k_max)
-            tv = rv.derivs_upto(x, k_max)
-            return [tu[k] - tv[k] for k in range(k_max + 1)]
+    def __init__(self, ru: LocalMap, rv: LocalMap):
+        self.ru, self.rv = ru, rv
+        super().__init__(ru.in_dim, ru.out_shape, lambda P: ru._values(P) - rv._values(P),
+                         None if ru.jac is None or rv.jac is None
+                         else lambda P: ru._jacobians(P) - rv._jacobians(P),
+                         min(ru.exact_order, rv.exact_order), f"({ru.name})-({rv.name})")
 
-        return diffs
-
-    values = lambda Q: ru._values(Q) - rv._values(Q)
-    jacobians = (None if ru.jac is None or rv.jac is None
-                 else lambda Q: ru._jacobians(Q) - rv._jacobians(Q))
-
-    def gap(x):
-        P, single = point_rows(x)
-        ts = fd_tensors(values, jacobians, P, k_max)
-        return [t[0] for t in ts] if single else ts
-
-    return gap
+    def derivs_upto(self, x, k_max: int) -> list:
+        if k_max > self.exact_order:
+            return super().derivs_upto(x, k_max)
+        return [tu - tv for tu, tv in zip(self.ru.derivs_upto(x, k_max),
+                                          self.rv.derivs_upto(x, k_max))]
 
 
 def chart_gap_series(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
@@ -727,7 +700,7 @@ def chart_gap_series(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
 
     def pieces(eps, cid):
         ru, rv = effective_reps(u.at(eps), cid), effective_reps(v.at(eps), cid)
-        return {b: _gap_tensors(ru[b], rv[b], k_max) for b in ru.keys() & rv.keys()}
+        return {b: _GapMap(ru[b], rv[b]) for b in ru.keys() & rv.keys()}
 
     return _chart_sups((u, v), K, grid, k_max, L_prime, pieces,
                        lambda pi, cid, b, k: f"|D^{k}({u.tag}-{v.tag})| K[{pi}] {cid}->{b}",

@@ -287,7 +287,10 @@ class LocalMap:
     of offsets per root y with the one step 1e-4*(1+|y|) (``fd_tensors``), of
     the value, or of the Jacobian when the map has one.
     ``exact_order`` is the highest order those tensors are exact to: inf
-    for an expression, 1 with a Jacobian, else 0.
+    for an expression, 1 with a Jacobian, else 0.  A composite's route maps
+    (``gmap.ChainedLocalMap``) and the gap between two maps (``gmap._GapMap``)
+    are local maps too, so this ``derivs_upto`` is the one caller of
+    ``fd_tensors``.
 
     The derivative oracle and ``try_call`` take a point, shape ``(in_dim,)``,
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
@@ -468,7 +471,20 @@ class LocalMap:
         return _DerivedMap(self)
 
 
-class _DerivedMap(LocalMap):
+class _StackMap(LocalMap):
+    """A local map from hooks on a stack P, ``values(P)`` and ``jacobians(P)``
+    (if given), exact to order ``exact_order``; a point is a one-row stack."""
+
+    def __init__(self, in_dim: int, out_shape, values, jacobians=None, exact_order=0,
+                 name: str = "", eps_column=None):
+        self._values, self._jacobians = values, jacobians
+        super().__init__(in_dim, out_shape, fn=lambda x: values(x[None])[0], name=name,
+                         jac=None if jacobians is None else lambda x: jacobians(x[None])[0],
+                         eps_column=eps_column)
+        self.exact_order = exact_order
+
+
+class _DerivedMap(_StackMap):
     """D(parent): order-k derivatives are parent's order k+1 derivatives.
 
     The parent's order-(k+1) tensor already has this map's order-k shape,
@@ -479,12 +495,8 @@ class _DerivedMap(LocalMap):
     def __init__(self, parent: LocalMap):
         self.parent = parent
         super().__init__(parent.in_dim, parent.out_shape + (parent.in_dim,),
-                         fn=lambda x: parent.deriv_tensor(x, 1), defined=parent.defined,
-                         name=f"D({parent.name})", eps_column=parent.eps_column)
-        self.exact_order = parent.exact_order - 1
-
-    def _values(self, P: np.ndarray) -> np.ndarray:
-        return self.parent.derivs_upto(P, 1)[1]
+                         lambda P: parent.derivs_upto(P, 1)[1], None, parent.exact_order - 1,
+                         f"D({parent.name})", parent.eps_column)
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
         return self.parent._defined_rows(P)
@@ -1099,15 +1111,12 @@ def fiber_norm(bundle: VectorBundle, e: BundleElement, strict: bool = False) -> 
     return math.inf if math.isnan(q) else math.sqrt(max(0.0, q))
 
 
-def tangent_bundle(atlas: Atlas, fiber_metric_from_base: bool = True) -> VectorBundle:
-    """Tangent bundle: vb-transitions are Jacobians of the base transitions."""
+def tangent_bundle(atlas: Atlas) -> VectorBundle:
+    """Tangent bundle: vb-transitions are Jacobians of the base transitions,
+    and the fiber metric is the base's metric, when it has one."""
     dim = atlas.chart(atlas.chart_ids[0]).dim
-    vb_trans = {}
-    for (a, b), tm in atlas.transitions.items():
-        vb_trans[(a, b)] = tm.derivative_map()
-    fiber_metric = None
-    if fiber_metric_from_base and atlas.metric is not None:
-        fiber_metric = dict(atlas.metric.fields)
+    vb_trans = {pair: tm.derivative_map() for pair, tm in atlas.transitions.items()}
+    fiber_metric = None if atlas.metric is None else dict(atlas.metric.fields)
     return VectorBundle(atlas, dim, vb_trans, fiber_metric,
                         name=f"T({atlas.name})")
 

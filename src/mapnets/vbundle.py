@@ -12,7 +12,8 @@ pointwise tensor insertion reduce to per-eps chart algebra plus the
 asymptotic judges.
 
 ``vbhom_compose`` is ``compose`` on the base nets plus the matrix products
-along the routes the base points take, one stacked product per route.
+along the routes the base points take, one stacked product per route, each
+differentiated along its route.
 ``u.eval`` and ``VBHomNet.eval`` take the chart pair of
 ``SmoothMap.best_image``, the rule of ``manifold.best_candidates`` (largest
 margin, then the smaller target chart, then the smaller source chart), by
@@ -40,6 +41,7 @@ from .asymptotics import (
 from .config import DEFAULT_CONFIG, Config
 from .errors import BaseMismatch, NoSharedChart, SingleChartMissing, TypeMismatch
 from .gmap import (
+    ChainedLocalMap,
     MapNet,
     check_cbounded,
     check_equiv,
@@ -50,7 +52,7 @@ from .gmap import (
     sample_points,
     _chart_sups,
     _eps_rows,
-    _gap_tensors,
+    _GapMap,
     _merge_l_prime,
 )
 from .gpoints import GenNumber, GenPoint, _image_support, argmax_net, points_equal
@@ -62,6 +64,7 @@ from .manifold import (
     Point,
     PointStack,
     VectorBundle,
+    _StackMap,
     _constant,
     _identity,
     fiber_norm,
@@ -124,39 +127,29 @@ def tangent(u: MapNet, src_bundle: Optional[VectorBundle] = None,
 def vbhom_compose(v2: VBHomNet, v1: VBHomNet, tag: str = "") -> VBHomNet:
     """Composite vb-homomorphism net: the base net is
     ``compose(v2.base_net, v1.base_net)``, and the matrix part at x is
-    M2(y) @ M1(x) along the route (middle chart, point y) x's base takes: one
-    stacked product per route of a stack (``_RouteProduct``), at the base's
-    eps columns too.  Raises ChartMismatch, as compose does, when the bases
-    do not chain."""
+    M2(y) @ M1(x) along the route (middle chart, point y) x's base takes: a
+    ``ChainedLocalMap`` over the base's routes whose route maps are those
+    products (``_matrix_chain``), at the base's eps columns too.  Raises
+    ChartMismatch, as compose does, when the bases do not chain."""
     base = compose(v2.base_net, v1.base_net)
 
     def matrices_at(eps) -> dict:
-        mats1, mats2 = v1.matrices_at(eps), v2.matrices_at(eps)
-        # one factor pair per route of compose: middle charts b in sorted order
-        return {(a, c): _RouteProduct(chained, [(mats1[(a, b)], mats2[(b, c)])
-                                               for (a2, b) in sorted(mats1)
-                                               if a2 == a and (b, c) in mats2])
-                for (a, c), chained in base.at(eps).locals.items()}
+        mats1, mats2, out = v1.matrices_at(eps), v2.matrices_at(eps), {}
+        for (a, c), chained in base.at(eps).locals.items():
+            maps = [_matrix_chain(inner, mats1[a, mid.id], mats2[mid.id, c], chained.eps_column)
+                    for mid, inner, _outer in chained.routes]
+            out[a, c] = ChainedLocalMap(chained.routes, chained.in_dim, maps[0].out_shape,
+                                        name=f"mat({chained.name})", maps=maps)
+        return out
 
     return VBHomNet(v1.src, v2.dst, base, matrices_at, tag=tag or f"{v2.tag}o{v1.tag}")
 
 
-class _RouteProduct(LocalMap):
-    """M2(y) @ M1(x) at each row x, along the route i (middle point y) that
-    the chained base representative takes there, ``mats[i]`` = (M1, M2): one
-    stacked product per route; ValueError where a row has no route."""
-
-    def __init__(self, chained: LocalMap, mats: list):
-        self.chained, self.mats = chained, mats
-        super().__init__(chained.in_dim, (mats[0][1].out_shape[0], mats[0][0].out_shape[1]),
-                         fn=lambda x: self._values(x[None])[0], name=f"mat({chained.name})",
-                         eps_column=chained.eps_column)
-
-    def _values(self, P: np.ndarray) -> np.ndarray:
-        out = np.empty((len(P),) + self.out_shape)
-        for i, rows, Y, _Z in self.chained._routed(P, every=True):
-            out[rows] = self.mats[i][1]._values(Y) @ self.mats[i][0]._values(P[rows])
-        return out
+def _matrix_chain(inner: LocalMap, m1: LocalMap, m2: LocalMap, eps_column) -> _StackMap:
+    """M2(inner(x)) @ M1(x) at each row x of a stack, one stacked product."""
+    return _StackMap(m1.in_dim, (m2.out_shape[0], m1.out_shape[1]),
+                     lambda P: m2._values(inner._values(P)) @ m1._values(P),
+                     name=f"{m2.name}.{m1.name}", eps_column=eps_column)
 
 
 # ======================================================================
@@ -363,11 +356,9 @@ def matrix_gap_series(u: VBHomNet, v: Optional[VBHomNet], L: CompactRegion,
 
     def pieces(eps, cid):
         mats_v = v.matrices_at(eps) if v is not None else None
-        for (a, b), mu in sorted(u.matrices_at(eps).items()):
-            if a == cid and mats_v is None:
-                yield b, lambda x, m=mu: m.derivs_upto(x, k_max)
-            elif a == cid and (a, b) in mats_v:
-                yield b, _gap_tensors(mu, mats_v[a, b], k_max)
+        return {b: mu if mats_v is None else _GapMap(mu, mats_v[a, b])
+                for (a, b), mu in u.matrices_at(eps).items()
+                if a == cid and (mats_v is None or (a, b) in mats_v)}
 
     what = u.tag if v is None else f"{u.tag}-{v.tag}"
     nets = (u.base_net,) if v is None else (u.base_net, v.base_net)

@@ -14,6 +14,7 @@ lattice point.
 
 import collections
 import math
+import types
 import warnings
 
 import numpy as np
@@ -346,20 +347,20 @@ def ref_groups(nets, K, grid, L_prime):
 
 def stacked_groups(nets, K, grid, L_prime, cfg):
     """The same groups as ``_chart_sups`` admits them from the nets' image
-    tables, read off the stacks it hands to ``tensors_of`` (a stack at an
-    eps column split by eps), in the per-point rule's order."""
+    tables, read off the stacks it hands to a recording map's ``derivs_upto``
+    (a stack at an eps column split by eps), in the per-point rule's order."""
     seen = []
 
     def pieces(eps, cid):
         reps = [effective_reps(u.at(eps), cid) for u in nets]
         for b in sorted(set.intersection(*[set(r) for r in reps])):
-            def tensors_of(X, eps=eps, cid=cid, b=b, rep=reps[0][b]):
+            def derivs_upto(X, k_max, eps=eps, cid=cid, b=b, rep=reps[0][b]):
                 col = np.broadcast_to(eps, len(X))
                 for e in dict.fromkeys(col.tolist()):
                     seen.append((e, cid, b, X[col == e].copy()))
-                return rep.derivs_upto(X, 1)
+                return rep.derivs_upto(X, k_max)
 
-            yield b, tensors_of
+            yield b, types.SimpleNamespace(derivs_upto=derivs_upto)
 
     _chart_sups(nets, K, grid, 1, L_prime, pieces, lambda pi, cid, b, k: "", cfg)
     return sorted(seen, key=lambda g: -g[0])  # stable: piece, then chart, within an eps

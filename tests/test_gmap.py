@@ -396,7 +396,7 @@ class TestOneDifferenceCallPerGroup:
         return MapNet(PLANE, PLANE, factory, tag=tag)
 
     def count_calls(self, monkeypatch):
-        from mapnets import gmap, manifold
+        from mapnets import manifold
 
         calls = []
         tensors = manifold.fd_tensors
@@ -406,7 +406,6 @@ class TestOneDifferenceCallPerGroup:
             return tensors(values, jacobians, P, k_max)
 
         monkeypatch.setattr(manifold, "fd_tensors", counted)
-        monkeypatch.setattr(gmap, "fd_tensors", counted)
         return calls
 
     def expected(self):

@@ -1,14 +1,15 @@
 """The gap between two representatives, differentiated on stacked values.
 
-``gmap._gap_tensors(ru, rv, k)`` subtracts exact tensors when both oracles
-are exact through order k; otherwise its central differences (``fd_tensors``)
-read the stacked difference ``ru._values(Q) - rv._values(Q)`` on the grids of
-the rows (or, when both maps carry a Jacobian, the stacked difference of their
-``jac`` values beyond order 0).  Its reference is the per-point difference map it replaced
+``gmap._GapMap(ru, rv).derivs_upto(x, k)`` subtracts exact tensors when both
+oracles are exact through order k; otherwise its central differences
+(``LocalMap.derivs_upto``) read the stacked difference
+``ru._values(Q) - rv._values(Q)`` on the grids of the rows (or, when both
+maps carry a Jacobian, the stacked difference of their ``jac`` values beyond
+order 0).  Its reference is the per-point difference map it replaced
 (``ref_difference_map``): every tensor must equal the reference's bit for
 bit (any NaN as NaN), at a point and at a stack, for plain fn maps, maps with
-a Jacobian, expressions with no ``sqrt`` or ``**``, chained, derived and
-route-product maps.  An expression operand reads its order-0 jet, as the
+a Jacobian, expressions with no ``sqrt`` or ``**``, chained, derived maps
+and the matrix parts of composite tangent maps.  An expression operand reads its order-0 jet, as the
 image tables and the chart sups do, so a gap whose expression has no jet
 where it has a float value raises at every order.
 
@@ -24,15 +25,23 @@ from test_kernels import same_bytes, two_route_chain
 from mapnets import jets
 from mapnets.errors import DerivativeUndefined
 from mapnets.gallery import get_atlas, get_net, get_region
-from mapnets.gmap import MapNet, _gap_tensors, angle_net, check_equiv, embed_smooth, scalar_net
+from mapnets.gmap import (
+    ChainedLocalMap,
+    MapNet,
+    _GapMap,
+    angle_net,
+    check_equiv,
+    embed_smooth,
+    scalar_net,
+)
 from mapnets.manifold import LocalMap, SmoothMap
-from mapnets.vbundle import _RouteProduct, tangent, vbhom_compose
+from mapnets.vbundle import tangent, vbhom_compose
 
 LINE, CIRCLE = get_atlas("line"), get_atlas("circle")
 
 
 def ref_difference_map(a: LocalMap, b: LocalMap) -> LocalMap:
-    """The per-point difference map that ``_gap_tensors`` replaced: a - b as a
+    """The per-point difference map that ``_GapMap`` replaced: a - b as a
     LocalMap whose fn (and jac, when both maps have one) calls each operand
     at a point."""
     if a.out_shape != b.out_shape or a.in_dim != b.in_dim:
@@ -87,7 +96,7 @@ def route_product(slope: float) -> LocalMap:
         ("angpi", "e0"): LocalMap.from_expr(lambda t: -jets.sin(t), name="sin:angpi")},
         name="psin"), "psin")
     m = vbhom_compose(tangent(g), tangent(f)).matrices_at(0.25)[("e0", "e0")]
-    assert isinstance(m, _RouteProduct)
+    assert isinstance(m, ChainedLocalMap)
     return m
 
 
@@ -116,12 +125,12 @@ def test_the_gap_matches_the_per_point_difference_map(label):
     assert inexact
     ref = ref_difference_map(ru, rv)
     for k in inexact:
-        got, want = _gap_tensors(ru, rv, k)(X), ref.derivs_upto(X, k)
+        got, want = _GapMap(ru, rv).derivs_upto(X, k), ref.derivs_upto(X, k)
         assert len(got) == len(want) == k + 1
         for g, w in zip(got, want):
             same_bytes(g, w)
         for x in X:
-            for g, w in zip(_gap_tensors(ru, rv, k)(x), ref.derivs_upto(x, k)):
+            for g, w in zip(_GapMap(ru, rv).derivs_upto(x, k), ref.derivs_upto(x, k)):
                 same_bytes(g, w)
 
 
@@ -168,6 +177,6 @@ def test_a_gap_at_an_eps_column_raises_on_stencil_rows():
     (ru,) = get_net("heaviside_tanh").at(E).locals.values()
     rv = LocalMap(1, (1,), fn=np.sin, name="sin-fn")
     X = np.array([[0.1], [0.2], [0.3]])
-    same_bytes(_gap_tensors(ru, rv, 0)(X)[0], ru.try_call(X) - rv.try_call(X))
+    same_bytes(_GapMap(ru, rv).derivs_upto(X, 0)[0], ru.try_call(X) - rv.try_call(X))
     with pytest.raises(DerivativeUndefined, match="takes only stacks of its rows"):
-        _gap_tensors(ru, rv, 1)(X)
+        _GapMap(ru, rv).derivs_upto(X, 1)
