@@ -381,6 +381,9 @@ class ChainedLocalMap(LocalMap):
     def deriv_tensor(self, x, k: int) -> np.ndarray:  # its own: perfbench/layers.py wraps it
         return self.derivs_upto(x, k)[k]
 
+    def fd_leaf(self, k_max: int) -> None:  # each row along its route's map
+        return None
+
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack,
         each row by its own route (``_routed``, ValueError where a row has
@@ -522,12 +525,12 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
     (pi, cid, b, k) at an eps when the image tables of ``nets`` (cached,
     escaped images included as rows) admit it for b (``_admitted``), so no
     point is evaluated for admission.  Each (piece, b) group is one array
-    pass over its admitted (eps, point) rows, eps-major and in lattice order
-    (one pass per eps for nets without eps columns, ``_eps_rows``): one
-    ``derivs_upto(X, k_max)`` of the map on their stack X, giving their
-    tensors of orders 0..k_max, row axis first; one ``tensor_norm`` per
-    order over all the rows, and its sup per eps (``sweep_stacks``).  Each series is labelled
-    ``context(pi, cid, b, k)``.
+    pass over its admitted (eps, point) rows, eps-major and in lattice order:
+    their tensors of orders 0..k_max, row axis first, from ``_group_tensors``
+    (one ``derivs_upto`` over the rows of all grid eps for nets without eps
+    columns, where the maps take differences); one ``tensor_norm`` per order
+    over all the rows, and its sup per eps (``sweep_stacks``).  Each series
+    is labelled ``context(pi, cid, b, k)``.
     """
     tables = [u.image_table(K, grid) for u in nets]
     ok = _admitted(tables, L_prime)
@@ -537,22 +540,85 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
         for pi, cid, cols, lat, at in _lattice_pieces(K):
             for c, b in enumerate(tables[0].charts):
                 eis, js = np.nonzero(ok[:, cols, c])
-
-                def tensors(eps, rows, b=b, js=js):
-                    rep = dict(pieces(eps, cid)).get(b)
-                    return None if rep is None else rep.derivs_upto(lat[js[rows]], k_max)
-
-                parts = [(rows, ts) for rows, ts in _eps_rows(nets, eps_vals, eis, tensors)
-                         if ts is not None]
-                if not parts:
+                got = _group_tensors(nets, eps_vals, eis, lat[js], k_max,
+                                     lambda eps, b=b: dict(pieces(eps, cid)).get(b))
+                if got is None:
                     continue
-                rows = np.concatenate([rows for rows, _ts in parts])
+                rows, ts = got
                 for k in range(k_max + 1):
-                    t = np.concatenate([ts[k] for _rows, ts in parts])
-                    yield ((pi, cid, b, k), eis[rows], tensor_norm(t, k),
+                    yield ((pi, cid, b, k), eis[rows], tensor_norm(ts[k], k),
                            lambda i, j=js[rows]: at[j[i]])
 
     return sweep_stacks(grid, stacks(), cfg.zero_tol, lambda key: context(*key))
+
+
+def _group_tensors(nets, eps_vals: np.ndarray, eis: np.ndarray, X: np.ndarray, k_max: int,
+                   rep_at) -> Optional[tuple]:
+    """(rows, tensors): the tensors of orders 0..k_max at the (eps, point) rows
+    X of non-decreasing grid eps indices ``eis`` whose eps has a map
+    (``rep_at(eps)``, else None), row axis first, and those rows in order; None
+    without such rows.
+
+    Nets with eps columns: one ``derivs_upto`` per ``_eps_rows`` call.  Else
+    the maps of the eps runs that take differences (``LocalMap.fd_leaf``)
+    make one ``derivs_upto`` (per kind of leaf: values, or the Jacobians) of
+    ``_runs_map`` over all their rows, and every other map one on its run.
+    Where that raises, each run makes its own call, in eps order, so the
+    error raised is the first failing eps's, as with one call per eps."""
+    if all(u.eps_columns for u in nets):
+        def tensors(eps, rows):
+            rep = rep_at(eps)
+            return None if rep is None else rep.derivs_upto(X[rows], k_max)
+
+        parts = [(rows, ts) for rows, ts in _eps_rows(nets, eps_vals, eis, tensors)
+                 if ts is not None]
+    else:
+        runs = [(rows, rep) for rows, rep in _eps_rows(nets, eps_vals, eis,
+                                                       lambda eps, _rows: rep_at(eps))
+                if rep is not None]
+        own, fused = [], {}  # fused: leaf kind -> [(rows, map, leaf)]
+        for rows, rep in runs:
+            leaf = rep.fd_leaf(k_max)
+            if leaf is None:
+                own.append((rows, rep))
+            else:
+                fused.setdefault(leaf[1] is None, []).append((rows, rep, leaf))
+        try:
+            parts = [(rows, rep.derivs_upto(X[rows], k_max)) for rows, rep in own]
+            for group in fused.values():
+                rows = np.concatenate([r for r, _rep, _leaf in group])
+                parts.append((rows, _runs_map(group).derivs_upto(X[rows], k_max)))
+        except Exception:  # any error: the runs one by one raise the first failing eps's
+            parts = [(rows, rep.derivs_upto(X[rows], k_max)) for rows, rep in runs]
+    if not parts:
+        return None
+    if len(parts) == 1:
+        return parts[0]
+    rows = np.concatenate([r for r, _ts in parts])
+    ts = [np.concatenate([ts[k] for _r, ts in parts]) for k in range(k_max + 1)]
+    if (np.diff(rows) < 0).any():  # a fused group's runs interleave with others
+        order = np.argsort(rows, kind="stable")
+        rows, ts = rows[order], [t[order] for t in ts]
+    return rows, ts
+
+
+def _runs_map(runs: list) -> _StackMap:
+    """One stacked map over the runs [(rows, map, (values, jacobians))] of
+    one leaf kind, in eps order: in a stack of their roots' rows (per root
+    the root, or its grid: as many rows per root, contiguous), the rows of
+    run j's roots go to run j's hooks, one call per run."""
+    ends = np.cumsum([len(rows) for rows, _rep, _leaf in runs]).tolist()
+    spans = [(leaf, a, b) for (_rows, _rep, leaf), a, b in zip(runs, [0] + ends[:-1], ends)]
+
+    def hook(i):
+        def call(Q):
+            m = len(Q) // ends[-1]
+            return np.concatenate([leaf[i](Q[a * m:b * m]) for leaf, a, b in spans])
+        return call
+
+    _rows, like, leaf = runs[0]
+    return _StackMap(like.in_dim, like.out_shape, hook(0),
+                     None if leaf[1] is None else hook(1), name=like.name)
 
 
 def _lattice_pieces(K: CompactRegion) -> list:
@@ -673,7 +739,9 @@ class _GapMap(_StackMap):
     (stencil noise proportional to the gap, not to the operands), from the
     stacked differences of their values (an expression's order-0 jet) and,
     when both maps carry one, of their Jacobians.  An inexact gap at an eps
-    column raises DerivativeUndefined on its grids' rows (see ``_eps_rows``)."""
+    column raises DerivativeUndefined on its grids' rows (see ``_eps_rows``).
+    Beyond its exact order it takes differences (``fd_leaf``) like a plain map,
+    so the derivative sweeps fuse its eps runs (``_group_tensors``)."""
 
     def __init__(self, ru: LocalMap, rv: LocalMap):
         self.ru, self.rv = ru, rv
@@ -682,8 +750,11 @@ class _GapMap(_StackMap):
                          else lambda P: ru._jacobians(P) - rv._jacobians(P),
                          min(ru.exact_order, rv.exact_order), f"({ru.name})-({rv.name})")
 
+    def fd_leaf(self, k_max: int) -> Optional[tuple]:
+        return super().fd_leaf(k_max) if k_max > self.exact_order else None
+
     def derivs_upto(self, x, k_max: int) -> list:
-        if k_max > self.exact_order:
+        if self.fd_leaf(k_max) is not None:
             return super().derivs_upto(x, k_max)
         return [tu - tv for tu, tv in zip(self.ru.derivs_upto(x, k_max),
                                           self.rv.derivs_upto(x, k_max))]

@@ -26,10 +26,11 @@ runs as a one-element array.
 For maps without an expression form, central differences on one grid per
 root are the fallback (``manifold.fd_tensors``): ``fd_step`` gives a root y
 its step h = 1e-4 * (1 + |y|), ``fd_grid`` the offsets o of its grid y + h*o
-(the stencils of every multi-index up to a depth), and ``fd_partial`` one
-multi-index's difference from the values on every root's grid, inf without
-a warning where one of them is non-finite.  Roots are rows, first in every
-output, so a whole stack of points shares one evaluation of the map.
+(the stencils of every multi-index up to a depth), and ``fd_partial`` the
+differences of all its multi-indices in one array pass over the values on
+every root's grid, inf without a warning where a value a difference reads
+is non-finite.  Roots are rows, first in every output, so a whole stack of
+points shares one evaluation of the map and one difference pass.
 """
 
 from __future__ import annotations
@@ -417,21 +418,41 @@ def fd_grid(n: int, depth: int) -> tuple:
     return np.array(list(rows), dtype=float), tuple(stencils)
 
 
-def fd_partial(vals: np.ndarray, h: np.ndarray, stencil: tuple) -> np.ndarray:
-    """One multi-index's central difference at every root, from the values,
-    of any shape S, on the grid of every root: ``vals`` (N, M) + S, column 0
-    the root, and h the roots' steps, shape (N,) + (1,) * len(S).  Returns
-    (N,) + S: the sum, term by term in a fixed order (no BLAS: a root alone
-    has its bits in a stack), of w * (vals[:, c] - vals[:, 0]) over the
-    stencil's (c, w), over h^|alpha| (a constant map's is 0.0), or inf over
-    all of S where the root's or a stencil value is non-finite."""
-    orders, cols, weights = stencil
-    root = vals[:, 0]
-    acc = np.zeros_like(root)
+@functools.cache
+def _fd_table(n: int, depth: int) -> tuple:
+    """(cols, weights, starts): the stencils of ``fd_grid(n, depth)`` as one
+    (stencil x column) table of the rows each reads and their weights, every
+    stencil padded to the longest with column 0 and weight 0.0, and per order
+    d = 1..depth the first stencil of order d (they come order by order)."""
+    _offsets, stencils = fd_grid(n, depth)
+    width = max(len(c) for _o, c, _w in stencils)
+    cols = np.zeros((len(stencils), width), dtype=np.intp)
+    weights = np.zeros((len(stencils), width))
+    for s, (_orders, c, w) in enumerate(stencils):
+        cols[s, :len(c)], weights[s, :len(w)] = c, w
+    orders = [len(o[0]) for o, _c, _w in stencils]
+    return cols, weights, np.searchsorted(orders, range(1, depth + 1)).tolist()
+
+
+def fd_partial(vals: np.ndarray, h: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """Every multi-index's central difference at every root, from the values,
+    of any shape S, on the grid ``fd_grid(n, depth)`` of every root: ``vals``
+    (N, M) + S, column 0 the root, and h the roots' steps, shape
+    (N,) + (1,) * len(S).  Returns (N, stencils) + S, stencil s of the grid
+    at [:, s]: the sum of w * (vals[:, c] - vals[:, 0]) over the stencil's
+    (c, w), left to right from +0.0 (one sequential accumulate, no BLAS: a
+    root alone has its bits in a stack, and a constant map's is 0.0), over
+    h^|alpha|, or inf over all of S where the root's or a stencil value is
+    non-finite.  The padding terms, 0.0 * 0.0 at column 0, leave the sum as
+    it is: a sum from +0.0 is never -0.0, and a non-finite root reads inf."""
+    cols, weights, starts = _fd_table(n, depth)
+    v = np.ascontiguousarray(np.moveaxis(vals, 1, 0))  # grid column first: long inner loops
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, masked below
-        for c, w in zip(cols, weights):
-            acc += w * (vals[:, c] - root)
-        for _ in orders[0]:
-            acc /= h
-    acc[~np.isfinite(vals[:, [0] + cols]).reshape(len(vals), -1).all(axis=1)] = np.inf
-    return acc
+        terms = weights.reshape(weights.shape + (1,) * (v.ndim - 1)) * (v[cols] - v[0])
+        terms[:, 0] += 0.0  # the first partial sum, +0.0 + w * d
+        out = np.add.accumulate(terms, axis=1)[:, -1]
+        for s in starts:  # once per order: stencils of order >= d divide d times
+            out[s:] /= h
+    bad = ~np.isfinite(v).reshape(v.shape[:2] + (-1,)).all(axis=2)
+    out[bad[0] | bad[cols].any(axis=1)] = np.inf
+    return np.moveaxis(out, 0, 1)

@@ -285,12 +285,14 @@ class LocalMap:
     preference: an expression closure over jets (exact, any order, 1-D input
     only), an exact Jacobian, then 4th-order central differences on one grid
     of offsets per root y with the one step 1e-4*(1+|y|) (``fd_tensors``), of
-    the value, or of the Jacobian when the map has one.
+    the value, or of the Jacobian when the map has one: the hooks that
+    ``fd_leaf`` hands out, None for a map that differentiates otherwise.
     ``exact_order`` is the highest order those tensors are exact to: inf
     for an expression, 1 with a Jacobian, else 0.  A composite's route maps
-    (``gmap.ChainedLocalMap``) and the gap between two maps (``gmap._GapMap``)
-    are local maps too, so this ``derivs_upto`` is the one caller of
-    ``fd_tensors``.
+    (``gmap.ChainedLocalMap``), the gap between two maps (``gmap._GapMap``)
+    and the derivative sweeps' maps over the rows of many eps (one per
+    (piece, target chart) group, ``gmap._group_tensors``) are local maps
+    too, so this ``derivs_upto`` is the one caller of ``fd_tensors``.
 
     The derivative oracle and ``try_call`` take a point, shape ``(in_dim,)``,
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
@@ -387,17 +389,23 @@ class LocalMap:
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack:
         one jet evaluation over all rows on the expr path, else central
-        differences on the grids of all rows (``fd_tensors``).
+        differences of the ``fd_leaf`` hooks on the grids of all rows
+        (``fd_tensors``).
 
         Raises DerivativeUndefined where the expression has a value but its
         jet fails (log or division by zero inside the jet recurrences)."""
         P, single = point_rows(x)
-        if self.expr is not None:
-            ts = self._expr_tensors(P, k_max)
-        else:
-            ts = fd_tensors(self._values, None if self.jac is None else self._jacobians, P,
-                            k_max)
+        leaf = self.fd_leaf(k_max)
+        ts = self._expr_tensors(P, k_max) if leaf is None else fd_tensors(*leaf, P, k_max)
         return [t[0] for t in ts] if single else ts
+
+    def fd_leaf(self, k_max: int) -> Optional[tuple]:
+        """(values, jacobians): the stacked hooks whose central differences
+        ``derivs_upto`` takes at order k_max (jacobians None without a
+        Jacobian), or None where it takes none: an expression's jet."""
+        if self.expr is not None:
+            return None
+        return self._values, None if self.jac is None else self._jacobians
 
     def _expr_tensors(self, P: np.ndarray, k_max: int) -> list:
         """Tensors of orders 0..k_max at the rows of P from one jet over P's
@@ -507,6 +515,9 @@ class _DerivedMap(_StackMap):
     def derivs_upto(self, x, k_max: int) -> list:
         return self.parent.derivs_upto(x, k_max + 1)[1:]
 
+    def fd_leaf(self, k_max: int) -> None:  # the parent's tensors, one order up
+        return None
+
 
 class _ArrayMap(LocalMap):
     """A local map whose ``fn``, ``jac`` and ``defined`` are array formulas:
@@ -546,29 +557,36 @@ def point_rows(x) -> tuple:
     return P, False
 
 
+@functools.cache
+def _stencil_index(n: int, depth: int) -> list:
+    """Per order d = 1..depth, the stencil of every index order of D^d, an
+    (n,) * d array of indices into the stencils of ``jets.fd_grid(n, depth)``."""
+    out = [np.empty((n,) * d, dtype=np.intp) for d in range(1, depth + 1)]
+    for s, (orders, _cols, _weights) in enumerate(jets.fd_grid(n, depth)[1]):
+        for idx in orders:
+            out[len(idx) - 1][idx] = s
+    return out
+
+
 def fd_tensors(values, jacobians, P: np.ndarray, k_max: int) -> list:
     """Tensors of orders 0..k_max at the rows of P (row axis first) by central
     differences of the stacked ``values`` or, with ``jacobians``, order 0 from
     ``values`` and the rest from differences of the Jacobians.  Each root y
     takes one step h and the grid y + h * offsets of ``jets.fd_grid`` (a
     coordinate at offset 0 is y's own, -0.0 too); the leaf runs once on all
-    grids, and ``jets.fd_partial`` once per multi-index, filling its orders."""
+    grids and ``jets.fd_partial`` once over all multi-indices, and each
+    order's tensor is one gather of its index orders' partials."""
     leaf, depth, ts = (values, k_max, []) if jacobians is None else (
         jacobians, k_max - 1, [values(P)])
     if depth < 1:  # no difference to take: the leaf at the roots, if asked
         return ts + [leaf(P) for _ in range(depth + 1)]
-    (N, n), (offsets, stencils) = P.shape, jets.fd_grid(P.shape[1], depth)
+    (N, n), offsets = P.shape, jets.fd_grid(P.shape[1], depth)[0]
     h, Y = jets.fd_step(P), P[:, None, :]
     vals = leaf(np.where(offsets == 0.0, Y, Y + h[:, None, None] * offsets).reshape(-1, n))
     vals = vals.reshape((N, len(offsets)) + vals.shape[1:])
-    out = [vals[:, 0]] + [np.empty(vals.shape[:1] + vals.shape[2:] + (n,) * d)
-                          for d in range(1, depth + 1)]
-    h = h.reshape((N,) + (1,) * (vals.ndim - 2))
-    for stencil in stencils:
-        t = jets.fd_partial(vals, h, stencil)
-        for idx in stencil[0]:
-            out[len(idx)][(..., *idx)] = t
-    return ts + out
+    partials = np.moveaxis(
+        jets.fd_partial(vals, h.reshape((N,) + (1,) * (vals.ndim - 2)), n, depth), 1, -1)
+    return ts + [vals[:, 0]] + [partials[..., idx] for idx in _stencil_index(n, depth)]
 
 
 def tensor_norm(t: np.ndarray, order: int) -> np.ndarray:

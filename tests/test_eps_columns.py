@@ -198,7 +198,7 @@ def test_check_moderate_makes_as_many_jets_on_a_deep_grid(monkeypatch):
     assert counts[0] == [0] * 4 + [cfg.k_max] * 2
 
 
-def test_a_plain_2d_net_differentiates_once_per_eps_piece_and_chart(monkeypatch, cfg):
+def test_a_plain_2d_net_differentiates_once_per_piece_and_chart(monkeypatch, cfg):
     plane = euclidean_atlas([(-3.0, 3.0)] * 2, name="plane")
 
     def factory(eps):
@@ -213,5 +213,5 @@ def test_a_plain_2d_net_differentiates_once_per_eps_piece_and_chart(monkeypatch,
     monkeypatch.setattr(manifold, "fd_tensors", lambda values, jacobians, P, k_max: calls.append(
         len(P)) or fd_tensors(values, jacobians, P, k_max))
     series = derivative_sup_series(u, K, GRID, 2, None, cfg)
-    assert calls == [9] * len(GRID)  # one call per eps over the lattice's 9 points
+    assert calls == [9 * len(GRID)]  # one call over the lattice's 9 points at every eps
     assert len(series) == 3

@@ -375,9 +375,9 @@ class TestStructuralInvariants:
 
 
 class TestOneDifferenceCallPerGroup:
-    """The derivative sweeps differentiate every admitted lattice point of an
-    (eps, piece, target chart) group in one ``fd_tensors`` call, and make
-    none for a group without admitted points."""
+    """The derivative sweeps differentiate every admitted (eps, lattice point)
+    row of a (piece, target chart) group, over all grid eps, in one
+    ``fd_tensors`` call, and make none for an eps without admitted points."""
 
     PIECES = CompactRegion([("e0", Box([-1.0, -1.0], [0.0, 0.0])),
                             ("e0", Box([0.2, 0.2], [1.0, 1.0]))], lattice_density=3)
@@ -409,9 +409,10 @@ class TestOneDifferenceCallPerGroup:
         return calls
 
     def expected(self):
-        # every point of both pieces is admitted at and below the midpoint eps
+        # every point of both pieces is admitted at and below the midpoint eps:
+        # one call per piece over the 9 lattice points of each admitted eps
         admitted_eps = len(GRID) - GRID.mid_index
-        return [9] * (len(self.PIECES.pieces) * admitted_eps)
+        return [9 * admitted_eps] * len(self.PIECES.pieces)
 
     def test_check_moderate(self, monkeypatch):
         u = self.far_net("far", lambda eps, x: 0.0)
@@ -421,6 +422,8 @@ class TestOneDifferenceCallPerGroup:
         assert calls == self.expected()
 
     def test_check_equiv(self, monkeypatch):
+        """The gap of two plain maps takes differences beyond order 0, its
+        exact order, so at k_max = 2 its eps runs are fused as a map's are."""
         u = self.far_net("far", lambda eps, x: 0.0)
         v = self.far_net("far_eps2", lambda eps, x: eps**2 * np.sin(x))
         calls = self.count_calls(monkeypatch)

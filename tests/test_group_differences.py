@@ -1,0 +1,185 @@
+"""The derivative sweeps difference each (piece, target chart) group once.
+
+For a net without eps columns, ``gmap._chart_sups`` makes one
+``derivs_upto`` over a group's admitted (eps, point) rows of all grid eps
+when the representatives take differences.  ``ref_sup_series`` is the
+sweep it replaced: one ``derivs_upto`` of the eps's representative per
+(piece, target chart, eps).  The two must give the same series, sups and
+args byte for byte, skip the eps without a representative alike, and raise
+the same error, the first failing eps's.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mapnets import gmap, jets
+from mapnets.asymptotics import sweep_stacks
+from mapnets.config import Config
+from mapnets.gmap import MapNet, derivative_sup_series, effective_reps
+from mapnets.manifold import (
+    Box,
+    CompactRegion,
+    LocalMap,
+    euclidean_atlas,
+    euclidean_multichart,
+    tensor_norm,
+)
+
+CFG = Config()
+GRID = CFG.grid()
+EPS = GRID.values().tolist()
+PLANE = euclidean_atlas([(-10.0, 10.0), (-10.0, 10.0)], name="plane")
+TWO_CHARTS = euclidean_multichart({"c0": [(-10.0, 1.0), (-10.0, 10.0)],
+                                   "c1": [(-1.0, 10.0), (-10.0, 10.0)]}, name="two")
+K = CompactRegion([("e0", Box([-1.0, -1.0], [0.0, 0.0])),
+                   ("e0", Box([0.2, -0.5], [0.9, 0.5]))], lattice_density=3)
+
+
+def ref_sup_series(u, K, grid, k_max, L_prime, cfg):
+    """One ``derivs_upto`` per (piece, target chart, eps) on the admitted
+    lattice points, in grid order, then the same sweep."""
+    table = u.image_table(K, grid)
+    ok = gmap._admitted([table], L_prime)
+    stacks = []
+    for pi, cid, cols, lat, at in gmap._lattice_pieces(K):
+        for c, b in enumerate(table.charts):
+            for ei, eps in enumerate(grid.values()):
+                js = np.flatnonzero(ok[ei, cols, c])
+                rep = effective_reps(u.at(eps), cid).get(b)
+                if rep is None or not len(js):
+                    continue
+                ts = rep.derivs_upto(lat[js], k_max)
+                for k in range(k_max + 1):
+                    stacks.append(((pi, cid, b, k), np.full(len(js), ei),
+                                   tensor_norm(ts[k], k), lambda i, js=js, at=at: at[js[i]]))
+    return sweep_stacks(grid, stacks, cfg.zero_tol,
+                        lambda key: f"|D^{key[3]}| K[{key[0]}] {key[1]}->{key[2]} of {u.tag}")
+
+
+def assert_same_series(got, want):
+    assert list(got) == list(want)
+    for key, s in want.items():
+        g = got[key]
+        assert g.context == s.context
+        assert g.eps.tobytes() == s.eps.tobytes()
+        assert g.sup.tobytes() == s.sup.tobytes(), key
+        assert [None if a is None else (a.chart, a.coords.tobytes()) for a in g.args] == [
+            None if a is None else (a.chart, a.coords.tobytes()) for a in s.args], key
+
+
+def fresh(u):
+    """The same net with no cached maps or tables."""
+    return MapNet(u.src, u.dst, u.local_factory, tag=u.tag)
+
+
+def steep(eps, x):
+    return np.array([math.tanh(x[0] / eps) + x[1] ** 3, math.sin(x[1] / math.sqrt(eps))])
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_plain_net_matches_per_eps_calls(k_max):
+    u = MapNet(PLANE, PLANE, lambda eps: {("e0", "e0"): LocalMap(
+        2, (2,), fn=lambda x, eps=eps: steep(eps, x), name="steep")}, tag="steep")
+    assert_same_series(derivative_sup_series(u, K, GRID, k_max, None, CFG),
+                       ref_sup_series(fresh(u), K, GRID, k_max, None, CFG))
+
+
+def test_an_eps_without_a_representative_is_skipped_alike():
+    """Into two charts, with a chart-c1 representative at every other eps
+    only: c1's group has rows at those eps alone, one call over them."""
+
+    def factory(eps):
+        reps = {("e0", "c0"): LocalMap(2, (2,), fn=lambda x, eps=eps: 0.5 * steep(eps, x),
+                                       name="to-c0")}
+        if EPS.index(eps) % 2:
+            reps["e0", "c1"] = LocalMap(2, (2,), fn=lambda x, eps=eps: 0.5 * steep(eps, x),
+                                        name="to-c1")
+        return reps
+
+    u = MapNet(PLANE, TWO_CHARTS, factory, tag="half")
+    got = derivative_sup_series(u, K, GRID, 2, None, CFG)
+    want = ref_sup_series(fresh(u), K, GRID, 2, None, CFG)
+    assert_same_series(got, want)
+    c1 = got[0, "e0", "c1", 1].sup
+    assert not c1[0::2].any() and c1[1::2].all()
+
+
+def test_runs_of_every_kind_interleave_alike():
+    """1-D, eps by eps an expression (its own call per run), a plain map
+    and a map with a Jacobian (one fused call per leaf kind): the tensors
+    come back in row order."""
+    line = euclidean_atlas([(-10.0, 10.0)], name="line")
+
+    def factory(eps):
+        kind = EPS.index(eps) % 3
+        if kind == 0:
+            return {("e0", "e0"): LocalMap.from_expr(lambda t, eps=eps: jets.tanh(t / eps),
+                                                     name="expr")}
+        return {("e0", "e0"): LocalMap(
+            1, (1,), fn=lambda x, eps=eps: np.array([math.tanh(x[0] / eps)]),
+            jac=None if kind == 1 else (
+                lambda x, eps=eps: np.array([[1.0 - math.tanh(x[0] / eps) ** 2]]) / eps),
+            name="fn")}
+
+    u = MapNet(line, line, factory, tag="mixed")
+    K1 = CompactRegion([("e0", Box([-1.0], [1.0]))], lattice_density=7)
+    assert_same_series(derivative_sup_series(u, K1, GRID, 3, None, CFG),
+                       ref_sup_series(fresh(u), K1, GRID, 3, None, CFG))
+    lat = K1.lattices()[0][1]
+    eis = np.repeat(np.arange(len(EPS)), len(lat))
+    rows, ts = gmap._group_tensors((u,), GRID.values(), eis, np.tile(lat, (len(EPS), 1)), 3,
+                                   lambda eps: u.at(eps).local("e0", "e0"))
+    assert rows.tolist() == list(range(len(eis)))
+    for ei, eps in enumerate(EPS):
+        want = u.at(eps).local("e0", "e0").derivs_upto(lat, 3)
+        for t, w in zip(ts, want):
+            assert t[ei * len(lat):(ei + 1) * len(lat)].tobytes() == w.tobytes()
+
+
+def raising_net(fn_from, jac_from=None):
+    """steep, whose fn raises at grid eps index ``fn_from`` and beyond once
+    ``net.armed[0]`` is set and, with ``jac_from``, carries a Jacobian that
+    raises from there on."""
+    armed = [False]
+
+    def factory(eps):
+        ei = EPS.index(eps)
+
+        def fn(x):
+            if armed[0] and ei >= fn_from:
+                raise ValueError(f"fn fails at eps={eps!r}")
+            return steep(eps, x)
+
+        def jac(x):
+            if armed[0] and ei >= jac_from:
+                raise ZeroDivisionError(f"jac fails at eps={eps!r}")
+            return np.eye(2)
+
+        return {("e0", "e0"): LocalMap(2, (2,), fn=fn, jac=None if jac_from is None else jac,
+                                       name="raising")}
+
+    net = MapNet(PLANE, PLANE, factory, tag="raising")
+    net.armed = armed
+    return net
+
+
+@pytest.mark.parametrize("fn_from,jac_from", [(4, None), (4, 2), (2, 4)])
+def test_the_first_failing_eps_raises(fn_from, jac_from):
+    """The image tables are built before the maps fail; the sweep then raises
+    as one call per eps did: with a Jacobian, an eps's values come before its
+    Jacobians, and a Jacobian failing at an earlier eps than the values fails
+    first (the fused call fails at the values, and the runs are redone one by
+    one)."""
+    u, ref = raising_net(fn_from, jac_from), raising_net(fn_from, jac_from)
+    for net in (u, ref):
+        net.image_table(K, GRID)
+        net.armed[0] = True
+    with pytest.raises(Exception) as want:
+        ref_sup_series(ref, K, GRID, 2, None, CFG)
+    with pytest.raises(type(want.value)) as got:
+        derivative_sup_series(u, K, GRID, 2, None, CFG)
+    assert str(got.value) == str(want.value)
+    first = min(fn_from, math.inf if jac_from is None else jac_from)
+    assert repr(EPS[first]) in str(got.value)

@@ -400,11 +400,12 @@ def test_the_leaf_reads_the_grid_of_every_root(P):
 
 @st.composite
 def grid_values(draw, non_finite):
-    """Roots P (N, n), values (N, M, n_out) on their grids and the stencils;
-    with ``non_finite``, one value of each root's grid is non-finite."""
+    """Roots P (N, n), values (N, M, n_out) on their grids and the grid's
+    (n, depth); with ``non_finite``, one value of each root's grid is
+    non-finite."""
     n, depth = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     P = draw(rows(n))
-    offsets, stencils = fd_grid(n, depth)
+    offsets, _stencils = fd_grid(n, depth)
     n_out = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = rng.uniform(-1e3, 1e3, (len(P), len(offsets), n_out))
@@ -412,7 +413,23 @@ def grid_values(draw, non_finite):
         for i in range(len(P)):
             vals[i, draw(st.sampled_from([0, draw(st.integers(0, len(offsets) - 1))])),
                  draw(st.integers(0, n_out - 1))] = draw(st.sampled_from(NONFINITE))
-    return P, vals, stencils
+    return P, vals, n, depth
+
+
+def check_fd_partial(P, vals, n, depth):
+    """``fd_partial`` of all stencils at once against ``ref_fd_partial`` of
+    each stencil at each root, byte for byte; returns (partials, bad), bad
+    whether each (root, stencil) reads a non-finite value."""
+    h = fd_step(P)
+    stencils = fd_grid(n, depth)[1]
+    got = fd_partial(vals, h.reshape((len(P),) + (1,) * (vals.ndim - 2)), n, depth)
+    assert got.shape == (len(P), len(stencils)) + vals.shape[2:]
+    bad = np.zeros((len(P), len(stencils)), dtype=bool)
+    for s, (orders, cols, weights) in enumerate(stencils):
+        for i in range(len(P)):
+            bad[i, s] = not np.isfinite(vals[i, [0] + cols]).all()
+            same_bytes(got[i, s], ref_fd_partial(vals[i], h[i], cols, weights, len(orders[0])))
+    return got, bad
 
 
 @given(grid_values(non_finite=True))
@@ -420,29 +437,53 @@ def grid_values(draw, non_finite):
 def test_fd_partial_one_non_finite_value_gives_all_inf(case):
     """A multi-index whose root or stencil holds a non-finite value reads
     inf over the whole value shape; the others keep their sums."""
-    P, vals, stencils = case
-    h = fd_step(P)
-    hit = 0
-    for orders, cols, weights in stencils:
-        got = fd_partial(vals, h[:, None], (orders, cols, weights))
-        assert got.shape == (len(P), vals.shape[-1])
-        for i in range(len(P)):
-            bad = not np.isfinite(vals[i, [0] + cols]).all()
-            hit += bad
-            assert not bad or np.all(got[i] == np.inf)
-            same_bytes(got[i], ref_fd_partial(vals[i], h[i], cols, weights, len(orders[0])))
-    assert hit
+    got, bad = check_fd_partial(*case)
+    assert bad.any() and np.all(got[bad] == np.inf)
 
 
 @given(grid_values(non_finite=False))
 @settings(max_examples=100, deadline=None)
 def test_fd_partial_finite_matches_reference(case):
-    P, vals, stencils = case
-    h = fd_step(P)
-    for orders, cols, weights in stencils:
-        got = fd_partial(vals, h[:, None], (orders, cols, weights))
-        for i in range(len(P)):
-            same_bytes(got[i], ref_fd_partial(vals[i], h[i], cols, weights, len(orders[0])))
+    check_fd_partial(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_partial_exact_zeros_read_plus_zero(n):
+    """Partials that are exactly zero, a constant map's (its terms are
+    +-0.0) and the even ones of an odd map at 0 (their terms cancel), read
+    +0.0 as the per-term reference does: the sum starts at +0.0, and the
+    0.0-weight padding of the shorter stencils adds +0.0."""
+    offsets = fd_grid(n, 3)[0]
+    P = np.array([np.zeros(n), [-0.0, 0.5, -2.0][:n]])
+    grids = P[:, None, :] + fd_step(P)[:, None, None] * offsets
+    for vals in (np.broadcast_to([-0.0, 3.7], grids.shape[:2] + (2,)).copy(), grids ** 3):
+        got, _bad = check_fd_partial(P, vals, n, 3)
+        zero = got[0] == 0.0
+        assert zero.any() and not np.signbit(got[0][zero]).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_partial_of_negative_zero_terms_reads_plus_zero(n):
+    """Root s's values make every term of stencil s -0.0 (a +0.0 root, and
+    -0.0 where the weight is positive, +0.0 where it is negative): the sum
+    from +0.0 reads +0.0, not the -0.0 of the terms alone."""
+    offsets, stencils = fd_grid(n, 3)
+    vals = np.zeros((len(stencils), len(offsets), 1))
+    for s, (_orders, cols, weights) in enumerate(stencils):
+        vals[s, cols, 0] = np.where(np.array(weights) > 0.0, -0.0, 0.0)
+    got, _bad = check_fd_partial(np.zeros((len(stencils), n)), vals, n, 3)
+    diagonal = got[np.arange(len(stencils)), np.arange(len(stencils))]
+    assert np.all(diagonal == 0.0) and not np.signbit(diagonal).any()
+
+
+def test_fd_partial_pads_the_shorter_stencils():
+    """n = 3, depth 3: stencils of 4 to 64 columns share one padded table;
+    each still sums its own terms only."""
+    offsets, stencils = fd_grid(3, 3)
+    assert len({len(cols) for _o, cols, _w in stencils}) > 1
+    rng = np.random.default_rng(3)
+    P = rng.uniform(-2.0, 2.0, (4, 3))
+    check_fd_partial(P, rng.uniform(-1e3, 1e3, (4, len(offsets), 2)), 3, 3)
 
 
 def test_fd_errors_on_a_closed_form_stay_near_the_nested_stencils():
