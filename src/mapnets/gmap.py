@@ -55,7 +55,6 @@ from .manifold import (
     _StackMap,
     best_candidates,
     distance,
-    point_rows,
     tensor_norm,
 )
 
@@ -308,7 +307,8 @@ class ChainedLocalMap(LocalMap):
     each row of a stack takes the first route that admits it (``_routed``);
     a point is a one-row stack.  A row's tensors are its route's map's
     (``maps``, built here: the jet-chained expression when both factors are
-    expressions, else ``_chain_rule``), so its grid stays on its route.
+    expressions, else ``_chain_rule``): the route maps own the rows
+    (``owners``), so a row's grid stays on its route.
     Given ``maps`` (such as ``vbhom_compose``'s matrix parts), the routes
     only admit rows and the values are the maps'.  With a factor at an eps
     column the map carries that ``eps_column`` and takes only whole stacks
@@ -381,21 +381,12 @@ class ChainedLocalMap(LocalMap):
     def deriv_tensor(self, x, k: int) -> np.ndarray:  # its own: perfbench/layers.py wraps it
         return self.derivs_upto(x, k)[k]
 
-    def fd_leaf(self, k_max: int) -> None:  # each row along its route's map
-        return None
+    def derivs_upto(self, x, k_max: int) -> list:  # its own: perfbench/layers.py wraps it
+        return super().derivs_upto(x, k_max)
 
-    def derivs_upto(self, x, k_max: int) -> list:
-        """Tensors of orders 0..k_max at a point or at every row of a stack,
-        each row by its own route (``_routed``, ValueError where a row has
-        none): one stacked ``derivs_upto`` of each route's map on its rows.
-        Results come back in row order."""
-        P, single = point_rows(x)
-        ts = [np.empty((len(P),) + self.out_shape + (self.in_dim,) * k)
-              for k in range(k_max + 1)]
-        for i, rows, _Y, _Z in self._routed(P, every=True):
-            for t, got in zip(ts, self.maps[i].derivs_upto(P[rows], k_max)):
-                t[rows] = got
-        return [t[0] for t in ts] if single else ts
+    def owners(self, P: np.ndarray) -> list:
+        """Each route's map on its rows (``_routed``; ValueError where a row has none)."""
+        return [(rows, self.maps[i]) for i, rows, _Y, _Z in self._routed(P, every=True)]
 
 
 def _chain_rule(inner: LocalMap, outer: LocalMap, out_shape: tuple, name: str,
@@ -527,8 +518,8 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
     point is evaluated for admission.  Each (piece, b) group is one array
     pass over its admitted (eps, point) rows, eps-major and in lattice order:
     their tensors of orders 0..k_max, row axis first, from ``_group_tensors``
-    (one ``derivs_upto`` over the rows of all grid eps for nets without eps
-    columns, where the maps take differences); one ``tensor_norm`` per order
+    (for nets without eps columns, one ``derivs_upto`` over the rows of all
+    grid eps, which the eps runs' maps own); one ``tensor_norm`` per order
     over all the rows, and its sup per eps (``sweep_stacks``).  Each series
     is labelled ``context(pi, cid, b, k)``.
     """
@@ -560,65 +551,29 @@ def _group_tensors(nets, eps_vals: np.ndarray, eis: np.ndarray, X: np.ndarray, k
     without such rows.
 
     Nets with eps columns: one ``derivs_upto`` per ``_eps_rows`` call.  Else
-    the maps of the eps runs that take differences (``LocalMap.fd_leaf``)
-    make one ``derivs_upto`` (per kind of leaf: values, or the Jacobians) of
-    ``_runs_map`` over all their rows, and every other map one on its run.
-    Where that raises, each run makes its own call, in eps order, so the
-    error raised is the first failing eps's, as with one call per eps."""
-    if all(u.eps_columns for u in nets):
-        def tensors(eps, rows):
-            rep = rep_at(eps)
-            return None if rep is None else rep.derivs_upto(X[rows], k_max)
-
-        parts = [(rows, ts) for rows, ts in _eps_rows(nets, eps_vals, eis, tensors)
-                 if ts is not None]
-    else:
+    one ``derivs_upto`` of a map whose eps runs own its rows, so the maps
+    that take differences share one difference pass (``owned_tensors``)."""
+    if not all(u.eps_columns for u in nets):
         runs = [(rows, rep) for rows, rep in _eps_rows(nets, eps_vals, eis,
                                                        lambda eps, _rows: rep_at(eps))
                 if rep is not None]
-        own, fused = [], {}  # fused: leaf kind -> [(rows, map, leaf)]
-        for rows, rep in runs:
-            leaf = rep.fd_leaf(k_max)
-            if leaf is None:
-                own.append((rows, rep))
-            else:
-                fused.setdefault(leaf[1] is None, []).append((rows, rep, leaf))
-        try:
-            parts = [(rows, rep.derivs_upto(X[rows], k_max)) for rows, rep in own]
-            for group in fused.values():
-                rows = np.concatenate([r for r, _rep, _leaf in group])
-                parts.append((rows, _runs_map(group).derivs_upto(X[rows], k_max)))
-        except Exception:  # any error: the runs one by one raise the first failing eps's
-            parts = [(rows, rep.derivs_upto(X[rows], k_max)) for rows, rep in runs]
+        if not runs:
+            return None
+        rows = np.concatenate([r for r, _rep in runs])
+        cuts = np.cumsum([0] + [len(r) for r, _rep in runs]).tolist()
+        owned = [(np.arange(a, b), rep) for (_r, rep), a, b in zip(runs, cuts, cuts[1:])]
+        runs_map = _StackMap(runs[0][1].in_dim, runs[0][1].out_shape, None, owners=lambda P: owned)
+        return rows, runs_map.derivs_upto(X[rows], k_max)
+
+    def tensors(eps, rows):
+        rep = rep_at(eps)
+        return None if rep is None else rep.derivs_upto(X[rows], k_max)
+
+    parts = [(rows, ts) for rows, ts in _eps_rows(nets, eps_vals, eis, tensors) if ts is not None]
     if not parts:
         return None
-    if len(parts) == 1:
-        return parts[0]
     rows = np.concatenate([r for r, _ts in parts])
-    ts = [np.concatenate([ts[k] for _r, ts in parts]) for k in range(k_max + 1)]
-    if (np.diff(rows) < 0).any():  # a fused group's runs interleave with others
-        order = np.argsort(rows, kind="stable")
-        rows, ts = rows[order], [t[order] for t in ts]
-    return rows, ts
-
-
-def _runs_map(runs: list) -> _StackMap:
-    """One stacked map over the runs [(rows, map, (values, jacobians))] of
-    one leaf kind, in eps order: in a stack of their roots' rows (per root
-    the root, or its grid: as many rows per root, contiguous), the rows of
-    run j's roots go to run j's hooks, one call per run."""
-    ends = np.cumsum([len(rows) for rows, _rep, _leaf in runs]).tolist()
-    spans = [(leaf, a, b) for (_rows, _rep, leaf), a, b in zip(runs, [0] + ends[:-1], ends)]
-
-    def hook(i):
-        def call(Q):
-            m = len(Q) // ends[-1]
-            return np.concatenate([leaf[i](Q[a * m:b * m]) for leaf, a, b in spans])
-        return call
-
-    _rows, like, leaf = runs[0]
-    return _StackMap(like.in_dim, like.out_shape, hook(0),
-                     None if leaf[1] is None else hook(1), name=like.name)
+    return rows, [np.concatenate([ts[k] for _r, ts in parts]) for k in range(k_max + 1)]
 
 
 def _lattice_pieces(K: CompactRegion) -> list:
@@ -738,10 +693,11 @@ class _GapMap(_StackMap):
     of their tensors; beyond it ``LocalMap.derivs_upto`` of the gap itself
     (stencil noise proportional to the gap, not to the operands), from the
     stacked differences of their values (an expression's order-0 jet) and,
-    when both maps carry one, of their Jacobians.  An inexact gap at an eps
-    column raises DerivativeUndefined on its grids' rows (see ``_eps_rows``).
-    Beyond its exact order it takes differences (``fd_leaf``) like a plain map,
-    so the derivative sweeps fuse its eps runs (``_group_tensors``)."""
+    when both maps carry one, of their Jacobians.  Where an operand's rows
+    have owners (a composite's route maps), the gap of each pair of the
+    operands' owners owns the rows they share, so each row is differenced
+    along the routes its root takes.  An inexact gap at an eps column raises
+    DerivativeUndefined on its grids' rows (see ``_eps_rows``)."""
 
     def __init__(self, ru: LocalMap, rv: LocalMap):
         self.ru, self.rv = ru, rv
@@ -758,6 +714,14 @@ class _GapMap(_StackMap):
             return super().derivs_upto(x, k_max)
         return [tu - tv for tu, tv in zip(self.ru.derivs_upto(x, k_max),
                                           self.rv.derivs_upto(x, k_max))]
+
+    def owners(self, P: np.ndarray) -> Optional[list]:
+        ou, ov = self.ru.owners(P), self.rv.owners(P)
+        if ou is None and ov is None:
+            return None
+        return [(rows, _GapMap(mu, mv)) for u_rows, mu in ou or [(np.arange(len(P)), self.ru)]
+                for v_rows, mv in ov or [(np.arange(len(P)), self.rv)]
+                if len(rows := np.intersect1d(u_rows, v_rows))]
 
 
 def chart_gap_series(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,

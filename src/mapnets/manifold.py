@@ -288,11 +288,11 @@ class LocalMap:
     the value, or of the Jacobian when the map has one: the hooks that
     ``fd_leaf`` hands out, None for a map that differentiates otherwise.
     ``exact_order`` is the highest order those tensors are exact to: inf
-    for an expression, 1 with a Jacobian, else 0.  A composite's route maps
-    (``gmap.ChainedLocalMap``), the gap between two maps (``gmap._GapMap``)
-    and the derivative sweeps' maps over the rows of many eps (one per
-    (piece, target chart) group, ``gmap._group_tensors``) are local maps
-    too, so this ``derivs_upto`` is the one caller of ``fd_tensors``.
+    for an expression, 1 with a Jacobian, else 0.  A map whose rows other
+    maps own (``owners``: a composite's route maps, ``gmap.ChainedLocalMap``;
+    the gaps of their pairs, ``gmap._GapMap``; their derivative maps; a
+    derivative sweep's eps runs) takes each row's tensors from its owner
+    (``owned_tensors``, called only here), so ``fd_tensors`` runs only here.
 
     The derivative oracle and ``try_call`` take a point, shape ``(in_dim,)``,
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
@@ -302,7 +302,7 @@ class LocalMap:
     ``try_call`` masks rows by ``_defined_rows``.  These hooks call a user's
     ``fn``, ``jac`` and ``defined`` once per row (their contract is per point);
     the atlas maps built here (transitions, their Jacobians and domains,
-    metric and bundle fields) take a whole stack in one call (``_ArrayMap``).
+    metric and bundle fields) take a whole stack in one call (``_StackMap``).
     An expression at an ``eps_column`` (``exprs``) takes only stacks of its
     rows, one row per eps: it raises DerivativeUndefined at a stack of another
     length (such as the rows of the grids) and at a point (a point has no eps),
@@ -388,6 +388,7 @@ class LocalMap:
 
     def derivs_upto(self, x, k_max: int) -> list:
         """Tensors of orders 0..k_max at a point or at every row of a stack:
+        the owners' where other maps own its rows (``owned_tensors``), else
         one jet evaluation over all rows on the expr path, else central
         differences of the ``fd_leaf`` hooks on the grids of all rows
         (``fd_tensors``).
@@ -395,9 +396,15 @@ class LocalMap:
         Raises DerivativeUndefined where the expression has a value but its
         jet fails (log or division by zero inside the jet recurrences)."""
         P, single = point_rows(x)
-        leaf = self.fd_leaf(k_max)
-        ts = self._expr_tensors(P, k_max) if leaf is None else fd_tensors(*leaf, P, k_max)
+        owners, leaf = self.owners(P), self.fd_leaf(k_max)
+        ts = (owned_tensors(self, owners, P, k_max) if owners is not None
+              else self._expr_tensors(P, k_max) if leaf is None else fd_tensors(*leaf, P, k_max))
         return [t[0] for t in ts] if single else ts
+
+    def owners(self, P: np.ndarray) -> Optional[list]:
+        """[(rows, map)]: the maps whose tensors are this map's at the rows
+        (indices) of the stack P, or None where this map owns every row."""
+        return None
 
     def fd_leaf(self, k_max: int) -> Optional[tuple]:
         """(values, jacobians): the stacked hooks whose central differences
@@ -480,14 +487,21 @@ class LocalMap:
 
 
 class _StackMap(LocalMap):
-    """A local map from hooks on a stack P, ``values(P)`` and ``jacobians(P)``
-    (if given), exact to order ``exact_order``; a point is a one-row stack."""
+    """A local map from the hooks given on a stack P, ``values(P)``,
+    ``jacobians(P)``, ``defined(P)`` (a bool per row) and ``owners(P)``, exact
+    to order ``exact_order``; a point is a one-row stack.  The atlas maps
+    built here round each row alike in any stack: a stack is one hook call."""
 
     def __init__(self, in_dim: int, out_shape, values, jacobians=None, exact_order=0,
-                 name: str = "", eps_column=None):
+                 name: str = "", eps_column=None, defined=None, owners=None):
         self._values, self._jacobians = values, jacobians
+        if defined is not None:
+            self._defined_rows = lambda P: np.array(defined(P), dtype=bool)
+        if owners is not None:
+            self.owners = owners
         super().__init__(in_dim, out_shape, fn=lambda x: values(x[None])[0], name=name,
                          jac=None if jacobians is None else lambda x: jacobians(x[None])[0],
+                         defined=None if defined is None else lambda x: defined(x[None])[0],
                          eps_column=eps_column)
         self.exact_order = exact_order
 
@@ -498,16 +512,13 @@ class _DerivedMap(_StackMap):
     The parent's order-(k+1) tensor already has this map's order-k shape,
     out_shape + (in_dim,)*k, so points and stacks pass straight through: the
     values at a stack are one ``parent.derivs_upto(P, 1)``, at the parent's
-    ``eps_column`` too."""
+    ``eps_column`` too, and its rows are the parent's (``_defined_rows``)."""
 
     def __init__(self, parent: LocalMap):
         self.parent = parent
         super().__init__(parent.in_dim, parent.out_shape + (parent.in_dim,),
                          lambda P: parent.derivs_upto(P, 1)[1], None, parent.exact_order - 1,
-                         f"D({parent.name})", parent.eps_column)
-
-    def _defined_rows(self, P: np.ndarray) -> np.ndarray:
-        return self.parent._defined_rows(P)
+                         f"D({parent.name})", parent.eps_column, lambda P: parent._defined_rows(P))
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.parent.deriv_tensor(x, k + 1)
@@ -518,34 +529,19 @@ class _DerivedMap(_StackMap):
     def fd_leaf(self, k_max: int) -> None:  # the parent's tensors, one order up
         return None
 
-
-class _ArrayMap(LocalMap):
-    """A local map whose ``fn``, ``jac`` and ``defined`` are array formulas:
-    each takes a point ``(in_dim,)`` or a stack ``(N, in_dim)``, row by row
-    the same floating-point operations, so a stack is one call of each."""
-
-    def _values(self, P: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(P), dtype=float).reshape((len(P),) + self.out_shape)
-
-    def _jacobians(self, P: np.ndarray) -> np.ndarray:
-        return np.asarray(self.jac(P), dtype=float).reshape(
-            (len(P),) + self.out_shape + (self.in_dim,))
-
-    def _defined_rows(self, P: np.ndarray) -> np.ndarray:
-        return (np.ones(len(P), dtype=bool) if self.defined is None
-                else np.array(self.defined(P), dtype=bool))
+    def owners(self, P: np.ndarray) -> Optional[list]:  # the derivative maps of the parent's
+        owners = self.parent.owners(P)
+        return None if owners is None else [(rows, _DerivedMap(o)) for rows, o in owners]
 
 
-def _constant(in_dim: int, M: np.ndarray, name: str = "") -> _ArrayMap:
-    """The constant matrix field M (a new copy per point) on chart coordinates."""
-    return _ArrayMap(in_dim, M.shape, fn=lambda x: np.tile(M, x.shape[:-1] + (1,) * M.ndim),
-                     name=name)
+def _constant(in_dim: int, M: np.ndarray, name: str = "") -> _StackMap:
+    """The constant matrix field M (a new copy per row) on chart coordinates."""
+    return _StackMap(in_dim, M.shape, lambda X: np.tile(M, (len(X),) + (1,) * M.ndim), name=name)
 
 
-def _identity(n: int, name: str, defined=None) -> _ArrayMap:
+def _identity(n: int, name: str, defined=None) -> _StackMap:
     """The identity of R^n, whose Jacobian is the constant field I."""
-    return _ArrayMap(n, (n,), fn=np.copy, jac=_constant(n, np.eye(n)).fn, defined=defined,
-                     name=name)
+    return _StackMap(n, (n,), np.copy, _constant(n, np.eye(n))._values, 1, name, defined=defined)
 
 
 def point_rows(x) -> tuple:
@@ -587,6 +583,48 @@ def fd_tensors(values, jacobians, P: np.ndarray, k_max: int) -> list:
     partials = np.moveaxis(
         jets.fd_partial(vals, h.reshape((N,) + (1,) * (vals.ndim - 2)), n, depth), 1, -1)
     return ts + [vals[:, 0]] + [partials[..., idx] for idx in _stencil_index(n, depth)]
+
+
+def owned_tensors(m: LocalMap, owners: list, P: np.ndarray, k_max: int) -> list:
+    """m's tensors of orders 0..k_max at the rows of P, which the maps
+    ``owners`` [(rows, map)] own (``LocalMap.owners``; an owner's owners in
+    its place).  The owners that take differences (``fd_leaf``) share one
+    ``fd_tensors`` call per leaf kind, whose hooks hand each its own roots'
+    rows (per root the root, or its grid); every other owner makes its own
+    ``derivs_upto``.  After any error the owners make their own calls, in
+    order, so the first failing one raises."""
+    try:
+        todo, fused, parts = list(owners), {}, []  # fused: no Jacobians? -> [(rows, leaf)]
+        while todo:
+            rows, o = todo.pop(0)
+            sub, leaf = o.owners(P[rows]), o.fd_leaf(k_max)
+            if sub is not None:
+                todo[:0] = [(rows[r], s) for r, s in sub]
+            elif leaf is None:
+                parts.append((rows, o.derivs_upto(P[rows], k_max)))
+            else:
+                fused.setdefault(leaf[1] is None, []).append((rows, leaf))
+        for no_jac, group in fused.items():
+            rows = np.concatenate([r for r, _leaf in group])
+            cuts = np.cumsum([0] + [len(r) for r, _leaf in group]).tolist()
+
+            def hook(i, group=group, cuts=cuts):  # each owner on its roots' rows
+                def call(Q):
+                    w = len(Q) // cuts[-1]  # rows per root
+                    return np.concatenate([leaf[i](Q[a * w:b * w])
+                                           for (_r, leaf), a, b in zip(group, cuts, cuts[1:])])
+                return call
+
+            parts.append((rows, fd_tensors(hook(0), None if no_jac else hook(1), P[rows], k_max)))
+    except Exception:  # any error: the owners one by one raise the first failing one's
+        parts = [(rows, o.derivs_upto(P[rows], k_max)) for rows, o in owners]
+    if len(parts) == 1 and np.array_equal(parts[0][0], np.arange(len(P))):
+        return parts[0][1]  # one pass over every row in order: its tensors as they are
+    ts = [np.empty((len(P),) + m.out_shape + (m.in_dim,) * k) for k in range(k_max + 1)]
+    for rows, got in parts:
+        for t, g in zip(ts, got):
+            t[rows] = g
+    return ts
 
 
 def tensor_norm(t: np.ndarray, order: int) -> np.ndarray:
@@ -1243,8 +1281,7 @@ def sphere_atlas(name: str = "sphere") -> Atlas:
         r2 = _r2(x)
         return (1e-12 < r2) & (r2 < math.inf)
 
-    tm = _ArrayMap(2, (2,), fn=inversion, jac=inversion_jac, defined=inv_defined,
-                   name="inversion")
+    tm = _StackMap(2, (2,), inversion, inversion_jac, 1, "inversion", defined=inv_defined)
     transitions = {("north", "south"): tm, ("south", "north"): tm}
 
     def round_field(x):
@@ -1253,7 +1290,7 @@ def sphere_atlas(name: str = "sphere") -> Atlas:
             c = 4.0 / np.float_power(s, 2.0)  # C pow, as a float's ** 2 (np.square may differ)
         return c[..., None, None] * np.eye(2)
 
-    fields = {cid: _ArrayMap(2, (2, 2), fn=round_field, name="round")
+    fields = {cid: _StackMap(2, (2, 2), round_field, name="round")
               for cid in ("north", "south")}
 
     def sph_distance(atlas, P, Q):
@@ -1265,10 +1302,10 @@ def sphere_atlas(name: str = "sphere") -> Atlas:
     return Atlas([north, south], transitions, name=name, metric=metric)
 
 
-def _r2(x: np.ndarray):
-    """x @ x at a point, or at each row of a stack, shape (N,), from a stacked
-    matmul, which rounds as x @ x does (a row-wise sum or einsum may not)."""
-    return x @ x if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+def _r2(X: np.ndarray) -> np.ndarray:
+    """x @ x at each row x of a stack, shape (N,), from a stacked matmul,
+    which rounds as x @ x does (a row-wise sum or einsum may not)."""
+    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
 def sphere_embed(P: Point) -> np.ndarray:
@@ -1339,14 +1376,13 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
             for cb in b.chart_ids:
                 na, n = dims_a[ca], dims_a[ca] + b.chart(cb).dim
 
-                def block(x, fa=a.metric.fields[ca], fb=b.metric.fields[cb], na=na, n=n):
-                    X = x.reshape(-1, n)  # a point is the one-row stack
+                def block(X, fa=a.metric.fields[ca], fb=b.metric.fields[cb], na=na, n=n):
                     out = np.zeros((len(X), n, n))
                     out[:, :na, :na] = fa._values(X[:, :na])
                     out[:, na:, na:] = fb._values(X[:, na:])
-                    return out.reshape(x.shape[:-1] + (n, n))
+                    return out
 
-                fields[f"{ca}*{cb}"] = _ArrayMap(n, (n, n), fn=block)
+                fields[f"{ca}*{cb}"] = _StackMap(n, (n, n), block)
 
     def prod_distance(_atlas, P, Q):  # hypot(inf, nan) is inf, as across components
         ca, cb = P.chart.split("*", 1)
@@ -1361,23 +1397,23 @@ def product_atlas(a: Atlas, b: Atlas, name: str = "") -> Atlas:
     return Atlas(charts, transitions, name=name or f"{a.name}x{b.name}", metric=metric)
 
 
-class _ProductMap(_ArrayMap):
+class _ProductMap(_StackMap):
     """A product-atlas transition: ta on the first na coordinates, tb on the
     rest ("id" for a factor's identity).  A stacked ``try_call`` reads each
-    factor's ``_tried`` once; ``fn`` (ValueError outside the overlap) and
-    ``defined`` read ``_tried`` too."""
+    factor's ``_tried`` once; the values (ValueError outside the overlap)
+    and the domain read ``_tried`` too."""
 
     def __init__(self, ta, tb, na: int, out_dim: int):
         self.factors = ((ta, slice(None, na)), (tb, slice(na, None)))
 
-        def fn(x):
-            Y, ok = self._tried(x.reshape(-1, out_dim))
+        def values(P):
+            Y, ok = self._tried(P)
             if not ok.all():
                 raise ValueError("outside overlap")
-            return Y.reshape(x.shape)
+            return Y
 
-        super().__init__(out_dim, (out_dim,), fn=fn, name="product-transition", defined=lambda x:
-                         self._tried(x.reshape(-1, out_dim))[1].reshape(x.shape[:-1]))
+        super().__init__(out_dim, (out_dim,), values, name="product-transition",
+                         defined=lambda P: self._tried(P)[1])
 
     def _tried(self, P: np.ndarray) -> tuple:
         (ya, ok_a), (yb, ok_b) = [(P[:, cols], np.ones(len(P), dtype=bool)) if t == "id"

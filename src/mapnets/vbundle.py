@@ -111,8 +111,7 @@ def identity_vbhom(bundle: VectorBundle, tag: str = "id") -> VBHomNet:
                     lambda eps: mats, tag=tag)
 
 
-def tangent(u: MapNet, src_bundle: Optional[VectorBundle] = None,
-            dst_bundle: Optional[VectorBundle] = None, tag: str = "") -> VBHomNet:
+def tangent(u: MapNet, tag: str = "") -> VBHomNet:
     """Tangent map of a map net: the base net is u itself, and the matrix
     parts are the Jacobian fields of u's representatives (exact through the
     derivative oracle), at a float eps or at one of u's eps columns."""
@@ -120,8 +119,8 @@ def tangent(u: MapNet, src_bundle: Optional[VectorBundle] = None,
     def matrices_at(eps) -> dict:
         return {pair: rep.derivative_map() for pair, rep in u.at(eps).locals.items()}
 
-    return VBHomNet(src_bundle or tangent_bundle(u.src), dst_bundle or tangent_bundle(u.dst), u,
-                    matrices_at, tag=tag or f"T({u.tag})")
+    return VBHomNet(tangent_bundle(u.src), tangent_bundle(u.dst), u, matrices_at,
+                    tag=tag or f"T({u.tag})")
 
 
 def vbhom_compose(v2: VBHomNet, v1: VBHomNet, tag: str = "") -> VBHomNet:

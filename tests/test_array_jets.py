@@ -360,8 +360,12 @@ def stacked_groups(nets, K, grid, L_prime, cfg):
                     seen.append((e, cid, b, X[col == e].copy()))
                 return rep.derivs_upto(X, k_max)
 
-            # it differentiates itself (no ``fd_leaf``): one call per eps run
-            yield b, types.SimpleNamespace(derivs_upto=derivs_upto, fd_leaf=lambda k_max: None)
+            # it owns its rows and differentiates itself (no ``fd_leaf``): one
+            # call per eps run
+            rep = reps[0][b]
+            yield b, types.SimpleNamespace(derivs_upto=derivs_upto, fd_leaf=lambda k_max: None,
+                                           owners=lambda P: None, in_dim=rep.in_dim,
+                                           out_shape=rep.out_shape)
 
     _chart_sups(nets, K, grid, 1, L_prime, pieces, lambda pi, cid, b, k: "", cfg)
     return sorted(seen, key=lambda g: -g[0])  # stable: piece, then chart, within an eps

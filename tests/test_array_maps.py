@@ -3,7 +3,7 @@
 Sphere inversion (with its Jacobian and domain), the round, flat and
 identity fields, the identity transitions of a multichart plane and the
 product transitions and block fields each take a point or a whole stack in
-one call (``manifold._ArrayMap``).  The per-point formulas they replaced are
+one call (``manifold._StackMap``).  The per-point formulas they replaced are
 kept here as the reference (``ref_*``): on more than 10,000 rows, ordinary
 and extreme (the origin, +-inf, NaN, the 1e-12 edge of the inversion's
 domain, magnitudes 1e-150 to 1e150), every point call, stacked value,
@@ -306,11 +306,11 @@ def test_stacked_rechart_makes_one_inversion_call(monkeypatch):
     atlas = sphere_atlas()
     tm = atlas.transition_map("north", "south")
     log = []
-    for attr in ("fn", "defined"):
+    for attr in ("_values", "_defined_rows"):
         monkeypatch.setattr(tm, attr, counting(getattr(tm, attr), log, attr))
     X = np.random.default_rng(7).uniform(-3.9, 3.9, (500, 2))
     Y = atlas.rechart(Point("north", X), "south")
-    assert sorted(log) == [("defined", (500, 2)), ("fn", (500, 2))]
+    assert sorted(log) == [("_defined_rows", (500, 2)), ("_values", (500, 2))]
     for i in range(0, 500, 50):
         want = atlas.rechart(Point("north", X[i]), "south")
         same_bytes(Y[i], math.nan if want is None else want)
@@ -320,21 +320,21 @@ def test_stacked_derived_map_reads_the_parent_domain_once(monkeypatch):
     atlas = sphere_atlas()
     tm = atlas.transition_map("north", "south")
     log = []
-    for attr in ("fn", "jac", "defined"):
+    for attr in ("_values", "_jacobians", "_defined_rows"):
         monkeypatch.setattr(tm, attr, counting(getattr(tm, attr), log, attr))
     vb = tangent_bundle(atlas).vb_transitions[("north", "south")]
     vb.try_call(np.random.default_rng(8).uniform(-3.9, 3.9, (300, 2)))
-    assert sorted(k for k, _shape in log) == ["defined", "fn", "jac"]
+    assert sorted(k for k, _shape in log) == ["_defined_rows", "_jacobians", "_values"]
 
 
 def test_stacked_metric_field_is_one_call(monkeypatch):
     g = sphere_atlas().metric
     fld = g.fields["north"]
     log = []
-    monkeypatch.setattr(fld, "fn", counting(fld.fn, log, "fn"))
+    monkeypatch.setattr(fld, "_values", counting(fld._values, log, "_values"))
     X = np.random.default_rng(9).uniform(-3.9, 3.9, (200, 2))
     G = g.at("north", X)
-    assert log == [("fn", (200, 2))]
+    assert log == [("_values", (200, 2))]
     for i in range(0, 200, 20):
         same_bytes(G[i], g.at("north", X[i]))
 

@@ -27,7 +27,7 @@ from mapnets.manifold import (
     LocalMap,
     Point,
     RiemannianMetric,
-    _ArrayMap,
+    _StackMap,
     check_metric_spd,
     circle_atlas,
     euclidean_atlas,
@@ -101,13 +101,13 @@ def test_a_stacked_product_transition_reads_each_factor_once(monkeypatch):
     prod = product_atlas(sphere, euclidean_atlas([(-10.0, 10.0)], name="line"))
     tm = sphere.transition_map("north", "south")
     calls = collections.Counter()
-    for attr in ("fn", "defined"):
+    for attr in ("_values", "_defined_rows"):
         monkeypatch.setattr(tm, attr, lambda x, f=getattr(tm, attr), attr=attr:
                             calls.update([attr]) or f(x))
     X = np.random.default_rng(3).uniform(-3.9, 3.9, (400, 3))
     X[:5, :2] = 0.0  # rows off the inversion's domain
     Y = prod.rechart(Point("north*e0", X), "south*e0")
-    assert dict(calls) == {"fn": 1, "defined": 1}
+    assert dict(calls) == {"_values": 1, "_defined_rows": 1}
     assert np.isnan(Y[:5]).all() and not np.isnan(Y[5:]).any()
     for i in range(0, 400, 40):
         want = X[i] if i < 5 else np.concatenate([X[i, :2] / (X[i, :2] @ X[i, :2]), X[i, 2:]])
@@ -132,8 +132,8 @@ def ref_check_metric_spd(atlas, g, region):
 
 
 def field(fn):
-    return _ArrayMap(2, (2, 2), fn=lambda x: np.apply_along_axis(fn, -1, x).reshape(
-        x.shape[:-1] + (2, 2)))
+    return _StackMap(2, (2, 2), lambda X: np.apply_along_axis(fn, -1, X).reshape(
+        X.shape[:-1] + (2, 2)))
 
 
 PLANE = euclidean_atlas([(-2.0, 2.0), (-2.0, 2.0)], name="plane")
@@ -172,7 +172,7 @@ def test_check_metric_spd_makes_one_field_call_per_piece(monkeypatch):
     g = RiemannianMetric(SPHERE.metric.fields)
     shapes = []
     for f in g.fields.values():
-        monkeypatch.setattr(f, "fn", lambda x, fn=f.fn: shapes.append(x.shape) or fn(x))
+        monkeypatch.setattr(f, "_values", lambda x, fn=f._values: shapes.append(x.shape) or fn(x))
     check_metric_spd(SPHERE, g, METRIC_CASES["two pieces"][2])
     assert shapes == [(33 * 33, 2), (33 * 33, 2)]
 

@@ -14,7 +14,10 @@ the chart; the checks below must still return a verdict there:
 - (c) a root 1e-5 inside a route of ``gapped_chain``;
 - (d) a net with representatives out of two charts, swept over a region of a
   third that overlaps only the second: each target's chained map routes
-  through every source chart with a representative.
+  through every source chart with a representative;
+- (e) the gap of two such nets, of two composite tangent maps and of the
+  tangent maps of two composites: each row of the gap is differenced along
+  the routes its root takes in both operands, so every sup is finite.
 """
 
 import math
@@ -27,18 +30,29 @@ from test_stacked_composites import gapped_chain
 from mapnets import jets
 from mapnets.asymptotics import EpsGrid, Status
 from mapnets.gallery import get_atlas
-from mapnets.gmap import MapNet, check_moderate, effective_reps, scalar_net
+from mapnets.gmap import (
+    MapNet,
+    check_equiv,
+    check_moderate,
+    compose,
+    effective_reps,
+    scalar_net,
+)
 from mapnets.manifold import LocalMap, euclidean_multichart, region_box
-from mapnets.vbundle import check_vbhom_moderate, tangent, vbhom_compose
+from mapnets.vbundle import check_vbhom_equiv, check_vbhom_moderate, tangent, vbhom_compose
 
 LINE = get_atlas("line")
 GRID = EpsGrid(0.5, 2, 12)
 
 
-def one_chart_net(rep: LocalMap) -> MapNet:
-    """Two-chart line -> line, with the representative ``rep`` out of 'left' only."""
+def left_net(rep_at, tag: str) -> MapNet:
+    """Two-chart line -> line, with the representative ``rep_at(eps)`` out of 'left' only."""
     src = euclidean_multichart({"left": [(-2.0, 0.5)], "right": [(-0.5, 2.0)]}, name="two-line")
-    return MapNet(src, LINE, lambda eps: {("left", "e0"): rep}, tag=rep.name)
+    return MapNet(src, LINE, lambda eps: {("left", "e0"): rep_at(eps)}, tag=tag)
+
+
+def one_chart_net(rep: LocalMap) -> MapNet:
+    return left_net(lambda eps: rep, rep.name)
 
 
 ONE_CHART_REPS = {
@@ -108,3 +122,57 @@ def test_a_region_reached_through_the_second_source_chart_is_moderate(k_max, cfg
     K = region_box("m", [0.5], [0.9], density=5)
     v = check_moderate(three_chart_net(), K, GRID, k_max, cfg)
     assert v.status is Status.PASS, v
+
+
+def all_series(v):
+    """The series of a verdict and of all its parts, nested ones included."""
+    yield from [] if v.series is None else [v.series]
+    for part in v.details.values():
+        yield from all_series(part)
+
+
+def assert_finite_sups(v):
+    series = list(all_series(v))
+    assert series
+    for s in series:
+        assert np.isfinite(s.sup).all(), (s.context, s.sup)
+
+
+def sin_plus(eps: float) -> LocalMap:
+    tail = math.exp(-1.0 / eps)
+    return LocalMap(1, (1,), fn=lambda x: np.sin(x) + tail, name="sin-plus-fn")
+
+
+def test_the_gap_of_two_chained_representatives_is_finite(cfg):
+    u = one_chart_net(ONE_CHART_REPS["fn sin"]())
+    v = left_net(sin_plus, "sin+exp(-1/eps)")
+    assert_finite_sups(check_equiv(u, v, K_RIGHT, GRID, 2, cfg))
+
+
+def sin_nets():
+    """1 + t from the line into the interval (0, 2), and sin and sin + e^(-1/eps)
+    back out of it, as plain-fn nets."""
+    interval = get_atlas("interval02")
+    f = scalar_net(LINE, interval, lambda eps: (lambda t: 1.0 + t), tag="1+t")
+    g = MapNet(interval, LINE, lambda eps: {("e0", "e0"): LocalMap(1, (1,), fn=np.sin)},
+               tag="sin")
+    g2 = MapNet(interval, LINE, lambda eps: {("e0", "e0"): sin_plus(eps)}, tag="sin+")
+    return f, g, g2
+
+
+K_EDGE = region_box("e0", [-0.99999], [0.5], density=5)
+
+
+def test_the_gap_of_two_composite_tangent_maps_is_finite(cfg):
+    f, g, g2 = sin_nets()
+    v = check_vbhom_equiv(vbhom_compose(tangent(g), tangent(f)),
+                          vbhom_compose(tangent(g2), tangent(f)), K_EDGE, GRID, 2, cfg=cfg)
+    assert_finite_sups(v)
+
+
+def test_the_gap_of_the_tangent_maps_of_two_composites_is_finite(cfg):
+    """A derivative map's rows are owned by its parent's owners' derivative maps."""
+    f, g, g2 = sin_nets()
+    v = check_vbhom_equiv(tangent(compose(g, f)), tangent(compose(g2, f)), K_EDGE, GRID, 2,
+                          cfg=cfg)
+    assert_finite_sups(v)

@@ -390,7 +390,7 @@ def test_a_sphere_graph_distance_makes_stacked_calls_only(monkeypatch):
     g = RiemannianMetric(SPHERE.metric.fields)
     calls = collections.Counter()
     for f in g.fields.values():
-        monkeypatch.setattr(f, "fn", lambda x, fn=f.fn: calls.update(["field"]) or fn(x))
+        monkeypatch.setattr(f, "_values", lambda x, fn=f._values: calls.update(["field"]) or fn(x))
     try_call = LocalMap.try_call
     monkeypatch.setattr(LocalMap, "try_call", lambda self, x: calls.update(
         [f"try_call {np.ndim(x)}-d"]) or try_call(self, x))
