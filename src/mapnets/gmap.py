@@ -19,6 +19,7 @@ image that leaves every chart is a row too, so an escaped table is cached too.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -111,17 +112,17 @@ class MapNet:
         no lattice image is evaluated twice.  A table with an escaped image
         (``ImageTable.escape``) is cached like any other.
         """
-        key = (grid, K.lattice_density,
-               tuple((cid, box.lo.tobytes(), box.hi.tobytes()) for cid, box in K.pieces),
-               trials, seed if trials > 0 else None)
+        key = (grid, K.key, trials, seed if trials > 0 else None)
         table = self._tables.get(key)
         if table is None:
             if trials > 0:
                 lattice = self.image_table(K, grid)
-                extras = sample_points(K, trials, seed)[lattice.chart.shape[1]:]
-                table = ImageTable(self, PointStack.of(self.src, extras), grid.values(), lattice)
+                extras = K.samples(np.random.default_rng(seed), trials)[len(K.pieces):]
+                table = ImageTable(self, PointStack.of_arrays(self.src, extras), grid.values(),
+                                   lattice)
             else:
-                table = ImageTable(self, PointStack.of(self.src, sample_points(K)), grid.values())
+                table = ImageTable(self, PointStack.of_arrays(self.src, K.lattices()),
+                                   grid.values())
             self._tables[key] = table
         return table
 
@@ -136,12 +137,14 @@ class ImageTable:
     ``column`` a generalized point's column: row ei of ``pts`` is the point
     at grid eps ei alone, in a table of one column.  Built in one array pass: per
     source chart a, the rows whose points have chart-a coordinates
-    (``PointStack.rechart``) in one stacked ``u.at`` call at their eps
-    column (a stacked ``try_call`` per representative), or one per eps for
-    a net without eps columns (``_eps_rows``); then, once over all rows, each
-    row's best candidate (``manifold.best_candidates``: largest margin, then
-    the smaller target chart, then the smaller source chart, the rule by which
-    ``u.eval`` chooses a point's image) and its ``representations``.
+    (``PointStack.rechart``) in one stacked ``u.at`` call at their eps column
+    (a stacked ``try_call`` per representative), for a net without eps
+    columns one ``_GridMap`` call at each row's eps, and one per eps where
+    those fail (``_eps_rows``: the first eps's error is raised); then, once
+    over all rows, each row's best candidate (``manifold.best_candidates``:
+    largest margin, then the smaller target chart, then the smaller source
+    chart, the rule by which ``u.eval`` chooses a point's image) and its
+    ``representations``.
     ``margins[ei, pi, c]`` is the normalized margin of the image in chart
     ``charts[c]`` (-inf where it has no representation there),
     ``coords[ei, pi, c]`` its coordinates in that chart, and ``chart[ei, pi]``
@@ -186,8 +189,12 @@ class ImageTable:
             else:  # the (eps, point) rows, eps-major
                 X, eis = np.tile(P[rows], (E, 1)), np.repeat(np.arange(E), len(rows))
                 at = eis * n + np.tile(rows, E)  # their rows in the table
-            for sel, cands in _eps_rows((u,), eps_vals, eis,
-                                        lambda eps, sel: u.at(eps)(Point(a, X[sel]))):
+            calls = None
+            if not u.eps_columns:
+                with contextlib.suppress(Exception):  # re-raised eps by eps, in that order
+                    calls = [(slice(None), _GridMap(u, a, eps_vals, eis)(Point(a, X)))]
+            for sel, cands in calls or _eps_rows((u,), eps_vals, eis,
+                                                 lambda eps, sel: u.at(eps)(Point(a, X[sel]))):
                 for q in cands:
                     if (q.chart, a) not in images:
                         images[q.chart, a] = np.full((E * n,) + q.coords.shape[1:], math.nan)
@@ -232,7 +239,7 @@ class ImageTable:
 def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, call) -> list:
     """[(rows, call(eps, rows))] over (eps, point) rows of non-decreasing grid
     eps indices ``eis``, rows an index array: one call at their eps column
-    when all ``nets`` take one and it is defined, else one per eps."""
+    when all ``nets`` take one and it is defined, else one per eps run."""
     rows = np.arange(len(eis))
     if len(eis) and all(u.eps_columns for u in nets):
         try:
@@ -241,6 +248,63 @@ def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, call) -> list:
             pass
     return [(r, call(eps_vals[eis[r[0]]], r))
             for r in np.split(rows, np.flatnonzero(np.diff(eis)) + 1) if len(r)]
+
+
+class _RunsMap(_StackMap):
+    """The map whose runs ``runs`` [(rows, map)] (``_eps_rows``) own the rows
+    of a stack: a row's tensors (``owners``) and value (``try_call``) are its
+    run's map's, a run whose map is None has neither.  Where every run's map
+    is a plain per-point ``LocalMap`` (``fn``), ``_tried`` is one row loop
+    over all runs (per row ``defined``, then ``fn`` where it holds) and one
+    stack of all outputs, and a run whose ``fn`` raises is read as
+    ``LocalMap._tried`` reads it (its other rows' ``defined``, then each
+    defined row alone), so each user callable runs as often as run by run;
+    otherwise each run's own ``try_call``."""
+
+    def __init__(self, runs: list):
+        owned = self.owned = [(rows, m) for rows, m in runs if m is not None]
+        super().__init__(owned[0][1].in_dim, owned[0][1].out_shape, None,
+                         owners=lambda P: owned)  # not self: no reference cycle
+        self.plain = all(type(m) is LocalMap and m.fn is not None and m.eps_column is None
+                         for _rows, m in owned)
+
+    def _tried(self, P: np.ndarray) -> tuple:
+        Y = np.full((len(P),) + self.out_shape, math.nan)
+        looped, flags, outs = [], [], []  # the runs read in the loop, their rows' flags, outputs
+        for rows, m in self.owned:
+            if not self.plain:
+                Y[rows] = m.try_call(P[rows])
+                continue
+            X, defined, fn, got, vals = P[rows], m.defined, m.fn, [], []
+            try:
+                for x in X:
+                    got.append(defined is None or bool(defined(x)))
+                    if got[-1]:
+                        vals.append(fn(x))
+                looped.append(rows)
+                flags += got
+                outs += vals
+            except _UNDEFINED + (DerivativeUndefined,):  # from defined: raised again below
+                ok = np.array(got + [defined is None or bool(defined(x)) for x in X[len(got):]])
+                Y_run = np.full((len(X),) + self.out_shape, math.nan)
+                m._alone(X, ok, Y_run)
+                Y[rows] = Y_run
+        if looped:
+            rows = np.concatenate(looped)[np.array(flags, dtype=bool)]
+            Y[rows] = self._stack(None, outs, self.out_shape, "returned")
+        return Y, ~np.isnan(Y.reshape(len(P), -1)).all(axis=1)
+
+
+class _GridMap(SmoothMap):
+    """A net u without eps columns at the grid eps of each row (``eis``) out of
+    chart a: the ``_RunsMap``s of its eps runs' ``runs`` [(rows, u.at(eps))]."""
+
+    def __init__(self, u: MapNet, a: str, eps_vals: np.ndarray, eis: np.ndarray):
+        self.runs = _eps_rows((u,), eps_vals, eis, lambda eps, _rows: u.at(eps))
+        pairs = {pair for _rows, sm in self.runs for pair in sm.locals if pair[0] == a}
+        super().__init__(u.src, u.dst, {pair: _RunsMap([(rows, sm.locals.get(pair))
+                                                        for rows, sm in self.runs])
+                                        for pair in pairs}, name=f"{u.tag}@grid")
 
 
 def sample_points(K: CompactRegion, trials: int = 0, seed: int = 0) -> list:
@@ -538,7 +602,7 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
                 rows, ts = got
                 for k in range(k_max + 1):
                     yield ((pi, cid, b, k), eis[rows], tensor_norm(ts[k], k),
-                           lambda i, j=js[rows]: at[j[i]])
+                           lambda i, j=js[rows]: at(j[i]))
 
     return sweep_stacks(grid, stacks(), cfg.zero_tol, lambda key: context(*key))
 
@@ -551,19 +615,18 @@ def _group_tensors(nets, eps_vals: np.ndarray, eis: np.ndarray, X: np.ndarray, k
     without such rows.
 
     Nets with eps columns: one ``derivs_upto`` per ``_eps_rows`` call.  Else
-    one ``derivs_upto`` of a map whose eps runs own its rows, so the maps
-    that take differences share one difference pass (``owned_tensors``)."""
+    one ``derivs_upto`` of the ``_RunsMap`` whose eps runs own the rows, so the
+    maps that take differences share one difference pass (``owned_tensors``)."""
     if not all(u.eps_columns for u in nets):
-        runs = [(rows, rep) for rows, rep in _eps_rows(nets, eps_vals, eis,
-                                                       lambda eps, _rows: rep_at(eps))
-                if rep is not None]
-        if not runs:
+        runs = _eps_rows(nets, eps_vals, eis, lambda eps, _rows: rep_at(eps))
+        owned = [r for r, rep in runs if rep is not None]
+        if not owned:
             return None
-        rows = np.concatenate([r for r, _rep in runs])
-        cuts = np.cumsum([0] + [len(r) for r, _rep in runs]).tolist()
-        owned = [(np.arange(a, b), rep) for (_r, rep), a, b in zip(runs, cuts, cuts[1:])]
-        runs_map = _StackMap(runs[0][1].in_dim, runs[0][1].out_shape, None, owners=lambda P: owned)
-        return rows, runs_map.derivs_upto(X[rows], k_max)
+        ts = _RunsMap(runs).derivs_upto(X, k_max)
+        if len(owned) == len(runs):
+            return np.arange(len(eis)), ts
+        rows = np.concatenate(owned)  # the rows of runs without a map have no tensors
+        return rows, [t[rows] for t in ts]
 
     def tensors(eps, rows):
         rep = rep_at(eps)
@@ -578,10 +641,11 @@ def _group_tensors(nets, eps_vals: np.ndarray, eis: np.ndarray, X: np.ndarray, k
 
 def _lattice_pieces(K: CompactRegion) -> list:
     """Per piece of K: (index, chart, its columns in K's image tables, its
-    lattice, the lattice as Points)."""
+    lattice, ``at(j)``: its lattice point j as a Point, made when asked)."""
     lattices = K.lattices()
     ends = np.cumsum([len(lat) for _cid, lat in lattices]).tolist()
-    return [(pi, cid, slice(end - len(lat), end), lat, [Point(cid, x) for x in lat])
+    return [(pi, cid, slice(end - len(lat), end), lat,
+             lambda j, cid=cid, lat=lat: Point(cid, lat[j]))
             for pi, ((cid, lat), end) in enumerate(zip(lattices, ends))]
 
 
@@ -632,10 +696,10 @@ def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
     if escape := tu.escape or tv.escape:
         raise escape.with_traceback(None)
     dists = distance(u.dst, g, tu.best, tv.best).reshape(tu.chart.shape)
-    pts = K.sample_points()
-    lattice = dists[:, :len(pts)]
-    stack = (None, np.repeat(np.arange(len(grid)), len(pts)), lattice.ravel(),
-             lambda i: pts[i % len(pts)])
+    pts = PointStack.of_arrays(u.src, K.lattices())
+    n = len(pts.chart)
+    stack = (None, np.repeat(np.arange(len(grid)), n), dists[:, :n].ravel(),
+             lambda i: pts.point(i % n))
     return sweep_stacks(grid, [stack], cfg.zero_tol,
                         lambda _key: f"sup d_h({u.tag},{v.tag}) on K")[None], dists
 
@@ -682,7 +746,7 @@ def _chart_gaps0(u: MapNet, v: MapNet, K: CompactRegion, grid: EpsGrid,
                 mask = ok[:, cols, c]
                 eis, js = np.nonzero(mask)
                 if len(js):
-                    yield (pi, cid, b, 0), eis, gap[:, cols, c][mask], lambda i, js=js: at[js[i]]
+                    yield (pi, cid, b, 0), eis, gap[:, cols, c][mask], lambda i, js=js: at(js[i])
 
     return sweep_stacks(grid, stacks(), cfg.zero_tol,
                         lambda key: f"|D^0({u.tag}-{v.tag})| K[{key[0]}] {key[1]}->{key[2]}")
@@ -704,7 +768,9 @@ class _GapMap(_StackMap):
         super().__init__(ru.in_dim, ru.out_shape, lambda P: ru._values(P) - rv._values(P),
                          None if ru.jac is None or rv.jac is None
                          else lambda P: ru._jacobians(P) - rv._jacobians(P),
-                         min(ru.exact_order, rv.exact_order), f"({ru.name})-({rv.name})")
+                         min(ru.exact_order, rv.exact_order), f"({ru.name})-({rv.name})",
+                         owners=None if ru.owners is None and rv.owners is None
+                         else lambda P: _GapMap._owner_gaps(ru, rv, P))
 
     def fd_leaf(self, k_max: int) -> Optional[tuple]:
         return super().fd_leaf(k_max) if k_max > self.exact_order else None
@@ -715,12 +781,13 @@ class _GapMap(_StackMap):
         return [tu - tv for tu, tv in zip(self.ru.derivs_upto(x, k_max),
                                           self.rv.derivs_upto(x, k_max))]
 
-    def owners(self, P: np.ndarray) -> Optional[list]:
-        ou, ov = self.ru.owners(P), self.rv.owners(P)
+    @staticmethod
+    def _owner_gaps(ru: LocalMap, rv: LocalMap, P: np.ndarray) -> Optional[list]:
+        ou, ov = [None if m.owners is None else m.owners(P) for m in (ru, rv)]
         if ou is None and ov is None:
             return None
-        return [(rows, _GapMap(mu, mv)) for u_rows, mu in ou or [(np.arange(len(P)), self.ru)]
-                for v_rows, mv in ov or [(np.arange(len(P)), self.rv)]
+        return [(rows, _GapMap(mu, mv)) for u_rows, mu in ou or [(np.arange(len(P)), ru)]
+                for v_rows, mv in ov or [(np.arange(len(P)), rv)]
                 if len(rows := np.intersect1d(u_rows, v_rows))]
 
 

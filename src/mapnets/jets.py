@@ -440,19 +440,22 @@ def fd_partial(vals: np.ndarray, h: np.ndarray, n: int, depth: int) -> np.ndarra
     (N, M) + S, column 0 the root, and h the roots' steps, shape
     (N,) + (1,) * len(S).  Returns (N, stencils) + S, stencil s of the grid
     at [:, s]: the sum of w * (vals[:, c] - vals[:, 0]) over the stencil's
-    (c, w), left to right from +0.0 (one sequential accumulate, no BLAS: a
-    root alone has its bits in a stack, and a constant map's is 0.0), over
-    h^|alpha|, or inf over all of S where the root's or a stencil value is
-    non-finite.  The padding terms, 0.0 * 0.0 at column 0, leave the sum as
-    it is: a sum from +0.0 is never -0.0, and a non-finite root reads inf."""
+    (c, w), left to right from +0.0 (one ``+=`` per column of the padded
+    table, no BLAS: a root alone has its bits in a stack, and a constant
+    map's is 0.0), over h^|alpha|, or inf over all of S where the root's or
+    a stencil value is non-finite.  The padding terms, 0.0 * 0.0 at column
+    0, leave the sum as it is: a sum from +0.0 is never -0.0, and a
+    non-finite root reads inf."""
     cols, weights, starts = _fd_table(n, depth)
     v = np.ascontiguousarray(np.moveaxis(vals, 1, 0))  # grid column first: long inner loops
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, masked below
         terms = weights.reshape(weights.shape + (1,) * (v.ndim - 1)) * (v[cols] - v[0])
-        terms[:, 0] += 0.0  # the first partial sum, +0.0 + w * d
-        out = np.add.accumulate(terms, axis=1)[:, -1]
+        out = terms[:, 0] + 0.0  # the first partial sum, +0.0 + w * d
+        for j in range(1, terms.shape[1]):
+            out += terms[:, j]
         for s in starts:  # once per order: stencils of order >= d divide d times
             out[s:] /= h
-    bad = ~np.isfinite(v).reshape(v.shape[:2] + (-1,)).all(axis=2)
-    out[bad[0] | bad[cols].any(axis=1)] = np.inf
+    if not np.isfinite(out).all():  # a non-finite value leaves every sum that reads it so
+        bad = ~np.isfinite(v).reshape(v.shape[:2] + (-1,)).all(axis=2)
+        out[bad[0] | bad[cols].any(axis=1)] = np.inf
     return np.moveaxis(out, 0, 1)

@@ -238,13 +238,22 @@ class PointStack:
     @classmethod
     def of(cls, atlas: "Atlas", pts: list, error=None) -> "PointStack":
         """The stack of a list of Points, None for a row without a point."""
+        return cls.of_arrays(atlas, [(None, np.empty((1, 0))) if p is None
+                                     else (p.chart, p.coords[None]) for p in pts], error)
+
+    @classmethod
+    def of_arrays(cls, atlas: "Atlas", pieces: list, error=None) -> "PointStack":
+        """The stack of the rows of [(chart id, coordinates (N, dim))] in order,
+        a chart id None for rows without a point."""
         ids = atlas.chart_ids
-        chart = np.array([-1 if p is None else ids.index(atlas.chart(p.chart).id)
-                          for p in pts], dtype=int)  # NoOverlap for a chart not in atlas
-        coords = np.full((len(pts), max(atlas.chart(c).dim for c in ids)), math.nan)
-        for i, p in enumerate(pts):
-            if p is not None:
-                coords[i, :len(p.coords)] = p.coords
+        chart = np.repeat([-1 if cid is None else ids.index(atlas.chart(cid).id)
+                           for cid, _X in pieces],  # NoOverlap for a chart not in atlas
+                          [len(X) for _cid, X in pieces]).astype(int)
+        coords = np.full((len(chart), max(atlas.chart(c).dim for c in ids)), math.nan)
+        end = 0
+        for _cid, X in pieces:
+            end += len(X)
+            coords[end - len(X):end, :X.shape[1]] = X
         return cls(atlas, chart, coords, error)
 
     def point(self, i: int) -> Point:
@@ -369,12 +378,16 @@ class LocalMap:
         try:
             Y[ok] = self._values(P[ok])
         except _UNDEFINED + (DerivativeUndefined,):
-            for r in np.flatnonzero(ok):
-                try:
-                    Y[r] = self._value(P[r])
-                except _UNDEFINED:
-                    ok[r] = False
+            self._alone(P, ok, Y)
         return Y, ok
+
+    def _alone(self, P: np.ndarray, ok: np.ndarray, Y: np.ndarray) -> None:
+        """Each row of P that ``ok`` marks by ``_value`` into Y, unmarked where that raises."""
+        for r in np.flatnonzero(ok):
+            try:
+                Y[r] = self._value(P[r])
+            except _UNDEFINED:
+                ok[r] = False
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
         """A new bool per row of P: ``defined`` row by row (true without one)."""
@@ -396,15 +409,14 @@ class LocalMap:
         Raises DerivativeUndefined where the expression has a value but its
         jet fails (log or division by zero inside the jet recurrences)."""
         P, single = point_rows(x)
-        owners, leaf = self.owners(P), self.fd_leaf(k_max)
+        owners, leaf = None if self.owners is None else self.owners(P), self.fd_leaf(k_max)
         ts = (owned_tensors(self, owners, P, k_max) if owners is not None
               else self._expr_tensors(P, k_max) if leaf is None else fd_tensors(*leaf, P, k_max))
         return [t[0] for t in ts] if single else ts
 
-    def owners(self, P: np.ndarray) -> Optional[list]:
-        """[(rows, map)]: the maps whose tensors are this map's at the rows
-        (indices) of the stack P, or None where this map owns every row."""
-        return None
+    # owners(P) -> [(rows, map)]: the maps whose tensors are this map's at the
+    # rows (indices) of the stack P, or None where it owns them (or no hook).
+    owners: Optional[Callable[[np.ndarray], Optional[list]]] = None
 
     def fd_leaf(self, k_max: int) -> Optional[tuple]:
         """(values, jacobians): the stacked hooks whose central differences
@@ -458,13 +470,14 @@ class LocalMap:
         return self._stack(self.jac, P, self.out_shape + (self.in_dim,), "jac returned")
 
     def _stack(self, f, P: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-        """f at every row of P as one array of shape (len(P),) + shape.
+        """f at every row of P (f None: the outputs P) as one array of shape
+        (len(P),) + shape.
 
         The outputs are stacked once and their size checked once; only
         outputs that do not stack to that size are looked at row by row, to
         name the first output of the wrong size (OutputShapeMismatch) or to
         reshape outputs of the right size but different shapes."""
-        outs = [f(p) for p in P]
+        outs = P if f is None else [f(p) for p in P]
         try:
             Y = np.array(outs, dtype=float)
         except ValueError:  # outputs of unequal shapes
@@ -518,7 +531,10 @@ class _DerivedMap(_StackMap):
         self.parent = parent
         super().__init__(parent.in_dim, parent.out_shape + (parent.in_dim,),
                          lambda P: parent.derivs_upto(P, 1)[1], None, parent.exact_order - 1,
-                         f"D({parent.name})", parent.eps_column, lambda P: parent._defined_rows(P))
+                         f"D({parent.name})", parent.eps_column, lambda P: parent._defined_rows(P),
+                         None if parent.owners is None  # the parent's owners' derivative maps
+                         else lambda P: None if (o := parent.owners(P)) is None
+                         else [(rows, _DerivedMap(m)) for rows, m in o])
 
     def deriv_tensor(self, x, k: int) -> np.ndarray:
         return self.parent.deriv_tensor(x, k + 1)
@@ -528,10 +544,6 @@ class _DerivedMap(_StackMap):
 
     def fd_leaf(self, k_max: int) -> None:  # the parent's tensors, one order up
         return None
-
-    def owners(self, P: np.ndarray) -> Optional[list]:  # the derivative maps of the parent's
-        owners = self.parent.owners(P)
-        return None if owners is None else [(rows, _DerivedMap(o)) for rows, o in owners]
 
 
 def _constant(in_dim: int, M: np.ndarray, name: str = "") -> _StackMap:
@@ -592,12 +604,13 @@ def owned_tensors(m: LocalMap, owners: list, P: np.ndarray, k_max: int) -> list:
     ``fd_tensors`` call per leaf kind, whose hooks hand each its own roots'
     rows (per root the root, or its grid); every other owner makes its own
     ``derivs_upto``.  After any error the owners make their own calls, in
-    order, so the first failing one raises."""
+    order, so the first failing one raises.  Rows no owner owns are empty."""
     try:
         todo, fused, parts = list(owners), {}, []  # fused: no Jacobians? -> [(rows, leaf)]
         while todo:
             rows, o = todo.pop(0)
-            sub, leaf = o.owners(P[rows]), o.fd_leaf(k_max)
+            sub = None if o.owners is None else o.owners(P[rows])
+            leaf = o.fd_leaf(k_max)
             if sub is not None:
                 todo[:0] = [(rows[r], s) for r, s in sub]
             elif leaf is None:
@@ -954,6 +967,13 @@ class CompactRegion:
                        for cid, box in self.pieces]
         if not self.pieces:
             raise ValueError("compact region needs at least one piece")
+        self._lattices = (None, [])  # (key, lattices) as last built
+
+    @property
+    def key(self) -> tuple:
+        """The content (density, boxes) by which lattices and tables are kept."""
+        return (self.lattice_density,
+                tuple((cid, box.lo.tobytes(), box.hi.tobytes()) for cid, box in self.pieces))
 
     def validate(self, atlas: Atlas) -> None:
         for cid, box in self.pieces:
@@ -970,21 +990,29 @@ class CompactRegion:
                     f"piece {box} not strictly inside domain of chart {cid!r}")
 
     def lattices(self) -> list:
-        """Per piece: (chart id, lattice array of shape (N, dim))."""
-        per_piece = max(2, self.lattice_density)
-        return [(cid, box.lattice(per_piece)) for cid, box in self.pieces]
+        """Per piece: (chart id, lattice array of shape (N, dim)), read-only,
+        built once per ``key``."""
+        key = self.key
+        if self._lattices[0] != key:
+            per_piece = max(2, self.lattice_density)
+            lattices = [(cid, box.lattice(per_piece)) for cid, box in self.pieces]
+            for _cid, lat in lattices:
+                lat.flags.writeable = False
+            self._lattices = (key, lattices)
+        return list(self._lattices[1])
+
+    def samples(self, rng: Optional[np.random.Generator] = None, extra: int = 0) -> list:
+        """``lattices``, then with ``rng`` per piece ``extra`` uniform draws."""
+        out = self.lattices()
+        if rng is not None and extra > 0:
+            out += [(cid, rng.uniform(box.lo, box.hi, size=(extra, box.dim)))
+                    for cid, box in self.pieces]
+        return out
 
     def sample_points(self, rng: Optional[np.random.Generator] = None,
                       extra: int = 0) -> list:
         """Lattice points as Points, plus optional seeded uniform extras."""
-        pts = []
-        for cid, lat in self.lattices():
-            pts.extend(Point(cid, x) for x in lat)
-        if rng is not None and extra > 0:
-            for cid, box in self.pieces:
-                draws = rng.uniform(box.lo, box.hi, size=(extra, box.dim))
-                pts.extend(Point(cid, x) for x in draws)
-        return pts
+        return [Point(cid, x) for cid, X in self.samples(rng, extra) for x in X]
 
     def contains(self, p: Point, atlas: Optional[Atlas] = None,
                  margin: float = 0.0) -> bool:

@@ -463,11 +463,10 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
     if u.src.metric is None or u.dst.metric is None:
         raise ValueError("tangent_norm_series needs metrics on both atlases")
     table = u.image_table(K, grid)
-    pts = sample_points(K)
     norms = np.empty(table.chart.shape)
-    stack = PointStack.of(u.src, pts)
+    pts = PointStack.of_arrays(u.src, K.lattices())
     for ai, a in enumerate(u.src.chart_ids):
-        Xa = stack.rechart(a)
+        Xa = pts.rechart(a)
         for c, b in enumerate(table.charts):
             eis, pis = np.nonzero((table.source == ai) & (table.chart == c))
             if not len(eis):
@@ -479,7 +478,7 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
             norms[eis[rows], pis[rows]] = riemannian_operator_norm(
                 np.concatenate(J), u.src.metric.at(a, X[rows]), u.dst.metric.at(b, Y[rows]))
     eis, pis = np.nonzero(table.chart >= 0)
-    stack = (None, eis, norms[eis, pis], lambda i: pts[pis[i]])
+    stack = (None, eis, norms[eis, pis], lambda i: pts.point(pis[i]))
     return sweep_stacks(grid, [stack], cfg.zero_tol,
                         lambda _key: f"sup |T {u.tag}|_g,h on K")[None]
 

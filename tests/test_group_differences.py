@@ -53,7 +53,7 @@ def ref_sup_series(u, K, grid, k_max, L_prime, cfg):
                 ts = rep.derivs_upto(lat[js], k_max)
                 for k in range(k_max + 1):
                     stacks.append(((pi, cid, b, k), np.full(len(js), ei),
-                                   tensor_norm(ts[k], k), lambda i, js=js, at=at: at[js[i]]))
+                                   tensor_norm(ts[k], k), lambda i, js=js, at=at: at(js[i])))
     return sweep_stacks(grid, stacks, cfg.zero_tol,
                         lambda key: f"|D^{key[3]}| K[{key[0]}] {key[1]}->{key[2]} of {u.tag}")
 

@@ -431,14 +431,18 @@ class TestChartRouteFromTables:
 
 @pytest.fixture
 def evals(monkeypatch):
-    """Counts SmoothMap evaluations per (map, point); each row of a stacked
-    point counts as one evaluation at that row."""
+    """Counts SmoothMap evaluations per (eps, point), the eps as its map
+    ``u.at(eps)``; each row of a stacked point counts as one evaluation at
+    that row, and a row of a grid map's call (one call over all grid eps,
+    ``gmap._GridMap``) as one of its eps run's map."""
     seen = collections.Counter()
     call = SmoothMap.__call__
 
     def counting(sm, p):
-        for x in p.coords.reshape(-1, p.coords.shape[-1]):
-            seen[(id(sm), p.chart, x.tobytes())] += 1
+        rows = p.coords.reshape(-1, p.coords.shape[-1])
+        for r, at in getattr(sm, "runs", [(slice(None), sm)]):
+            for x in rows[r]:
+                seen[(id(at), p.chart, x.tobytes())] += 1
         return call(sm, p)
 
     monkeypatch.setattr(SmoothMap, "__call__", counting)

@@ -30,7 +30,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapnets.gmap import effective_reps
-from mapnets.jets import fd_grid, fd_partial, fd_step
+from mapnets.jets import _fd_table, fd_grid, fd_partial, fd_step
 from mapnets.manifold import (
     Box,
     Chart,
@@ -484,6 +484,46 @@ def test_fd_partial_pads_the_shorter_stencils():
     rng = np.random.default_rng(3)
     P = rng.uniform(-2.0, 2.0, (4, 3))
     check_fd_partial(P, rng.uniform(-1e3, 1e3, (4, len(offsets), 2)), 3, 3)
+
+
+def accumulate_fd_partial(vals, h, n, depth):
+    """``fd_partial`` as one ``np.add.accumulate`` over the padded table, with
+    the non-finite mask built at every call: the form the column-by-column
+    ``+=`` replaced."""
+    cols, weights, starts = _fd_table(n, depth)
+    v = np.ascontiguousarray(np.moveaxis(vals, 1, 0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = weights.reshape(weights.shape + (1,) * (v.ndim - 1)) * (v[cols] - v[0])
+        terms[:, 0] += 0.0
+        out = np.add.accumulate(terms, axis=1)[:, -1]
+        for s in starts:
+            out[s:] /= h
+    bad = ~np.isfinite(v).reshape(v.shape[:2] + (-1,)).all(axis=2)
+    out[bad[0] | bad[cols].any(axis=1)] = np.inf
+    return np.moveaxis(out, 0, 1)
+
+
+@pytest.mark.parametrize("n,depth,shape", [(1, 3, ()), (2, 3, (2,)), (2, 2, (2, 2)),
+                                           (3, 3, (1,)), (2, 1, (3,))])
+def test_fd_partial_sums_as_the_accumulate_form(n, depth, shape):
+    """Byte for byte the accumulate form, on random stacks with a non-finite
+    root, a NaN stencil value, -0.0 differences and finite rows."""
+    rng = np.random.default_rng(20 * n + depth)
+    offsets = fd_grid(n, depth)[0]
+    P = rng.uniform(-2.0, 2.0, (6, n))
+    vals = rng.uniform(-1e3, 1e3, (6, len(offsets)) + shape)
+    vals[1, 0] = math.inf  # a non-finite root
+    vals[2, rng.integers(1, len(offsets))] = math.nan  # a NaN stencil value
+    vals[3] = -0.0  # -0.0 differences
+    vals[3, 0] = 0.0
+    vals[4] = vals[4, :1]  # a constant map
+    h = fd_step(P).reshape((len(P),) + (1,) * len(shape))
+    got, want = fd_partial(vals, h, n, depth), accumulate_fd_partial(vals, h, n, depth)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    finite = np.delete(vals, [1, 2], axis=0)  # no non-finite value: no mask is built
+    h = np.delete(h, [1, 2], axis=0)
+    got, want = fd_partial(finite, h, n, depth), accumulate_fd_partial(finite, h, n, depth)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_fd_errors_on_a_closed_form_stay_near_the_nested_stencils():

@@ -1,6 +1,6 @@
 """Image tables built with one array pass, against the per-point calls.
 
-``MapNet.image_table`` evaluates each eps with one stacked ``SmoothMap``
+``MapNet.image_table`` evaluates every grid eps with one stacked ``SmoothMap``
 call per source-chart group of the sample points, then chooses the best
 candidate and finds every chart representation once for the whole table,
 through the stacked forms of ``Box``/``Chart.contains``,
@@ -256,10 +256,10 @@ def test_chart_escape_names_the_first_eps_then_point(piece_eps):
         assert str(exc.value) == want
 
 
-# -- one stacked call per (eps, source chart), the rest once per table ------------
+# -- one stacked call per source chart over all grid eps, the rest once per table --
 
 
-def test_one_call_per_eps_and_source_chart_and_dst_work_once(monkeypatch):
+def test_one_call_per_source_chart_and_dst_work_once(monkeypatch):
     counts = collections.Counter()
 
     def counted(owner, name):
@@ -278,8 +278,9 @@ def test_one_call_per_eps_and_source_chart_and_dst_work_once(monkeypatch):
         u = scalar_net(MULTI, MULTI, lambda eps: lambda t, e=eps: 0.5 * t + e, tag="half")
         counts.clear()
         table = u.image_table(TWO_SOURCE_K, grid)
-        # two source charts hold points, and every (eps, point) row has a candidate
-        assert counts.pop("__call__") == 2 * len(grid)
+        # two source charts hold points, each one call at every grid eps, and
+        # every (eps, point) row has a candidate
+        assert counts.pop("__call__") == 2
         assert counts["representations"] == len(np.unique(table.chart)) == 2
         per_grid.append(dict(counts))
     assert per_grid[0] == per_grid[1]  # no dst-side call per eps
