@@ -19,7 +19,6 @@ image that leaves every chart is a row too, so an escaped table is cached too.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -137,11 +136,11 @@ class ImageTable:
     ``column`` a generalized point's column: row ei of ``pts`` is the point
     at grid eps ei alone, in a table of one column.  Built in one array pass: per
     source chart a, the rows whose points have chart-a coordinates
-    (``PointStack.rechart``) in one stacked ``u.at`` call at their eps column
-    (a stacked ``try_call`` per representative), for a net without eps
-    columns one ``_GridMap`` call at each row's eps, and one per eps where
-    those fail (``_eps_rows``: the first eps's error is raised); then, once
-    over all rows, each row's best candidate (``manifold.best_candidates``:
+    (``PointStack.rechart``) in one stacked ``SmoothMap`` call (a stacked
+    ``try_call`` per representative) as ``_eps_rows`` reads the grid: at
+    their eps column, else through the map of the eps runs' maps ``u.at(eps)``,
+    and one call per eps where that raises (the first eps's error is raised);
+    then, once over all rows, each row's best candidate (``manifold.best_candidates``:
     largest margin, then the smaller target chart, then the smaller source
     chart, the rule by which ``u.eval`` chooses a point's image) and its
     ``representations``.
@@ -179,9 +178,8 @@ class ImageTable:
         self.escaped = escaped
         col = {b: c for c, b in enumerate(self.charts)}
         E, n = len(eps_vals), 1 if column else len(pts.chart)
-        pairs = _eps_rows((u,), eps_vals, np.arange(E), lambda eps, _rows: u.at(eps).locals)
         images: dict = {}  # (b, a): the images of the (eps, point) rows under rep (a, b)
-        for a in sorted({a for _r, loc in pairs for a, _b in loc}):
+        for a in u.src.chart_ids:
             P = pts.rechart(a)  # the points' chart-a coordinates, NaN rows where none
             rows = np.flatnonzero(~np.isnan(P[:, 0]))
             if column:  # row ei holds the point at eps ei
@@ -189,12 +187,8 @@ class ImageTable:
             else:  # the (eps, point) rows, eps-major
                 X, eis = np.tile(P[rows], (E, 1)), np.repeat(np.arange(E), len(rows))
                 at = eis * n + np.tile(rows, E)  # their rows in the table
-            calls = None
-            if not u.eps_columns:
-                with contextlib.suppress(Exception):  # re-raised eps by eps, in that order
-                    calls = [(slice(None), _GridMap(u, a, eps_vals, eis)(Point(a, X)))]
-            for sel, cands in calls or _eps_rows((u,), eps_vals, eis,
-                                                 lambda eps, sel: u.at(eps)(Point(a, X[sel]))):
+            for sel, cands in _eps_rows((u,), eps_vals, eis, u.at,
+                                        lambda sm, sel: sm(Point(a, X[sel]))):
                 for q in cands:
                     if (q.chart, a) not in images:
                         images[q.chart, a] = np.full((E * n,) + q.coords.shape[1:], math.nan)
@@ -236,24 +230,52 @@ class ImageTable:
         return self.best.point(self.rows[eps] * self.chart.shape[1] + pi)
 
 
-def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, call) -> list:
-    """[(rows, call(eps, rows))] over (eps, point) rows of non-decreasing grid
-    eps indices ``eis``, rows an index array: one call at their eps column
-    when all ``nets`` take one and it is defined, else one per eps run."""
-    rows = np.arange(len(eis))
-    if len(eis) and all(u.eps_columns for u in nets):
-        try:
-            return [(rows, call(eps_vals[eis], rows))]
-        except _UNDEFINED + (DerivativeUndefined,):
-            pass
-    return [(r, call(eps_vals[eis[r[0]]], r))
-            for r in np.split(rows, np.flatnonzero(np.diff(eis)) + 1) if len(r)]
+def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, map_at, call) -> list:
+    """[(rows, call(m, rows))]: the one rule by which every reader of nets
+    reads their (eps, point) rows across the grid, rows of non-decreasing grid
+    eps indices ``eis`` (an index array) and m the map that sends each of them
+    to the map at its eps, ``map_at(eps)`` (None: that eps's rows are left
+    out).  First one call over every row: m is the map at their eps column
+    when all ``nets`` take one, else the map of their eps runs' maps
+    (``_runs_map``; a single run's map itself).  If that raises anything, one
+    call per eps run, in eps order, so the error raised is the first eps's."""
+    runs = [r for r in np.split(np.arange(len(eis)), np.flatnonzero(np.diff(eis)) + 1) if len(r)]
+
+    def per_run() -> list:  # [(rows, map)] of the eps runs that have a map
+        return [(rows, m) for rows in runs if (m := map_at(eps_vals[eis[rows[0]]])) is not None]
+
+    try:
+        if runs and all(u.eps_columns for u in nets):
+            m, rows = map_at(eps_vals[eis]), np.arange(len(eis))
+            return [] if m is None else [(rows, call(m, rows))]
+        maps = per_run()
+        if len(maps) > 1:  # a run's rows, or where a run has no map, their places in rows
+            rows = np.concatenate([r for r, _m in maps])
+            dropped = len(rows) < len(eis)
+            m = _runs_map([(np.searchsorted(rows, r) if dropped else r, m) for r, m in maps])
+            return [(rows, call(m, rows))]
+    except Exception:  # read again eps run by eps run, so the first eps's error is raised
+        maps = per_run()
+    return [(rows, call(m, rows)) for rows, m in maps]
+
+
+def _runs_map(runs: list):
+    """The map whose eps runs ``runs`` [(rows, map)] own the rows of a stack: a
+    ``_RunsMap`` of local maps, or the smooth map whose representative (a, b)
+    is the ``_RunsMap`` of the runs' (a, b) representatives."""
+    sm = runs[0][1]
+    if not isinstance(sm, SmoothMap):
+        return _RunsMap(runs)
+    pairs = {pair for _rows, m in runs for pair in m.locals}
+    return SmoothMap(sm.src, sm.dst, {pair: _RunsMap([(rows, m.locals.get(pair))
+                                                      for rows, m in runs]) for pair in pairs})
 
 
 class _RunsMap(_StackMap):
     """The map whose runs ``runs`` [(rows, map)] (``_eps_rows``) own the rows
     of a stack: a row's tensors (``owners``) and value (``try_call``) are its
-    run's map's, a run whose map is None has neither.  Where every run's map
+    run's map's, a run whose map is None (an eps without that chart pair,
+    ``_runs_map``) has neither.  Where every run's map
     is a plain per-point ``LocalMap`` (``fn``), ``_tried`` is one row loop
     over all runs (per row ``defined``, then ``fn`` where it holds) and one
     stack of all outputs, and a run whose ``fn`` raises is read as
@@ -293,18 +315,6 @@ class _RunsMap(_StackMap):
             rows = np.concatenate(looped)[np.array(flags, dtype=bool)]
             Y[rows] = self._stack(None, outs, self.out_shape, "returned")
         return Y, ~np.isnan(Y.reshape(len(P), -1)).all(axis=1)
-
-
-class _GridMap(SmoothMap):
-    """A net u without eps columns at the grid eps of each row (``eis``) out of
-    chart a: the ``_RunsMap``s of its eps runs' ``runs`` [(rows, u.at(eps))]."""
-
-    def __init__(self, u: MapNet, a: str, eps_vals: np.ndarray, eis: np.ndarray):
-        self.runs = _eps_rows((u,), eps_vals, eis, lambda eps, _rows: u.at(eps))
-        pairs = {pair for _rows, sm in self.runs for pair in sm.locals if pair[0] == a}
-        super().__init__(u.src, u.dst, {pair: _RunsMap([(rows, sm.locals.get(pair))
-                                                        for rows, sm in self.runs])
-                                        for pair in pairs}, name=f"{u.tag}@grid")
 
 
 def sample_points(K: CompactRegion, trials: int = 0, seed: int = 0) -> list:
@@ -581,9 +591,8 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
     escaped images included as rows) admit it for b (``_admitted``), so no
     point is evaluated for admission.  Each (piece, b) group is one array
     pass over its admitted (eps, point) rows, eps-major and in lattice order:
-    their tensors of orders 0..k_max, row axis first, from ``_group_tensors``
-    (for nets without eps columns, one ``derivs_upto`` over the rows of all
-    grid eps, which the eps runs' maps own); one ``tensor_norm`` per order
+    their tensors of orders 0..k_max, row axis first, from ``_group_tensors``;
+    one ``tensor_norm`` per order
     over all the rows, and its sup per eps (``sweep_stacks``).  Each series
     is labelled ``context(pi, cid, b, k)``.
     """
@@ -595,48 +604,30 @@ def _chart_sups(nets, K: CompactRegion, grid: EpsGrid, k_max: int,
         for pi, cid, cols, lat, at in _lattice_pieces(K):
             for c, b in enumerate(tables[0].charts):
                 eis, js = np.nonzero(ok[:, cols, c])
-                got = _group_tensors(nets, eps_vals, eis, lat[js], k_max,
-                                     lambda eps, b=b: dict(pieces(eps, cid)).get(b))
-                if got is None:
-                    continue
-                rows, ts = got
-                for k in range(k_max + 1):
-                    yield ((pi, cid, b, k), eis[rows], tensor_norm(ts[k], k),
+                rows, ts = _group_tensors(nets, eps_vals, eis, lat[js], k_max,
+                                          lambda eps, b=b: dict(pieces(eps, cid)).get(b))
+                for k, t in enumerate(ts):
+                    yield ((pi, cid, b, k), eis[rows], tensor_norm(t, k),
                            lambda i, j=js[rows]: at(j[i]))
 
     return sweep_stacks(grid, stacks(), cfg.zero_tol, lambda key: context(*key))
 
 
 def _group_tensors(nets, eps_vals: np.ndarray, eis: np.ndarray, X: np.ndarray, k_max: int,
-                   rep_at) -> Optional[tuple]:
+                   rep_at) -> tuple:
     """(rows, tensors): the tensors of orders 0..k_max at the (eps, point) rows
     X of non-decreasing grid eps indices ``eis`` whose eps has a map
-    (``rep_at(eps)``, else None), row axis first, and those rows in order; None
-    without such rows.
+    (``rep_at(eps)``, else None), row axis first, and those rows in order; no
+    rows and no tensors without such rows.
 
-    Nets with eps columns: one ``derivs_upto`` per ``_eps_rows`` call.  Else
-    one ``derivs_upto`` of the ``_RunsMap`` whose eps runs own the rows, so the
-    maps that take differences share one difference pass (``owned_tensors``)."""
-    if not all(u.eps_columns for u in nets):
-        runs = _eps_rows(nets, eps_vals, eis, lambda eps, _rows: rep_at(eps))
-        owned = [r for r, rep in runs if rep is not None]
-        if not owned:
-            return None
-        ts = _RunsMap(runs).derivs_upto(X, k_max)
-        if len(owned) == len(runs):
-            return np.arange(len(eis)), ts
-        rows = np.concatenate(owned)  # the rows of runs without a map have no tensors
-        return rows, [t[rows] for t in ts]
-
-    def tensors(eps, rows):
-        rep = rep_at(eps)
-        return None if rep is None else rep.derivs_upto(X[rows], k_max)
-
-    parts = [(rows, ts) for rows, ts in _eps_rows(nets, eps_vals, eis, tensors) if ts is not None]
+    One ``derivs_upto`` per ``_eps_rows`` call: at the eps column, else of the
+    ``_RunsMap`` whose eps runs own the rows of all grid eps, so the maps that
+    take differences share one difference pass (``owned_tensors``)."""
+    parts = _eps_rows(nets, eps_vals, eis, rep_at, lambda m, rows: m.derivs_upto(X[rows], k_max))
     if not parts:
-        return None
-    rows = np.concatenate([r for r, _ts in parts])
-    return rows, [np.concatenate([ts[k] for _r, ts in parts]) for k in range(k_max + 1)]
+        return np.zeros(0, dtype=int), []
+    rows, tensors = zip(*parts)
+    return np.concatenate(rows), [np.concatenate(ts) for ts in zip(*tensors)]
 
 
 def _lattice_pieces(K: CompactRegion) -> list:

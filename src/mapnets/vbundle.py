@@ -51,8 +51,8 @@ from .gmap import (
     compose,
     sample_points,
     _chart_sups,
-    _eps_rows,
     _GapMap,
+    _group_tensors,
     _merge_l_prime,
 )
 from .gpoints import GenNumber, GenPoint, _image_support, argmax_net, points_equal
@@ -455,9 +455,11 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
 
     The norm is taken between the source and target Riemannian metrics; its
     growth order matches the chart-wise first-derivative order.  Each (eps,
-    point) row takes the chart pair of ``u.eval`` from u's image table, with one
-    stacked Jacobian per chart pair (``_eps_rows``), one stacked call of each
-    metric field and one stacked operator norm; escaped rows are left out.
+    point) row takes the chart pair of ``u.eval`` from u's image table, with the
+    Jacobians of each chart pair's rows of all grid eps as order 1 of
+    ``gmap._group_tensors`` (one difference pass where the maps take
+    differences), one stacked call of each metric field and one stacked
+    operator norm; escaped rows are left out.
     """
     grid = grid or cfg.grid()
     if u.src.metric is None or u.dst.metric is None:
@@ -472,11 +474,11 @@ def tangent_norm_series(u: MapNet, K: CompactRegion, grid: Optional[EpsGrid] = N
             if not len(eis):
                 continue
             X, Y = Xa[pis], table.coords[eis, pis, c, :table.dims[c]]
-            rows, J = zip(*_eps_rows((u,), grid.values(), eis,
-                                     lambda eps, rows: u.at(eps).locals[a, b].jacobian(X[rows])))
-            rows = np.concatenate(rows)
+            rows, ts = _group_tensors((u,), grid.values(), eis, X, 1,
+                                      lambda eps: u.at(eps).locals[a, b])
             norms[eis[rows], pis[rows]] = riemannian_operator_norm(
-                np.concatenate(J), u.src.metric.at(a, X[rows]), u.dst.metric.at(b, Y[rows]))
+                ts[1].reshape(len(rows), -1, X.shape[1]), u.src.metric.at(a, X[rows]),
+                u.dst.metric.at(b, Y[rows]))
     eis, pis = np.nonzero(table.chart >= 0)
     stack = (None, eis, norms[eis, pis], lambda i: pts.point(pis[i]))
     return sweep_stacks(grid, [stack], cfg.zero_tol,

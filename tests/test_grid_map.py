@@ -1,28 +1,34 @@
 """One image-table call over all grid eps, against one call per eps.
 
 For a net without eps columns, ``MapNet.image_table`` sends the (eps, point)
-rows of each source chart through one ``gmap._GridMap`` call: each
-representative is the ``gmap._RunsMap`` of the eps runs' maps, whose
-``try_call`` is one row loop over all runs where every run's map is a plain
-per-point map, and each run's own ``try_call`` otherwise.  The reference is
-the table of the same net whose eps-column call is undefined, so that
-``_eps_rows`` makes one ``u.at(eps)`` call per eps: the arrays, the escape and
-every escaped row's error must be the same, byte for byte, the user callables
-must run as often, or the same error must be raised.
+rows of each source chart through one call of the map of the eps runs'
+maps (``gmap._eps_rows``, ``gmap._runs_map``): each representative is the
+``gmap._RunsMap`` of the eps runs' maps, whose ``try_call`` is one row loop
+over all runs where every run's map is a plain per-point map, and each run's
+own ``try_call`` otherwise.  The reference is the table of the same net whose
+eps-column call is undefined, so that ``_eps_rows`` makes one ``u.at(eps)``
+call per eps: the arrays, the escape and every escaped row's error must be
+the same, byte for byte, the user callables must run as often, or the same
+error must be raised.  An eps-column call that raises anything is read eps
+by eps too, in tables and in ``check_moderate``.
 """
 
 import collections
+import json
+import math
 
 import numpy as np
 import pytest
 from test_image_table import K_LINE, K_SQUARE, MULTI, NETS
 
 from mapnets import gmap, jets
+from mapnets.asymptotics import Status
+from mapnets.cli import verdict_record
 from mapnets.config import Config
 from mapnets.errors import DerivativeUndefined, OutputShapeMismatch
 from mapnets.exprs import build_expr
 from mapnets.gallery import get_atlas
-from mapnets.gmap import ImageTable, MapNet, angle_net, compose, scalar_net
+from mapnets.gmap import ImageTable, MapNet, angle_net, check_moderate, compose, scalar_net
 from mapnets.gpoints import GenPoint
 from mapnets.manifold import Box, CompactRegion, LocalMap, Point, PointStack
 
@@ -171,12 +177,15 @@ def test_an_eps_column_net_keeps_its_column_call(monkeypatch):
     u = scalar_net(LINE, LINE, build_expr("exp_recip"), tag="exp_recip")
     assert u.eps_columns
     want = lattice_table(per_eps(u), K_LINE)
+    built, runs_map = [], gmap._RunsMap
 
-    def no_grid_map(*args, **kwargs):
-        raise AssertionError("an eps-column net built a grid map")
+    def counted(runs):
+        built.append(runs)
+        return runs_map(runs)
 
-    monkeypatch.setattr(gmap, "_GridMap", no_grid_map)
+    monkeypatch.setattr(gmap, "_RunsMap", counted)
     assert_same_tables(u.image_table(K_LINE, GRID), want)
+    assert not built, "an eps-column net built the map of its eps runs"
 
 
 def counted_net(bad_eps: float, calls: dict) -> MapNet:
@@ -237,6 +246,38 @@ def test_two_raising_representatives_raise_the_first_eps_error():
     with pytest.raises(RuntimeError) as got:
         u.image_table(K_LINE, GRID)
     assert str(got.value) == str(want.value) == f"c1 fails at eps {GRID.values()[0]:g}"
+
+
+def test_check_moderate_raises_the_first_eps_error():
+    u = two_raising_net()
+    with pytest.raises(RuntimeError) as want:
+        check_moderate(per_eps(u), K_LINE, GRID)
+    with pytest.raises(RuntimeError) as got:
+        check_moderate(u, K_LINE, GRID)
+    assert str(got.value) == str(want.value) == f"c1 fails at eps {GRID.values()[0]:g}"
+
+
+def column_raising_net() -> MapNet:
+    """line -> line with ``eps_columns``, whose factory raises TypeError at an
+    eps column (``math.exp`` takes no array), so every read is made eps by eps."""
+    def factory(eps):
+        scale = math.exp(-eps)
+        return {("e0", "e0"): LocalMap(1, (1,), fn=lambda x: np.sin(x) + eps * scale,
+                                       name=f"sin@{eps:g}")}
+
+    return MapNet(LINE, LINE, factory, tag="column raising", eps_columns=True)
+
+
+def test_a_raising_eps_column_is_read_eps_by_eps():
+    u = column_raising_net()
+    with pytest.raises(TypeError):
+        u.at(GRID.values())
+    assert_same_tables(u.image_table(K_LINE, GRID), lattice_table(per_eps(u), K_LINE))
+    got, want = check_moderate(u, K_LINE, GRID), check_moderate(per_eps(u), K_LINE, GRID)
+    assert got.status is Status.PASS
+    assert json.dumps(verdict_record("moderate", {}, got)) == \
+        json.dumps(verdict_record("moderate", {}, want))
+    assert sorted(got.details) == sorted(want.details)
 
 
 def test_lattices_are_built_once_per_content_and_read_only():

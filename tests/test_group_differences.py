@@ -6,15 +6,19 @@ when the representatives take differences.  ``ref_sup_series`` is the
 sweep it replaced: one ``derivs_upto`` of the eps's representative per
 (piece, target chart, eps).  The two must give the same series, sups and
 args byte for byte, skip the eps without a representative alike, and raise
-the same error, the first failing eps's.
+the same error, the first failing eps's.  ``tangent_norm_series`` takes its
+Jacobians as order 1 of the same ``gmap._group_tensors``: one difference
+pass per chart pair of the image table's rows, bit for bit the norms of one
+stacked ``jacobian`` per (eps, chart pair).
 """
 
 import math
 
 import numpy as np
 import pytest
+from test_asymptotics import ref_sweep_sups
 
-from mapnets import gmap, jets
+from mapnets import gmap, jets, manifold
 from mapnets.asymptotics import sweep_stacks
 from mapnets.config import Config
 from mapnets.gmap import MapNet, derivative_sup_series, effective_reps
@@ -22,10 +26,13 @@ from mapnets.manifold import (
     Box,
     CompactRegion,
     LocalMap,
+    PointStack,
     euclidean_atlas,
     euclidean_multichart,
+    riemannian_operator_norm,
     tensor_norm,
 )
+from mapnets.vbundle import tangent_norm_series
 
 CFG = Config()
 GRID = CFG.grid()
@@ -183,3 +190,65 @@ def test_the_first_failing_eps_raises(fn_from, jac_from):
     assert str(got.value) == str(want.value)
     first = min(fn_from, math.inf if jac_from is None else jac_from)
     assert repr(EPS[first]) in str(got.value)
+
+
+def per_eps_tangent_norm_series(u, K, grid, cfg):
+    """The tangent norm series from one stacked ``jacobian`` per (eps, chart
+    pair), each row's chart pair read from u's image table, in lattice order."""
+    table = u.image_table(K, grid)
+    pts = PointStack.of_arrays(u.src, K.lattices())
+
+    def samples(eps):
+        ei, norms = table.rows[eps], np.full(table.chart.shape[1], math.nan)
+        for ai, a in enumerate(u.src.chart_ids):
+            for c, b in enumerate(table.charts):
+                pis = np.flatnonzero((table.source[ei] == ai) & (table.chart[ei] == c))
+                if len(pis):
+                    X = pts.rechart(a)[pis]
+                    norms[pis] = riemannian_operator_norm(
+                        u.at(eps).locals[a, b].jacobian(X), u.src.metric.at(a, X),
+                        u.dst.metric.at(b, table.coords[ei, pis, c, :table.dims[c]]))
+        for pi in np.flatnonzero(table.chart[ei] >= 0):
+            yield None, norms[pi], pts.point(pi)
+
+    return ref_sweep_sups(grid, samples, cfg.zero_tol,
+                          lambda _key: f"sup |T {u.tag}|_g,h on K")[None]
+
+
+def two_chart_net(with_jac: bool) -> MapNet:
+    """plane -> TWO_CHARTS by plain per-point callables into both charts, with
+    or without a Jacobian, so a table's rows fall into two chart pairs."""
+
+    def jac(eps, x):
+        d = 1.0 - math.tanh(x[0] / eps) ** 2
+        return np.array([[d / eps, 3.0 * x[1] ** 2],
+                         [0.0, math.cos(x[1] / math.sqrt(eps)) / math.sqrt(eps)]])
+
+    def factory(eps):
+        return {("e0", b): LocalMap(2, (2,), fn=lambda x, eps=eps: 0.5 * steep(eps, x),
+                                    jac=(lambda x, eps=eps: 0.5 * jac(eps, x)) if with_jac else None,
+                                    name=f"to-{b}") for b in ("c0", "c1")}
+
+    return MapNet(PLANE, TWO_CHARTS, factory, tag="two-chart")
+
+
+@pytest.mark.parametrize("with_jac", [False, True])
+def test_tangent_norms_take_one_difference_pass_per_chart_pair(with_jac, monkeypatch):
+    u = two_chart_net(with_jac)
+    want = per_eps_tangent_norm_series(two_chart_net(with_jac), K, GRID, CFG)
+    table = u.image_table(K, GRID)
+    pairs = {(a, c) for a, c in zip(table.source.ravel().tolist(), table.chart.ravel().tolist())
+             if c >= 0}
+    assert len(pairs) == 2
+    passes, fd_tensors = [], manifold.fd_tensors
+
+    def counted(values, jacobians, P, k_max):
+        passes.append(len(P))
+        return fd_tensors(values, jacobians, P, k_max)
+
+    monkeypatch.setattr(manifold, "fd_tensors", counted)
+    got = tangent_norm_series(u, K, GRID, CFG)
+    assert len(passes) == len(pairs) and sum(passes) == (table.chart >= 0).sum()
+    assert got.context == want.context and got.eps.tobytes() == want.eps.tobytes()
+    assert got.sup.tobytes() == want.sup.tobytes()
+    assert [repr(p) for p in got.args] == [repr(p) for p in want.args]

@@ -433,18 +433,25 @@ class TestChartRouteFromTables:
 def evals(monkeypatch):
     """Counts SmoothMap evaluations per (eps, point), the eps as its map
     ``u.at(eps)``; each row of a stacked point counts as one evaluation at
-    that row, and a row of a grid map's call (one call over all grid eps,
-    ``gmap._GridMap``) as one of its eps run's map."""
+    that row, and a row of a call over all grid eps (the map of the eps runs'
+    maps, ``gmap._runs_map``) as one of its eps run's map."""
     seen = collections.Counter()
-    call = SmoothMap.__call__
+    call, runs_map = SmoothMap.__call__, gmap._runs_map
+    runs_of = {}  # id of a map of eps runs: (that map, kept so the id stays its own; its runs)
+
+    def recording(runs):
+        m = runs_map(runs)
+        runs_of[id(m)] = (m, runs)
+        return m
 
     def counting(sm, p):
         rows = p.coords.reshape(-1, p.coords.shape[-1])
-        for r, at in getattr(sm, "runs", [(slice(None), sm)]):
+        for r, at in runs_of.get(id(sm), (sm, [(slice(None), sm)]))[1]:
             for x in rows[r]:
                 seen[(id(at), p.chart, x.tobytes())] += 1
         return call(sm, p)
 
+    monkeypatch.setattr(gmap, "_runs_map", recording)
     monkeypatch.setattr(SmoothMap, "__call__", counting)
     return seen
 
