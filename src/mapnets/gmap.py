@@ -102,27 +102,23 @@ class MapNet:
 
     def image_table(self, K: CompactRegion, grid: EpsGrid, trials: int = 0,
                     seed: int = 0) -> "ImageTable":
-        """Images of K's sample points (``trials`` seeded extras per piece) at
-        every grid eps, built on first use and kept as long as the net.
+        """Images of K's lattice points (``trials = 0``), or of the ``trials``
+        seeded extras per piece alone, at every grid eps, built on first use
+        and kept as long as the net.
 
         Keyed by the grid and the region's content, so an equal region object
-        shares the table.  A table with extras is the lattice table
-        (``trials = 0``, built first if missing) plus the extras' images, so
-        no lattice image is evaluated twice.  A table with an escaped image
-        (``ImageTable.escape``) is cached like any other.
+        shares the table.  A table holds one sample set, so no lattice image
+        is evaluated twice (``_distance_sweep`` joins the lattice and the
+        extras tables).  A table with an escaped image (``ImageTable.escape``)
+        is cached like any other.
         """
         key = (grid, K.key, trials, seed if trials > 0 else None)
         table = self._tables.get(key)
         if table is None:
-            if trials > 0:
-                lattice = self.image_table(K, grid)
-                extras = K.samples(np.random.default_rng(seed), trials)[len(K.pieces):]
-                table = ImageTable(self, PointStack.of_arrays(self.src, extras), grid.values(),
-                                   lattice)
-            else:
-                table = ImageTable(self, PointStack.of_arrays(self.src, K.lattices()),
-                                   grid.values())
-            self._tables[key] = table
+            pts = (K.samples(np.random.default_rng(seed), trials)[len(K.pieces):] if trials > 0
+                   else K.lattices())
+            table = self._tables[key] = ImageTable(self, PointStack.of_arrays(self.src, pts),
+                                                   grid.values())
         return table
 
     def __repr__(self):
@@ -156,22 +152,17 @@ class ImageTable:
     stacks each row's best candidate (a ``PointStack`` of E*n rows, row i the
     image at (ei, pi) = divmod(i, n), whose error is ``escaped(ei, pi)``).
     The arrays are read-only, so an image handed out (a view into ``best``)
-    cannot corrupt the table.  With a ``head`` table (same net and grid), the
-    table holds head's points first, copied, and evaluates only ``pts``.
+    cannot corrupt the table.
     """
 
-    def __init__(self, u: MapNet, pts: PointStack, eps_vals: np.ndarray,
-                 head: Optional["ImageTable"] = None, column: bool = False):
+    def __init__(self, u: MapNet, pts: PointStack, eps_vals: np.ndarray, column: bool = False):
         dst = u.dst
         self.charts = dst.chart_ids
         self.dims = [dst.chart(b).dim for b in self.charts]
         self.rows = {eps: ei for ei, eps in enumerate(eps_vals.tolist())}
-        n0 = 0 if head is None else head.chart.shape[1]  # head's points come first
 
         def escaped(ei: int, pi: int) -> Exception:
-            if pi < n0:
-                return head.escaped(ei, pi)
-            i = ei if column else pi - n0
+            i = ei if column else pi
             return pts.error(i) if pts.chart[i] < 0 else ChartEscape(
                 f"{u.at(eps_vals[ei]).name or 'map'} has no chart for image of {pts.point(i)}")
 
@@ -194,10 +185,7 @@ class ImageTable:
                         images[q.chart, a] = np.full((E * n,) + q.coords.shape[1:], math.nan)
                     images[q.chart, a][at[sel]] = q.coords
         keys, best, found = best_candidates(dst, images, E * n)
-        self.escape = head.escape if head is not None else None
-        if self.escape is None and not found.all():
-            ei, pi = divmod(int(np.argmin(found)), n)
-            self.escape = self.escaped(ei, n0 + pi)
+        self.escape = None if found.all() else self.escaped(*divmod(int(np.argmin(found)), n))
         cols = np.array([(col[b], u.src.chart_ids.index(a)) for b, a in keys] or [(-1, -1)])
         chart, source = np.where(found, cols[best].T, -1)
         margins = np.full((E * n, len(self.charts)), -math.inf)
@@ -212,17 +200,11 @@ class ImageTable:
                     coords[rows, col[b2], :y.shape[1]] = y
         arrays = [margins.reshape(E, n, -1), coords.reshape((E, n) + coords.shape[1:]),
                   chart.astype(np.int32).reshape(E, n), source.astype(np.int32).reshape(E, n)]
-        if head is not None:
-            arrays = [np.concatenate(pair, axis=1) for pair in
-                      zip((head.margins, head.coords, head.chart, head.source), arrays)]
         self.margins, self.coords, self.chart, self.source = arrays
         for arr in arrays:
             arr.flags.writeable = False
-        n = self.chart.shape[1]
-        chart = self.chart.ravel()
-        best = self.coords.reshape((len(chart),) + self.coords.shape[2:])
-        self.best = PointStack(dst, chart, best[np.arange(len(chart)), np.maximum(chart, 0)],
-                               lambda i: self.escaped(*divmod(i, n)))
+        best = coords[np.arange(E * n), np.maximum(chart, 0)]
+        self.best = PointStack(dst, self.chart.ravel(), best, lambda i: self.escaped(*divmod(i, n)))
 
     def image(self, eps: float, pi: int) -> Point:
         """u_eps(point pi): the best candidate, as ``u.eval`` chooses it (an
@@ -236,16 +218,16 @@ def _eps_rows(nets, eps_vals: np.ndarray, eis: np.ndarray, map_at, call) -> list
     eps indices ``eis`` (an index array) and m the map that sends each of them
     to the map at its eps, ``map_at(eps)`` (None: that eps's rows are left
     out).  First one call over every row: m is the map at their eps column
-    when all ``nets`` take one, else the map of their eps runs' maps
-    (``_runs_map``; a single run's map itself).  If that raises anything, one
-    call per eps run, in eps order, so the error raised is the first eps's."""
+    when there are ``nets`` and all take one, else the map of their eps runs'
+    maps (``_runs_map``; a single run's map itself).  If that raises anything,
+    one call per eps run, in eps order, so the error raised is the first eps's."""
     runs = [r for r in np.split(np.arange(len(eis)), np.flatnonzero(np.diff(eis)) + 1) if len(r)]
 
     def per_run() -> list:  # [(rows, map)] of the eps runs that have a map
         return [(rows, m) for rows in runs if (m := map_at(eps_vals[eis[rows[0]]])) is not None]
 
     try:
-        if runs and all(u.eps_columns for u in nets):
+        if runs and nets and all(u.eps_columns for u in nets):
             m, rows = map_at(eps_vals[eis]), np.arange(len(eis))
             return [] if m is None else [(rows, call(m, rows))]
         maps = per_run()
@@ -679,14 +661,18 @@ def _distance_sweep(u: MapNet, v: MapNet, K: CompactRegion,
                     trials: int = 0, seed: int = 0):
     """d_h(u_eps(p), v_eps(p)) between the two nets' table images, each
     computed once: the (eps, sample point) array, K's lattice points first,
-    then the ``trials`` extras, and the sup series of its lattice prefix.
-    u's table escape is raised, else v's, else one ``distance`` call between
-    the two tables' ``best`` stacks."""
+    then the ``trials`` extras, and the sup series of its lattice part.
+    Each net's lattice table, and with ``trials`` its extras table, are read;
+    the first escape of u's lattice, u's extras, v's lattice, v's extras
+    tables is raised, else one ``distance`` call per (u, v) table pair,
+    joined along the point axis."""
     g = g or u.dst.metric
-    tu, tv = u.image_table(K, grid, trials, seed), v.image_table(K, grid, trials, seed)
-    if escape := tu.escape or tv.escape:
+    sets = (0, trials) if trials > 0 else (0,)  # the lattice, then the extras
+    tu, tv = ([net.image_table(K, grid, t, seed) for t in sets] for net in (u, v))
+    if escape := next((t.escape for t in tu + tv if t.escape), None):
         raise escape.with_traceback(None)
-    dists = distance(u.dst, g, tu.best, tv.best).reshape(tu.chart.shape)
+    dists = np.concatenate([distance(u.dst, g, a.best, b.best).reshape(a.chart.shape)
+                            for a, b in zip(tu, tv)], axis=1)
     pts = PointStack.of_arrays(u.src, K.lattices())
     n = len(pts.chart)
     stack = (None, np.repeat(np.arange(len(grid)), n), dists[:, :n].ravel(),

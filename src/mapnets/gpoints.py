@@ -257,8 +257,8 @@ def separate_by_points(u: MapNet, v: MapNet, K: CompactRegion,
     construction: for each grid eps, take the argmax of the image distance
     over the lattice and the ``trials`` seeded extras, then interpolate
     piecewise constantly in eps.  Ties break to the lowest sample index.
-    Every image distance is computed once, from the image table with the
-    extras; the equivalence test reads its lattice prefix.
+    Every image distance is computed once, from the lattice and the extras
+    image tables; the equivalence test reads the lattice part.
     """
     grid = grid or cfg.grid()
     route, _, dists = _metric_route(u, v, K, g_dst, grid, cfg, trials, cfg.seed)

@@ -198,7 +198,9 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
                            cfg: Config = DEFAULT_CONFIG) -> Verdict:
     """Moderateness of a section: fiber-norm sup plus coefficient-derivative
     sups up to k_max per vb-chart (coordinate partials generate the local
-    differential estimates)."""
+    differential estimates).  Each piece's tensors are one ``derivs_upto``
+    over its (eps, lattice point) rows of all grid eps
+    (``gmap._group_tensors``); an eps without a field there reads 0."""
     grid = grid or cfg.grid()
     k_max = cfg.k_max if k_max is None else k_max
     parts = {"fiber-norm": judge_moderate(section_norm_series(s, K, grid, cfg),
@@ -207,12 +209,12 @@ def check_section_moderate(s: SectionNet, K: CompactRegion,
 
     def stacks():
         for pi, (cid, lat) in enumerate(K.lattices()):
-            flds = [s.coeffs_at(eps).get(cid) for eps in eps_vals]
-            ts = [None if fld is None else fld.derivs_upto(lat, k_max) for fld in flds]
+            eis = np.repeat(np.arange(len(eps_vals)), len(lat))
+            rows, ts = _group_tensors((), eps_vals, eis, np.tile(lat, (len(eps_vals), 1)), k_max,
+                                      lambda eps: s.coeffs_at(eps).get(cid))
             for k in range(1, k_max + 1):  # every piece is judged, if only on zeros
-                norms = [np.zeros(1) if t is None else tensor_norm(t[k], k) for t in ts]
-                eis = np.repeat(np.arange(len(eps_vals)), [len(n) for n in norms])
-                yield (pi, cid, k), eis, np.concatenate(norms), lambda _i: None
+                norms = tensor_norm(ts[k], k) if ts else np.zeros(0)
+                yield (pi, cid, k), eis[rows], norms, lambda _i: None
 
     series = sweep_stacks(grid, stacks(), cfg.zero_tol,
                           lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")

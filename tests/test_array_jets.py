@@ -509,3 +509,23 @@ def test_check_equiv_evaluates_per_group_and_representative(counters, cfg):
     assert counters["var"] == [k_max, k_max]  # admission reads the image tables
     assert counters["norm"] == k_max + 1
 
+
+
+def test_a_value_branching_expression_is_differentiated_row_by_row(monkeypatch):
+    """An expression that branches on its value cannot take an array jet
+    (``bool`` of an array raises), so ``derivs_upto`` on a stack takes the
+    float jet of each row: byte for byte the per-point calls."""
+    m = LocalMap.from_expr(lambda t: jets.sin(t) if jets.value_of(t) > 0 else -t, name="branch")
+    P = np.array([[-0.5], [0.0], [0.3], [0.7], [-1e-300]])
+    want = [m.derivs_upto(x, 3) for x in P]
+    calls = []
+    jet_coeffs = LocalMap._jet_coeffs
+    monkeypatch.setattr(LocalMap, "_jet_coeffs",
+                        lambda self, x0, k: calls.append(np.ndim(x0)) or jet_coeffs(self, x0, k))
+    got = m.derivs_upto(P, 3)
+    assert calls == [1] + [0] * len(P)  # the array jet raised, then one float jet per row
+    for k, t in enumerate(got):
+        assert t.shape == (len(P), 1) + (1,) * k
+        for i, w in enumerate(want):
+            assert t[i].tobytes() == w[k].tobytes(), (k, i)
+    assert got[1][:, 0, 0].tolist() == [-1.0, -1.0, math.cos(0.3), math.cos(0.7), -1.0]

@@ -9,10 +9,22 @@ import sys
 
 import pytest
 
-from mapnets.cli import main
+from mapnets.asymptotics import Status
+from mapnets.cli import main, verdict_record
 from mapnets.config import Config
 from mapnets.errors import SpecError
-from mapnets.gallery import GALLERY, gallery_run_all, get_entry
+from mapnets.gallery import (
+    GALLERY,
+    REGISTRY_ENV,
+    SpecEnv,
+    gallery_run_all,
+    get_entry,
+    get_net,
+    get_region,
+)
+from mapnets.gmap import compose
+from mapnets.gpoints import eval_at
+from mapnets.vbundle import check_vbhom_equiv, tangent
 
 
 def run_cli(args, capsys):
@@ -169,6 +181,36 @@ class TestCLI:
         assert code == 0
         rec = json.loads(out)
         assert rec["samples"][0]["fiber"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_compose_at_a_point_is_eval_at_of_the_composite(self, capsys, tmp_path):
+        spec = {"points": {"p": {"atlas": "line", "chart": "e0", "coords": [0.3]}}}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        code, out, _ = run_cli(["compose", "--outer", "sigma_sin", "--inner", "sigma_tanh",
+                                "--region", "K_unit", "--point", "p",
+                                "--spec", str(spec_file)], capsys)
+        assert code == 0
+        cfg = Config()
+        grid, env = cfg.grid(), SpecEnv(spec, parent=REGISTRY_ENV)
+        w = compose(env.net("sigma_sin"), env.net("sigma_tanh"), K=env.region("K_unit"),
+                    grid=grid, cfg=cfg)
+        want = eval_at(w, env.point("p"), grid, cfg).as_record(grid)
+        assert len(want["samples"]) == len(grid)
+        assert json.dumps(json.loads(out)["result"], sort_keys=True) == json.dumps(
+            want, sort_keys=True)
+
+    @pytest.mark.parametrize("order0", [False, True])
+    def test_vb_check_of_two_nets_is_check_vbhom_equiv(self, capsys, order0):
+        code, out, _ = run_cli(["vb-check", "--net", "s1_jump", "--net2", "s1_jump_flat",
+                                "--region", "K_unit"] + ["--order0"] * order0, capsys)
+        cfg = Config()
+        v = check_vbhom_equiv(tangent(get_net("s1_jump")), tangent(get_net("s1_jump_flat")),
+                              get_region("K_unit"), cfg.grid(), cfg.k_max, order0, cfg)
+        inputs = {"net": "s1_jump", "region": "K_unit", "config": cfg.as_dict(),
+                  "net2": "s1_jump_flat"}
+        assert code == (0 if v.status is Status.PASS else 1)
+        assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(
+            verdict_record("vb-check", inputs, v), sort_keys=True)
 
     def test_tensor_insert_subcommand(self, capsys, tmp_path):
         spec = {"points": {"p": {"atlas": "line", "chart": "e0", "coords": [0.3]}}}

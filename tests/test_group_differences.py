@@ -9,7 +9,9 @@ args byte for byte, skip the eps without a representative alike, and raise
 the same error, the first failing eps's.  ``tangent_norm_series`` takes its
 Jacobians as order 1 of the same ``gmap._group_tensors``: one difference
 pass per chart pair of the image table's rows, bit for bit the norms of one
-stacked ``jacobian`` per (eps, chart pair).
+stacked ``jacobian`` per (eps, chart pair).  So does
+``check_section_moderate``: one difference pass per piece of K, and the
+verdict of one ``derivs_upto`` per (piece, eps) byte for byte.
 """
 
 import math
@@ -19,8 +21,9 @@ import pytest
 from test_asymptotics import ref_sweep_sups
 
 from mapnets import gmap, jets, manifold
-from mapnets.asymptotics import sweep_stacks
+from mapnets.asymptotics import conjunction, judge_moderate, sweep_stacks
 from mapnets.config import Config
+from mapnets.gallery import get_atlas
 from mapnets.gmap import MapNet, derivative_sup_series, effective_reps
 from mapnets.manifold import (
     Box,
@@ -31,8 +34,14 @@ from mapnets.manifold import (
     euclidean_multichart,
     riemannian_operator_norm,
     tensor_norm,
+    trivial_bundle,
 )
-from mapnets.vbundle import tangent_norm_series
+from mapnets.vbundle import (
+    SectionNet,
+    check_section_moderate,
+    section_norm_series,
+    tangent_norm_series,
+)
 
 CFG = Config()
 GRID = CFG.grid()
@@ -252,3 +261,106 @@ def test_tangent_norms_take_one_difference_pass_per_chart_pair(with_jac, monkeyp
     assert got.context == want.context and got.eps.tobytes() == want.eps.tobytes()
     assert got.sup.tobytes() == want.sup.tobytes()
     assert [repr(p) for p in got.args] == [repr(p) for p in want.args]
+
+
+def ref_section_moderate(s, K, grid, k_max, cfg):
+    """``check_section_moderate`` from one ``derivs_upto`` per (piece, eps),
+    an eps without a field reading one zero sample."""
+    parts = {"fiber-norm": judge_moderate(section_norm_series(s, K, grid, cfg),
+                                          cfg.n_cap, cfg.r2_min)}
+    stacks = []
+    for pi, (cid, lat) in enumerate(K.lattices()):
+        ts = [None if (fld := s.coeffs_at(eps).get(cid)) is None else fld.derivs_upto(lat, k_max)
+              for eps in grid.values()]
+        for k in range(1, k_max + 1):
+            norms = [np.zeros(1) if t is None else tensor_norm(t[k], k) for t in ts]
+            eis = np.repeat(np.arange(len(ts)), [len(n) for n in norms])
+            stacks.append(((pi, cid, k), eis, np.concatenate(norms), lambda _i: None))
+    series = sweep_stacks(grid, stacks, cfg.zero_tol,
+                          lambda key: f"|D^{key[2]} coeffs| K[{key[0]}] {key[1]} of {s.tag}")
+    for (pi, cid, k), ser in sorted(series.items()):
+        parts[f"k={k}|K[{pi}]|{cid}"] = judge_moderate(ser, cfg.n_cap, cfg.r2_min)
+    return conjunction(parts, notes=f"section moderateness of {s.tag}")
+
+
+def assert_same_verdicts(got, want):
+    assert (got.status, got.notes, list(got.details)) == (want.status, want.notes,
+                                                           list(want.details))
+    assert repr(got.estimate) == repr(want.estimate) and repr(got.witness) == repr(want.witness)
+    if want.series is not None:
+        assert got.series.context == want.series.context
+        assert got.series.sup.tobytes() == want.series.sup.tobytes()
+    for key, part in want.details.items():
+        assert_same_verdicts(got.details[key], part)
+
+
+CIRCLE = get_atlas("circle")
+LINE = euclidean_atlas([(-10.0, 10.0)], name="line")
+
+
+def section_case(name):
+    """(section, region, difference passes of its sweep: one per piece for
+    plain per-point fields, none for an expression)."""
+    if name == "fn":
+        return SectionNet(trivial_bundle(PLANE, 2), lambda eps: {"e0": LocalMap(
+            2, (2,), fn=lambda x: steep(eps, x), name="steep")}, tag="fn"), K, 2
+    if name == "expression":
+        K1 = CompactRegion([("e0", Box([-1.0], [1.0]))], lattice_density=7)
+        return SectionNet(trivial_bundle(LINE, 1), lambda eps: {"e0": LocalMap.from_expr(
+            lambda t: jets.tanh(t / eps) + t ** 3, name="expr")}, tag="expr"), K1, 0
+    if name == "circle":
+        Kc = CompactRegion([("ang0", Box([-1.0], [1.0])), ("angpi", Box([-0.5], [0.5]))],
+                           lattice_density=5)
+        return SectionNet(trivial_bundle(CIRCLE, 1), lambda eps: {cid: LocalMap(
+            1, (1,), fn=lambda x, s=s: np.array([s * math.tanh(x[0] / eps)]), name=cid)
+            for cid, s in (("ang0", 1.0), ("angpi", -1.0))}, tag="circle"), Kc, 2
+    # a chart missing at every other eps (c1's piece lies in c0 too, for the fiber norms)
+    Kt = CompactRegion([("c0", Box([-2.0, -1.0], [0.0, 1.0])),
+                        ("c1", Box([0.0, -1.0], [0.8, 1.0]))], lattice_density=3)
+
+    def coeffs(eps):
+        flds = {"c0": LocalMap(2, (2,), fn=lambda x: steep(eps, x), name="c0")}
+        if EPS.index(eps) % 2:
+            flds["c1"] = LocalMap(2, (2,), fn=lambda x: eps * steep(eps, x), name="c1")
+        return flds
+
+    return SectionNet(trivial_bundle(TWO_CHARTS, 2), coeffs, tag="half"), Kt, 2
+
+
+@pytest.mark.parametrize("name", ["fn", "expression", "circle", "chart missing"])
+def test_section_moderate_takes_one_difference_pass_per_piece(name, monkeypatch):
+    s, region, n_passes = section_case(name)
+    want = ref_section_moderate(section_case(name)[0], region, GRID, 3, CFG)
+    passes, fd_tensors = [], manifold.fd_tensors
+
+    def counted(values, jacobians, P, k_max):
+        passes.append(len(P))
+        return fd_tensors(values, jacobians, P, k_max)
+
+    monkeypatch.setattr(manifold, "fd_tensors", counted)
+    got = check_section_moderate(s, region, GRID, 3, CFG)
+    assert len(passes) == n_passes
+    assert_same_verdicts(got, want)
+
+
+def test_section_moderate_raises_the_first_failing_eps():
+    """The field fails off the lattice from eps index 4 on: the fiber norms
+    (lattice points only) pass, and the derivatives raise the first eps's error."""
+    lattice = {tuple(x) for _cid, lat in K.lattices() for x in lat.tolist()}
+
+    def section():
+        def coeffs(eps):
+            def fn(x):
+                if EPS.index(eps) >= 4 and tuple(x.tolist()) not in lattice:
+                    raise ValueError(f"field fails at eps={eps!r}")
+                return steep(eps, x)
+            return {"e0": LocalMap(2, (2,), fn=fn, name="raising")}
+
+        return SectionNet(trivial_bundle(PLANE, 2), coeffs, tag="raising")
+
+    section_norm_series(section(), K, GRID, CFG)  # the fiber norms pass
+    with pytest.raises(ValueError) as want:
+        ref_section_moderate(section(), K, GRID, 2, CFG)
+    with pytest.raises(ValueError) as got:
+        check_section_moderate(section(), K, GRID, 2, CFG)
+    assert str(got.value) == str(want.value) and repr(EPS[4]) in str(got.value)

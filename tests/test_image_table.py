@@ -583,21 +583,20 @@ class TestSweepsAndCacheKey:
             seed = 1
         before = sum(evals.values())
         assert u.image_table(K, grid, trials, seed) is not table
-        if change == "no-trials":  # the lattice table was built as the head of `table`
-            assert sum(evals.values()) == before
-        else:
-            assert sum(evals.values()) > before
+        assert sum(evals.values()) > before
 
     @pytest.mark.parametrize("first", [0, 3])
     def test_extras_table_evaluates_no_lattice_image_again(self, evals, first):
         u, _ = fresh_pair()
         n_lattice = len(gmap.sample_points(K_LINE))
         n_extra = len(gmap.sample_points(K_LINE, 3, CFG.seed)) - n_lattice
-        u.image_table(K_LINE, GRID, first, CFG.seed)
-        before = sum(evals.values())
-        u.image_table(K_LINE, GRID, 3 - first, CFG.seed)
+        built = {}  # trials: the images its table evaluated
+        for trials in (first, 3 - first):
+            before = sum(evals.values())
+            u.image_table(K_LINE, GRID, trials, CFG.seed)
+            built[trials] = sum(evals.values()) - before
         assert set(evals.values()) == {1}
-        assert sum(evals.values()) - before == (len(GRID) * n_extra if first == 0 else 0)
+        assert built == {0: len(GRID) * n_lattice, 3: len(GRID) * n_extra}
 
     @pytest.mark.parametrize("first", ["separate", "equiv0"])
     def test_separate_then_equiv0_evaluate_each_image_once(self, evals, first):
@@ -609,12 +608,44 @@ class TestSweepsAndCacheKey:
         assert set(evals.values()) == {1}
         assert len(evals) == 2 * len(GRID) * len(gmap.sample_points(K_LINE, 3, CFG.seed))
 
+    @pytest.mark.parametrize("case,raised", [
+        ("u extras, v lattice", "u@eps=0.0625 has no chart for image of Point(e0, [0.273923])"),
+        ("u lattice late, u extras early", "u@eps=0.000976562 has no chart for image of "
+                                           "Point(e0, [-1.])"),
+        ("v extras only", "v@eps=0.25 has no chart for image of Point(e0, [0.273923])"),
+    ])
+    def test_a_sweep_with_extras_raises_the_first_table_escape(self, case, raised):
+        """The tables are read in the order u's lattice, u's extras, v's
+        lattice, v's extras, and the first with an escape raises it."""
+        line = get_atlas("line")
+
+        def net(tag, escapes):  # +20 leaves the line's chart where escapes(x, eps)
+            return MapNet(line, line, lambda eps: {("e0", "e0"): LocalMap(
+                1, (1,), fn=lambda x: x + (20.0 if escapes(x[0], eps) else 0.0),
+                name=f"{tag}@eps={eps:g}")}, tag=tag)
+
+        def lattice(x):  # K_LINE's lattice is the quarters of [-1, 1]
+            return float(4.0 * x).is_integer()
+
+        u, v = {
+            "u extras, v lattice": (net("u", lambda x, e: not lattice(x) and e < 0.1),
+                                    net("v", lambda x, e: lattice(x))),
+            "u lattice late, u extras early": (
+                net("u", lambda x, e: e < 1e-3 if lattice(x) else e < 0.3),
+                net("v", lambda x, e: False)),
+            "v extras only": (net("u", lambda x, e: False),
+                              net("v", lambda x, e: not lattice(x))),
+        }[case]
+        with pytest.raises(ChartEscape) as got:
+            gmap._distance_sweep(u, v, K_LINE, None, GRID, CFG, 3, 0)
+        assert str(got.value) == raised
+
     @pytest.mark.parametrize("name", ["circle", "sphere"])
     def test_extras_table_equals_a_direct_build(self, name):
         u, _, K = PAIRS[name]
         table = u.image_table(K, GRID, 3, 7)
-        direct = gmap.ImageTable(u, gmap.PointStack.of(u.src, gmap.sample_points(K, 3, 7)),
-                                 GRID.values())
+        extras = gmap.sample_points(K, 3, 7)[len(gmap.sample_points(K)):]
+        direct = gmap.ImageTable(u, gmap.PointStack.of(u.src, extras), GRID.values())
         for attr in ("margins", "coords", "chart"):
             got, want = getattr(table, attr), getattr(direct, attr)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
