@@ -235,7 +235,8 @@ def _fit_positive(series: SupSeries, min_points: int) -> OrderEstimate:
         raise TooFewSamples(
             f"{len(idx)} positive finite samples, need {min_points} ({series.context})"
         )
-    w = len(idx) - (len(idx) + 1) // 2  # last-half window (small-eps side)
+    # last-half window (small-eps side), never fewer than 3 points: a 2-point fit has r2 = 1
+    w = max(0, min(len(idx) - 3, len(idx) - (len(idx) + 1) // 2))
     win = idx[w:]
     slope, r2 = _fit(series.eps[win], series.sup[win])
     return OrderEstimate(slope=slope, r2=r2, window=(int(win[0]), int(win[-1])))

@@ -178,8 +178,6 @@ def test_the_gap_of_the_tangent_maps_of_two_composites_is_finite(cfg):
     assert_finite_sups(v)
 
 
-@pytest.mark.xfail(strict=True, reason="asymptotics._fit_positive judges a series with 3 or 4 "
-                   "positive samples on a 2-point window, whose fit has r^2 = 1")
 def test_round_off_in_a_negligible_gap_does_not_fail(cfg):
     """sin against sin + e^(-1/eps), both plain fn maps out of 'left': the k = 2
     gap is finite-difference round-off (3.2e-10, 4.5e-13, 1.7e-12, 1.6e-12,
