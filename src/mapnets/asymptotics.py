@@ -235,8 +235,8 @@ def _fit_positive(series: SupSeries, min_points: int) -> OrderEstimate:
         raise TooFewSamples(
             f"{len(idx)} positive finite samples, need {min_points} ({series.context})"
         )
-    # last-half window (small-eps side), never fewer than 3 points: a 2-point fit has r2 = 1
-    w = max(0, min(len(idx) - 3, len(idx) - (len(idx) + 1) // 2))
+    # the last half (small-eps side), never fewer than 3 points: a 2-point fit has r2 = 1
+    w = min(len(idx) // 2, max(0, len(idx) - 3))
     win = idx[w:]
     slope, r2 = _fit(series.eps[win], series.sup[win])
     return OrderEstimate(slope=slope, r2=r2, window=(int(win[0]), int(win[-1])))
@@ -268,7 +268,7 @@ def _window_stats(series: SupSeries, est: OrderEstimate):
     head = series.sup[[i for i in idx if i < est.window[0]]]
     wmax = float(win.max()) if len(win) else 0.0
     wmin = float(win.min()) if len(win) else 0.0
-    hmax = float(head.max()) if len(head) else wmax
+    hmax = float(head.max()) if len(head) else 0.0  # no head: nothing shows a bound
     return wmax, wmin, hmax
 
 

@@ -355,6 +355,16 @@ class TestShortAndOverflowingSeries:
         v = judge_moderate(self.series({13: 1.0, 14: 2.0}), n_cap=10)
         assert v.status is Status.INCONCLUSIVE and v.notes == "too few positive samples"
 
+    def test_three_positives_at_the_end_are_not_bounded_without_a_head(self):
+        # the 3-point window holds every positive sample: no head bounds it
+        v = judge_moderate(self.series({12: 1.0, 13: 4.0, 14: 16.0}), n_cap=10)
+        assert v.estimate.window == (12, 14)
+        assert v.status is Status.PASS and v.estimate.n_or_m == 2
+
+    def test_three_level_positives_at_the_end_pass_as_level(self):
+        v = judge_moderate(self.series({12: 1.0, 13: 1.5, 14: 1.2}), n_cap=10)
+        assert v.status is Status.PASS and v.estimate.n_or_m == 0
+
     def test_an_overflow_with_one_positive_fails_with_slope_minus_inf(self):
         v = judge_moderate(self.series({3: 1.0, 14: math.inf}), n_cap=10)
         assert v.status is Status.FAIL and v.notes == "overflow in sup series"
