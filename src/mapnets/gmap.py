@@ -55,6 +55,8 @@ from .manifold import (
     _StackMap,
     best_candidates,
     distance,
+    distinct_owners,
+    same_pure_map,
     tensor_norm,
 )
 
@@ -257,25 +259,38 @@ class _RunsMap(_StackMap):
     """The map whose runs ``runs`` [(rows, map)] (``_eps_rows``) own the rows
     of a stack: a row's tensors (``owners``) and value (``try_call``) are its
     run's map's, a run whose map is None (an eps without that chart pair,
-    ``_runs_map``) has neither.  Where every run's map
-    is a plain per-point ``LocalMap`` (``fn``), ``_tried`` is one row loop
-    over all runs (per row ``defined``, then ``fn`` where it holds) and one
-    stack of all outputs, and a run whose ``fn`` raises is read as
+    ``_runs_map``) has neither.  Adjacent runs whose maps are the same pure
+    function (``same_pure_map``) are one run (``merged``), which reads only
+    the first of each of its distinct rows (``distinct_owners``) and copies
+    the values to the others, as ``owned_tensors`` copies the tensors.
+    Where every run's map is a plain per-point ``LocalMap`` (``fn``),
+    ``_tried`` is one row loop over all runs (per row ``defined``, then
+    ``fn`` where it holds) and one stack of all outputs, and a run whose
+    ``fn`` raises is read as
     ``LocalMap._tried`` reads it (its other rows' ``defined``, then each
-    defined row alone), so each user callable runs as often as run by run;
-    otherwise each run's own ``try_call``."""
+    defined row alone), so each user callable runs as often as run by run
+    on the rows read; otherwise each run's own ``try_call``."""
 
     def __init__(self, runs: list):
-        owned = self.owned = [(rows, m) for rows, m in runs if m is not None]
+        groups = []  # [[(rows, map)]]: adjacent runs of one map
+        for rows, m in runs:
+            if m is not None and groups and same_pure_map(groups[-1][0][1], m):
+                groups[-1].append((rows, m))
+            elif m is not None:
+                groups.append([(rows, m)])
+        owned = self.owned = [(np.concatenate([r for r, _m in g]) if len(g) > 1 else g[0][0],
+                               g[0][1]) for g in groups]
         super().__init__(owned[0][1].in_dim, owned[0][1].out_shape, None,
                          owners=lambda P: owned)  # not self: no reference cycle
+        self.merged = [len(g) > 1 for g in groups]
         self.plain = all(type(m) is LocalMap and m.fn is not None and m.eps_column is None
                          for _rows, m in owned)
 
     def _tried(self, P: np.ndarray) -> tuple:
         Y = np.full((len(P),) + self.out_shape, math.nan)
         looped, flags, outs = [], [], []  # the runs read in the loop, their rows' flags, outputs
-        for rows, m in self.owned:
+        owned, copies = distinct_owners(P, self.owned, self.merged)
+        for rows, m in owned:
             if not self.plain:
                 Y[rows] = m.try_call(P[rows])
                 continue
@@ -296,6 +311,8 @@ class _RunsMap(_StackMap):
         if looped:
             rows = np.concatenate(looped)[np.array(flags, dtype=bool)]
             Y[rows] = self._stack(None, outs, self.out_shape, "returned")
+        for rows, src in copies:
+            Y[rows] = Y[src]
         return Y, ~np.isnan(Y.reshape(len(P), -1)).all(axis=1)
 
 

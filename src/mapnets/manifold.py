@@ -14,6 +14,7 @@ import functools
 import heapq
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -302,6 +303,8 @@ class LocalMap:
     the gaps of their pairs, ``gmap._GapMap``; their derivative maps; a
     derivative sweep's eps runs) takes each row's tensors from its owner
     (``owned_tensors``, called only here), so ``fd_tensors`` runs only here.
+    Evaluation is pure, so maps that are the same (``same_pure_map``) compute
+    alike: eps runs of one such map share their evaluations (``gmap._RunsMap``).
 
     The derivative oracle and ``try_call`` take a point, shape ``(in_dim,)``,
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
@@ -417,6 +420,9 @@ class LocalMap:
     # owners(P) -> [(rows, map)]: the maps whose tensors are this map's at the
     # rows (indices) of the stack P, or None where it owns them (or no hook).
     owners: Optional[Callable[[np.ndarray], Optional[list]]] = None
+    # Where the owners are a grid's eps runs (gmap._RunsMap): per owner, whether
+    # it is the map of several runs (``same_pure_map``); else None.
+    merged: Optional[list] = None
 
     def fd_leaf(self, k_max: int) -> Optional[tuple]:
         """(values, jacobians): the stacked hooks whose central differences
@@ -497,6 +503,68 @@ class LocalMap:
 
     def derivative_map(self) -> "LocalMap":
         return _DerivedMap(self)
+
+
+def same_pure_map(m: LocalMap, n: LocalMap) -> bool:
+    """Whether the local maps m and n are the same pure function: one object,
+    or two plain ``LocalMap``s (the ``fn`` path: no ``expr``, no
+    ``eps_column``) with equal ``in_dim`` and ``out_shape`` whose ``fn``,
+    ``jac`` and ``defined`` are each the same (``_same_callable``).  So a
+    factory's fresh ``lambda x: R @ x + c`` per eps is the same map at every
+    eps, and a closure over eps, or a default computed from it, is not."""
+    if m is n:
+        return True
+    return (type(m) is LocalMap and type(n) is LocalMap and m.expr is None and n.expr is None
+            and m.eps_column is None and n.eps_column is None
+            and m.in_dim == n.in_dim and m.out_shape == n.out_shape
+            and _same_callable(m.fn, n.fn) and _same_callable(m.jac, n.jac)
+            and _same_callable(m.defined, n.defined))
+
+
+def _same_callable(f, g) -> bool:
+    """One object, or two Python functions with the same code and globals whose
+    closure cells' contents, defaults and keyword defaults are the same objects
+    (an empty cell is only itself; any other callable only itself)."""
+    if f is g:
+        return True
+    if type(f) is not types.FunctionType or type(g) is not types.FunctionType \
+            or f.__code__ is not g.__code__ or f.__globals__ is not g.__globals__:
+        return False
+    for c, d in zip(f.__closure__ or (), g.__closure__ or ()):  # one code: as many cells
+        if c is not d and _contents(c) is not _contents(d):
+            return False
+    df, dg = f.__defaults__ or (), g.__defaults__ or ()
+    kf, kg = f.__kwdefaults__ or {}, g.__kwdefaults__ or {}
+    return (len(df) == len(dg) and all(a is b for a, b in zip(df, dg))
+            and kf.keys() == kg.keys() and all(kf[k] is kg[k] for k in kf))
+
+
+def _contents(cell):
+    """A closure cell's contents, or the cell itself where it is empty."""
+    try:
+        return cell.cell_contents
+    except ValueError:
+        return cell
+
+
+def distinct_owners(P: np.ndarray, owners: list, merged: Optional[list]) -> tuple:
+    """(owners, copies): the ``owners`` [(rows, map)] of rows of the stack P,
+    each that ``merged`` flags (``LocalMap.merged``) on the first of each of
+    its distinct rows, in order of first occurrence, and per such owner
+    (rows, src): its rows take the values at the rows src.  Rows are
+    distinct by their bytes: -0.0 is not 0.0."""
+    out, copies = [], []
+    for (rows, m), flag in zip(owners, merged or [False] * len(owners)):
+        if flag:
+            X = np.ascontiguousarray(P[rows])
+            _u, index, inverse = np.unique(X.view(np.dtype((np.void, X.itemsize * X.shape[1])))
+                                           .ravel(), return_index=True, return_inverse=True)
+            order = np.argsort(index)
+            first = rows[index[order]]
+            copies.append((rows, first[np.argsort(order)[inverse.ravel()]]))
+            rows = first
+        out.append((rows, m))
+    return out, copies
 
 
 class _StackMap(LocalMap):
@@ -603,10 +671,16 @@ def owned_tensors(m: LocalMap, owners: list, P: np.ndarray, k_max: int) -> list:
     its place).  The owners that take differences (``fd_leaf``) share one
     ``fd_tensors`` call per leaf kind, whose hooks hand each its own roots'
     rows (per root the root, or its grid); every other owner makes its own
-    ``derivs_upto``.  After any error the owners make their own calls, in
-    order, so the first failing one raises.  Rows no owner owns are empty."""
+    ``derivs_upto``.  An owner that ``m.merged`` flags (several eps runs of
+    one map) takes each distinct root once (``distinct_owners``; a root's
+    tensors do not depend on the others in its stack), and its other rows
+    copy them.  After any error the owners make their own calls, in order,
+    so the first failing one raises, but eps runs (``m.merged`` not None)
+    raise: their reader (``gmap._eps_rows``) redoes them one by one.  Rows
+    no owner owns are empty."""
+    (todo, copies), fused, parts = distinct_owners(P, owners, m.merged), {}, []
+    # fused: no Jacobians? -> [(rows, leaf)]; copies: (rows, src), filled last
     try:
-        todo, fused, parts = list(owners), {}, []  # fused: no Jacobians? -> [(rows, leaf)]
         while todo:
             rows, o = todo.pop(0)
             sub = None if o.owners is None else o.owners(P[rows])
@@ -630,13 +704,18 @@ def owned_tensors(m: LocalMap, owners: list, P: np.ndarray, k_max: int) -> list:
 
             parts.append((rows, fd_tensors(hook(0), None if no_jac else hook(1), P[rows], k_max)))
     except Exception:  # any error: the owners one by one raise the first failing one's
+        if m.merged is not None:
+            raise
         parts = [(rows, o.derivs_upto(P[rows], k_max)) for rows, o in owners]
     if len(parts) == 1 and np.array_equal(parts[0][0], np.arange(len(P))):
-        return parts[0][1]  # one pass over every row in order: its tensors as they are
+        return parts[0][1]  # one pass over every row in order (so no copies): its tensors
     ts = [np.empty((len(P),) + m.out_shape + (m.in_dim,) * k) for k in range(k_max + 1)]
     for rows, got in parts:
         for t, g in zip(ts, got):
             t[rows] = g
+    for rows, src in copies:
+        for t in ts:
+            t[rows] = t[src]
     return ts
 
 
