@@ -114,9 +114,9 @@ def _collect_series(verdict: Verdict) -> dict:
 # Argument plumbing
 # ======================================================================
 
-# Config fields settable by flag (--grid-base ... --seed), typed by their defaults.
+# Config fields settable by flag (--grid-base ... --margin-min), typed by their defaults.
 CONFIG_FLAGS = ("grid_base", "grid_k_min", "grid_k_max", "k_max", "n_cap",
-                "m_probe", "r2_min", "vanish_tol", "margin_min", "seed")
+                "m_probe", "r2_min", "vanish_tol", "margin_min")
 
 
 def _add_config_flags(p: argparse.ArgumentParser, run=None) -> None:

@@ -19,7 +19,8 @@ class Config:
     r2_min          : minimum log-log fit quality for decisive verdicts.
     vanish_tol      : tail threshold for the vanishing judge.
     margin_min      : boundary-escape margin, fraction of chart extent.
-    seed            : seed for randomized extra lattice points.
+    seed            : seed of the extra sample points a library caller's
+                      ``trials`` > 0 draws (set by --config, no flag).
     zero_tol        : sup values at or below this count as exact zeros.
     pad_frac        : padding applied to image bounding regions.
     """

@@ -43,7 +43,6 @@ from .config import DEFAULT_CONFIG, Config
 from .errors import ChartEscape, ChartMismatch, DerivativeUndefined
 from .exprs import EpsFamily
 from .manifold import (
-    _UNDEFINED,
     Atlas,
     Box,
     CompactRegion,
@@ -263,13 +262,8 @@ class _RunsMap(_StackMap):
     function (``same_pure_map``) are one run (``merged``), which reads only
     the first of each of its distinct rows (``distinct_owners``) and copies
     the values to the others, as ``owned_tensors`` copies the tensors.
-    Where every run's map is a plain per-point ``LocalMap`` (``fn``),
-    ``_tried`` is one row loop over all runs (per row ``defined``, then
-    ``fn`` where it holds) and one stack of all outputs, and a run whose
-    ``fn`` raises is read as
-    ``LocalMap._tried`` reads it (its other rows' ``defined``, then each
-    defined row alone), so each user callable runs as often as run by run
-    on the rows read; otherwise each run's own ``try_call``."""
+    Each run's rows are read by its map's own ``_tried``, so each user
+    callable runs as often as run by run on the rows read."""
 
     def __init__(self, runs: list):
         groups = []  # [[(rows, map)]]: adjacent runs of one map
@@ -283,34 +277,12 @@ class _RunsMap(_StackMap):
         super().__init__(owned[0][1].in_dim, owned[0][1].out_shape, None,
                          owners=lambda P: owned)  # not self: no reference cycle
         self.merged = [len(g) > 1 for g in groups]
-        self.plain = all(type(m) is LocalMap and m.fn is not None and m.eps_column is None
-                         for _rows, m in owned)
 
     def _tried(self, P: np.ndarray) -> tuple:
         Y = np.full((len(P),) + self.out_shape, math.nan)
-        looped, flags, outs = [], [], []  # the runs read in the loop, their rows' flags, outputs
         owned, copies = distinct_owners(P, self.owned, self.merged)
         for rows, m in owned:
-            if not self.plain:
-                Y[rows] = m.try_call(P[rows])
-                continue
-            X, defined, fn, got, vals = P[rows], m.defined, m.fn, [], []
-            try:
-                for x in X:
-                    got.append(defined is None or bool(defined(x)))
-                    if got[-1]:
-                        vals.append(fn(x))
-                looped.append(rows)
-                flags += got
-                outs += vals
-            except _UNDEFINED + (DerivativeUndefined,):  # from defined: raised again below
-                ok = np.array(got + [defined is None or bool(defined(x)) for x in X[len(got):]])
-                Y_run = np.full((len(X),) + self.out_shape, math.nan)
-                m._alone(X, ok, Y_run)
-                Y[rows] = Y_run
-        if looped:
-            rows = np.concatenate(looped)[np.array(flags, dtype=bool)]
-            Y[rows] = self._stack(None, outs, self.out_shape, "returned")
+            Y[rows] = m._tried(P[rows])[0]
         for rows, src in copies:
             Y[rows] = Y[src]
         return Y, ~np.isnan(Y.reshape(len(P), -1)).all(axis=1)

@@ -310,8 +310,9 @@ class LocalMap:
     or a stack of points, shape ``(N, in_dim)``; for a stack every tensor
     gains a leading row axis.  An expression is evaluated once on the array
     jet of the stack's column; otherwise one ``_values`` (or ``_jacobians``)
-    call reads the grids of all rows, and
-    ``try_call`` masks rows by ``_defined_rows``.  These hooks call a user's
+    call reads the grids of all rows, and ``try_call`` reads the rows that
+    ``_defined_rows`` marks by one ``_values`` call (on the stack itself
+    where it marks every row; ``_tried``).  These hooks call a user's
     ``fn``, ``jac`` and ``defined`` once per row (their contract is per point);
     the atlas maps built here (transitions, their Jacobians and domains,
     metric and bundle fields) take a whole stack in one call (``_StackMap``).
@@ -373,24 +374,25 @@ class LocalMap:
 
     def _tried(self, P: np.ndarray) -> tuple:
         """(Y, ok): the values at the stack P (NaN rows where undefined) and whether
-        each row has one, from one ``_values`` call on the defined rows; where it
-        raises, each defined row by ``_value`` or, where that raises, undefined (for
-        an expression, the float expression: sqrt(t*t) has a value at 0, no jet)."""
+        each row has one, from one ``_values`` call: on P itself where every row is
+        defined, else on the defined rows.  Where it raises, each defined row by
+        ``_value`` or, where that raises, undefined (for an expression, the float
+        expression: sqrt(t*t) has a value at 0, no jet)."""
         ok = self._defined_rows(P)
-        Y = np.full((len(P),) + self.out_shape, math.nan)
         try:
+            if ok.all():
+                return self._values(P), ok
+            Y = np.full((len(P),) + self.out_shape, math.nan)
             Y[ok] = self._values(P[ok])
+            return Y, ok
         except _UNDEFINED + (DerivativeUndefined,):
-            self._alone(P, ok, Y)
-        return Y, ok
-
-    def _alone(self, P: np.ndarray, ok: np.ndarray, Y: np.ndarray) -> None:
-        """Each row of P that ``ok`` marks by ``_value`` into Y, unmarked where that raises."""
+            Y = np.full((len(P),) + self.out_shape, math.nan)
         for r in np.flatnonzero(ok):
             try:
                 Y[r] = self._value(P[r])
             except _UNDEFINED:
                 ok[r] = False
+        return Y, ok
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
         """A new bool per row of P: ``defined`` row by row (true without one)."""

@@ -309,6 +309,20 @@ class TestCLI:
         with pytest.raises(ValueError):
             Config.from_dict({"lattice_density": 33})
 
+    def test_no_seed_flag(self, capsys, tmp_path):
+        # the seed draws extra sample points only where ``trials`` > 0, which no
+        # subcommand passes; a --config file may still set it, and it is echoed
+        with pytest.raises(SystemExit) as exc:
+            main(["check-moderate", "--net", "sigma_sin", "--region", "K_unit", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 3}))
+        code, out, _ = run_cli(["check-moderate", "--net", "sigma_sin", "--region", "K_unit",
+                                "--config", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["inputs"]["config"]["seed"] == 3
+
     @pytest.mark.parametrize("content,what", [
         (json.dumps({"lattice_density": 5}), "lattice_density"),
         (json.dumps({"r2_min": 1.5}), "r2_min"),

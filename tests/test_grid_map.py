@@ -3,14 +3,15 @@
 For a net without eps columns, ``MapNet.image_table`` sends the (eps, point)
 rows of each source chart through one call of the map of the eps runs'
 maps (``gmap._eps_rows``, ``gmap._runs_map``): each representative is the
-``gmap._RunsMap`` of the eps runs' maps, whose ``try_call`` is one row loop
-over all runs where every run's map is a plain per-point map, and each run's
-own ``try_call`` otherwise.  The reference is the table of the same net whose
+``gmap._RunsMap`` of the eps runs' maps, whose ``try_call`` reads each run
+through that run's own map (``LocalMap._tried``), once per distinct run.
+The reference is the table of the same net whose
 eps-column call is undefined, so that ``_eps_rows`` makes one ``u.at(eps)``
 call per eps: the arrays, the escape and every escaped row's error must be
 the same, byte for byte, the user callables must run as often, or the same
 error must be raised.  An eps-column call that raises anything is read eps
-by eps too, in tables and in ``check_moderate``.
+by eps too, in tables and in ``check_moderate``.  The last tests count the
+reads of a runs map and of ``LocalMap._tried`` on a stack.
 """
 
 import collections
@@ -104,7 +105,7 @@ CASES = {
     "fn raises": (raising_net(), K_LINE),
     "pairs change": (changing_pairs_net(), TWO_SOURCE_K),
     "sphere, two targets": (NETS["sphere-meridian"][0], K_SQUARE),
-    # maps that are not plain fn maps: each run's own try_call
+    # expressions, composites and two-chart targets
     "expression": (scalar_net(LINE, LINE, lambda eps: lambda t: jets.sin(t) + eps * t,
                               tag="sin_eps"), K_LINE),
     "composite": (compose(raising_net(), undefined_net()), K_LINE),
@@ -303,3 +304,85 @@ def test_a_stack_of_points_is_the_stack_of_their_arrays():
     with pytest.raises(KeyError):
         got.point(1)
     assert len(PointStack.of(MULTI, []).chart) == 0
+
+
+def sin_maps() -> list:
+    """One plain map per grid eps, defined where x < 0.8, whose ``fn`` closes
+    over its eps's scale; the maps at the 4th and 5th eps share one scale
+    object, so they are one pure function."""
+    def defined(x):
+        return x[0] < 0.8
+
+    def at(scale):
+        return LocalMap(1, (1,), fn=lambda x: np.sin(x) * scale, defined=defined,
+                        name=f"sin*{scale:g}")
+
+    scales = [1.0 + eps for eps in GRID.values()]
+    scales[4] = scales[3]
+    return [at(scale) for scale in scales]
+
+
+def test_a_runs_map_reads_each_distinct_run_once_through_its_map(monkeypatch):
+    """15 runs of 6 rows, each read by one ``_tried`` call of its own map; the
+    runs at the 4th and 5th eps merge, and the 5th repeats the 4th's rows, so
+    one call reads the 6 distinct rows of the two."""
+    maps, X = sin_maps(), K_LINE.lattices()[0][1][:6]
+    runs = [(np.arange(6 * i, 6 * i + 6), m) for i, m in enumerate(maps)]
+    blocks = [X * (1.0 + 0.1 * i) for i in range(len(maps))]
+    blocks[4] = blocks[3]
+    P = np.concatenate(blocks)
+    reads, tried = [], LocalMap._tried
+
+    def counted(self, Q):
+        reads.append((self, Q.tobytes()))
+        return tried(self, Q)
+
+    runs_map = gmap._RunsMap(runs)
+    assert runs_map.merged == [i == 3 for i in range(len(maps) - 1)]
+    monkeypatch.setattr(LocalMap, "_tried", counted)
+    got = runs_map.try_call(P)
+    monkeypatch.undo()
+    assert reads == [(m, P[rows].tobytes()) for rows, m in runs if m is not maps[4]]
+    want = np.concatenate([m.try_call(P[rows]) for rows, m in runs])
+    assert got.tobytes() == want.tobytes()
+
+
+def per_row(m: LocalMap, P: np.ndarray) -> tuple:
+    """(Y, ok) of ``LocalMap._tried``, row by row: ``defined``, then ``fn``."""
+    Y, ok = np.full((len(P),) + m.out_shape, math.nan), np.zeros(len(P), dtype=bool)
+    for r, x in enumerate(P):
+        if m.defined is None or m.defined(x):
+            try:
+                Y[r], ok[r] = m.fn(x), True
+            except ValueError:
+                pass
+    return Y, ok
+
+
+@pytest.mark.parametrize("bound,raise_above", [(math.inf, math.inf), (0.4, math.inf),
+                                               (0.4, 0.0)],
+                         ids=["all defined", "some defined", "fn raises"])
+def test_tried_makes_one_values_call_over_the_defined_rows(monkeypatch, bound, raise_above):
+    def fn(x):
+        if x[0] > raise_above:
+            raise ValueError("outside the domain")
+        return np.array([np.sin(x[0]), x[0] ** 2])
+
+    m = LocalMap(1, (2,), fn=fn, defined=lambda x: x[0] < bound, name="sin-square")
+    P = np.linspace(-1.0, 1.0, 36)[:, None]
+    calls = collections.Counter()
+    for hook in ("_values", "_value"):
+        def counted(Q, f=getattr(m, hook), hook=hook):
+            calls[hook] += 1
+            calls[hook, "rows"] += len(Q) if Q.ndim > 1 else 1
+            calls[hook, "P itself"] += Q is P
+            return f(Q)
+        monkeypatch.setattr(m, hook, counted)
+    Y, ok = m._tried(P)
+    want_Y, want_ok = per_row(m, P)
+    assert Y.tobytes() == want_Y.tobytes() and ok.tobytes() == want_ok.tobytes()
+    n_defined = int((P[:, 0] < bound).sum())
+    assert calls["_values"] == 1 and calls["_values", "rows"] == n_defined
+    assert calls["_values", "P itself"] == (n_defined == len(P))
+    # where the call raises, each defined row alone
+    assert calls["_value"] == (n_defined if raise_above < math.inf else 0)
