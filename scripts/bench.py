@@ -27,14 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
+import src_lines  # scripts/src_lines.py, the count the CI step prints
+
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
-
-
-def src_lines(root: Path) -> int:
-    """Lines of Python under src/, counted as the CI step counts them."""
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in (root / "src").rglob("*.py"))
 
 
 def run_workload(command: list, workload: str, seed: int, seconds: float) -> dict:
@@ -73,7 +69,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__},
-        "src_lines": src_lines(ROOT),
+        "src_lines": src_lines.counts(ROOT)[0],
         "workloads": {w["name"]: run_workload(command, w["name"], SEED, seconds)
                       for w in bench["workloads"]},
         "tier1": run_tier1(),

@@ -227,17 +227,16 @@ def _fit(eps: np.ndarray, sup: np.ndarray) -> tuple[float, float]:
     return slope, min(1.0, r2)
 
 
-def _fit_positive(series: SupSeries, min_points: int) -> OrderEstimate:
+def _fit_positive(series: SupSeries) -> Optional[OrderEstimate]:
+    """The fit of the last half of the finite positive samples (small-eps side),
+    never fewer than 3 points: a 2-point fit has r2 = 1.  The all-zero estimate
+    where no sample is finite and positive, None where 1 or 2 are."""
     idx = series.finite_positive()
     if len(idx) == 0:
         return ALL_ZERO_ESTIMATE
-    if len(idx) < min_points:
-        raise TooFewSamples(
-            f"{len(idx)} positive finite samples, need {min_points} ({series.context})"
-        )
-    # the last half (small-eps side), never fewer than 3 points: a 2-point fit has r2 = 1
-    w = min(len(idx) // 2, max(0, len(idx) - 3))
-    win = idx[w:]
+    if len(idx) < 3:
+        return None
+    win = idx[min(len(idx) // 2, len(idx) - 3):]
     slope, r2 = _fit(series.eps[win], series.sup[win])
     return OrderEstimate(slope=slope, r2=r2, window=(int(win[0]), int(win[-1])))
 
@@ -248,7 +247,10 @@ def fit_order(series: SupSeries) -> OrderEstimate:
     Requires at least 6 positive finite samples after dropping zeros; an
     all-zero series short-circuits to the slope = +inf sentinel.
     """
-    return _fit_positive(series, min_points=6)
+    n = len(series.finite_positive())
+    if 0 < n < 6:
+        raise TooFewSamples(f"{n} positive finite samples, need 6 ({series.context})")
+    return _fit_positive(series)
 
 
 def _tail_witness(series: SupSeries) -> Witness:
@@ -260,6 +262,13 @@ def _tail_witness(series: SupSeries) -> Witness:
     else:
         i = len(series) - 1
     return Witness(eps=float(series.eps[i]), location=series.arg_at(i), value=float(series.sup[i]))
+
+
+def _overflow_fail(series: SupSeries, est: Optional[OrderEstimate] = None) -> Verdict:
+    """The Fail of a series holding an overflow: ``est``, else slope -inf."""
+    return Verdict(Status.FAIL, estimate=est or OrderEstimate(-math.inf, 0.0, (0, 0)),
+                   witness=_tail_witness(series), notes="overflow in sup series",
+                   series=series)
 
 
 def _window_stats(series: SupSeries, est: OrderEstimate):
@@ -279,12 +288,7 @@ def judge_moderate(series: SupSeries, n_cap: int, r2_min: float = 0.9) -> Verdic
     regardless of fit quality; overflow in the series forces Fail.
     """
     if series.n_overflow:
-        try:
-            est = _fit_positive(series, min_points=3)
-        except TooFewSamples:
-            est = OrderEstimate(slope=-math.inf, r2=0.0, window=(0, 0))
-        return Verdict(Status.FAIL, estimate=est, witness=_tail_witness(series),
-                       notes="overflow in sup series", series=series)
+        return _overflow_fail(series, _fit_positive(series))
     idx = series.finite_positive()
     if len(idx) == 0:
         est = OrderEstimate(math.inf, 1.0, (0, 0), n_or_m=0)
@@ -297,7 +301,7 @@ def judge_moderate(series: SupSeries, n_cap: int, r2_min: float = 0.9) -> Verdic
             return Verdict(Status.PASS, estimate=est,
                            notes="bounded head with zero tail", series=series)
         return Verdict(Status.INCONCLUSIVE, notes="too few positive samples", series=series)
-    est = _fit_positive(series, min_points=3)
+    est = _fit_positive(series)
     wmax, wmin, hmax = _window_stats(series, est)
     level = wmin > 0.0 and wmax <= LEVEL_RATIO * wmin
     bounded = wmax <= 1.1 * hmax
@@ -328,9 +332,7 @@ def judge_negligible(series: SupSeries, m_probe: int, r2_min: float = 0.9,
     reaches m_probe.
     """
     if series.n_overflow:
-        return Verdict(Status.FAIL, estimate=OrderEstimate(-math.inf, 0.0, (0, 0)),
-                       witness=_tail_witness(series), notes="overflow in sup series",
-                       series=series)
+        return _overflow_fail(series)
     idx = series.finite_positive()
     if len(idx) == 0:
         est = OrderEstimate(math.inf, 1.0, (0, 0), n_or_m=m_probe)
@@ -340,7 +342,7 @@ def judge_negligible(series: SupSeries, m_probe: int, r2_min: float = 0.9,
         if v is not None:
             return v
         return Verdict(Status.INCONCLUSIVE, notes="too few positive samples", series=series)
-    est = _fit_positive(series, min_points=3)
+    est = _fit_positive(series)
     est.n_or_m = m_probe
     if est.slope >= float(m_probe) and (
         est.r2 >= r2_min or est.slope >= STRONG_FACTOR * max(1.0, float(m_probe))
@@ -388,23 +390,16 @@ def judge_vanishing(series: SupSeries, vanish_tol: float = 1e-3,
     decay too slow for a positive fitted slope.
     """
     if series.n_overflow:
-        return Verdict(Status.FAIL, estimate=OrderEstimate(-math.inf, 0.0, (0, 0)),
-                       witness=_tail_witness(series), notes="overflow in sup series",
-                       series=series)
+        return _overflow_fail(series)
     n = len(series)
     tail = series.sup[n - max(1, n // 3):]
     tail_max = float(np.max(tail))
     tail_min = float(np.min(tail))
+    est = _fit_positive(series)
     if tail_max <= vanish_tol:
-        try:
-            est = _fit_positive(series, min_points=3)
-        except TooFewSamples:
-            est = ALL_ZERO_ESTIMATE
-        return Verdict(Status.PASS, estimate=est, notes="tail below vanish_tol",
-                       series=series)
-    try:
-        est = _fit_positive(series, min_points=3)
-    except TooFewSamples:
+        return Verdict(Status.PASS, estimate=est or ALL_ZERO_ESTIMATE,
+                       notes="tail below vanish_tol", series=series)
+    if est is None:
         return Verdict(Status.INCONCLUSIVE, notes="too few positive samples", series=series)
     if est.slope > 0.0 and est.r2 >= r2_min:
         return Verdict(Status.PASS, estimate=est, series=series)

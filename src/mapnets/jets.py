@@ -333,6 +333,8 @@ def atan(x):
 
 
 def value_of(x):
+    if isinstance(x, complex):  # a fractional power of a negative float
+        raise ValueError(f"{x!r} has no real value")
     return x.value if isinstance(x, Jet) else float(x)
 
 

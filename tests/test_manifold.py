@@ -441,6 +441,33 @@ class TestDerivativeUndefined:
             chain.derivs_upto([1.0], 2)
 
 
+class TestComplexValue:
+    """A fractional power of a negative float is complex in Python: the float
+    expression has no real value there, so the row reads as undefined, the
+    same as where its ``jets.sqrt`` twin's jet fails."""
+
+    def test_a_point_call_reads_none(self):
+        assert LocalMap.from_expr(lambda t: t ** 0.5).try_call(np.array([-1.0])) is None
+
+    def test_a_stack_gets_a_nan_row(self):
+        got = LocalMap.from_expr(lambda t: t ** 0.5).try_call(np.array([[-1.0], [4.0]]))
+        assert np.isnan(got[0, 0]) and got[1, 0] == 2.0
+
+    def test_check_cbounded_escapes_where_the_sqrt_twin_does(self):
+        from mapnets.gmap import scalar_net
+
+        line = euclidean_atlas([(-10.0, 10.0)], name="line")
+        K = region_box("e0", [-1.0], [1.0], density=5)
+        raised = []
+        for expr in (lambda t: (t + 0.5) ** 0.5, lambda t: sqrt(t + 0.5)):
+            with pytest.raises(MapnetsError) as info:
+                check_cbounded(scalar_net(line, line, lambda eps: expr, tag="root"), K)
+            raised.append(info.value)
+        assert type(raised[0]) is type(raised[1]) is ChartEscape
+        assert str(raised[0]) == str(raised[1])
+        assert "Point(e0, [-1.])" in str(raised[0])
+
+
 class TestMultichart:
     def test_components_and_transitions(self):
         atlas = euclidean_multichart({"c0": [(-3.0, 1.0)], "c1": [(-1.0, 3.0)]})

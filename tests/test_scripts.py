@@ -62,3 +62,26 @@ def test_record_digest_is_reproducible():
                                                "gallery-run"]
     assert all(len(ln.split()[-1]) == 64 for ln in lines)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_src_lines_counts_code_apart_from_docs(tmp_path):
+    """A docstring or comment line raises ``lines`` alone; a statement raises both."""
+    def count(body):
+        (tmp_path / "src").mkdir(exist_ok=True)
+        (tmp_path / "src" / "m.py").write_text(body, encoding="utf-8")
+        out = run_script("scripts/src_lines.py", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        return dict(field.split("=") for field in out.stdout.split())
+
+    base = 'def f(x):\n    """Twice x."""\n    return 2 * x\n'
+    assert count(base) == {"lines": "3", "code": "2"}
+    docs = ['"""A module."""\n' + base,
+            base.replace('"""Twice x."""', '"""Twice x.\n\n    Of any number.\n    """'),
+            base.replace("    return", "    # a comment\n    return"),
+            base + "\n"]
+    for body in docs:
+        got = count(body)
+        assert got["code"] == "2" and int(got["lines"]) > 3, body
+    assert count(base + "y = f(1)\n") == {"lines": "4", "code": "3"}
+    assert count(base.replace("    return", "    s = '''# not a comment\n'''\n    return")) \
+        == {"lines": "5", "code": "4"}
